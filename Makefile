@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check chaos bench fuzz fuzz-smoke lint-metrics
+.PHONY: build test check bench fuzz lint-metrics
 
 build:
 	$(GO) build ./...
@@ -8,31 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI tier: static analysis, the race-enabled suite (in a
-# shuffled order, to flush inter-test ordering dependencies), and a
-# one-iteration benchmark smoke pass (keeps the perf harness compiling
-# and running without timing anything).
+# check is the CI tier; ci.sh holds the tier list (vet, lint, the
+# race-enabled suite, the perfbench module, bench smoke, chaos and fuzz
+# smoke).
 check:
-	$(GO) vet ./...
-	$(MAKE) lint-metrics
-	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(MAKE) chaos
-	$(MAKE) fuzz-smoke
+	./ci.sh
 
-# chaos is the fault-injection tier: the seeded chaos scenario, the faulty-
-# provider regression tests, the breaker/backoff unit tests and the compute
-# pool's shutdown/leak checks, run twice under the race detector in a
-# shuffled order so recovery is provably deterministic and free of
-# ordering dependencies.
-chaos:
-	$(GO) test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose' \
-		./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
-		./internal/admission ./internal/sched
-
-# lint-metrics forbids raw atomic counters outside internal/metrics —
-# operational counters belong in the unified registry so they surface in
-# /metrics and the Prometheus exposition.
+# lint-metrics forbids raw atomic counters and hand-built *Metrics
+# snapshot structs outside internal/metrics — operational numbers belong
+# in the unified registry, whose snapshot both /metrics views render.
 lint-metrics:
 	./tools/lint-metrics.sh
 
@@ -41,15 +25,3 @@ bench:
 
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/ws
-
-# fuzz-smoke runs every fuzzer briefly — enough to catch parser
-# regressions on fresh mutations in CI without the cost of a long fuzz
-# campaign. -fuzz must match exactly one fuzzer per invocation.
-fuzz-smoke:
-	$(GO) test -fuzz='^FuzzReadFrame$$' -fuzztime 10s ./internal/ws
-	$(GO) test -fuzz='^FuzzParseDataInputs$$' -fuzztime 10s ./internal/ogc/wps
-	$(GO) test -fuzz='^FuzzParseExecuteDocument$$' -fuzztime 10s ./internal/ogc/wps
-	$(GO) test -fuzz='^FuzzParseFlotJSON$$' -fuzztime 10s ./internal/timeseries
-	$(GO) test -fuzz='^FuzzReadCSV$$' -fuzztime 10s ./internal/timeseries
-	$(GO) test -fuzz='^FuzzRollupVsNaive$$' -fuzztime 10s ./internal/timeseries
-	$(GO) test -fuzz='^FuzzTokenBucket$$' -fuzztime 10s ./internal/admission

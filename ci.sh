@@ -1,13 +1,19 @@
 #!/bin/sh
-# CI check tier: static analysis + race-enabled tests, as `make check`
-# but with no make dependency.
+# CI check tier: static analysis, race-enabled tests, the benchmark
+# module, bench smoke, chaos and fuzz smoke. `make check` runs this
+# script, so the tier list lives here only.
 set -eu
 cd "$(dirname "$0")"
 go vet ./...
 # Grep lint: operational counters must live in the unified metrics
-# registry, not as raw atomics scattered across packages.
+# registry, not as raw atomics or hand-built *Metrics snapshot structs
+# scattered across packages.
 ./tools/lint-metrics.sh
 go test -race -shuffle=on ./...
+# Benchmark module: perfbench/ is its own Go module (replace evop => ../),
+# so the root ./... never builds it, yet it compiles against the core,
+# portal and metrics registry APIs.
+(cd perfbench && go vet ./... && go test ./...)
 # Benchmark smoke tier: every benchmark must still run (one iteration);
 # catches bit-rot in the perf harness without timing anything.
 go test -run='^$' -bench=. -benchtime=1x ./...

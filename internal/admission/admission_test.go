@@ -160,9 +160,8 @@ func TestShedOrderingDeterministic(t *testing.T) {
 	if got := c.InFlight(); got != 0 {
 		t.Fatalf("in flight after release = %d, want 0", got)
 	}
-	st := c.Stats()
-	if st.Classes["ingest"].Admitted != 3 || st.Classes["live"].Admitted != 17 {
-		t.Fatalf("stats = %+v", st.Classes)
+	if ing, live := c.admitted[Ingest].Value(), c.admitted[Live].Value(); ing != 3 || live != 17 {
+		t.Fatalf("admitted ingest/live = %d/%d, want 3/17", ing, live)
 	}
 }
 
@@ -480,10 +479,9 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 			t.Fatalf("class %v queue depth = %d after storm, want 0", cl, d)
 		}
 	}
-	st := c3.Stats()
 	var admitted uint64
-	for _, cs := range st.Classes {
-		admitted += cs.Admitted
+	for cl := Class(0); cl < NumClasses; cl++ {
+		admitted += c3.admitted[cl].Value()
 	}
 	if admitted == 0 {
 		t.Fatal("storm admitted nothing")

@@ -249,7 +249,7 @@ func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
 		return nil, fmt.Errorf("subscriber buffer %d: %w", opts.SubscriberBuffer, ErrBadConfig)
 	}
 	reg := opts.Metrics
-	return &Broker{
+	b := &Broker{
 		clk:          clk,
 		retention:    retention,
 		subBuf:       subBuf,
@@ -268,7 +268,11 @@ func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
 			"Sessions suspended after losing their instance."),
 		closedTotal: reg.Counter("evop_broker_sessions_closed_total",
 			"Sessions closed over the broker's lifetime."),
-	}, nil
+	}
+	reg.GaugeFunc("evop_broker_sessions_suspended",
+		"Sessions currently waiting for a new instance after losing one.",
+		func() float64 { return float64(b.SuspendedCount()) })
+	return b, nil
 }
 
 // SetPlacer registers the placement authority (the Load Balancer).
@@ -677,11 +681,4 @@ func (b *Broker) ClosedTotal() int {
 // needs, not a lost redirect: the latest update is always delivered.
 func (b *Broker) DroppedUpdates() int {
 	return int(b.hub.Stats().Coalesced)
-}
-
-// PushStats returns the session-update hub's counters (subscribers,
-// published, delivered, coalesced; per shard) for the /metrics push
-// section.
-func (b *Broker) PushStats() push.Stats {
-	return b.hub.Stats()
 }

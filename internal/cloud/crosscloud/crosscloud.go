@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"evop/internal/cloud"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 )
 
@@ -95,16 +96,46 @@ func (ByImageKind) Order(providers []cloud.Provider, img cloud.Image) []cloud.Pr
 	return out
 }
 
-// providerStats holds one provider's health counters; guarded by Multi.mu.
+// providerStats holds one provider's control-plane outcome counters
+// (evop_cloud_*_total{provider}) and its last error message. The map
+// entry and lastErr are guarded by Multi.mu.
 type providerStats struct {
-	launches        int
-	launchFaults    int
-	terminates      int
-	terminateFaults int
-	skippedOpen     int
-	probes          int
-	probeFaults     int
+	launches        *metrics.Counter
+	launchFaults    *metrics.Counter
+	terminates      *metrics.Counter
+	terminateFaults *metrics.Counter
+	skippedOpen     *metrics.Counter
+	probes          *metrics.Counter
+	probeFaults     *metrics.Counter
 	lastErr         string
+}
+
+// newProviderStats builds one provider's counters in reg (nil keeps them
+// private).
+func newProviderStats(reg *metrics.Registry, provider string) *providerStats {
+	l := metrics.L("provider", provider)
+	return &providerStats{
+		launches: reg.Counter("evop_cloud_launches_total",
+			"Instance launches attempted on the provider.", l),
+		launchFaults: reg.Counter("evop_cloud_launch_failures_total",
+			"Launches that failed with an infrastructure fault.", l),
+		terminates: reg.Counter("evop_cloud_terminates_total",
+			"Instance terminations attempted on the provider.", l),
+		terminateFaults: reg.Counter("evop_cloud_terminate_failures_total",
+			"Terminations that failed with an infrastructure fault.", l),
+		skippedOpen: reg.Counter("evop_cloud_skipped_open_total",
+			"Launches diverted from the provider by its open breaker.", l),
+		probes: reg.Counter("evop_cloud_probes_total",
+			"Health probes sent to the provider's control plane.", l),
+		probeFaults: reg.Counter("evop_cloud_probe_failures_total",
+			"Health probes that failed with an infrastructure fault.", l),
+	}
+}
+
+// newFailovers builds the cross-provider failover counter in reg.
+func newFailovers(reg *metrics.Registry) *metrics.Counter {
+	return reg.Counter("evop_cloud_failovers_total",
+		"Launches that succeeded after an earlier provider was skipped or failed.")
 }
 
 // ProviderHealth is a point-in-time snapshot of one provider's health as
@@ -136,7 +167,7 @@ type Multi struct {
 	// control-plane outcomes; stats mirrors them with counters.
 	breakers  map[string]*resilience.Breaker
 	stats     map[string]*providerStats
-	failovers int
+	failovers *metrics.Counter
 }
 
 // New builds a Multi over the given providers with the given placement
@@ -159,15 +190,18 @@ func New(policy Policy, providers ...cloud.Provider) (*Multi, error) {
 	copy(cp, providers)
 	stats := make(map[string]*providerStats, len(cp))
 	for _, p := range cp {
-		stats[p.Name()] = &providerStats{}
+		stats[p.Name()] = newProviderStats(nil, p.Name())
 	}
-	return &Multi{providers: cp, policy: policy, stats: stats}, nil
+	return &Multi{providers: cp, policy: policy, stats: stats, failovers: newFailovers(nil)}, nil
 }
 
 // EnableBreakers installs a circuit breaker per provider (cfg.Clock is
 // required). Once enabled, Launch skips providers whose breaker is open,
 // failing over to the next provider in policy order, and ProbeHealth
-// drives open breakers back to closed once the provider recovers.
+// drives open breakers back to closed once the provider recovers. A
+// non-nil cfg.Metrics also receives the façade's evop_cloud_* counters;
+// counts recorded before then, on the private counters New installs, are
+// not carried over, so enable breakers before the first launch.
 func (m *Multi) EnableBreakers(cfg resilience.BreakerConfig) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -182,6 +216,12 @@ func (m *Multi) EnableBreakers(cfg resilience.BreakerConfig) error {
 		breakers[p.Name()] = br
 	}
 	m.breakers = breakers
+	if cfg.Metrics != nil {
+		for _, p := range m.providers {
+			m.stats[p.Name()] = newProviderStats(cfg.Metrics, p.Name())
+		}
+		m.failovers = newFailovers(cfg.Metrics)
+	}
 	return nil
 }
 
@@ -260,9 +300,7 @@ func (m *Multi) Launch(img cloud.Image, flavor cloud.Flavor) (*cloud.Instance, e
 	for _, p := range policy.Order(providers, img) {
 		name := p.Name()
 		if br := m.breakerFor(name); br != nil && !br.Allow() {
-			m.mu.Lock()
-			m.stats[name].skippedOpen++
-			m.mu.Unlock()
+			m.statsFor(name).skippedOpen.Inc()
 			errs = append(errs, fmt.Errorf("%s: circuit breaker open", name))
 			degraded = true
 			continue
@@ -271,9 +309,9 @@ func (m *Multi) Launch(img cloud.Image, flavor cloud.Flavor) (*cloud.Instance, e
 		m.noteOutcome(name, opLaunch, err)
 		if err == nil {
 			if degraded {
-				m.mu.Lock()
-				m.failovers++
-				m.mu.Unlock()
+				m.mu.RLock()
+				m.failovers.Inc()
+				m.mu.RUnlock()
 			}
 			return inst, nil
 		}
@@ -304,19 +342,19 @@ func (m *Multi) noteOutcome(name string, op opKind, err error) {
 	st := m.stats[name]
 	switch op {
 	case opLaunch:
-		st.launches++
+		st.launches.Inc()
 		if !healthy {
-			st.launchFaults++
+			st.launchFaults.Inc()
 		}
 	case opTerminate:
-		st.terminates++
+		st.terminates.Inc()
 		if !healthy {
-			st.terminateFaults++
+			st.terminateFaults.Inc()
 		}
 	case opProbe:
-		st.probes++
+		st.probes.Inc()
 		if !healthy {
-			st.probeFaults++
+			st.probeFaults.Inc()
 		}
 	}
 	if err != nil && !errors.Is(err, cloud.ErrCapacity) && !errors.Is(err, cloud.ErrNotFound) {
@@ -403,12 +441,12 @@ func (m *Multi) Health() []ProviderHealth {
 		}
 		m.mu.RLock()
 		if st := m.stats[name]; st != nil {
-			h.Launches = st.launches
-			h.LaunchFailures = st.launchFaults
-			h.Terminates = st.terminates
-			h.TerminateFailures = st.terminateFaults
-			h.SkippedOpen = st.skippedOpen
-			h.Probes = st.probes
+			h.Launches = int(st.launches.Value())
+			h.LaunchFailures = int(st.launchFaults.Value())
+			h.Terminates = int(st.terminates.Value())
+			h.TerminateFailures = int(st.terminateFaults.Value())
+			h.SkippedOpen = int(st.skippedOpen.Value())
+			h.Probes = int(st.probes.Value())
 			h.LastError = st.lastErr
 		}
 		m.mu.RUnlock()
@@ -423,7 +461,7 @@ func (m *Multi) Health() []ProviderHealth {
 func (m *Multi) Failovers() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.failovers
+	return int(m.failovers.Value())
 }
 
 // Instances lists live instances across all providers in provider

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +35,6 @@ import (
 	"evop/internal/modellib"
 	"evop/internal/ogc/sos"
 	"evop/internal/ogc/wps"
-	"evop/internal/push"
 	"evop/internal/resilience"
 	"evop/internal/rest"
 	"evop/internal/runcache"
@@ -367,30 +367,51 @@ func (o *Observatory) MetricsRegistry() *metrics.Registry {
 // GaugeFunc callbacks run during Snapshot outside the registry lock, so
 // they may take component locks freely.
 func (o *Observatory) registerGauges() {
-	o.registry.GaugeFunc("evop_instances", "Cloud instances by kind.",
-		func() float64 { return float64(o.countInstances(cloud.Private)) },
+	reg := o.registry
+	reg.GaugeFunc("evop_instances", "Cloud instances by kind.",
+		o.countInstances(func(in *cloud.Instance) bool { return in.Kind() == cloud.Private }),
 		metrics.L("kind", "private"))
-	o.registry.GaugeFunc("evop_instances", "Cloud instances by kind.",
-		func() float64 { return float64(o.countInstances(cloud.Public)) },
+	reg.GaugeFunc("evop_instances", "Cloud instances by kind.",
+		o.countInstances(func(in *cloud.Instance) bool { return in.Kind() == cloud.Public }),
 		metrics.L("kind", "public"))
-	o.registry.GaugeFunc("evop_sessions", "Broker sessions by state.",
+	reg.GaugeFunc("evop_instances_booting", "Cloud instances still booting.",
+		o.countInstances(func(in *cloud.Instance) bool { return in.State() == cloud.StateBooting }))
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
 		func() float64 { return float64(o.countSessions(broker.Active)) },
 		metrics.L("state", "active"))
-	o.registry.GaugeFunc("evop_sessions", "Broker sessions by state.",
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
 		func() float64 { return float64(o.countSessions(broker.Pending)) },
 		metrics.L("state", "pending"))
-	o.registry.GaugeFunc("evop_public_cost", "Accrued public-cloud cost.",
+	reg.GaugeFunc("evop_public_cost", "Accrued public-cloud cost.",
 		o.Public.CostAccrued)
+	reg.GaugeFunc("evop_sensors", "Sensors registered in the network.",
+		func() float64 { return float64(len(o.Network.Sensors())) })
+	reg.GaugeFunc("evop_workflow_runs", "Workflow runs recorded for replay.",
+		func() float64 { return float64(len(o.Workflows.Runs())) })
+	reg.GaugeFunc("evop_process_uptime_seconds", "Process uptime on the observatory clock.",
+		func() float64 { return reg.Uptime().Seconds() })
+	reg.GaugeFunc("evop_process_goroutines", "Live goroutines.",
+		func() float64 { return float64(runtime.NumGoroutine()) })
+	reg.GaugeFunc("evop_process_heap_bytes", "Live heap bytes.",
+		func() float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return float64(ms.HeapAlloc)
+		})
 }
 
-func (o *Observatory) countInstances(kind cloud.ProviderKind) int {
-	n := 0
-	for _, in := range o.Multi.Instances() {
-		if in.Kind() == kind {
-			n++
+// countInstances returns a gauge callback counting the live instances
+// that match.
+func (o *Observatory) countInstances(match func(*cloud.Instance) bool) func() float64 {
+	return func() float64 {
+		n := 0
+		for _, in := range o.Multi.Instances() {
+			if match(in) {
+				n++
+			}
 		}
+		return float64(n)
 	}
-	return n
 }
 
 func (o *Observatory) countSessions(state broker.SessionState) int {
@@ -1068,115 +1089,6 @@ func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (m
 		"peakMm":     strconv.FormatFloat(res.PeakMM, 'g', -1, 64),
 		"volumeMm":   strconv.FormatFloat(res.VolumeMM, 'g', -1, 64),
 	}, nil
-}
-
-// InfraMetrics is an operational snapshot of the observatory — the
-// monitoring view an operator (or the Admin UI the paper's team used)
-// watches.
-type InfraMetrics struct {
-	PrivateInstances int `json:"privateInstances"`
-	PublicInstances  int `json:"publicInstances"`
-	BootingInstances int `json:"bootingInstances"`
-	ActiveSessions   int `json:"activeSessions"`
-	PendingSessions  int `json:"pendingSessions"`
-	// ClosedSessions counts every session ever closed (the broker only
-	// retains a bounded window of closed-session snapshots).
-	ClosedSessions int     `json:"closedSessions"`
-	PublicCost     float64 `json:"publicCost"`
-	LBTicks        int     `json:"lbTicks"`
-	LBReplacements int     `json:"lbReplacements"`
-	DroppedUpdates int     `json:"droppedUpdates"`
-	Sensors        int     `json:"sensors"`
-	WorkflowRuns   int     `json:"workflowRuns"`
-	// ModelRunCache reports the model-run cache's hit/miss/coalesced
-	// counters and current size.
-	ModelRunCache runcache.Stats `json:"modelRunCache"`
-	// Resilience reports the fault-handling state: per-provider breaker
-	// and failure counters, cross-provider failovers, the LB's retry
-	// bookkeeping and the broker's suspended-session counts.
-	Resilience ResilienceMetrics `json:"resilience"`
-	// Push reports the live-telemetry fan-out hubs: subscribers,
-	// published, delivered and coalesced counts, per shard, for both the
-	// sensor-reading hub and the broker's session-update hub.
-	Push PushMetrics `json:"push"`
-	// SensorRead reports the sensor read path: zero-copy series views,
-	// rollup-index aggregate queries and raw-scan fallbacks.
-	SensorRead sensor.ReadStats `json:"sensorRead"`
-}
-
-// PushMetrics is the live fan-out slice of the operational snapshot.
-type PushMetrics struct {
-	// Sensors is the sensor network's reading hub (feeds /ws/live).
-	Sensors push.Stats `json:"sensors"`
-	// Sessions is the Resource Broker's session-update hub (feeds
-	// /ws/session).
-	Sessions push.Stats `json:"sessions"`
-}
-
-// ResilienceMetrics is the fault-handling slice of the operational
-// snapshot.
-type ResilienceMetrics struct {
-	// Providers holds one health snapshot per cloud, breaker state
-	// included, in registration order.
-	Providers []crosscloud.ProviderHealth `json:"providers"`
-	// Failovers counts launches that succeeded on a later provider after
-	// an earlier one was skipped or failed.
-	Failovers int `json:"failovers"`
-	// LB is the load balancer's robustness counters (launch/terminate
-	// failures, retries, outstanding terminations, in-flight
-	// replacements).
-	LB loadbalancer.Stats `json:"lb"`
-	// SuspendedSessions is how many sessions are currently waiting for a
-	// new instance after losing one; SuspendedEver counts every
-	// suspension since boot.
-	SuspendedSessions int `json:"suspendedSessions"`
-	SuspendedEver     int `json:"suspendedEver"`
-}
-
-// Metrics returns the current operational snapshot.
-func (o *Observatory) Metrics() InfraMetrics {
-	m := InfraMetrics{
-		PublicCost:     o.Public.CostAccrued(),
-		LBTicks:        o.LB.Ticks(),
-		LBReplacements: o.LB.Replaced(),
-		DroppedUpdates: o.Broker.DroppedUpdates(),
-		Sensors:        len(o.Network.Sensors()),
-		WorkflowRuns:   len(o.Workflows.Runs()),
-		ModelRunCache:  o.runs.Stats(),
-		Push: PushMetrics{
-			Sensors:  o.Network.PushStats(),
-			Sessions: o.Broker.PushStats(),
-		},
-		SensorRead: o.Network.ReadStats(),
-		Resilience: ResilienceMetrics{
-			Providers:         o.Multi.Health(),
-			Failovers:         o.Multi.Failovers(),
-			LB:                o.LB.Stats(),
-			SuspendedSessions: o.Broker.SuspendedCount(),
-			SuspendedEver:     o.Broker.SuspendedTotal(),
-		},
-	}
-	for _, in := range o.Multi.Instances() {
-		if in.State() == cloud.StateBooting {
-			m.BootingInstances++
-		}
-		switch in.Kind() {
-		case cloud.Private:
-			m.PrivateInstances++
-		case cloud.Public:
-			m.PublicInstances++
-		}
-	}
-	m.ClosedSessions = o.Broker.ClosedTotal()
-	for _, s := range o.Broker.Sessions() {
-		switch s.State {
-		case broker.Active:
-			m.ActiveSessions++
-		case broker.Pending:
-			m.PendingSessions++
-		}
-	}
-	return m
 }
 
 // LowFlowResult is the drought widget output: the low-flow report under

@@ -435,24 +435,25 @@ func TestObservatorySoak(t *testing.T) {
 			}
 		}
 		if step%36 == 35 { // every 6 simulated hours, checkpoint
-			m := o.Metrics()
-			if m.ActiveSessions+m.PendingSessions < len(open) {
-				t.Fatalf("step %d: %d active + %d pending < %d open sessions",
-					step, m.ActiveSessions, m.PendingSessions, len(open))
+			m := seriesOf(o)
+			active, pending := m.get(t, activeSessions), m.get(t, pendingSessions)
+			if active+pending < float64(len(open)) {
+				t.Fatalf("step %d: %v active + %v pending < %d open sessions",
+					step, active, pending, len(open))
 			}
-			if m.PrivateInstances+m.PublicInstances == 0 {
+			if m.get(t, privateInstances)+m.get(t, publicInstances) == 0 {
 				t.Fatalf("step %d: no instances alive", step)
 			}
 		}
 	}
 	// Converge and verify nothing was lost.
 	clk.Advance(30 * time.Minute)
-	m := o.Metrics()
-	if m.PendingSessions != 0 {
-		t.Fatalf("pending sessions after convergence: %d", m.PendingSessions)
+	m := seriesOf(o)
+	if got := m.get(t, pendingSessions); got != 0 {
+		t.Fatalf("pending sessions after convergence: %v", got)
 	}
-	if m.ActiveSessions != len(open) {
-		t.Fatalf("active = %d, open = %d", m.ActiveSessions, len(open))
+	if got := m.get(t, activeSessions); got != float64(len(open)) {
+		t.Fatalf("active = %v, open = %d", got, len(open))
 	}
 	// Sensors sampled all day: the river gauge has ~96 readings.
 	hist, err := o.Network.History("morland-level-1", epoch, epoch.Add(48*time.Hour))
@@ -463,8 +464,8 @@ func TestObservatorySoak(t *testing.T) {
 		t.Fatalf("river gauge readings = %d, want ~96 over the day", len(hist))
 	}
 	// Public cost stays bounded (the LB reclaims idle public capacity).
-	if m.PublicCost > 5 {
-		t.Fatalf("public cost = %.2f, runaway leasing", m.PublicCost)
+	if cost := m.get(t, "evop_public_cost"); cost > 5 {
+		t.Fatalf("public cost = %.2f, runaway leasing", cost)
 	}
 }
 
@@ -591,9 +592,11 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("cache hit returned a different result pointer")
 	}
-	st := o.Metrics().ModelRunCache
-	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss / size 1", st)
+	m := seriesOf(o)
+	hits, misses, size := m.get(t, "evop_runcache_hits_total"), m.get(t, "evop_runcache_misses_total"),
+		m.get(t, "evop_runcache_entries")
+	if hits != 1 || misses != 1 || size != 1 {
+		t.Fatalf("cache hits/misses/size = %v/%v/%v, want 1/1/1", hits, misses, size)
 	}
 
 	// Any field that changes the simulation must change the key.
@@ -618,8 +621,8 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 			t.Fatalf("bad request %d: outcome = %v err = %v", i, out, err)
 		}
 	}
-	if st := o.Metrics().ModelRunCache; st.Hits != 1 {
-		t.Fatalf("variant/error requests inflated hits: %+v", st)
+	if hits := seriesOf(o).get(t, "evop_runcache_hits_total"); hits != 1 {
+		t.Fatalf("variant/error requests inflated hits: %v", hits)
 	}
 }
 
@@ -754,24 +757,41 @@ func TestResilienceMetricsSurface(t *testing.T) {
 	clk.Advance(time.Minute)
 	o.Stop()
 
-	m := o.Metrics()
-	if got := len(m.Resilience.Providers); got != 2 {
-		t.Fatalf("provider health entries = %d, want 2", got)
+	m := seriesOf(o)
+	if got := len(o.Multi.Providers()); got != 2 {
+		t.Fatalf("providers = %d, want 2", got)
 	}
-	for _, p := range m.Resilience.Providers {
-		if p.Breaker != "closed" {
-			t.Fatalf("breaker %s = %q on a healthy platform, want closed", p.Name, p.Breaker)
+	for _, p := range o.Multi.Providers() {
+		if st := m.get(t, breakerState(p.Name())); st != 0 {
+			t.Fatalf("breaker %s state = %v on a healthy platform, want 0 (closed)", p.Name(), st)
 		}
 	}
-	if m.Resilience.LB.Ticks == 0 {
+	if m.get(t, "evop_lb_ticks_total") == 0 {
 		t.Fatal("LB stats not wired into metrics")
 	}
-	if m.Resilience.SuspendedSessions != 0 || m.Resilience.SuspendedEver != 0 {
-		t.Fatalf("suspended = %d/%d on a healthy platform, want 0/0",
-			m.Resilience.SuspendedSessions, m.Resilience.SuspendedEver)
+	suspended, ever := m.get(t, "evop_broker_sessions_suspended"), m.get(t, "evop_broker_sessions_suspended_total")
+	if suspended != 0 || ever != 0 {
+		t.Fatalf("suspended = %v/%v on a healthy platform, want 0/0", suspended, ever)
 	}
-	if m.Resilience.Failovers != 0 {
-		t.Fatalf("failovers = %d on a healthy platform", m.Resilience.Failovers)
+	if got := m.get(t, "evop_cloud_failovers_total"); got != 0 {
+		t.Fatalf("failovers = %v on a healthy platform", got)
+	}
+}
+
+// TestProcessGauges checks the evop_process_* gauges: uptime on the
+// observatory's clock, live goroutines and heap.
+func TestProcessGauges(t *testing.T) {
+	o, clk := newObs(t)
+	clk.Advance(90 * time.Second)
+	m := seriesOf(o)
+	if got := m.get(t, "evop_process_uptime_seconds"); got != 90 {
+		t.Fatalf("uptime = %v, want 90 (simulated clock)", got)
+	}
+	if got := m.get(t, "evop_process_goroutines"); got < 1 {
+		t.Fatalf("goroutines = %v, want >= 1", got)
+	}
+	if m.get(t, "evop_process_heap_bytes") == 0 {
+		t.Fatal("heap bytes = 0, want live heap")
 	}
 }
 
@@ -806,9 +826,8 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 		clk.Advance(45 * time.Second)
 		o.LB.Tick()
 	}
-	m := o.Metrics()
-	if m.PublicInstances == 0 {
-		t.Fatalf("metrics = %+v, want cloudburst onto public during private outage", m)
+	if seriesOf(o).get(t, publicInstances) == 0 {
+		t.Fatal("no public instances, want cloudburst onto public during private outage")
 	}
 	if o.FaultyPrivate.Stats().Outages == 0 {
 		t.Fatal("outage never injected a fault")
@@ -820,9 +839,10 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 		clk.Advance(45 * time.Second)
 		o.LB.Tick()
 	}
-	for _, p := range o.Metrics().Resilience.Providers {
-		if p.Breaker != "closed" {
-			t.Fatalf("breaker %s = %q after outage ended, want closed", p.Name, p.Breaker)
+	m := seriesOf(o)
+	for _, p := range o.Multi.Providers() {
+		if st := m.get(t, breakerState(p.Name())); st != 0 {
+			t.Fatalf("breaker %s state = %v after outage ended, want 0 (closed)", p.Name(), st)
 		}
 	}
 
@@ -833,4 +853,38 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("invalid fault spec accepted")
 	}
+}
+
+// Series IDs the tests read from the observatory's registry.
+const (
+	activeSessions   = `evop_sessions{state="active"}`
+	pendingSessions  = `evop_sessions{state="pending"}`
+	privateInstances = `evop_instances{kind="private"}`
+	publicInstances  = `evop_instances{kind="public"}`
+)
+
+func breakerState(provider string) string {
+	return `evop_breaker_state{name="` + provider + `"}`
+}
+
+// series is one registry snapshot's counter and gauge values by series
+// ID.
+type series map[string]float64
+
+func seriesOf(o *Observatory) series {
+	m := series{}
+	for _, mt := range o.MetricsRegistry().Snapshot().Metrics {
+		m[mt.SeriesID()] = mt.Value
+	}
+	return m
+}
+
+// get reads one series, failing the test when it is not registered.
+func (m series) get(t *testing.T, id string) float64 {
+	t.Helper()
+	v, ok := m[id]
+	if !ok {
+		t.Fatalf("series %s not registered", id)
+	}
+	return v
 }

@@ -231,6 +231,12 @@ func New(cfg Config) (*LB, error) {
 		recoveredTerminations: reg.Counter("evop_lb_recovered_terminations_total",
 			"Failed terminations eventually recovered by retry."),
 	}
+	reg.GaugeFunc("evop_lb_outstanding_terminations",
+		"Failed terminations queued for retry (each still accrues cost).",
+		func() float64 { return float64(lb.Stats().OutstandingTerminations) })
+	reg.GaugeFunc("evop_lb_inflight_replacements",
+		"Suspect instances with a replacement pending.",
+		func() float64 { return float64(lb.Stats().InFlightReplacements) })
 	cfg.Broker.SetPlacer(lb)
 	return lb, nil
 }

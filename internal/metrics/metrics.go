@@ -1,8 +1,8 @@
 // Package metrics is the observatory's observability core: typed
 // instruments (Counter, Gauge, a log₂-bucketed latency Histogram),
 // namespaced registration in a Registry, and a consistent point-in-time
-// Snapshot consumed by both the /metrics JSON adapter and the
-// Prometheus text exposition.
+// Snapshot that /metrics serves as JSON and renders as the Prometheus
+// text exposition.
 //
 // The paper's Infrastructure Manager decides cloudbursting, replacement
 // and migration from instance telemetry; before this package that

@@ -166,22 +166,6 @@ func TestNilRegistryIsUsable(t *testing.T) {
 	}
 }
 
-func TestProcessStats(t *testing.T) {
-	clk := clock.NewSimulated(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	reg := NewRegistry(clk)
-	clk.Advance(90 * time.Second)
-	p := reg.Process()
-	if p.UptimeSeconds != 90 {
-		t.Fatalf("uptime = %v, want 90 (simulated clock)", p.UptimeSeconds)
-	}
-	if p.Goroutines < 1 {
-		t.Fatalf("goroutines = %d, want >= 1", p.Goroutines)
-	}
-	if p.HeapBytes == 0 {
-		t.Fatal("heap bytes = 0, want live heap")
-	}
-}
-
 func TestSnapshotStableOrder(t *testing.T) {
 	reg := NewRegistry(clock.NewSimulated(time.Unix(0, 0)))
 	reg.Counter("b_total", "")

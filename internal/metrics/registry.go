@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -238,7 +237,7 @@ func (h HistogramStats) Raw() HistogramSnapshot { return h.raw }
 
 // Snapshot is a consistent point-in-time view of every registered
 // series, sorted by name then label signature — the stable order both
-// the JSON adapter and the Prometheus exposition present.
+// the /metrics JSON document and the Prometheus exposition present.
 type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }
@@ -293,25 +292,4 @@ func (r *Registry) Snapshot() Snapshot {
 		return s.Metrics[i].SeriesID() < s.Metrics[j].SeriesID()
 	})
 	return s
-}
-
-// ProcessStats is the "is the binary healthy" slice of /metrics:
-// process uptime on the registry's clock, the goroutine count and the
-// live heap.
-type ProcessStats struct {
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Goroutines    int     `json:"goroutines"`
-	HeapBytes     uint64  `json:"heapBytes"`
-}
-
-// Process reports the process health stats. Nil-receiver safe (uptime
-// reads 0 without a registry).
-func (r *Registry) Process() ProcessStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ProcessStats{
-		UptimeSeconds: r.Uptime().Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     ms.HeapAlloc,
-	}
 }

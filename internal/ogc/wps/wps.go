@@ -170,13 +170,7 @@ var _ http.Handler = (*Service)(nil)
 // NewService returns an empty WPS service with the given title and
 // private instruments.
 func NewService(title string) *Service {
-	return NewServiceWithMetrics(title, nil)
-}
-
-// NewServiceWithMetrics returns an empty WPS service whose execution
-// counters are registered in reg (nil keeps them private).
-func NewServiceWithMetrics(title string, reg *metrics.Registry) *Service {
-	return NewServiceWithOptions(title, Options{Metrics: reg})
+	return NewServiceWithOptions(title, Options{})
 }
 
 // NewServiceWithOptions returns an empty WPS service configured by opts.

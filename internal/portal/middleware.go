@@ -103,32 +103,10 @@ func (sr *statusRecorder) Status() int {
 
 // endpointInstruments holds one route's registered instruments: a
 // latency histogram (whose count is the request count) and an error
-// counter. The map is built in New, before traffic; no lock needed.
+// counter.
 type endpointInstruments struct {
 	latency *metrics.Histogram
 	errors  *metrics.Counter
-}
-
-// EndpointMetrics is one route's /metrics snapshot.
-type EndpointMetrics struct {
-	// Requests counts completed requests; Errors those that answered
-	// with a 4xx/5xx status (or produced no response at all).
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	// AvgMillis and MaxMillis summarise handler latency.
-	AvgMillis float64 `json:"avgMillis"`
-	MaxMillis float64 `json:"maxMillis"`
-}
-
-// HTTPMetrics is the request-pipeline section of /metrics.
-type HTTPMetrics struct {
-	// InFlight is the number of requests currently being served
-	// (including the /metrics request reporting it).
-	InFlight int64 `json:"inFlight"`
-	// Panics counts handler panics caught by the recovery middleware.
-	Panics int64 `json:"panics"`
-	// Endpoints maps route pattern to its counters.
-	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 }
 
 // handle registers a handler under the portal's per-endpoint
@@ -143,7 +121,6 @@ func (p *Portal) handle(pattern string, h http.Handler) {
 			"HTTP requests answered 4xx/5xx, or that produced no response.",
 			metrics.L("route", pattern)),
 	}
-	p.endpoints[pattern] = inst
 	pol := policyFor(pattern)
 	if ctrl := p.obs.Admission; ctrl != nil && pol.mode != modeExempt && pol.mode != modeRateOnly {
 		// This route's p95 feeds the adaptive concurrency limit.
@@ -178,31 +155,6 @@ func (p *Portal) handle(pattern string, h http.Handler) {
 
 func (p *Portal) handleFunc(pattern string, h http.HandlerFunc) {
 	p.handle(pattern, h)
-}
-
-// httpMetrics snapshots the pipeline counters. The legacy per-endpoint
-// shape (requests/errors/avgMillis/maxMillis) is derived from the route
-// latency histograms, so the JSON stays byte-compatible while the
-// histograms also feed the quantile and Prometheus views.
-func (p *Portal) httpMetrics() HTTPMetrics {
-	m := HTTPMetrics{
-		InFlight:  p.inflight.Value(),
-		Panics:    int64(p.panics.Value()),
-		Endpoints: make(map[string]EndpointMetrics, len(p.endpoints)),
-	}
-	for pattern, inst := range p.endpoints {
-		hs := inst.latency.Snapshot()
-		em := EndpointMetrics{
-			Requests:  int64(hs.Count),
-			Errors:    int64(inst.errors.Value()),
-			MaxMillis: hs.MaxScaled() * 1000,
-		}
-		if hs.Count > 0 {
-			em.AvgMillis = hs.SumScaled() / float64(hs.Count) * 1000
-		}
-		m.Endpoints[pattern] = em
-	}
-	return m
 }
 
 // SetLogger directs access and lifecycle logging (discarded by default).

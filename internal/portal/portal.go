@@ -66,9 +66,8 @@ type Portal struct {
 	reg *metrics.Registry
 
 	// Request-pipeline state (see middleware.go).
-	inflight  *metrics.Gauge
-	panics    *metrics.Counter
-	endpoints map[string]*endpointInstruments
+	inflight *metrics.Gauge
+	panics   *metrics.Counter
 
 	// Series read-path instruments (see series.go).
 	series seriesInstruments
@@ -99,12 +98,11 @@ func New(obs *core.Observatory) (*Portal, error) {
 	}
 	reg := obs.MetricsRegistry()
 	p := &Portal{
-		obs:       obs,
-		broker:    obs.Broker,
-		mux:       http.NewServeMux(),
-		logger:    log.New(io.Discard, "", 0),
-		reg:       reg,
-		endpoints: make(map[string]*endpointInstruments),
+		obs:    obs,
+		broker: obs.Broker,
+		mux:    http.NewServeMux(),
+		logger: log.New(io.Discard, "", 0),
+		reg:    reg,
 		inflight: reg.Gauge("evop_http_in_flight",
 			"Requests currently being served."),
 		panics: reg.Counter("evop_http_panics_total",
@@ -176,36 +174,19 @@ func (p *Portal) health(w http.ResponseWriter, _ *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// metrics serves the operational snapshot the infrastructure operator
-// watches: instance counts, session states, cost, management activity,
-// plus the portal's own request-pipeline counters under "http". The
-// infrastructure fields stay top-level (embedded) and the pre-existing
-// sections keep their exact shape, so existing consumers keep working;
-// the unified registry adds the trailing "latency" (histogram quantiles
-// by series) and "process" sections.
-//
-// ?format=prometheus — or an Accept header asking for text/plain —
-// selects the Prometheus text exposition (version 0.0.4) over the same
-// registry instead.
+// metrics serves the observatory's metrics registry: every layer's
+// counters, gauges and histograms in one consistent snapshot. The JSON
+// document is the registry Snapshot as is ({"metrics":[...]}, one entry
+// per series, sorted by name then labels); ?format=prometheus — or an
+// Accept header asking for text/plain — selects the Prometheus text
+// exposition (version 0.0.4) of the same registry instead.
 func (p *Portal) metrics(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", metrics.PrometheusContentType)
 		_ = p.reg.WritePrometheus(w)
 		return
 	}
-	latency := make(map[string]metrics.HistogramStats)
-	for _, m := range p.reg.Snapshot().Metrics {
-		if m.Histogram != nil {
-			latency[m.SeriesID()] = *m.Histogram
-		}
-	}
-	rest.WriteJSON(w, http.StatusOK, struct {
-		core.InfraMetrics
-		HTTP    HTTPMetrics                       `json:"http"`
-		Series  SeriesMetrics                     `json:"series"`
-		Latency map[string]metrics.HistogramStats `json:"latency"`
-		Process metrics.ProcessStats              `json:"process"`
-	}{p.obs.Metrics(), p.httpMetrics(), p.series.metrics(), latency, p.reg.Process()})
+	rest.WriteJSON(w, http.StatusOK, p.reg.Snapshot())
 }
 
 // wantsPrometheus decides the /metrics representation: an explicit

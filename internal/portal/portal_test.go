@@ -463,37 +463,24 @@ func TestWorkflowCompositionOverHTTP(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	f := newFixture(t)
 	f.clk.Advance(2 * time.Minute) // warm instance, some LB ticks
-	code, body := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d %s", code, body)
+	m := f.scrape(t)
+	sensors, ticks := m.value(t, "evop_sensors"), m.value(t, "evop_lb_ticks_total")
+	private := m.value(t, `evop_instances{kind="private"}`)
+	if sensors != 15 || ticks == 0 || private == 0 {
+		t.Fatalf("sensors/lbTicks/privateInstances = %v/%v/%v", sensors, ticks, private)
 	}
-	var m struct {
-		PrivateInstances int `json:"privateInstances"`
-		LBTicks          int `json:"lbTicks"`
-		Sensors          int `json:"sensors"`
-		Resilience       struct {
-			Providers []struct {
-				Name    string `json:"name"`
-				Breaker string `json:"breaker"`
-			} `json:"providers"`
-			LB struct {
-				Ticks int `json:"ticks"`
-			} `json:"lb"`
-		} `json:"resilience"`
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m.Sensors != 15 || m.LBTicks == 0 || m.PrivateInstances == 0 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if len(m.Resilience.Providers) != 2 || m.Resilience.LB.Ticks == 0 {
-		t.Fatalf("resilience metrics = %+v, want 2 providers and live LB stats", m.Resilience)
-	}
-	for _, p := range m.Resilience.Providers {
-		if p.Breaker != "closed" {
-			t.Fatalf("breaker %s = %q, want closed on a healthy platform", p.Name, p.Breaker)
+	providers := 0
+	for id, s := range m {
+		if s.Name != "evop_breaker_state" {
+			continue
 		}
+		providers++
+		if s.Value != 0 {
+			t.Fatalf("%s = %v, want 0 (closed) on a healthy platform", id, s.Value)
+		}
+	}
+	if providers != 2 {
+		t.Fatalf("breaker state series = %d, want 2 providers", providers)
 	}
 }
 
@@ -676,22 +663,11 @@ func TestModelRunWidgetCacheHeader(t *testing.T) {
 	}
 
 	// The metrics endpoint surfaces the cache counters.
-	code, mb := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	var m struct {
-		ModelRunCache struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-			Size   int   `json:"size"`
-		} `json:"modelRunCache"`
-	}
-	if err := json.Unmarshal(mb, &m); err != nil {
-		t.Fatalf("unmarshal metrics: %v", err)
-	}
-	if m.ModelRunCache.Hits < 1 || m.ModelRunCache.Misses < 1 || m.ModelRunCache.Size < 1 {
-		t.Fatalf("modelRunCache metrics = %+v, want >=1 hit/miss/size", m.ModelRunCache)
+	m := f.scrape(t)
+	hits, misses, size := m.value(t, "evop_runcache_hits_total"), m.value(t, "evop_runcache_misses_total"),
+		m.value(t, "evop_runcache_entries")
+	if hits < 1 || misses < 1 || size < 1 {
+		t.Fatalf("run cache hits/misses/size = %v/%v/%v, want >= 1 each", hits, misses, size)
 	}
 }
 
@@ -741,11 +717,11 @@ func TestModelRunWidgetCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d: X-Cache = %q", i, outcomes[i])
 		}
 	}
-	st := f.obs.Metrics().ModelRunCache
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1 simulation for %d identical requests", st.Misses, clients)
+	m := f.scrape(t)
+	if misses := m.value(t, "evop_runcache_misses_total"); misses != 1 {
+		t.Fatalf("misses = %v, want exactly 1 simulation for %d identical requests", misses, clients)
 	}
-	if st.Hits+st.Coalesced != clients-1 {
-		t.Fatalf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, clients-1)
+	if got := m.value(t, "evop_runcache_hits_total") + m.value(t, "evop_runcache_coalesced_total"); got != clients-1 {
+		t.Fatalf("hits+coalesced = %v, want %d", got, clients-1)
 	}
 }

@@ -245,27 +245,17 @@ func TestSeriesConditionalRequests(t *testing.T) {
 		t.Fatal("ETag unchanged after ingest")
 	}
 
-	code, mbody := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
+	m := f.scrape(t)
+	if got := m.value(t, "evop_series_not_modified_total"); got != 1 {
+		t.Fatalf("notModified = %v, want 1", got)
 	}
-	var m struct {
-		Series     SeriesMetrics `json:"series"`
-		SensorRead struct {
-			SeriesQueries uint64 `json:"seriesQueries"`
-		} `json:"sensorRead"`
+	downsampled := m.value(t, "evop_series_downsampled_total")
+	in, out := m.value(t, "evop_series_downsample_in_points_total"), m.value(t, "evop_series_downsample_out_points_total")
+	if downsampled == 0 || in < out {
+		t.Fatalf("downsampled/in/out = %v/%v/%v", downsampled, in, out)
 	}
-	if err := json.Unmarshal(mbody, &m); err != nil {
-		t.Fatalf("unmarshal metrics: %v", err)
-	}
-	if m.Series.NotModified != 1 {
-		t.Fatalf("notModified = %d, want 1", m.Series.NotModified)
-	}
-	if m.Series.Downsampled == 0 || m.Series.DownsampleIn < m.Series.DownsampleOut {
-		t.Fatalf("downsample counters = %+v", m.Series)
-	}
-	if m.SensorRead.SeriesQueries == 0 {
-		t.Fatal("sensorRead.seriesQueries not surfaced")
+	if m.value(t, "evop_sensor_series_queries_total") == 0 {
+		t.Fatal("sensor series queries not surfaced")
 	}
 }
 

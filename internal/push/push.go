@@ -105,15 +105,26 @@ type shard[T any] struct {
 	coalesced *metrics.Counter // oldest-evictions on full subscriber queues
 }
 
-// HubMetrics owns a hub's instruments: per-shard fan-out counters and
-// the publish-to-enqueue latency histogram. It is separate from the hub
-// so an owner that replaces its hub on restart (the sensor network's
-// Stop installs a fresh hub) keeps cumulative counts, and so the
-// counters can be registered once in a metrics.Registry under the
-// owner's hub label.
+// HubMetrics owns a hub's instruments: per-shard fan-out counters, the
+// publish-to-enqueue latency histogram and the subscriber, topic and
+// registration gauges. It is separate from the hub so an owner that
+// replaces its hub on restart (the sensor network's Stop installs a
+// fresh hub) keeps cumulative counts and gauges that follow the live
+// hub, and so the instruments can be registered once in a
+// metrics.Registry under the owner's hub label.
 type HubMetrics struct {
 	shards  []hubShardMetrics
 	publish *metrics.Histogram
+	// live is the hub most recently built over these instruments; the
+	// gauges read it at snapshot time.
+	live atomic.Pointer[hubSizer]
+}
+
+// hubSizer is the size view of a Hub the gauges read, free of the
+// hub's event type.
+type hubSizer interface {
+	Subscribers() int
+	shardSizes(i int) (topics, registrations int)
 }
 
 type hubShardMetrics struct {
@@ -154,8 +165,27 @@ func NewHubMetrics(reg *metrics.Registry, hub string, shards int) *HubMetrics {
 			coalesced: reg.Counter("evop_push_coalesced_total",
 				"Oldest-evictions on full subscriber queues.", labels...),
 		}
+		reg.GaugeFunc("evop_push_topics", "Distinct topics registered on this shard.",
+			func() float64 { t, _ := hm.shardSizes(i); return float64(t) }, labels...)
+		reg.GaugeFunc("evop_push_registrations", "(topic, subscription) pairs on this shard.",
+			func() float64 { _, r := hm.shardSizes(i); return float64(r) }, labels...)
 	}
+	reg.GaugeFunc("evop_push_subscribers", "Live subscriptions on the hub.",
+		func() float64 {
+			if h := hm.live.Load(); h != nil {
+				return float64((*h).Subscribers())
+			}
+			return 0
+		}, metrics.L("hub", hub))
 	return hm
+}
+
+// shardSizes reads shard i of the live hub (zero before one is built).
+func (hm *HubMetrics) shardSizes(i int) (topics, registrations int) {
+	if h := hm.live.Load(); h != nil {
+		return (*h).shardSizes(i)
+	}
+	return 0, 0
 }
 
 // Shards returns the stripe count the instruments were built for.
@@ -191,6 +221,8 @@ func NewHubWithMetrics[T any](hm *HubMetrics) *Hub[T] {
 		h.shards[i].delivered = hm.shards[i].delivered
 		h.shards[i].coalesced = hm.shards[i].coalesced
 	}
+	var sizer hubSizer = h
+	hm.live.Store(&sizer)
 	return h
 }
 
@@ -444,6 +476,18 @@ type Stats struct {
 	Shards []ShardStats `json:"shards"`
 }
 
+// shardSizes counts shard i's distinct topics and (topic, subscription)
+// pairs.
+func (h *Hub[T]) shardSizes(i int) (topics, registrations int) {
+	sh := &h.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, set := range sh.topics {
+		registrations += len(set)
+	}
+	return len(sh.topics), registrations
+}
+
 // Stats returns a snapshot of the hub's counters.
 func (h *Hub[T]) Stats() Stats {
 	st := Stats{
@@ -457,12 +501,7 @@ func (h *Hub[T]) Stats() Stats {
 			Delivered: sh.delivered.Value(),
 			Coalesced: sh.coalesced.Value(),
 		}
-		sh.mu.RLock()
-		ss.Topics = len(sh.topics)
-		for _, set := range sh.topics {
-			ss.Registrations += len(set)
-		}
-		sh.mu.RUnlock()
+		ss.Topics, ss.Registrations = h.shardSizes(i)
 		st.Shards[i] = ss
 		st.Published += ss.Published
 		st.Delivered += ss.Delivered

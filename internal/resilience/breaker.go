@@ -68,9 +68,10 @@ type BreakerConfig struct {
 	// Clock supplies time; required.
 	Clock clock.Clock
 	// Name identifies this breaker in the metrics registry (the label
-	// value of evop_breaker_*_total); empty is allowed.
+	// value of evop_breaker_*); empty is allowed.
 	Name string
-	// Metrics, when non-nil, registers the breaker's counters.
+	// Metrics, when non-nil, registers the breaker's counters and its
+	// state and consecutive-failure gauges.
 	Metrics *metrics.Registry
 }
 
@@ -128,7 +129,7 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	}
 	reg := cfg.Metrics
 	name := metrics.L("name", cfg.Name)
-	return &Breaker{
+	b := &Breaker{
 		cfg:   cfg,
 		state: Closed,
 		opens: reg.Counter("evop_breaker_opens_total",
@@ -139,8 +140,19 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 			"Calls reported failed through the breaker.", name),
 		rejected: reg.Counter("evop_breaker_rejected_total",
 			"Calls fast-failed while the breaker was open or probing.", name),
-	}, nil
+	}
+	reg.GaugeFunc("evop_breaker_state",
+		"Circuit-breaker position: 0 closed, 1 half-open, 2 open.",
+		func() float64 { return stateGauge[b.State()] }, name)
+	reg.GaugeFunc("evop_breaker_consecutive_failures",
+		"Consecutive failures counted toward tripping the breaker.",
+		func() float64 { return float64(b.Stats().ConsecutiveFailures) }, name)
+	return b, nil
 }
+
+// stateGauge is the evop_breaker_state value of each position, ordered
+// by severity.
+var stateGauge = map[BreakerState]float64{Closed: 0, HalfOpen: 1, Open: 2}
 
 // Allow reports whether a call may proceed now. In the open state it
 // transitions to half-open once the cooldown has elapsed and admits one

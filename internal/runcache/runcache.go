@@ -135,12 +135,13 @@ func New[V any](capacity int) *Cache[V] {
 }
 
 // NewWithMetrics returns a cache whose outcome counters are registered
-// in reg as evop_runcache_*_total (nil keeps them private).
+// in reg as evop_runcache_*_total, beside an evop_runcache_entries size
+// gauge (nil keeps them private).
 func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache[V]{
+	c := &Cache[V]{
 		capacity: capacity,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
@@ -160,6 +161,9 @@ func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 		staleHits: reg.Counter("evop_runcache_stale_hits_total",
 			"Degraded lookups served from the stale family index."),
 	}
+	reg.GaugeFunc("evop_runcache_entries", "Run-cache entries currently cached.",
+		func() float64 { return float64(c.Len()) })
+	return c
 }
 
 // Do returns the cached value for key, or computes it with compute. At

@@ -114,9 +114,8 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("no reader queries completed")
 	}
-	st := n.ReadStats()
-	if st.SeriesQueries == 0 || st.AggregateQueries == 0 {
-		t.Fatalf("ReadStats = %+v, want nonzero series and aggregate counts", st)
+	if series, agg := n.seriesQueries.Value(), n.aggQueries.Value(); series == 0 || agg == 0 {
+		t.Fatalf("series/aggregate queries = %d/%d, want nonzero", series, agg)
 	}
 }
 

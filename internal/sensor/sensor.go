@@ -233,8 +233,8 @@ type Network struct {
 	newest    Reading
 	hasNewest bool
 
-	// Read-path counters (ReadStats), registered in the observatory's
-	// metrics registry when the network is built with one.
+	// Read-path counters, registered in the observatory's metrics
+	// registry when the network is built with one.
 	seriesQueries   *metrics.Counter
 	aggQueries      *metrics.Counter
 	rollupFallbacks *metrics.Counter
@@ -525,16 +525,6 @@ func (n *Network) Dropped() int {
 	return int(n.hubMetrics.Coalesced())
 }
 
-// PushStats returns the live-feed hub's counters (subscribers,
-// published, delivered, coalesced; per shard) for the /metrics push
-// section.
-func (n *Network) PushStats() push.Stats {
-	n.mu.RLock()
-	hub := n.hub
-	n.mu.RUnlock()
-	return hub.Stats()
-}
-
 // Latest returns the most recent reading of a sensor.
 func (n *Network) Latest(id string) (Reading, error) {
 	s, sh, err := n.shardOf(id)
@@ -649,26 +639,6 @@ func (n *Network) AggregateSeries(id string, from time.Time, step time.Duration,
 		n.rollupFallbacks.Add(1)
 	}
 	return sh.history.AggregateSeries(from, step, buckets)
-}
-
-// ReadStats is the sensor read path's counter snapshot for /metrics.
-type ReadStats struct {
-	// SeriesQueries counts zero-copy window views served.
-	SeriesQueries uint64 `json:"seriesQueries"`
-	// AggregateQueries counts rollup-index aggregate queries.
-	AggregateQueries uint64 `json:"aggregateQueries"`
-	// RollupFallbacks counts aggregate queries that fell back to a raw
-	// scan because the sensor's history carries no index (webcams).
-	RollupFallbacks uint64 `json:"rollupFallbacks"`
-}
-
-// ReadStats returns the read path counters.
-func (n *Network) ReadStats() ReadStats {
-	return ReadStats{
-		SeriesQueries:    n.seriesQueries.Value(),
-		AggregateQueries: n.aggQueries.Value(),
-		RollupFallbacks:  n.rollupFallbacks.Value(),
-	}
 }
 
 // FrameNearest returns the webcam frame closest in time to t — the

@@ -7,6 +7,7 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/geo"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -242,8 +243,10 @@ func TestSubscribeSlowConsumerDrops(t *testing.T) {
 // blocks forever on a dead network), unsubscribe must deregister, and
 // stopping must leave no pending timers behind.
 func TestSubscribeStopCloses(t *testing.T) {
+	const subscribers = `evop_push_subscribers{hub="sensors"}`
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	reg := metrics.NewRegistry(clk)
+	n, _ := NewNetworkWithMetrics(clk, reg)
 	n.Add(levelSensor("lvl"))
 	kept, cancelKept := n.Subscribe()
 	gone, cancelGone := n.Subscribe()
@@ -252,8 +255,8 @@ func TestSubscribeStopCloses(t *testing.T) {
 	if _, ok := <-gone; ok {
 		t.Fatal("unsubscribed channel not closed")
 	}
-	if got := n.PushStats().Subscribers; got != 1 {
-		t.Fatalf("subscribers after unsubscribe = %d, want 1", got)
+	if got := seriesValue(t, reg, subscribers); got != 1 {
+		t.Fatalf("subscribers after unsubscribe = %v, want 1", got)
 	}
 	n.Start()
 	clk.Advance(30 * time.Minute)
@@ -267,8 +270,9 @@ func TestSubscribeStopCloses(t *testing.T) {
 	if _, ok := <-kept; ok {
 		t.Fatal("subscriber channel not closed by Stop")
 	}
-	if got := n.PushStats().Subscribers; got != 0 {
-		t.Fatalf("subscribers after Stop = %d, want 0", got)
+	// The gauge follows the fresh hub Stop installs.
+	if got := seriesValue(t, reg, subscribers); got != 0 {
+		t.Fatalf("subscribers after Stop = %v, want 0", got)
 	}
 	if clk.PendingTimers() != 0 {
 		t.Fatalf("pending timers after Stop = %d", clk.PendingTimers())
@@ -474,4 +478,16 @@ func TestKindStringsAndUnits(t *testing.T) {
 	if RiverLevel.Unit() != "m" || RainGauge.Unit() != "mm" || Kind(9).Unit() != "" {
 		t.Fatal("units wrong")
 	}
+}
+
+// seriesValue reads one series from reg by its series ID.
+func seriesValue(t *testing.T, reg *metrics.Registry, id string) float64 {
+	t.Helper()
+	for _, m := range reg.Snapshot().Metrics {
+		if m.SeriesID() == id {
+			return m.Value
+		}
+	}
+	t.Fatalf("series %s not registered", id)
+	return 0
 }
