@@ -221,7 +221,7 @@ func BenchmarkNationalSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		totals, err := o.RunNationalQuality(nil, nil)
+		totals, err := o.RunNationalQualityContext(context.Background(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func BenchmarkMonteCarlo100(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := calibrate.MCConfig{
-		Factory: func(vals []float64) (hydro.Model, error) {
+		Factory: func(_ hydro.Model, vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe = vals[0], vals[1]
 			return topmodel.New(p, ti)
@@ -286,9 +286,9 @@ func BenchmarkMonteCarlo100(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarlo100Reuse is the same sweep with a ReuseFactory:
-// each worker reconfigures one model via SetParams instead of building a
-// fresh one per sample.
+// BenchmarkMonteCarlo100Reuse is the same sweep with a reusing Factory:
+// each worker reconfigures its previous model via SetParams instead of
+// building a fresh one per sample.
 func BenchmarkMonteCarlo100Reuse(b *testing.B) {
 	ti := benchTI(b)
 	f := benchForcing(b, 30)
@@ -301,7 +301,7 @@ func BenchmarkMonteCarlo100Reuse(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := calibrate.MCConfig{
-		ReuseFactory: func(prev hydro.Model, vals []float64) (hydro.Model, error) {
+		Factory: func(prev hydro.Model, vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe = vals[0], vals[1]
 			if tm, ok := prev.(*topmodel.Model); ok {
@@ -354,7 +354,7 @@ func BenchmarkModelRunCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := o.RunModelCached(core.RunRequest{
+		_, _, err := o.RunModelCachedContext(context.Background(), core.RunRequest{
 			CatchmentID: "morland", Model: "topmodel",
 			TOPMODELParams: &params[i%len(params)],
 		})
@@ -369,13 +369,13 @@ func BenchmarkModelRunCacheMiss(b *testing.B) {
 func BenchmarkModelRunCacheHit(b *testing.B) {
 	o := benchObservatory(b)
 	req := core.RunRequest{CatchmentID: "morland", Model: "topmodel"}
-	if _, _, err := o.RunModelCached(req); err != nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, out, err := o.RunModelCached(req); err != nil || out != runcache.Hit {
+		if _, out, err := o.RunModelCachedContext(context.Background(), req); err != nil || out != runcache.Hit {
 			b.Fatalf("outcome = %v err = %v", out, err)
 		}
 	}
@@ -388,14 +388,14 @@ func BenchmarkModelRunCacheHit(b *testing.B) {
 func BenchmarkModelRunCacheCoalesced(b *testing.B) {
 	o := benchObservatory(b)
 	req := core.RunRequest{CatchmentID: "morland", Model: "topmodel"}
-	if _, _, err := o.RunModelCached(req); err != nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := o.RunModelCached(req); err != nil {
+			if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -435,7 +435,7 @@ func BenchmarkBrokerChurn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	brk, err := broker.NewWithOptions(clk, broker.Options{Retention: 256})
+	brk, err := broker.New(clk, broker.Options{Retention: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func BenchmarkBrokerSessionsOn(b *testing.B) {
 		b.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
-	brk, err := broker.New(clk)
+	brk, err := broker.New(clk, broker.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 	if err := multi.EnableBreakers(resilience.BreakerConfig{Clock: clk}); err != nil {
 		b.Fatal(err)
 	}
-	brk, err := broker.NewWithOptions(clk, broker.Options{Retention: 256})
+	brk, err := broker.New(clk, broker.Options{Retention: 256})
 	if err != nil {
 		b.Fatal(err)
 	}

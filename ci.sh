@@ -9,6 +9,9 @@ go vet ./...
 # registry, not as raw atomics or hand-built *Metrics snapshot structs
 # scattered across packages.
 ./tools/lint-metrics.sh
+# Grep lint: one entry point per operation — no exported F beside
+# FContext, no NewX beside NewXWith… (allowlist in the script).
+./tools/lint-api.sh
 go test -race -shuffle=on ./...
 # Benchmark module: perfbench/ is its own Go module (replace evop => ../),
 # so the root ./... never builds it, yet it compiles against the core,

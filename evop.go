@@ -29,23 +29,23 @@
 //	if err != nil { ... }
 //	obs.Start()
 //	defer obs.Stop()
-//	res, err := obs.RunModel(evop.RunRequest{
+//	ctx := context.Background()
+//	res, _, err := obs.RunModelCachedContext(ctx, evop.RunRequest{
 //		CatchmentID: "morland", Model: "topmodel", ScenarioID: "compaction",
 //	})
 //
-// To serve the full web portal over HTTP:
+// To serve the full web portal over HTTP until ctx is canceled, then
+// shut down gracefully (in-flight requests finish, async WPS executions
+// drain, background loops stop):
 //
 //	p, err := evop.NewPortal(obs)
-//	http.ListenAndServe(":8080", p)
-//
-// or, for graceful shutdown on ctx cancellation (in-flight requests
-// finish, async WPS executions drain, background loops stop):
-//
 //	p.ListenAndServeContext(ctx, ":8080")
 //
-// Model runs are cancellable: RunModelContext and friends stop promptly
-// when the caller's context ends, and the portal passes each request's
-// context through, so a disconnected browser stops burning CPU.
+// Every model entry point takes a context first (RunModelCachedContext,
+// RunQualityContext, RunLowFlowContext, RunNationalQualityContext,
+// DriestStormWindowContext) and stops promptly when it ends; the portal
+// passes each request's context through, so a disconnected browser
+// stops burning CPU.
 //
 // The deeper building blocks (the TOPMODEL engine, the calibration
 // toolkit, the cloud simulation, the WebSocket implementation) live in
@@ -87,7 +87,7 @@ type TOPMODELParams = topmodel.Params
 type DesignStorm = weather.DesignStorm
 
 // NationalLoads is one scenario's pollutant export aggregated across
-// catchments; see Observatory.RunNationalQuality.
+// catchments; see Observatory.RunNationalQualityContext.
 type NationalLoads = core.NationalLoads
 
 // Scenario is one land-use/management preset of the LEFT widget.

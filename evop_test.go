@@ -1,6 +1,7 @@
 package evop
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -20,11 +21,11 @@ func TestPublicQuickstartPath(t *testing.T) {
 	obs.Start()
 	defer obs.Stop()
 
-	res, err := obs.RunModel(RunRequest{
+	res, _, err := obs.RunModelCachedContext(context.Background(), RunRequest{
 		CatchmentID: "morland", Model: "topmodel", ScenarioID: "compaction",
 	})
 	if err != nil {
-		t.Fatalf("RunModel: %v", err)
+		t.Fatalf("RunModelCachedContext: %v", err)
 	}
 	if res.PeakMM <= 0 || res.Discharge.Len() == 0 {
 		t.Fatalf("result = %+v", res)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -39,7 +40,7 @@ func run() error {
 
 	// Every (catchment, scenario) run fans out across the observatory's
 	// shared compute pool; totals are identical to the sequential loop.
-	totals, err := obs.RunNationalQuality(catchments, nil)
+	totals, err := obs.RunNationalQualityContext(context.Background(), catchments, nil)
 	if err != nil {
 		return fmt.Errorf("national quality sweep: %w", err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -31,7 +32,7 @@ func run() error {
 	defer obs.Stop()
 
 	storm := &evop.DesignStorm{TotalDepthMM: 60, Duration: 6 * time.Hour, PeakFraction: 0.4}
-	res, err := obs.RunModel(evop.RunRequest{
+	res, _, err := obs.RunModelCachedContext(context.Background(), evop.RunRequest{
 		CatchmentID:  "morland",
 		Model:        "topmodel",
 		ScenarioID:   "baseline",

@@ -31,7 +31,7 @@ func run() error {
 	epoch := time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 	clk := clock.NewSimulated(epoch)
 
-	network, err := sensor.NewNetwork(clk)
+	network, err := sensor.NewNetwork(clk, nil)
 	if err != nil {
 		return fmt.Errorf("building network: %w", err)
 	}

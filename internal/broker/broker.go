@@ -224,13 +224,9 @@ type Broker struct {
 	closedTotal *metrics.Counter
 }
 
-// New returns a Broker with default options using the given clock.
-func New(clk clock.Clock) (*Broker, error) {
-	return NewWithOptions(clk, Options{})
-}
-
-// NewWithOptions returns a Broker with explicit limits.
-func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
+// New returns a Broker on the given clock, configured by opts; the zero
+// Options gives the defaults.
+func New(clk clock.Clock, opts Options) (*Broker, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadConfig)
 	}

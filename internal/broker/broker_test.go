@@ -36,14 +36,14 @@ func testInstance(t *testing.T, clk *clock.Simulated) *cloud.Instance {
 }
 
 func TestNewRequiresClock(t *testing.T) {
-	if _, err := New(nil); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("New(nil) err = %v", err)
+	if _, err := New(nil, Options{}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("New(nil, Options{}) err = %v", err)
 	}
 }
 
 func TestConnectImmediateAssignment(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 
@@ -67,7 +67,7 @@ func TestConnectImmediateAssignment(t *testing.T) {
 
 func TestConnectValidation(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	if _, err := b.Connect("", "svc"); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty user err = %v", err)
 	}
@@ -78,7 +78,7 @@ func TestConnectValidation(t *testing.T) {
 
 func TestConnectPendingThenAssign(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	placer := &fixedPlacer{} // nothing available yet
 	b.SetPlacer(placer)
 
@@ -113,7 +113,7 @@ func TestConnectPendingThenAssign(t *testing.T) {
 
 func TestSubscribeReceivesPushes(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	placer := &fixedPlacer{}
 	b.SetPlacer(placer)
 
@@ -169,7 +169,7 @@ func TestSubscribeReceivesPushes(t *testing.T) {
 
 func TestMigrateReleasesOldSlot(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst1 := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst1})
 	s, _ := b.Connect("dave", "topmodel")
@@ -188,7 +188,7 @@ func TestMigrateReleasesOldSlot(t *testing.T) {
 
 func TestSuspendRequeues(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("erin", "topmodel")
@@ -226,7 +226,7 @@ func TestSuspendRequeues(t *testing.T) {
 
 func TestDisconnectIdempotentAndErrors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("frank", "topmodel")
@@ -254,7 +254,7 @@ func TestDisconnectIdempotentAndErrors(t *testing.T) {
 
 func TestSessionsViews(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	var ids []string
@@ -282,7 +282,7 @@ func TestSessionsViews(t *testing.T) {
 
 func TestDroppedUpdatesCounted(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("slow", "topmodel")
@@ -307,7 +307,7 @@ func TestDroppedUpdatesCounted(t *testing.T) {
 
 func TestSubscribeAfterDisconnect(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("gone", "topmodel")
@@ -331,9 +331,9 @@ func TestSubscribeAfterDisconnect(t *testing.T) {
 
 func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{Retention: 3})
+	b, err := New(clk, Options{Retention: 3})
 	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
@@ -375,7 +375,7 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 
 func TestDoubleSuspendQueuesOnce(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	inst := testInstance(t, clk)
 	placer := &fixedPlacer{inst: inst}
 	b.SetPlacer(placer)
@@ -405,7 +405,7 @@ func TestDoubleSuspendQueuesOnce(t *testing.T) {
 
 func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	b.SetPlacer(&fixedPlacer{}) // no capacity: session queues
 	s, _ := b.Connect("eager", "topmodel")
 	ch, _ := b.Subscribe(s.ID)
@@ -448,9 +448,9 @@ func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 
 func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{SubscriberBuffer: 4})
+	b, err := New(clk, Options{SubscriberBuffer: 4})
 	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	instA := testInstance(t, clk)
 	instB := testInstance(t, clk)
@@ -523,9 +523,9 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 // session count must not grow any index SessionsOn/Sessions touch.
 func TestChurnKeepsMemoryBounded(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{Retention: 64})
+	b, err := New(clk, Options{Retention: 64})
 	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
@@ -610,7 +610,7 @@ func TestStateAndKindStrings(t *testing.T) {
 // address, and the suspended counters must track the whole arc.
 func TestSuspendResumePushSequence(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, _ := New(clk, Options{})
 	first := testInstance(t, clk)
 	placer := &fixedPlacer{inst: first}
 	b.SetPlacer(placer)

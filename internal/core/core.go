@@ -197,7 +197,7 @@ func New(cfg Config) (*Observatory, error) {
 		Assets:     rest.NewStore(),
 		forcings:   make(map[string]hydro.Forcing),
 		uploads:    make(map[string]*timeseries.Series),
-		runs:       runcache.NewWithMetrics[*RunResult](cacheSize, reg),
+		runs:       runcache.New[*RunResult](cacheSize, reg),
 		registry:   reg,
 		modelRunSeconds: reg.Histogram("evop_model_run_seconds",
 			"Uncached model simulation duration.", metrics.DurationScale),
@@ -270,13 +270,13 @@ func New(cfg Config) (*Observatory, error) {
 	if err := o.Multi.EnableBreakers(resilience.BreakerConfig{Clock: cfg.Clock, Metrics: reg}); err != nil {
 		return nil, fmt.Errorf("enabling circuit breakers: %w", err)
 	}
-	o.Broker, err = broker.NewWithOptions(cfg.Clock, broker.Options{Metrics: reg})
+	o.Broker, err = broker.New(cfg.Clock, broker.Options{Metrics: reg})
 	if err != nil {
 		return nil, fmt.Errorf("building broker: %w", err)
 	}
 
 	// Sensor network: the standard LEFT deployment per catchment.
-	o.Network, err = sensor.NewNetworkWithMetrics(cfg.Clock, reg)
+	o.Network, err = sensor.NewNetwork(cfg.Clock, reg)
 	if err != nil {
 		return nil, fmt.Errorf("building sensor network: %w", err)
 	}
@@ -330,7 +330,7 @@ func New(cfg Config) (*Observatory, error) {
 
 	// WPS: model execution processes. Async executions run as bulk-class
 	// tasks on the shared pool, bounded rather than goroutine-per-request.
-	o.WPS = wps.NewServiceWithOptions("EVOp WPS", wps.Options{Metrics: reg, Pool: o.Sched})
+	o.WPS = wps.NewService("EVOp WPS", wps.Options{Metrics: reg, Pool: o.Sched})
 	if err := o.WPS.Register(&modelProcess{obs: o, model: "topmodel"}); err != nil {
 		return nil, fmt.Errorf("registering topmodel process: %w", err)
 	}
@@ -618,18 +618,13 @@ type RunResult struct {
 	Scenario string `json:"scenario"`
 }
 
-// DriestStormWindow returns the hour offset (from the forcing start) at
-// the end of the driest windowDays stretch of the catchment's forcing
-// record — the placement at which an injected design storm best isolates
-// land-use effects (on saturated ground all scenarios converge because
-// runoff approaches rainfall).
-func (o *Observatory) DriestStormWindow(catchmentID string, windowDays int) (int, error) {
-	return o.DriestStormWindowContext(context.Background(), catchmentID, windowDays)
-}
-
-// DriestStormWindowContext is DriestStormWindow honouring cancellation:
-// the scan over candidate placements checks ctx periodically, so an
-// abandoned request stops burning CPU on a long forcing record.
+// DriestStormWindowContext returns the hour offset (from the forcing
+// start) at the end of the driest windowDays stretch of the catchment's
+// forcing record — the placement at which an injected design storm best
+// isolates land-use effects (on saturated ground all scenarios converge
+// because runoff approaches rainfall). The scan over candidate
+// placements checks ctx periodically, so an abandoned request stops
+// burning CPU on a long forcing record.
 func (o *Observatory) DriestStormWindowContext(ctx context.Context, catchmentID string, windowDays int) (int, error) {
 	if windowDays < 1 {
 		return 0, fmt.Errorf("windowDays %d: %w", windowDays, ErrBadConfig)
@@ -683,33 +678,25 @@ func (r RunRequest) familyKey() string {
 	return fmt.Sprintf("c=%s|s=%s|m=%s|d=%s", r.CatchmentID, r.ScenarioID, r.Model, r.RainDatasetID)
 }
 
-// RunModel executes a model run on demand. This is the computation the
-// WPS processes and the portal's modelling widget invoke. Identical
-// requests are answered from a bounded LRU cache, and concurrent
-// duplicates coalesce onto a single simulation; the returned RunResult
-// is shared and must not be mutated.
-func (o *Observatory) RunModel(req RunRequest) (*RunResult, error) {
-	return o.RunModelContext(context.Background(), req)
-}
-
-// RunModelContext is RunModel under a caller context: a canceled caller
-// stops waiting immediately, and the underlying simulation is abandoned
-// only once every coalesced waiter has gone.
-func (o *Observatory) RunModelContext(ctx context.Context, req RunRequest) (*RunResult, error) {
-	res, _, err := o.RunModelCachedContext(ctx, req)
-	return res, err
-}
-
-// RunModelCached is RunModel, also reporting whether the result was
-// computed (miss), served from cache (hit), shared with a concurrent
-// identical request (coalesced) or abandoned (canceled).
+// RunModelCached is RunModelCachedContext under a background context.
+// It is the one background-context wrapper left in the API because the
+// benchmark module (perfbench/) calls it by name; new code passes a
+// context to RunModelCachedContext.
 func (o *Observatory) RunModelCached(req RunRequest) (*RunResult, runcache.Outcome, error) {
 	return o.RunModelCachedContext(context.Background(), req)
 }
 
-// RunModelCachedContext is RunModelCached under a caller context. Every
-// completed run also refreshes its family's stale fallback (see
-// StaleRun).
+// RunModelCachedContext executes a model run on demand. This is the
+// computation the WPS processes and the portal's modelling widget
+// invoke. Identical requests are answered from a bounded LRU cache, and
+// concurrent duplicates coalesce onto a single simulation; the returned
+// RunResult is shared and must not be mutated. The outcome reports
+// whether the result was computed (miss), served from cache (hit),
+// shared with a concurrent identical request (coalesced) or abandoned
+// (canceled). A canceled caller stops waiting immediately, and the
+// underlying simulation is abandoned only once every coalesced waiter
+// has gone. Every completed run also refreshes its family's stale
+// fallback (see StaleRun).
 func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest) (*RunResult, runcache.Outcome, error) {
 	return o.runs.DoFamily(ctx, req.cacheKey(), req.familyKey(), func(ctx context.Context) (*RunResult, error) {
 		return o.runModel(ctx, req)
@@ -725,9 +712,9 @@ func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool) {
 	return o.runs.Stale(req.familyKey())
 }
 
-// runModel is the uncached simulation behind RunModel. Its ctx is the
-// flight's: detached from any single requester and canceled only when no
-// requester remains interested.
+// runModel is the uncached simulation behind RunModelCachedContext. Its
+// ctx is the flight's: detached from any single requester and canceled
+// only when no requester remains interested.
 func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult, error) {
 	start := time.Now()
 	defer func() { o.modelRunSeconds.RecordSince(start) }()
@@ -869,15 +856,10 @@ type QualityResult struct {
 	NitrateChange    float64 `json:"nitrateChange"`
 }
 
-// RunQuality answers the water-quality storyboard from Section VI: run
-// the hydrology under a scenario, export sediment and nutrients, and
-// compare with baseline land use.
-func (o *Observatory) RunQuality(catchmentID, scenarioID string) (*QualityResult, error) {
-	return o.RunQualityContext(context.Background(), catchmentID, scenarioID)
-}
-
-// RunQualityContext is RunQuality under a caller context; the baseline
-// and scenario model runs each honour cancellation.
+// RunQualityContext answers the water-quality storyboard from Section
+// VI: run the hydrology under a scenario, export sediment and nutrients,
+// and compare with baseline land use. The baseline and scenario model
+// runs each honour cancellation.
 func (o *Observatory) RunQualityContext(ctx context.Context, catchmentID, scenarioID string) (*QualityResult, error) {
 	c, ok := o.Catchments.Get(catchmentID)
 	if !ok {
@@ -891,7 +873,7 @@ func (o *Observatory) RunQualityContext(ctx context.Context, catchmentID, scenar
 		return nil, err
 	}
 	loadsFor := func(sc scenario.Scenario) (quality.Loads, error) {
-		run, err := o.RunModelContext(ctx, RunRequest{
+		run, _, err := o.RunModelCachedContext(ctx, RunRequest{
 			CatchmentID: catchmentID, Model: "topmodel", ScenarioID: sc.ID,
 		})
 		if err != nil {
@@ -947,19 +929,14 @@ type NationalLoads struct {
 	PerCatchment map[string]quality.Loads `json:"perCatchment"`
 }
 
-// RunNationalQuality is RunNationalQualityContext with a background
-// context.
-func (o *Observatory) RunNationalQuality(catchmentIDs, scenarioIDs []string) (map[string]*NationalLoads, error) {
-	return o.RunNationalQualityContext(context.Background(), catchmentIDs, scenarioIDs)
-}
-
 // RunNationalQualityContext fans every (catchment, scenario) quality
 // run out across the shared compute pool as bulk-class work and
 // aggregates the exports per scenario. A nil catchmentIDs means every
-// registered catchment, a nil scenarioIDs every scenario. The result is
-// identical to the sequential nested loop for any pool size: runs are
-// collected by index and summed in catchment order within each
-// scenario; only the wall-clock differs.
+// registered catchment, a nil scenarioIDs every scenario; a duplicate ID
+// in either list is rejected, since it would count its loads twice in
+// the totals. The result is identical to the sequential nested loop for
+// any pool size: runs are collected by index and summed in catchment
+// order within each scenario; only the wall-clock differs.
 func (o *Observatory) RunNationalQualityContext(ctx context.Context, catchmentIDs, scenarioIDs []string) (map[string]*NationalLoads, error) {
 	if catchmentIDs == nil {
 		for _, c := range o.Catchments.All() {
@@ -973,6 +950,15 @@ func (o *Observatory) RunNationalQualityContext(ctx context.Context, catchmentID
 	}
 	if len(catchmentIDs) == 0 || len(scenarioIDs) == 0 {
 		return nil, fmt.Errorf("empty national sweep: %w", ErrBadConfig)
+	}
+	for _, ids := range [][]string{catchmentIDs, scenarioIDs} {
+		seen := make(map[string]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				return nil, fmt.Errorf("duplicate ID %q in national sweep: %w", id, ErrBadConfig)
+			}
+			seen[id] = true
+		}
 	}
 	type pair struct{ cid, sid string }
 	pairs := make([]pair, 0, len(catchmentIDs)*len(scenarioIDs))
@@ -1007,7 +993,7 @@ func (o *Observatory) RunNationalQualityContext(ctx context.Context, catchmentID
 	return out, nil
 }
 
-// modelProcess adapts RunModel to the WPS Process interface.
+// modelProcess adapts RunModelCachedContext to the WPS Process interface.
 type modelProcess struct {
 	obs   *Observatory
 	model string
@@ -1076,7 +1062,7 @@ func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (m
 			}
 		}
 	}
-	res, err := p.obs.RunModelContext(ctx, req)
+	res, _, err := p.obs.RunModelCachedContext(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -1099,15 +1085,10 @@ type LowFlowResult struct {
 	Baseline lowflow.Summary `json:"baseline"`
 }
 
-// RunLowFlow answers the drought-side questions (the paper's motivation
-// cites droughts alongside floods): flow-duration quantiles, baseflow
-// index and sub-Q90 drought spells under a land-use scenario.
-func (o *Observatory) RunLowFlow(catchmentID, scenarioID string) (*LowFlowResult, error) {
-	return o.RunLowFlowContext(context.Background(), catchmentID, scenarioID)
-}
-
-// RunLowFlowContext is RunLowFlow under a caller context; the baseline
-// and scenario model runs each honour cancellation.
+// RunLowFlowContext answers the drought-side questions (the paper's
+// motivation cites droughts alongside floods): flow-duration quantiles,
+// baseflow index and sub-Q90 drought spells under a land-use scenario.
+// The baseline and scenario model runs each honour cancellation.
 func (o *Observatory) RunLowFlowContext(ctx context.Context, catchmentID, scenarioID string) (*LowFlowResult, error) {
 	if scenarioID == "" {
 		scenarioID = scenario.Baseline
@@ -1116,7 +1097,7 @@ func (o *Observatory) RunLowFlowContext(ctx context.Context, catchmentID, scenar
 		return nil, err
 	}
 	analyseFor := func(sc string) (lowflow.Summary, error) {
-		run, err := o.RunModelContext(ctx, RunRequest{CatchmentID: catchmentID, Model: "topmodel", ScenarioID: sc})
+		run, _, err := o.RunModelCachedContext(ctx, RunRequest{CatchmentID: catchmentID, Model: "topmodel", ScenarioID: sc})
 		if err != nil {
 			return lowflow.Summary{}, err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -142,9 +143,9 @@ func TestForcingCachedAndDeterministic(t *testing.T) {
 
 func TestRunModelTOPMODEL(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel"})
+	res, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel"})
 	if err != nil {
-		t.Fatalf("RunModel: %v", err)
+		t.Fatalf("RunModelCachedContext: %v", err)
 	}
 	if res.Discharge.Len() != 30*24 {
 		t.Fatalf("discharge length = %d", res.Discharge.Len())
@@ -190,12 +191,12 @@ func TestRunModelScenarioOrdering(t *testing.T) {
 	stormAt := epochStart.Add(time.Duration(stormAtHours) * time.Hour)
 	peaks := make(map[string]float64)
 	for _, sc := range []string{scenario.Baseline, scenario.Afforestation, scenario.Compaction} {
-		res, err := o.RunModel(RunRequest{
+		res, _, err := o.RunModelCachedContext(context.Background(), RunRequest{
 			CatchmentID: "morland", Model: "topmodel", ScenarioID: sc,
 			Storm: storm, StormAtHours: stormAtHours,
 		})
 		if err != nil {
-			t.Fatalf("RunModel %s: %v", sc, err)
+			t.Fatalf("RunModelCachedContext %s: %v", sc, err)
 		}
 		// Compare the response to the injected storm specifically, not
 		// whichever natural event happens to dominate the record.
@@ -213,9 +214,9 @@ func TestRunModelScenarioOrdering(t *testing.T) {
 
 func TestRunModelFUSE(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunModel(RunRequest{CatchmentID: "tarland", Model: "fuse"})
+	res, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "tarland", Model: "fuse"})
 	if err != nil {
-		t.Fatalf("RunModel fuse: %v", err)
+		t.Fatalf("RunModelCachedContext fuse: %v", err)
 	}
 	if res.VolumeMM <= 0 {
 		t.Fatalf("fuse volume = %v", res.VolumeMM)
@@ -224,18 +225,18 @@ func TestRunModelFUSE(t *testing.T) {
 
 func TestRunModelErrors(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunModel(RunRequest{CatchmentID: "thames", Model: "topmodel"}); !errors.Is(err, ErrBadConfig) {
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "thames", Model: "topmodel"}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown catchment err = %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "hec-ras"}); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "hec-ras"}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", ScenarioID: "urban"}); !errors.Is(err, scenario.ErrUnknown) {
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", ScenarioID: "urban"}); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 	bad := topmodel.DefaultParams()
 	bad.M = -1
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &bad}); err == nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &bad}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
@@ -276,9 +277,9 @@ func TestWPSProcessInputErrors(t *testing.T) {
 
 func TestRunQuality(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunQuality("morland", "compaction")
+	res, err := o.RunQualityContext(context.Background(), "morland", "compaction")
 	if err != nil {
-		t.Fatalf("RunQuality: %v", err)
+		t.Fatalf("RunQualityContext: %v", err)
 	}
 	if res.Scenario != "compaction" {
 		t.Fatalf("scenario = %s", res.Scenario)
@@ -290,18 +291,18 @@ func TestRunQuality(t *testing.T) {
 		t.Fatalf("compaction should raise sediment and P: %+v", res)
 	}
 
-	aff, err := o.RunQuality("morland", "afforestation")
+	aff, err := o.RunQualityContext(context.Background(), "morland", "afforestation")
 	if err != nil {
-		t.Fatalf("RunQuality afforestation: %v", err)
+		t.Fatalf("RunQualityContext afforestation: %v", err)
 	}
 	if aff.SedimentChange >= 0 {
 		t.Fatalf("afforestation sediment change = %v, want negative", aff.SedimentChange)
 	}
 
 	// Baseline vs itself is zero change; empty scenario defaults to it.
-	base, err := o.RunQuality("morland", "")
+	base, err := o.RunQualityContext(context.Background(), "morland", "")
 	if err != nil {
-		t.Fatalf("RunQuality baseline: %v", err)
+		t.Fatalf("RunQualityContext baseline: %v", err)
 	}
 	if base.SedimentChange != 0 || base.PhosphorusChange != 0 || base.NitrateChange != 0 {
 		t.Fatalf("baseline change = %+v, want zero", base)
@@ -310,10 +311,10 @@ func TestRunQuality(t *testing.T) {
 
 func TestRunQualityErrors(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunQuality("thames", "baseline"); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.RunQualityContext(context.Background(), "thames", "baseline"); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown catchment err = %v", err)
 	}
-	if _, err := o.RunQuality("morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
+	if _, err := o.RunQualityContext(context.Background(), "morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 }
@@ -325,9 +326,9 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 	o, _ := newObs(t)
 	catchments := []string{"morland", "tarland"}
 	scenarios := []string{"baseline", "compaction"}
-	got, err := o.RunNationalQuality(catchments, scenarios)
+	got, err := o.RunNationalQualityContext(context.Background(), catchments, scenarios)
 	if err != nil {
-		t.Fatalf("RunNationalQuality: %v", err)
+		t.Fatalf("RunNationalQualityContext: %v", err)
 	}
 	for _, sid := range scenarios {
 		nl := got[sid]
@@ -336,9 +337,9 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 		}
 		var sed, phos, nit float64
 		for _, cid := range catchments {
-			res, err := o.RunQuality(cid, sid)
+			res, err := o.RunQualityContext(context.Background(), cid, sid)
 			if err != nil {
-				t.Fatalf("sequential RunQuality(%s,%s): %v", cid, sid, err)
+				t.Fatalf("sequential RunQualityContext(%s,%s): %v", cid, sid, err)
 			}
 			pc := nl.PerCatchment[cid]
 			if pc.SedimentTonnes != res.Loads.SedimentTonnes ||
@@ -357,9 +358,9 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 		}
 	}
 	// Defaults: every catchment × every scenario.
-	all, err := o.RunNationalQuality(nil, nil)
+	all, err := o.RunNationalQualityContext(context.Background(), nil, nil)
 	if err != nil {
-		t.Fatalf("RunNationalQuality(nil,nil): %v", err)
+		t.Fatalf("RunNationalQualityContext(nil,nil): %v", err)
 	}
 	if len(all) != len(scenario.All()) {
 		t.Fatalf("default sweep covered %d scenarios, want %d", len(all), len(scenario.All()))
@@ -371,11 +372,43 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunNationalQualityRejectsDuplicateIDs: a repeated catchment or
+// scenario would count its loads twice in the totals, so the sweep
+// refuses it instead.
+func TestRunNationalQualityRejectsDuplicateIDs(t *testing.T) {
+	o, _ := newObs(t)
+	for _, tc := range []struct{ catchments, scenarios []string }{
+		{[]string{"morland", "morland"}, []string{"baseline"}},
+		{[]string{"morland"}, []string{"baseline", "compaction", "baseline"}},
+	} {
+		if _, err := o.RunNationalQualityContext(context.Background(), tc.catchments, tc.scenarios); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("catchments %v scenarios %v: err = %v, want ErrBadConfig", tc.catchments, tc.scenarios, err)
+		}
+	}
+}
+
+// TestRunModelRejectsNonFiniteStorm: a NaN or infinite storm depth fails
+// validation before any simulation, and no result is cached.
+func TestRunModelRejectsNonFiniteStorm(t *testing.T) {
+	o, _ := newObs(t)
+	before := seriesOf(o).get(t, "evop_runcache_entries")
+	for _, depth := range []float64{math.Inf(1), math.NaN()} {
+		req := RunRequest{CatchmentID: "morland", Model: "topmodel", StormAtHours: 48,
+			Storm: &weather.DesignStorm{TotalDepthMM: depth, Duration: 6 * time.Hour, PeakFraction: 0.4}}
+		if _, _, err := o.RunModelCachedContext(context.Background(), req); !errors.Is(err, weather.ErrBadConfig) {
+			t.Fatalf("depth %v: err = %v, want weather.ErrBadConfig", depth, err)
+		}
+	}
+	if after := seriesOf(o).get(t, "evop_runcache_entries"); after != before {
+		t.Fatalf("runcache entries %v -> %v: a rejected run was cached", before, after)
+	}
+}
+
 func TestDriestStormWindow(t *testing.T) {
 	o, _ := newObs(t)
-	hours, err := o.DriestStormWindow("morland", 5)
+	hours, err := o.DriestStormWindowContext(context.Background(), "morland", 5)
 	if err != nil {
-		t.Fatalf("DriestStormWindow: %v", err)
+		t.Fatalf("DriestStormWindowContext: %v", err)
 	}
 	if hours < 5*24 || hours >= 30*24 {
 		t.Fatalf("window at hour %d out of range", hours)
@@ -395,13 +428,13 @@ func TestDriestStormWindow(t *testing.T) {
 			t.Fatalf("window at %d (%.1f mm) beaten by %d (%.1f mm)", hours, best, start, sumAt(start))
 		}
 	}
-	if _, err := o.DriestStormWindow("thames", 5); err == nil {
+	if _, err := o.DriestStormWindowContext(context.Background(), "thames", 5); err == nil {
 		t.Fatal("unknown catchment accepted")
 	}
-	if _, err := o.DriestStormWindow("morland", 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.DriestStormWindowContext(context.Background(), "morland", 0); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad window err = %v", err)
 	}
-	if _, err := o.DriestStormWindow("morland", 100); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.DriestStormWindowContext(context.Background(), "morland", 100); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("oversized window err = %v", err)
 	}
 }
@@ -456,9 +489,9 @@ func TestObservatorySoak(t *testing.T) {
 		t.Fatalf("active = %v, open = %d", got, len(open))
 	}
 	// Sensors sampled all day: the river gauge has ~96 readings.
-	hist, err := o.Network.History("morland-level-1", epoch, epoch.Add(48*time.Hour))
+	hist, err := o.Network.HistoryView("morland-level-1", epoch, epoch.Add(48*time.Hour))
 	if err != nil {
-		t.Fatalf("History: %v", err)
+		t.Fatalf("HistoryView: %v", err)
 	}
 	if len(hist) < 90 {
 		t.Fatalf("river gauge readings = %d, want ~96 over the day", len(hist))
@@ -471,9 +504,9 @@ func TestObservatorySoak(t *testing.T) {
 
 func TestRunLowFlow(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunLowFlow("morland", "afforestation")
+	res, err := o.RunLowFlowContext(context.Background(), "morland", "afforestation")
 	if err != nil {
-		t.Fatalf("RunLowFlow: %v", err)
+		t.Fatalf("RunLowFlowContext: %v", err)
 	}
 	if res.Scenario != "afforestation" {
 		t.Fatalf("scenario = %s", res.Scenario)
@@ -485,17 +518,17 @@ func TestRunLowFlow(t *testing.T) {
 		t.Fatalf("BFI = %v", res.Summary.BFI)
 	}
 	// Empty scenario defaults to baseline and matches it.
-	base, err := o.RunLowFlow("morland", "")
+	base, err := o.RunLowFlowContext(context.Background(), "morland", "")
 	if err != nil {
-		t.Fatalf("RunLowFlow baseline: %v", err)
+		t.Fatalf("RunLowFlowContext baseline: %v", err)
 	}
 	if base.Summary.Q95 != base.Baseline.Q95 {
 		t.Fatal("baseline summary differs from itself")
 	}
-	if _, err := o.RunLowFlow("thames", ""); err == nil {
+	if _, err := o.RunLowFlowContext(context.Background(), "thames", ""); err == nil {
 		t.Fatal("unknown catchment accepted")
 	}
-	if _, err := o.RunLowFlow("morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
+	if _, err := o.RunLowFlowContext(context.Background(), "morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 }
@@ -526,11 +559,11 @@ func TestUploadDatasetAndRun(t *testing.T) {
 		t.Fatal("Dataset returned shared storage")
 	}
 
-	res, err := o.RunModel(RunRequest{
+	res, _, err := o.RunModelCachedContext(context.Background(), RunRequest{
 		CatchmentID: "morland", Model: "topmodel", RainDatasetID: "my-gauge",
 	})
 	if err != nil {
-		t.Fatalf("RunModel with upload: %v", err)
+		t.Fatalf("RunModelCachedContext with upload: %v", err)
 	}
 	if res.Discharge.Len() != rain.Len() {
 		t.Fatalf("discharge length = %d, want %d (the uploaded record)", res.Discharge.Len(), rain.Len())
@@ -566,7 +599,7 @@ func TestUploadDatasetValidation(t *testing.T) {
 	if err := o.UploadDataset("far", far); err != nil {
 		t.Fatalf("UploadDataset far: %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "far"}); err == nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "far"}); err == nil {
 		t.Fatal("disjoint dataset accepted")
 	}
 }
@@ -575,14 +608,14 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	o, _ := newObs(t)
 	req := RunRequest{CatchmentID: "morland", Model: "topmodel"}
 
-	r1, out, err := o.RunModelCached(req)
+	r1, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	if out != runcache.Miss {
 		t.Fatalf("first run outcome = %v, want miss", out)
 	}
-	r2, out, err := o.RunModelCached(req)
+	r2, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -610,14 +643,14 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	p.M = p.M * 1.5
 	variants = append(variants, RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &p})
 	for i, v := range variants {
-		if _, out, err := o.RunModelCached(v); err != nil || out != runcache.Miss {
+		if _, out, err := o.RunModelCachedContext(context.Background(), v); err != nil || out != runcache.Miss {
 			t.Fatalf("variant %d: outcome = %v err = %v, want fresh miss", i, out, err)
 		}
 	}
 	// Errors are not cached: the same bad request keeps failing afresh.
 	bad := RunRequest{CatchmentID: "thames", Model: "topmodel"}
 	for i := 0; i < 2; i++ {
-		if _, out, err := o.RunModelCached(bad); err == nil || out != runcache.Miss {
+		if _, out, err := o.RunModelCachedContext(context.Background(), bad); err == nil || out != runcache.Miss {
 			t.Fatalf("bad request %d: outcome = %v err = %v", i, out, err)
 		}
 	}
@@ -635,7 +668,7 @@ func TestUploadDatasetPurgesRunCache(t *testing.T) {
 		t.Fatalf("UploadDataset: %v", err)
 	}
 	req := RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "gauge"}
-	r1, _, err := o.RunModelCached(req)
+	r1, _, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -645,7 +678,7 @@ func TestUploadDatasetPurgesRunCache(t *testing.T) {
 	if err := o.UploadDataset("gauge", timeseries.MustNew(epochStart, time.Hour, vals)); err != nil {
 		t.Fatalf("re-upload: %v", err)
 	}
-	r2, out, err := o.RunModelCached(req)
+	r2, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -692,13 +725,13 @@ func TestRunModelCancellationAbandonsSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := o.RunModelContext(ctx, req)
+		_, _, err := o.RunModelCachedContext(ctx, req)
 		errCh <- err
 	}()
 	<-entered
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunModelContext err = %v, want context.Canceled", err)
+		t.Fatalf("RunModelCachedContext err = %v, want context.Canceled", err)
 	}
 	// With the sole requester gone, the flight's context must cancel so
 	// the simulation stops consuming CPU.
@@ -739,15 +772,15 @@ func TestRunQualityContextCanceled(t *testing.T) {
 
 func TestUnknownCatchmentSentinel(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunModel(RunRequest{CatchmentID: "ghost", Model: "topmodel"}); !errors.Is(err, ErrUnknownCatchment) {
-		t.Fatalf("RunModel ghost err = %v, want ErrUnknownCatchment", err)
+	if _, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "ghost", Model: "topmodel"}); !errors.Is(err, ErrUnknownCatchment) {
+		t.Fatalf("RunModelCachedContext ghost err = %v, want ErrUnknownCatchment", err)
 	}
 	// The sentinel must keep matching ErrBadConfig for existing callers.
 	if _, err := o.Forcing("ghost"); !errors.Is(err, ErrBadConfig) || !errors.Is(err, ErrUnknownCatchment) {
 		t.Fatalf("Forcing ghost err = %v, want both sentinels", err)
 	}
-	if _, err := o.RunQuality("ghost", ""); !errors.Is(err, ErrUnknownCatchment) {
-		t.Fatalf("RunQuality ghost err = %v, want ErrUnknownCatchment", err)
+	if _, err := o.RunQualityContext(context.Background(), "ghost", ""); !errors.Is(err, ErrUnknownCatchment) {
+		t.Fatalf("RunQualityContext ghost err = %v, want ErrUnknownCatchment", err)
 	}
 }
 

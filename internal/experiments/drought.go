@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"evop/internal/clock"
@@ -32,7 +33,7 @@ func E19Drought() (*Table, error) {
 	}
 	var baseQ95, affQ95 float64
 	for _, sc := range scenario.All() {
-		res, err := obs.RunLowFlow("morland", sc.ID)
+		res, err := obs.RunLowFlowContext(context.Background(), "morland", sc.ID)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.ID, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -40,7 +41,7 @@ func E15Quality() (*Table, error) {
 	}
 	var sedOrder []float64
 	for _, sc := range scenario.All() {
-		res, err := obs.RunQuality("morland", sc.ID)
+		res, err := obs.RunQualityContext(context.Background(), "morland", sc.ID)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.ID, err)
 		}

@@ -48,7 +48,7 @@ func newInfra(privateMax int, flavorSessions int, lbMutate func(*loadbalancer.Co
 	if err != nil {
 		return nil, err
 	}
-	brk, err := broker.New(clk)
+	brk, err := broker.New(clk, broker.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"evop/internal/hydro/calibrate"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/scenario"
+	"evop/internal/sched"
 	"evop/internal/sensor"
 	"evop/internal/timeseries"
 	"evop/internal/weather"
@@ -167,7 +168,7 @@ func E7Elasticity() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	factory := func(vals []float64) (hydro.Model, error) {
+	factory := func(_ hydro.Model, vals []float64) (hydro.Model, error) {
 		p := topmodel.DefaultParams()
 		p.M, p.LnTe = vals[0], vals[1]
 		return topmodel.New(p, ti)
@@ -186,6 +187,10 @@ func E7Elasticity() (*Table, error) {
 	}
 	var base time.Duration
 	for _, workers := range []int{1, 2, 4, 8, 16} {
+		pool, err := sched.New(sched.Config{Workers: workers})
+		if err != nil {
+			return nil, fmt.Errorf("pool of %d workers: %w", workers, err)
+		}
 		cfg := calibrate.MCConfig{
 			Factory: factory,
 			Ranges: []calibrate.Range{
@@ -193,14 +198,16 @@ func E7Elasticity() (*Table, error) {
 				{Name: "LnTe", Lo: 2, Hi: 8},
 			},
 			Forcing: forcing, Observed: obs,
-			N: runs, Seed: 1, Workers: workers,
+			N: runs, Seed: 1, Pool: pool,
 			KeepSimsAbove: math.Inf(1),
 		}
 		start := time.Now()
-		if _, err := calibrate.MonteCarlo(context.Background(), cfg); err != nil {
+		_, err = calibrate.MonteCarlo(context.Background(), cfg)
+		took := time.Since(start)
+		pool.Close()
+		if err != nil {
 			return nil, fmt.Errorf("sweep with %d workers: %w", workers, err)
 		}
-		took := time.Since(start)
 		if workers == 1 {
 			base = took
 		}
@@ -241,7 +248,7 @@ func E10Calibration() (*Table, error) {
 		return nil, err
 	}
 	cfg := calibrate.MCConfig{
-		Factory: func(vals []float64) (hydro.Model, error) {
+		Factory: func(_ hydro.Model, vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe, p.SRMax = vals[0], vals[1], vals[2]
 			return topmodel.New(p, ti)
@@ -301,7 +308,7 @@ func E10Calibration() (*Table, error) {
 // temperature, turbidity and webcam frames.
 func E11Fusion() (*Table, error) {
 	clk := clock.NewSimulated(epoch)
-	n, err := sensor.NewNetwork(clk)
+	n, err := sensor.NewNetwork(clk, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -153,7 +153,7 @@ func E6PushVsPoll() (*Table, error) {
 
 	// A broker whose session migrates 10 times over 5 simulated minutes.
 	clk := clock.NewSimulated(epoch)
-	brk, err := broker.New(clk)
+	brk, err := broker.New(clk, broker.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("building broker: %w", err)
 	}

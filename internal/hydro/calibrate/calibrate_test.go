@@ -181,7 +181,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{ti: ti, forcing: f, obs: obs, truth: truth}
 }
 
-func (fx *fixture) factory(vals []float64) (hydro.Model, error) {
+func (fx *fixture) factory(_ hydro.Model, vals []float64) (hydro.Model, error) {
 	p := topmodel.DefaultParams()
 	p.M = vals[0]
 	p.LnTe = vals[1]
@@ -226,9 +226,9 @@ func TestMonteCarloRecoverstruth(t *testing.T) {
 func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	fx := newFixture(t)
 	cfg1 := fx.config(50)
-	cfg1.Workers = 1
+	cfg1.Pool = newPool(t, 1)
 	cfg8 := fx.config(50)
-	cfg8.Workers = 8
+	cfg8.Pool = newPool(t, 8)
 	r1, err := MonteCarlo(context.Background(), cfg1)
 	if err != nil {
 		t.Fatalf("MonteCarlo(1): %v", err)
@@ -256,7 +256,7 @@ func TestMonteCarloDeterministicAcrossChunkSizes(t *testing.T) {
 	for _, chunk := range []int{1, 4, 17, 100} {
 		cfg := fx.config(60)
 		cfg.ChunkSize = chunk
-		cfg.Workers = 5
+		cfg.Pool = newPool(t, 5)
 		got, err := MonteCarlo(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("MonteCarlo(chunk=%d): %v", chunk, err)
@@ -305,6 +305,20 @@ func TestMonteCarloSharedPoolMatchesTransient(t *testing.T) {
 	}
 }
 
+// newPool returns a compute pool of the given size, closed at test end.
+func newPool(t *testing.T, workers int) *sched.Pool {
+	t.Helper()
+	p, err := sched.New(sched.Config{Workers: workers})
+	if err != nil {
+		t.Fatalf("sched.New(%d): %v", workers, err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+// TestMonteCarloReuseFactoryMatchesFactory: a factory that reconfigures
+// the worker's previous model via SetParams scores every sample exactly
+// as one that builds a fresh model per sample.
 func TestMonteCarloReuseFactoryMatchesFactory(t *testing.T) {
 	fx := newFixture(t)
 	ref, err := MonteCarlo(context.Background(), fx.config(50))
@@ -312,8 +326,7 @@ func TestMonteCarloReuseFactoryMatchesFactory(t *testing.T) {
 		t.Fatalf("MonteCarlo(factory): %v", err)
 	}
 	cfg := fx.config(50)
-	cfg.Factory = nil
-	cfg.ReuseFactory = func(prev hydro.Model, vals []float64) (hydro.Model, error) {
+	cfg.Factory = func(prev hydro.Model, vals []float64) (hydro.Model, error) {
 		p := topmodel.DefaultParams()
 		p.M = vals[0]
 		p.LnTe = vals[1]
@@ -392,7 +405,7 @@ func TestMonteCarloConfigValidation(t *testing.T) {
 func TestMonteCarloAllRunsFailed(t *testing.T) {
 	fx := newFixture(t)
 	cfg := fx.config(10)
-	cfg.Factory = func(vals []float64) (hydro.Model, error) {
+	cfg.Factory = func(hydro.Model, []float64) (hydro.Model, error) {
 		return nil, errors.New("boom")
 	}
 	// Every run failing must surface as a sentinel, not a garbage Best
@@ -408,7 +421,7 @@ func TestMonteCarloPartialFailuresStillReport(t *testing.T) {
 	inner := cfg.Factory
 	var n int
 	var mu sync.Mutex
-	cfg.Factory = func(vals []float64) (hydro.Model, error) {
+	cfg.Factory = func(prev hydro.Model, vals []float64) (hydro.Model, error) {
 		mu.Lock()
 		n++
 		fail := n%2 == 0
@@ -416,7 +429,7 @@ func TestMonteCarloPartialFailuresStillReport(t *testing.T) {
 		if fail {
 			return nil, errors.New("boom")
 		}
-		return inner(vals)
+		return inner(prev, vals)
 	}
 	res, err := MonteCarlo(context.Background(), cfg)
 	if err != nil {

@@ -48,24 +48,18 @@ func (r Range) Validate() error {
 // is no best run to report.
 var ErrAllRunsFailed = errors.New("calibrate: all runs failed")
 
-// Factory builds a model from one parameter sample (values are positional,
-// matching the Ranges order).
-type Factory func(values []float64) (hydro.Model, error)
-
-// ReuseFactory builds or reconfigures a model for one parameter sample.
-// prev is the model the same worker used for its previous sample (nil on
-// the worker's first); implementations may reconfigure and return prev
-// (e.g. topmodel.Model.SetParams) instead of building a new model, which
-// removes the per-sample construction cost from large sweeps.
-type ReuseFactory func(prev hydro.Model, values []float64) (hydro.Model, error)
+// Factory builds or reconfigures a model for one parameter sample
+// (values are positional, matching the Ranges order). prev is the model
+// the same worker used for its previous sample (nil on the worker's
+// first); a factory that builds fresh models ignores it, while one that
+// reconfigures and returns prev (e.g. topmodel.Model.SetParams) removes
+// the per-sample construction cost from large sweeps.
+type Factory func(prev hydro.Model, values []float64) (hydro.Model, error)
 
 // MCConfig configures a Monte Carlo calibration run.
 type MCConfig struct {
-	// Factory builds a model per sample.
+	// Factory builds or reconfigures a model per sample.
 	Factory Factory
-	// ReuseFactory, when non-nil, is used instead of Factory and may
-	// recycle each worker's previous model.
-	ReuseFactory ReuseFactory
 	// Ranges define the sampled parameter space.
 	Ranges []Range
 	// Forcing drives every run.
@@ -79,11 +73,8 @@ type MCConfig struct {
 	// Seed makes sampling deterministic.
 	Seed int64
 	// Pool is the shared compute pool the sweep runs on. Nil builds a
-	// transient pool of Workers workers for this call.
+	// transient pool of min(GOMAXPROCS, N) workers for this call.
 	Pool *sched.Pool
-	// Workers sizes the transient pool when Pool is nil; 0 means
-	// GOMAXPROCS. Ignored when Pool is set.
-	Workers int
 	// ChunkSize is the number of samples dispatched to a worker per
 	// pool send; 0 picks a size that amortises scheduler traffic over
 	// the sweep. Results are independent of the chunking.
@@ -96,7 +87,7 @@ type MCConfig struct {
 
 // Validate checks the configuration.
 func (c *MCConfig) Validate() error {
-	if c.Factory == nil && c.ReuseFactory == nil {
+	if c.Factory == nil {
 		return fmt.Errorf("nil factory: %w", ErrBadConfig)
 	}
 	if len(c.Ranges) == 0 {
@@ -144,8 +135,8 @@ type MCResult struct {
 // chunked index ranges with per-worker reusable state, and models
 // implementing hydro.ScratchModel run through per-worker scratch
 // buffers, so a large sweep allocates nothing per sample beyond the
-// model build itself (which ReuseFactory can eliminate too). It returns
-// ErrAllRunsFailed if every sample errored.
+// model build itself (which a reusing Factory can eliminate too). It
+// returns ErrAllRunsFailed if every sample errored.
 func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 	if cfg.Objective == nil {
 		cfg.Objective = NSE
@@ -155,14 +146,7 @@ func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 	}
 	pool := cfg.Pool
 	if pool == nil {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > cfg.N {
-			workers = cfg.N
-		}
-		p, err := sched.New(sched.Config{Workers: workers})
+		p, err := sched.New(sched.Config{Workers: min(runtime.GOMAXPROCS(0), cfg.N)})
 		if err != nil {
 			return nil, fmt.Errorf("building pool: %w", err)
 		}
@@ -212,7 +196,7 @@ func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 }
 
 // workerState is one worker goroutine's reusable machinery: the previous
-// model (for ReuseFactory) and one scratch buffer per model family.
+// model (passed back to Factory) and one scratch buffer per model family.
 type workerState struct {
 	prev      hydro.Model
 	scratches map[string]hydro.Scratch
@@ -220,13 +204,7 @@ type workerState struct {
 
 func (c *MCConfig) evaluate(vals []float64, st *workerState) RunScore {
 	rs := RunScore{Values: vals, Score: math.Inf(-1)}
-	var model hydro.Model
-	var err error
-	if c.ReuseFactory != nil {
-		model, err = c.ReuseFactory(st.prev, vals)
-	} else {
-		model, err = c.Factory(vals)
-	}
+	model, err := c.Factory(st.prev, vals)
 	if err != nil {
 		rs.Err = fmt.Errorf("building model: %w", err)
 		return rs

@@ -438,28 +438,16 @@ type EnsembleResult struct {
 	Mean *timeseries.Series
 }
 
-// RunEnsemble runs one Model per decision set with shared parameters and
-// aggregates the results.
-func RunEnsemble(decs []Decisions, params Params, f hydro.Forcing) (*EnsembleResult, error) {
-	return RunEnsembleContext(context.Background(), decs, params, f)
-}
-
-// RunEnsembleContext is RunEnsemble with cancellation checks between
-// ensemble members: each member is a full simulation, so the boundary
-// between members is where abandoning a canceled request saves real work
-// without threading a context through the inner kernel. It runs members
-// sequentially on the calling goroutine; pass the shared compute pool to
-// RunEnsembleOn to run them in parallel.
-func RunEnsembleContext(ctx context.Context, decs []Decisions, params Params, f hydro.Forcing) (*EnsembleResult, error) {
-	return RunEnsembleOn(ctx, nil, decs, params, f)
-}
-
-// RunEnsembleOn runs the ensemble members in parallel on the compute
-// pool (nil runs them sequentially inline). Each executor carries one
-// reusable Scratch, so a member costs the model build plus one copy of
-// its output rather than fresh simulation buffers; results are
-// aggregated in decision-index order, making Members and Mean
-// bit-identical to the sequential implementation for any worker count.
+// RunEnsembleOn runs one Model per decision set with shared parameters
+// and aggregates the results. Members run in parallel on the compute
+// pool; a nil pool runs them sequentially on the calling goroutine.
+// Cancellation is checked between members: each member is a full
+// simulation, so the boundary between members is where abandoning a
+// canceled request saves real work without threading a context through
+// the inner kernel. Each executor carries one reusable Scratch, so a
+// member costs the model build plus one copy of its output rather than
+// fresh simulation buffers; results are aggregated in decision-index
+// order, making Members and Mean bit-identical for any worker count.
 func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params Params, f hydro.Forcing) (*EnsembleResult, error) {
 	if len(decs) == 0 {
 		return nil, fmt.Errorf("no decisions: %w", ErrBadDecision)

@@ -57,7 +57,7 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk)
+	brk, err := broker.New(clk, broker.Options{})
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}

@@ -52,7 +52,7 @@ func newHarness(t *testing.T, privateMax int, mutate func(*Config)) *harness {
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk)
+	brk, err := broker.New(clk, broker.Options{})
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}
@@ -81,7 +81,7 @@ func (h *harness) settle(n int) {
 
 func TestConfigValidation(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	brk, _ := broker.New(clk)
+	brk, _ := broker.New(clk, broker.Options{})
 	p, _ := cloud.NewProvider(cloud.Config{Name: "p", Kind: cloud.Private, MaxInstances: 1,
 		BootDelay: time.Second, AddrPrefix: "10.", Clock: clk})
 	multi, _ := crosscloud.New(nil, p)

@@ -19,7 +19,7 @@ var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 func testService(t *testing.T) (*httptest.Server, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(epoch)
-	n, err := sensor.NewNetwork(clk)
+	n, err := sensor.NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestNewServiceValidation(t *testing.T) {
 		t.Fatal("nil network accepted")
 	}
 	clk := clock.NewSimulated(epoch)
-	n, _ := sensor.NewNetwork(clk)
+	n, _ := sensor.NewNetwork(clk, nil)
 	if _, err := NewService("x", n, nil); err == nil {
 		t.Fatal("nil clock accepted")
 	}

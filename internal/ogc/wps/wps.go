@@ -167,14 +167,10 @@ type Service struct {
 
 var _ http.Handler = (*Service)(nil)
 
-// NewService returns an empty WPS service with the given title and
-// private instruments.
-func NewService(title string) *Service {
-	return NewServiceWithOptions(title, Options{})
-}
-
-// NewServiceWithOptions returns an empty WPS service configured by opts.
-func NewServiceWithOptions(title string, opts Options) *Service {
+// NewService returns an empty WPS service with the given title,
+// configured by opts; the zero Options gives the defaults with private
+// instruments.
+func NewService(title string, opts Options) *Service {
 	ctx, cancel := context.WithCancel(context.Background())
 	maxAsync := opts.MaxAsync
 	if maxAsync == 0 {

@@ -22,7 +22,7 @@ func TestAsyncBoundRejects(t *testing.T) {
 	p := &addProcess{block: make(chan struct{})}
 	clk := clock.NewSimulated(time.Unix(0, 0))
 	reg := metrics.NewRegistry(clk)
-	svc := NewServiceWithOptions("EVOp WPS", Options{Metrics: reg, MaxAsync: 1})
+	svc := NewService("EVOp WPS", Options{Metrics: reg, MaxAsync: 1})
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestAsyncRunsOnPool(t *testing.T) {
 		t.Fatalf("sched.New: %v", err)
 	}
 	t.Cleanup(pool.Close)
-	svc := NewServiceWithOptions("EVOp WPS", Options{Pool: pool})
+	svc := NewService("EVOp WPS", Options{Pool: pool})
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestAsyncPoolSaturationUnregisters(t *testing.T) {
 	}
 	<-started
 
-	svc := NewServiceWithOptions("EVOp WPS", Options{Pool: pool})
+	svc := NewService("EVOp WPS", Options{Pool: pool})
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}

@@ -58,7 +58,7 @@ func (p *addProcess) Execute(ctx context.Context, inputs map[string]string) (map
 
 func newTestService(t *testing.T, procs ...Process) *httptest.Server {
 	t.Helper()
-	svc := NewService("EVOp WPS")
+	svc := NewService("EVOp WPS", Options{})
 	for _, p := range procs {
 		if err := svc.Register(p); err != nil {
 			t.Fatalf("Register: %v", err)
@@ -180,7 +180,7 @@ func TestExecuteAsyncLifecycle(t *testing.T) {
 // process stops, and every accepted execution lands in a terminal status.
 func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 	p := &addProcess{block: make(chan struct{})}
-	svc := NewService("EVOp WPS")
+	svc := NewService("EVOp WPS", Options{})
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	svc := NewService("t")
+	svc := NewService("t", Options{})
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}

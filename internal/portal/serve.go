@@ -12,14 +12,9 @@ import (
 // requests and async WPS executions before cutting them off.
 const shutdownGrace = 15 * time.Second
 
-// ListenAndServe runs the portal on addr until the server fails; it is a
-// convenience for cmd/evop-portal.
-func (p *Portal) ListenAndServe(addr string) error {
-	return p.ListenAndServeContext(context.Background(), addr)
-}
-
 // ListenAndServeContext runs the portal on addr until ctx is canceled,
-// then shuts down gracefully (see ServeContext).
+// then shuts down gracefully (see ServeContext); cmd/evop-portal runs it
+// under a signal-bound context.
 func (p *Portal) ListenAndServeContext(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

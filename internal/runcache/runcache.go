@@ -128,16 +128,10 @@ type flight[V any] struct {
 }
 
 // New returns a cache holding at most capacity entries; capacities below
-// one are raised to one. Its counters are private; use NewWithMetrics to
-// expose them in a registry.
-func New[V any](capacity int) *Cache[V] {
-	return NewWithMetrics[V](capacity, nil)
-}
-
-// NewWithMetrics returns a cache whose outcome counters are registered
-// in reg as evop_runcache_*_total, beside an evop_runcache_entries size
-// gauge (nil keeps them private).
-func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
+// one are raised to one. Its outcome counters are registered in reg as
+// evop_runcache_*_total, beside an evop_runcache_entries size gauge (nil
+// keeps them private).
+func New[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDoMissThenHit(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	calls := 0
 	compute := func(context.Context) (int, error) { calls++; return 42, nil }
 
@@ -34,7 +34,7 @@ func TestDoMissThenHit(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	boom := errors.New("boom")
 	calls := 0
 	if _, out, err := c.Do(context.Background(), "k", func(context.Context) (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) || out != Miss {
@@ -49,7 +49,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, _, err := c.Do(context.Background(), key, func(context.Context) (int, error) { return i, nil }); err != nil {
@@ -70,7 +70,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRURecencyOrder(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	_, _, _ = c.Do(context.Background(), "a", func(context.Context) (int, error) { return 1, nil })
 	_, _, _ = c.Do(context.Background(), "b", func(context.Context) (int, error) { return 2, nil })
 	// Touch a so b becomes the eviction candidate.
@@ -87,7 +87,7 @@ func TestLRURecencyOrder(t *testing.T) {
 }
 
 func TestCoalescing(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	const waiters = 8
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -150,7 +150,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 func TestPurgeDropsEntriesAndStaleFlights(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	_, _, _ = c.Do(context.Background(), "k", func(context.Context) (int, error) { return 1, nil })
 
 	started := make(chan struct{})
@@ -186,7 +186,7 @@ func TestPurgeDropsEntriesAndStaleFlights(t *testing.T) {
 }
 
 func TestCapacityFloor(t *testing.T) {
-	c := New[int](0)
+	c := New[int](0, nil)
 	_, _, _ = c.Do(context.Background(), "a", func(context.Context) (int, error) { return 1, nil })
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("capacity floor of one not applied")
@@ -194,7 +194,7 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func TestDoDeadContextNeverComputes(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
@@ -219,7 +219,7 @@ func TestDoDeadContextNeverComputes(t *testing.T) {
 // one browser abandoning a run must not steal the shared result from the
 // waiters still connected.
 func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var computeCtxErr atomic.Value
@@ -274,7 +274,7 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 // disconnects, the computation's context is cancelled so the simulation
 // stops burning CPU, and a later identical request starts fresh.
 func TestAllWaitersGoneCancelsCompute(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	started := make(chan struct{})
 	computeStopped := make(chan error, 1)
 
@@ -318,7 +318,7 @@ func TestAllWaitersGoneCancelsCompute(t *testing.T) {
 // request's cancellation.
 func TestFlightContextInheritsValues(t *testing.T) {
 	type key struct{}
-	c := New[string](4)
+	c := New[string](4, nil)
 	ctx := context.WithValue(context.Background(), key{}, "req-7")
 	v, _, err := c.Do(ctx, "k", func(fctx context.Context) (string, error) {
 		got, _ := fctx.Value(key{}).(string)

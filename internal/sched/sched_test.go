@@ -115,9 +115,11 @@ func TestNilPoolRunsInline(t *testing.T) {
 	}
 }
 
-// TestFirstErrorCancels pins error semantics: the single failing index's
+// TestFirstErrorCancels pins error semantics: the single failing task's
 // error comes back, and remaining work is skipped rather than run to
-// completion.
+// completion. The failing task is the first one to execute, whatever
+// its index: executors pop their queues LIFO, so a fixed low index would
+// run among the last and leave nothing behind it to skip.
 func TestFirstErrorCancels(t *testing.T) {
 	p := newPool(t, Config{Workers: 2})
 	sentinel := errors.New("boom")
@@ -128,8 +130,9 @@ func TestFirstErrorCancels(t *testing.T) {
 	err := r.ForEach(context.Background(), 1000, func(_ struct{}, i int) error {
 		mu.Lock()
 		ran++
+		first := ran == 1
 		mu.Unlock()
-		if i == 3 {
+		if first {
 			return fmt.Errorf("index %d: %w", i, sentinel)
 		}
 		return nil

@@ -11,7 +11,7 @@ import (
 // Fig. 5 multimodal widget against a year of hourly webcam frames.
 func BenchmarkFrameNearest(b *testing.B) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		b.Fatalf("NewNetwork: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 func yearNetwork(b *testing.B) (*Network, *clock.Simulated) {
 	b.Helper()
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		b.Fatalf("NewNetwork: %v", err)
 	}
@@ -36,10 +36,12 @@ func BenchmarkSeriesQueryRaw(b *testing.B) {
 	from, to := epoch, clk.Now().Add(time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hist, err := n.History("lvl", from, to)
+		view, err := n.HistoryView("lvl", from, to)
 		if err != nil {
-			b.Fatalf("History: %v", err)
+			b.Fatalf("HistoryView: %v", err)
 		}
+		hist := make([]timeseries.Observation, len(view))
+		copy(hist, view)
 		var agg timeseries.Aggregate
 		for _, o := range hist {
 			if agg.Count == 0 {

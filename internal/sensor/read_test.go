@@ -18,7 +18,7 @@ import (
 // the run is race-clean under -race.
 func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -57,8 +57,8 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 			for !stop.Load() {
 				switch g % 4 {
 				case 0:
-					if _, err := n.History(id, epoch, epoch.Add(1000*time.Hour)); err != nil {
-						t.Errorf("History(%s): %v", id, err)
+					if _, err := n.HistoryView(id, epoch, epoch.Add(1000*time.Hour)); err != nil {
+						t.Errorf("HistoryView(%s): %v", id, err)
 						return
 					}
 				case 1:
@@ -103,9 +103,9 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 	// level sensor's history has to have grown well beyond the seed's 96
 	// readings.
 	for _, id := range ids {
-		hist, err := n.History(id, epoch, clk.Now().Add(time.Hour))
+		hist, err := n.HistoryView(id, epoch, clk.Now().Add(time.Hour))
 		if err != nil {
-			t.Fatalf("History(%s): %v", id, err)
+			t.Fatalf("HistoryView(%s): %v", id, err)
 		}
 		if len(hist) <= 96 {
 			t.Fatalf("%s ingested only %d readings during the reader storm", id, len(hist))
@@ -120,10 +120,10 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 }
 
 // TestSensorAggregateMatchesScan checks the network-level aggregate
-// queries agree with a naive scan over History.
+// queries agree with a naive scan over HistoryView.
 func TestSensorAggregateMatchesScan(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -139,9 +139,9 @@ func TestSensorAggregateMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AggregateWindow: %v", err)
 	}
-	hist, err := n.History("lvl", from, to)
+	hist, err := n.HistoryView("lvl", from, to)
 	if err != nil {
-		t.Fatalf("History: %v", err)
+		t.Fatalf("HistoryView: %v", err)
 	}
 	var want timeseries.Aggregate
 	for _, o := range hist {
@@ -187,7 +187,7 @@ func TestSensorAggregateMatchesScan(t *testing.T) {
 // ingest.
 func TestReadStamp(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestReadStamp(t *testing.T) {
 // (Latest's Value) keeps counting past evictions.
 func TestFrameRetentionRing(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestFrameRetentionRing(t *testing.T) {
 	if err := n.SetFrameRetention(10); !errors.Is(err, ErrBadSensor) {
 		t.Fatalf("SetFrameRetention while running = %v, want ErrBadSensor", err)
 	}
-	n2, _ := NewNetwork(clk)
+	n2, _ := NewNetwork(clk, nil)
 	if err := n2.SetFrameRetention(0); !errors.Is(err, ErrBadSensor) {
 		t.Fatalf("SetFrameRetention(0) = %v, want ErrBadSensor", err)
 	}
@@ -297,7 +297,7 @@ func TestFrameRetentionRing(t *testing.T) {
 // view taken before more samples arrive still holds exactly its window.
 func TestHistoryViewIsStableAcrossIngest(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}

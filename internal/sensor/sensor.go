@@ -10,7 +10,7 @@
 //
 // Storage is sharded per sensor: every sensor owns its history, webcam
 // ring, ingest sequence and read/write lock, so the portal's read path
-// (History/Latest/FrameNearest and the zero-copy series views) never
+// (the zero-copy HistoryView, Latest, FrameNearest and aggregates) never
 // contends with ingest on other sensors. Only registration, lifecycle
 // and the network-wide "newest reading" live on a small network-level
 // lock.
@@ -241,16 +241,10 @@ type Network struct {
 	externalIngests *metrics.Counter
 }
 
-// NewNetwork returns an empty network on the given clock with private,
-// unregistered instruments.
-func NewNetwork(clk clock.Clock) (*Network, error) {
-	return NewNetworkWithMetrics(clk, nil)
-}
-
-// NewNetworkWithMetrics returns an empty network recording its read-path
-// counters and push-hub fan-out instruments in reg (nil keeps them
-// private).
-func NewNetworkWithMetrics(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
+// NewNetwork returns an empty network on the given clock, recording its
+// read-path counters and push-hub fan-out instruments in reg (nil keeps
+// them private and unregistered).
+func NewNetwork(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadSensor)
 	}
@@ -579,17 +573,6 @@ func (n *Network) ReadStamp(id string) (ReadStamp, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return ReadStamp{Seq: sh.seq, LastIngest: sh.last}, nil
-}
-
-// History returns a copy of a sensor's readings within [from, to).
-func (n *Network) History(id string, from, to time.Time) ([]timeseries.Observation, error) {
-	_, sh, err := n.shardOf(id)
-	if err != nil {
-		return nil, err
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.history.Window(from, to), nil
 }
 
 // HistoryView returns a sensor's readings within [from, to) as a

@@ -67,7 +67,7 @@ func TestSensorValidate(t *testing.T) {
 
 func TestNetworkSamplingAndHistory(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -78,9 +78,9 @@ func TestNetworkSamplingAndHistory(t *testing.T) {
 	defer n.Stop()
 
 	clk.Advance(time.Hour) // 4 samples at 15-min interval
-	hist, err := n.History("lvl", epoch, epoch.Add(2*time.Hour))
+	hist, err := n.HistoryView("lvl", epoch, epoch.Add(2*time.Hour))
 	if err != nil {
-		t.Fatalf("History: %v", err)
+		t.Fatalf("HistoryView: %v", err)
 	}
 	if len(hist) != 4 {
 		t.Fatalf("history = %d readings, want 4", len(hist))
@@ -99,7 +99,7 @@ func TestNetworkSamplingAndHistory(t *testing.T) {
 
 func TestNewestTracksIngestAcrossSensors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	n, err := NewNetwork(clk, nil)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -138,11 +138,11 @@ func TestNewestTracksIngestAcrossSensors(t *testing.T) {
 }
 
 func TestNetworkValidationAndErrors(t *testing.T) {
-	if _, err := NewNetwork(nil); !errors.Is(err, ErrBadSensor) {
+	if _, err := NewNetwork(nil, nil); !errors.Is(err, ErrBadSensor) {
 		t.Fatalf("nil clock err = %v", err)
 	}
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	if err := n.Add(levelSensor("a")); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -157,8 +157,8 @@ func TestNetworkValidationAndErrors(t *testing.T) {
 	if _, err := n.Latest("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Latest unknown err = %v", err)
 	}
-	if _, err := n.History("ghost", epoch, epoch); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("History unknown err = %v", err)
+	if _, err := n.HistoryView("ghost", epoch, epoch); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("HistoryView unknown err = %v", err)
 	}
 	if _, err := n.Latest("a"); !errors.Is(err, ErrNoData) {
 		t.Fatalf("Latest no data err = %v", err)
@@ -173,14 +173,14 @@ func TestNetworkValidationAndErrors(t *testing.T) {
 
 func TestStopHaltsSampling(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(levelSensor("lvl"))
 	n.Start()
 	clk.Advance(30 * time.Minute)
 	n.Stop()
-	before, _ := n.History("lvl", epoch, epoch.Add(24*time.Hour))
+	before, _ := n.HistoryView("lvl", epoch, epoch.Add(24*time.Hour))
 	clk.Advance(2 * time.Hour)
-	after, _ := n.History("lvl", epoch, epoch.Add(24*time.Hour))
+	after, _ := n.HistoryView("lvl", epoch, epoch.Add(24*time.Hour))
 	if len(after) != len(before) {
 		t.Fatalf("samples kept arriving after Stop: %d -> %d", len(before), len(after))
 	}
@@ -191,7 +191,7 @@ func TestStopHaltsSampling(t *testing.T) {
 
 func TestSubscribeLiveFeed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(levelSensor("lvl"))
 	ch, cancel := n.Subscribe()
 	defer cancel()
@@ -210,7 +210,7 @@ func TestSubscribeLiveFeed(t *testing.T) {
 
 func TestSubscribeSlowConsumerDrops(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	s := levelSensor("lvl")
 	s.Interval = time.Minute
 	n.Add(s)
@@ -246,7 +246,7 @@ func TestSubscribeStopCloses(t *testing.T) {
 	const subscribers = `evop_push_subscribers{hub="sensors"}`
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	n, _ := NewNetworkWithMetrics(clk, reg)
+	n, _ := NewNetwork(clk, reg)
 	n.Add(levelSensor("lvl"))
 	kept, cancelKept := n.Subscribe()
 	gone, cancelGone := n.Subscribe()
@@ -296,7 +296,7 @@ func TestSubscribeStopCloses(t *testing.T) {
 // their own readings, delivered once even when topics overlap.
 func TestSubscribeTopics(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	a := levelSensor("lvl-a")
 	b := levelSensor("lvl-b")
 	b.CatchmentID = "eden"
@@ -326,7 +326,7 @@ func TestSubscribeTopics(t *testing.T) {
 
 func TestWebcamFrames(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(camSensor("cam"))
 	n.Start()
 	defer n.Stop()
@@ -362,7 +362,7 @@ func TestWebcamFrames(t *testing.T) {
 // as the linear scan's strict < did).
 func TestFrameNearestEdges(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(camSensor("cam"))
 	n.Start()
 	defer n.Stop()
@@ -395,7 +395,7 @@ func TestFrameNearestEdges(t *testing.T) {
 
 func TestFrameNearestKindGuard(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(levelSensor("lvl"))
 	n.Start()
 	defer n.Stop()
@@ -407,7 +407,7 @@ func TestFrameNearestKindGuard(t *testing.T) {
 
 func TestLEFTDeploymentAndFusion(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	sensors, err := LEFTDeployment(clk, "morland", geo.Point{Lat: 54.596, Lon: -2.643}, 101, epoch)
 	if err != nil {
 		t.Fatalf("LEFTDeployment: %v", err)
@@ -451,7 +451,7 @@ func TestLEFTDeploymentAndFusion(t *testing.T) {
 
 func TestFuseErrors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	n, _ := NewNetwork(clk, nil)
 	n.Add(levelSensor("lvl"))
 	n.Add(camSensor("cam"))
 	n.Start()

@@ -203,12 +203,13 @@ type DesignStorm struct {
 
 // Validate checks the storm parameters.
 func (d DesignStorm) Validate() error {
+	// The negated comparisons also reject NaN, which compares false.
 	switch {
-	case d.TotalDepthMM <= 0:
+	case !(d.TotalDepthMM > 0) || math.IsInf(d.TotalDepthMM, 1):
 		return fmt.Errorf("TotalDepthMM=%v: %w", d.TotalDepthMM, ErrBadConfig)
 	case d.Duration <= 0:
 		return fmt.Errorf("Duration=%v: %w", d.Duration, ErrBadConfig)
-	case d.PeakFraction <= 0 || d.PeakFraction >= 1:
+	case !(d.PeakFraction > 0 && d.PeakFraction < 1):
 		return fmt.Errorf("PeakFraction=%v: %w", d.PeakFraction, ErrBadConfig)
 	}
 	return nil

@@ -181,6 +181,10 @@ func TestDesignStormValidate(t *testing.T) {
 		{"zero duration", DesignStorm{50, 0, 0.4}, false},
 		{"peak 0", DesignStorm{50, 6 * time.Hour, 0}, false},
 		{"peak 1", DesignStorm{50, 6 * time.Hour, 1}, false},
+		{"NaN depth", DesignStorm{math.NaN(), 6 * time.Hour, 0.4}, false},
+		{"+Inf depth", DesignStorm{math.Inf(1), 6 * time.Hour, 0.4}, false},
+		{"-Inf depth", DesignStorm{math.Inf(-1), 6 * time.Hour, 0.4}, false},
+		{"NaN peak", DesignStorm{50, 6 * time.Hour, math.NaN()}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
