@@ -27,6 +27,7 @@ import (
 	"evop/internal/hydro/fuse"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/loadbalancer"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 	"evop/internal/runcache"
 	"evop/internal/sched"
@@ -591,7 +592,8 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := multi.EnableBreakers(resilience.BreakerConfig{Clock: clk}); err != nil {
+	reg := metrics.NewRegistry(clk)
+	if err := multi.EnableBreakers(resilience.BreakerConfig{Clock: clk, Metrics: reg}); err != nil {
 		b.Fatal(err)
 	}
 	brk, err := broker.New(clk, broker.Options{Retention: 256})
@@ -602,7 +604,7 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 		Multi: multi, Broker: brk, Clock: clk,
 		Image:  cloud.Image{ID: "svc-v1", Kind: cloud.Streamlined, Services: []string{"topmodel"}},
 		Flavor: cloud.DefaultFlavor(), Interval: 10 * time.Second,
-		MinInstances: 4,
+		MinInstances: 4, Metrics: reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -636,7 +638,6 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 		open[i%len(open)] = s.ID
 	}
 	b.StopTimer()
-	st := lb.Stats()
-	b.ReportMetric(float64(st.TerminateRetries), "term-retries")
-	b.ReportMetric(float64(multi.Failovers()), "failovers")
+	b.ReportMetric(float64(reg.Counter("evop_lb_terminate_retries_total", "").Value()), "term-retries")
+	b.ReportMetric(float64(reg.Counter("evop_cloud_failovers_total", "").Value()), "failovers")
 }

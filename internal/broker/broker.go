@@ -29,10 +29,11 @@
 //
 // Push delivery rides the internal/push hub on per-session topics and
 // coalesces per session: when a subscriber falls behind, the oldest
-// queued update is discarded (and counted in DroppedUpdates) so the
-// newest session state — notably an UpdateMigrated redirect — always
-// arrives. A dropped update therefore means "superseded", never "the
-// browser missed the final state".
+// queued update is discarded (and counted in
+// evop_push_coalesced_total{hub="sessions"}) so the newest session
+// state — notably an UpdateMigrated redirect — always arrives. A
+// dropped update therefore means "superseded", never "the browser
+// missed the final state".
 package broker
 
 import (
@@ -574,10 +575,10 @@ func (b *Broker) Subscribe(sessionID string) (<-chan Update, error) {
 
 // pushLocked delivers an update on the session's topic. The hub
 // coalesces per subscriber: a full buffer evicts the oldest queued
-// update (counted in DroppedUpdates) so the newest session state — e.g.
-// a migration redirect — is never lost, and a publisher never spins
-// against an actively draining reader (one eviction makes room, and the
-// per-subscription lock keeps it that way).
+// update (counted in evop_push_coalesced_total) so the newest session
+// state — e.g. a migration redirect — is never lost, and a publisher
+// never spins against an actively draining reader (one eviction makes
+// room, and the per-subscription lock keeps it that way).
 func (b *Broker) pushLocked(sessionID string, u Update) {
 	b.hub.Publish(u, push.TopicSession(sessionID))
 }
@@ -598,7 +599,7 @@ func (b *Broker) Session(id string) (Session, error) {
 
 // Sessions returns snapshots of all live (pending or active) sessions in
 // creation order. Closed sessions are not included; see RecentlyClosed and
-// ClosedTotal.
+// evop_broker_sessions_closed_total.
 func (b *Broker) Sessions() []Session {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -655,26 +656,9 @@ func (b *Broker) SuspendedCount() int {
 	return len(b.suspended)
 }
 
-// SuspendedTotal returns how many suspensions have ever happened.
-func (b *Broker) SuspendedTotal() int {
-	return int(b.suspendedTotal.Value())
-}
-
 // LiveCount returns how many sessions are pending or active.
 func (b *Broker) LiveCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.sessions)
-}
-
-// ClosedTotal returns how many sessions have ever been closed.
-func (b *Broker) ClosedTotal() int {
-	return int(b.closedTotal.Value())
-}
-
-// DroppedUpdates reports push messages superseded by newer ones for slow
-// subscribers. A dropped update is stale state the browser no longer
-// needs, not a lost redirect: the latest update is always delivered.
-func (b *Broker) DroppedUpdates() int {
-	return int(b.hub.Stats().Coalesced)
 }

@@ -7,6 +7,7 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/cloud"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -33,6 +34,17 @@ func testInstance(t *testing.T, clk *clock.Simulated) *cloud.Instance {
 	}
 	clk.Advance(2 * time.Second)
 	return inst
+}
+
+// droppedUpdates sums the sessions hub's superseded pushes across shards.
+func droppedUpdates(reg *metrics.Registry) float64 {
+	var n float64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "evop_push_coalesced_total" {
+			n += m.Value
+		}
+	}
+	return n
 }
 
 func TestNewRequiresClock(t *testing.T) {
@@ -282,7 +294,8 @@ func TestSessionsViews(t *testing.T) {
 
 func TestDroppedUpdatesCounted(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	reg := metrics.NewRegistry(clk)
+	b, _ := New(clk, Options{Metrics: reg})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("slow", "topmodel")
@@ -300,7 +313,7 @@ func TestDroppedUpdatesCounted(t *testing.T) {
 			t.Fatalf("Migrate %d: %v", i, err)
 		}
 	}
-	if b.DroppedUpdates() == 0 {
+	if droppedUpdates(reg) == 0 {
 		t.Fatal("expected dropped updates when subscriber stalls")
 	}
 }
@@ -331,7 +344,8 @@ func TestSubscribeAfterDisconnect(t *testing.T) {
 
 func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := New(clk, Options{Retention: 3})
+	reg := metrics.NewRegistry(clk)
+	b, err := New(clk, Options{Retention: 3, Metrics: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -348,8 +362,8 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	if got := b.LiveCount(); got != 0 {
 		t.Fatalf("LiveCount = %d, want 0", got)
 	}
-	if got := b.ClosedTotal(); got != 8 {
-		t.Fatalf("ClosedTotal = %d, want 8", got)
+	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != 8 {
+		t.Fatalf("sessions closed = %d, want 8", got)
 	}
 	recent := b.RecentlyClosed()
 	if len(recent) != 3 {
@@ -448,7 +462,8 @@ func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 
 func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := New(clk, Options{SubscriberBuffer: 4})
+	reg := metrics.NewRegistry(clk)
+	b, err := New(clk, Options{SubscriberBuffer: 4, Metrics: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -469,7 +484,7 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 			t.Fatalf("Migrate %d: %v", i, err)
 		}
 	}
-	if b.DroppedUpdates() == 0 {
+	if droppedUpdates(reg) == 0 {
 		t.Fatal("expected superseded updates to be counted")
 	}
 	// When the subscriber finally drains, the newest state — the final
@@ -523,7 +538,8 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 // session count must not grow any index SessionsOn/Sessions touch.
 func TestChurnKeepsMemoryBounded(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := New(clk, Options{Retention: 64})
+	reg := metrics.NewRegistry(clk)
+	b, err := New(clk, Options{Retention: 64, Metrics: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -549,8 +565,8 @@ func TestChurnKeepsMemoryBounded(t *testing.T) {
 	if got := b.LiveCount(); got != len(live) {
 		t.Fatalf("LiveCount = %d, want %d", got, len(live))
 	}
-	if got := b.ClosedTotal(); got != cycles-len(live) {
-		t.Fatalf("ClosedTotal = %d, want %d", got, cycles-len(live))
+	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != uint64(cycles-len(live)) {
+		t.Fatalf("sessions closed = %d, want %d", got, cycles-len(live))
 	}
 	// White-box: every structure is bounded by live + retention, never by
 	// the 100k historical sessions.
@@ -610,7 +626,9 @@ func TestStateAndKindStrings(t *testing.T) {
 // address, and the suspended counters must track the whole arc.
 func TestSuspendResumePushSequence(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	reg := metrics.NewRegistry(clk)
+	b, _ := New(clk, Options{Metrics: reg})
+	suspendedTotal := reg.Counter("evop_broker_sessions_suspended_total", "")
 	first := testInstance(t, clk)
 	placer := &fixedPlacer{inst: first}
 	b.SetPlacer(placer)
@@ -628,8 +646,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Suspend(s.ID, "instance "+first.ID()+" malfunctioning"); err != nil {
 		t.Fatalf("Suspend: %v", err)
 	}
-	if b.SuspendedCount() != 1 || b.SuspendedTotal() != 1 {
-		t.Fatalf("suspended count/total = %d/%d, want 1/1", b.SuspendedCount(), b.SuspendedTotal())
+	if b.SuspendedCount() != 1 || suspendedTotal.Value() != 1 {
+		t.Fatalf("suspended count/total = %d/%d, want 1/1", b.SuspendedCount(), suspendedTotal.Value())
 	}
 	if first.Sessions() != 0 {
 		t.Fatalf("old instance still holds %d sessions", first.Sessions())
@@ -653,8 +671,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if b.SuspendedCount() != 0 {
 		t.Fatalf("suspended count after resume = %d, want 0", b.SuspendedCount())
 	}
-	if b.SuspendedTotal() != 1 {
-		t.Fatalf("suspended total after resume = %d, want 1 (historic)", b.SuspendedTotal())
+	if suspendedTotal.Value() != 1 {
+		t.Fatalf("suspended total after resume = %d, want 1 (historic)", suspendedTotal.Value())
 	}
 	u = <-ch
 	if u.Kind != UpdateAssigned || u.Session.InstanceAddr != second.Addr() {
@@ -668,8 +686,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Migrate(s.ID, first, "rescue"); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
-	if b.SuspendedCount() != 0 || b.SuspendedTotal() != 2 {
-		t.Fatalf("after migrate: count/total = %d/%d, want 0/2", b.SuspendedCount(), b.SuspendedTotal())
+	if b.SuspendedCount() != 0 || suspendedTotal.Value() != 2 {
+		t.Fatalf("after migrate: count/total = %d/%d, want 0/2", b.SuspendedCount(), suspendedTotal.Value())
 	}
 	u = <-ch // the suspension push
 	u = <-ch // the migrate push: a pending session rebinding arrives as "assigned"
@@ -684,7 +702,7 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Disconnect(s.ID); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
-	if b.SuspendedCount() != 0 || b.SuspendedTotal() != 3 {
-		t.Fatalf("after disconnect: count/total = %d/%d, want 0/3", b.SuspendedCount(), b.SuspendedTotal())
+	if b.SuspendedCount() != 0 || suspendedTotal.Value() != 3 {
+		t.Fatalf("after disconnect: count/total = %d/%d, want 0/3", b.SuspendedCount(), suspendedTotal.Value())
 	}
 }

@@ -25,8 +25,9 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// Sleep blocks until d has elapsed on this clock.
 	Sleep(d time.Duration)
-	// AfterFunc schedules f to run in its own goroutine once d has elapsed.
-	// The returned stop function cancels the timer if it has not yet fired
+	// AfterFunc schedules f to run once d has elapsed: on Real in its own
+	// goroutine, on Simulated on the goroutine calling Advance. The
+	// returned stop function cancels the timer if it has not yet fired
 	// and reports whether it was stopped before firing.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
@@ -136,8 +137,10 @@ func (s *Simulated) Sleep(d time.Duration) {
 	<-s.After(d)
 }
 
-// AfterFunc implements Clock. The callback runs in its own goroutine when
-// due so a callback that itself schedules timers cannot deadlock Advance.
+// AfterFunc implements Clock. The callback runs on the goroutine calling
+// Advance, with the clock unlocked, so it may schedule timers (which
+// fire in the same Advance when due inside its window) or call Advance
+// itself.
 func (s *Simulated) AfterFunc(d time.Duration, f func()) func() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -186,20 +189,16 @@ func (s *Simulated) AdvanceTo(t time.Time) {
 			s.now = tm.at
 		}
 		now := s.now
+		stopped := tm.stopped
 		s.mu.Unlock()
-		if tm.stopped {
+		if stopped {
 			continue
 		}
 		if tm.ch != nil {
 			tm.ch <- now
 		}
 		if tm.fn != nil {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				tm.fn()
-			}()
-			<-done
+			tm.fn()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,31 @@ func TestSimulatedAfterFuncSeesSteppedNow(t *testing.T) {
 	<-done
 	if want := epoch.Add(30 * time.Minute); !seen.Equal(want) {
 		t.Fatalf("callback observed Now=%v, want %v", seen, want)
+	}
+}
+
+// TestSimulatedAfterFuncReentrant pins what a callback may do from the
+// goroutine calling Advance: a timer it schedules inside the window fires
+// in the same Advance, and a nested Advance returns.
+func TestSimulatedAfterFuncReentrant(t *testing.T) {
+	c := NewSimulated(epoch)
+	var fired []time.Duration
+	mark := func() { fired = append(fired, c.Now().Sub(epoch)) }
+	c.AfterFunc(time.Minute, func() {
+		mark()
+		c.AfterFunc(time.Minute, mark)
+	})
+	c.AfterFunc(5*time.Minute, func() {
+		c.Advance(time.Minute)
+		mark()
+	})
+	c.Advance(10 * time.Minute)
+	want := []time.Duration{time.Minute, 2 * time.Minute, 6 * time.Minute}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("callbacks fired at %v, want %v", fired, want)
+	}
+	if got := c.Now(); !got.Equal(epoch.Add(10 * time.Minute)) {
+		t.Fatalf("Now() = %v, want %v", got, epoch.Add(10*time.Minute))
 	}
 }
 

@@ -97,8 +97,7 @@ func (ByImageKind) Order(providers []cloud.Provider, img cloud.Image) []cloud.Pr
 }
 
 // providerStats holds one provider's control-plane outcome counters
-// (evop_cloud_*_total{provider}) and its last error message. The map
-// entry and lastErr are guarded by Multi.mu.
+// (evop_cloud_*_total{provider}). The map entry is guarded by Multi.mu.
 type providerStats struct {
 	launches        *metrics.Counter
 	launchFaults    *metrics.Counter
@@ -107,7 +106,6 @@ type providerStats struct {
 	skippedOpen     *metrics.Counter
 	probes          *metrics.Counter
 	probeFaults     *metrics.Counter
-	lastErr         string
 }
 
 // newProviderStats builds one provider's counters in reg (nil keeps them
@@ -136,26 +134,6 @@ func newProviderStats(reg *metrics.Registry, provider string) *providerStats {
 func newFailovers(reg *metrics.Registry) *metrics.Counter {
 	return reg.Counter("evop_cloud_failovers_total",
 		"Launches that succeeded after an earlier provider was skipped or failed.")
-}
-
-// ProviderHealth is a point-in-time snapshot of one provider's health as
-// seen by the façade: breaker position and per-operation outcomes.
-type ProviderHealth struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"`
-	Breaker string `json:"breaker"` // closed | open | half-open | none
-	// ConsecutiveFailures and BreakerOpens come from the breaker.
-	ConsecutiveFailures int `json:"consecutiveFailures"`
-	BreakerOpens        int `json:"breakerOpens"`
-	Launches            int `json:"launches"`
-	LaunchFailures      int `json:"launchFailures"`
-	Terminates          int `json:"terminates"`
-	TerminateFailures   int `json:"terminateFailures"`
-	// SkippedOpen counts launches diverted because the breaker was open.
-	SkippedOpen int `json:"skippedOpen"`
-	Probes      int `json:"probes"`
-	// LastError is the most recent control-plane error message.
-	LastError string `json:"lastError,omitempty"`
 }
 
 // Multi is the cross-cloud compute façade.
@@ -357,9 +335,6 @@ func (m *Multi) noteOutcome(name string, op opKind, err error) {
 			st.probeFaults.Inc()
 		}
 	}
-	if err != nil && !errors.Is(err, cloud.ErrCapacity) && !errors.Is(err, cloud.ErrNotFound) {
-		st.lastErr = err.Error()
-	}
 	br := m.breakers[name]
 	m.mu.Unlock()
 	if br == nil {
@@ -421,47 +396,6 @@ func (m *Multi) ProbeHealth() {
 		_, err := p.Get("breaker-probe")
 		m.noteOutcome(p.Name(), opProbe, err)
 	}
-}
-
-// Health returns per-provider health snapshots in registration order.
-func (m *Multi) Health() []ProviderHealth {
-	m.mu.RLock()
-	providers := make([]cloud.Provider, len(m.providers))
-	copy(providers, m.providers)
-	m.mu.RUnlock()
-	out := make([]ProviderHealth, 0, len(providers))
-	for _, p := range providers {
-		name := p.Name()
-		h := ProviderHealth{Name: name, Kind: p.Kind().String(), Breaker: "none"}
-		if br := m.breakerFor(name); br != nil {
-			st := br.Stats()
-			h.Breaker = st.StateName
-			h.ConsecutiveFailures = st.ConsecutiveFailures
-			h.BreakerOpens = st.Opens
-		}
-		m.mu.RLock()
-		if st := m.stats[name]; st != nil {
-			h.Launches = int(st.launches.Value())
-			h.LaunchFailures = int(st.launchFaults.Value())
-			h.Terminates = int(st.terminates.Value())
-			h.TerminateFailures = int(st.terminateFaults.Value())
-			h.SkippedOpen = int(st.skippedOpen.Value())
-			h.Probes = int(st.probes.Value())
-			h.LastError = st.lastErr
-		}
-		m.mu.RUnlock()
-		out = append(out, h)
-	}
-	return out
-}
-
-// Failovers reports how many launches succeeded on a provider after an
-// earlier provider in policy order was skipped (breaker open) or failed
-// with an infrastructure error.
-func (m *Multi) Failovers() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return int(m.failovers.Value())
 }
 
 // Instances lists live instances across all providers in provider

@@ -7,6 +7,7 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/cloud"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 )
 
@@ -278,18 +279,19 @@ func TestLaunchFailsOverPastFaultyProvider(t *testing.T) {
 	if inst.Kind() != cloud.Public {
 		t.Fatalf("instance kind = %v, want public (failover)", inst.Kind())
 	}
-	if m.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", m.Failovers())
+	// Without EnableBreakers the counters are private, unregistered
+	// instruments: read them in place.
+	if got := m.failovers.Value(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
-	h := m.Health()
-	if h[0].LaunchFailures != 1 || h[0].LastError == "" {
-		t.Fatalf("private health = %+v", h[0])
+	if priv := m.statsFor("openstack"); priv.launchFaults.Value() != 1 {
+		t.Fatalf("private launch failures = %d, want 1", priv.launchFaults.Value())
 	}
-	if h[1].Launches != 1 || h[1].LaunchFailures != 0 {
-		t.Fatalf("public health = %+v", h[1])
+	if pub := m.statsFor("aws"); pub.launches.Value() != 1 || pub.launchFaults.Value() != 0 {
+		t.Fatalf("public launches/failures = %d/%d, want 1/0", pub.launches.Value(), pub.launchFaults.Value())
 	}
-	if h[0].Breaker != "none" {
-		t.Fatalf("breaker = %q without EnableBreakers, want none", h[0].Breaker)
+	if m.breakerFor("openstack") != nil {
+		t.Fatal("breaker installed without EnableBreakers")
 	}
 }
 
@@ -310,8 +312,9 @@ func TestBreakerOpensAndSkipsProvider(t *testing.T) {
 	clk, fpriv, fpub := faultyClouds(t, 4,
 		cloud.FaultSpec{Seed: 1, LaunchErrorRate: 1}, cloud.FaultSpec{Seed: 2})
 	m, _ := New(PrivateFirst{}, fpriv, fpub)
+	reg := metrics.NewRegistry(clk)
 	if err := m.EnableBreakers(resilience.BreakerConfig{
-		Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute,
+		Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute, Metrics: reg,
 	}); err != nil {
 		t.Fatalf("EnableBreakers: %v", err)
 	}
@@ -323,9 +326,10 @@ func TestBreakerOpensAndSkipsProvider(t *testing.T) {
 			t.Fatalf("Launch %d: %v", i, err)
 		}
 	}
-	h := m.Health()
-	if h[0].Breaker != "open" || h[0].BreakerOpens != 1 {
-		t.Fatalf("private breaker = %+v", h[0])
+	private := metrics.L("provider", "openstack")
+	opens := reg.Counter("evop_breaker_opens_total", "", metrics.L("name", "openstack")).Value()
+	if st := m.breakerFor("openstack").State(); st != resilience.Open || opens != 1 {
+		t.Fatalf("private breaker = %v after %d opens, want open after 1", st, opens)
 	}
 	// While open, private is skipped without a control-plane call.
 	before := fpriv.Stats().Launches
@@ -335,22 +339,21 @@ func TestBreakerOpensAndSkipsProvider(t *testing.T) {
 	if fpriv.Stats().Launches != before {
 		t.Fatal("open breaker still let a launch through")
 	}
-	if m.Health()[0].SkippedOpen == 0 {
+	if reg.Counter("evop_cloud_skipped_open_total", "", private).Value() == 0 {
 		t.Fatal("skip not counted")
 	}
-	if m.Failovers() < 4 {
-		t.Fatalf("failovers = %d, want >=4", m.Failovers())
+	if got := reg.Counter("evop_cloud_failovers_total", "").Value(); got < 4 {
+		t.Fatalf("failovers = %d, want >=4", got)
 	}
 
 	// Provider heals; after the cooldown a probe closes the breaker.
 	fpriv.SetErrorRates(0, 0, 0)
 	clk.Advance(time.Minute)
 	m.ProbeHealth()
-	h = m.Health()
-	if h[0].Breaker != "closed" {
-		t.Fatalf("private breaker after probe = %q, want closed", h[0].Breaker)
+	if st := m.breakerFor("openstack").State(); st != resilience.Closed {
+		t.Fatalf("private breaker after probe = %v, want closed", st)
 	}
-	if h[0].Probes == 0 {
+	if reg.Counter("evop_cloud_probes_total", "", private).Value() == 0 {
 		t.Fatal("probe not counted")
 	}
 	// Launches flow to private again.
@@ -367,25 +370,26 @@ func TestProbeHealthKeepsOpenBreakerOpenWhileDown(t *testing.T) {
 	clk, fpriv, fpub := faultyClouds(t, 4,
 		cloud.FaultSpec{Seed: 1, LaunchErrorRate: 1, GetErrorRate: 1}, cloud.FaultSpec{Seed: 2})
 	m, _ := New(PrivateFirst{}, fpriv, fpub)
+	reg := metrics.NewRegistry(clk)
 	if err := m.EnableBreakers(resilience.BreakerConfig{
-		Clock: clk, FailureThreshold: 2, OpenTimeout: 30 * time.Second,
+		Clock: clk, FailureThreshold: 2, OpenTimeout: 30 * time.Second, Metrics: reg,
 	}); err != nil {
 		t.Fatalf("EnableBreakers: %v", err)
 	}
 	for i := 0; i < 2; i++ {
 		m.Launch(img(cloud.Streamlined), cloud.DefaultFlavor())
 	}
-	if m.Health()[0].Breaker != "open" {
+	if m.breakerFor("openstack").State() != resilience.Open {
 		t.Fatal("breaker did not open")
 	}
 	// Probe during the outage: the failed probe re-opens the breaker.
 	clk.Advance(30 * time.Second)
 	m.ProbeHealth()
-	if got := m.Health()[0].Breaker; got != "open" {
-		t.Fatalf("breaker after failed probe = %q, want open", got)
+	if got := m.breakerFor("openstack").State(); got != resilience.Open {
+		t.Fatalf("breaker after failed probe = %v, want open", got)
 	}
 	// ProbeHealth never touches healthy-closed breakers.
-	if m.Health()[1].Probes != 0 {
+	if reg.Counter("evop_cloud_probes_total", "", metrics.L("provider", "aws")).Value() != 0 {
 		t.Fatal("closed public breaker was probed")
 	}
 }
@@ -414,7 +418,7 @@ func TestTerminateSurvivesFaultyFirstProvider(t *testing.T) {
 	if err := m.Terminate(privInst.ID()); !errors.Is(err, cloud.ErrTransient) {
 		t.Fatalf("Terminate err = %v, want ErrTransient", err)
 	}
-	if m.Health()[0].TerminateFailures == 0 {
+	if m.statsFor("openstack").terminateFaults.Value() == 0 {
 		t.Fatal("terminate failure not counted")
 	}
 }

@@ -11,14 +11,17 @@ import (
 	"evop/internal/clock"
 	"evop/internal/cloud"
 	"evop/internal/cloud/crosscloud"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 )
 
 // faultyHarness is the chaos-test rig: the same topology as harness, but
 // with both providers wrapped in seeded FaultyProviders so tests can
-// inject control-plane faults deterministically.
+// inject control-plane faults deterministically, and every component
+// recording into one registry.
 type faultyHarness struct {
 	clk     *clock.Simulated
+	reg     *metrics.Registry
 	private *cloud.SimProvider
 	public  *cloud.SimProvider
 	fpriv   *cloud.FaultyProvider
@@ -57,14 +60,15 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk, broker.Options{})
+	reg := metrics.NewRegistry(clk)
+	brk, err := broker.New(clk, broker.Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}
 	cfg := Config{
 		Multi: multi, Broker: brk, Clock: clk,
 		Image: testImage(), Flavor: smallFlavor(),
-		Interval: 10 * time.Second,
+		Interval: 10 * time.Second, Metrics: reg,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -74,7 +78,7 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 		t.Fatalf("New: %v", err)
 	}
 	return &faultyHarness{
-		clk: clk, private: private, public: public,
+		clk: clk, reg: reg, private: private, public: public,
 		fpriv: fpriv, fpub: fpub, multi: multi, brk: brk, lb: lb,
 	}
 }
@@ -84,6 +88,21 @@ func (h *faultyHarness) settle(n int) {
 		h.clk.Advance(45 * time.Second)
 		h.lb.Tick()
 	}
+}
+
+// series indexes the rig's registry snapshot by series ID. A histogram
+// contributes its count: its sum is wall-clock time (push publish
+// latency), which no seed replays.
+func (h *faultyHarness) series() map[string]float64 {
+	out := make(map[string]float64)
+	for _, m := range h.reg.Snapshot().Metrics {
+		v := m.Value
+		if m.Histogram != nil {
+			v = float64(m.Histogram.Count)
+		}
+		out[m.SeriesID()] = v
+	}
+	return out
 }
 
 func countEvents(events []Event, action, detailSubstr string) int {
@@ -123,11 +142,12 @@ func TestFaultyTerminateNoReplacementStorm(t *testing.T) {
 	if n := countEvents(h.lb.Events(), "replace", "->"); n != 1 {
 		t.Fatalf("replacement launches = %d, want exactly 1 (storm!)", n)
 	}
-	st := h.lb.Stats()
-	if st.InFlightReplacements != 1 || st.OutstandingTerminations != 1 {
-		t.Fatalf("stats during fault = %+v, want 1 in-flight replacement and 1 outstanding termination", st)
+	st := h.series()
+	if st["evop_lb_inflight_replacements"] != 1 || st["evop_lb_outstanding_terminations"] != 1 {
+		t.Fatalf("in-flight replacements/outstanding terminations during fault = %v/%v, want 1/1",
+			st["evop_lb_inflight_replacements"], st["evop_lb_outstanding_terminations"])
 	}
-	if st.TerminateFailures == 0 {
+	if st["evop_lb_terminate_failures_total"] == 0 {
 		t.Fatal("terminate failures not counted")
 	}
 	if h.lb.Replaced() != 0 {
@@ -148,15 +168,16 @@ func TestFaultyTerminateNoReplacementStorm(t *testing.T) {
 	if bad.State() != cloud.StateTerminated {
 		t.Fatalf("suspect state after heal = %v, want terminated", bad.State())
 	}
-	st = h.lb.Stats()
-	if st.InFlightReplacements != 0 || st.OutstandingTerminations != 0 {
-		t.Fatalf("stats after heal = %+v, want clean tables", st)
+	st = h.series()
+	if st["evop_lb_inflight_replacements"] != 0 || st["evop_lb_outstanding_terminations"] != 0 {
+		t.Fatalf("in-flight replacements/outstanding terminations after heal = %v/%v, want clean tables",
+			st["evop_lb_inflight_replacements"], st["evop_lb_outstanding_terminations"])
 	}
 	if h.lb.Replaced() != 1 {
 		t.Fatalf("replaced = %d, want 1", h.lb.Replaced())
 	}
-	if st.RecoveredTerminations != 1 {
-		t.Fatalf("recovered terminations = %d, want 1", st.RecoveredTerminations)
+	if got := st["evop_lb_recovered_terminations_total"]; got != 1 {
+		t.Fatalf("recovered terminations = %v, want 1", got)
 	}
 	if countEvents(h.lb.Events(), "terminate", "failed attempts") != 1 {
 		t.Fatal("recovered termination not recorded with its attempt count")
@@ -192,9 +213,10 @@ func TestFaultyIdleTerminateRetriedNotLeaked(t *testing.T) {
 	}
 	h.settle(6) // idle detection + failing terminations
 
-	st := h.lb.Stats()
-	if st.TerminateFailures == 0 || st.OutstandingTerminations == 0 {
-		t.Fatalf("stats during fault = %+v, want failed terminations outstanding", st)
+	st := h.series()
+	if st["evop_lb_terminate_failures_total"] == 0 || st["evop_lb_outstanding_terminations"] == 0 {
+		t.Fatalf("terminate failures/outstanding = %v/%v, want failed terminations outstanding",
+			st["evop_lb_terminate_failures_total"], st["evop_lb_outstanding_terminations"])
 	}
 	if countEvents(h.lb.Events(), "terminate-failed", "idle") == 0 {
 		t.Fatal("no terminate-failed event recorded for idle reclaim")
@@ -206,11 +228,11 @@ func TestFaultyIdleTerminateRetriedNotLeaked(t *testing.T) {
 
 	h.fpriv.SetErrorRates(0, 0, 0)
 	h.settle(8)
-	st = h.lb.Stats()
-	if st.OutstandingTerminations != 0 {
-		t.Fatalf("outstanding terminations after heal = %d, want 0", st.OutstandingTerminations)
+	st = h.series()
+	if got := st["evop_lb_outstanding_terminations"]; got != 0 {
+		t.Fatalf("outstanding terminations after heal = %v, want 0", got)
 	}
-	if st.RecoveredTerminations == 0 {
+	if st["evop_lb_recovered_terminations_total"] == 0 {
 		t.Fatal("no termination recorded as recovered")
 	}
 	if got := len(h.multi.Instances()); got != 1 {
@@ -283,12 +305,13 @@ func TestFaultySuspendResumeUnderLaunchFaults(t *testing.T) {
 	bad.Inject(cloud.StuckCPU)
 	h.settle(6)
 
-	if h.brk.SuspendedCount() != 1 || h.brk.SuspendedTotal() != 1 {
-		t.Fatalf("suspended count/total = %d/%d, want 1/1",
-			h.brk.SuspendedCount(), h.brk.SuspendedTotal())
+	st := h.series()
+	if h.brk.SuspendedCount() != 1 || st["evop_broker_sessions_suspended_total"] != 1 {
+		t.Fatalf("suspended count/total = %d/%v, want 1/1",
+			h.brk.SuspendedCount(), st["evop_broker_sessions_suspended_total"])
 	}
-	if st := h.lb.Stats(); st.LaunchFailures == 0 {
-		t.Fatalf("launch failures = %d, want >0 during fault window", st.LaunchFailures)
+	if st["evop_lb_launch_failures_total"] == 0 {
+		t.Fatal("no launch failures counted during the fault window")
 	}
 	u := <-ch
 	if u.Kind != broker.UpdateSuspended || u.Session.InstanceAddr != "" {
@@ -319,9 +342,7 @@ type chaosOutcome struct {
 	sessions   []string
 	victimID   string
 	events     []Event
-	stats      Stats
-	failovers  int
-	breakers   map[string]string
+	series     map[string]float64
 	privFaults cloud.FaultStats
 	pubFaults  cloud.FaultStats
 }
@@ -335,7 +356,7 @@ func runChaosScenario(t *testing.T) (*faultyHarness, chaosOutcome) {
 	t.Helper()
 	h := newFaultyHarness(t, 2, nil)
 	if err := h.multi.EnableBreakers(resilience.BreakerConfig{
-		FailureThreshold: 3, OpenTimeout: 2 * time.Minute, Clock: h.clk,
+		FailureThreshold: 3, OpenTimeout: 2 * time.Minute, Clock: h.clk, Metrics: h.reg,
 	}); err != nil {
 		t.Fatalf("EnableBreakers: %v", err)
 	}
@@ -396,17 +417,11 @@ func runChaosScenario(t *testing.T) (*faultyHarness, chaosOutcome) {
 	h.fpub.SetErrorRates(0, 0, 0)
 	h.settle(16)
 
-	breakers := make(map[string]string)
-	for _, ph := range h.multi.Health() {
-		breakers[ph.Name] = ph.Breaker
-	}
 	return h, chaosOutcome{
 		sessions:   ids,
 		victimID:   victim.ID(),
 		events:     h.lb.Events(),
-		stats:      h.lb.Stats(),
-		failovers:  h.multi.Failovers(),
-		breakers:   breakers,
+		series:     h.series(),
 		privFaults: h.fpriv.Stats(),
 		pubFaults:  h.fpub.Stats(),
 	}
@@ -440,22 +455,24 @@ func TestChaosOutageCloudburstRecovery(t *testing.T) {
 	if n := h.brk.SuspendedCount(); n != 0 {
 		t.Fatalf("suspended sessions after recovery = %d, want 0", n)
 	}
-	if h.brk.SuspendedTotal() == 0 {
+	st := out.series
+	if st["evop_broker_sessions_suspended_total"] == 0 {
 		t.Fatal("no suspension ever recorded: the scenario lost its storm")
 	}
-	st := out.stats
-	if st.OutstandingTerminations != 0 || st.InFlightReplacements != 0 {
-		t.Fatalf("stats = %+v, want no outstanding terminations or replacements", st)
+	if st["evop_lb_outstanding_terminations"] != 0 || st["evop_lb_inflight_replacements"] != 0 {
+		t.Fatalf("outstanding terminations/in-flight replacements = %v/%v, want none",
+			st["evop_lb_outstanding_terminations"], st["evop_lb_inflight_replacements"])
 	}
-	if st.TerminateFailures == 0 || st.RecoveredTerminations == 0 {
-		t.Fatalf("stats = %+v, want terminate failures that were later recovered", st)
+	if st["evop_lb_terminate_failures_total"] == 0 || st["evop_lb_recovered_terminations_total"] == 0 {
+		t.Fatalf("terminate failures/recovered = %v/%v, want failures that were later recovered",
+			st["evop_lb_terminate_failures_total"], st["evop_lb_recovered_terminations_total"])
 	}
-	if out.failovers == 0 {
+	if st["evop_cloud_failovers_total"] == 0 {
 		t.Fatal("no cross-provider failover recorded during the outage")
 	}
-	for name, state := range out.breakers {
-		if state != "closed" {
-			t.Fatalf("breaker %s = %s after recovery, want closed", name, state)
+	for _, name := range []string{"openstack", "aws"} {
+		if state := st[`evop_breaker_state{name="`+name+`"}`]; state != 0 {
+			t.Fatalf("breaker %s state = %v after recovery, want 0 (closed)", name, state)
 		}
 	}
 	// The victim is really gone, and the burst actually touched the public
@@ -485,20 +502,22 @@ func TestChaosOutageCloudburstRecovery(t *testing.T) {
 }
 
 // TestChaosScenarioDeterministic replays the scenario and requires the
-// entire observable outcome — event log with timestamps, robustness stats,
-// breaker states, fault streams — to be identical run over run.
+// entire observable outcome — event log with timestamps, every registry
+// series (LB, broker, push hub, breakers, cloud façade), fault streams —
+// to be identical run over run.
 func TestChaosScenarioDeterministic(t *testing.T) {
 	_, a := runChaosScenario(t)
 	_, b := runChaosScenario(t)
 	if !reflect.DeepEqual(a.events, b.events) {
 		t.Fatalf("event logs diverged:\nrun1: %d events\nrun2: %d events", len(a.events), len(b.events))
 	}
-	if a.stats != b.stats {
-		t.Fatalf("stats diverged:\nrun1: %+v\nrun2: %+v", a.stats, b.stats)
-	}
-	if !reflect.DeepEqual(a.breakers, b.breakers) || a.failovers != b.failovers {
-		t.Fatalf("breaker/failover outcomes diverged: %v/%d vs %v/%d",
-			a.breakers, a.failovers, b.breakers, b.failovers)
+	if !reflect.DeepEqual(a.series, b.series) {
+		for id, v := range a.series {
+			if w, ok := b.series[id]; !ok || w != v {
+				t.Errorf("series %s diverged: run1 %v, run2 %v (present %v)", id, v, w, ok)
+			}
+		}
+		t.Fatalf("registry snapshots diverged: %d vs %d series", len(a.series), len(b.series))
 	}
 	if a.privFaults != b.privFaults || a.pubFaults != b.pubFaults {
 		t.Fatalf("fault streams diverged:\nrun1: %+v %+v\nrun2: %+v %+v",

@@ -141,30 +141,6 @@ type termRetry struct {
 	idle bool
 }
 
-// Stats is a snapshot of the LB's robustness counters.
-type Stats struct {
-	// Ticks is how many control iterations have run.
-	Ticks int `json:"ticks"`
-	// Replaced counts malfunctioning instances successfully retired.
-	Replaced int `json:"replaced"`
-	// LaunchFailures counts failed launch attempts (scale-up or
-	// replacement).
-	LaunchFailures int `json:"launchFailures"`
-	// TerminateFailures counts failed Terminate calls (each is retried).
-	TerminateFailures int `json:"terminateFailures"`
-	// TerminateRetries counts retry attempts made from the queue.
-	TerminateRetries int `json:"terminateRetries"`
-	// RecoveredTerminations counts terminations that eventually succeeded
-	// after at least one failure.
-	RecoveredTerminations int `json:"recoveredTerminations"`
-	// OutstandingTerminations is the current retry-queue depth — each
-	// entry is an instance still accruing cost.
-	OutstandingTerminations int `json:"outstandingTerminations"`
-	// InFlightReplacements is how many suspect instances currently have a
-	// replacement pending (booting replacement or unfinished terminate).
-	InFlightReplacements int `json:"inFlightReplacements"`
-}
-
 // instanceTrack holds the LB's rolling observations of one instance.
 type instanceTrack struct {
 	suspectTicks int
@@ -196,7 +172,7 @@ type LB struct {
 	replacing map[string]string
 	// termRetries is the terminate-retry queue, keyed by instance ID.
 	termRetries map[string]*termRetry
-	// robustness counters (see Stats).
+	// robustness counters (evop_lb_*_total).
 	launchFailures        *metrics.Counter
 	terminateFailures     *metrics.Counter
 	terminateRetries      *metrics.Counter
@@ -233,10 +209,18 @@ func New(cfg Config) (*LB, error) {
 	}
 	reg.GaugeFunc("evop_lb_outstanding_terminations",
 		"Failed terminations queued for retry (each still accrues cost).",
-		func() float64 { return float64(lb.Stats().OutstandingTerminations) })
+		func() float64 {
+			lb.mu.Lock()
+			defer lb.mu.Unlock()
+			return float64(len(lb.termRetries))
+		})
 	reg.GaugeFunc("evop_lb_inflight_replacements",
 		"Suspect instances with a replacement pending.",
-		func() float64 { return float64(lb.Stats().InFlightReplacements) })
+		func() float64 {
+			lb.mu.Lock()
+			defer lb.mu.Unlock()
+			return float64(len(lb.replacing))
+		})
 	cfg.Broker.SetPlacer(lb)
 	return lb, nil
 }
@@ -715,20 +699,4 @@ func (lb *LB) Ticks() int {
 // Replaced returns how many malfunctioning instances were replaced.
 func (lb *LB) Replaced() int {
 	return int(lb.replaced.Value())
-}
-
-// Stats returns a snapshot of the LB's robustness counters.
-func (lb *LB) Stats() Stats {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return Stats{
-		Ticks:                   int(lb.ticks.Value()),
-		Replaced:                int(lb.replaced.Value()),
-		LaunchFailures:          int(lb.launchFailures.Value()),
-		TerminateFailures:       int(lb.terminateFailures.Value()),
-		TerminateRetries:        int(lb.terminateRetries.Value()),
-		RecoveredTerminations:   int(lb.recoveredTerminations.Value()),
-		OutstandingTerminations: len(lb.termRetries),
-		InFlightReplacements:    len(lb.replacing),
-	}
 }

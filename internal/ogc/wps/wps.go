@@ -247,20 +247,6 @@ func (s *Service) Drain(ctx context.Context) error {
 // way. Close does not wait; follow with Wait or Drain.
 func (s *Service) Close() { s.execCancel() }
 
-// ActiveExecutions counts asynchronous executions not yet in a terminal
-// status. After a successful Drain it is zero.
-func (s *Service) ActiveExecutions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, ex := range s.execs {
-		if ex.status == StatusAccepted || ex.status == StatusRunning {
-			n++
-		}
-	}
-	return n
-}
-
 // ServeHTTP implements the KVP GET binding. Parameter names are
 // case-insensitive, per OGC KVP conventions.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {

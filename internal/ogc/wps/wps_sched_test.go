@@ -37,8 +37,8 @@ func TestAsyncBoundRejects(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "ServerBusy") {
 		t.Fatalf("over-bound request: %d, want 503 ServerBusy\n%s", code, body)
 	}
-	if svc.ActiveExecutions() != 1 {
-		t.Fatalf("active = %d, want 1 (rejection must not register)", svc.ActiveExecutions())
+	if n := reg.Gauge("evop_wps_queue_depth", "").Value(); n != 1 {
+		t.Fatalf("queue depth = %d, want 1 (rejection must not register)", n)
 	}
 
 	close(p.block)
@@ -108,7 +108,8 @@ func TestAsyncPoolSaturationUnregisters(t *testing.T) {
 	}
 	<-started
 
-	svc := NewService("EVOp WPS", Options{Pool: pool})
+	reg := metrics.NewRegistry(nil)
+	svc := NewService("EVOp WPS", Options{Pool: pool, Metrics: reg})
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -119,8 +120,8 @@ func TestAsyncPoolSaturationUnregisters(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "ServerBusy") {
 		t.Fatalf("saturated pool: %d, want 503 ServerBusy\n%s", code, body)
 	}
-	if svc.ActiveExecutions() != 0 {
-		t.Fatalf("active = %d, want 0 (rollback)", svc.ActiveExecutions())
+	if n := reg.Gauge("evop_wps_queue_depth", "").Value(); n != 0 {
+		t.Fatalf("queue depth = %d, want 0 (rollback)", n)
 	}
 	close(block)
 	svc.Wait() // must not hang: the rolled-back execution released the wg

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"evop/internal/metrics"
 )
 
 // addProcess doubles a number; it can be made to fail or block.
@@ -180,12 +182,14 @@ func TestExecuteAsyncLifecycle(t *testing.T) {
 // process stops, and every accepted execution lands in a terminal status.
 func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 	p := &addProcess{block: make(chan struct{})}
-	svc := NewService("EVOp WPS", Options{})
+	reg := metrics.NewRegistry(nil)
+	svc := NewService("EVOp WPS", Options{Metrics: reg})
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
+	queueDepth := reg.Gauge("evop_wps_queue_depth", "")
 
 	_, body := get(t, srv.URL+"?service=WPS&request=Execute&identifier=add&datainputs="+
 		url.QueryEscape("a=1;b=2")+"&storeExecuteResponse=true")
@@ -203,7 +207,7 @@ func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 	if err := svc.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Drain while blocked = %v, want deadline exceeded", err)
 	}
-	if n := svc.ActiveExecutions(); n != 1 {
+	if n := queueDepth.Value(); n != 1 {
 		t.Fatalf("active executions while blocked = %d, want 1", n)
 	}
 
@@ -213,7 +217,7 @@ func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 		t.Fatalf("Drain after Close: %v", err)
 	}
 	svc.Wait()
-	if n := svc.ActiveExecutions(); n != 0 {
+	if n := queueDepth.Value(); n != 0 {
 		t.Fatalf("active executions after drain = %d, want 0", n)
 	}
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"evop/internal/loadbalancer"
 	"evop/internal/metrics"
 	"evop/internal/push"
 )
@@ -74,17 +73,13 @@ func TestMetricsLegacyFieldParity(t *testing.T) {
 		want   func() float64 // accessor reporting the same value, if any
 	}
 	o := f.obs
-	lb := func(pick func(s loadbalancer.Stats) int) func() float64 {
-		return func() float64 { return float64(pick(o.LB.Stats())) }
-	}
 	rows := []row{
 		{"privateInstances", `evop_instances{kind="private"}`, false, nil},
 		{"publicInstances", `evop_instances{kind="public"}`, false, nil},
 		{"bootingInstances", "evop_instances_booting", false, nil},
 		{"activeSessions", `evop_sessions{state="active"}`, false, nil},
 		{"pendingSessions", `evop_sessions{state="pending"}`, false, nil},
-		{"closedSessions", "evop_broker_sessions_closed_total", false,
-			func() float64 { return float64(o.Broker.ClosedTotal()) }},
+		{"closedSessions", "evop_broker_sessions_closed_total", false, nil},
 		{"publicCost", "evop_public_cost", false, o.Public.CostAccrued},
 		{"lbTicks", "evop_lb_ticks_total", false, func() float64 { return float64(o.LB.Ticks()) }},
 		{"lbReplacements", "evop_lb_replaced_total", false, func() float64 { return float64(o.LB.Replaced()) }},
@@ -99,26 +94,18 @@ func TestMetricsLegacyFieldParity(t *testing.T) {
 		{"modelRunCache.staleHits", "evop_runcache_stale_hits_total", false, nil},
 		{"modelRunCache.size", "evop_runcache_entries", false, nil},
 
-		{"resilience.failovers", "evop_cloud_failovers_total", false,
-			func() float64 { return float64(o.Multi.Failovers()) }},
-		{"resilience.lb.ticks", "evop_lb_ticks_total", false, lb(func(s loadbalancer.Stats) int { return s.Ticks })},
-		{"resilience.lb.replaced", "evop_lb_replaced_total", false, lb(func(s loadbalancer.Stats) int { return s.Replaced })},
-		{"resilience.lb.launchFailures", "evop_lb_launch_failures_total", false,
-			lb(func(s loadbalancer.Stats) int { return s.LaunchFailures })},
-		{"resilience.lb.terminateFailures", "evop_lb_terminate_failures_total", false,
-			lb(func(s loadbalancer.Stats) int { return s.TerminateFailures })},
-		{"resilience.lb.terminateRetries", "evop_lb_terminate_retries_total", false,
-			lb(func(s loadbalancer.Stats) int { return s.TerminateRetries })},
-		{"resilience.lb.recoveredTerminations", "evop_lb_recovered_terminations_total", false,
-			lb(func(s loadbalancer.Stats) int { return s.RecoveredTerminations })},
-		{"resilience.lb.outstandingTerminations", "evop_lb_outstanding_terminations", false,
-			lb(func(s loadbalancer.Stats) int { return s.OutstandingTerminations })},
-		{"resilience.lb.inFlightReplacements", "evop_lb_inflight_replacements", false,
-			lb(func(s loadbalancer.Stats) int { return s.InFlightReplacements })},
+		{"resilience.failovers", "evop_cloud_failovers_total", false, nil},
+		{"resilience.lb.ticks", "evop_lb_ticks_total", false, func() float64 { return float64(o.LB.Ticks()) }},
+		{"resilience.lb.replaced", "evop_lb_replaced_total", false, func() float64 { return float64(o.LB.Replaced()) }},
+		{"resilience.lb.launchFailures", "evop_lb_launch_failures_total", false, nil},
+		{"resilience.lb.terminateFailures", "evop_lb_terminate_failures_total", false, nil},
+		{"resilience.lb.terminateRetries", "evop_lb_terminate_retries_total", false, nil},
+		{"resilience.lb.recoveredTerminations", "evop_lb_recovered_terminations_total", false, nil},
+		{"resilience.lb.outstandingTerminations", "evop_lb_outstanding_terminations", false, nil},
+		{"resilience.lb.inFlightReplacements", "evop_lb_inflight_replacements", false, nil},
 		{"resilience.suspendedSessions", "evop_broker_sessions_suspended", false,
 			func() float64 { return float64(o.Broker.SuspendedCount()) }},
-		{"resilience.suspendedEver", "evop_broker_sessions_suspended_total", false,
-			func() float64 { return float64(o.Broker.SuspendedTotal()) }},
+		{"resilience.suspendedEver", "evop_broker_sessions_suspended_total", false, nil},
 
 		{"sensorRead.seriesQueries", "evop_sensor_series_queries_total", false, nil},
 		{"sensorRead.aggregateQueries", "evop_sensor_aggregate_queries_total", false, nil},
@@ -140,28 +127,19 @@ func TestMetricsLegacyFieldParity(t *testing.T) {
 		{"process.goroutines", "evop_process_goroutines", false, nil},
 		{"process.heapBytes", "evop_process_heap_bytes", false, nil},
 	}
-	for _, h := range o.Multi.Health() {
-		name, prov := `{name="`+h.Name+`"}`, `{provider="`+h.Name+`"}`
-		field := "resilience.providers[" + h.Name + "]."
+	for _, p := range o.Multi.Providers() {
+		name, prov := `{name="`+p.Name()+`"}`, `{provider="`+p.Name()+`"}`
+		field := "resilience.providers[" + p.Name() + "]."
 		rows = append(rows,
-			row{field + "breaker", "evop_breaker_state" + name, false,
-				func() float64 { return map[string]float64{"closed": 0, "half-open": 1, "open": 2}[h.Breaker] }},
-			row{field + "consecutiveFailures", "evop_breaker_consecutive_failures" + name, false,
-				func() float64 { return float64(h.ConsecutiveFailures) }},
-			row{field + "breakerOpens", "evop_breaker_opens_total" + name, false,
-				func() float64 { return float64(h.BreakerOpens) }},
-			row{field + "launches", "evop_cloud_launches_total" + prov, false,
-				func() float64 { return float64(h.Launches) }},
-			row{field + "launchFailures", "evop_cloud_launch_failures_total" + prov, false,
-				func() float64 { return float64(h.LaunchFailures) }},
-			row{field + "terminates", "evop_cloud_terminates_total" + prov, false,
-				func() float64 { return float64(h.Terminates) }},
-			row{field + "terminateFailures", "evop_cloud_terminate_failures_total" + prov, false,
-				func() float64 { return float64(h.TerminateFailures) }},
-			row{field + "skippedOpen", "evop_cloud_skipped_open_total" + prov, false,
-				func() float64 { return float64(h.SkippedOpen) }},
-			row{field + "probes", "evop_cloud_probes_total" + prov, false,
-				func() float64 { return float64(h.Probes) }},
+			row{field + "breaker", "evop_breaker_state" + name, false, nil},
+			row{field + "consecutiveFailures", "evop_breaker_consecutive_failures" + name, false, nil},
+			row{field + "breakerOpens", "evop_breaker_opens_total" + name, false, nil},
+			row{field + "launches", "evop_cloud_launches_total" + prov, false, nil},
+			row{field + "launchFailures", "evop_cloud_launch_failures_total" + prov, false, nil},
+			row{field + "terminates", "evop_cloud_terminates_total" + prov, false, nil},
+			row{field + "terminateFailures", "evop_cloud_terminate_failures_total" + prov, false, nil},
+			row{field + "skippedOpen", "evop_cloud_skipped_open_total" + prov, false, nil},
+			row{field + "probes", "evop_cloud_probes_total" + prov, false, nil},
 		)
 	}
 	for _, hub := range []string{"sensors", "sessions"} {
@@ -199,15 +177,6 @@ func TestMetricsLegacyFieldParity(t *testing.T) {
 			t.Errorf("%s: %s = %v, accessor reports %v", r.field, r.series, m.Value, r.want())
 		}
 	}
-	// droppedUpdates is the sessions hub's coalesced total across shards.
-	var dropped float64
-	for shard := 0; shard < push.DefaultShards; shard++ {
-		dropped += doc.value(t, `evop_push_coalesced_total{hub="sessions",shard="`+strconv.Itoa(shard)+`"}`)
-	}
-	if want := float64(o.Broker.DroppedUpdates()); dropped != want {
-		t.Errorf("droppedUpdates: coalesced sum = %v, Broker.DroppedUpdates = %v", dropped, want)
-	}
-
 	// The traffic above is visible, not merely registered.
 	if doc.value(t, "evop_sensors") != 15 || doc.value(t, "evop_runcache_hits_total") < 1 ||
 		doc.value(t, "evop_runcache_entries") < 1 || doc.value(t, "evop_lb_ticks_total") == 0 {

@@ -407,7 +407,7 @@ func TestGracefulShutdownDrainsWPSAndInFlight(t *testing.T) {
 	if code := <-syncRes; code != http.StatusOK {
 		t.Fatalf("in-flight request during shutdown = %d, want 200", code)
 	}
-	if n := obs.WPS.ActiveExecutions(); n != 0 {
+	if n := obs.MetricsRegistry().Gauge("evop_wps_queue_depth", "").Value(); n != 0 {
 		t.Fatalf("async executions left non-terminal after shutdown: %d", n)
 	}
 }

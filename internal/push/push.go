@@ -188,19 +188,6 @@ func (hm *HubMetrics) shardSizes(i int) (topics, registrations int) {
 	return 0, 0
 }
 
-// Shards returns the stripe count the instruments were built for.
-func (hm *HubMetrics) Shards() int { return len(hm.shards) }
-
-// Coalesced returns the cumulative eviction count across shards — the
-// "superseded, never lost" drop total owners expose.
-func (hm *HubMetrics) Coalesced() uint64 {
-	var n uint64
-	for i := range hm.shards {
-		n += hm.shards[i].coalesced.Value()
-	}
-	return n
-}
-
 // NewHub returns a hub with shards lock stripes (rounded up to a power
 // of two; non-positive selects DefaultShards) and private, unregistered
 // instruments. Use NewHubWithMetrics to expose the counters in a
@@ -422,7 +409,7 @@ func (h *Hub[T]) Publish(v T, topics ...string) int {
 }
 
 // CloseAll cancels every subscription and stops future publishes and
-// subscribes. The hub itself stays queryable (Stats) but inert.
+// subscribes. Its counters stay registered, but the hub is inert.
 func (h *Hub[T]) CloseAll() {
 	h.closed.Store(true)
 	for i := range h.shards {
@@ -450,32 +437,6 @@ func (h *Hub[T]) CloseAll() {
 // Subscribers returns the number of live subscriptions.
 func (h *Hub[T]) Subscribers() int { return int(h.subs.Load()) }
 
-// ShardStats is one lock stripe's counters.
-type ShardStats struct {
-	// Topics and Registrations size the stripe's registry: distinct
-	// topics, and (topic, subscription) pairs.
-	Topics        int `json:"topics"`
-	Registrations int `json:"registrations"`
-	// Published counts publish×topic pairs routed to this stripe;
-	// Delivered events enqueued on subscribers; Coalesced evictions of
-	// stale events from full subscriber queues.
-	Published uint64 `json:"published"`
-	Delivered uint64 `json:"delivered"`
-	Coalesced uint64 `json:"coalesced"`
-}
-
-// Stats is a hub snapshot: per-shard counters plus totals.
-type Stats struct {
-	// Subscribers is the number of live subscriptions.
-	Subscribers int `json:"subscribers"`
-	// Published, Delivered and Coalesced are totals across shards.
-	Published uint64 `json:"published"`
-	Delivered uint64 `json:"delivered"`
-	Coalesced uint64 `json:"coalesced"`
-	// Shards holds the per-stripe breakdown.
-	Shards []ShardStats `json:"shards"`
-}
-
 // shardSizes counts shard i's distinct topics and (topic, subscription)
 // pairs.
 func (h *Hub[T]) shardSizes(i int) (topics, registrations int) {
@@ -486,26 +447,4 @@ func (h *Hub[T]) shardSizes(i int) (topics, registrations int) {
 		registrations += len(set)
 	}
 	return len(sh.topics), registrations
-}
-
-// Stats returns a snapshot of the hub's counters.
-func (h *Hub[T]) Stats() Stats {
-	st := Stats{
-		Subscribers: h.Subscribers(),
-		Shards:      make([]ShardStats, len(h.shards)),
-	}
-	for i := range h.shards {
-		sh := &h.shards[i]
-		ss := ShardStats{
-			Published: sh.published.Value(),
-			Delivered: sh.delivered.Value(),
-			Coalesced: sh.coalesced.Value(),
-		}
-		ss.Topics, ss.Registrations = h.shardSizes(i)
-		st.Shards[i] = ss
-		st.Published += ss.Published
-		st.Delivered += ss.Delivered
-		st.Coalesced += ss.Coalesced
-	}
-	return st
 }

@@ -6,7 +6,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"evop/internal/metrics"
 )
+
+// newMeteredHub builds a hub whose instruments live in a fresh registry,
+// so tests read its counters the way /metrics does.
+func newMeteredHub(shards int) (*Hub[int], *metrics.Registry) {
+	reg := metrics.NewRegistry(nil)
+	return NewHubWithMetrics[int](NewHubMetrics(reg, "test", shards)), reg
+}
+
+// hubTotal sums a per-shard hub series across shards.
+func hubTotal(reg *metrics.Registry, name string) float64 {
+	var n float64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == name {
+			n += m.Value
+		}
+	}
+	return n
+}
 
 func TestTopicRouting(t *testing.T) {
 	h := NewHub[int](4)
@@ -60,7 +80,7 @@ func TestMultiTopicPublishDeliversOnce(t *testing.T) {
 }
 
 func TestCoalescingNewestWins(t *testing.T) {
-	h := NewHub[int](1)
+	h, reg := newMeteredHub(1)
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -92,14 +112,14 @@ func TestCoalescingNewestWins(t *testing.T) {
 	if s.Dropped() != 16 {
 		t.Fatalf("Dropped = %d, want 16", s.Dropped())
 	}
-	st := h.Stats()
-	if st.Coalesced != 16 || st.Delivered != 20 || st.Published != 20 {
-		t.Fatalf("Stats = %+v, want 20 published, 20 delivered, 16 coalesced", st)
+	published, delivered := hubTotal(reg, "evop_push_published_total"), hubTotal(reg, "evop_push_delivered_total")
+	if coalesced := hubTotal(reg, "evop_push_coalesced_total"); coalesced != 16 || delivered != 20 || published != 20 {
+		t.Fatalf("published/delivered/coalesced = %v/%v/%v, want 20/20/16", published, delivered, coalesced)
 	}
 }
 
 func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
-	h := NewHub[int](2)
+	h, reg := newMeteredHub(2)
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -120,11 +140,8 @@ func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
 	if h.Subscribers() != 0 {
 		t.Fatalf("Subscribers = %d after Cancel", h.Subscribers())
 	}
-	st := h.Stats()
-	for _, ss := range st.Shards {
-		if ss.Registrations != 0 || ss.Topics != 0 {
-			t.Fatalf("registry not empty after Cancel: %+v", st)
-		}
+	if r, tp := hubTotal(reg, "evop_push_registrations"), hubTotal(reg, "evop_push_topics"); r != 0 || tp != 0 {
+		t.Fatalf("registry not empty after Cancel: %v registrations, %v topics", r, tp)
 	}
 }
 
@@ -182,7 +199,7 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestShardStriping(t *testing.T) {
-	h := NewHub[int](16)
+	h, reg := newMeteredHub(16)
 	if len(h.shards) != 16 {
 		t.Fatalf("shards = %d, want 16", len(h.shards))
 	}
@@ -197,8 +214,8 @@ func TestShardStriping(t *testing.T) {
 		}
 	}
 	nonEmpty := 0
-	for _, ss := range h.Stats().Shards {
-		if ss.Topics > 0 {
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "evop_push_topics" && m.Value > 0 {
 			nonEmpty++
 		}
 	}
@@ -254,7 +271,7 @@ func TestChurn10kSubscribers(t *testing.T) {
 		perWorker  = 1250 // 8 × 1250 = 10k subscriptions over the test
 		topicCount = 32
 	)
-	h := NewHub[int](DefaultShards)
+	h, reg := newMeteredHub(DefaultShards)
 	stop := make(chan struct{})
 	var pubWG sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -307,13 +324,10 @@ func TestChurn10kSubscribers(t *testing.T) {
 	if h.Subscribers() != 0 {
 		t.Fatalf("Subscribers = %d after churn, want 0", h.Subscribers())
 	}
-	st := h.Stats()
-	for i, ss := range st.Shards {
-		if ss.Registrations != 0 {
-			t.Fatalf("shard %d still holds %d registrations", i, ss.Registrations)
-		}
+	if r := hubTotal(reg, "evop_push_registrations"); r != 0 {
+		t.Fatalf("shards still hold %v registrations", r)
 	}
-	if st.Delivered == 0 {
+	if hubTotal(reg, "evop_push_delivered_total") == 0 {
 		t.Fatal("churn delivered nothing; publishers never reached subscribers")
 	}
 }

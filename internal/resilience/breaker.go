@@ -87,17 +87,6 @@ func (c *BreakerConfig) setDefaults() {
 	}
 }
 
-// BreakerStats is a point-in-time snapshot of a breaker.
-type BreakerStats struct {
-	State               BreakerState `json:"-"`
-	StateName           string       `json:"state"`
-	ConsecutiveFailures int          `json:"consecutiveFailures"`
-	Opens               int          `json:"opens"`
-	Successes           int          `json:"successes"`
-	Failures            int          `json:"failures"`
-	Rejected            int          `json:"rejected"`
-}
-
 // Breaker is a closed/open/half-open circuit breaker driven by a
 // clock.Clock, so trips and recoveries are deterministic under the
 // simulated clock. Callers gate work with Allow and report the outcome
@@ -146,7 +135,11 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 		func() float64 { return stateGauge[b.State()] }, name)
 	reg.GaugeFunc("evop_breaker_consecutive_failures",
 		"Consecutive failures counted toward tripping the breaker.",
-		func() float64 { return float64(b.Stats().ConsecutiveFailures) }, name)
+		func() float64 {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return float64(b.consecFails)
+		}, name)
 	return b, nil
 }
 
@@ -233,19 +226,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Stats returns a snapshot of the breaker's counters.
-func (b *Breaker) Stats() BreakerStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerStats{
-		State:               b.state,
-		StateName:           b.state.String(),
-		ConsecutiveFailures: b.consecFails,
-		Opens:               int(b.opens.Value()),
-		Successes:           int(b.successes.Value()),
-		Failures:            int(b.failures.Value()),
-		Rejected:            int(b.rejected.Value()),
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"evop/internal/clock"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -72,7 +73,8 @@ func TestBreakerConfigValidation(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	br, err := NewBreaker(BreakerConfig{Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute})
+	reg := metrics.NewRegistry(clk)
+	br, err := NewBreaker(BreakerConfig{Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute, Name: "t", Metrics: reg})
 	if err != nil {
 		t.Fatalf("NewBreaker: %v", err)
 	}
@@ -131,15 +133,17 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("closed breaker rejected a call after recovery")
 	}
 
-	st := br.Stats()
-	if st.Opens != 2 {
-		t.Fatalf("opens = %d, want 2", st.Opens)
+	name := metrics.L("name", "t")
+	if opens := reg.Counter("evop_breaker_opens_total", "", name).Value(); opens != 2 {
+		t.Fatalf("opens = %d, want 2", opens)
 	}
-	if st.Rejected == 0 {
+	if reg.Counter("evop_breaker_rejected_total", "", name).Value() == 0 {
 		t.Fatal("rejected calls not counted")
 	}
-	if st.StateName != "closed" {
-		t.Fatalf("state name = %q", st.StateName)
+	for _, m := range reg.Snapshot().Metrics {
+		if (m.Name == "evop_breaker_state" || m.Name == "evop_breaker_consecutive_failures") && m.Value != 0 {
+			t.Fatalf("%s = %v after recovery, want 0", m.SeriesID(), m.Value)
+		}
 	}
 }
 

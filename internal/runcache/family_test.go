@@ -7,7 +7,7 @@ import (
 )
 
 func TestFamilyStaleFallback(t *testing.T) {
-	c := New[int](4, nil)
+	c, count := newMetered(4)
 	ctx := context.Background()
 
 	if _, ok := c.Stale("cat|model|base"); ok {
@@ -27,8 +27,8 @@ func TestFamilyStaleFallback(t *testing.T) {
 	if !ok || got != 42 {
 		t.Fatalf("Stale = (%d, %v), want freshest family value 42", got, ok)
 	}
-	if st := c.Stats(); st.StaleHits != 1 {
-		t.Fatalf("StaleHits = %d, want 1", st.StaleHits)
+	if got := count("stale_hits"); got != 1 {
+		t.Fatalf("stale hits = %d, want 1", got)
 	}
 
 	// Errors never populate the family index.

@@ -61,25 +61,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats is a snapshot of the cache's counters.
-type Stats struct {
-	// Hits counts calls answered from cache, Misses counts computations
-	// started, Coalesced counts calls that joined a shared in-flight
-	// computation.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	// Canceled counts callers whose context ended before their value was
-	// available (a leader or follower that stopped waiting).
-	Canceled int64 `json:"canceled"`
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions int64 `json:"evictions"`
-	// StaleHits counts degraded lookups answered from the family index.
-	StaleHits int64 `json:"staleHits"`
-	// Size is the current number of cached entries.
-	Size int `json:"size"`
-}
-
 // Cache is a bounded LRU cache with request coalescing. The zero value
 // is not usable; construct with New. All methods are safe for concurrent
 // use. Cached values are shared between callers — treat them as
@@ -344,19 +325,4 @@ func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache[V]) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:      int64(c.hits.Value()),
-		Misses:    int64(c.misses.Value()),
-		Coalesced: int64(c.coalesced.Value()),
-		Canceled:  int64(c.canceled.Value()),
-		Evictions: int64(c.evictions.Value()),
-		StaleHits: int64(c.staleHits.Value()),
-		Size:      c.ll.Len(),
-	}
 }

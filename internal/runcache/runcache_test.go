@@ -9,10 +9,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"evop/internal/metrics"
 )
 
+// newMetered builds a cache whose counters live in a fresh registry and
+// returns a reader for its evop_runcache_<name>_total series.
+func newMetered(capacity int) (*Cache[int], func(name string) uint64) {
+	reg := metrics.NewRegistry(nil)
+	return New[int](capacity, reg), func(name string) uint64 {
+		return reg.Counter("evop_runcache_"+name+"_total", "").Value()
+	}
+}
+
 func TestDoMissThenHit(t *testing.T) {
-	c := New[int](4, nil)
+	c, count := newMetered(4)
 	calls := 0
 	compute := func(context.Context) (int, error) { calls++; return 42, nil }
 
@@ -27,9 +38,9 @@ func TestDoMissThenHit(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Coalesced != 0 || st.Size != 1 {
-		t.Fatalf("stats = %+v", st)
+	if count("hits") != 1 || count("misses") != 1 || count("coalesced") != 0 || c.Len() != 1 {
+		t.Fatalf("hits/misses/coalesced/size = %d/%d/%d/%d, want 1/1/0/1",
+			count("hits"), count("misses"), count("coalesced"), c.Len())
 	}
 }
 
@@ -49,7 +60,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](2, nil)
+	c, count := newMetered(2)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, _, err := c.Do(context.Background(), key, func(context.Context) (int, error) { return i, nil }); err != nil {
@@ -64,8 +75,8 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("%s evicted, want retained", key)
 		}
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction, size 2", st)
+	if count("evictions") != 1 || c.Len() != 2 {
+		t.Fatalf("evictions/size = %d/%d, want 1/2", count("evictions"), c.Len())
 	}
 }
 
@@ -87,7 +98,7 @@ func TestLRURecencyOrder(t *testing.T) {
 }
 
 func TestCoalescing(t *testing.T) {
-	c := New[int](4, nil)
+	c, count := newMetered(4)
 	const waiters = 8
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -126,7 +137,7 @@ func TestCoalescing(t *testing.T) {
 		}()
 	}
 	// Wait until every duplicate is parked on the in-flight computation.
-	for c.Stats().Coalesced < waiters-1 {
+	for count("coalesced") < waiters-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -194,7 +205,7 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func TestDoDeadContextNeverComputes(t *testing.T) {
-	c := New[int](4, nil)
+	c, count := newMetered(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
@@ -210,8 +221,8 @@ func TestDoDeadContextNeverComputes(t *testing.T) {
 	if v, out, err := c.Do(ctx, "k", nil); v != 9 || out != Hit || err != nil {
 		t.Fatalf("dead-context hit = %v %v %v, want 9 hit nil", v, out, err)
 	}
-	if st := c.Stats(); st.Canceled != 1 {
-		t.Fatalf("canceled = %d, want 1", st.Canceled)
+	if got := count("canceled"); got != 1 {
+		t.Fatalf("canceled = %d, want 1", got)
 	}
 }
 
@@ -219,7 +230,7 @@ func TestDoDeadContextNeverComputes(t *testing.T) {
 // one browser abandoning a run must not steal the shared result from the
 // waiters still connected.
 func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
-	c := New[int](4, nil)
+	c, count := newMetered(4)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var computeCtxErr atomic.Value
@@ -248,7 +259,7 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 			t.Errorf("follower Do = %v %v, want canceled", out, err)
 		}
 	}()
-	for c.Stats().Coalesced < 1 {
+	for count("coalesced") < 1 {
 		runtime.Gosched()
 	}
 	fcancel()
@@ -264,9 +275,9 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 	if v, ok := c.Get("k"); !ok || v != 42 {
 		t.Fatalf("result not cached after follower cancel: %v %v", v, ok)
 	}
-	st := c.Stats()
-	if st.Canceled != 1 || st.Coalesced != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	if count("canceled") != 1 || count("coalesced") != 1 || count("misses") != 1 {
+		t.Fatalf("canceled/coalesced/misses = %d/%d/%d, want 1/1/1",
+			count("canceled"), count("coalesced"), count("misses"))
 	}
 }
 

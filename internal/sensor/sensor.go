@@ -224,7 +224,7 @@ type Network struct {
 	shards     map[string]*shard
 	order      []string
 	running    bool
-	stops      []func() bool
+	stops      map[string]func() bool // sensor ID → its pending sample timer
 	frameLimit int
 	// newest is the most recent reading across the whole network,
 	// maintained on ingest so "what time is it, by the data?" queries
@@ -255,6 +255,7 @@ func NewNetwork(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
 		hubMetrics: hm,
 		sensors:    make(map[string]Sensor),
 		shards:     make(map[string]*shard),
+		stops:      make(map[string]func() bool),
 		frameLimit: DefaultFrameRetention,
 		seriesQueries: reg.Counter("evop_sensor_series_queries_total",
 			"Zero-copy series window views served."),
@@ -366,7 +367,7 @@ func (n *Network) armLocked(id string) {
 			n.armLocked(id)
 		}
 	})
-	n.stops = append(n.stops, stop)
+	n.stops[id] = stop
 }
 
 // sample takes one reading for a sensor and fans it out. Ingest touches
@@ -467,7 +468,7 @@ func (n *Network) Stop() {
 	for _, stop := range n.stops {
 		stop()
 	}
-	n.stops = nil
+	clear(n.stops)
 	old := n.hub
 	n.hub = push.NewHubWithMetrics[Reading](n.hubMetrics)
 	n.mu.Unlock()
@@ -509,14 +510,6 @@ func (n *Network) SubscribeTopics(queue int, topics ...string) (*push.Subscripti
 	hub := n.hub
 	n.mu.RUnlock()
 	return hub.Subscribe(queue, topics...)
-}
-
-// Dropped reports readings dropped (coalesced away) on slow subscriber
-// queues, across the network's lifetime.
-func (n *Network) Dropped() int {
-	// The hub metrics are shared across hub generations, so the coalesced
-	// total is cumulative without any carry-over bookkeeping.
-	return int(n.hubMetrics.Coalesced())
 }
 
 // Latest returns the most recent reading of a sensor.

@@ -208,9 +208,32 @@ func TestSubscribeLiveFeed(t *testing.T) {
 	}
 }
 
-func TestSubscribeSlowConsumerDrops(t *testing.T) {
+// TestRearmKeepsOneTimerPerSensor is the regression test for the timer
+// leak: every re-arm used to append a stop func, so a month of sampling
+// retained one closure per sample instead of one per sensor.
+func TestRearmKeepsOneTimerPerSensor(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	n, _ := NewNetwork(clk, nil)
+	for _, id := range []string{"lvl-1", "lvl-2", "lvl-3"} {
+		if err := n.Add(levelSensor(id)); err != nil {
+			t.Fatalf("Add %s: %v", id, err)
+		}
+	}
+	n.Start()
+	defer n.Stop()
+	clk.Advance(30 * 24 * time.Hour)
+	n.mu.RLock()
+	retained := len(n.stops)
+	n.mu.RUnlock()
+	if retained != 3 || clk.PendingTimers() != 3 {
+		t.Fatalf("retained stops = %d, pending timers = %d, want 3 each", retained, clk.PendingTimers())
+	}
+}
+
+func TestSubscribeSlowConsumerDrops(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	reg := metrics.NewRegistry(clk)
+	n, _ := NewNetwork(clk, reg)
 	s := levelSensor("lvl")
 	s.Interval = time.Minute
 	n.Add(s)
@@ -219,7 +242,13 @@ func TestSubscribeSlowConsumerDrops(t *testing.T) {
 	n.Start()
 	defer n.Stop()
 	clk.Advance(100 * time.Minute) // 100 readings into a 64-slot buffer
-	if n.Dropped() == 0 {
+	var dropped float64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "evop_push_coalesced_total" {
+			dropped += m.Value
+		}
+	}
+	if dropped == 0 {
 		t.Fatal("expected drops with stalled subscriber")
 	}
 	// Coalescing keeps the newest reading, not the oldest: the queue must

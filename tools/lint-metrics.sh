@@ -12,6 +12,10 @@
 #     snapshot assembled for a metrics view; /metrics is the registry
 #     snapshot, so the values belong in registered instruments or
 #     callback gauges instead.
+#   - A `type <Name>Stats struct` or a `Stats()` method is almost always
+#     a second read path that re-reads registered instruments; tests and
+#     callers read the registry (reg.Counter(name, "", labels...) is
+#     get-or-create, reg.Snapshot() covers gauges) instead.
 #
 # Each allowlist below is the closed set of legitimate exceptions, one
 # path and reason per line. Additions to them need a review, not a
@@ -28,6 +32,13 @@ internal/ws/handshake.go       connection sequence generator
 struct_allow='
 internal/push/push.go          HubMetrics holds registered instruments, not a snapshot
 internal/cloud/instance.go     simulated host readings the load balancer acts on
+'
+
+stats_allow='
+internal/cloud/faulty.go                 injected-fault tallies; the cloud package has no registry instruments
+internal/ws/conn.go                      per-connection frame counts; the ws package has no registry instruments
+internal/timeseries/ops.go               a statistical summary of a series, not counters
+internal/cloud/crosscloud/crosscloud.go  providerStats holds registered instruments, not a snapshot
 '
 
 # offenders prints the production (non-test) lines outside
@@ -67,6 +78,17 @@ if [ -n "$bad" ]; then
 	echo 'Register the values as instruments or callback gauges in the' >&2
 	echo 'observatory registry instead (/metrics serves its snapshot), or' >&2
 	echo 'add the file to struct_allow in tools/lint-metrics.sh with a reason.' >&2
+	status=1
+fi
+
+bad=$(offenders 'type [A-Za-z0-9_]*Stats struct\|func ([^)]*) Stats()' "$stats_allow" internal cmd examples evop.go)
+if [ -n "$bad" ]; then
+	echo 'lint-metrics: Stats snapshots or accessors outside internal/metrics:' >&2
+	printf '%s\n' "$bad" >&2
+	echo >&2
+	echo 'Read the registered instruments from the registry instead, or' >&2
+	echo '(for numbers no registry holds) add the file to stats_allow in' >&2
+	echo 'tools/lint-metrics.sh with a reason.' >&2
 	status=1
 fi
 
