@@ -33,6 +33,10 @@ go test -fuzz='^FuzzReadFrame$' -fuzztime 10s ./internal/ws
 go test -fuzz='^FuzzParseDataInputs$' -fuzztime 10s ./internal/ogc/wps
 go test -fuzz='^FuzzParseExecuteDocument$' -fuzztime 10s ./internal/ogc/wps
 go test -fuzz='^FuzzParseFlotJSON$' -fuzztime 10s ./internal/timeseries
+# Differential fuzzer: the Flot encoder must emit valid JSON for any
+# float64 bit pattern, round-trip finite values bit-exactly and match
+# the reference json.Marshal encoder wherever that one can encode.
+go test -fuzz='^FuzzFlotEncode$' -fuzztime 10s ./internal/timeseries
 go test -fuzz='^FuzzReadCSV$' -fuzztime 10s ./internal/timeseries
 # Differential fuzzer: the rollup index must agree with the naive scan
 # for arbitrary ingest orders, cadences and query windows.

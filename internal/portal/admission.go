@@ -11,6 +11,7 @@ import (
 
 	"evop/internal/admission"
 	"evop/internal/metrics"
+	"evop/internal/rest"
 )
 
 // This file wires the admission controller into the request pipeline:
@@ -185,7 +186,7 @@ func (p *Portal) writeShed(w http.ResponseWriter, cl admission.Class, retry time
 	if errors.Is(err, admission.ErrRateLimited) {
 		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, status, map[string]any{
+	rest.WriteJSON(w, status, map[string]any{
 		"error":             err.Error(),
 		"class":             cl.String(),
 		"retryAfterSeconds": secs,

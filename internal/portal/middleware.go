@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"evop/internal/metrics"
+	"evop/internal/rest"
 )
 
 // This file is the portal's request pipeline: every request — widget,
@@ -181,7 +182,7 @@ func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			p.panics.Inc()
 			p.logger.Printf("panic %s %s rid=%s: %v\n%s", r.Method, r.URL.Path, rid, v, debug.Stack())
 			if rec.status == 0 && !rec.hijacked {
-				writeJSON(rec, http.StatusInternalServerError,
+				rest.WriteJSON(rec, http.StatusInternalServerError,
 					map[string]string{"error": "internal error", "requestId": rid})
 			}
 		}

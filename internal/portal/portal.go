@@ -143,7 +143,7 @@ func New(obs *core.Observatory) (*Portal, error) {
 // front end (the data contracts live at the listed endpoints).
 func (p *Portal) index(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no route " + r.URL.Path})
+		rest.WriteError(w, http.StatusNotFound, "no route "+r.URL.Path)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -247,10 +247,10 @@ func (p *Portal) mapLayers(w http.ResponseWriter, r *http.Request) {
 
 // sensors serves /sensors/<id>/latest and /sensors/<id>/series.
 func (p *Portal) sensors(w http.ResponseWriter, r *http.Request) {
-	rest := r.URL.Path[len("/sensors/"):]
+	tail := r.URL.Path[len("/sensors/"):]
 	var id, op string
-	if i := lastSlash(rest); i >= 0 {
-		id, op = rest[:i], rest[i+1:]
+	if i := strings.LastIndexByte(tail, '/'); i >= 0 {
+		id, op = tail[:i], tail[i+1:]
 	}
 	switch op {
 	case "latest":
@@ -259,25 +259,12 @@ func (p *Portal) sensors(w http.ResponseWriter, r *http.Request) {
 			writeSensorErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, reading)
+		rest.WriteJSON(w, http.StatusOK, reading)
 	case "series":
 		p.sensorSeries(w, r, id)
 	default:
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "use /sensors/<id>/latest or /series"})
+		rest.WriteError(w, http.StatusNotFound, "use /sensors/<id>/latest or /series")
 	}
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	rest.WriteJSON(w, status, v)
 }
 
 func writeSensorErr(w http.ResponseWriter, err error) {
@@ -290,7 +277,7 @@ func writeSensorErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, sensor.ErrBadSensor):
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	rest.WriteError(w, status, err.Error())
 }
 
 func (p *Portal) nowFallback() time.Time {
@@ -322,12 +309,12 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	cid := q.Get("catchment")
 	if cid == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "catchment required"})
+		rest.WriteError(w, http.StatusBadRequest, "catchment required")
 		return
 	}
 	points, err := parsePoints(q.Get("points"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	at := timeOrDefault(q.Get("at"), p.nowFallback())
@@ -337,7 +324,7 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if points == 0 {
-		writeJSON(w, http.StatusOK, fused)
+		rest.WriteJSON(w, http.StatusOK, fused)
 		return
 	}
 	tempSeries, err := p.downsampledSeriesJSON(cid+"-temp-1", at, points)
@@ -350,7 +337,7 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 		writeSensorErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	rest.WriteJSON(w, http.StatusOK, struct {
 		sensor.FusedSample
 		TemperatureSeries json.RawMessage `json:"temperatureSeries"`
 		TurbiditySeries   json.RawMessage `json:"turbiditySeries"`
@@ -359,7 +346,7 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 
 // scenarios lists the widget's preset buttons.
 func (p *Portal) scenarios(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, scenario.All())
+	rest.WriteJSON(w, http.StatusOK, scenario.All())
 }
 
 // statusForRunErr maps model-run pipeline errors onto HTTP statuses:
@@ -384,7 +371,7 @@ func statusForRunErr(err error) int {
 }
 
 func writeRunErr(w http.ResponseWriter, err error) {
-	writeJSON(w, statusForRunErr(err), map[string]string{"error": err.Error()})
+	rest.WriteError(w, statusForRunErr(err), err.Error())
 }
 
 // qualityWidget answers the water-quality storyboard:
@@ -396,7 +383,7 @@ func (p *Portal) qualityWidget(w http.ResponseWriter, r *http.Request) {
 		writeRunErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	rest.WriteJSON(w, http.StatusOK, res)
 }
 
 // uploadDataset accepts a user-provided hourly rainfall CSV
@@ -405,7 +392,7 @@ func (p *Portal) qualityWidget(w http.ResponseWriter, r *http.Request) {
 // The dataset becomes usable in model runs via "rainDataset".
 func (p *Portal) uploadDataset(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	id := r.URL.Query().Get("id")
@@ -414,18 +401,18 @@ func (p *Portal) uploadDataset(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("upload exceeds %d bytes", tooBig.Limit)})
+			rest.WriteError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("upload exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "parsing CSV: " + err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, "parsing CSV: "+err.Error())
 		return
 	}
 	if err := p.obs.UploadDataset(id, series); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "samples": series.Len()})
+	rest.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "samples": series.Len()})
 }
 
 // lowflowWidget answers the drought-side questions:
@@ -437,7 +424,7 @@ func (p *Portal) lowflowWidget(w http.ResponseWriter, r *http.Request) {
 		writeRunErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	rest.WriteJSON(w, http.StatusOK, res)
 }
 
 // stormWindow suggests where to place a design storm so land-use effects
@@ -450,7 +437,7 @@ func (p *Portal) stormWindow(w http.ResponseWriter, r *http.Request) {
 		writeRunErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"stormAtHours": hours})
+	rest.WriteJSON(w, http.StatusOK, map[string]int{"stormAtHours": hours})
 }
 
 // maxRunBytes bounds a model-run request body: a RunRequest is a short
@@ -467,18 +454,18 @@ const maxRunBytes = 1 << 20
 // shed with 503.
 func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req core.RunRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBytes)).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("run request exceeds %d bytes", tooBig.Limit)})
+			rest.WriteError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("run request exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	var res *core.RunResult
@@ -502,10 +489,10 @@ func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 	}
 	flot, err := res.Discharge.FlotJSON()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	rest.WriteJSON(w, http.StatusOK, map[string]any{
 		"hydrograph":  json.RawMessage(flot),
 		"peakMm":      res.PeakMM,
 		"peakAt":      res.PeakAt,
@@ -521,16 +508,16 @@ func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 // comparator): POST /sessions/connect?user=&service=.
 func (p *Portal) sessionConnect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	q := r.URL.Query()
 	s, err := p.broker.Connect(q.Get("user"), q.Get("service"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s)
+	rest.WriteJSON(w, http.StatusOK, s)
 }
 
 // sessionGet polls a session's state: GET /sessions/<id>. DELETE ends it.
@@ -540,18 +527,18 @@ func (p *Portal) sessionGet(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s, err := p.broker.Session(id)
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+			rest.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, s)
+		rest.WriteJSON(w, http.StatusOK, s)
 	case http.MethodDelete:
 		if err := p.broker.Disconnect(id); err != nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+			rest.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": r.Method})
+		rest.WriteError(w, http.StatusMethodNotAllowed, r.Method)
 	}
 }
 
@@ -659,7 +646,7 @@ func (p *Portal) liveSocket(w http.ResponseWriter, r *http.Request) {
 	defer p.liveWG.Done()
 	topics, err := p.parseLiveTopics(r.URL.Query().Get("topics"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Connection cap, enforced before the upgrade hijacks the socket: a
@@ -673,7 +660,7 @@ func (p *Portal) liveSocket(w http.ResponseWriter, r *http.Request) {
 	sub, err := p.obs.Network.SubscribeTopics(liveQueue, topics...)
 	if err != nil {
 		// Only a network already stopped refuses subscriptions.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	conn, err := ws.Upgrade(w, r)

@@ -15,15 +15,15 @@
 package portal
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"evop/internal/httpcond"
 	"evop/internal/metrics"
+	"evop/internal/rest"
 	"evop/internal/timeseries"
 )
 
@@ -81,7 +81,7 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 
 	points, err := parsePoints(q.Get("points"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	agg := q.Get("agg")
@@ -89,14 +89,14 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 	if rawStep := q.Get("step"); rawStep != "" {
 		step, err = time.ParseDuration(rawStep)
 		if err != nil || step <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad step: want a positive Go duration"})
+			rest.WriteError(w, http.StatusBadRequest, "bad step: want a positive Go duration")
 			return
 		}
 	}
 	var buckets int
 	if agg != "" {
 		if !validAgg(agg) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad agg: want mean, min, max, sum or count"})
+			rest.WriteError(w, http.StatusBadRequest, "bad agg: want mean, min, max, sum or count")
 			return
 		}
 		if !to.After(from) {
@@ -106,8 +106,8 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 			buckets = int((span + step - 1) / step)
 		}
 		if buckets > maxAggBuckets {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("window/step yields %d buckets, max %d", buckets, maxAggBuckets)})
+			rest.WriteError(w, http.StatusBadRequest,
+				fmt.Sprintf("window/step yields %d buckets, max %d", buckets, maxAggBuckets))
 			return
 		}
 	}
@@ -240,49 +240,13 @@ func aggPairs(aggs []timeseries.Aggregate, from time.Time, step time.Duration, a
 	return out
 }
 
-// streamFlotPairs writes a [[ms,value],...] JSON document straight from
-// the view through a fixed-size buffer: response memory is O(1) in the
-// window length, and the view is never copied.
+// streamFlotPairs writes obs as a 200 Flot document straight from the
+// view: response memory is O(1) in the window length, and the view is
+// never copied.
 func streamFlotPairs(w http.ResponseWriter, obs []timeseries.Observation) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriter(w)
-	_ = bw.WriteByte('[')
-	scratch := make([]byte, 0, 48)
-	for i := range obs {
-		if i > 0 {
-			_ = bw.WriteByte(',')
-		}
-		_, _ = bw.Write(appendFlotPair(scratch[:0], obs[i]))
-	}
-	_ = bw.WriteByte(']')
-	_ = bw.Flush()
-}
-
-// flotPairsJSON renders the same document into one byte slice, for
-// embedding a (small, downsampled) series inside a larger JSON response.
-func flotPairsJSON(obs []timeseries.Observation) []byte {
-	buf := make([]byte, 0, 2+24*len(obs))
-	buf = append(buf, '[')
-	for i := range obs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendFlotPair(buf, obs[i])
-	}
-	return append(buf, ']')
-}
-
-func appendFlotPair(buf []byte, o timeseries.Observation) []byte {
-	buf = append(buf, '[')
-	buf = strconv.AppendInt(buf, o.Time.UnixMilli(), 10)
-	buf = append(buf, ',')
-	if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
-		buf = append(buf, "null"...) // JSON has no NaN/Inf
-	} else {
-		buf = strconv.AppendFloat(buf, o.Value, 'g', -1, 64)
-	}
-	return append(buf, ']')
+	_ = timeseries.WriteFlot(w, obs) // status is sent; a failed write means the client left
 }
 
 // downsampledSeriesJSON fetches the last day of a sensor's readings as a
@@ -297,5 +261,7 @@ func (p *Portal) downsampledSeriesJSON(id string, at time.Time, points int) ([]b
 	p.series.downsampled.Inc()
 	p.series.downsampleIn.Add(uint64(len(view)))
 	p.series.downsampleOut.Add(uint64(len(out)))
-	return flotPairsJSON(out), nil
+	var buf bytes.Buffer
+	_ = timeseries.WriteFlot(&buf, out)
+	return buf.Bytes(), nil
 }

@@ -1,11 +1,14 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
 	"time"
+
+	"evop/internal/timeseries"
 )
 
 // seriesURL builds a /sensors/morland-level-1/series request over the
@@ -310,6 +313,30 @@ func TestFusionWithSeries(t *testing.T) {
 	code, _ = f.get(t, "/widgets/fusion?catchment=morland&points=banana")
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad points = %d, want 400", code)
+	}
+}
+
+// TestSeriesBodyIsWriteFlot checks the streamed series body is exactly
+// the timeseries Flot writer's document for the same window view.
+func TestSeriesBodyIsWriteFlot(t *testing.T) {
+	f := newFixture(t)
+	code, body := f.get(t, seriesURL(""))
+	if code != http.StatusOK {
+		t.Fatalf("series = %d %s", code, body)
+	}
+	view, err := f.obs.Network.HistoryView("morland-level-1", epoch, epoch.Add(3*time.Hour))
+	if err != nil {
+		t.Fatalf("HistoryView: %v", err)
+	}
+	if len(view) == 0 {
+		t.Fatal("empty window: nothing to compare")
+	}
+	var want bytes.Buffer
+	if err := timeseries.WriteFlot(&want, view); err != nil {
+		t.Fatalf("WriteFlot: %v", err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("series body differs from WriteFlot:\n got %s\nwant %s", body, want.Bytes())
 	}
 }
 

@@ -10,23 +10,64 @@ import (
 	"time"
 )
 
+const (
+	// maxFlotPair bounds one encoded pair plus its separator: '[', a
+	// 20-byte int64, ',', a 24-byte shortest float64, ']' and ','.
+	maxFlotPair = 48
+	// flotChunk is WriteFlot's scratch size and largest single write.
+	flotChunk = 4096
+)
+
+// appendFlotPair appends one [millis,value] pair. JSON has no NaN or
+// ±Inf, so those values are written as null, which Flot draws as a gap.
+func appendFlotPair(buf []byte, ms int64, v float64) []byte {
+	buf = append(buf, '[')
+	buf = strconv.AppendInt(buf, ms, 10)
+	buf = append(buf, ',')
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		buf = append(buf, "null"...)
+	} else {
+		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+	}
+	return append(buf, ']')
+}
+
 // FlotJSON encodes the series as the [[millis, value], ...] pair array the
 // Flot charting library consumes — the exact payload shape the EVOp portal
-// returned to its hydrograph widget. NaN samples are encoded as null,
-// which Flot renders as a line break.
+// returned to its hydrograph widget, NaN and ±Inf as null. The document
+// is built in one allocation; the error is always nil.
 func (s *Series) FlotJSON() ([]byte, error) {
-	pairs := make([][2]json.RawMessage, len(s.values))
+	buf := make([]byte, 0, 2+maxFlotPair*len(s.values))
+	buf = append(buf, '[')
 	for i, v := range s.values {
-		ms := strconv.FormatInt(s.TimeAt(i).UnixMilli(), 10)
-		var val string
-		if math.IsNaN(v) {
-			val = "null"
-		} else {
-			val = strconv.FormatFloat(v, 'g', -1, 64)
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		pairs[i] = [2]json.RawMessage{json.RawMessage(ms), json.RawMessage(val)}
+		buf = appendFlotPair(buf, s.TimeAt(i).UnixMilli(), v)
 	}
-	return json.Marshal(pairs)
+	return append(buf, ']'), nil
+}
+
+// WriteFlot writes obs to w as the same [[millis, value], ...] document
+// FlotJSON produces, through a fixed scratch buffer: memory is O(1) in
+// len(obs) and obs is never copied.
+func WriteFlot(w io.Writer, obs []Observation) error {
+	buf := make([]byte, 0, flotChunk)
+	buf = append(buf, '[')
+	for i, o := range obs {
+		if len(buf) >= flotChunk-maxFlotPair {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendFlotPair(buf, o.Time.UnixMilli(), o.Value)
+	}
+	_, err := w.Write(append(buf, ']'))
+	return err
 }
 
 // ParseFlotJSON decodes a [[millis, value], ...] payload into an Irregular

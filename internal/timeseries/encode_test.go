@@ -3,34 +3,151 @@ package timeseries
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// flotJSONReference is the original FlotJSON: one json.RawMessage pair
+// per point, then json.Marshal. It fails on ±Inf; on finite and NaN
+// samples FlotJSON must match it byte for byte.
+func flotJSONReference(s *Series) ([]byte, error) {
+	pairs := make([][2]json.RawMessage, s.Len())
+	for i, v := range s.Values() {
+		ms := strconv.FormatInt(s.TimeAt(i).UnixMilli(), 10)
+		val := "null"
+		if !math.IsNaN(v) {
+			val = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		pairs[i] = [2]json.RawMessage{json.RawMessage(ms), json.RawMessage(val)}
+	}
+	return json.Marshal(pairs)
+}
+
 func TestFlotJSONRoundTrip(t *testing.T) {
-	s := MustNew(t0, time.Hour, []float64{1.5, math.NaN(), 3})
-	data, err := s.FlotJSON()
-	if err != nil {
-		t.Fatalf("FlotJSON: %v", err)
+	tests := []struct {
+		name string
+		vals []float64
+	}{
+		{"finite and NaN", []float64{1.5, math.NaN(), 3}},
+		{"+Inf", []float64{1.5, math.Inf(1), 3}},
+		{"-Inf", []float64{1.5, math.Inf(-1), 3}},
 	}
-	if !strings.Contains(string(data), "null") {
-		t.Fatalf("NaN not encoded as null: %s", data)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustNew(t0, time.Hour, tc.vals)
+			data, err := s.FlotJSON()
+			if err != nil {
+				t.Fatalf("FlotJSON: %v", err)
+			}
+			if !strings.Contains(string(data), ",null]") {
+				t.Fatalf("non-finite sample not encoded as null: %s", data)
+			}
+			ir, err := ParseFlotJSON(data)
+			if err != nil {
+				t.Fatalf("ParseFlotJSON: %v", err)
+			}
+			if ir.Len() != 3 {
+				t.Fatalf("round-trip len = %d", ir.Len())
+			}
+			if got := ir.At(0); !got.Time.Equal(t0) || got.Value != 1.5 {
+				t.Fatalf("round-trip obs[0] = %+v", got)
+			}
+			if !math.IsNaN(ir.At(1).Value) {
+				t.Fatalf("round-trip null = %v, want NaN", ir.At(1).Value)
+			}
+			if got := ir.At(2).Value; got != 3 {
+				t.Fatalf("round-trip obs[2] = %v, want 3", got)
+			}
+		})
 	}
-	ir, err := ParseFlotJSON(data)
-	if err != nil {
-		t.Fatalf("ParseFlotJSON: %v", err)
+}
+
+// TestWriteFlotMatchesFlotJSON checks the streamed document across many
+// scratch-buffer flushes equals the one-shot encoding, that no write
+// exceeds the scratch size even when every pair has the widest possible
+// stamp and value, and that a write error surfaces.
+func TestWriteFlotMatchesFlotJSON(t *testing.T) {
+	typical := make([]float64, 10000)
+	for i := range typical {
+		typical[i] = math.Sin(float64(i)) * 1e3
 	}
-	if ir.Len() != 3 {
-		t.Fatalf("round-trip len = %d", ir.Len())
+	typical[7], typical[4000], typical[9999] = math.NaN(), math.Inf(1), math.Inf(-1)
+	widest := make([]float64, 1000)
+	for i := range widest {
+		widest[i] = -2.2250738585072014e-308
 	}
-	if got := ir.At(0); !got.Time.Equal(t0) || got.Value != 1.5 {
-		t.Fatalf("round-trip obs[0] = %+v", got)
+	for _, s := range []*Series{
+		MustNew(t0, time.Minute, typical),
+		MustNew(time.UnixMilli(math.MinInt64), time.Millisecond, widest),
+	} {
+		want, _ := s.FlotJSON()
+		if cap(want) > 2+maxFlotPair*s.Len() {
+			t.Fatalf("FlotJSON outgrew its %d-byte estimate", 2+maxFlotPair*s.Len())
+		}
+		var cw chunkWriter
+		if err := WriteFlot(&cw, seriesObs(s)); err != nil {
+			t.Fatalf("WriteFlot: %v", err)
+		}
+		if !bytes.Equal(cw.Bytes(), want) {
+			t.Fatal("WriteFlot document differs from FlotJSON")
+		}
+		if cw.largest > flotChunk {
+			t.Fatalf("WriteFlot wrote a %d-byte chunk, want at most %d", cw.largest, flotChunk)
+		}
 	}
-	if !math.IsNaN(ir.At(1).Value) {
-		t.Fatalf("round-trip null = %v, want NaN", ir.At(1).Value)
+	if err := WriteFlot(failWriter{}, []Observation{{Time: t0}}); err == nil {
+		t.Fatal("WriteFlot swallowed the write error")
+	}
+}
+
+// seriesObs lists a series' samples as observations.
+func seriesObs(s *Series) []Observation {
+	obs := make([]Observation, s.Len())
+	for i := range obs {
+		obs[i] = Observation{Time: s.TimeAt(i), Value: s.At(i)}
+	}
+	return obs
+}
+
+// chunkWriter records the largest single Write it receives.
+type chunkWriter struct {
+	bytes.Buffer
+	largest int
+}
+
+func (c *chunkWriter) Write(p []byte) (int, error) {
+	c.largest = max(c.largest, len(p))
+	return c.Buffer.Write(p)
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestFlotJSONAllocs pins FlotJSON to one fixed allocation count
+// whatever the series length (the per-point encoder it replaced made ~4
+// per sample).
+func TestFlotJSONAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = -1.2345678901234567e-300 * float64(i)
+		}
+		s := MustNew(t0, time.Minute, vals)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.FlotJSON(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(10000)
+	if small != large || large > 1 {
+		t.Fatalf("FlotJSON allocs = %.1f at 10 points, %.1f at 10,000; want the same count, at most 1", small, large)
 	}
 }
 
@@ -112,16 +229,23 @@ func TestSeriesUnmarshalErrors(t *testing.T) {
 }
 
 func TestFlotJSONPropertyRoundTrip(t *testing.T) {
-	// Property: FlotJSON -> ParseFlotJSON preserves every finite sample's
-	// time and value (to millisecond / float64 precision).
+	// Property: FlotJSON is byte-identical to the reference encoder, and
+	// FlotJSON -> ParseFlotJSON preserves every sample's time and value
+	// (NaN as NaN).
 	f := func(raw []int32) bool {
 		vals := make([]float64, len(raw))
 		for i, r := range raw {
 			vals[i] = float64(r) / 100
+			if r%7 == 0 {
+				vals[i] = math.NaN()
+			}
 		}
 		s := MustNew(t0, time.Minute, vals)
 		data, err := s.FlotJSON()
 		if err != nil {
+			return false
+		}
+		if want, err := flotJSONReference(s); err != nil || !bytes.Equal(data, want) {
 			return false
 		}
 		ir, err := ParseFlotJSON(data)
@@ -133,11 +257,20 @@ func TestFlotJSONPropertyRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < s.Len(); i++ {
 			o := ir.At(i)
-			if !o.Time.Equal(s.TimeAt(i)) || math.Abs(o.Value-s.At(i)) > 1e-9 {
+			if !o.Time.Equal(s.TimeAt(i)) {
+				return false
+			}
+			if v := s.At(i); math.IsNaN(v) != math.IsNaN(o.Value) || (!math.IsNaN(v) && o.Value != v) {
 				return false
 			}
 		}
 		return true
+	}
+	if !f(nil) {
+		t.Fatal("empty series: FlotJSON differs from the reference")
+	}
+	if data, _ := MustNew(t0, time.Minute, nil).FlotJSON(); string(data) != "[]" {
+		t.Fatalf("empty series = %q, want []", data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package timeseries
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +33,70 @@ func FuzzParseFlotJSON(f *testing.F) {
 		for i := 1; i < ir.Len(); i++ {
 			if ir.At(i).Time.Before(ir.At(i - 1).Time) {
 				t.Fatal("parsed observations out of order")
+			}
+		}
+	})
+}
+
+// FuzzFlotEncode is the Flot encoder's differential fuzzer: every 8 bytes
+// are one float64 bit pattern (NaN payloads, ±Inf, subnormals, ±0 all
+// reachable). The document must be valid JSON, parse back with every
+// finite value bit-exact and every non-finite one as NaN, and match the
+// reference encoder whenever the reference can encode it (no ±Inf).
+func FuzzFlotEncode(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		b := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(bits(1, 2.5, -3), uint16(60))
+	f.Add(bits(math.NaN(), math.Inf(1), math.Inf(-1)), uint16(1))
+	f.Add(bits(math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.MaxFloat64), uint16(65535))
+	f.Add([]byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, stepSec uint16) {
+		vals := make([]float64, len(data)/8)
+		finite := true
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			finite = finite && !math.IsInf(vals[i], 0)
+		}
+		s := MustNew(time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC), time.Duration(stepSec)*time.Second+time.Second, vals)
+		doc, err := s.FlotJSON()
+		if err != nil {
+			t.Fatalf("FlotJSON: %v", err)
+		}
+		if !json.Valid(doc) {
+			t.Fatalf("invalid JSON: %s", doc)
+		}
+		ir, err := ParseFlotJSON(doc)
+		if err != nil {
+			t.Fatalf("ParseFlotJSON: %v", err)
+		}
+		if ir.Len() != len(vals) {
+			t.Fatalf("parsed %d pairs, want %d", ir.Len(), len(vals))
+		}
+		for i, v := range vals {
+			o := ir.At(i)
+			if !o.Time.Equal(s.TimeAt(i)) {
+				t.Fatalf("pair %d time = %v, want %v", i, o.Time, s.TimeAt(i))
+			}
+			nonFinite := math.IsNaN(v) || math.IsInf(v, 0)
+			if nonFinite && !math.IsNaN(o.Value) {
+				t.Fatalf("pair %d: %v parsed as %v, want NaN", i, v, o.Value)
+			}
+			if !nonFinite && math.Float64bits(o.Value) != math.Float64bits(v) {
+				t.Fatalf("pair %d: %v parsed as %v", i, v, o.Value)
+			}
+		}
+		if finite {
+			want, err := flotJSONReference(s)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if !bytes.Equal(doc, want) {
+				t.Fatalf("FlotJSON %s, reference %s", doc, want)
 			}
 		}
 	})
