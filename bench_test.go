@@ -436,7 +436,7 @@ func BenchmarkBrokerChurn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	brk, err := broker.New(clk, broker.Options{Retention: 256})
+	brk, err := broker.New(clk, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func BenchmarkBrokerSessionsOn(b *testing.B) {
 		b.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
-	brk, err := broker.New(clk, broker.Options{})
+	brk, err := broker.New(clk, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 	if err := multi.EnableBreakers(resilience.BreakerConfig{Clock: clk, Metrics: reg}); err != nil {
 		b.Fatal(err)
 	}
-	brk, err := broker.New(clk, broker.Options{Retention: 256})
+	brk, err := broker.New(clk, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

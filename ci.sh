@@ -12,6 +12,10 @@ go vet ./...
 # Grep lint: one entry point per operation — no exported F beside
 # FContext, no NewX beside NewXWith… (allowlist in the script).
 ./tools/lint-api.sh
+# Grep lint: no config field only tests turn — every exported field of
+# an internal …Config/…Options/…Spec struct is set by a production
+# caller outside its declaring file (allowlist in the script).
+./tools/lint-knobs.sh
 go test -race -shuffle=on ./...
 # Benchmark module: perfbench/ is its own Go module (replace evop => ../),
 # so the root ./... never builds it, yet it compiles against the core,

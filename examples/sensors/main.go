@@ -17,6 +17,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/geo"
 	"evop/internal/ogc/sos"
+	"evop/internal/push"
 	"evop/internal/sensor"
 )
 
@@ -47,8 +48,11 @@ func run() error {
 	}
 
 	// Subscribe to the live feed before starting, then play 6 hours.
-	feed, unsubscribe := network.Subscribe()
-	defer unsubscribe()
+	feed, err := network.SubscribeTopics(64, push.TopicAllSensors)
+	if err != nil {
+		return fmt.Errorf("subscribing to the live feed: %w", err)
+	}
+	defer feed.Cancel()
 	network.Start()
 	defer network.Stop()
 	clk.Advance(6 * time.Hour)
@@ -56,7 +60,7 @@ func run() error {
 	fmt.Println("live feed (first 12 readings):")
 	for i := 0; i < 12; i++ {
 		select {
-		case r := <-feed:
+		case r := <-feed.C():
 			fmt.Printf("  %s  %-18s %-16s %8.2f %s\n",
 				r.Time.Format("15:04"), r.SensorID, r.Kind, r.Value, r.Kind.Unit())
 		default:

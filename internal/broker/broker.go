@@ -21,7 +21,7 @@
 //     SessionsOn() is O(sessions on that instance) — the Load Balancer
 //     calls it for every instance on every control tick.
 //   - Closed sessions are evicted from the live structures and retained
-//     only as snapshots in a bounded ring (Options.Retention), so a
+//     only as snapshots in a bounded ring (DefaultRetention), so a
 //     just-closed session still answers Session()/Subscribe() queries
 //     while long-dead ones stop costing memory.
 //   - The pending queue is deduplicated: a session is never enqueued
@@ -154,35 +154,19 @@ type Placer interface {
 	PlaceNow(service string) *cloud.Instance
 }
 
-// Defaults for Options.
+// Bounds of the broker's structures.
 const (
-	// DefaultRetention is how many closed-session snapshots are kept.
+	// DefaultRetention is how many recently closed sessions remain
+	// queryable via Session/Subscribe after Disconnect. Older closed
+	// sessions are forgotten entirely.
 	DefaultRetention = 1024
 	// DefaultSubscriberBuffer is the per-session push channel capacity.
 	DefaultSubscriberBuffer = 16
 )
 
-// Options tunes the broker's bounded structures. The zero value selects
-// the defaults.
-type Options struct {
-	// Retention is how many recently closed sessions remain queryable via
-	// Session/Subscribe after Disconnect. Older closed sessions are
-	// forgotten entirely. Negative disables retention; zero means
-	// DefaultRetention.
-	Retention int
-	// SubscriberBuffer is the capacity of each session's update channel.
-	// Zero means DefaultSubscriberBuffer; values below 1 are rejected.
-	SubscriberBuffer int
-	// Metrics, when non-nil, registers the broker's lifecycle counters
-	// and the session hub's fan-out instruments in the registry.
-	Metrics *metrics.Registry
-}
-
 // Broker is the Resource Broker.
 type Broker struct {
-	clk       clock.Clock
-	retention int
-	subBuf    int
+	clk clock.Clock
 
 	mu  sync.Mutex
 	seq int
@@ -225,31 +209,14 @@ type Broker struct {
 	closedTotal *metrics.Counter
 }
 
-// New returns a Broker on the given clock, configured by opts; the zero
-// Options gives the defaults.
-func New(clk clock.Clock, opts Options) (*Broker, error) {
+// New returns a Broker on the given clock. A non-nil reg registers the
+// broker's lifecycle counters and the session hub's fan-out instruments.
+func New(clk clock.Clock, reg *metrics.Registry) (*Broker, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadConfig)
 	}
-	retention := opts.Retention
-	switch {
-	case retention == 0:
-		retention = DefaultRetention
-	case retention < 0:
-		retention = 0
-	}
-	subBuf := opts.SubscriberBuffer
-	if subBuf == 0 {
-		subBuf = DefaultSubscriberBuffer
-	}
-	if subBuf < 1 {
-		return nil, fmt.Errorf("subscriber buffer %d: %w", opts.SubscriberBuffer, ErrBadConfig)
-	}
-	reg := opts.Metrics
 	b := &Broker{
 		clk:          clk,
-		retention:    retention,
-		subBuf:       subBuf,
 		sessions:     make(map[string]*Session),
 		live:         list.New(),
 		liveElem:     make(map[string]*list.Element),
@@ -257,10 +224,9 @@ func New(clk clock.Clock, opts Options) (*Broker, error) {
 		queued:       make(map[string]bool),
 		suspended:    make(map[string]bool),
 		retainedByID: make(map[string]*Session),
-		hub: push.NewHubWithMetrics[Update](
-			push.NewHubMetrics(reg, "sessions", push.DefaultShards)),
-		subs:  make(map[string]*push.Subscription[Update]),
-		bound: make(map[string]*cloud.Instance),
+		hub:          push.NewHub[Update](push.NewHubMetrics(reg, "sessions")),
+		subs:         make(map[string]*push.Subscription[Update]),
+		bound:        make(map[string]*cloud.Instance),
 		suspendedTotal: reg.Counter("evop_broker_sessions_suspended_total",
 			"Sessions suspended after losing their instance."),
 		closedTotal: reg.Counter("evop_broker_sessions_closed_total",
@@ -530,17 +496,14 @@ func (b *Broker) evictLocked(s *Session) {
 	}
 	// The pending queue may still hold the ID; AssignPending or the next
 	// compaction reclaims it (b.queued keeps dedupe coherent meanwhile).
-	if b.retention == 0 {
-		return
-	}
 	snap := *s
-	if len(b.retained) < b.retention {
+	if len(b.retained) < DefaultRetention {
 		b.retained = append(b.retained, s.ID)
 	} else {
 		oldest := b.retained[b.retainedHead]
 		delete(b.retainedByID, oldest)
 		b.retained[b.retainedHead] = s.ID
-		b.retainedHead = (b.retainedHead + 1) % b.retention
+		b.retainedHead = (b.retainedHead + 1) % DefaultRetention
 	}
 	b.retainedByID[s.ID] = &snap
 }
@@ -564,7 +527,7 @@ func (b *Broker) Subscribe(sessionID string) (<-chan Update, error) {
 	sub, ok := b.subs[sessionID]
 	if !ok {
 		var err error
-		sub, err = b.hub.Subscribe(b.subBuf, push.TopicSession(sessionID))
+		sub, err = b.hub.Subscribe(DefaultSubscriberBuffer, push.TopicSession(sessionID))
 		if err != nil {
 			return nil, fmt.Errorf("subscribe %s: %w", sessionID, err)
 		}

@@ -48,14 +48,14 @@ func droppedUpdates(reg *metrics.Registry) float64 {
 }
 
 func TestNewRequiresClock(t *testing.T) {
-	if _, err := New(nil, Options{}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("New(nil, Options{}) err = %v", err)
+	if _, err := New(nil, nil); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("New(nil, nil) err = %v", err)
 	}
 }
 
 func TestConnectImmediateAssignment(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 
@@ -79,7 +79,7 @@ func TestConnectImmediateAssignment(t *testing.T) {
 
 func TestConnectValidation(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	if _, err := b.Connect("", "svc"); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty user err = %v", err)
 	}
@@ -90,7 +90,7 @@ func TestConnectValidation(t *testing.T) {
 
 func TestConnectPendingThenAssign(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	placer := &fixedPlacer{} // nothing available yet
 	b.SetPlacer(placer)
 
@@ -125,7 +125,7 @@ func TestConnectPendingThenAssign(t *testing.T) {
 
 func TestSubscribeReceivesPushes(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	placer := &fixedPlacer{}
 	b.SetPlacer(placer)
 
@@ -181,7 +181,7 @@ func TestSubscribeReceivesPushes(t *testing.T) {
 
 func TestMigrateReleasesOldSlot(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst1 := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst1})
 	s, _ := b.Connect("dave", "topmodel")
@@ -200,7 +200,7 @@ func TestMigrateReleasesOldSlot(t *testing.T) {
 
 func TestSuspendRequeues(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("erin", "topmodel")
@@ -238,7 +238,7 @@ func TestSuspendRequeues(t *testing.T) {
 
 func TestDisconnectIdempotentAndErrors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("frank", "topmodel")
@@ -266,7 +266,7 @@ func TestDisconnectIdempotentAndErrors(t *testing.T) {
 
 func TestSessionsViews(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	var ids []string
@@ -295,7 +295,7 @@ func TestSessionsViews(t *testing.T) {
 func TestDroppedUpdatesCounted(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	b, _ := New(clk, Options{Metrics: reg})
+	b, _ := New(clk, reg)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("slow", "topmodel")
@@ -320,7 +320,7 @@ func TestDroppedUpdatesCounted(t *testing.T) {
 
 func TestSubscribeAfterDisconnect(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("gone", "topmodel")
@@ -345,14 +345,15 @@ func TestSubscribeAfterDisconnect(t *testing.T) {
 func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	b, err := New(clk, Options{Retention: 3, Metrics: reg})
+	b, err := New(clk, reg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
+	const closed = DefaultRetention + 5
 	var ids []string
-	for i := 0; i < 8; i++ {
+	for i := 0; i < closed; i++ {
 		s, _ := b.Connect("churn", "topmodel")
 		ids = append(ids, s.ID)
 		if err := b.Disconnect(s.ID); err != nil {
@@ -362,12 +363,12 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	if got := b.LiveCount(); got != 0 {
 		t.Fatalf("LiveCount = %d, want 0", got)
 	}
-	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != 8 {
-		t.Fatalf("sessions closed = %d, want 8", got)
+	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != closed {
+		t.Fatalf("sessions closed = %d, want %d", got, closed)
 	}
 	recent := b.RecentlyClosed()
-	if len(recent) != 3 {
-		t.Fatalf("RecentlyClosed = %d sessions, want 3", len(recent))
+	if len(recent) != DefaultRetention {
+		t.Fatalf("RecentlyClosed = %d sessions, want %d", len(recent), DefaultRetention)
 	}
 	for i, s := range recent {
 		if want := ids[5+i]; s.ID != want {
@@ -382,14 +383,14 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 		t.Fatalf("evicted Subscribe err = %v, want ErrNoSession", err)
 	}
 	// Retained ones are still idempotent to disconnect.
-	if err := b.Disconnect(ids[7]); err != nil {
+	if err := b.Disconnect(ids[closed-1]); err != nil {
 		t.Fatalf("Disconnect retained: %v", err)
 	}
 }
 
 func TestDoubleSuspendQueuesOnce(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	inst := testInstance(t, clk)
 	placer := &fixedPlacer{inst: inst}
 	b.SetPlacer(placer)
@@ -419,7 +420,7 @@ func TestDoubleSuspendQueuesOnce(t *testing.T) {
 
 func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk, Options{})
+	b, _ := New(clk, nil)
 	b.SetPlacer(&fixedPlacer{}) // no capacity: session queues
 	s, _ := b.Connect("eager", "topmodel")
 	ch, _ := b.Subscribe(s.ID)
@@ -463,7 +464,7 @@ func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	b, err := New(clk, Options{SubscriberBuffer: 4, Metrics: reg})
+	b, err := New(clk, reg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -473,9 +474,10 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	s, _ := b.Connect("slow", "topmodel")
 	ch, _ := b.Subscribe(s.ID)
 
-	// The subscriber stalls while the session migrates many times.
+	// The subscriber stalls while the session migrates many more times
+	// than its buffer holds.
 	var last *cloud.Instance
-	for i := 0; i < 20; i++ {
+	for i := 0; i < DefaultSubscriberBuffer+4; i++ {
 		last = instA
 		if i%2 == 0 {
 			last = instB
@@ -501,8 +503,8 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 		}
 		break
 	}
-	if n == 0 || n > 4 {
-		t.Fatalf("drained %d updates, want 1..4 (buffer size)", n)
+	if n == 0 || n > DefaultSubscriberBuffer {
+		t.Fatalf("drained %d updates, want 1..%d (buffer size)", n, DefaultSubscriberBuffer)
 	}
 	if final.Kind != UpdateMigrated {
 		t.Fatalf("final update kind = %v, want migrated", final.Kind)
@@ -512,7 +514,7 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	}
 
 	// A full buffer must not swallow the terminal close either.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultSubscriberBuffer+6; i++ {
 		target := instA
 		if i%2 == 0 {
 			target = instB
@@ -539,7 +541,7 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 func TestChurnKeepsMemoryBounded(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	b, err := New(clk, Options{Retention: 64, Metrics: reg})
+	b, err := New(clk, reg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -585,8 +587,8 @@ func TestChurnKeepsMemoryBounded(t *testing.T) {
 	}
 	b.mu.Unlock()
 	for name, size := range checks {
-		if size > len(live)+64 {
-			t.Errorf("%s holds %d entries after churn, want <= live(%d)+retention(64)", name, size, len(live))
+		if size > len(live)+DefaultRetention {
+			t.Errorf("%s holds %d entries after churn, want <= live(%d)+retention(%d)", name, size, len(live), DefaultRetention)
 		}
 	}
 	// SessionsOn walks only the instance's current sessions.
@@ -627,7 +629,7 @@ func TestStateAndKindStrings(t *testing.T) {
 func TestSuspendResumePushSequence(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	reg := metrics.NewRegistry(clk)
-	b, _ := New(clk, Options{Metrics: reg})
+	b, _ := New(clk, reg)
 	suspendedTotal := reg.Counter("evop_broker_sessions_suspended_total", "")
 	first := testInstance(t, clk)
 	placer := &fixedPlacer{inst: first}

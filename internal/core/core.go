@@ -59,6 +59,9 @@ var (
 	ErrUnknownCatchment = fmt.Errorf("core: unknown catchment (%w)", ErrBadConfig)
 )
 
+// runCacheSize bounds the model-run result cache (entries).
+const runCacheSize = 256
+
 // Config parameterises the observatory.
 type Config struct {
 	// Clock drives everything; required.
@@ -74,9 +77,6 @@ type Config struct {
 	// ForcingDays is the length of the standard forcing record each
 	// catchment carries.
 	ForcingDays int
-	// RunCacheSize bounds the model-run result cache (entries); 0 uses
-	// a default, negative is invalid.
-	RunCacheSize int
 	// Faults, when non-nil, wraps both clouds in deterministic fault
 	// injection (the public cloud uses Seed+1 so the two fault streams
 	// differ). Chaos experiments schedule outages and tune rates through
@@ -98,7 +98,6 @@ func DefaultConfig(clk clock.Clock) Config {
 		Flavor:          cloud.DefaultFlavor(),
 		LBInterval:      10 * time.Second,
 		ForcingDays:     120,
-		RunCacheSize:    256,
 	}
 }
 
@@ -117,8 +116,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("LB interval %v: %w", c.LBInterval, ErrBadConfig)
 	case c.ForcingDays < 2:
 		return fmt.Errorf("forcing days %d: %w", c.ForcingDays, ErrBadConfig)
-	case c.RunCacheSize < 0:
-		return fmt.Errorf("run cache size %d: %w", c.RunCacheSize, ErrBadConfig)
 	}
 	return nil
 }
@@ -185,10 +182,6 @@ func New(cfg Config) (*Observatory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cacheSize := cfg.RunCacheSize
-	if cacheSize == 0 {
-		cacheSize = 256
-	}
 	reg := metrics.NewRegistry(cfg.Clock)
 	o := &Observatory{
 		cfg:        cfg,
@@ -197,7 +190,7 @@ func New(cfg Config) (*Observatory, error) {
 		Assets:     rest.NewStore(),
 		forcings:   make(map[string]hydro.Forcing),
 		uploads:    make(map[string]*timeseries.Series),
-		runs:       runcache.New[*RunResult](cacheSize, reg),
+		runs:       runcache.New[*RunResult](runCacheSize, reg),
 		registry:   reg,
 		modelRunSeconds: reg.Histogram("evop_model_run_seconds",
 			"Uncached model simulation duration.", metrics.DurationScale),
@@ -270,7 +263,7 @@ func New(cfg Config) (*Observatory, error) {
 	if err := o.Multi.EnableBreakers(resilience.BreakerConfig{Clock: cfg.Clock, Metrics: reg}); err != nil {
 		return nil, fmt.Errorf("enabling circuit breakers: %w", err)
 	}
-	o.Broker, err = broker.New(cfg.Clock, broker.Options{Metrics: reg})
+	o.Broker, err = broker.New(cfg.Clock, reg)
 	if err != nil {
 		return nil, fmt.Errorf("building broker: %w", err)
 	}
@@ -330,7 +323,10 @@ func New(cfg Config) (*Observatory, error) {
 
 	// WPS: model execution processes. Async executions run as bulk-class
 	// tasks on the shared pool, bounded rather than goroutine-per-request.
-	o.WPS = wps.NewService("EVOp WPS", wps.Options{Metrics: reg, Pool: o.Sched})
+	o.WPS, err = wps.NewService("EVOp WPS", wps.Options{Metrics: reg, Pool: o.Sched})
+	if err != nil {
+		return nil, fmt.Errorf("building WPS: %w", err)
+	}
 	if err := o.WPS.Register(&modelProcess{obs: o, model: "topmodel"}); err != nil {
 		return nil, fmt.Errorf("registering topmodel process: %w", err)
 	}
@@ -533,7 +529,7 @@ func (o *Observatory) Forcing(catchmentID string) (hydro.Forcing, error) {
 // UploadDataset stores a user-provided hourly rainfall series under an
 // ID — the "scientists want to ... upload data, use it to run predictive
 // models" requirement (Section III-A). The series must be hourly,
-// non-empty and non-negative.
+// non-empty, finite and non-negative.
 func (o *Observatory) UploadDataset(id string, s *timeseries.Series) error {
 	if id == "" {
 		return fmt.Errorf("empty dataset id: %w", ErrBadConfig)
@@ -545,7 +541,7 @@ func (o *Observatory) UploadDataset(id string, s *timeseries.Series) error {
 		return fmt.Errorf("dataset %q step %v, want hourly: %w", id, s.Step(), ErrBadConfig)
 	}
 	for i := 0; i < s.Len(); i++ {
-		if v := s.At(i); v < 0 || math.IsNaN(v) {
+		if v := s.At(i); v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("dataset %q sample %d = %v: %w", id, i, v, ErrBadConfig)
 		}
 	}

@@ -591,6 +591,10 @@ func TestUploadDatasetValidation(t *testing.T) {
 	if err := o.UploadDataset("x", neg); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative err = %v", err)
 	}
+	inf := timeseries.MustNew(epochStart, time.Hour, []float64{1, math.Inf(1)})
+	if err := o.UploadDataset("x", inf); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("+Inf err = %v", err)
+	}
 	if _, err := o.Dataset("ghost"); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown dataset err = %v", err)
 	}

@@ -61,7 +61,7 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 		t.Fatalf("multi: %v", err)
 	}
 	reg := metrics.NewRegistry(clk)
-	brk, err := broker.New(clk, broker.Options{Metrics: reg})
+	brk, err := broker.New(clk, reg)
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}

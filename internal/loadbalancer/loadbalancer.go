@@ -39,7 +39,6 @@ import (
 	"evop/internal/cloud"
 	"evop/internal/cloud/crosscloud"
 	"evop/internal/metrics"
-	"evop/internal/resilience"
 )
 
 // ErrBadConfig indicates an invalid load balancer configuration.
@@ -59,46 +58,45 @@ type Config struct {
 	Flavor cloud.Flavor
 	// Interval is the control loop period.
 	Interval time.Duration
-	// HighCPUThreshold marks an instance suspect when CPU utilisation
-	// meets or exceeds it. Default 0.95.
-	HighCPUThreshold float64
 	// SuspectTicks is how many consecutive suspect observations trigger
 	// replacement. Default 3.
 	SuspectTicks int
-	// IdleTicks is how many consecutive idle (zero-session) observations
-	// allow an instance to be reclaimed. Default 3.
-	IdleTicks int
 	// MinInstances keeps a floor of warm instances (prewarming). Default
 	// 1.
 	MinInstances int
-	// TerminateBackoff schedules retries of failed Terminate calls (a
-	// failed termination is leaked cost until it succeeds). Zero fields
-	// default to base = Interval, factor 2, max = 16×Interval, no jitter.
-	TerminateBackoff resilience.Backoff
 	// Metrics, when non-nil, registers the LB's control-loop and
 	// robustness counters in the registry.
 	Metrics *metrics.Registry
 }
 
+// Fixed control-loop thresholds.
+const (
+	// highCPUThreshold marks an instance suspect when CPU utilisation
+	// meets or exceeds it.
+	highCPUThreshold = 0.95
+	// reclaimIdleTicks is how many consecutive idle (zero-session)
+	// observations allow an instance to be reclaimed.
+	reclaimIdleTicks = 3
+)
+
 func (c *Config) setDefaults() {
-	if c.HighCPUThreshold == 0 {
-		c.HighCPUThreshold = 0.95
-	}
 	if c.SuspectTicks == 0 {
 		c.SuspectTicks = 3
-	}
-	if c.IdleTicks == 0 {
-		c.IdleTicks = 3
 	}
 	if c.MinInstances == 0 {
 		c.MinInstances = 1
 	}
-	if c.TerminateBackoff.Base == 0 {
-		c.TerminateBackoff.Base = c.Interval
+}
+
+// terminateDelay is the wait before retry k (0-based) of a failed
+// Terminate call — a failed termination is leaked cost until it
+// succeeds: interval·2^k, capped at 16·interval.
+func terminateDelay(interval time.Duration, k int) time.Duration {
+	d := interval
+	for i := 0; i < k && d < 16*interval; i++ {
+		d *= 2
 	}
-	if c.TerminateBackoff.Max == 0 {
-		c.TerminateBackoff.Max = 16 * c.Interval
-	}
+	return d
 }
 
 // Validate checks the configuration.
@@ -114,8 +112,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("interval %v: %w", c.Interval, ErrBadConfig)
 	case c.Flavor.MaxSessions < 1:
 		return fmt.Errorf("flavor MaxSessions %d: %w", c.Flavor.MaxSessions, ErrBadConfig)
-	case c.HighCPUThreshold < 0 || c.HighCPUThreshold > 1:
-		return fmt.Errorf("cpu threshold %v: %w", c.HighCPUThreshold, ErrBadConfig)
 	}
 	return nil
 }
@@ -371,7 +367,7 @@ func (lb *LB) observeHealth() {
 		}
 		m := in.Snapshot()
 		suspect := false
-		if m.CPUUtil >= lb.cfg.HighCPUThreshold && m.Sessions < lb.cfg.Flavor.MaxSessions {
+		if m.CPUUtil >= highCPUThreshold && m.Sessions < lb.cfg.Flavor.MaxSessions {
 			// High CPU not explained by full session load.
 			suspect = true
 		}
@@ -487,7 +483,7 @@ func (lb *LB) tryTerminate(id, reason string, idle bool) bool {
 	lb.terminateFailures.Inc()
 	lb.termRetries[id] = &termRetry{
 		attempts: 1,
-		nextAt:   lb.cfg.Clock.Now().Add(lb.cfg.TerminateBackoff.Delay(0)),
+		nextAt:   lb.cfg.Clock.Now().Add(terminateDelay(lb.cfg.Interval, 0)),
 		reason:   reason,
 		idle:     idle,
 	}
@@ -556,7 +552,7 @@ func (lb *LB) retryTerminations() {
 		lb.mu.Lock()
 		lb.terminateFailures.Inc()
 		e.attempts++
-		e.nextAt = now.Add(lb.cfg.TerminateBackoff.Delay(e.attempts - 1))
+		e.nextAt = now.Add(terminateDelay(lb.cfg.Interval, e.attempts-1))
 		attempts := e.attempts
 		lb.mu.Unlock()
 		lb.record("terminate-failed", fmt.Sprintf("%s (%s, attempt %d): %v", id, e.reason, attempts, err))
@@ -639,7 +635,7 @@ func (lb *LB) privateSlot(service string) *cloud.Instance {
 	return nil
 }
 
-// scaleDown reclaims instances idle for IdleTicks consecutive ticks,
+// scaleDown reclaims instances idle for reclaimIdleTicks consecutive ticks,
 // public first (cost), respecting the warm floor.
 func (lb *LB) scaleDown() {
 	instances := lb.cfg.Multi.Instances()
@@ -665,7 +661,7 @@ func (lb *LB) scaleDown() {
 		}
 		lb.mu.Lock()
 		tr := lb.tracks[in.ID()]
-		idle := tr != nil && tr.idleTicks >= lb.cfg.IdleTicks
+		idle := tr != nil && tr.idleTicks >= reclaimIdleTicks
 		lb.mu.Unlock()
 		if !idle {
 			continue

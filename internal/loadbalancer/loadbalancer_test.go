@@ -52,7 +52,7 @@ func newHarness(t *testing.T, privateMax int, mutate func(*Config)) *harness {
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk, broker.Options{})
+	brk, err := broker.New(clk, nil)
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}
@@ -81,7 +81,7 @@ func (h *harness) settle(n int) {
 
 func TestConfigValidation(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	brk, _ := broker.New(clk, broker.Options{})
+	brk, _ := broker.New(clk, nil)
 	p, _ := cloud.NewProvider(cloud.Config{Name: "p", Kind: cloud.Private, MaxInstances: 1,
 		BootDelay: time.Second, AddrPrefix: "10.", Clock: clk})
 	multi, _ := crosscloud.New(nil, p)
@@ -95,7 +95,6 @@ func TestConfigValidation(t *testing.T) {
 		{"nil clock", func(c *Config) { c.Clock = nil }},
 		{"zero interval", func(c *Config) { c.Interval = 0 }},
 		{"zero sessions", func(c *Config) { c.Flavor.MaxSessions = 0 }},
-		{"bad threshold", func(c *Config) { c.HighCPUThreshold = 2 }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -421,6 +420,42 @@ func TestChaosNoSessionLost(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("session %s bound to dead instance %s", id, s.InstanceID)
+		}
+	}
+}
+
+// TestTerminateRetryBackoffGrowthAndCap pins the terminate-retry delays
+// at a 10 s control interval to the schedule exponential backoff with
+// base Interval, factor 2 and cap 16·Interval gives: the first retry
+// waits one interval, each later one doubles, and none waits past the
+// cap.
+func TestTerminateRetryBackoffGrowthAndCap(t *testing.T) {
+	const interval = 10 * time.Second
+	want := []time.Duration{
+		10 * time.Second, 20 * time.Second, 40 * time.Second, 80 * time.Second,
+		160 * time.Second, 160 * time.Second, 160 * time.Second, 160 * time.Second,
+		160 * time.Second,
+	}
+	for k, w := range want {
+		if got := terminateDelay(interval, k); got != w {
+			t.Fatalf("terminateDelay(10s, %d) = %v, want %v", k, got, w)
+		}
+	}
+	if got := terminateDelay(interval, -5); got != interval {
+		t.Fatalf("terminateDelay(10s, -5) = %v, want the interval", got)
+	}
+}
+
+// TestTerminateRetryBackoffBaseAndCapFollowInterval checks the delay's
+// base and cap scale with the control interval: the first retry waits
+// exactly Interval and a long run of failures settles at 16·Interval.
+func TestTerminateRetryBackoffBaseAndCapFollowInterval(t *testing.T) {
+	for _, interval := range []time.Duration{time.Second, 10 * time.Second, time.Minute} {
+		if got := terminateDelay(interval, 0); got != interval {
+			t.Fatalf("terminateDelay(%v, 0) = %v, want the interval", interval, got)
+		}
+		if got := terminateDelay(interval, 1000); got != 16*interval {
+			t.Fatalf("terminateDelay(%v, 1000) = %v, want cap %v", interval, got, 16*interval)
 		}
 	}
 }

@@ -113,34 +113,20 @@ type execution struct {
 	err     string
 }
 
-// DefaultMaxAsync bounds in-flight asynchronous executions when Options
-// leaves MaxAsync at zero. Before this bound existed every accepted
-// async Execute spawned an unbounded goroutine — a handful of misbehaving
-// widgets could pile up arbitrary concurrent model runs behind the
-// admission controller's back.
-const DefaultMaxAsync = 64
-
 // Options configures a WPS service beyond its title.
 type Options struct {
 	// Metrics receives the evop_wps_* instruments; nil keeps them private.
 	Metrics *metrics.Registry
-	// Pool, when non-nil, runs asynchronous executions as bulk-class
-	// tasks on the shared compute pool instead of dedicated goroutines.
-	// A pool-level ErrSaturated surfaces to the client as ServerBusy,
-	// exactly like the MaxAsync bound.
+	// Pool runs asynchronous executions as bulk-class tasks on the shared
+	// compute pool; required. Its async bound is the service's: when the
+	// pool answers ErrSaturated the client gets a ServerBusy exception.
 	Pool *sched.Pool
-	// MaxAsync bounds asynchronous executions that are accepted but not
-	// yet terminal; further async Execute requests are rejected with a
-	// ServerBusy exception. 0 means DefaultMaxAsync; negative means
-	// unbounded.
-	MaxAsync int
 }
 
 // Service is the WPS endpoint; it implements http.Handler.
 type Service struct {
-	title    string
-	pool     *sched.Pool
-	maxAsync int
+	title string
+	pool  *sched.Pool
 
 	// execCtx scopes asynchronous executions to the service's lifetime:
 	// Close cancels it, and ctx-observing processes stop promptly.
@@ -152,35 +138,30 @@ type Service struct {
 	order     []string
 	execSeq   int
 	execs     map[string]*execution
-	active    int // async executions accepted but not yet terminal
 	wg        sync.WaitGroup
 
 	// executions counts Execute requests accepted per delivery mode.
 	syncExecs  *metrics.Counter
 	asyncExecs *metrics.Counter
-	// rejected counts async Execute requests shed at the MaxAsync bound
-	// or by pool saturation.
+	// rejected counts async Execute requests shed by pool saturation.
 	rejected *metrics.Counter
-	// queueDepth mirrors active for scrapes.
+	// queueDepth counts async executions accepted but not yet terminal.
 	queueDepth *metrics.Gauge
 }
 
 var _ http.Handler = (*Service)(nil)
 
 // NewService returns an empty WPS service with the given title,
-// configured by opts; the zero Options gives the defaults with private
-// instruments.
-func NewService(title string, opts Options) *Service {
-	ctx, cancel := context.WithCancel(context.Background())
-	maxAsync := opts.MaxAsync
-	if maxAsync == 0 {
-		maxAsync = DefaultMaxAsync
+// configured by opts. A nil opts.Pool is an error.
+func NewService(title string, opts Options) (*Service, error) {
+	if opts.Pool == nil {
+		return nil, errors.New("wps: nil compute pool")
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	reg := opts.Metrics
 	return &Service{
 		title:      title,
 		pool:       opts.Pool,
-		maxAsync:   maxAsync,
 		execCtx:    ctx,
 		execCancel: cancel,
 		processes:  make(map[string]Process),
@@ -193,7 +174,7 @@ func NewService(title string, opts Options) *Service {
 			"Asynchronous WPS executions rejected at the concurrency bound."),
 		queueDepth: reg.Gauge("evop_wps_queue_depth",
 			"Asynchronous WPS executions accepted but not yet terminal."),
-	}
+	}, nil
 }
 
 // Register adds a process. Registering a duplicate identifier is an
@@ -432,30 +413,20 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 	}
 
 	s.mu.Lock()
-	if s.maxAsync >= 0 && s.active >= s.maxAsync {
-		n := s.active
-		s.mu.Unlock()
-		s.rejected.Inc()
-		writeException(w, http.StatusServiceUnavailable, "ServerBusy",
-			fmt.Sprintf("%d asynchronous executions in flight (max %d); retry later", n, s.maxAsync))
-		return
-	}
 	s.execSeq++
 	ex := &execution{
 		id:      "e" + strconv.Itoa(s.execSeq),
 		process: id,
 		status:  StatusAccepted,
 	}
-	s.execs[ex.id] = ex
-	s.active++
 	s.mu.Unlock()
-	s.queueDepth.Add(1)
 
 	// Asynchronous: the execution outlives the accepting request, so it
 	// runs under the service's lifecycle context, and the wg keeps it
 	// drainable — Wait/Drain block until every accepted execution has
 	// reached a terminal status.
 	s.wg.Add(1)
+	s.queueDepth.Add(1)
 	run := func() {
 		defer s.wg.Done()
 		defer s.queueDepth.Add(-1)
@@ -465,7 +436,6 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		outputs, err := p.Execute(s.execCtx, inputs)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.active--
 		if err != nil {
 			ex.status = StatusFailed
 			ex.err = err.Error()
@@ -474,25 +444,19 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		ex.status = StatusSucceeded
 		ex.outputs = outputs
 	}
-	if s.pool != nil {
-		if err := s.pool.TrySubmit(sched.ClassBulk, run); err != nil {
-			// Undo the registration: the execution never ran. The
-			// consumed sequence number is not reused — a concurrent
-			// accept may already hold a later one.
-			s.mu.Lock()
-			delete(s.execs, ex.id)
-			s.active--
-			s.mu.Unlock()
-			s.queueDepth.Add(-1)
-			s.wg.Done()
-			s.rejected.Inc()
-			writeException(w, http.StatusServiceUnavailable, "ServerBusy",
-				"compute pool saturated; retry later: "+err.Error())
-			return
-		}
-	} else {
-		go run()
+	if err := s.pool.TrySubmit(sched.ClassBulk, run); err != nil {
+		// The execution never ran and was never registered; the consumed
+		// sequence number is not reused.
+		s.queueDepth.Add(-1)
+		s.wg.Done()
+		s.rejected.Inc()
+		writeException(w, http.StatusServiceUnavailable, "ServerBusy",
+			"compute pool saturated; retry later: "+err.Error())
+		return
 	}
+	s.mu.Lock()
+	s.execs[ex.id] = ex
+	s.mu.Unlock()
 	s.asyncExecs.Inc()
 
 	writeXML(w, http.StatusOK, xmlExecuteResponse{

@@ -15,30 +15,34 @@ import (
 
 const asyncExec = "?service=WPS&request=Execute&identifier=add&storeExecuteResponse=true&datainputs="
 
-// TestAsyncBoundRejects pins the concurrency bound: past MaxAsync
-// in-flight executions, async Execute requests get a ServerBusy
-// exception instead of an unbounded goroutine.
+// TestAsyncBoundRejects pins the concurrency bound: on a one-worker pool
+// the pool's async bound (16 per worker) admits 16 in-flight executions,
+// and the 17th async Execute request gets a ServerBusy exception instead
+// of an unbounded goroutine.
 func TestAsyncBoundRejects(t *testing.T) {
+	const bound = 16
 	p := &addProcess{block: make(chan struct{})}
 	clk := clock.NewSimulated(time.Unix(0, 0))
 	reg := metrics.NewRegistry(clk)
-	svc := NewService("EVOp WPS", Options{Metrics: reg, MaxAsync: 1})
+	svc := newServiceOn(t, newPool(t, 1), reg)
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
 
-	code, body := get(t, srv.URL+asyncExec+url.QueryEscape("a=1;b=2"))
-	if code != http.StatusOK || !strings.Contains(body, "ProcessAccepted") {
-		t.Fatalf("first accept: %d\n%s", code, body)
+	for i := 1; i <= bound; i++ {
+		code, body := get(t, srv.URL+asyncExec+url.QueryEscape("a=1;b=2"))
+		if code != http.StatusOK || !strings.Contains(body, "ProcessAccepted") {
+			t.Fatalf("accept %d of %d: %d\n%s", i, bound, code, body)
+		}
 	}
-	code, body = get(t, srv.URL+asyncExec+url.QueryEscape("a=3;b=4"))
+	code, body := get(t, srv.URL+asyncExec+url.QueryEscape("a=3;b=4"))
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "ServerBusy") {
 		t.Fatalf("over-bound request: %d, want 503 ServerBusy\n%s", code, body)
 	}
-	if n := reg.Gauge("evop_wps_queue_depth", "").Value(); n != 1 {
-		t.Fatalf("queue depth = %d, want 1 (rejection must not register)", n)
+	if n := reg.Gauge("evop_wps_queue_depth", "").Value(); n != bound {
+		t.Fatalf("queue depth = %d, want %d (rejection must not register)", n, bound)
 	}
 
 	close(p.block)
@@ -63,15 +67,10 @@ func TestAsyncBoundRejects(t *testing.T) {
 	}
 }
 
-// TestAsyncRunsOnPool: with a compute pool configured, async executions
-// run as bulk-class pool tasks and still complete the normal lifecycle.
+// TestAsyncRunsOnPool: async executions run as bulk-class pool tasks and
+// complete the normal lifecycle.
 func TestAsyncRunsOnPool(t *testing.T) {
-	pool, err := sched.New(sched.Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("sched.New: %v", err)
-	}
-	t.Cleanup(pool.Close)
-	svc := NewService("EVOp WPS", Options{Pool: pool})
+	svc := newService(t, nil)
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -93,23 +92,22 @@ func TestAsyncRunsOnPool(t *testing.T) {
 }
 
 // TestAsyncPoolSaturationUnregisters: when the pool itself refuses the
-// task, the client sees ServerBusy and the half-registered execution is
-// rolled back — no orphan in the status table, no stuck WaitGroup.
+// task, the client sees ServerBusy and the execution is never
+// registered — no orphan in the status table, no stuck WaitGroup.
 func TestAsyncPoolSaturationUnregisters(t *testing.T) {
-	pool, err := sched.New(sched.Config{Workers: 1, MaxAsync: 1})
-	if err != nil {
-		t.Fatalf("sched.New: %v", err)
-	}
-	t.Cleanup(pool.Close)
+	pool := newPool(t, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	if err := pool.TrySubmit(sched.ClassBulk, func() { close(started); <-block }); err != nil {
 		t.Fatalf("blocker: %v", err)
 	}
 	<-started
+	// Fill the rest of the pool's async bound with queued blockers.
+	for pool.TrySubmit(sched.ClassBulk, func() { <-block }) == nil {
+	}
 
 	reg := metrics.NewRegistry(nil)
-	svc := NewService("EVOp WPS", Options{Pool: pool, Metrics: reg})
+	svc := newServiceOn(t, pool, reg)
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}

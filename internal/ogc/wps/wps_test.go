@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"evop/internal/metrics"
+	"evop/internal/sched"
 )
 
 // addProcess doubles a number; it can be made to fail or block.
@@ -58,9 +59,37 @@ func (p *addProcess) Execute(ctx context.Context, inputs map[string]string) (map
 	return map[string]string{"sum": strconv.FormatFloat(a+b, 'g', -1, 64)}, nil
 }
 
+// newService builds a service over a fresh two-worker pool; both are
+// torn down when the test ends.
+func newService(t *testing.T, reg *metrics.Registry) *Service {
+	t.Helper()
+	return newServiceOn(t, newPool(t, 2), reg)
+}
+
+// newServiceOn builds a service over pool.
+func newServiceOn(t *testing.T, pool *sched.Pool, reg *metrics.Registry) *Service {
+	t.Helper()
+	svc, err := NewService("EVOp WPS", Options{Metrics: reg, Pool: pool})
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	return svc
+}
+
+// newPool builds a compute pool closed when the test ends.
+func newPool(t *testing.T, workers int) *sched.Pool {
+	t.Helper()
+	pool, err := sched.New(sched.Config{Workers: workers})
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	t.Cleanup(pool.Close)
+	return pool
+}
+
 func newTestService(t *testing.T, procs ...Process) *httptest.Server {
 	t.Helper()
-	svc := NewService("EVOp WPS", Options{})
+	svc := newService(t, nil)
 	for _, p := range procs {
 		if err := svc.Register(p); err != nil {
 			t.Fatalf("Register: %v", err)
@@ -183,7 +212,7 @@ func TestExecuteAsyncLifecycle(t *testing.T) {
 func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 	p := &addProcess{block: make(chan struct{})}
 	reg := metrics.NewRegistry(nil)
-	svc := NewService("EVOp WPS", Options{Metrics: reg})
+	svc := newService(t, reg)
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -263,8 +292,14 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+func TestNewServiceRequiresPool(t *testing.T) {
+	if svc, err := NewService("t", Options{}); err == nil || svc != nil {
+		t.Fatalf("NewService without a pool = %v, %v; want an error", svc, err)
+	}
+}
+
 func TestRegisterValidation(t *testing.T) {
-	svc := NewService("t", Options{})
+	svc := newService(t, nil)
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}

@@ -131,26 +131,12 @@ type hubShardMetrics struct {
 	published, delivered, coalesced *metrics.Counter
 }
 
-// roundShards normalises a shard request onto the hub's power-of-two
-// stripe count.
-func roundShards(shards int) int {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	return n
-}
-
 // NewHubMetrics builds (or, registry permitting, retrieves) the
-// instruments for a hub named hub with the given stripe count. A nil
-// registry yields private, unregistered instruments.
-func NewHubMetrics(reg *metrics.Registry, hub string, shards int) *HubMetrics {
-	n := roundShards(shards)
+// instruments for a hub named hub, one set for each of its DefaultShards
+// stripes. A nil registry yields private, unregistered instruments.
+func NewHubMetrics(reg *metrics.Registry, hub string) *HubMetrics {
 	hm := &HubMetrics{
-		shards: make([]hubShardMetrics, n),
+		shards: make([]hubShardMetrics, DefaultShards),
 		publish: reg.Histogram("evop_push_publish_seconds",
 			"Publish-to-enqueue time of one hub publish across all its topics.",
 			metrics.DurationScale, metrics.L("hub", hub)),
@@ -188,18 +174,9 @@ func (hm *HubMetrics) shardSizes(i int) (topics, registrations int) {
 	return 0, 0
 }
 
-// NewHub returns a hub with shards lock stripes (rounded up to a power
-// of two; non-positive selects DefaultShards) and private, unregistered
-// instruments. Use NewHubWithMetrics to expose the counters in a
-// registry or carry them across hub generations.
-func NewHub[T any](shards int) *Hub[T] {
-	return NewHubWithMetrics[T](NewHubMetrics(nil, "", shards))
-}
-
-// NewHubWithMetrics returns a hub recording through hm; the stripe
-// count is hm's. Successive hubs built over the same HubMetrics share
-// cumulative counters.
-func NewHubWithMetrics[T any](hm *HubMetrics) *Hub[T] {
+// NewHub returns a hub recording through hm. Successive hubs built over
+// the same HubMetrics share cumulative counters.
+func NewHub[T any](hm *HubMetrics) *Hub[T] {
 	n := len(hm.shards)
 	h := &Hub[T]{shards: make([]shard[T], n), hm: hm, mask: uint32(n - 1)}
 	for i := range h.shards {

@@ -12,10 +12,13 @@ import (
 
 // newMeteredHub builds a hub whose instruments live in a fresh registry,
 // so tests read its counters the way /metrics does.
-func newMeteredHub(shards int) (*Hub[int], *metrics.Registry) {
+func newMeteredHub() (*Hub[int], *metrics.Registry) {
 	reg := metrics.NewRegistry(nil)
-	return NewHubWithMetrics[int](NewHubMetrics(reg, "test", shards)), reg
+	return NewHub[int](NewHubMetrics(reg, "test")), reg
 }
+
+// newHub builds a hub with private, unregistered instruments.
+func newHub[T any]() *Hub[T] { return NewHub[T](NewHubMetrics(nil, "")) }
 
 // hubTotal sums a per-shard hub series across shards.
 func hubTotal(reg *metrics.Registry, name string) float64 {
@@ -29,7 +32,7 @@ func hubTotal(reg *metrics.Registry, name string) float64 {
 }
 
 func TestTopicRouting(t *testing.T) {
-	h := NewHub[int](4)
+	h := newHub[int]()
 	a, err := h.Subscribe(8, TopicSensor("lvl-1"))
 	if err != nil {
 		t.Fatalf("Subscribe a: %v", err)
@@ -60,7 +63,7 @@ func TestTopicRouting(t *testing.T) {
 }
 
 func TestMultiTopicPublishDeliversOnce(t *testing.T) {
-	h := NewHub[int](8)
+	h := newHub[int]()
 	s, err := h.Subscribe(8, TopicSensor("lvl-1"), TopicCatchment("morland"), TopicAllSensors)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -80,7 +83,7 @@ func TestMultiTopicPublishDeliversOnce(t *testing.T) {
 }
 
 func TestCoalescingNewestWins(t *testing.T) {
-	h, reg := newMeteredHub(1)
+	h, reg := newMeteredHub()
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -119,7 +122,7 @@ func TestCoalescingNewestWins(t *testing.T) {
 }
 
 func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
-	h, reg := newMeteredHub(2)
+	h, reg := newMeteredHub()
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -146,7 +149,7 @@ func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
 }
 
 func TestCloseAll(t *testing.T) {
-	h := NewHub[string](2)
+	h := newHub[string]()
 	subs := make([]*Subscription[string], 0, 5)
 	for i := 0; i < 5; i++ {
 		s, err := h.Subscribe(2, fmt.Sprintf("t%d", i))
@@ -178,7 +181,7 @@ func TestCloseAll(t *testing.T) {
 }
 
 func TestSubscribeValidation(t *testing.T) {
-	h := NewHub[int](0) // defaults
+	h := newHub[int]()
 	if _, err := h.Subscribe(4); !errors.Is(err, ErrBadSubscription) {
 		t.Fatalf("no-topic err = %v", err)
 	}
@@ -199,13 +202,9 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestShardStriping(t *testing.T) {
-	h, reg := newMeteredHub(16)
-	if len(h.shards) != 16 {
-		t.Fatalf("shards = %d, want 16", len(h.shards))
-	}
-	// Rounding up to a power of two.
-	if got := len(NewHub[int](9).shards); got != 16 {
-		t.Fatalf("shards(9) = %d, want 16", got)
+	h, reg := newMeteredHub()
+	if len(h.shards) != DefaultShards {
+		t.Fatalf("shards = %d, want %d", len(h.shards), DefaultShards)
 	}
 	// Many topics must spread across more than one stripe.
 	for i := 0; i < 64; i++ {
@@ -228,7 +227,7 @@ func TestShardStriping(t *testing.T) {
 // consumer that drains concurrently with the publisher: whatever was
 // dropped, the final published value must be the last one readable.
 func TestNewestAlwaysDelivered(t *testing.T) {
-	h := NewHub[int](4)
+	h := newHub[int]()
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -271,7 +270,7 @@ func TestChurn10kSubscribers(t *testing.T) {
 		perWorker  = 1250 // 8 × 1250 = 10k subscriptions over the test
 		topicCount = 32
 	)
-	h, reg := newMeteredHub(DefaultShards)
+	h, reg := newMeteredHub()
 	stop := make(chan struct{})
 	var pubWG sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -335,7 +334,7 @@ func TestChurn10kSubscribers(t *testing.T) {
 // BenchmarkPushFanout measures one publisher fanning an event out to
 // 10k subscribers of a single topic (the acceptance workload).
 func BenchmarkPushFanout(b *testing.B) {
-	h := NewHub[int](DefaultShards)
+	h := newHub[int]()
 	const subscribers = 10000
 	for i := 0; i < subscribers; i++ {
 		if _, err := h.Subscribe(1, "flood"); err != nil {
@@ -354,7 +353,7 @@ func BenchmarkPushFanout(b *testing.B) {
 // BenchmarkPublishDisjointTopics exercises the lock striping: publishes
 // on different topics from parallel goroutines should not contend.
 func BenchmarkPublishDisjointTopics(b *testing.B) {
-	h := NewHub[int](DefaultShards)
+	h := newHub[int]()
 	const topics = 64
 	for i := 0; i < topics; i++ {
 		if _, err := h.Subscribe(1, TopicSensor(fmt.Sprintf("s%d", i))); err != nil {

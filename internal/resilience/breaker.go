@@ -1,3 +1,14 @@
+// Package resilience provides the failure-handling primitive under
+// EVOp's Infrastructure Manager: a per-dependency circuit breaker. Its
+// transitions derive from a clock.Clock, so every breaker trip is
+// exactly reproducible under the simulated clock. The package is
+// stdlib-only.
+//
+// The design follows the operational lessons of the hybrid-cloud EVO
+// deployment the paper builds on: IaaS control planes fail transiently
+// and sometimes for long stretches, so callers need a fast-fail switch
+// that diverts work to another provider while one is down. (Spaced
+// retries of failed terminations live in the load balancer.)
 package resilience
 
 import (

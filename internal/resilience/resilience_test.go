@@ -11,56 +11,6 @@ import (
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 
-func TestBackoffGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: 10 * time.Second, Factor: 2}
-	want := []time.Duration{
-		time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
-		10 * time.Second, 10 * time.Second,
-	}
-	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Fatalf("Delay(%d) = %v, want %v", attempt, got, w)
-		}
-	}
-	if got := b.Delay(-5); got != time.Second {
-		t.Fatalf("Delay(-5) = %v, want base", got)
-	}
-}
-
-func TestBackoffZeroValueDefaults(t *testing.T) {
-	var b Backoff
-	if got := b.Delay(0); got != DefaultBackoffBase {
-		t.Fatalf("zero-value Delay(0) = %v, want %v", got, DefaultBackoffBase)
-	}
-	if got := b.Delay(1000); got != DefaultBackoffMax {
-		t.Fatalf("zero-value Delay(1000) = %v, want cap %v", got, DefaultBackoffMax)
-	}
-}
-
-func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: time.Hour, Factor: 2, Jitter: 0.5, Seed: 42}
-	same := Backoff{Base: time.Second, Max: time.Hour, Factor: 2, Jitter: 0.5, Seed: 42}
-	other := Backoff{Base: time.Second, Max: time.Hour, Factor: 2, Jitter: 0.5, Seed: 43}
-	differs := false
-	for attempt := 0; attempt < 10; attempt++ {
-		d := b.Delay(attempt)
-		if d != same.Delay(attempt) {
-			t.Fatalf("same seed diverged at attempt %d", attempt)
-		}
-		if d != other.Delay(attempt) {
-			differs = true
-		}
-		nominal := float64(time.Second) * float64(int(1)<<attempt)
-		lo, hi := time.Duration(nominal*0.5), time.Duration(nominal*1.5)
-		if d < lo || d > hi {
-			t.Fatalf("Delay(%d) = %v outside [%v, %v]", attempt, d, lo, hi)
-		}
-	}
-	if !differs {
-		t.Fatal("different seeds produced an identical schedule")
-	}
-}
-
 func TestBreakerConfigValidation(t *testing.T) {
 	if _, err := NewBreaker(BreakerConfig{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil clock err = %v, want ErrBadConfig", err)

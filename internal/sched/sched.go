@@ -30,8 +30,8 @@
 //     outputs are written by index, so results are bit-identical to a
 //     sequential loop for any worker count.
 //   - TrySubmit runs one standalone task asynchronously, bounded by
-//     Config.MaxAsync; over-queue submissions are rejected with
-//     ErrSaturated rather than queued without limit.
+//     asyncPerWorker tasks per worker; over-queue submissions are
+//     rejected with ErrSaturated rather than queued without limit.
 //
 // Everything is stdlib-only and observable: evop_sched_tasks_total,
 // evop_sched_queue_depth, evop_sched_workers_busy and
@@ -84,14 +84,15 @@ func (c Class) String() string {
 	return "bulk"
 }
 
+// asyncPerWorker bounds queued-plus-running TrySubmit tasks per worker.
+// Batch work (ForEach/Map) is not counted — the submitting caller is
+// present and helping, so it is self-bounding.
+const asyncPerWorker = 16
+
 // Config parameterises a Pool.
 type Config struct {
 	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// MaxAsync bounds queued-plus-running TrySubmit tasks; 0 means
-	// 16 per worker. Batch work (ForEach/Map) is not counted — the
-	// submitting caller is present and helping, so it is self-bounding.
-	MaxAsync int
 	// Metrics receives the evop_sched_* instruments; nil keeps them
 	// private.
 	Metrics *metrics.Registry
@@ -109,8 +110,7 @@ type chunk struct {
 // Pool is the shared worker pool. All methods are safe for concurrent
 // use. The zero value is not usable; construct with New.
 type Pool struct {
-	workers  int
-	maxAsync int
+	workers int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -136,17 +136,9 @@ func New(cfg Config) (*Pool, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("workers=%d: %w", cfg.Workers, ErrBadConfig)
 	}
-	maxAsync := cfg.MaxAsync
-	if maxAsync == 0 {
-		maxAsync = 16 * workers
-	}
-	if maxAsync < 0 {
-		return nil, fmt.Errorf("maxAsync=%d: %w", cfg.MaxAsync, ErrBadConfig)
-	}
 	p := &Pool{
-		workers:  workers,
-		maxAsync: maxAsync,
-		queues:   make([][numClasses][]chunk, workers),
+		workers: workers,
+		queues:  make([][numClasses][]chunk, workers),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	reg := cfg.Metrics
@@ -191,8 +183,8 @@ func (p *Pool) isClosed() bool {
 
 // TrySubmit enqueues one standalone task to run asynchronously under the
 // given class. It never blocks: when queued-plus-running async tasks are
-// at the MaxAsync bound it returns ErrSaturated, and after Close it
-// returns ErrClosed. The caller observes completion through its own
+// at asyncPerWorker per worker it returns ErrSaturated, and after Close
+// it returns ErrClosed. The caller observes completion through its own
 // side effects (e.g. a WaitGroup inside fn).
 func (p *Pool) TrySubmit(class Class, fn func()) error {
 	if fn == nil {
@@ -206,10 +198,10 @@ func (p *Pool) TrySubmit(class Class, fn func()) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if p.async >= p.maxAsync {
+	if limit := asyncPerWorker * p.workers; p.async >= limit {
 		n := p.async
 		p.mu.Unlock()
-		return fmt.Errorf("%d async tasks pending (max %d): %w", n, p.maxAsync, ErrSaturated)
+		return fmt.Errorf("%d async tasks pending (max %d): %w", n, limit, ErrSaturated)
 	}
 	p.async++
 	p.pushLocked(chunk{fn: fn, lo: 0, hi: 1, class: class})

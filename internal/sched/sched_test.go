@@ -27,9 +27,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Workers: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Workers=-1: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := New(Config{MaxAsync: -1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("MaxAsync=-1: err = %v, want ErrBadConfig", err)
-	}
 	p := newPool(t, Config{})
 	if p.Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers = %d, want GOMAXPROCS = %d", p.Workers(), runtime.GOMAXPROCS(0))
@@ -266,7 +263,7 @@ func TestNestedForEachNoDeadlock(t *testing.T) {
 // worker pinned, queued model tasks run before bulk tasks that were
 // submitted earlier.
 func TestModelOutranksBulk(t *testing.T) {
-	p := newPool(t, Config{Workers: 1, MaxAsync: 16})
+	p := newPool(t, Config{Workers: 1})
 	block := make(chan struct{})
 	started := make(chan struct{})
 	if err := p.TrySubmit(ClassBulk, func() { close(started); <-block }); err != nil {
@@ -306,7 +303,7 @@ func TestModelOutranksBulk(t *testing.T) {
 }
 
 func TestTrySubmitBound(t *testing.T) {
-	p := newPool(t, Config{Workers: 1, MaxAsync: 2})
+	p := newPool(t, Config{Workers: 1})
 	if err := p.TrySubmit(ClassBulk, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil fn: err = %v, want ErrBadConfig", err)
 	}
@@ -320,11 +317,13 @@ func TestTrySubmitBound(t *testing.T) {
 		t.Fatalf("first: %v", err)
 	}
 	<-started
-	if err := p.TrySubmit(ClassBulk, func() {}); err != nil {
-		t.Fatalf("second: %v", err)
+	for i := 2; i <= asyncPerWorker; i++ {
+		if err := p.TrySubmit(ClassBulk, func() {}); err != nil {
+			t.Fatalf("task %d of %d: %v", i, asyncPerWorker, err)
+		}
 	}
 	if err := p.TrySubmit(ClassBulk, func() {}); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("third: err = %v, want ErrSaturated", err)
+		t.Fatalf("task %d: err = %v, want ErrSaturated", asyncPerWorker+1, err)
 	}
 	close(block)
 }
@@ -333,7 +332,7 @@ func TestTrySubmitBound(t *testing.T) {
 // task still runs, and after Close the pool's goroutines are gone.
 func TestPoolCloseDrainsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p, err := New(Config{Workers: 8, MaxAsync: 1024})
+	p, err := New(Config{Workers: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -234,23 +234,22 @@ func TestFrameRetentionRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
-	if err := n.SetFrameRetention(48); err != nil {
-		t.Fatalf("SetFrameRetention: %v", err)
-	}
 	if err := n.Add(camSensor("cam")); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	n.Start()
 	defer n.Stop()
 
-	clk.Advance(100 * time.Hour) // 100 hourly frames into a 48-slot ring
+	// 52 more hourly frames than the ring holds.
+	const frames = DefaultFrameRetention + 52
+	clk.Advance(frames * time.Hour)
 
 	latest, err := n.Latest("cam")
 	if err != nil {
 		t.Fatalf("Latest: %v", err)
 	}
-	if latest.Value != 100 {
-		t.Fatalf("Latest frame count = %v, want 100 (evictions must not reset it)", latest.Value)
+	if latest.Value != frames {
+		t.Fatalf("Latest frame count = %v, want %d (evictions must not reset it)", latest.Value, frames)
 	}
 
 	// The oldest retained frame is #53 (hour 53); asking for anything
@@ -264,7 +263,7 @@ func TestFrameRetentionRing(t *testing.T) {
 		t.Fatalf("FrameNearest(evicted) = %v, want oldest retained %v", f.Time, oldest)
 	}
 	// Mid-ring lookups land on the true nearest hour even after wrap.
-	for _, hour := range []int{53, 60, 77, 99, 100} {
+	for _, hour := range []int{53, 60, 77, frames - 1, frames} {
 		at := epoch.Add(time.Duration(hour)*time.Hour + 11*time.Minute)
 		f, err := n.FrameNearest("cam", at)
 		if err != nil {
@@ -275,21 +274,12 @@ func TestFrameRetentionRing(t *testing.T) {
 		}
 	}
 	// After the end, clamp to the newest frame.
-	f, err = n.FrameNearest("cam", epoch.Add(5000*time.Hour))
+	f, err = n.FrameNearest("cam", epoch.Add((frames+5000)*time.Hour))
 	if err != nil {
 		t.Fatalf("FrameNearest(future): %v", err)
 	}
-	if !f.Time.Equal(epoch.Add(100 * time.Hour)) {
+	if !f.Time.Equal(epoch.Add(frames * time.Hour)) {
 		t.Fatalf("FrameNearest(future) = %v, want newest", f.Time)
-	}
-
-	// Retention knobs are sealed once running, and bad values rejected.
-	if err := n.SetFrameRetention(10); !errors.Is(err, ErrBadSensor) {
-		t.Fatalf("SetFrameRetention while running = %v, want ErrBadSensor", err)
-	}
-	n2, _ := NewNetwork(clk, nil)
-	if err := n2.SetFrameRetention(0); !errors.Is(err, ErrBadSensor) {
-		t.Fatalf("SetFrameRetention(0) = %v, want ErrBadSensor", err)
 	}
 }
 

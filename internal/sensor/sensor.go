@@ -206,8 +206,8 @@ type Network struct {
 
 	// hub fans readings out to live subscribers. Every reading is
 	// published on its sensor topic, its catchment topic and the
-	// all-sensors firehose, so the portal's /ws/live endpoint and the
-	// plain Subscribe feed ride the same delivery path.
+	// all-sensors firehose; the portal's /ws/live endpoint and every
+	// in-process feed subscribe to it through SubscribeTopics.
 	hub *push.Hub[Reading]
 
 	// hubMetrics owns the hub's counters across hub generations (Stop
@@ -219,13 +219,12 @@ type Network struct {
 	// mu guards registration, lifecycle, the hub pointer and the
 	// network-wide newest reading. Per-sensor data lives on the shards;
 	// read queries take mu only briefly (RLock) to resolve id → shard.
-	mu         sync.RWMutex
-	sensors    map[string]Sensor
-	shards     map[string]*shard
-	order      []string
-	running    bool
-	stops      map[string]func() bool // sensor ID → its pending sample timer
-	frameLimit int
+	mu      sync.RWMutex
+	sensors map[string]Sensor
+	shards  map[string]*shard
+	order   []string
+	running bool
+	stops   map[string]func() bool // sensor ID → its pending sample timer
 	// newest is the most recent reading across the whole network,
 	// maintained on ingest so "what time is it, by the data?" queries
 	// (the portal's now-fallback on every series/fusion request) are O(1)
@@ -248,15 +247,14 @@ func NewNetwork(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadSensor)
 	}
-	hm := push.NewHubMetrics(reg, "sensors", push.DefaultShards)
+	hm := push.NewHubMetrics(reg, "sensors")
 	return &Network{
 		clk:        clk,
-		hub:        push.NewHubWithMetrics[Reading](hm),
+		hub:        push.NewHub[Reading](hm),
 		hubMetrics: hm,
 		sensors:    make(map[string]Sensor),
 		shards:     make(map[string]*shard),
 		stops:      make(map[string]func() bool),
-		frameLimit: DefaultFrameRetention,
 		seriesQueries: reg.Counter("evop_sensor_series_queries_total",
 			"Zero-copy series window views served."),
 		aggQueries: reg.Counter("evop_sensor_aggregate_queries_total",
@@ -292,22 +290,6 @@ func (n *Network) Add(s Sensor) error {
 		}
 	}
 	n.shards[s.ID] = sh
-	return nil
-}
-
-// SetFrameRetention bounds how many frames each webcam retains (oldest
-// evicted first). It must be called before Start; the default is
-// DefaultFrameRetention.
-func (n *Network) SetFrameRetention(frames int) error {
-	if frames < 1 {
-		return fmt.Errorf("frame retention %d: %w", frames, ErrBadSensor)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.running {
-		return fmt.Errorf("network already started: %w", ErrBadSensor)
-	}
-	n.frameLimit = frames
 	return nil
 }
 
@@ -378,14 +360,11 @@ func (n *Network) sample(id string) {
 	if err != nil {
 		return
 	}
-	n.mu.RLock()
-	limit := n.frameLimit
-	n.mu.RUnlock()
 	now := n.clk.Now()
 	var r Reading
 	sh.mu.Lock()
 	if s.Kind == Webcam {
-		sh.frames.push(Frame{SensorID: id, Time: now, Content: synthFrame(id, now)}, limit)
+		sh.frames.push(Frame{SensorID: id, Time: now, Content: synthFrame(id, now)}, DefaultFrameRetention)
 		r = Reading{SensorID: id, Kind: s.Kind, Time: now, Value: float64(sh.frames.total)}
 	} else {
 		r = Reading{SensorID: id, Kind: s.Kind, Time: now, Value: s.Driver(now)}
@@ -461,7 +440,8 @@ func synthFrame(id string, at time.Time) []byte {
 // Stop halts sampling and closes every subscriber channel, so feed
 // consumers observe end-of-stream instead of blocking forever on a dead
 // network. The network can be restarted: a fresh hub replaces the closed
-// one, and Subscribe works again (cumulative drop counts are preserved).
+// one, and SubscribeTopics works again (cumulative drop counts are
+// preserved).
 func (n *Network) Stop() {
 	n.mu.Lock()
 	n.running = false
@@ -470,41 +450,19 @@ func (n *Network) Stop() {
 	}
 	clear(n.stops)
 	old := n.hub
-	n.hub = push.NewHubWithMetrics[Reading](n.hubMetrics)
+	n.hub = push.NewHub[Reading](n.hubMetrics)
 	n.mu.Unlock()
 	// Close subscriptions outside n.mu: CloseAll takes per-subscription
 	// locks that publishers (which never hold n.mu) also take.
 	old.CloseAll()
 }
 
-// subscriberQueue is the per-subscriber buffer of the plain Subscribe
-// feed; ~an hour of the standard LEFT deployment's readings.
-const subscriberQueue = 64
-
-// Subscribe returns a channel receiving every new reading (all sensors)
-// and a function that unsubscribes, closing the channel. Slow
-// subscribers coalesce: the oldest queued reading is dropped so the
-// newest always arrives. Stop also closes the channel.
-func (n *Network) Subscribe() (<-chan Reading, func()) {
-	n.mu.RLock()
-	hub := n.hub
-	n.mu.RUnlock()
-	sub, err := hub.Subscribe(subscriberQueue, push.TopicAllSensors)
-	if err != nil {
-		// Only a concurrent Stop can close the hub mid-subscribe; hand
-		// back an already-closed feed, matching a subscribe that won the
-		// race and was immediately closed by Stop.
-		ch := make(chan Reading)
-		close(ch)
-		return ch, func() {}
-	}
-	return sub.C(), sub.Cancel
-}
-
 // SubscribeTopics returns a bounded subscription for explicit topics
 // (push.TopicSensor, push.TopicCatchment, push.TopicAllSensors) — the
 // portal's /ws/live endpoint builds on this. queue <= 0 selects the
-// hub default.
+// hub default. Slow subscribers coalesce: the oldest queued reading is
+// dropped so the newest always arrives. Stop closes every subscription;
+// after Stop, subscribe again for the restarted network's readings.
 func (n *Network) SubscribeTopics(queue int, topics ...string) (*push.Subscription[Reading], error) {
 	n.mu.RLock()
 	hub := n.hub
@@ -620,7 +578,7 @@ func (n *Network) AggregateSeries(id string, from time.Time, step time.Duration,
 // FrameNearest returns the webcam frame closest in time to t — the
 // primitive behind the paper's Fig. 5 widget pairing sensor readings with
 // "the corresponding webcam image taken roughly at the same time". Only
-// retained frames (see SetFrameRetention) are searched.
+// retained frames (see DefaultFrameRetention) are searched.
 func (n *Network) FrameNearest(id string, t time.Time) (Frame, error) {
 	s, sh, err := n.shardOf(id)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/geo"
 	"evop/internal/metrics"
+	"evop/internal/push"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -189,17 +190,28 @@ func TestStopHaltsSampling(t *testing.T) {
 	}
 }
 
+// subscribeAll subscribes to the all-sensors firehose with a 64-reading
+// queue, about an hour of the standard LEFT deployment's readings.
+func subscribeAll(t *testing.T, n *Network) *push.Subscription[Reading] {
+	t.Helper()
+	sub, err := n.SubscribeTopics(64, push.TopicAllSensors)
+	if err != nil {
+		t.Fatalf("SubscribeTopics: %v", err)
+	}
+	return sub
+}
+
 func TestSubscribeLiveFeed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	n, _ := NewNetwork(clk, nil)
 	n.Add(levelSensor("lvl"))
-	ch, cancel := n.Subscribe()
-	defer cancel()
+	sub := subscribeAll(t, n)
+	defer sub.Cancel()
 	n.Start()
 	defer n.Stop()
 	clk.Advance(15 * time.Minute)
 	select {
-	case r := <-ch:
+	case r := <-sub.C():
 		if r.SensorID != "lvl" || !r.Time.Equal(epoch.Add(15*time.Minute)) {
 			t.Fatalf("reading = %+v", r)
 		}
@@ -237,8 +249,8 @@ func TestSubscribeSlowConsumerDrops(t *testing.T) {
 	s := levelSensor("lvl")
 	s.Interval = time.Minute
 	n.Add(s)
-	ch, cancel := n.Subscribe() // never drained
-	defer cancel()
+	sub := subscribeAll(t, n) // never drained
+	defer sub.Cancel()
 	n.Start()
 	defer n.Stop()
 	clk.Advance(100 * time.Minute) // 100 readings into a 64-slot buffer
@@ -256,7 +268,7 @@ func TestSubscribeSlowConsumerDrops(t *testing.T) {
 	var last Reading
 	for drained := false; !drained; {
 		select {
-		case r := <-ch:
+		case r := <-sub.C():
 			last = r
 		default:
 			drained = true
@@ -277,11 +289,11 @@ func TestSubscribeStopCloses(t *testing.T) {
 	reg := metrics.NewRegistry(clk)
 	n, _ := NewNetwork(clk, reg)
 	n.Add(levelSensor("lvl"))
-	kept, cancelKept := n.Subscribe()
-	gone, cancelGone := n.Subscribe()
-	defer cancelKept()
-	cancelGone()
-	if _, ok := <-gone; ok {
+	kept := subscribeAll(t, n)
+	gone := subscribeAll(t, n)
+	defer kept.Cancel()
+	gone.Cancel()
+	if _, ok := <-gone.C(); ok {
 		t.Fatal("unsubscribed channel not closed")
 	}
 	if got := seriesValue(t, reg, subscribers); got != 1 {
@@ -292,11 +304,11 @@ func TestSubscribeStopCloses(t *testing.T) {
 	n.Stop()
 	// Drain the two buffered readings, then the channel must be closed.
 	for i := 0; i < 2; i++ {
-		if _, ok := <-kept; !ok {
+		if _, ok := <-kept.C(); !ok {
 			t.Fatalf("channel closed after %d readings, want 2 buffered", i)
 		}
 	}
-	if _, ok := <-kept; ok {
+	if _, ok := <-kept.C(); ok {
 		t.Fatal("subscriber channel not closed by Stop")
 	}
 	// The gauge follows the fresh hub Stop installs.
@@ -307,15 +319,15 @@ func TestSubscribeStopCloses(t *testing.T) {
 		t.Fatalf("pending timers after Stop = %d", clk.PendingTimers())
 	}
 	// Double-cancel after Stop must be safe.
-	cancelKept()
+	kept.Cancel()
 	// The network restarts cleanly: new subscriptions work and readings
 	// flow again.
-	ch2, cancel2 := n.Subscribe()
-	defer cancel2()
+	sub2 := subscribeAll(t, n)
+	defer sub2.Cancel()
 	n.Start()
 	defer n.Stop()
 	clk.Advance(15 * time.Minute)
-	if _, ok := <-ch2; !ok {
+	if _, ok := <-sub2.C(); !ok {
 		t.Fatal("no reading after restart")
 	}
 }

@@ -71,14 +71,6 @@ func (ir *Irregular) Add(o Observation) {
 	}
 }
 
-// Window returns a copy of the observations with Time in [from, to).
-func (ir *Irregular) Window(from, to time.Time) []Observation {
-	view := ir.WindowView(from, to)
-	out := make([]Observation, len(view))
-	copy(out, view)
-	return out
-}
-
 // WindowView returns the observations with Time in [from, to) as a
 // zero-copy view of the underlying storage. Callers must treat the view
 // as read-only. Because storage is append-only (out-of-order inserts
@@ -92,17 +84,6 @@ func (ir *Irregular) WindowView(from, to time.Time) []Observation {
 		hi = lo
 	}
 	return ir.obs[lo:hi:hi]
-}
-
-// WindowFunc calls fn for each observation with Time in [from, to), in
-// time order, without copying. Iteration stops early when fn returns
-// false.
-func (ir *Irregular) WindowFunc(from, to time.Time, fn func(Observation) bool) {
-	for _, o := range ir.WindowView(from, to) {
-		if !fn(o) {
-			return
-		}
-	}
 }
 
 // Nearest returns the observation closest in time to t. This is the
@@ -162,7 +143,7 @@ func (ir *Irregular) ToSeries(start time.Time, step time.Duration, n int, agg Ag
 		return nil, fmt.Errorf("timeseries: negative length %d: %w", n, ErrBadRange)
 	}
 	buckets := make([][]float64, n)
-	for _, o := range ir.Window(start, start.Add(time.Duration(n)*step)) {
+	for _, o := range ir.WindowView(start, start.Add(time.Duration(n)*step)) {
 		i := int(o.Time.Sub(start) / step)
 		buckets[i] = append(buckets[i], o.Value)
 	}

@@ -42,12 +42,12 @@ func TestIrregularAddKeepsOrder(t *testing.T) {
 
 func TestIrregularWindow(t *testing.T) {
 	ir := NewIrregular([]Observation{obsAt(0, 0), obsAt(10, 1), obsAt(20, 2), obsAt(30, 3)})
-	got := ir.Window(t0.Add(10*time.Minute), t0.Add(30*time.Minute))
+	got := ir.WindowView(t0.Add(10*time.Minute), t0.Add(30*time.Minute))
 	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
-		t.Fatalf("Window = %+v", got)
+		t.Fatalf("WindowView = %+v", got)
 	}
-	if got := ir.Window(t0.Add(time.Hour), t0.Add(2*time.Hour)); len(got) != 0 {
-		t.Fatalf("disjoint Window = %+v", got)
+	if got := ir.WindowView(t0.Add(time.Hour), t0.Add(2*time.Hour)); len(got) != 0 {
+		t.Fatalf("disjoint WindowView = %+v", got)
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// maxMessagePayload bounds the payload of every frame a Conn accepts.
+const maxMessagePayload = 1 << 20
+
 // Conn is an established WebSocket connection. One goroutine may read
 // (ReadMessage) while others write (WriteMessage is internally
 // serialised).
@@ -20,10 +23,9 @@ type Conn struct {
 	writeMu sync.Mutex
 	readMu  sync.Mutex
 
-	stateMu    sync.Mutex
-	closed     bool
-	closeSent  bool
-	maxPayload int64
+	stateMu   sync.Mutex
+	closed    bool
+	closeSent bool
 
 	// Stats counts wire traffic for the push-vs-poll experiment.
 	statsMu      sync.Mutex
@@ -36,19 +38,10 @@ type Conn struct {
 // newConn wraps an upgraded network connection.
 func newConn(nc net.Conn, isClient bool, seed int64) *Conn {
 	return &Conn{
-		nc:         nc,
-		isClient:   isClient,
-		rng:        rand.New(rand.NewSource(seed)),
-		maxPayload: 1 << 20,
+		nc:       nc,
+		isClient: isClient,
+		rng:      rand.New(rand.NewSource(seed)),
 	}
-}
-
-// SetMaxPayload bounds accepted message sizes (default 1 MiB; <=0 removes
-// the bound).
-func (c *Conn) SetMaxPayload(n int64) {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	c.maxPayload = n
 }
 
 // Stats reports cumulative wire traffic on this connection.
@@ -142,10 +135,9 @@ func (c *Conn) ReadMessage() (Message, error) {
 			c.stateMu.Unlock()
 			return Message{}, ErrClosed
 		}
-		limit := c.maxPayload
 		c.stateMu.Unlock()
 
-		f, err := readFrame(countingReader{c}, limit)
+		f, err := readFrame(countingReader{c}, maxMessagePayload)
 		if err != nil {
 			c.abort()
 			return Message{}, err

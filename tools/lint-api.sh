@@ -21,7 +21,6 @@ cd "$(dirname "$0")/.."
 
 allow='
 internal/core/core.go RunModelCached  the benchmark module (perfbench/) calls it by name
-internal/push/push.go NewHub          hides how HubMetrics is built; not a zero-value fill
 '
 
 # decls prints "dir<TAB>recv<TAB>name<TAB>file:line" for every exported
