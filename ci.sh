@@ -12,6 +12,13 @@ go vet ./...
 # Grep lint: one entry point per operation — no exported F beside
 # FContext, no NewX beside NewXWith… (allowlist in the script).
 ./tools/lint-api.sh
+# Grep lint: the portal streams every Flot document through the
+# timeseries writers; a FlotJSON document wrapped in a RawMessage is
+# buffered and re-compacted on every response.
+if grep -n -e 'FlotJSON(' -e 'json\.RawMessage(' internal/portal/*.go | grep -v '_test\.go:'; then
+	echo 'ci: internal/portal must stream Flot (WriteFlot), not call FlotJSON( or build json.RawMessage(' >&2
+	exit 1
+fi
 # Grep lint: no config field only tests turn — every exported field of
 # an internal …Config/…Options/…Spec struct is set by a production
 # caller outside its declaring file (allowlist in the script).

@@ -4,8 +4,12 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"evop/internal/admission"
+	"evop/internal/core"
 )
 
 // BenchmarkSeriesDegraded measures the series read path's overload
@@ -27,3 +31,56 @@ func BenchmarkSeriesDegraded(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelRunHandler measures a cached model-run answer through
+// Portal.ServeHTTP — middleware, admission, cache hit and the streamed
+// hydrograph — into a reused writer that discards the body, so B/op
+// and allocs/op are the portal's own cost per response.
+func BenchmarkModelRunHandler(b *testing.B) {
+	f := newFixtureWith(b, func(cfg *core.Config) {
+		// The simulated clock never refills the bucket: make the burst
+		// outlast any b.N.
+		cfg.Admission = &admission.Config{RatePerSecond: 1e9, Burst: 1e9}
+	})
+	const run = `{"catchment":"morland","model":"topmodel"}`
+	req := httptest.NewRequest(http.MethodPost, "/widgets/model/run", nil)
+	body := new(rewindBody)
+	w := &discardWriter{header: make(http.Header)}
+	serve := func() {
+		body.Reset(run)
+		req.Body = body
+		w.status = 0
+		f.p.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status = %d", w.status)
+		}
+	}
+	serve() // the miss that fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	if c := w.header.Get("X-Cache"); c != "hit" {
+		b.Fatalf("X-Cache = %q, want hit", c)
+	}
+}
+
+// rewindBody is a request body a benchmark rewinds between iterations.
+type rewindBody struct{ strings.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// discardWriter is a reusable ResponseWriter that keeps the status and
+// headers and drops the body.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+
+func (d *discardWriter) WriteHeader(code int) { d.status = code }
+
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -226,8 +226,18 @@ func TestClientDisconnectAbandonsModelRun(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("simulation kept running after its only client disconnected")
 	}
-	if got := f.scrape(t).value(t, "evop_runcache_canceled_total"); got < 1 {
-		t.Fatalf("cache canceled = %v, want >= 1", got)
+	// The abandoned waiter counts itself just after cancelling the
+	// flight, so the counter may trail flightCanceled by a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := f.scrape(t).value(t, "evop_runcache_canceled_total")
+		if got >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cache canceled = %v, want >= 1", got)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -327,21 +327,25 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 		rest.WriteJSON(w, http.StatusOK, fused)
 		return
 	}
-	tempSeries, err := p.downsampledSeriesJSON(cid+"-temp-1", at, points)
+	temp, err := p.downsampledSeries(cid+"-temp-1", at, points)
 	if err != nil {
 		writeSensorErr(w, err)
 		return
 	}
-	turbSeries, err := p.downsampledSeriesJSON(cid+"-turb-1", at, points)
+	turb, err := p.downsampledSeries(cid+"-turb-1", at, points)
 	if err != nil {
 		writeSensorErr(w, err)
 		return
 	}
-	rest.WriteJSON(w, http.StatusOK, struct {
-		sensor.FusedSample
-		TemperatureSeries json.RawMessage `json:"temperatureSeries"`
-		TurbiditySeries   json.RawMessage `json:"turbiditySeries"`
-	}{fused, tempSeries, turbSeries})
+	fields, err := json.Marshal(fused)
+	if err != nil {
+		rest.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeFlotObject(w, nil, fields, []flotMember{
+		{"temperatureSeries", func(out io.Writer) error { return timeseries.WriteFlot(out, temp) }},
+		{"turbiditySeries", func(out io.Writer) error { return timeseries.WriteFlot(out, turb) }},
+	})
 }
 
 // scenarios lists the widget's preset buttons.
@@ -487,21 +491,22 @@ func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cache", outcome.String())
 		res = fresh
 	}
-	flot, err := res.Discharge.FlotJSON()
+	// The body's members go out in sorted key order: "hydrograph" first,
+	// then these, as declared.
+	summary, err := json.Marshal(struct {
+		Model       string    `json:"model"`
+		PeakAt      time.Time `json:"peakAt"`
+		PeakMM      float64   `json:"peakMm"`
+		RunoffRatio float64   `json:"runoffRatio"`
+		Scenario    string    `json:"scenario"`
+		StormPeakMM float64   `json:"stormPeakMm"`
+		VolumeMM    float64   `json:"volumeMm"`
+	}{res.Model, res.PeakAt, res.PeakMM, res.RunoffRatio, res.Scenario, res.StormPeakMM, res.VolumeMM})
 	if err != nil {
 		rest.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	rest.WriteJSON(w, http.StatusOK, map[string]any{
-		"hydrograph":  json.RawMessage(flot),
-		"peakMm":      res.PeakMM,
-		"peakAt":      res.PeakAt,
-		"volumeMm":    res.VolumeMM,
-		"runoffRatio": res.RunoffRatio,
-		"stormPeakMm": res.StormPeakMM,
-		"model":       res.Model,
-		"scenario":    res.Scenario,
-	})
+	writeFlotObject(w, []flotMember{{"hydrograph", res.Discharge.WriteFlot}}, summary, nil)
 }
 
 // sessionConnect opens a broker session without a WebSocket (the polling

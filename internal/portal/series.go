@@ -15,8 +15,8 @@
 package portal
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -249,10 +249,53 @@ func streamFlotPairs(w http.ResponseWriter, obs []timeseries.Observation) {
 	_ = timeseries.WriteFlot(w, obs) // status is sent; a failed write means the client left
 }
 
-// downsampledSeriesJSON fetches the last day of a sensor's readings as a
-// rendered, downsampled Flot document — the fusion widget's sparkline
-// payload.
-func (p *Portal) downsampledSeriesJSON(id string, at time.Time, points int) ([]byte, error) {
+// flotMember is a JSON object member whose value is a Flot document
+// that write streams.
+type flotMember struct {
+	key   string
+	write func(io.Writer) error
+}
+
+// writeFlotObject answers 200 with one JSON object: the Flot members
+// head, the members of fields, then the Flot members tail. fields is a
+// marshalled, non-empty object, so a marshal error can still be answered
+// 500 before the status is sent. Each Flot document streams through
+// timeseries' fixed chunk, never buffered whole or re-compacted. The
+// body ends in '\n', as rest.WriteJSON's does.
+func writeFlotObject(w http.ResponseWriter, head []flotMember, fields []byte, tail []flotMember) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// text holds the JSON between two Flot documents. The status is sent,
+	// so a failed write means the client left and ends the body.
+	text := make([]byte, 0, len(fields)+64)
+	text = append(text, '{')
+	stream := func(m flotMember) error {
+		text = append(append(append(text, '"'), m.key...), '"', ':')
+		if _, err := w.Write(text); err != nil {
+			return err
+		}
+		text = text[:0]
+		return m.write(w)
+	}
+	for _, m := range head {
+		if stream(m) != nil {
+			return
+		}
+		text = append(text, ',')
+	}
+	text = append(text, fields[1:len(fields)-1]...)
+	for _, m := range tail {
+		text = append(text, ',')
+		if stream(m) != nil {
+			return
+		}
+	}
+	_, _ = w.Write(append(text, '}', '\n'))
+}
+
+// downsampledSeries fetches the last day of a sensor's readings,
+// downsampled to at most points — the fusion widget's sparkline.
+func (p *Portal) downsampledSeries(id string, at time.Time, points int) ([]timeseries.Observation, error) {
 	view, err := p.obs.Network.HistoryView(id, at.Add(-24*time.Hour), at.Add(time.Nanosecond))
 	if err != nil {
 		return nil, err
@@ -261,7 +304,5 @@ func (p *Portal) downsampledSeriesJSON(id string, at time.Time, points int) ([]b
 	p.series.downsampled.Inc()
 	p.series.downsampleIn.Add(uint64(len(view)))
 	p.series.downsampleOut.Add(uint64(len(out)))
-	var buf bytes.Buffer
-	_ = timeseries.WriteFlot(&buf, out)
-	return buf.Bytes(), nil
+	return out, nil
 }

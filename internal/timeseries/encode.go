@@ -48,13 +48,31 @@ func (s *Series) FlotJSON() ([]byte, error) {
 	return append(buf, ']'), nil
 }
 
+// WriteFlot writes the series to w as the document FlotJSON returns,
+// through the same fixed scratch chunk as the package-level WriteFlot:
+// memory is O(1) in the series length.
+func (s *Series) WriteFlot(w io.Writer) error {
+	return writeFlot(w, len(s.values), func(i int) (int64, float64) {
+		return s.TimeAt(i).UnixMilli(), s.values[i]
+	})
+}
+
 // WriteFlot writes obs to w as the same [[millis, value], ...] document
 // FlotJSON produces, through a fixed scratch buffer: memory is O(1) in
 // len(obs) and obs is never copied.
 func WriteFlot(w io.Writer, obs []Observation) error {
+	return writeFlot(w, len(obs), func(i int) (int64, float64) {
+		return obs[i].Time.UnixMilli(), obs[i].Value
+	})
+}
+
+// writeFlot is both writers' chunk loop: the n pairs pair(0..n-1) go
+// to w in writes of at most flotChunk bytes. It returns the first write
+// error and writes nothing after it.
+func writeFlot(w io.Writer, n int, pair func(i int) (int64, float64)) error {
 	buf := make([]byte, 0, flotChunk)
 	buf = append(buf, '[')
-	for i, o := range obs {
+	for i := 0; i < n; i++ {
 		if len(buf) >= flotChunk-maxFlotPair {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -64,7 +82,8 @@ func WriteFlot(w io.Writer, obs []Observation) error {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendFlotPair(buf, o.Time.UnixMilli(), o.Value)
+		ms, v := pair(i)
+		buf = appendFlotPair(buf, ms, v)
 	}
 	_, err := w.Write(append(buf, ']'))
 	return err

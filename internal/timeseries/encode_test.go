@@ -67,10 +67,10 @@ func TestFlotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteFlotMatchesFlotJSON checks the streamed document across many
-// scratch-buffer flushes equals the one-shot encoding, that no write
-// exceeds the scratch size even when every pair has the widest possible
-// stamp and value, and that a write error surfaces.
+// TestWriteFlotMatchesFlotJSON checks both streamed documents, across
+// many scratch-buffer flushes, equal the one-shot encoding, and that no
+// write exceeds the scratch size even when every pair has the widest
+// possible stamp and value.
 func TestWriteFlotMatchesFlotJSON(t *testing.T) {
 	typical := make([]float64, 10000)
 	for i := range typical {
@@ -89,19 +89,52 @@ func TestWriteFlotMatchesFlotJSON(t *testing.T) {
 		if cap(want) > 2+maxFlotPair*s.Len() {
 			t.Fatalf("FlotJSON outgrew its %d-byte estimate", 2+maxFlotPair*s.Len())
 		}
-		var cw chunkWriter
-		if err := WriteFlot(&cw, seriesObs(s)); err != nil {
-			t.Fatalf("WriteFlot: %v", err)
-		}
-		if !bytes.Equal(cw.Bytes(), want) {
-			t.Fatal("WriteFlot document differs from FlotJSON")
-		}
-		if cw.largest > flotChunk {
-			t.Fatalf("WriteFlot wrote a %d-byte chunk, want at most %d", cw.largest, flotChunk)
+		for name, write := range flotWriters(s) {
+			var cw chunkWriter
+			if err := write(&cw); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(cw.Bytes(), want) {
+				t.Fatalf("%s document differs from FlotJSON", name)
+			}
+			if cw.largest > flotChunk {
+				t.Fatalf("%s wrote a %d-byte chunk, want at most %d", name, cw.largest, flotChunk)
+			}
 		}
 	}
-	if err := WriteFlot(failWriter{}, []Observation{{Time: t0}}); err == nil {
-		t.Fatal("WriteFlot swallowed the write error")
+}
+
+// TestWriteFlotStopsAtFirstError checks both writers return the first
+// write error as is and write nothing after it, wherever in the
+// document it strikes.
+func TestWriteFlotStopsAtFirstError(t *testing.T) {
+	vals := make([]float64, 2000)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i)) * 1e3
+	}
+	s := MustNew(t0, time.Minute, vals)
+	all := failWriter{failAt: math.MaxInt}
+	if err := s.WriteFlot(&all); err != nil {
+		t.Fatalf("WriteFlot: %v", err)
+	}
+	for name, write := range flotWriters(s) {
+		for failAt := 1; failAt <= all.writes; failAt++ {
+			fw := failWriter{failAt: failAt}
+			if err := write(&fw); err != io.ErrClosedPipe {
+				t.Fatalf("%s failing at write %d: err = %v, want %v", name, failAt, err, io.ErrClosedPipe)
+			}
+			if fw.writes != failAt {
+				t.Fatalf("%s failing at write %d: %d writes, want none after the error", name, failAt, fw.writes)
+			}
+		}
+	}
+}
+
+// flotWriters names the two streaming encoders of s's document.
+func flotWriters(s *Series) map[string]func(io.Writer) error {
+	return map[string]func(io.Writer) error{
+		"Series.WriteFlot": s.WriteFlot,
+		"WriteFlot":        func(w io.Writer) error { return WriteFlot(w, seriesObs(s)) },
 	}
 }
 
@@ -125,9 +158,19 @@ func (c *chunkWriter) Write(p []byte) (int, error) {
 	return c.Buffer.Write(p)
 }
 
-type failWriter struct{}
+// failWriter fails its failAt-th Write and every one after it,
+// counting them all.
+type failWriter struct {
+	failAt, writes int
+}
 
-func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+func (f *failWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes >= f.failAt {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
 
 // TestFlotJSONAllocs pins FlotJSON to one fixed allocation count
 // whatever the series length (the per-point encoder it replaced made ~4

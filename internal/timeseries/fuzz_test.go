@@ -43,6 +43,7 @@ func FuzzParseFlotJSON(f *testing.F) {
 // reachable). The document must be valid JSON, parse back with every
 // finite value bit-exact and every non-finite one as NaN, and match the
 // reference encoder whenever the reference can encode it (no ±Inf).
+// Series.WriteFlot must stream the same bytes.
 func FuzzFlotEncode(f *testing.F) {
 	bits := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
@@ -69,6 +70,13 @@ func FuzzFlotEncode(f *testing.F) {
 		}
 		if !json.Valid(doc) {
 			t.Fatalf("invalid JSON: %s", doc)
+		}
+		var streamed bytes.Buffer
+		if err := s.WriteFlot(&streamed); err != nil {
+			t.Fatalf("WriteFlot: %v", err)
+		}
+		if !bytes.Equal(streamed.Bytes(), doc) {
+			t.Fatalf("WriteFlot %s, FlotJSON %s", streamed.Bytes(), doc)
 		}
 		ir, err := ParseFlotJSON(doc)
 		if err != nil {
