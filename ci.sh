@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")"
 go vet ./...
+# Format gate: every Go file in the tree, the benchmark module included,
+# is gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo 'ci: gofmt -l lists unformatted files:' >&2
+	printf '%s\n' "$unformatted" >&2
+	exit 1
+fi
 # Grep lint: operational counters must live in the unified metrics
 # registry, not as raw atomics or hand-built *Metrics snapshot structs
 # scattered across packages.

@@ -12,11 +12,16 @@
 //
 // # Session bookkeeping
 //
-// The broker keeps memory O(live + recently closed), not O(every session
+// Each live (Pending or Active) session has one record holding its
+// snapshot, its bound instance, its push subscription and its queue
+// flags, so there is no set of parallel indices to keep in step. One
+// bind path (Connect, AssignPending, Migrate) and one unbind path
+// (Migrate, Suspend, Disconnect) move a record between states. The
+// broker keeps memory O(live + recently closed), not O(every session
 // ever created):
 //
-//   - Live (Pending or Active) sessions sit in an insertion-ordered list,
-//     so Sessions() is O(live).
+//   - Live sessions sit in an insertion-ordered list, so Sessions() is
+//     O(live).
 //   - Active sessions are additionally indexed per instance, so
 //     SessionsOn() is O(sessions on that instance) — the Load Balancer
 //     calls it for every instance on every control tick.
@@ -25,7 +30,8 @@
 //     just-closed session still answers Session()/Subscribe() queries
 //     while long-dead ones stop costing memory.
 //   - The pending queue is deduplicated: a session is never enqueued
-//     twice, and PendingCount() is O(1).
+//     twice. PendingCount(), SuspendedCount() and the
+//     evop_sessions{state} gauges are O(1) counts.
 //
 // Push delivery rides the internal/push hub on per-session topics and
 // coalesces per session: when a subscriber falls behind, the oldest
@@ -172,61 +178,62 @@ type Broker struct {
 	seq int
 	// sessions holds live (Pending or Active) sessions only; closed
 	// sessions move to the retention ring.
-	sessions map[string]*Session
-	// live orders live sessions by creation; elements hold *Session.
-	live     *list.List
-	liveElem map[string]*list.Element
+	sessions map[string]*entry
+	// live orders live sessions by creation; elements hold *entry.
+	live *list.List
 	// byInstance indexes active sessions per instance in bind order.
-	byInstance map[string][]*Session
-	// pending is the arrival-ordered queue of session IDs waiting for
-	// capacity; queued marks IDs currently in the slice so a session is
-	// never enqueued twice. numPending counts sessions in state Pending.
-	pending    []string
-	queued     map[string]bool
-	numPending int
-	// suspended marks pending sessions that previously had an instance and
-	// lost it (Suspend); suspendedTotal counts every suspension ever. The
-	// LB surfaces both so a chaos run can assert nobody is left stranded.
-	suspended      map[string]bool
+	byInstance map[string][]*entry
+	// pending is the arrival-ordered queue of sessions waiting for
+	// capacity; entries that left the Pending state while queued are
+	// skipped and reclaimed lazily. numPending and numSuspended count
+	// live sessions in state Pending, and the suspended subset of those.
+	pending      []*entry
+	numPending   int
+	numSuspended int
+	// suspendedTotal counts every suspension ever; the LB surfaces it
+	// beside numSuspended so a chaos run can assert nobody is stranded.
 	suspendedTotal *metrics.Counter
-	// retained is a ring of closed-session IDs (oldest at head) whose
-	// snapshots live in retainedByID.
-	retained     []string
+	closedTotal    *metrics.Counter
+	// retained is a ring of closed-session snapshots (oldest at
+	// retainedHead once full); retainedByID maps an ID to its slot.
+	retained     []Session
 	retainedHead int
-	retainedByID map[string]*Session
+	retainedByID map[string]int
 
 	placer Placer
 	// hub delivers session updates on per-session topics with bounded,
-	// coalescing, spin-free queues; subs tracks each session's single
-	// subscription so repeated Subscribe calls share one channel.
-	hub  *push.Hub[Update]
-	subs map[string]*push.Subscription[Update]
-	// bound tracks which instance each active session is on, to release
-	// session slots on close/migrate.
-	bound map[string]*cloud.Instance
+	// coalescing, spin-free queues.
+	hub *push.Hub[Update]
+}
 
-	// stats
-	closedTotal *metrics.Counter
+// entry is the broker's record of one live session.
+type entry struct {
+	s    Session
+	inst *cloud.Instance // bound instance while Active
+	// sub is the session's single push subscription, shared by repeated
+	// Subscribe calls.
+	sub *push.Subscription[Update]
+	el  *list.Element // position in the live list
+	// queued marks an entry in the pending slice, so a session is never
+	// enqueued twice; suspended marks a Pending session that lost its
+	// instance.
+	queued, suspended bool
 }
 
 // New returns a Broker on the given clock. A non-nil reg registers the
-// broker's lifecycle counters and the session hub's fan-out instruments.
+// broker's lifecycle counters, its session gauges and the session hub's
+// fan-out instruments.
 func New(clk clock.Clock, reg *metrics.Registry) (*Broker, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadConfig)
 	}
 	b := &Broker{
 		clk:          clk,
-		sessions:     make(map[string]*Session),
+		sessions:     make(map[string]*entry),
 		live:         list.New(),
-		liveElem:     make(map[string]*list.Element),
-		byInstance:   make(map[string][]*Session),
-		queued:       make(map[string]bool),
-		suspended:    make(map[string]bool),
-		retainedByID: make(map[string]*Session),
-		hub:          push.NewHub[Update](push.NewHubMetrics(reg, "sessions")),
-		subs:         make(map[string]*push.Subscription[Update]),
-		bound:        make(map[string]*cloud.Instance),
+		byInstance:   make(map[string][]*entry),
+		retainedByID: make(map[string]int),
+		hub:          push.NewHub[Update](reg, "sessions"),
 		suspendedTotal: reg.Counter("evop_broker_sessions_suspended_total",
 			"Sessions suspended after losing their instance."),
 		closedTotal: reg.Counter("evop_broker_sessions_closed_total",
@@ -235,6 +242,15 @@ func New(clk clock.Clock, reg *metrics.Registry) (*Broker, error) {
 	reg.GaugeFunc("evop_broker_sessions_suspended",
 		"Sessions currently waiting for a new instance after losing one.",
 		func() float64 { return float64(b.SuspendedCount()) })
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
+		func() float64 {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return float64(len(b.sessions) - b.numPending)
+		}, metrics.L("state", "active"))
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
+		func() float64 { return float64(b.PendingCount()) },
+		metrics.L("state", "pending"))
 	return b, nil
 }
 
@@ -255,96 +271,107 @@ func (b *Broker) Connect(userID, service string) (Session, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.seq++
-	s := &Session{
+	e := &entry{s: Session{
 		ID:        "s" + strconv.Itoa(b.seq),
 		UserID:    userID,
 		Service:   service,
 		State:     Pending,
 		CreatedAt: b.clk.Now(),
-	}
-	b.sessions[s.ID] = s
-	b.liveElem[s.ID] = b.live.PushBack(s)
+	}}
+	b.sessions[e.s.ID] = e
+	e.el = b.live.PushBack(e)
 	b.numPending++
 	if b.placer != nil {
-		if inst := b.placer.PlaceNow(service); inst != nil {
-			if err := b.bindLocked(s, inst); err == nil {
-				return *s, nil
-			}
+		if inst := b.placer.PlaceNow(service); inst != nil && b.bindLocked(e, inst, "") == nil {
+			return e.s, nil
 		}
 	}
-	b.enqueuePendingLocked(s.ID)
-	return *s, nil
+	b.enqueuePendingLocked(e)
+	return e.s, nil
 }
 
 // enqueuePendingLocked appends a session to the pending queue unless it is
 // already queued; the broker lock is held.
-func (b *Broker) enqueuePendingLocked(id string) {
-	if b.queued[id] {
+func (b *Broker) enqueuePendingLocked(e *entry) {
+	if e.queued {
 		return
 	}
 	// Amortised compaction: if the queue is dominated by stale entries
-	// (sessions that left the Pending state while queued), rebuild it so
+	// (sessions that left the Pending state while queued), drop them so
 	// the slice stays O(pending) even when AssignPending never runs.
 	if len(b.pending) > 64 && len(b.pending) > 4*b.numPending {
-		b.compactPendingLocked()
-	}
-	b.pending = append(b.pending, id)
-	b.queued[id] = true
-}
-
-// compactPendingLocked drops queue entries whose session is no longer live
-// and Pending; the broker lock is held.
-func (b *Broker) compactPendingLocked() {
-	kept := b.pending[:0]
-	for _, id := range b.pending {
-		if s, ok := b.sessions[id]; ok && s.State == Pending {
-			kept = append(kept, id)
-		} else {
-			delete(b.queued, id)
+		kept := b.pending[:0]
+		for _, q := range b.pending {
+			if q.s.State == Pending {
+				kept = append(kept, q)
+			} else {
+				q.queued = false
+			}
 		}
+		clear(b.pending[len(kept):])
+		b.pending = kept
 	}
-	b.pending = kept
+	b.pending = append(b.pending, e)
+	e.queued = true
 }
 
-// bindLocked binds a session to an instance; the broker lock is held.
-func (b *Broker) bindLocked(s *Session, inst *cloud.Instance) error {
+// bindLocked binds a live session to inst, first leaving whatever it held
+// (see unbindLocked), and pushes UpdateMigrated when an active session
+// moves or UpdateAssigned when a pending one gets its instance. The
+// broker lock is held.
+func (b *Broker) bindLocked(e *entry, inst *cloud.Instance, reason string) error {
 	if err := inst.AddSession(); err != nil {
-		return fmt.Errorf("binding session %s: %w", s.ID, err)
+		return err
 	}
-	if s.State == Pending {
-		b.numPending--
+	kind := UpdateAssigned
+	if e.s.State == Active {
+		kind = UpdateMigrated
 	}
-	delete(b.suspended, s.ID)
-	s.State = Active
-	s.InstanceID = inst.ID()
-	s.InstanceAddr = inst.Addr()
-	if s.ActivatedAt.IsZero() {
-		s.ActivatedAt = b.clk.Now()
+	b.unbindLocked(e)
+	now := b.clk.Now()
+	e.s.State = Active
+	e.s.InstanceID = inst.ID()
+	e.s.InstanceAddr = inst.Addr()
+	if e.s.ActivatedAt.IsZero() {
+		e.s.ActivatedAt = now
 	}
-	b.bound[s.ID] = inst
-	b.byInstance[inst.ID()] = append(b.byInstance[inst.ID()], s)
-	b.pushLocked(s.ID, Update{Kind: UpdateAssigned, Session: *s, At: b.clk.Now()})
+	e.inst = inst
+	b.byInstance[inst.ID()] = append(b.byInstance[inst.ID()], e)
+	b.pushLocked(e, Update{Kind: kind, Reason: reason, At: now})
 	return nil
 }
 
-// unindexInstanceLocked removes a session from its instance's index; the
-// broker lock is held.
-func (b *Broker) unindexInstanceLocked(s *Session) {
-	if s.InstanceID == "" {
+// unbindLocked takes a live session out of its current state's
+// bookkeeping: a pending one leaves the pending (and suspended) counts,
+// an active one releases its instance slot and leaves that instance's
+// index. A pending-queue entry it leaves behind goes stale and is
+// skipped. The broker lock is held.
+func (b *Broker) unbindLocked(e *entry) {
+	if e.s.State == Pending {
+		b.numPending--
+	}
+	if e.suspended {
+		e.suspended = false
+		b.numSuspended--
+	}
+	if e.inst == nil {
 		return
 	}
-	on := b.byInstance[s.InstanceID]
+	e.inst.RemoveSession()
+	id := e.inst.ID()
+	on := b.byInstance[id]
 	for i, cand := range on {
-		if cand.ID == s.ID {
+		if cand == e {
 			on = append(on[:i], on[i+1:]...)
 			break
 		}
 	}
 	if len(on) == 0 {
-		delete(b.byInstance, s.InstanceID)
+		delete(b.byInstance, id)
 	} else {
-		b.byInstance[s.InstanceID] = on
+		b.byInstance[id] = on
 	}
+	e.inst = nil
 }
 
 // AssignPending tries to bind queued sessions using the placer, oldest
@@ -356,25 +383,21 @@ func (b *Broker) AssignPending() int {
 		return 0
 	}
 	assigned := 0
-	var still []string
-	for _, id := range b.pending {
-		s, ok := b.sessions[id]
-		if !ok || s.State != Pending {
-			delete(b.queued, id)
+	still := b.pending[:0]
+	for _, e := range b.pending {
+		if e.s.State != Pending {
+			e.queued = false
 			continue
 		}
-		inst := b.placer.PlaceNow(s.Service)
-		if inst == nil {
-			still = append(still, id)
+		inst := b.placer.PlaceNow(e.s.Service)
+		if inst == nil || b.bindLocked(e, inst, "") != nil {
+			still = append(still, e)
 			continue
 		}
-		if err := b.bindLocked(s, inst); err != nil {
-			still = append(still, id)
-			continue
-		}
-		delete(b.queued, id)
+		e.queued = false
 		assigned++
 	}
+	clear(b.pending[len(still):])
 	b.pending = still
 	return assigned
 }
@@ -387,35 +410,13 @@ func (b *Broker) AssignPending() int {
 func (b *Broker) Migrate(sessionID string, to *cloud.Instance, reason string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, ok := b.sessions[sessionID]
+	e, ok := b.sessions[sessionID]
 	if !ok {
 		return fmt.Errorf("migrate %s: %w", sessionID, ErrNoSession)
 	}
-	if err := to.AddSession(); err != nil {
+	if err := b.bindLocked(e, to, reason); err != nil {
 		return fmt.Errorf("migrating session %s: %w", sessionID, err)
 	}
-	if old := b.bound[sessionID]; old != nil {
-		old.RemoveSession()
-	}
-	b.unindexInstanceLocked(s)
-	wasPending := s.State == Pending
-	if wasPending {
-		b.numPending--
-	}
-	delete(b.suspended, sessionID)
-	s.State = Active
-	s.InstanceID = to.ID()
-	s.InstanceAddr = to.Addr()
-	if s.ActivatedAt.IsZero() {
-		s.ActivatedAt = b.clk.Now()
-	}
-	b.bound[sessionID] = to
-	b.byInstance[to.ID()] = append(b.byInstance[to.ID()], s)
-	kind := UpdateMigrated
-	if wasPending {
-		kind = UpdateAssigned
-	}
-	b.pushLocked(sessionID, Update{Kind: kind, Session: *s, Reason: reason, At: b.clk.Now()})
 	return nil
 }
 
@@ -425,27 +426,24 @@ func (b *Broker) Migrate(sessionID string, to *cloud.Instance, reason string) er
 func (b *Broker) Suspend(sessionID, reason string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, ok := b.sessions[sessionID]
+	e, ok := b.sessions[sessionID]
 	if !ok {
 		// Closed (evicted) and unknown sessions alike cannot be suspended.
 		return fmt.Errorf("suspend %s: %w", sessionID, ErrNoSession)
 	}
-	if s.State == Pending {
+	if e.s.State == Pending {
 		return nil
 	}
-	if inst := b.bound[sessionID]; inst != nil {
-		inst.RemoveSession()
-		delete(b.bound, sessionID)
-	}
-	b.unindexInstanceLocked(s)
-	s.State = Pending
-	s.InstanceID = ""
-	s.InstanceAddr = ""
+	b.unbindLocked(e)
+	e.s.State = Pending
+	e.s.InstanceID = ""
+	e.s.InstanceAddr = ""
 	b.numPending++
-	b.suspended[sessionID] = true
+	e.suspended = true
+	b.numSuspended++
 	b.suspendedTotal.Inc()
-	b.enqueuePendingLocked(sessionID)
-	b.pushLocked(sessionID, Update{Kind: UpdateSuspended, Session: *s, Reason: reason, At: b.clk.Now()})
+	b.enqueuePendingLocked(e)
+	b.pushLocked(e, Update{Kind: UpdateSuspended, Reason: reason, At: b.clk.Now()})
 	return nil
 }
 
@@ -457,55 +455,37 @@ func (b *Broker) Suspend(sessionID, reason string) error {
 func (b *Broker) Disconnect(sessionID string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, ok := b.sessions[sessionID]
+	e, ok := b.sessions[sessionID]
 	if !ok {
 		if _, closed := b.retainedByID[sessionID]; closed {
 			return nil
 		}
 		return fmt.Errorf("disconnect %s: %w", sessionID, ErrNoSession)
 	}
-	if inst := b.bound[sessionID]; inst != nil {
-		inst.RemoveSession()
-		delete(b.bound, sessionID)
-	}
-	b.unindexInstanceLocked(s)
-	if s.State == Pending {
-		b.numPending--
-	}
-	delete(b.suspended, sessionID)
-	s.State = Closed
+	b.unbindLocked(e)
+	e.s.State = Closed
 	b.closedTotal.Inc()
-	b.pushLocked(sessionID, Update{Kind: UpdateClosed, Session: *s, At: b.clk.Now()})
-	if sub, ok := b.subs[sessionID]; ok {
+	b.pushLocked(e, Update{Kind: UpdateClosed, At: b.clk.Now()})
+	if e.sub != nil {
 		// Cancel closes the channel after the terminal UpdateClosed above
 		// was enqueued, so the subscriber drains it and then sees EOF.
-		sub.Cancel()
-		delete(b.subs, sessionID)
+		e.sub.Cancel()
+		e.sub = nil
 	}
-	b.evictLocked(s)
-	return nil
-}
-
-// evictLocked removes a closed session from the live structures and files
-// its snapshot in the retention ring; the broker lock is held.
-func (b *Broker) evictLocked(s *Session) {
-	delete(b.sessions, s.ID)
-	if el, ok := b.liveElem[s.ID]; ok {
-		b.live.Remove(el)
-		delete(b.liveElem, s.ID)
-	}
-	// The pending queue may still hold the ID; AssignPending or the next
-	// compaction reclaims it (b.queued keeps dedupe coherent meanwhile).
-	snap := *s
+	delete(b.sessions, sessionID)
+	b.live.Remove(e.el)
+	// The pending queue may still hold the entry; AssignPending or the
+	// next compaction reclaims it.
 	if len(b.retained) < DefaultRetention {
-		b.retained = append(b.retained, s.ID)
+		b.retainedByID[sessionID] = len(b.retained)
+		b.retained = append(b.retained, e.s)
 	} else {
-		oldest := b.retained[b.retainedHead]
-		delete(b.retainedByID, oldest)
-		b.retained[b.retainedHead] = s.ID
+		delete(b.retainedByID, b.retained[b.retainedHead].ID)
+		b.retained[b.retainedHead] = e.s
+		b.retainedByID[sessionID] = b.retainedHead
 		b.retainedHead = (b.retainedHead + 1) % DefaultRetention
 	}
-	b.retainedByID[s.ID] = &snap
+	return nil
 }
 
 // Subscribe returns the push channel for a session's updates (creating it
@@ -516,7 +496,8 @@ func (b *Broker) evictLocked(s *Session) {
 func (b *Broker) Subscribe(sessionID string) (<-chan Update, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.sessions[sessionID]; !ok {
+	e, ok := b.sessions[sessionID]
+	if !ok {
 		if _, closed := b.retainedByID[sessionID]; closed {
 			ch := make(chan Update)
 			close(ch)
@@ -524,26 +505,24 @@ func (b *Broker) Subscribe(sessionID string) (<-chan Update, error) {
 		}
 		return nil, fmt.Errorf("subscribe %s: %w", sessionID, ErrNoSession)
 	}
-	sub, ok := b.subs[sessionID]
-	if !ok {
-		var err error
-		sub, err = b.hub.Subscribe(DefaultSubscriberBuffer, push.TopicSession(sessionID))
+	if e.sub == nil {
+		sub, err := b.hub.Subscribe(DefaultSubscriberBuffer, push.TopicSession(sessionID))
 		if err != nil {
 			return nil, fmt.Errorf("subscribe %s: %w", sessionID, err)
 		}
-		b.subs[sessionID] = sub
+		e.sub = sub
 	}
-	return sub.C(), nil
+	return e.sub.C(), nil
 }
 
-// pushLocked delivers an update on the session's topic. The hub
-// coalesces per subscriber: a full buffer evicts the oldest queued
-// update (counted in evop_push_coalesced_total) so the newest session
-// state — e.g. a migration redirect — is never lost, and a publisher
-// never spins against an actively draining reader (one eviction makes
-// room, and the per-subscription lock keeps it that way).
-func (b *Broker) pushLocked(sessionID string, u Update) {
-	b.hub.Publish(u, push.TopicSession(sessionID))
+// pushLocked delivers an update carrying the session's current snapshot
+// on its topic. The hub coalesces per subscriber: a full buffer evicts
+// the oldest queued update (counted in evop_push_coalesced_total) so the
+// newest session state — e.g. a migration redirect — is never lost, and
+// a publisher never spins against an actively draining reader.
+func (b *Broker) pushLocked(e *entry, u Update) {
+	u.Session = e.s
+	b.hub.Publish(u, push.TopicSession(e.s.ID))
 }
 
 // Session returns a snapshot of one session. Recently closed sessions
@@ -551,11 +530,11 @@ func (b *Broker) pushLocked(sessionID string, u Update) {
 func (b *Broker) Session(id string) (Session, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s, ok := b.sessions[id]; ok {
-		return *s, nil
+	if e, ok := b.sessions[id]; ok {
+		return e.s, nil
 	}
-	if s, ok := b.retainedByID[id]; ok {
-		return *s, nil
+	if i, ok := b.retainedByID[id]; ok {
+		return b.retained[i], nil
 	}
 	return Session{}, fmt.Errorf("session %s: %w", id, ErrNoSession)
 }
@@ -568,7 +547,7 @@ func (b *Broker) Sessions() []Session {
 	defer b.mu.Unlock()
 	out := make([]Session, 0, b.live.Len())
 	for el := b.live.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*Session))
+		out = append(out, el.Value.(*entry).s)
 	}
 	return out
 }
@@ -579,11 +558,8 @@ func (b *Broker) RecentlyClosed() []Session {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]Session, 0, len(b.retained))
-	for i := 0; i < len(b.retained); i++ {
-		id := b.retained[(b.retainedHead+i)%len(b.retained)]
-		if s, ok := b.retainedByID[id]; ok {
-			out = append(out, *s)
-		}
+	for i := range b.retained {
+		out = append(out, b.retained[(b.retainedHead+i)%len(b.retained)])
 	}
 	return out
 }
@@ -598,8 +574,8 @@ func (b *Broker) SessionsOn(instanceID string) []Session {
 		return nil
 	}
 	out := make([]Session, 0, len(on))
-	for _, s := range on {
-		out = append(out, *s)
+	for _, e := range on {
+		out = append(out, e.s)
 	}
 	return out
 }
@@ -616,7 +592,7 @@ func (b *Broker) PendingCount() int {
 func (b *Broker) SuspendedCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.suspended)
+	return b.numSuspended
 }
 
 // LiveCount returns how many sessions are pending or active.

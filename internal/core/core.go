@@ -372,12 +372,6 @@ func (o *Observatory) registerGauges() {
 		metrics.L("kind", "public"))
 	reg.GaugeFunc("evop_instances_booting", "Cloud instances still booting.",
 		o.countInstances(func(in *cloud.Instance) bool { return in.State() == cloud.StateBooting }))
-	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
-		func() float64 { return float64(o.countSessions(broker.Active)) },
-		metrics.L("state", "active"))
-	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
-		func() float64 { return float64(o.countSessions(broker.Pending)) },
-		metrics.L("state", "pending"))
 	reg.GaugeFunc("evop_public_cost", "Accrued public-cloud cost.",
 		o.Public.CostAccrued)
 	reg.GaugeFunc("evop_sensors", "Sensors registered in the network.",
@@ -408,16 +402,6 @@ func (o *Observatory) countInstances(match func(*cloud.Instance) bool) func() fl
 		}
 		return float64(n)
 	}
-}
-
-func (o *Observatory) countSessions(state broker.SessionState) int {
-	n := 0
-	for _, s := range o.Broker.Sessions() {
-		if s.State == state {
-			n++
-		}
-	}
-	return n
 }
 
 // populateAssets fills the REST store with the observatory's resources so

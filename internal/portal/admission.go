@@ -137,7 +137,7 @@ func (p *Portal) markDegraded(w http.ResponseWriter, mode string) {
 // is held), and ok=false when the request was shed and answered.
 func (p *Portal) admit(w http.ResponseWriter, r *http.Request, pol routePolicy) (*http.Request, func(), bool) {
 	ctrl := p.obs.Admission
-	if ctrl == nil || pol.mode == modeExempt {
+	if pol.mode == modeExempt {
 		return r, nil, true
 	}
 	client := clientKey(r.RemoteAddr)

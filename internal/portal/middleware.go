@@ -123,11 +123,11 @@ func (p *Portal) handle(pattern string, h http.Handler) {
 			metrics.L("route", pattern)),
 	}
 	pol := policyFor(pattern)
-	if ctrl := p.obs.Admission; ctrl != nil && pol.mode != modeExempt && pol.mode != modeRateOnly {
+	if pol.mode != modeExempt && pol.mode != modeRateOnly {
 		// This route's p95 feeds the adaptive concurrency limit.
 		// WebSocket routes are excluded: a connection's "latency" is its
 		// lifetime, which would poison the percentile.
-		ctrl.Watch(inst.latency)
+		p.obs.Admission.Watch(inst.latency)
 	}
 	p.mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

@@ -757,10 +757,7 @@ var errLiveConnLimit = errors.New("live connection limit reached")
 
 // acquireLiveConn claims a capped /ws/live connection slot.
 func (p *Portal) acquireLiveConn() bool {
-	limit := 0
-	if p.obs.Admission != nil {
-		limit = p.obs.Admission.LiveConnLimit()
-	}
+	limit := p.obs.Admission.LiveConnLimit()
 	p.liveMu.Lock()
 	defer p.liveMu.Unlock()
 	if limit > 0 && p.liveConns >= limit {

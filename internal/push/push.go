@@ -86,16 +86,15 @@ const (
 
 // Hub fans events of type T out from publishers to topic subscribers.
 type Hub[T any] struct {
-	shards []shard[T]
-	hm     *HubMetrics
-	mask   uint32
-	seq    atomic.Uint64 // publish sequence; dedupes multi-topic delivery
-	subs   atomic.Int64  // live subscriptions
-	closed atomic.Bool
+	shards  []shard[T]
+	publish *metrics.Histogram
+	mask    uint32
+	seq     atomic.Uint64 // publish sequence; dedupes multi-topic delivery
+	subs    atomic.Int64  // live subscriptions
+	closed  atomic.Bool
 }
 
-// shard is one lock stripe of the topic registry. Its counters live in
-// the HubMetrics (shared across hub generations), not on the shard.
+// shard is one lock stripe of the topic registry.
 type shard[T any] struct {
 	mu     sync.RWMutex
 	topics map[string]map[*Subscription[T]]struct{}
@@ -105,88 +104,37 @@ type shard[T any] struct {
 	coalesced *metrics.Counter // oldest-evictions on full subscriber queues
 }
 
-// HubMetrics owns a hub's instruments: per-shard fan-out counters, the
-// publish-to-enqueue latency histogram and the subscriber, topic and
-// registration gauges. It is separate from the hub so an owner that
-// replaces its hub on restart (the sensor network's Stop installs a
-// fresh hub) keeps cumulative counts and gauges that follow the live
-// hub, and so the instruments can be registered once in a
-// metrics.Registry under the owner's hub label.
-type HubMetrics struct {
-	shards  []hubShardMetrics
-	publish *metrics.Histogram
-	// live is the hub most recently built over these instruments; the
-	// gauges read it at snapshot time.
-	live atomic.Pointer[hubSizer]
-}
-
-// hubSizer is the size view of a Hub the gauges read, free of the
-// hub's event type.
-type hubSizer interface {
-	Subscribers() int
-	shardSizes(i int) (topics, registrations int)
-}
-
-type hubShardMetrics struct {
-	published, delivered, coalesced *metrics.Counter
-}
-
-// NewHubMetrics builds (or, registry permitting, retrieves) the
-// instruments for a hub named hub, one set for each of its DefaultShards
-// stripes. A nil registry yields private, unregistered instruments.
-func NewHubMetrics(reg *metrics.Registry, hub string) *HubMetrics {
-	hm := &HubMetrics{
-		shards: make([]hubShardMetrics, DefaultShards),
+// NewHub returns a hub of DefaultShards stripes whose instruments are
+// registered in reg under the label hub="<hub>" (a nil reg keeps them
+// private). Registration is get-or-create and re-registering a callback
+// gauge replaces it, so an owner that replaces its hub on restart (the
+// sensor network's Stop installs a fresh hub) keeps cumulative counters
+// and gauges that follow the newest hub.
+func NewHub[T any](reg *metrics.Registry, hub string) *Hub[T] {
+	h := &Hub[T]{
+		shards: make([]shard[T], DefaultShards),
 		publish: reg.Histogram("evop_push_publish_seconds",
 			"Publish-to-enqueue time of one hub publish across all its topics.",
 			metrics.DurationScale, metrics.L("hub", hub)),
+		mask: DefaultShards - 1,
 	}
-	for i := range hm.shards {
+	for i := range h.shards {
+		sh := &h.shards[i]
 		labels := []metrics.Label{metrics.L("hub", hub), metrics.L("shard", strconv.Itoa(i))}
-		hm.shards[i] = hubShardMetrics{
-			published: reg.Counter("evop_push_published_total",
-				"Publish×topic pairs routed to this shard.", labels...),
-			delivered: reg.Counter("evop_push_delivered_total",
-				"Events enqueued on subscribers.", labels...),
-			coalesced: reg.Counter("evop_push_coalesced_total",
-				"Oldest-evictions on full subscriber queues.", labels...),
-		}
+		sh.topics = make(map[string]map[*Subscription[T]]struct{})
+		sh.published = reg.Counter("evop_push_published_total",
+			"Publish×topic pairs routed to this shard.", labels...)
+		sh.delivered = reg.Counter("evop_push_delivered_total",
+			"Events enqueued on subscribers.", labels...)
+		sh.coalesced = reg.Counter("evop_push_coalesced_total",
+			"Oldest-evictions on full subscriber queues.", labels...)
 		reg.GaugeFunc("evop_push_topics", "Distinct topics registered on this shard.",
-			func() float64 { t, _ := hm.shardSizes(i); return float64(t) }, labels...)
+			func() float64 { t, _ := sh.sizes(); return float64(t) }, labels...)
 		reg.GaugeFunc("evop_push_registrations", "(topic, subscription) pairs on this shard.",
-			func() float64 { _, r := hm.shardSizes(i); return float64(r) }, labels...)
+			func() float64 { _, r := sh.sizes(); return float64(r) }, labels...)
 	}
 	reg.GaugeFunc("evop_push_subscribers", "Live subscriptions on the hub.",
-		func() float64 {
-			if h := hm.live.Load(); h != nil {
-				return float64((*h).Subscribers())
-			}
-			return 0
-		}, metrics.L("hub", hub))
-	return hm
-}
-
-// shardSizes reads shard i of the live hub (zero before one is built).
-func (hm *HubMetrics) shardSizes(i int) (topics, registrations int) {
-	if h := hm.live.Load(); h != nil {
-		return (*h).shardSizes(i)
-	}
-	return 0, 0
-}
-
-// NewHub returns a hub recording through hm. Successive hubs built over
-// the same HubMetrics share cumulative counters.
-func NewHub[T any](hm *HubMetrics) *Hub[T] {
-	n := len(hm.shards)
-	h := &Hub[T]{shards: make([]shard[T], n), hm: hm, mask: uint32(n - 1)}
-	for i := range h.shards {
-		h.shards[i].topics = make(map[string]map[*Subscription[T]]struct{})
-		h.shards[i].published = hm.shards[i].published
-		h.shards[i].delivered = hm.shards[i].delivered
-		h.shards[i].coalesced = hm.shards[i].coalesced
-	}
-	var sizer hubSizer = h
-	hm.live.Store(&sizer)
+		func() float64 { return float64(h.Subscribers()) }, metrics.L("hub", hub))
 	return h
 }
 
@@ -381,7 +329,7 @@ func (h *Hub[T]) Publish(v T, topics ...string) int {
 	}
 	// Publish-to-enqueue latency: how long the newest event took to reach
 	// every subscriber queue. Lock-free, 0 allocs — safe on the hot path.
-	h.hm.publish.RecordSince(start)
+	h.publish.RecordSince(start)
 	return n
 }
 
@@ -414,10 +362,9 @@ func (h *Hub[T]) CloseAll() {
 // Subscribers returns the number of live subscriptions.
 func (h *Hub[T]) Subscribers() int { return int(h.subs.Load()) }
 
-// shardSizes counts shard i's distinct topics and (topic, subscription)
+// sizes counts the shard's distinct topics and (topic, subscription)
 // pairs.
-func (h *Hub[T]) shardSizes(i int) (topics, registrations int) {
-	sh := &h.shards[i]
+func (sh *shard[T]) sizes() (topics, registrations int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for _, set := range sh.topics {

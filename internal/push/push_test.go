@@ -14,11 +14,11 @@ import (
 // so tests read its counters the way /metrics does.
 func newMeteredHub() (*Hub[int], *metrics.Registry) {
 	reg := metrics.NewRegistry(nil)
-	return NewHub[int](NewHubMetrics(reg, "test")), reg
+	return NewHub[int](reg, "test"), reg
 }
 
 // newHub builds a hub with private, unregistered instruments.
-func newHub[T any]() *Hub[T] { return NewHub[T](NewHubMetrics(nil, "")) }
+func newHub[T any]() *Hub[T] { return NewHub[T](nil, "") }
 
 // hubTotal sums a per-shard hub series across shards.
 func hubTotal(reg *metrics.Registry, name string) float64 {

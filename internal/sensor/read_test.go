@@ -225,6 +225,42 @@ func TestReadStamp(t *testing.T) {
 	}
 }
 
+// TestReadStampNeverRewindsAfterFutureIngest pins that a sampler tick
+// after an ingested observation stamped ahead of the clock leaves
+// LastIngest at the newest reading: the stamp is max(last, t), for
+// sampled and ingested readings alike, so a series' Last-Modified never
+// moves backwards.
+func TestReadStampNeverRewindsAfterFutureIngest(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	n, err := NewNetwork(clk, nil)
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	s := levelSensor("lvl")
+	if err := n.Add(s); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	n.Start()
+	defer n.Stop()
+
+	ahead := epoch.Add(2 * time.Hour)
+	if err := n.Ingest("lvl", ahead, 0.9); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	before, _ := n.ReadStamp("lvl")
+	clk.Advance(s.Interval)
+	after, _ := n.ReadStamp("lvl")
+	if after.Seq != before.Seq+1 {
+		t.Fatalf("Seq = %d after one tick, want %d", after.Seq, before.Seq+1)
+	}
+	if after.LastIngest.Before(before.LastIngest) {
+		t.Fatalf("LastIngest moved backwards: %v -> %v", before.LastIngest, after.LastIngest)
+	}
+	if !after.LastIngest.Equal(ahead) {
+		t.Fatalf("LastIngest = %v, want %v", after.LastIngest, ahead)
+	}
+}
+
 // TestFrameRetentionRing checks the webcam ring evicts oldest-first,
 // FrameNearest stays correct across wrap, and the running frame count
 // (Latest's Value) keeps counting past evictions.

@@ -210,11 +210,11 @@ type Network struct {
 	// in-process feed subscribe to it through SubscribeTopics.
 	hub *push.Hub[Reading]
 
-	// hubMetrics owns the hub's counters across hub generations (Stop
-	// closes every subscription and installs a fresh hub so the network
-	// can be restarted); sharing the instruments keeps the coalesced
-	// total cumulative without a separate carry-over field.
-	hubMetrics *push.HubMetrics
+	// reg registers each hub's instruments. Stop closes every
+	// subscription and installs a fresh hub so the network can be
+	// restarted; the registry's get-or-create keeps the hub counters
+	// cumulative across that swap.
+	reg *metrics.Registry
 
 	// mu guards registration, lifecycle, the hub pointer and the
 	// network-wide newest reading. Per-sensor data lives on the shards;
@@ -247,14 +247,13 @@ func NewNetwork(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("nil clock: %w", ErrBadSensor)
 	}
-	hm := push.NewHubMetrics(reg, "sensors")
 	return &Network{
-		clk:        clk,
-		hub:        push.NewHub[Reading](hm),
-		hubMetrics: hm,
-		sensors:    make(map[string]Sensor),
-		shards:     make(map[string]*shard),
-		stops:      make(map[string]func() bool),
+		clk:     clk,
+		hub:     push.NewHub[Reading](reg, "sensors"),
+		reg:     reg,
+		sensors: make(map[string]Sensor),
+		shards:  make(map[string]*shard),
+		stops:   make(map[string]func() bool),
 		seriesQueries: reg.Counter("evop_sensor_series_queries_total",
 			"Zero-copy series window views served."),
 		aggQueries: reg.Counter("evop_sensor_aggregate_queries_total",
@@ -352,26 +351,41 @@ func (n *Network) armLocked(id string) {
 	n.stops[id] = stop
 }
 
-// sample takes one reading for a sensor and fans it out. Ingest touches
-// only the sensor's own shard; the network lock is taken just to refresh
-// the O(1) newest-reading cache.
+// sample takes one reading for a sensor and fans it out.
 func (n *Network) sample(id string) {
 	s, sh, err := n.shardOf(id)
 	if err != nil {
 		return
 	}
 	now := n.clk.Now()
-	var r Reading
+	var v float64
+	if s.Kind != Webcam {
+		v = s.Driver(now)
+	}
+	n.record(s, sh, now, v)
+}
+
+// record files one reading of s at time at in its shard and fans it out;
+// sampled and ingested readings both come through here. It appends to
+// the history (a webcam captures a frame instead, and its reading's
+// value is the frame count), bumps the ingest stamp (seq++, last =
+// max(last, at)), refreshes the network's O(1) newest-reading cache and
+// publishes on the sensor, catchment and firehose topics. Only the
+// sensor's own shard is locked for the append; the network lock is
+// taken just for the newest-reading cache.
+func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
+	r := Reading{SensorID: s.ID, Kind: s.Kind, Time: at, Value: value}
 	sh.mu.Lock()
 	if s.Kind == Webcam {
-		sh.frames.push(Frame{SensorID: id, Time: now, Content: synthFrame(id, now)}, DefaultFrameRetention)
-		r = Reading{SensorID: id, Kind: s.Kind, Time: now, Value: float64(sh.frames.total)}
+		sh.frames.push(Frame{SensorID: s.ID, Time: at, Content: synthFrame(s.ID, at)}, DefaultFrameRetention)
+		r.Value = float64(sh.frames.total)
 	} else {
-		r = Reading{SensorID: id, Kind: s.Kind, Time: now, Value: s.Driver(now)}
-		sh.history.Add(timeseries.Observation{Time: now, Value: r.Value})
+		sh.history.Add(timeseries.Observation{Time: at, Value: value})
 	}
 	sh.seq++
-	sh.last = now
+	if at.After(sh.last) {
+		sh.last = at
+	}
 	sh.mu.Unlock()
 
 	n.mu.Lock()
@@ -384,7 +398,7 @@ func (n *Network) sample(id string) {
 	// Fan out past the locks: hub delivery is bounded and non-blocking,
 	// but keeping it off the mutexes means a storm of slow subscribers
 	// can never delay the next sensor sample.
-	hub.Publish(r, push.TopicSensor(r.SensorID), push.TopicCatchment(s.CatchmentID), push.TopicAllSensors)
+	hub.Publish(r, push.TopicSensor(s.ID), push.TopicCatchment(s.CatchmentID), push.TopicAllSensors)
 }
 
 // Ingest records an externally supplied observation for a non-webcam
@@ -407,23 +421,8 @@ func (n *Network) Ingest(id string, at time.Time, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("%s: non-finite observation value: %w", id, ErrBadSensor)
 	}
-	r := Reading{SensorID: id, Kind: s.Kind, Time: at, Value: value}
-	sh.mu.Lock()
-	sh.history.Add(timeseries.Observation{Time: at, Value: value})
-	sh.seq++
-	if at.After(sh.last) {
-		sh.last = at
-	}
-	sh.mu.Unlock()
-
 	n.externalIngests.Add(1)
-	n.mu.Lock()
-	if !n.hasNewest || !r.Time.Before(n.newest.Time) {
-		n.newest, n.hasNewest = r, true
-	}
-	hub := n.hub
-	n.mu.Unlock()
-	hub.Publish(r, push.TopicSensor(id), push.TopicCatchment(s.CatchmentID), push.TopicAllSensors)
+	n.record(s, sh, at, value)
 	return nil
 }
 
@@ -450,7 +449,7 @@ func (n *Network) Stop() {
 	}
 	clear(n.stops)
 	old := n.hub
-	n.hub = push.NewHub[Reading](n.hubMetrics)
+	n.hub = push.NewHub[Reading](n.reg, "sensors")
 	n.mu.Unlock()
 	// Close subscriptions outside n.mu: CloseAll takes per-subscription
 	// locks that publishers (which never hold n.mu) also take.

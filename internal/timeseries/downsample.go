@@ -24,8 +24,8 @@ func Downsample(obs []Observation, points int) []Observation {
 		return obs
 	}
 
-	inner := points - 2        // interior budget
-	interior := len(obs) - 2   // candidate points between the endpoints
+	inner := points - 2      // interior budget
+	interior := len(obs) - 2 // candidate points between the endpoints
 	out := make([]Observation, 0, points)
 	chosen := make([]int, 0, points) // original indices, parallel to out
 	out = append(out, obs[0])

@@ -19,7 +19,8 @@
 #
 # Each allowlist below is the closed set of legitimate exceptions, one
 # path and reason per line. Additions to them need a review, not a
-# reflex.
+# reflex; an entry whose file no longer matches its pattern is stale and
+# fails the lint too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,7 +31,6 @@ internal/ws/handshake.go       connection sequence generator
 '
 
 struct_allow='
-internal/push/push.go          HubMetrics holds registered instruments, not a snapshot
 internal/cloud/instance.go     simulated host readings the load balancer acts on
 '
 
@@ -41,25 +41,55 @@ internal/timeseries/ops.go               a statistical summary of a series, not 
 internal/cloud/crosscloud/crosscloud.go  providerStats holds registered instruments, not a snapshot
 '
 
-# offenders prints the production (non-test) lines outside
-# internal/metrics that match the grep pattern $1 in the given paths,
-# minus the files of the allowlist $2.
-offenders() {
+# hits prints the production (non-test) lines outside internal/metrics
+# that match the grep pattern $1 in the remaining paths.
+hits() {
 	pattern=$1
-	allow=$2
-	shift 2
-	hits=$(grep -rn "$pattern" --include='*.go' "$@" 2>/dev/null |
+	shift
+	grep -rn "$pattern" --include='*.go' "$@" 2>/dev/null |
 		grep -v '_test\.go:' |
-		grep -v '^internal/metrics/' || true)
-	for path in $(printf '%s\n' "$allow" | awk 'NF {print $1}'); do
-		hits=$(printf '%s\n' "$hits" | grep -v "^$path:" || true)
+		grep -v '^internal/metrics/' || true
+}
+
+# allowed prints the paths of the allowlist $1.
+allowed() {
+	printf '%s\n' "$1" | awk 'NF {print $1}'
+}
+
+# offenders prints the hits $1 outside the files of the allowlist $2.
+offenders() {
+	bad=$1
+	for path in $(allowed "$2"); do
+		bad=$(printf '%s\n' "$bad" | grep -v "^$path:" || true)
 	done
-	printf '%s\n' "$hits" | grep . || true
+	printf '%s\n' "$bad" | grep . || true
+}
+
+# stale prints the entries of the allowlist $2 that match none of the
+# hits $1.
+stale() {
+	for path in $(allowed "$2"); do
+		printf '%s\n' "$1" | grep -q "^$path:" || echo "$path"
+	done
+}
+
+# reject_stale fails the lint for every entry of the allowlist $2
+# (named $3) that matches none of the hits $1.
+reject_stale() {
+	gone=$(stale "$1" "$2")
+	[ -z "$gone" ] && return 0
+	echo "lint-metrics: $3 entries whose file no longer matches:" >&2
+	printf '%s\n' "$gone" >&2
+	echo "Delete them from $3 in tools/lint-metrics.sh." >&2
+	echo >&2
+	status=1
 }
 
 status=0
 
-bad=$(offenders 'atomic\.\(Uint64\|Int64\)' "$atomic_allow" internal cmd evop.go)
+found=$(hits 'atomic\.\(Uint64\|Int64\)' internal cmd evop.go)
+reject_stale "$found" "$atomic_allow" atomic_allow
+bad=$(offenders "$found" "$atomic_allow")
 if [ -n "$bad" ]; then
 	echo 'lint-metrics: raw atomic counters outside internal/metrics:' >&2
 	printf '%s\n' "$bad" >&2
@@ -70,7 +100,9 @@ if [ -n "$bad" ]; then
 	status=1
 fi
 
-bad=$(offenders 'type [A-Za-z0-9_]*Metrics struct' "$struct_allow" internal cmd examples evop.go)
+found=$(hits 'type [A-Za-z0-9_]*Metrics struct' internal cmd examples evop.go)
+reject_stale "$found" "$struct_allow" struct_allow
+bad=$(offenders "$found" "$struct_allow")
 if [ -n "$bad" ]; then
 	echo 'lint-metrics: hand-built metrics structs outside internal/metrics:' >&2
 	printf '%s\n' "$bad" >&2
@@ -81,7 +113,9 @@ if [ -n "$bad" ]; then
 	status=1
 fi
 
-bad=$(offenders 'type [A-Za-z0-9_]*Stats struct\|func ([^)]*) Stats()' "$stats_allow" internal cmd examples evop.go)
+found=$(hits 'type [A-Za-z0-9_]*Stats struct\|func ([^)]*) Stats()' internal cmd examples evop.go)
+reject_stale "$found" "$stats_allow" stats_allow
+bad=$(offenders "$found" "$stats_allow")
 if [ -n "$bad" ]; then
 	echo 'lint-metrics: Stats snapshots or accessors outside internal/metrics:' >&2
 	printf '%s\n' "$bad" >&2
