@@ -11,6 +11,7 @@ package evop
 
 import (
 	"context"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -403,17 +404,28 @@ func BenchmarkModelRunCacheCoalesced(b *testing.B) {
 	})
 }
 
-// BenchmarkFlotEncode measures Flot JSON encoding of a 30-day hourly
-// hydrograph (the portal's hot serialisation path).
+// BenchmarkFlotEncode measures the portal's hot serialisation path:
+// streaming a 120-day hourly TOPMODEL discharge, the /widgets/model/run
+// hydrograph, through Series.WriteFlot. Every value is a full-precision
+// float, so it times the shortest-digit kernel, not zeros; ns/pair is
+// the cost of one [ms,v] pair.
 func BenchmarkFlotEncode(b *testing.B) {
-	f := benchForcing(b, 30)
+	m, err := topmodel.New(topmodel.DefaultParams(), benchTI(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := m.Run(benchForcing(b, 120))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Rain.FlotJSON(); err != nil {
+		if err := q.WriteFlot(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*q.Len()), "ns/pair")
 }
 
 // BenchmarkBrokerChurn measures session churn — one connect plus (once a

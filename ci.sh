@@ -56,6 +56,9 @@ go test -fuzz='^FuzzParseFlotJSON$' -fuzztime 10s ./internal/timeseries
 # float64 bit pattern, round-trip finite values bit-exactly and match
 # the reference json.Marshal encoder wherever that one can encode.
 go test -fuzz='^FuzzFlotEncode$' -fuzztime 10s ./internal/timeseries
+# Differential fuzzer: the shortest-float kernel must append exactly
+# strconv's 'g' shortest form for any float64 bit pattern.
+go test -fuzz='^FuzzAppendShortest$' -fuzztime 10s ./internal/timeseries
 go test -fuzz='^FuzzReadCSV$' -fuzztime 10s ./internal/timeseries
 # Differential fuzzer: the rollup index must agree with the naive scan
 # for arbitrary ingest orders, cadences and query windows.

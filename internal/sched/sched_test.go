@@ -116,7 +116,10 @@ func TestNilPoolRunsInline(t *testing.T) {
 // error comes back, and remaining work is skipped rather than run to
 // completion. The failing task is the first one to execute, whatever
 // its index: executors pop their queues LIFO, so a fixed low index would
-// run among the last and leave nothing behind it to skip.
+// run among the last and leave nothing behind it to skip. Every other
+// task yields until the batch has recorded that error, so the schedule
+// cannot let the other executors drain the queue first: each executor
+// (the workers and the helping submitter) runs at most one task.
 func TestFirstErrorCancels(t *testing.T) {
 	p := newPool(t, Config{Workers: 2})
 	sentinel := errors.New("boom")
@@ -132,6 +135,9 @@ func TestFirstErrorCancels(t *testing.T) {
 		if first {
 			return fmt.Errorf("index %d: %w", i, sentinel)
 		}
+		for !r.b.stopped() {
+			runtime.Gosched()
+		}
 		return nil
 	})
 	if !errors.Is(err, sentinel) {
@@ -139,8 +145,8 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if ran >= 1000 {
-		t.Fatal("error did not cancel remaining work")
+	if executors := p.Workers() + 1; ran > executors {
+		t.Fatalf("%d tasks ran, want at most one per executor (%d): the error did not cancel remaining work", ran, executors)
 	}
 }
 

@@ -18,16 +18,22 @@ const (
 	flotChunk = 4096
 )
 
-// appendFlotPair appends one [millis,value] pair. JSON has no NaN or
-// ±Inf, so those values are written as null, which Flot draws as a gap.
+// appendFlotPair appends one [millis,value] pair: the bytes of
+// strconv.AppendInt and strconv.AppendFloat(v, 'g', -1, 64), through
+// the shortest.go kernels. JSON has no NaN or ±Inf, so those values are
+// written as null, which Flot draws as a gap.
 func appendFlotPair(buf []byte, ms int64, v float64) []byte {
 	buf = append(buf, '[')
-	buf = strconv.AppendInt(buf, ms, 10)
+	if ms >= 0 {
+		buf = appendUint(buf, uint64(ms))
+	} else {
+		buf = strconv.AppendInt(buf, ms, 10)
+	}
 	buf = append(buf, ',')
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		buf = append(buf, "null"...)
 	} else {
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+		buf = appendShortest(buf, v)
 	}
 	return append(buf, ']')
 }
@@ -52,9 +58,31 @@ func (s *Series) FlotJSON() ([]byte, error) {
 // through the same fixed scratch chunk as the package-level WriteFlot:
 // memory is O(1) in the series length.
 func (s *Series) WriteFlot(w io.Writer) error {
+	base, ok := s.unixNanoBase()
+	if !ok {
+		return writeFlot(w, len(s.values), func(i int) (int64, float64) {
+			return s.TimeAt(i).UnixMilli(), s.values[i]
+		})
+	}
+	step := int64(s.step)
 	return writeFlot(w, len(s.values), func(i int) (int64, float64) {
-		return s.TimeAt(i).UnixMilli(), s.values[i]
+		ns := base + int64(i)*step
+		ms := ns / 1e6
+		if ms*1e6 > ns {
+			ms-- // floor, as UnixMilli rounds stamps before 1970
+		}
+		return ms, s.values[i]
 	})
+}
+
+// unixNanoBase returns the start's Unix time in nanoseconds and whether
+// every stamp start + i·step fits an int64 of them (i·step included);
+// then TimeAt(i).UnixMilli() is that sum divided by 10^6, rounded down.
+func (s *Series) unixNanoBase() (int64, bool) {
+	base := s.start.UnixNano()
+	last, step := int64(max(len(s.values)-1, 0)), int64(s.step)
+	return base, time.Unix(0, base).Equal(s.start) &&
+		last <= math.MaxInt64/step && base <= math.MaxInt64-last*step
 }
 
 // WriteFlot writes obs to w as the same [[millis, value], ...] document

@@ -194,6 +194,31 @@ func TestFlotJSONAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteFlotAllocs pins both streaming writers to their one 4 KiB
+// scratch chunk, whatever the series length.
+func TestWriteFlotAllocs(t *testing.T) {
+	for _, n := range []int{10, 10000} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = math.Sin(float64(i)) * 1e3
+		}
+		s := MustNew(t0, time.Minute, vals)
+		obs := seriesObs(s)
+		for name, write := range map[string]func(io.Writer) error{
+			"Series.WriteFlot": s.WriteFlot,
+			"WriteFlot":        func(w io.Writer) error { return WriteFlot(w, obs) },
+		} {
+			if allocs := testing.AllocsPerRun(20, func() {
+				if err := write(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 1 {
+				t.Fatalf("%s allocs = %.1f at %d points, want 1", name, allocs, n)
+			}
+		}
+	}
+}
+
 func TestParseFlotJSONErrors(t *testing.T) {
 	if _, err := ParseFlotJSON([]byte(`{"not":"array"}`)); err == nil {
 		t.Fatal("want error for non-array payload")
@@ -317,5 +342,57 @@ func TestFlotJSONPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteFlotStampsMatchTimeAt checks Series.WriteFlot's integer
+// stamps against TimeAt(i).UnixMilli() where they are easiest to get
+// wrong: before 1970 with sub-millisecond offsets, steps that are not
+// whole milliseconds, and series that end just inside, or run past, the
+// int64-nanosecond range, where WriteFlot falls back to TimeAt.
+func TestWriteFlotStampsMatchTimeAt(t *testing.T) {
+	const n = 50
+	edge := func(step time.Duration, over int64) time.Time {
+		return time.Unix(0, math.MaxInt64-int64(step)*(n-1)+over)
+	}
+	tests := []struct {
+		name  string
+		start time.Time
+		step  time.Duration
+		n     int
+	}{
+		{"pre-1970 sub-ms", time.Unix(0, -25*int64(time.Millisecond)-1), 333 * time.Microsecond, n},
+		{"crosses the epoch", time.Unix(0, -7*int64(time.Second)+5), 1500 * time.Microsecond, n},
+		{"nanosecond step", time.Unix(0, -3), time.Nanosecond, n},
+		{"ends at max int64 ns", edge(time.Hour, 0), time.Hour, n},
+		{"runs past max int64 ns", edge(time.Hour, 1), time.Hour, n},
+		// Nine steps of MaxInt64/4 ns wrap round to 2.3e18 ns, small
+		// enough to pass an end-of-range check on the wrapped span, yet
+		// stamp 4 is already past the int64 range.
+		{"step product wraps", t0, time.Duration(math.MaxInt64 / 4), 10},
+		{"before 1678", time.Date(1500, 1, 1, 0, 0, 0, 1, time.UTC), time.Minute, n},
+		{"after 2262", time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), 7 * time.Millisecond, n},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustNew(tc.start, tc.step, make([]float64, tc.n))
+			var got bytes.Buffer
+			if err := s.WriteFlot(&got); err != nil {
+				t.Fatal(err)
+			}
+			want := []byte{'['}
+			for i := 0; i < tc.n; i++ {
+				if i > 0 {
+					want = append(want, ',')
+				}
+				want = append(want, '[')
+				want = strconv.AppendInt(want, s.TimeAt(i).UnixMilli(), 10)
+				want = append(want, ",0]"...)
+			}
+			want = append(want, ']')
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("WriteFlot stamps differ from TimeAt:\n got %s\nwant %s", got.Bytes(), want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,27 @@ func FuzzFlotEncode(f *testing.F) {
 			}
 			if !bytes.Equal(doc, want) {
 				t.Fatalf("FlotJSON %s, reference %s", doc, want)
+			}
+		}
+	})
+}
+
+// FuzzAppendShortest is the number kernel's differential fuzzer: every
+// 8 bytes are one float64 bit pattern, and appendShortest must append
+// exactly what strconv.AppendFloat(…, 'g', -1, 64) does.
+func FuzzAppendShortest(f *testing.F) {
+	for _, v := range []float64{0.1, 1e-4, 999999.9999999999, 0x1p-1022, math.MaxFloat64, 2.5} {
+		f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want []byte
+		for len(data) >= 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+			got = appendShortest(got[:0], v)
+			want = strconv.AppendFloat(want[:0], v, 'g', -1, 64)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("appendShortest(%#016x) = %s, strconv %s", math.Float64bits(v), got, want)
 			}
 		}
 	})

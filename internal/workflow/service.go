@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"evop/internal/rest"
 )
 
 // This file exposes workflow composition over HTTP, completing the
@@ -253,30 +255,24 @@ const maxDefinitionBytes = 1 << 20
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/workflows")
 	path = strings.Trim(path, "/")
-	writeJSON := func(status int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(v)
-	}
 	switch {
 	case path == "" && r.Method == http.MethodPost:
 		var def Definition
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDefinitionBytes)).Decode(&def); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				writeJSON(http.StatusRequestEntityTooLarge,
-					map[string]string{"error": fmt.Sprintf("definition exceeds %d bytes", tooBig.Limit)})
+				rest.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("definition exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			writeJSON(http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
+			rest.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 			return
 		}
 		run, err := s.Execute(r.Context(), def)
 		if err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": err.Error()})
+			rest.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(http.StatusOK, run)
+		rest.WriteJSON(w, http.StatusOK, run)
 	case path == "" && r.Method == http.MethodGet:
 		type summary struct {
 			ID      string `json:"id"`
@@ -292,7 +288,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				Nodes: len(run.Definition.Nodes), Waves: run.Waves, Replays: run.Replays,
 			})
 		}
-		writeJSON(http.StatusOK, out)
+		rest.WriteJSON(w, http.StatusOK, out)
 	case strings.HasSuffix(path, "/replay") && r.Method == http.MethodPost:
 		id := strings.TrimSuffix(path, "/replay")
 		run, err := s.Replay(r.Context(), id)
@@ -301,20 +297,20 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, ErrNotReproducible) {
 				status = http.StatusConflict
 			}
-			writeJSON(status, map[string]string{"error": err.Error()})
+			rest.WriteError(w, status, err.Error())
 			return
 		}
-		writeJSON(http.StatusOK, run)
+		rest.WriteJSON(w, http.StatusOK, run)
 	case path != "" && r.Method == http.MethodGet:
 		s.mu.Lock()
 		run, ok := s.runs[path]
 		s.mu.Unlock()
 		if !ok {
-			writeJSON(http.StatusNotFound, map[string]string{"error": "no run " + path})
+			rest.WriteError(w, http.StatusNotFound, "no run "+path)
 			return
 		}
-		writeJSON(http.StatusOK, run)
+		rest.WriteJSON(w, http.StatusOK, run)
 	default:
-		writeJSON(http.StatusMethodNotAllowed, map[string]string{"error": r.Method + " " + r.URL.Path})
+		rest.WriteError(w, http.StatusMethodNotAllowed, r.Method+" "+r.URL.Path)
 	}
 }

@@ -266,3 +266,48 @@ func TestParseRef(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPBodies pins the HTTP binding's exact responses — status,
+// Content-Type and body bytes — for a success and for every error
+// status it answers.
+func TestHTTPBodies(t *testing.T) {
+	s := testService(t)
+	var n atomic.Int64
+	if err := s.RegisterProcess("counter", func(context.Context, map[string]string) (map[string]string, error) {
+		return map[string]string{"v": strconv.FormatInt(n.Add(1), 10)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		method, target, body string
+		status               int
+		want                 string
+	}{
+		{http.MethodPost, "/workflows", `{"name":"f","nodes":[{"id":"a","process":"counter"}]}`, http.StatusOK,
+			`{"id":"wf1","definition":{"name":"f","nodes":[{"id":"a","process":"counter"}]},"outputs":{"a":{"v":"1"}},"trace":[{"node":"a","wave":0,"inputs":[],"fingerprint":"14ee4c1b105815f8"}],"waves":1,"replays":0}`},
+		{http.MethodGet, "/workflows", "", http.StatusOK,
+			`[{"id":"wf1","name":"f","nodes":1,"waves":1,"replays":0}]`},
+		{http.MethodPost, "/workflows", `{bad`, http.StatusBadRequest,
+			`{"error":"invalid JSON: invalid character 'b' looking for beginning of object key string"}`},
+		{http.MethodPost, "/workflows", `{"name":"` + strings.Repeat("x", maxDefinitionBytes) + `"}`, http.StatusRequestEntityTooLarge,
+			`{"error":"definition exceeds 1048576 bytes"}`},
+		{http.MethodPost, "/workflows", `{"name":"e","nodes":[{"id":"a","process":"nope"}]}`, http.StatusBadRequest,
+			`{"error":"node a: unknown process \"nope\": workflow: invalid definition"}`},
+		{http.MethodPost, "/workflows/wf1/replay", "", http.StatusConflict,
+			`{"error":"node a fingerprint fbcbd51b0259b385 != reference 14ee4c1b105815f8: workflow: replay mismatch"}`},
+		{http.MethodPost, "/workflows/ghost/replay", "", http.StatusBadRequest,
+			`{"error":"run \"ghost\": workflow: invalid definition"}`},
+		{http.MethodGet, "/workflows/ghost", "", http.StatusNotFound,
+			`{"error":"no run ghost"}`},
+		{http.MethodDelete, "/workflows", "", http.StatusMethodNotAllowed,
+			`{"error":"DELETE /workflows"}`},
+	}
+	for _, tc := range tests {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if w.Code != tc.status || w.Header().Get("Content-Type") != "application/json" || w.Body.String() != tc.want+"\n" {
+			t.Errorf("%s %s = %d %q %s, want %d application/json %s",
+				tc.method, tc.target, w.Code, w.Header().Get("Content-Type"), w.Body.String(), tc.status, tc.want)
+		}
+	}
+}
