@@ -63,6 +63,12 @@ go test -fuzz='^FuzzReadCSV$' -fuzztime 10s ./internal/timeseries
 # Differential fuzzer: the rollup index must agree with the naive scan
 # for arbitrary ingest orders, cadences and query windows.
 go test -fuzz='^FuzzRollupVsNaive$' -fuzztime 10s ./internal/timeseries
+# Portal query fuzzer: raw from/to/step/agg/points on the healthy and
+# the degraded series path never answer 5xx, and an aggregate or
+# degraded answer stays within the bucket cap. Minimizing a new input of
+# five strings may use the default 60 s, the whole budget and more;
+# 50 tries per input leave the 10 s to fresh mutations.
+go test -fuzz='^FuzzSeriesQuery$' -fuzztime 10s -fuzzminimizetime 50x ./internal/portal
 # Token-bucket invariant fuzzer: client table stays LRU-bounded and
 # every bucket stays within [0, burst] for arbitrary op/advance streams.
 go test -fuzz='^FuzzTokenBucket$' -fuzztime 10s ./internal/admission

@@ -101,7 +101,10 @@ func sqrtKM(a float64) float64 {
 	return x
 }
 
-// Registry holds the known catchments.
+// Registry holds the known catchments. It only grows: there is no
+// removal, so Len is an exact generation of its contents. A registered
+// *Catchment is shared with every reader and must not be mutated after
+// Add; readers (the portal's encoded map layers among them) rely on it.
 type Registry struct {
 	mu   sync.RWMutex
 	byID map[string]*Catchment
@@ -146,6 +149,13 @@ func (r *Registry) All() []*Catchment {
 		out = append(out, r.byID[id])
 	}
 	return out
+}
+
+// Len returns the number of registered catchments.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ids)
 }
 
 // LEFTCatchments returns a registry pre-populated with the three rural

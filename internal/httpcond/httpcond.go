@@ -1,30 +1,47 @@
 // Package httpcond implements the conditional-request plumbing shared by
-// the portal's series endpoints and the SOS service: strong entity tags
-// derived from a sensor's ingest sequence, If-None-Match evaluation and
-// 304 short-circuits. Tags are deterministic — the same store state and
-// query always hash to byte-identical ETags, so intermediary caches
-// revalidate cheaply while ingest is quiet.
+// the portal's series endpoints and public documents and the SOS
+// service: strong entity tags derived from a sensor's ingest sequence
+// or a stored body, If-None-Match evaluation and 304 short-circuits.
+// Tags are deterministic — the same store state and query always hash
+// to byte-identical ETags, so intermediary caches revalidate cheaply
+// while ingest is quiet.
 package httpcond
 
 import (
-	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strings"
 	"time"
 )
 
+// FNV-1a 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Tag builds a strong entity tag by hashing the parts (typically: an
 // endpoint name, the sensor ID, its ingest sequence and the query
 // parameters that shape the response body). Identical parts always
-// produce a byte-identical tag.
+// produce a byte-identical tag: the quoted, zero-padded 16-hex-digit
+// FNV-1a 64 of the parts, each followed by a 0 byte so ("ab","c") and
+// ("a","bc") differ. The result string is its only allocation.
 func Tag(parts ...string) string {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0}) // delimiter so ("ab","c") != ("a","bc")
+		for i := 0; i < len(p); i++ {
+			h ^= uint64(p[i])
+			h *= fnvPrime64
+		}
+		h *= fnvPrime64 // the 0 delimiter: h ^= 0 is a no-op
 	}
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+	const hex = "0123456789abcdef"
+	var buf [18]byte
+	buf[0], buf[17] = '"', '"'
+	for i := 16; i > 0; i-- {
+		buf[i] = hex[h&0xf]
+		h >>= 4
+	}
+	return string(buf[:])
 }
 
 // Match reports whether the request's If-None-Match header matches etag

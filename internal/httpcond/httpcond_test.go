@@ -1,10 +1,53 @@
 package httpcond
 
 import (
+	"fmt"
+	"hash/fnv"
 	"net/http/httptest"
 	"testing"
 	"time"
 )
+
+// oldTag is the hash/fnv and fmt formula Tag replaced: the byte-identity
+// oracle for the inline hash.
+func oldTag(parts ...string) string {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+}
+
+func TestTagMatchesOldFormula(t *testing.T) {
+	for _, parts := range [][]string{
+		nil,
+		{},
+		{""},
+		{"", ""},
+		{"a"},
+		{"ab", "c"},
+		{"a", "bc"},
+		{"series", "morland-level-1", "42", "1561939200000000000", "1562025600000000000", "0", "", "900000000000"},
+		{"Morland, Eden catchment", "Café", "水位", "\x00\xff"},
+		{"\x00", "\x00\x00"},
+		{string(make([]byte, 4096))},
+	} {
+		if got, want := Tag(parts...), oldTag(parts...); got != want {
+			t.Fatalf("Tag(%q) = %s, want %s", parts, got, want)
+		}
+	}
+}
+
+// tagSink keeps the tag escaping, as a response header does.
+var tagSink string
+
+func TestTagAllocs(t *testing.T) {
+	parts := []string{"series", "morland-level-1", "42", "0", "mean"}
+	if n := testing.AllocsPerRun(100, func() { tagSink = Tag(parts...) }); n != 1 {
+		t.Fatalf("Tag allocates %v times per call, want 1 (the result string)", n)
+	}
+}
 
 func TestTagDeterministicAndDelimited(t *testing.T) {
 	if Tag("a", "b") != Tag("a", "b") {

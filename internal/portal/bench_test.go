@@ -84,3 +84,29 @@ func (d *discardWriter) Header() http.Header { return d.header }
 func (d *discardWriter) WriteHeader(code int) { d.status = code }
 
 func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkPublicDocuments measures the stored public documents — the
+// map overview, one catchment's layer and the scenario list — through
+// Portal.ServeHTTP into a reused writer that discards the body.
+func BenchmarkPublicDocuments(b *testing.B) {
+	f := newFixtureWith(b, unlimited)
+	for _, bc := range []struct{ name, target string }{
+		{"overview", "/map/layers"},
+		{"catchment", "/map/layers?catchment=morland"},
+		{"scenarios", "/widgets/model/scenarios"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, bc.target, nil)
+			w := &discardWriter{header: make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.status = 0
+				f.p.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status = %d", w.status)
+				}
+			}
+		})
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"evop/internal/admission"
 	"evop/internal/broker"
 	"evop/internal/core"
-	"evop/internal/geo"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/metrics"
 	"evop/internal/push"
@@ -75,6 +74,10 @@ type Portal struct {
 	// Admission-side instruments (see admission.go).
 	admitInst admissionInstruments
 
+	// The public documents, encoded once (see documents.go).
+	mapCache    mapLayerCache
+	scenarioDoc document
+
 	// liveMu guards the /ws/live connection count against the
 	// admission controller's cap; liveGauge mirrors it for /metrics.
 	liveMu        sync.Mutex
@@ -96,6 +99,10 @@ func New(obs *core.Observatory) (*Portal, error) {
 	if obs == nil {
 		return nil, errors.New("portal: nil observatory")
 	}
+	scenarioDoc, err := encodeDocument(scenario.All())
+	if err != nil {
+		return nil, fmt.Errorf("portal: encoding scenarios: %w", err)
+	}
 	reg := obs.MetricsRegistry()
 	p := &Portal{
 		obs:    obs,
@@ -113,6 +120,7 @@ func New(obs *core.Observatory) (*Portal, error) {
 			"Open /ws/live WebSocket connections."),
 		liveEvictions: reg.Counter("evop_ws_live_evictions_total",
 			"Live WebSocket connections evicted as slow consumers."),
+		scenarioDoc: scenarioDoc,
 	}
 	p.handle("/api/", rest.NewHandler(obs.Assets))
 	p.handle("/wps", obs.WPS)
@@ -200,49 +208,6 @@ func wantsPrometheus(r *http.Request) bool {
 		return false
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/plain")
-}
-
-// mapLayers serves the geotagged marker layer: every sensor and every
-// catchment outlet, optionally filtered by ?catchment=.
-func (p *Portal) mapLayers(w http.ResponseWriter, r *http.Request) {
-	filter := r.URL.Query().Get("catchment")
-	var fc geo.FeatureCollection
-	for _, c := range p.obs.Catchments.All() {
-		if filter != "" && c.ID != filter {
-			continue
-		}
-		fc.Features = append(fc.Features, geo.Feature{
-			ID:       "outlet-" + c.ID,
-			Geometry: c.Outlet,
-			Properties: map[string]any{
-				"type": "catchmentOutlet", "name": c.Name, "catchment": c.ID,
-			},
-		})
-		if poly, err := c.Outline(); err == nil {
-			fc.Features = append(fc.Features, geo.Feature{
-				ID:      "boundary-" + c.ID,
-				Outline: poly.Ring(),
-				Properties: map[string]any{
-					"type": "catchmentBoundary", "name": c.Name, "catchment": c.ID,
-					"areaKm2": c.AreaKM2,
-				},
-			})
-		}
-	}
-	for _, s := range p.obs.Network.Sensors() {
-		if filter != "" && s.CatchmentID != filter {
-			continue
-		}
-		fc.Features = append(fc.Features, geo.Feature{
-			ID:       s.ID,
-			Geometry: s.Location,
-			Properties: map[string]any{
-				"type": "sensor", "kind": s.Kind.String(), "unit": s.Kind.Unit(),
-				"catchment": s.CatchmentID,
-			},
-		})
-	}
-	rest.WriteJSON(w, http.StatusOK, fc)
 }
 
 // sensors serves /sensors/<id>/latest and /sensors/<id>/series.
@@ -346,11 +311,6 @@ func (p *Portal) fusion(w http.ResponseWriter, r *http.Request) {
 		{"temperatureSeries", func(out io.Writer) error { return timeseries.WriteFlot(out, temp) }},
 		{"turbiditySeries", func(out io.Writer) error { return timeseries.WriteFlot(out, turb) }},
 	})
-}
-
-// scenarios lists the widget's preset buttons.
-func (p *Portal) scenarios(w http.ResponseWriter, _ *http.Request) {
-	rest.WriteJSON(w, http.StatusOK, scenario.All())
 }
 
 // statusForRunErr maps model-run pipeline errors onto HTTP statuses:

@@ -158,7 +158,8 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 // degradedSeries is the series read path's overload fallback: instead
 // of scanning (and possibly downsampling) raw readings, it answers the
 // requested window from the coarsest rollup tier that still yields a
-// plottable number of buckets — mean values only, no conditional
+// plottable number of buckets, widened to a multiple of that tier when
+// the window would exceed maxAggBuckets — mean values only, no conditional
 // validators (a degraded body must not be cached as the real one), and
 // marked X-Degraded: coarse-rollup.
 func (p *Portal) degradedSeries(w http.ResponseWriter, r *http.Request, id string) {
@@ -184,6 +185,12 @@ func (p *Portal) degradedSeries(w http.ResponseWriter, r *http.Request, id strin
 	if !ok {
 		rest.WriteError(w, http.StatusBadRequest, errWindowTooWide)
 		return
+	}
+	if buckets > maxAggBuckets {
+		// Widen to the smallest multiple of the tier that fits the cap:
+		// ⌈⌈span/tier⌉/max⌉ = ⌈span/(max·tier)⌉.
+		step *= time.Duration((buckets + maxAggBuckets - 1) / maxAggBuckets)
+		buckets, _ = aggBuckets(from, to, step)
 	}
 	aggs, err := p.obs.Network.AggregateSeries(id, from, step, buckets)
 	if err != nil {

@@ -403,10 +403,37 @@ func TestSeriesAggOverWideWindow(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("degraded over-wide window = %d, want 400", resp.StatusCode)
 	}
+	// Readings a day apart over the last 40 days fill every coarse
+	// bucket they span, so consecutive pairs sit one degraded step apart.
+	now := f.clk.Now()
+	for d := 1; d <= 40; d++ {
+		if err := f.obs.Network.Ingest("morland-level-1", now.Add(-time.Duration(d)*24*time.Hour), float64(d)); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	}
 	resp = f.doRaw(t, http.MethodGet, sensor+"from=1900-01-01T00:00:00Z", "")
-	io.Copy(io.Discard, resp.Body)
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(DegradedHeader) != "coarse-rollup" {
 		t.Fatalf("degraded 120-year window = %d degraded=%q", resp.StatusCode, resp.Header.Get(DegradedHeader))
+	}
+	// The overload path is capped like the healthy one: at most
+	// maxAggBuckets pairs, and a step wide enough that from..to spans no
+	// more buckets than that.
+	var pairs [][2]float64
+	if err := json.Unmarshal(body, &pairs); err != nil {
+		t.Fatalf("unmarshal degraded body: %v", err)
+	}
+	if len(pairs) < 2 || len(pairs) > maxAggBuckets {
+		t.Fatalf("degraded 120-year window has %d pairs, want 2..%d", len(pairs), maxAggBuckets)
+	}
+	step := pairs[1][0] - pairs[0][0]
+	for i := 2; i < len(pairs); i++ {
+		step = min(step, pairs[i][0]-pairs[i-1][0])
+	}
+	from := float64(time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC).UnixMilli())
+	if buckets := int((pairs[len(pairs)-1][0]-from)/step) + 1; buckets > maxAggBuckets {
+		t.Fatalf("degraded step %v spans %d buckets from 1900, max %d",
+			time.Duration(step)*time.Millisecond, buckets, maxAggBuckets)
 	}
 }

@@ -314,6 +314,15 @@ func (n *Network) Sensors() []Sensor {
 	return out
 }
 
+// Len returns the number of sensors. The network only grows (there is
+// no removal, and Add refuses while it runs), so Len is an exact
+// generation of the sensor list.
+func (n *Network) Len() int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return len(n.order)
+}
+
 // Get returns one sensor.
 func (n *Network) Get(id string) (Sensor, error) {
 	n.mu.RLock()
