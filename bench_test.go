@@ -137,9 +137,9 @@ func BenchmarkTOPMODELYear(b *testing.B) {
 	}
 }
 
-// BenchmarkTOPMODELYearFresh measures the same simulation through the
-// allocating Run signature — the cost of a one-shot run with no scratch
-// to reuse.
+// BenchmarkTOPMODELYearFresh measures the same simulation through Run,
+// as one-shot callers run it: pooled scratch plus the one series the
+// caller keeps.
 func BenchmarkTOPMODELYearFresh(b *testing.B) {
 	ti := benchTI(b)
 	f := benchForcing(b, 365)

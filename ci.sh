@@ -69,6 +69,10 @@ go test -fuzz='^FuzzRollupVsNaive$' -fuzztime 10s ./internal/timeseries
 # five strings may use the default 60 s, the whole budget and more;
 # 50 tries per input leave the 10 s to fresh mutations.
 go test -fuzz='^FuzzSeriesQuery$' -fuzztime 10s -fuzzminimizetime 50x ./internal/portal
+# Run-request fuzzer: raw /widgets/model/run bodies never answer 5xx,
+# and every 200 is valid JSON; failed runs go through the pooled kernel
+# scratch too.
+go test -fuzz='^FuzzRunRequest$' -fuzztime 10s ./internal/portal
 # Token-bucket invariant fuzzer: client table stays LRU-bounded and
 # every bucket stays within [0, burst] for arbitrary op/advance streams.
 go test -fuzz='^FuzzTokenBucket$' -fuzztime 10s ./internal/admission

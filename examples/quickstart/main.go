@@ -43,9 +43,13 @@ func run() error {
 		return fmt.Errorf("running model: %w", err)
 	}
 
+	m3s, err := res.DischargeM3S()
+	if err != nil {
+		return fmt.Errorf("converting to m3/s: %w", err)
+	}
 	fmt.Printf("TOPMODEL on Morland, 60mm/6h storm at day 15\n")
 	fmt.Printf("  peak flow : %.3f mm/h (%.2f m3/s) at %s\n",
-		res.PeakMM, res.DischargeM3S.Summarise().Max, res.PeakAt.Format("2006-01-02 15:04"))
+		res.PeakMM, m3s.Summarise().Max, res.PeakAt.Format("2006-01-02 15:04"))
 	fmt.Printf("  volume    : %.1f mm over %d days (runoff ratio %.2f)\n\n",
 		res.VolumeMM, cfg.ForcingDays, res.RunoffRatio)
 

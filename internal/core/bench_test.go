@@ -1,0 +1,41 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"evop/internal/clock"
+	"evop/internal/hydro/topmodel"
+	"evop/internal/runcache"
+)
+
+// BenchmarkRunModelMiss measures one uncached TOPMODEL run through the
+// run cache: every iteration's parameters are distinct, so each is a
+// miss that simulates the 30-day record and stores its result. B/op is
+// what an uncached widget run allocates.
+func BenchmarkRunModelMiss(b *testing.B) {
+	cfg := DefaultConfig(clock.NewSimulated(epoch))
+	cfg.ForcingDays = 30
+	o, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	// Resolve the forcing and the terrain before timing.
+	if _, _, err := o.RunModelCachedContext(ctx, RunRequest{CatchmentID: "morland", Model: "topmodel"}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := topmodel.DefaultParams()
+		p.M += float64(i+1) * 1e-6
+		_, outcome, err := o.RunModelCachedContext(ctx, RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if outcome != runcache.Miss {
+			b.Fatalf("outcome = %v, want miss", outcome)
+		}
+	}
+}

@@ -579,8 +579,6 @@ type RunRequest struct {
 type RunResult struct {
 	// Discharge is the simulated hydrograph in mm/step.
 	Discharge *timeseries.Series `json:"discharge"`
-	// DischargeM3S is the hydrograph in cubic metres per second.
-	DischargeM3S *timeseries.Series `json:"dischargeM3s"`
 	// PeakMM is the peak flow (mm/step); PeakAt its time.
 	PeakMM float64   `json:"peakMm"`
 	PeakAt time.Time `json:"peakAt"`
@@ -596,6 +594,16 @@ type RunResult struct {
 	// Model and Scenario echo the request.
 	Model    string `json:"model"`
 	Scenario string `json:"scenario"`
+
+	// areaKM2 is the catchment's area, kept for DischargeM3S.
+	areaKM2 float64
+}
+
+// DischargeM3S converts the hydrograph to cubic metres per second over
+// the catchment's area. It computes a fresh series on every call, so a
+// cached result holds only the mm/step hydrograph.
+func (r *RunResult) DischargeM3S() (*timeseries.Series, error) {
+	return hydro.DischargeM3S(r.Discharge, r.areaKM2)
 }
 
 // DriestStormWindowContext returns the hour offset (from the forcing
@@ -702,6 +710,11 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult,
 	if !ok {
 		return nil, fmt.Errorf("catchment %q: %w", req.CatchmentID, ErrUnknownCatchment)
 	}
+	// RunResult.DischargeM3S converts with this area on demand; refuse
+	// one it could not convert before paying for the simulation.
+	if !(c.AreaKM2 > 0) {
+		return nil, fmt.Errorf("catchment %q area %v km2: %w", req.CatchmentID, c.AreaKM2, hydro.ErrBadParam)
+	}
 	scnID := req.ScenarioID
 	if scnID == "" {
 		scnID = scenario.Baseline
@@ -788,24 +801,26 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult,
 	}
 
 	st := q.Summarise()
-	m3s, err := hydro.DischargeM3S(q, c.AreaKM2)
-	if err != nil {
-		return nil, err
-	}
 	rainVol := forcing.Rain.Summarise().Sum
 	ratio := 0.0
 	if rainVol > 0 {
 		ratio = st.Sum / rainVol
 	}
+	// Parameters or rainfall far outside any catchment's range can drive
+	// the kernel past float64's range. Such a hydrograph means nothing
+	// and its summary has no JSON form, so the request is refused.
+	if st.N != q.Len() || math.IsNaN(st.Sum) || math.IsInf(st.Sum, 0) || math.IsInf(ratio, 0) {
+		return nil, fmt.Errorf("%s run left the float64 range: %w", req.Model, ErrBadConfig)
+	}
 	res := &RunResult{
-		Discharge:    q,
-		DischargeM3S: m3s,
-		PeakMM:       st.Max,
-		PeakAt:       q.TimeAt(st.ArgMax),
-		VolumeMM:     st.Sum,
-		RunoffRatio:  ratio,
-		Model:        req.Model,
-		Scenario:     scnID,
+		Discharge:   q,
+		PeakMM:      st.Max,
+		PeakAt:      q.TimeAt(st.ArgMax),
+		VolumeMM:    st.Sum,
+		RunoffRatio: ratio,
+		Model:       req.Model,
+		Scenario:    scnID,
+		areaKM2:     c.AreaKM2,
 	}
 	if req.Storm != nil {
 		stormAt := o.cfg.Start.Add(time.Duration(req.StormAtHours) * time.Hour)

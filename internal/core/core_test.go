@@ -3,14 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"evop/internal/catchment"
 	"evop/internal/clock"
 	"evop/internal/cloud"
+	"evop/internal/hydro"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/runcache"
 	"evop/internal/scenario"
@@ -160,8 +163,52 @@ func TestRunModelTOPMODEL(t *testing.T) {
 		t.Fatalf("echo = %s/%s", res.Model, res.Scenario)
 	}
 	// m3/s conversion is consistent.
-	if res.DischargeM3S.Len() != res.Discharge.Len() {
+	m3s, err := res.DischargeM3S()
+	if err != nil {
+		t.Fatalf("DischargeM3S: %v", err)
+	}
+	if m3s.Len() != res.Discharge.Len() {
 		t.Fatal("m3/s series length differs")
+	}
+	c, _ := o.Catchments.Get("morland")
+	factor := c.AreaKM2 * 1000 / 3600
+	for i := 0; i < m3s.Len(); i++ {
+		if want := res.Discharge.At(i) * factor; m3s.At(i) != want {
+			t.Fatalf("m3/s[%d] = %v, want %v", i, m3s.At(i), want)
+		}
+	}
+}
+
+// TestRunModelRefusesNonPositiveArea: a catchment whose area cannot
+// convert the hydrograph to m3/s is refused, as the conversion itself
+// refuses it.
+func TestRunModelRefusesNonPositiveArea(t *testing.T) {
+	o, _ := newObs(t)
+	morland, _ := o.Catchments.Get("morland")
+	for _, area := range []float64{0, -1, math.NaN()} {
+		id := fmt.Sprintf("area-%v", area)
+		if err := o.Catchments.Add(&catchment.Catchment{
+			ID: id, AreaKM2: area, ClimateSeed: morland.ClimateSeed, Terrain: morland.Terrain,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: id, Model: "topmodel"})
+		if !errors.Is(err, hydro.ErrBadParam) {
+			t.Fatalf("area %v: err = %v, want hydro.ErrBadParam", area, err)
+		}
+	}
+}
+
+// TestRunModelRefusesNonFiniteRun: a transmissivity whose exponential
+// overflows turns the whole hydrograph NaN; the run is refused as a bad
+// request instead of summarised.
+func TestRunModelRefusesNonFiniteRun(t *testing.T) {
+	o, _ := newObs(t)
+	p := topmodel.DefaultParams()
+	p.LnTe = 1e308
+	_, _, err := o.RunModelCachedContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &p})
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"evop/internal/hydro"
 	"evop/internal/sched"
@@ -265,9 +266,21 @@ func (m *Model) Decisions() Decisions { return m.dec }
 // Params returns the model's parameters.
 func (m *Model) Params() Params { return m.params }
 
-// Run implements hydro.Model.
+// scratchPool recycles Run's simulation buffers across calls and
+// goroutines. A pooled scratch may hold a longer run's buffers; runInto
+// renews each one to the forcing's length first.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Run implements hydro.Model. The simulation runs in a pooled scratch,
+// so a run allocates only the returned series, which the caller owns.
 func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
-	return m.runInto(f, &Scratch{})
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	q, err := m.runInto(f, sc)
+	if err != nil {
+		return nil, err
+	}
+	return q.Clone(), nil
 }
 
 // NewScratch implements hydro.ScratchModel.
@@ -444,10 +457,10 @@ type EnsembleResult struct {
 // Cancellation is checked between members: each member is a full
 // simulation, so the boundary between members is where abandoning a
 // canceled request saves real work without threading a context through
-// the inner kernel. Each executor carries one reusable Scratch, so a
-// member costs the model build plus one copy of its output rather than
-// fresh simulation buffers; results are aggregated in decision-index
-// order, making Members and Mean bit-identical for any worker count.
+// the inner kernel. Each member runs through the pooled Run, so it costs
+// the model build plus its owned output series; results are aggregated
+// in decision-index order, making Members and Mean bit-identical for any
+// worker count.
 func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params Params, f hydro.Forcing) (*EnsembleResult, error) {
 	if len(decs) == 0 {
 		return nil, fmt.Errorf("no decisions: %w", ErrBadDecision)
@@ -462,21 +475,16 @@ func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params 
 		return nil, fmt.Errorf("running %v: %w", decs[0], err)
 	}
 
-	results := make([]*timeseries.Series, len(decs))
-	runner := sched.NewRunner(p, sched.ClassModel, func() *Scratch { return &Scratch{} })
-	err := runner.ForEach(ctx, len(decs), func(sc *Scratch, i int) error {
+	results, err := sched.Map(ctx, p, sched.ClassModel, len(decs), func(i int) (*timeseries.Series, error) {
 		m, err := New(decs[i], params)
 		if err != nil {
-			return fmt.Errorf("building %v: %w", decs[i], err)
+			return nil, fmt.Errorf("building %v: %w", decs[i], err)
 		}
-		q, err := m.runInto(f, sc)
+		q, err := m.Run(f)
 		if err != nil {
-			return fmt.Errorf("running %v: %w", decs[i], err)
+			return nil, fmt.Errorf("running %v: %w", decs[i], err)
 		}
-		// The scratch series is overwritten by this executor's next
-		// member; the ensemble result owns a copy.
-		results[i] = q.Clone()
-		return nil
+		return q, nil
 	})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {

@@ -75,7 +75,8 @@ func (f Forcing) Step() time.Duration { return f.Rain.Step() }
 type Model interface {
 	// Name identifies the model ("topmodel", "fuse-070", ...).
 	Name() string
-	// Run simulates the discharge series for the forcing.
+	// Run simulates the discharge series for the forcing. The caller
+	// owns the returned series.
 	Run(f Forcing) (*timeseries.Series, error)
 }
 

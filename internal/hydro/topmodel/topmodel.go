@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"evop/internal/catchment"
 	"evop/internal/hydro"
@@ -66,6 +67,14 @@ func DefaultParams() Params {
 	}
 }
 
+// maxRouteBaseSteps caps the unit hydrograph's base length: New
+// allocates one ordinate per step, and a request body sets the length.
+// A leap year of hourly steps is longer than the hourly forcing record
+// the portal builds by default (120 days) and far longer than a
+// headwater catchment's response, so the cap bounds the allocation
+// without refusing a routing any real run would use.
+const maxRouteBaseSteps = 366 * 24
+
 // Validate checks parameter ranges.
 func (p Params) Validate() error {
 	switch {
@@ -83,6 +92,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("Q0=%v: %w", p.Q0, ErrBadParams)
 	case p.RoutePeakSteps < 1 || p.RouteBaseSteps <= p.RoutePeakSteps:
 		return fmt.Errorf("routing tp=%d base=%d: %w", p.RoutePeakSteps, p.RouteBaseSteps, ErrBadParams)
+	case p.RouteBaseSteps > maxRouteBaseSteps:
+		return fmt.Errorf("routing base=%d above %d steps: %w", p.RouteBaseSteps, maxRouteBaseSteps, ErrBadParams)
 	}
 	return nil
 }
@@ -175,13 +186,22 @@ type Scratch struct {
 	out                                           Output
 }
 
-// Run implements hydro.Model, returning routed discharge.
+// scratchPool recycles Run's simulation buffers across calls and
+// goroutines. A pooled scratch may hold a longer run's buffers;
+// RunDetailedInto renews every one to the forcing's length first.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Run implements hydro.Model, returning routed discharge. The simulation
+// runs in a pooled scratch, so a run allocates only the returned series,
+// which the caller owns.
 func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
-	out, err := m.RunDetailed(f)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	out, err := m.RunDetailedInto(f, sc)
 	if err != nil {
 		return nil, err
 	}
-	return out.Discharge, nil
+	return out.Discharge.Clone(), nil
 }
 
 // NewScratch implements hydro.ScratchModel.

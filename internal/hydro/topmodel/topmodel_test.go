@@ -53,6 +53,11 @@ func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
+	atCap := DefaultParams()
+	atCap.RouteBaseSteps = maxRouteBaseSteps
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("routing base at the cap invalid: %v", err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Params)
@@ -66,6 +71,8 @@ func TestParamsValidate(t *testing.T) {
 		{"TD zero", func(p *Params) { p.TD = 0 }},
 		{"Q0 zero", func(p *Params) { p.Q0 = 0 }},
 		{"routing degenerate", func(p *Params) { p.RouteBaseSteps = p.RoutePeakSteps }},
+		{"routing base above cap", func(p *Params) { p.RouteBaseSteps = maxRouteBaseSteps + 1 }},
+		{"routing base 4e9", func(p *Params) { p.RouteBaseSteps = 4_000_000_000 }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

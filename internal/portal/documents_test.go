@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -307,5 +308,41 @@ func TestPublicDocumentsAllocs(t *testing.T) {
 			t.Fatalf("%s allocates %v times per request, want ≤ 24", target, n)
 		}
 		t.Logf("%s: %v allocs/request", target, n)
+	}
+}
+
+// TestReadOnlyDocumentsRefuseOtherMethods sends every method to each
+// read-only document through the whole portal: GET and HEAD are served,
+// anything else answers 405 with an Allow header, even when it carries
+// the current tag, which would otherwise earn a 304.
+func TestReadOnlyDocumentsRefuseOtherMethods(t *testing.T) {
+	f := newFixtureWith(t, unlimited)
+	for _, target := range []string{"/map/layers", "/map/layers?catchment=tarland",
+		"/widgets/model/scenarios", "/sensors/morland-level-1/series", "/sensors/morland-level-1/latest"} {
+		etag := getDoc(f.p, target, "").Header().Get("ETag")
+		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost,
+			http.MethodPut, http.MethodDelete, http.MethodPatch, http.MethodOptions} {
+			for _, inm := range []string{"", etag} {
+				req := httptest.NewRequest(method, target, strings.NewReader(`{}`))
+				if inm != "" {
+					req.Header.Set("If-None-Match", inm)
+				}
+				rec := httptest.NewRecorder()
+				f.p.ServeHTTP(rec, req)
+				want := http.StatusOK
+				switch {
+				case method != http.MethodGet && method != http.MethodHead:
+					want = http.StatusMethodNotAllowed
+				case inm != "":
+					want = http.StatusNotModified
+				}
+				if rec.Code != want {
+					t.Fatalf("%s %s If-None-Match %q = %d, want %d", method, target, inm, rec.Code, want)
+				}
+				if allow := rec.Header().Get("Allow"); want == http.StatusMethodNotAllowed && allow != "GET, HEAD" {
+					t.Fatalf("%s %s: Allow %q, want \"GET, HEAD\"", method, target, allow)
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +62,44 @@ func FuzzSeriesQuery(f *testing.F) {
 		}
 		if (agg != "" || degradedPath) && pairs > maxAggBuckets {
 			t.Fatalf("%s degraded=%v: %d pairs, max %d", q.Encode(), degradedPath, pairs, maxAggBuckets)
+		}
+	})
+}
+
+// FuzzRunRequest posts raw bodies to /widgets/model/run through the
+// whole portal: no body may answer 5xx, and every 200 is valid JSON.
+// Runs refused after the kernel has run (a non-finite hydrograph) share
+// the pooled model scratch with the runs that follow them.
+func FuzzRunRequest(f *testing.F) {
+	fx := newFixtureWith(f, unlimited)
+	for _, seed := range []string{
+		`{"catchment":"morland","model":"topmodel","scenario":"compaction","topmodelParams":` +
+			`{"m":31.7,"lnTe":6.2,"srMax":44.1,"sr0":2,"td":3.3,"q0":0.05,"routePeakSteps":3,"routeBaseSteps":12}}`,
+		`{"catchment":"tarland","model":"fuse","scenario":"afforestation",` +
+			`"storm":{"TotalDepthMM":57,"Duration":21600000000000,"PeakFraction":0.4},"stormAtHours":200}`,
+		`{"catchment":"machynlleth","model":"topmodel","scenario":"storage",` +
+			`"storm":{"TotalDepthMM":60,"Duration":21600000000000,"PeakFraction":0.4},"stormAtHours":120}`,
+		`{"catchment":"morland","model":"topmodel","topmodelParams":{"m":28,"lnTe":5.5,"srMax":40,"sr0":2,` +
+			`"td":2,"q0":0.05,"routePeakSteps":3,"routeBaseSteps":4000000000}}`,
+		`{"catchment":"morland","model":"topmodel","topmodelParams":{"m":28,"lnTe":1e308,"srMax":40,"sr0":2,` +
+			`"td":2,"q0":0.05,"routePeakSteps":3,"routeBaseSteps":12}}`,
+		`{"catchment":"morland","model":"topmodel","storm":{}}`,
+		`{"catchment":"morland","model":"fuse","rainDataset":"nope"}`,
+		`{"catchment":"morland","model":"topmodel","topmodelParams":{"m":-1}}`,
+		`{bad json`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		req := httptest.NewRequest(http.MethodPost, "/widgets/model/run", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		fx.p.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%q = %d %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%q: 200 body is not JSON: %.200s", body, rec.Body)
 		}
 	})
 }

@@ -36,6 +36,7 @@ import (
 	"evop/internal/scenario"
 	"evop/internal/sensor"
 	"evop/internal/timeseries"
+	"evop/internal/weather"
 	"evop/internal/ws"
 )
 
@@ -217,6 +218,9 @@ func (p *Portal) sensors(w http.ResponseWriter, r *http.Request) {
 	if i := strings.LastIndexByte(tail, '/'); i >= 0 {
 		id, op = tail[:i], tail[i+1:]
 	}
+	if (op == "latest" || op == "series") && !readOnly(w, r) {
+		return
+	}
 	switch op {
 	case "latest":
 		reading, err := p.obs.Network.Latest(id)
@@ -327,7 +331,7 @@ func statusForRunErr(err error) int {
 	case errors.Is(err, core.ErrUnknownCatchment), errors.Is(err, core.ErrUnknownModel):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrBadConfig), errors.Is(err, scenario.ErrUnknown),
-		errors.Is(err, topmodel.ErrBadParams):
+		errors.Is(err, topmodel.ErrBadParams), errors.Is(err, weather.ErrBadConfig):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

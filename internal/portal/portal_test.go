@@ -260,6 +260,12 @@ func TestModelRunWidget(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad params = %d", code)
 	}
+	// A routing base this long would size a 32 GB unit hydrograph.
+	code, _ = f.post(t, "/widgets/model/run", `{"catchment":"morland","model":"topmodel","topmodelParams":`+
+		`{"m":28,"lnTe":5.5,"srMax":40,"sr0":2,"td":2,"q0":0.05,"routePeakSteps":3,"routeBaseSteps":4000000000}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("routeBaseSteps 4e9 = %d", code)
+	}
 	code, _ = f.post(t, "/widgets/model/run", `{bad json`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad json = %d", code)
