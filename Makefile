@@ -23,5 +23,6 @@ lint-metrics:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# fuzz runs ci.sh's fuzzer list (tools/fuzz.sh) for longer.
 fuzz:
-	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/ws
+	./tools/fuzz.sh 30s

@@ -46,33 +46,6 @@ go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|Poo
 	./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
 	./internal/admission ./internal/sched
 # Fuzz smoke tier: run every fuzzer briefly on fresh mutations — catches
-# parser regressions the seeded corpus alone would miss. One -fuzz
-# pattern per invocation (go test requires it to match exactly one).
-go test -fuzz='^FuzzReadFrame$' -fuzztime 10s ./internal/ws
-go test -fuzz='^FuzzParseDataInputs$' -fuzztime 10s ./internal/ogc/wps
-go test -fuzz='^FuzzParseExecuteDocument$' -fuzztime 10s ./internal/ogc/wps
-go test -fuzz='^FuzzParseFlotJSON$' -fuzztime 10s ./internal/timeseries
-# Differential fuzzer: the Flot encoder must emit valid JSON for any
-# float64 bit pattern, round-trip finite values bit-exactly and match
-# the reference json.Marshal encoder wherever that one can encode.
-go test -fuzz='^FuzzFlotEncode$' -fuzztime 10s ./internal/timeseries
-# Differential fuzzer: the shortest-float kernel must append exactly
-# strconv's 'g' shortest form for any float64 bit pattern.
-go test -fuzz='^FuzzAppendShortest$' -fuzztime 10s ./internal/timeseries
-go test -fuzz='^FuzzReadCSV$' -fuzztime 10s ./internal/timeseries
-# Differential fuzzer: the rollup index must agree with the naive scan
-# for arbitrary ingest orders, cadences and query windows.
-go test -fuzz='^FuzzRollupVsNaive$' -fuzztime 10s ./internal/timeseries
-# Portal query fuzzer: raw from/to/step/agg/points on the healthy and
-# the degraded series path never answer 5xx, and an aggregate or
-# degraded answer stays within the bucket cap. Minimizing a new input of
-# five strings may use the default 60 s, the whole budget and more;
-# 50 tries per input leave the 10 s to fresh mutations.
-go test -fuzz='^FuzzSeriesQuery$' -fuzztime 10s -fuzzminimizetime 50x ./internal/portal
-# Run-request fuzzer: raw /widgets/model/run bodies never answer 5xx,
-# and every 200 is valid JSON; failed runs go through the pooled kernel
-# scratch too.
-go test -fuzz='^FuzzRunRequest$' -fuzztime 10s ./internal/portal
-# Token-bucket invariant fuzzer: client table stays LRU-bounded and
-# every bucket stays within [0, burst] for arbitrary op/advance streams.
-go test -fuzz='^FuzzTokenBucket$' -fuzztime 10s ./internal/admission
+# parser regressions the seeded corpus alone would miss. The fuzzer list
+# lives in tools/fuzz.sh, which `make fuzz` runs too.
+./tools/fuzz.sh 10s

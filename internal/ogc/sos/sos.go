@@ -23,7 +23,20 @@
 //	     </sos:InsertObservation>
 //
 // Insert bodies are bounded (an observation is small); an oversized
-// document is refused with 413 before being read.
+// document is refused with 413.
+//
+// The canonical insert, the one above with or without namespace
+// prefixes, is read by a byte scanner (scanInsert) and answered from an
+// appended buffer. It must be a root InsertObservation carrying only
+// xmlns declarations, holding one Observation that holds exactly one
+// procedure, samplingTime and result, each of printable ASCII text with
+// no character XML escapes; close tags repeat their open tags, and only
+// whitespace stands between and after the elements. Every other body —
+// a prolog, comments, CDATA, entities, other attributes, missing,
+// repeated or extra elements, trailing content, an unreadable or
+// oversized body — goes to encoding/xml over the same bytes, and every
+// body is answered exactly as by encoding/xml: the same status,
+// exception code and text, response bytes and stored reading.
 //
 // GetObservation windows are half-open, [from, to): an observation
 // stamped exactly `from` is included, one stamped exactly `to` is not.
@@ -39,12 +52,15 @@ package sos
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"evop/internal/httpcond"
@@ -175,21 +191,41 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// insertObservation handles the POST binding: decode the bounded XML
-// document, validate it, and push the observation into the sensor
-// network's ingest path.
+// insertBufs pools the buffer each insert reads its body into and
+// appends its response to.
+var insertBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// insertObservation handles the POST binding: read the bounded XML
+// document, match it against the canonical shape (scanInsert) or else
+// decode it with encoding/xml, validate it, and push the observation
+// into the sensor network's ingest path.
 func (s *Service) insertObservation(w http.ResponseWriter, r *http.Request) {
-	var doc xmlInsertObservation
+	buf := insertBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		insertBufs.Put(buf)
+	}()
 	body := http.MaxBytesReader(w, r.Body, maxInsertBytes)
-	if err := xml.NewDecoder(body).Decode(&doc); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeException(w, http.StatusRequestEntityTooLarge, "InvalidRequest",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	_, err := buf.ReadFrom(body)
+	var doc xmlInsertObservation
+	ok := false
+	if err == nil {
+		doc, ok = scanInsert(buf.String())
+	}
+	if !ok {
+		// The decoder sees the byte stream it would have read directly:
+		// the bytes already read, then the rest of the bounded body,
+		// whose reader repeats any error it stopped on.
+		if doc, err = decodeInsert(io.MultiReader(bytes.NewReader(buf.Bytes()), body)); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeException(w, http.StatusRequestEntityTooLarge, "InvalidRequest",
+					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
+			writeException(w, http.StatusBadRequest, "InvalidRequest", "malformed InsertObservation document")
 			return
 		}
-		writeException(w, http.StatusBadRequest, "InvalidRequest", "malformed InsertObservation document")
-		return
 	}
 	if doc.Procedure == "" {
 		writeException(w, http.StatusBadRequest, "MissingParameterValue", "om:procedure is required")
@@ -204,7 +240,8 @@ func (s *Service) insertObservation(w http.ResponseWriter, r *http.Request) {
 		writeException(w, http.StatusBadRequest, "InvalidParameterValue", "bad om:samplingTime")
 		return
 	}
-	if err := s.network.Ingest(doc.Procedure, at, *doc.Value); err != nil {
+	seq, err := s.network.IngestSeq(doc.Procedure, at, *doc.Value)
+	if err != nil {
 		switch {
 		case errors.Is(err, sensor.ErrNotFound):
 			writeException(w, http.StatusNotFound, "InvalidParameterValue", "no procedure "+doc.Procedure)
@@ -215,10 +252,37 @@ func (s *Service) insertObservation(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	stamp, _ := s.network.ReadStamp(doc.Procedure)
-	writeXML(w, http.StatusOK, xmlInsertResponse{
-		AssignedID: fmt.Sprintf("%s@%d", doc.Procedure, stamp.Seq),
-	})
+	if !plainText(doc.Procedure) {
+		writeXML(w, http.StatusOK, xmlInsertResponse{
+			AssignedID: doc.Procedure + "@" + strconv.FormatUint(seq, 10),
+		})
+		return
+	}
+	// An id the encoder writes verbatim: append the document writeXML
+	// would encode, reusing the request's buffer.
+	buf.Reset()
+	out := append(buf.AvailableBuffer(), insertResponseOpen...)
+	out = append(out, doc.Procedure...)
+	out = append(out, '@')
+	out = strconv.AppendUint(out, seq, 10)
+	out = append(out, insertResponseClose...)
+	w.Header().Set("Content-Type", "application/xml")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out)
+}
+
+// insertResponseOpen and insertResponseClose frame the assigned id in
+// the indented xmlInsertResponse document writeXML encodes.
+const (
+	insertResponseOpen  = xml.Header + "<sos:InsertObservationResponse>\n  <sos:AssignedObservationId>"
+	insertResponseClose = "</sos:AssignedObservationId>\n</sos:InsertObservationResponse>"
+)
+
+// decodeInsert decodes an InsertObservation document with encoding/xml.
+func decodeInsert(r io.Reader) (xmlInsertObservation, error) {
+	var doc xmlInsertObservation
+	err := xml.NewDecoder(r).Decode(&doc)
+	return doc, err
 }
 
 func (s *Service) getCapabilities(w http.ResponseWriter) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -266,6 +267,16 @@ func TestModelRunWidget(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("routeBaseSteps 4e9 = %d", code)
 	}
+	// A storm longer than the 20-day forcing is refused before its
+	// weights are sized: this one would allocate 20 MB of them. Served
+	// in process, so the heap delta is the request's own.
+	rec := httptest.NewRecorder()
+	before := heapAllocBytes()
+	f.p.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/widgets/model/run", strings.NewReader(
+		`{"catchment":"morland","model":"topmodel","storm":{"TotalDepthMM":10,"Duration":9223372036854775807,"PeakFraction":0.4}}`)))
+	if grew := heapAllocBytes() - before; rec.Code != http.StatusBadRequest || grew > 1<<20 {
+		t.Fatalf("storm Duration MaxInt64 = %d after %d bytes allocated: %.200s", rec.Code, grew, rec.Body)
+	}
 	code, _ = f.post(t, "/widgets/model/run", `{bad json`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad json = %d", code)
@@ -274,6 +285,13 @@ func TestModelRunWidget(t *testing.T) {
 	if code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET run = %d", code)
 	}
+}
+
+// heapAllocBytes reads the cumulative bytes allocated on the heap.
+func heapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func TestRESTAssetsServed(t *testing.T) {

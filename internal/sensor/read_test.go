@@ -3,6 +3,7 @@ package sensor
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,6 +261,48 @@ func TestReadStampNeverRewindsAfterFutureIngest(t *testing.T) {
 	}
 	if !after.LastIngest.Equal(ahead) {
 		t.Fatalf("LastIngest = %v, want %v", after.LastIngest, ahead)
+	}
+}
+
+// TestIngestSeqConcurrent pins that concurrent ingests to one sensor
+// are each stamped with their own seq: N of them return exactly
+// s0+1 … s0+N, so no two SOS inserts are assigned the same id.
+func TestIngestSeqConcurrent(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	n, err := NewNetwork(clk, nil)
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	if err := n.Add(levelSensor("lvl")); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	clk.Advance(time.Hour)
+	if err := n.Ingest("lvl", clk.Now(), 0.1); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	s0, _ := n.ReadStamp("lvl")
+	const writers, each = 8, 32
+	seqs := make([]uint64, writers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seq, err := n.IngestSeq("lvl", epoch.Add(time.Duration(w*each+i)*time.Second), float64(i))
+				if err != nil {
+					t.Errorf("IngestSeq: %v", err)
+				}
+				seqs[w*each+i] = seq
+			}
+		}(w)
+	}
+	wg.Wait()
+	slices.Sort(seqs)
+	for i, seq := range seqs {
+		if seq != s0.Seq+uint64(i)+1 {
+			t.Fatalf("sorted seqs[%d] = %d, want %d (seqs %v)", i, seq, s0.Seq+uint64(i)+1, seqs)
+		}
 	}
 }
 

@@ -392,8 +392,10 @@ func (n *Network) sample(id string) {
 // max(last, at)), refreshes the network's O(1) newest-reading cache and
 // publishes on the sensor, catchment and firehose topics. Only the
 // sensor's own shard is locked for the append; the network lock is
-// taken just for the newest-reading cache.
-func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
+// taken just for the newest-reading cache. It returns the seq it
+// assigned, read under the same shard lock, so the stamp belongs to
+// this reading even while other readings of the sensor land.
+func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) uint64 {
 	r := Reading{SensorID: s.ID, Kind: s.Kind, Time: at, Value: value}
 	sh.mu.Lock()
 	if s.Kind == Webcam {
@@ -403,6 +405,7 @@ func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
 		sh.history.Add(timeseries.Observation{Time: at, Value: value})
 	}
 	sh.seq++
+	seq := sh.seq
 	if at.After(sh.last) {
 		sh.last = at
 	}
@@ -419,6 +422,7 @@ func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
 	// but keeping it off the mutexes means a storm of slow subscribers
 	// can never delay the next sensor sample.
 	hub.Publish(r, push.TopicSensor(s.ID), push.TopicCatchment(s.CatchmentID), push.TopicAllSensors)
+	return seq
 }
 
 // Ingest records an externally supplied observation for a non-webcam
@@ -430,24 +434,32 @@ func (n *Network) record(s Sensor, sh *shard, at time.Time, value float64) {
 // A sampling time outside the ingest window (see maxIngestAge) or a
 // non-finite value is refused with ErrBadSensor.
 func (n *Network) Ingest(id string, at time.Time, value float64) error {
+	_, err := n.IngestSeq(id, at, value)
+	return err
+}
+
+// IngestSeq is Ingest returning the ingest sequence number (the
+// ReadStamp.Seq) the observation was stamped with. The number is taken
+// under the lock that files the observation, so concurrent ingests and
+// sampler ticks can never hand two observations the same one.
+func (n *Network) IngestSeq(id string, at time.Time, value float64) (uint64, error) {
 	s, sh, err := n.shardOf(id)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if s.Kind == Webcam {
-		return fmt.Errorf("%s is a webcam, not an observation sensor: %w", id, ErrBadSensor)
+		return 0, fmt.Errorf("%s is a webcam, not an observation sensor: %w", id, ErrBadSensor)
 	}
 	now := n.clk.Now()
 	if earliest, latest := now.Add(-maxIngestAge), now.Add(maxIngestLead); at.Before(earliest) || at.After(latest) {
-		return fmt.Errorf("%s: sampling time %s outside [%s, %s]: %w", id,
+		return 0, fmt.Errorf("%s: sampling time %s outside [%s, %s]: %w", id,
 			at.Format(time.RFC3339), earliest.Format(time.RFC3339), latest.Format(time.RFC3339), ErrBadSensor)
 	}
 	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("%s: non-finite observation value: %w", id, ErrBadSensor)
+		return 0, fmt.Errorf("%s: non-finite observation value: %w", id, ErrBadSensor)
 	}
 	n.externalIngests.Add(1)
-	n.record(s, sh, at, value)
-	return nil
+	return n.record(s, sh, at, value), nil
 }
 
 // synthFrame builds a deterministic opaque frame payload.

@@ -1,6 +1,9 @@
 package timeseries
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Downsample reduces obs (time-ordered) to at most points observations
 // using largest-triangle-three-buckets, the downsampler built for
@@ -32,6 +35,23 @@ func Downsample(obs []Observation, points int) []Observation {
 	chosen = append(chosen, 0)
 
 	bucketLo := func(i int) int { return 1 + i*interior/inner }
+	// The global extremes are found in index order, as a plain scan
+	// would (the first of tied values wins; a NaN never displaces):
+	// indices before the second bucket here, the rest as each centroid
+	// pass reads them.
+	argMin, argMax := 0, 0
+	extremes := func(i int) {
+		if obs[i].Value < obs[argMin].Value {
+			argMin = i
+		}
+		if obs[i].Value > obs[argMax].Value {
+			argMax = i
+		}
+	}
+	for i := 1; i < bucketLo(1); i++ {
+		extremes(i)
+	}
+	ax, ay := float64(obs[0].Time.UnixNano()), obs[0].Value
 	for b := 0; b < inner; b++ {
 		lo, hi := bucketLo(b), bucketLo(b+1)
 		// Centroid of the next bucket (the last point for the final one).
@@ -45,12 +65,11 @@ func Downsample(obs []Observation, points int) []Observation {
 		for i := nlo; i < nhi; i++ {
 			cx += float64(obs[i].Time.UnixNano())
 			cy += obs[i].Value
+			extremes(i)
 		}
 		cx /= float64(nhi - nlo)
 		cy /= float64(nhi - nlo)
 
-		prev := out[len(out)-1]
-		ax, ay := float64(prev.Time.UnixNano()), prev.Value
 		best, bestArea := lo, -1.0
 		for i := lo; i < hi; i++ {
 			bx, by := float64(obs[i].Time.UnixNano()), obs[i].Value
@@ -64,26 +83,19 @@ func Downsample(obs []Observation, points int) []Observation {
 		}
 		out = append(out, obs[best])
 		chosen = append(chosen, best)
+		ax, ay = float64(obs[best].Time.UnixNano()), obs[best].Value
 	}
 	out = append(out, obs[len(obs)-1])
 	chosen = append(chosen, len(obs)-1)
 
-	reinstateExtremes(obs, out, chosen, bucketLo, inner)
+	reinstateExtremes(obs, out, chosen, argMin, argMax, bucketLo, inner)
 	return out
 }
 
 // reinstateExtremes overwrites interior picks so the global min and max
-// observations are present in out, then restores time order.
-func reinstateExtremes(obs, out []Observation, chosen []int, bucketLo func(int) int, inner int) {
-	argMin, argMax := 0, 0
-	for i, o := range obs {
-		if o.Value < obs[argMin].Value {
-			argMin = i
-		}
-		if o.Value > obs[argMax].Value {
-			argMax = i
-		}
-	}
+// observations, obs[argMin] and obs[argMax], are present in out, then
+// restores time order.
+func reinstateExtremes(obs, out []Observation, chosen []int, argMin, argMax int, bucketLo func(int) int, inner int) {
 	has := func(idx int) bool {
 		for _, c := range chosen {
 			if c == idx {
@@ -123,5 +135,5 @@ func reinstateExtremes(obs, out []Observation, chosen []int, bucketLo func(int) 
 	if !has(argMax) {
 		place(argMax, argMin)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	slices.SortStableFunc(out, func(a, b Observation) int { return a.Time.Compare(b.Time) })
 }

@@ -217,12 +217,20 @@ func (d DesignStorm) Validate() error {
 
 // Inject adds the design storm to the rainfall series at the given start
 // time, returning a new series. Mass outside the series extent is dropped.
+// A storm longer than the whole series is refused with ErrBadConfig
+// before its per-step weights are sized: the weights are normalised over
+// the whole storm, so a storm cannot be cut to fit without changing the
+// depth that lands, and an unbounded Duration would size them instead of
+// the series.
 func (d DesignStorm) Inject(rain *timeseries.Series, at time.Time) (*timeseries.Series, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	out := rain.Clone()
 	step := rain.Step()
+	if span := time.Duration(rain.Len()) * step; d.Duration > span {
+		return nil, fmt.Errorf("Duration=%v longer than the %v rain series: %w", d.Duration, span, ErrBadConfig)
+	}
+	out := rain.Clone()
 	nSteps := int(d.Duration / step)
 	if nSteps < 1 {
 		nSteps = 1

@@ -3,6 +3,7 @@ package weather
 import (
 	"errors"
 	"math"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -225,7 +226,7 @@ func TestDesignStormInjectPreservesMass(t *testing.T) {
 
 func TestDesignStormInjectClipsOutside(t *testing.T) {
 	base, _ := timeseries.Zeros(t0, time.Hour, 4)
-	storm := DesignStorm{TotalDepthMM: 60, Duration: 6 * time.Hour, PeakFraction: 0.4}
+	storm := DesignStorm{TotalDepthMM: 60, Duration: 4 * time.Hour, PeakFraction: 0.4}
 	got, err := storm.Inject(base, t0.Add(2*time.Hour))
 	if err != nil {
 		t.Fatalf("Inject: %v", err)
@@ -240,6 +241,40 @@ func TestDesignStormInjectClipsOutside(t *testing.T) {
 	if _, err := bad.Inject(base, t0); err == nil {
 		t.Fatal("invalid storm: want error")
 	}
+}
+
+// TestDesignStormLongerThanSeries pins that a storm may be as long as
+// the rain series and no longer, and that a refused Duration sizes
+// nothing: the largest one would otherwise allocate 20 MB of weights
+// for a 48-step series.
+func TestDesignStormLongerThanSeries(t *testing.T) {
+	base, _ := timeseries.Zeros(t0, time.Hour, 48)
+	for _, tc := range []struct {
+		d  time.Duration
+		ok bool
+	}{
+		{48 * time.Hour, true},
+		{48*time.Hour + time.Nanosecond, false},
+		{math.MaxInt64, false},
+	} {
+		storm := DesignStorm{TotalDepthMM: 10, Duration: tc.d, PeakFraction: 0.4}
+		before := heapAllocBytes()
+		_, err := storm.Inject(base, t0)
+		grew := heapAllocBytes() - before
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("Duration %v: err = %v, want ok %v or ErrBadConfig", tc.d, err, tc.ok)
+		}
+		if !tc.ok && grew > 1<<20 {
+			t.Fatalf("refused Duration %v allocated %d bytes", tc.d, grew)
+		}
+	}
+}
+
+// heapAllocBytes reads the cumulative bytes allocated on the heap.
+func heapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func TestDesignStormShortDuration(t *testing.T) {

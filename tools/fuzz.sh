@@ -1,0 +1,54 @@
+#!/bin/sh
+# fuzz: run every fuzzer in the tree on fresh mutations, one after the
+# other, for the given time each. ci.sh's fuzz smoke tier and `make fuzz`
+# both run this list, so it is the only place a fuzzer is listed.
+#
+#   tools/fuzz.sh [fuzztime]    time per fuzzer (default 10s)
+#
+# Each line below is "fuzzer package [extra go test flags]"; go test
+# takes one -fuzz pattern per run, and it must match exactly one fuzzer.
+set -eu
+cd "$(dirname "$0")/.."
+fuzztime=${1:-10s}
+
+while read -r name pkg flags; do
+	case $name in '' | '#'*) continue ;; esac
+	# shellcheck disable=SC2086
+	go test -fuzz="^$name\$" -fuzztime "$fuzztime" $flags "$pkg" </dev/null
+done <<'LIST'
+FuzzReadFrame ./internal/ws
+FuzzParseDataInputs ./internal/ogc/wps
+FuzzParseExecuteDocument ./internal/ogc/wps
+# Differential: the InsertObservation fast path answers every body
+# exactly as the encoding/xml handler kept in the test does, and leaves
+# the same stored reading.
+FuzzInsertObservation ./internal/ogc/sos
+FuzzParseFlotJSON ./internal/timeseries
+# Differential: the Flot encoder must emit valid JSON for any float64 bit
+# pattern, round-trip finite values bit-exactly and match the reference
+# json.Marshal encoder wherever that one can encode.
+FuzzFlotEncode ./internal/timeseries
+# Differential: the shortest-float kernel must append exactly strconv's
+# 'g' shortest form for any float64 bit pattern.
+FuzzAppendShortest ./internal/timeseries
+FuzzReadCSV ./internal/timeseries
+# Differential: the rollup index must agree with the naive scan for
+# arbitrary ingest orders, cadences and query windows.
+FuzzRollupVsNaive ./internal/timeseries
+# Differential: Downsample picks bit-identically the observations of the
+# three-pass reference kept in the test, NaNs and equal stamps included.
+FuzzDownsample ./internal/timeseries
+# Portal query fuzzer: raw from/to/step/agg/points on the healthy and the
+# degraded series path never answer 5xx, and an aggregate or degraded
+# answer stays within the bucket cap. Minimizing a new input of five
+# strings may use the default 60 s, the whole budget and more; 50 tries
+# per input leave the time to fresh mutations.
+FuzzSeriesQuery ./internal/portal -fuzzminimizetime=50x
+# Run-request fuzzer: raw /widgets/model/run bodies never answer 5xx,
+# and every 200 is valid JSON; failed runs go through the pooled kernel
+# scratch too.
+FuzzRunRequest ./internal/portal
+# Token-bucket invariant fuzzer: client table stays LRU-bounded and every
+# bucket stays within [0, burst] for arbitrary op/advance streams.
+FuzzTokenBucket ./internal/admission
+LIST
