@@ -27,6 +27,14 @@ if grep -n -e 'FlotJSON(' -e 'json\.RawMessage(' internal/portal/*.go | grep -v 
 	echo 'ci: internal/portal must stream Flot (WriteFlot), not call FlotJSON( or build json.RawMessage(' >&2
 	exit 1
 fi
+# Grep lint: the portal's route table declares each route's methods, and
+# routes.go alone checks them; a handler comparing the method would bring
+# back a per-route check beside the table, with no Allow header.
+if grep -nE '\.Method *[!=]=|[!=]= *[A-Za-z_.]*\.Method\b|switch [A-Za-z_.]*\.Method\b|Contains\([^)]*\.Method\b' internal/portal/*.go |
+	grep -v -e '_test\.go:' -e '^internal/portal/routes\.go:'; then
+	echo 'ci: internal/portal checks methods only in routes.go, from the route table' >&2
+	exit 1
+fi
 # Grep lint: no config field only tests turn — every exported field of
 # an internal …Config/…Options/…Spec struct is set by a production
 # caller outside its declaring file (allowlist in the script).

@@ -15,11 +15,11 @@ import (
 )
 
 // This file wires the admission controller into the request pipeline:
-// every route declares a priority class and an admission mode, sheds
-// answer 429/503 with a Retry-After hint and a machine-readable body,
-// and the two degradable routes fall back to a cheaper representation
-// (marked with X-Degraded) instead of shedding when their class is
-// saturated.
+// each route table entry in New declares a priority class and an
+// admission mode, sheds answer 429/503 with a Retry-After hint and a
+// machine-readable body, and the two degradable routes fall back to a
+// cheaper representation (marked with X-Degraded) instead of shedding
+// when their class is saturated.
 
 // DegradedHeader marks a response served in degraded form; its value
 // names the fallback ("stale-cache", "coarse-rollup").
@@ -42,50 +42,6 @@ const (
 	// reachable precisely when the system is drowning.
 	modeExempt
 )
-
-// routePolicy is one route's admission posture.
-type routePolicy struct {
-	class admission.Class
-	mode  admitMode
-}
-
-// routePolicies assigns every registered route a class and mode. The
-// default for unlisted routes is {Live, modeGate} — interactive reads.
-var routePolicies = map[string]routePolicy{
-	// Exempt: liveness and the operator's window into the overload.
-	"/healthz": {admission.Live, modeExempt},
-	"/metrics": {admission.Live, modeExempt},
-
-	// Ingest: losing these loses data.
-	"/sos":             {admission.Ingest, modeGate},
-	"/datasets/upload": {admission.Ingest, modeGate},
-
-	// Live reads that degrade instead of queueing.
-	"/sensors/": {admission.Live, modeDegrade},
-
-	// WebSocket upgrades: rate limit only (plus the /ws/live connection
-	// cap, enforced pre-upgrade in liveSocket).
-	"/ws/live":    {admission.Live, modeRateOnly},
-	"/ws/session": {admission.Live, modeRateOnly},
-
-	// Fresh model computation.
-	"/widgets/model/run":          {admission.Model, modeDegrade},
-	"/widgets/model/storm-window": {admission.Model, modeGate},
-	"/widgets/quality":            {admission.Model, modeGate},
-	"/widgets/lowflow":            {admission.Model, modeGate},
-
-	// Bulk: batch computation sheds first.
-	"/wps":        {admission.Bulk, modeGate},
-	"/workflows":  {admission.Bulk, modeGate},
-	"/workflows/": {admission.Bulk, modeGate},
-}
-
-func policyFor(pattern string) routePolicy {
-	if pol, ok := routePolicies[pattern]; ok {
-		return pol
-	}
-	return routePolicy{class: admission.Live, mode: modeGate}
-}
 
 // degradedKey flags a request the handler should serve degraded.
 type degradedKey struct{}
@@ -132,41 +88,41 @@ func (p *Portal) markDegraded(w http.ResponseWriter, mode string) {
 	}
 }
 
-// admit runs a route's admission policy. It returns the (possibly
+// admit runs a route's admission posture. It returns the (possibly
 // re-contexted) request, a release function to defer (nil when no slot
 // is held), and ok=false when the request was shed and answered.
-func (p *Portal) admit(w http.ResponseWriter, r *http.Request, pol routePolicy) (*http.Request, func(), bool) {
+func (p *Portal) admit(w http.ResponseWriter, r *http.Request, rt *route) (*http.Request, func(), bool) {
 	ctrl := p.obs.Admission
-	if pol.mode == modeExempt {
+	if rt.mode == modeExempt {
 		return r, nil, true
 	}
 	client := clientKey(r.RemoteAddr)
-	switch pol.mode {
+	switch rt.mode {
 	case modeRateOnly:
-		if retry, err := ctrl.AllowRate(pol.class, client); err != nil {
-			p.writeShed(w, pol.class, retry, err)
+		if retry, err := ctrl.AllowRate(rt.class, client); err != nil {
+			p.writeShed(w, rt.class, retry, err)
 			return r, nil, false
 		}
 		return r, nil, true
 	case modeDegrade:
-		retry, err := ctrl.TryAdmit(pol.class, client)
+		retry, err := ctrl.TryAdmit(rt.class, client)
 		switch {
 		case err == nil:
-			return r, func() { ctrl.Release(pol.class) }, true
+			return r, func() { ctrl.Release(rt.class) }, true
 		case errors.Is(err, admission.ErrSaturated):
 			// Flag for the handler; it serves a degraded representation
 			// (or sheds itself if none is available).
 			return r.WithContext(context.WithValue(r.Context(), degradedKey{}, true)), nil, true
 		default:
-			p.writeShed(w, pol.class, retry, err)
+			p.writeShed(w, rt.class, retry, err)
 			return r, nil, false
 		}
 	default: // modeGate
-		if retry, err := ctrl.Admit(r.Context(), pol.class, client); err != nil {
-			p.writeShed(w, pol.class, retry, err)
+		if retry, err := ctrl.Admit(r.Context(), rt.class, client); err != nil {
+			p.writeShed(w, rt.class, retry, err)
 			return r, nil, false
 		}
-		return r, func() { ctrl.Release(pol.class) }, true
+		return r, func() { ctrl.Release(rt.class) }, true
 	}
 }
 

@@ -38,19 +38,6 @@ func encodeDocument(v any) (document, error) {
 	return document{body: buf.Bytes(), etag: httpcond.Tag(buf.String())}, nil
 }
 
-// readOnly reports whether r may read a document. Any method but GET
-// and HEAD is answered 405 with an Allow header first, before a
-// validator is evaluated, so a POST carrying the current tag never
-// earns a 304.
-func readOnly(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	rest.WriteError(w, http.StatusMethodNotAllowed, r.Method+" not supported")
-	return false
-}
-
 // serve answers the stored document: 304 when If-None-Match names its
 // tag, 200 with the body otherwise.
 func (d *document) serve(w http.ResponseWriter, r *http.Request) {
@@ -203,9 +190,6 @@ func mapFeatures(cats []*catchment.Catchment, sensors []sensor.Sensor, filter st
 // mapLayers serves the geotagged marker layer: every sensor and every
 // catchment outlet, optionally filtered by ?catchment=.
 func (p *Portal) mapLayers(w http.ResponseWriter, r *http.Request) {
-	if !readOnly(w, r) {
-		return
-	}
 	s, err := p.mapCache.snapshot(p.obs.Catchments, p.obs.Network)
 	if err != nil {
 		rest.WriteError(w, http.StatusInternalServerError, err.Error())
@@ -217,8 +201,5 @@ func (p *Portal) mapLayers(w http.ResponseWriter, r *http.Request) {
 // scenarios lists the widget's preset buttons; scenario.All is
 // constant, so its document is encoded once in New.
 func (p *Portal) scenarios(w http.ResponseWriter, r *http.Request) {
-	if !readOnly(w, r) {
-		return
-	}
 	p.scenarioDoc.serve(w, r)
 }

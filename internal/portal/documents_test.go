@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -311,38 +312,99 @@ func TestPublicDocumentsAllocs(t *testing.T) {
 	}
 }
 
-// TestReadOnlyDocumentsRefuseOtherMethods sends every method to each
-// read-only document through the whole portal: GET and HEAD are served,
-// anything else answers 405 with an Allow header, even when it carries
-// the current tag, which would otherwise earn a 304.
+// TestReadOnlyDocumentsRefuseOtherMethods is the method × route matrix
+// through the whole portal: every method against every route of the
+// table. Each target answers its pinned status to each method its route
+// lists (a delegated handler may still refuse one on one of its paths,
+// with that path's narrower Allow), and 304 to GET and HEAD carrying its
+// current tag; any other method answers 405 with the route's exact Allow
+// and a JSON error body, even when it carries the tag. A path no route
+// serves answers 404 whatever the method.
 func TestReadOnlyDocumentsRefuseOtherMethods(t *testing.T) {
 	f := newFixtureWith(t, unlimited)
-	for _, target := range []string{"/map/layers", "/map/layers?catchment=tarland",
-		"/widgets/model/scenarios", "/sensors/morland-level-1/series", "/sensors/morland-level-1/latest"} {
-		etag := getDoc(f.p, target, "").Header().Get("ETag")
-		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost,
-			http.MethodPut, http.MethodDelete, http.MethodPatch, http.MethodOptions} {
-			for _, inm := range []string{"", etag} {
-				req := httptest.NewRequest(method, target, strings.NewReader(`{}`))
-				if inm != "" {
-					req.Header.Set("If-None-Match", inm)
-				}
-				rec := httptest.NewRecorder()
-				f.p.ServeHTTP(rec, req)
-				want := http.StatusOK
-				switch {
-				case method != http.MethodGet && method != http.MethodHead:
-					want = http.StatusMethodNotAllowed
-				case inm != "":
-					want = http.StatusNotModified
-				}
-				if rec.Code != want {
-					t.Fatalf("%s %s If-None-Match %q = %d, want %d", method, target, inm, rec.Code, want)
-				}
-				if allow := rec.Header().Get("Allow"); want == http.StatusMethodNotAllowed && allow != "GET, HEAD" {
-					t.Fatalf("%s %s: Allow %q, want \"GET, HEAD\"", method, target, allow)
+	// Each route's targets, with the status each answers to the route's
+	// methods in Allow order; where a route runs models, a target that
+	// fails fast.
+	type target struct {
+		path string
+		want []int
+	}
+	targets := map[string][]target{
+		"/":                           {{"/", []int{200, 200}}},
+		"/api/":                       {{"/api/datasets", []int{200, 200, 405, 405}}, {"/api/datasets/matrix", []int{404, 404, 201, 204}}},
+		"/datasets/upload":            {{"/datasets/upload?id=matrix", []int{400}}},
+		"/healthz":                    {{"/healthz", []int{200, 200}}},
+		"/map/layers":                 {{"/map/layers", []int{200, 200}}, {"/map/layers?catchment=tarland", []int{200, 200}}},
+		"/metrics":                    {{"/metrics", []int{200, 200}}},
+		"/sensors/":                   {{"/sensors/morland-level-1/series", []int{200, 200}}, {"/sensors/morland-level-1/latest", []int{200, 200}}, {"/sensors/morland-level-1/nope", []int{404, 404}}},
+		"/sessions/":                  {{"/sessions/ghost", []int{404, 404, 404}}},
+		"/sessions/connect":           {{"/sessions/connect", []int{400}}},
+		"/sos":                        {{"/sos", []int{400, 400, 400}}},
+		"/widgets/fusion":             {{"/widgets/fusion", []int{400, 400}}},
+		"/widgets/lowflow":            {{"/widgets/lowflow", []int{404, 404}}},
+		"/widgets/model/run":          {{"/widgets/model/run", []int{404}}},
+		"/widgets/model/scenarios":    {{"/widgets/model/scenarios", []int{200, 200}}},
+		"/widgets/model/storm-window": {{"/widgets/model/storm-window", []int{404, 404}}},
+		"/widgets/quality":            {{"/widgets/quality", []int{404, 404}}},
+		"/workflows":                  {{"/workflows", []int{200, 200, 400}}},
+		"/workflows/":                 {{"/workflows/ghost", []int{404, 404, 405}}, {"/workflows/ghost/replay", []int{405, 405, 400}}},
+		"/wps":                        {{"/wps", []int{400, 400, 400}}},
+		"/ws/live":                    {{"/ws/live", []int{400}}},
+		"/ws/session":                 {{"/ws/session", []int{400}}},
+	}
+	methods := []string{http.MethodGet, http.MethodHead, http.MethodPost,
+		http.MethodPut, http.MethodDelete, http.MethodPatch, http.MethodOptions}
+	send := func(method, target, inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, target, strings.NewReader(`{}`))
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		f.p.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, rt := range wantRoutes {
+		listed := strings.Split(rt.allow, ", ")
+		if len(targets[rt.pattern]) == 0 {
+			t.Fatalf("no target for route %s", rt.pattern)
+		}
+		for _, tg := range targets[rt.pattern] {
+			if len(tg.want) != len(listed) {
+				t.Fatalf("%s: %d wanted statuses for Allow %q", tg.path, len(tg.want), rt.allow)
+			}
+			tags := []string{""}
+			if etag := getDoc(f.p, tg.path, "").Header().Get("ETag"); etag != "" {
+				tags = append(tags, etag)
+			}
+			for _, method := range methods {
+				i := slices.Index(listed, method)
+				for _, inm := range tags {
+					want := http.StatusMethodNotAllowed
+					if i >= 0 && inm != "" {
+						want = http.StatusNotModified
+					} else if i >= 0 {
+						want = tg.want[i]
+					}
+					rec := send(method, tg.path, inm)
+					allow := rec.Header()["Allow"]
+					switch {
+					case rec.Code != want:
+						t.Fatalf("%s %s If-None-Match %q = %d, want %d", method, tg.path, inm, rec.Code, want)
+					case i >= 0 && want == http.StatusMethodNotAllowed && slices.Equal(allow, []string{rt.allow}):
+						t.Fatalf("%s %s: refused by the route table, which lists it (%s)", method, tg.path, rt.allow)
+					case i >= 0:
+					case !slices.Equal(allow, []string{rt.allow}):
+						t.Fatalf("%s %s: Allow %q, want %q", method, tg.path, allow, rt.allow)
+					case rec.Body.String() != `{"error":"`+method+` not supported"}`+"\n":
+						t.Fatalf("%s %s: 405 body %q", method, tg.path, rec.Body)
+					}
 				}
 			}
+		}
+	}
+	for _, method := range methods {
+		if rec := send(method, "/no-such-path", ""); rec.Code != http.StatusNotFound || rec.Header().Get("Allow") != "" {
+			t.Fatalf("%s /no-such-path = %d, Allow %q; want 404", method, rec.Code, rec.Header().Get("Allow"))
 		}
 	}
 }

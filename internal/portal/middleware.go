@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evop/internal/metrics"
 	"evop/internal/rest"
 )
 
@@ -100,62 +99,6 @@ func (sr *statusRecorder) Status() int {
 		return http.StatusOK
 	}
 	return sr.status
-}
-
-// endpointInstruments holds one route's registered instruments: a
-// latency histogram (whose count is the request count) and an error
-// counter.
-type endpointInstruments struct {
-	latency *metrics.Histogram
-	errors  *metrics.Counter
-}
-
-// handle registers a handler under the portal's per-endpoint
-// instrumentation, keyed by the route pattern. All registration happens
-// in New, before the portal serves traffic.
-func (p *Portal) handle(pattern string, h http.Handler) {
-	inst := &endpointInstruments{
-		latency: p.reg.Histogram("evop_http_request_seconds",
-			"HTTP request latency by route.", metrics.DurationScale,
-			metrics.L("route", pattern)),
-		errors: p.reg.Counter("evop_http_request_errors_total",
-			"HTTP requests answered 4xx/5xx, or that produced no response.",
-			metrics.L("route", pattern)),
-	}
-	pol := policyFor(pattern)
-	if pol.mode != modeExempt && pol.mode != modeRateOnly {
-		// This route's p95 feeds the adaptive concurrency limit.
-		// WebSocket routes are excluded: a connection's "latency" is its
-		// lifetime, which would poison the percentile.
-		p.obs.Admission.Watch(inst.latency)
-	}
-	p.mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		defer func() {
-			// Recorded latency includes any admission queue wait — the
-			// client paid for it, so the histogram reports it.
-			inst.latency.RecordSince(start)
-			status := 0
-			if sr, ok := w.(*statusRecorder); ok {
-				status = sr.status // raw: 0 means "nothing written" (a panic)
-			}
-			if status == 0 || status >= 400 {
-				inst.errors.Inc()
-			}
-		}()
-		r, release, ok := p.admit(w, r, pol)
-		if !ok {
-			return
-		}
-		if release != nil {
-			defer release()
-		}
-		h.ServeHTTP(w, r)
-	}))
-}
-
-func (p *Portal) handleFunc(pattern string, h http.HandlerFunc) {
-	p.handle(pattern, h)
 }
 
 // SetLogger directs access and lifecycle logging (discarded by default).

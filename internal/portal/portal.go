@@ -61,6 +61,9 @@ type Portal struct {
 	mux    *http.ServeMux
 	logger *log.Logger
 
+	// routes is the route table New declares (see routes.go).
+	routes []route
+
 	// reg is the observatory-wide metrics registry every portal
 	// instrument registers into (see middleware.go, series.go).
 	reg *metrics.Registry
@@ -123,27 +126,51 @@ func New(obs *core.Observatory) (*Portal, error) {
 			"Live WebSocket connections evicted as slow consumers."),
 		scenarioDoc: scenarioDoc,
 	}
-	p.handle("/api/", rest.NewHandler(obs.Assets))
-	p.handle("/wps", obs.WPS)
-	p.handle("/sos", obs.SOS)
-	p.handleFunc("/", p.index)
-	p.handleFunc("/healthz", p.health)
-	p.handleFunc("/metrics", p.metrics)
-	p.handleFunc("/map/layers", p.mapLayers)
-	p.handleFunc("/sensors/", p.sensors)
-	p.handleFunc("/widgets/fusion", p.fusion)
-	p.handleFunc("/widgets/model/run", p.modelRun)
-	p.handleFunc("/widgets/model/scenarios", p.scenarios)
-	p.handleFunc("/widgets/model/storm-window", p.stormWindow)
-	p.handleFunc("/widgets/quality", p.qualityWidget)
-	p.handleFunc("/widgets/lowflow", p.lowflowWidget)
-	p.handleFunc("/datasets/upload", p.uploadDataset)
-	p.handleFunc("/sessions/connect", p.sessionConnect)
-	p.handleFunc("/sessions/", p.sessionGet)
-	p.handleFunc("/ws/session", p.sessionSocket)
-	p.handleFunc("/ws/live", p.liveSocket)
-	p.handle("/workflows", obs.Workflows)
-	p.handle("/workflows/", obs.Workflows)
+	// The route table: every route's pattern (also its route label),
+	// methods, handler and admission posture, declared once. A handler
+	// never checks its own method; handle refuses an unlisted one with 405.
+	p.routes = []route{
+		// Exempt from admission: liveness and the operator's window
+		// into an overload.
+		{"/healthz", getHead, admission.Live, modeExempt, p.health},
+		{"/metrics", getHead, admission.Live, modeExempt, p.metrics},
+
+		// Ingest: losing these loses data.
+		{"/sos", getHeadPost, admission.Ingest, modeGate, obs.SOS.ServeHTTP},
+		{"/datasets/upload", postOnly, admission.Ingest, modeGate, p.uploadDataset},
+
+		// Interactive reads; sensor reads degrade instead of queueing.
+		{"/", getHead, admission.Live, modeGate, p.index},
+		{"/api/", getHeadPutDelete, admission.Live, modeGate, rest.NewHandler(obs.Assets).ServeHTTP},
+		{"/map/layers", getHead, admission.Live, modeGate, p.mapLayers},
+		{"/sensors/", getHead, admission.Live, modeDegrade, p.sensors},
+		{"/widgets/fusion", getHead, admission.Live, modeGate, p.fusion},
+		{"/widgets/model/scenarios", getHead, admission.Live, modeGate, p.scenarios},
+		{"/sessions/connect", postOnly, admission.Live, modeGate, p.sessionConnect},
+		byMethod("/sessions/", admission.Live, modeGate, map[string]http.HandlerFunc{
+			http.MethodGet: p.sessionGet, http.MethodHead: p.sessionGet, http.MethodDelete: p.sessionDelete,
+		}),
+
+		// WebSocket upgrades: rate limit only, since a connection
+		// outlives any slot lease (plus the /ws/live connection cap,
+		// enforced pre-upgrade in liveSocket).
+		{"/ws/session", getOnly, admission.Live, modeRateOnly, p.sessionSocket},
+		{"/ws/live", getOnly, admission.Live, modeRateOnly, p.liveSocket},
+
+		// Fresh model computation; a saturated run serves a stale one.
+		{"/widgets/model/run", postOnly, admission.Model, modeDegrade, p.modelRun},
+		{"/widgets/model/storm-window", getHead, admission.Model, modeGate, p.stormWindow},
+		{"/widgets/quality", getHead, admission.Model, modeGate, p.qualityWidget},
+		{"/widgets/lowflow", getHead, admission.Model, modeGate, p.lowflowWidget},
+
+		// Bulk: batch computation sheds first.
+		{"/wps", getHeadPost, admission.Bulk, modeGate, obs.WPS.ServeHTTP},
+		{"/workflows", getHeadPost, admission.Bulk, modeGate, obs.Workflows.ServeHTTP},
+		{"/workflows/", getHeadPost, admission.Bulk, modeGate, obs.Workflows.ServeHTTP},
+	}
+	for i := range p.routes {
+		p.handle(&p.routes[i])
+	}
 	return p, nil
 }
 
@@ -217,9 +244,6 @@ func (p *Portal) sensors(w http.ResponseWriter, r *http.Request) {
 	var id, op string
 	if i := strings.LastIndexByte(tail, '/'); i >= 0 {
 		id, op = tail[:i], tail[i+1:]
-	}
-	if (op == "latest" || op == "series") && !readOnly(w, r) {
-		return
 	}
 	switch op {
 	case "latest":
@@ -359,10 +383,6 @@ func (p *Portal) qualityWidget(w http.ResponseWriter, r *http.Request) {
 // POST /datasets/upload?id=my-gauge  with the CSV as the body.
 // The dataset becomes usable in model runs via "rainDataset".
 func (p *Portal) uploadDataset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	id := r.URL.Query().Get("id")
 	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBytes)
 	series, err := timeseries.ReadCSV(r.Body, time.Hour)
@@ -421,10 +441,6 @@ const maxRunBytes = 1 << 20
 // X-Degraded: stale-cache; with no stale entry available the request is
 // shed with 503.
 func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req core.RunRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBytes)).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
@@ -476,10 +492,6 @@ func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 // sessionConnect opens a broker session without a WebSocket (the polling
 // comparator): POST /sessions/connect?user=&service=.
 func (p *Portal) sessionConnect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rest.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	q := r.URL.Query()
 	s, err := p.broker.Connect(q.Get("user"), q.Get("service"))
 	if err != nil {
@@ -489,26 +501,23 @@ func (p *Portal) sessionConnect(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, s)
 }
 
-// sessionGet polls a session's state: GET /sessions/<id>. DELETE ends it.
+// sessionGet polls a session's state: GET /sessions/<id>.
 func (p *Portal) sessionGet(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Path[len("/sessions/"):]
-	switch r.Method {
-	case http.MethodGet:
-		s, err := p.broker.Session(id)
-		if err != nil {
-			rest.WriteError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		rest.WriteJSON(w, http.StatusOK, s)
-	case http.MethodDelete:
-		if err := p.broker.Disconnect(id); err != nil {
-			rest.WriteError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		rest.WriteError(w, http.StatusMethodNotAllowed, r.Method)
+	s, err := p.broker.Session(r.URL.Path[len("/sessions/"):])
+	if err != nil {
+		rest.WriteError(w, http.StatusNotFound, err.Error())
+		return
 	}
+	rest.WriteJSON(w, http.StatusOK, s)
+}
+
+// sessionDelete ends a session: DELETE /sessions/<id>.
+func (p *Portal) sessionDelete(w http.ResponseWriter, r *http.Request) {
+	if err := p.broker.Disconnect(r.URL.Path[len("/sessions/"):]); err != nil {
+		rest.WriteError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // sessionSocket upgrades to a WebSocket, opens a broker session and

@@ -188,10 +188,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(parts) == 2 {
 		id = parts[1]
 	}
+	read := r.Method == http.MethodGet || r.Method == http.MethodHead
 	switch {
-	case r.Method == http.MethodGet && id == "":
+	case read && id == "":
 		WriteJSON(w, http.StatusOK, h.store.List(kind))
-	case r.Method == http.MethodGet:
+	case read:
 		res, err := h.store.Get(kind, id)
 		if err != nil {
 			WriteError(w, StatusFor(err), err.Error())
@@ -228,13 +229,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		if id == "" {
-			w.Header().Set("Allow", http.MethodGet)
-		} else {
-			w.Header().Set("Allow", strings.Join([]string{
-				http.MethodGet, http.MethodPut, http.MethodDelete,
-			}, ", "))
+		allow := "GET, HEAD"
+		if id != "" {
+			allow = "GET, HEAD, PUT, DELETE"
 		}
+		w.Header().Set("Allow", allow)
 		WriteError(w, http.StatusMethodNotAllowed, r.Method+" not supported")
 	}
 }

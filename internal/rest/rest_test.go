@@ -158,6 +158,26 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestHandlerServesHEAD: HEAD reads a collection or an item as GET does.
+func TestHandlerServesHEAD(t *testing.T) {
+	store := NewStore()
+	if err := store.Create(Resource{ID: "rain", Kind: "datasets"}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(store)
+	for target, want := range map[string]int{
+		"/api/datasets":       http.StatusOK,
+		"/api/datasets/rain":  http.StatusOK,
+		"/api/datasets/ghost": http.StatusNotFound,
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodHead, target, nil))
+		if w.Code != want {
+			t.Errorf("HEAD %s = %d, want %d", target, w.Code, want)
+		}
+	}
+}
+
 func TestHandler405CarriesAllowHeader(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(NewStore()))
 	t.Cleanup(srv.Close)
@@ -165,8 +185,8 @@ func TestHandler405CarriesAllowHeader(t *testing.T) {
 		path      string
 		wantAllow string
 	}{
-		{"/api/datasets", "GET"},
-		{"/api/datasets/x", "GET, PUT, DELETE"},
+		{"/api/datasets", "GET, HEAD"},
+		{"/api/datasets/x", "GET, HEAD, PUT, DELETE"},
 	}
 	for _, tc := range tests {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+tc.path, strings.NewReader("{}"))
@@ -313,8 +333,8 @@ func TestStatefulErrors(t *testing.T) {
 		t.Fatalf("GET: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET begin = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET begin = %d, Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 

@@ -44,7 +44,8 @@ func (s *StatefulService) OpenTransactions() int {
 // ServeHTTP implements http.Handler.
 func (s *StatefulService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
+		w.Header().Set("Allow", http.MethodPost)
+		WriteError(w, http.StatusMethodNotAllowed, r.Method+" not supported")
 		return
 	}
 	switch r.URL.Path {

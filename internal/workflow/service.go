@@ -251,10 +251,12 @@ func (s *Service) Runs() []*Run {
 // are hand-authored JSON, far below a megabyte.
 const maxDefinitionBytes = 1 << 20
 
-// ServeHTTP implements the HTTP binding.
+// ServeHTTP implements the HTTP binding. HEAD reads as GET does, and a
+// method a path does not take answers 405 with that path's Allow list.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/workflows")
 	path = strings.Trim(path, "/")
+	read := r.Method == http.MethodGet || r.Method == http.MethodHead
 	switch {
 	case path == "" && r.Method == http.MethodPost:
 		var def Definition
@@ -273,7 +275,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rest.WriteJSON(w, http.StatusOK, run)
-	case path == "" && r.Method == http.MethodGet:
+	case path == "" && read:
 		type summary struct {
 			ID      string `json:"id"`
 			Name    string `json:"name"`
@@ -301,7 +303,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rest.WriteJSON(w, http.StatusOK, run)
-	case path != "" && r.Method == http.MethodGet:
+	case read && !strings.HasSuffix(path, "/replay"):
 		s.mu.Lock()
 		run, ok := s.runs[path]
 		s.mu.Unlock()
@@ -311,6 +313,13 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		rest.WriteJSON(w, http.StatusOK, run)
 	default:
-		rest.WriteError(w, http.StatusMethodNotAllowed, r.Method+" "+r.URL.Path)
+		allow := "GET, HEAD"
+		if path == "" {
+			allow = "GET, HEAD, POST"
+		} else if strings.HasSuffix(path, "/replay") {
+			allow = "POST"
+		}
+		w.Header().Set("Allow", allow)
+		rest.WriteError(w, http.StatusMethodNotAllowed, r.Method+" not supported")
 	}
 }

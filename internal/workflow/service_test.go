@@ -245,6 +245,39 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPMethods pins the binding's per-path methods: HEAD is served
+// like GET, and every refused method answers 405 with that path's Allow.
+func TestHTTPMethods(t *testing.T) {
+	s := testService(t)
+	if _, err := s.Execute(context.Background(), Definition{
+		Name: "c", Nodes: []NodeDef{{ID: "x", Process: "const", Inputs: map[string]string{"value": "1"}}},
+	}); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	tests := []struct {
+		method, target string
+		status         int
+		allow          string
+	}{
+		{http.MethodHead, "/workflows", http.StatusOK, ""},
+		{http.MethodHead, "/workflows/wf1", http.StatusOK, ""},
+		{http.MethodHead, "/workflows/ghost", http.StatusNotFound, ""},
+		{http.MethodPut, "/workflows", http.StatusMethodNotAllowed, "GET, HEAD, POST"},
+		{http.MethodGet, "/workflows/wf1/replay", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodDelete, "/workflows/wf1/replay", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPost, "/workflows/wf1", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{http.MethodPatch, "/workflows/wf1", http.StatusMethodNotAllowed, "GET, HEAD"},
+	}
+	for _, tc := range tests {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(tc.method, tc.target, nil))
+		if w.Code != tc.status || w.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s %s = %d, Allow %q; want %d, Allow %q",
+				tc.method, tc.target, w.Code, w.Header().Get("Allow"), tc.status, tc.allow)
+		}
+	}
+}
+
 func TestParseRef(t *testing.T) {
 	tests := []struct {
 		in        string
@@ -300,7 +333,7 @@ func TestHTTPBodies(t *testing.T) {
 		{http.MethodGet, "/workflows/ghost", "", http.StatusNotFound,
 			`{"error":"no run ghost"}`},
 		{http.MethodDelete, "/workflows", "", http.StatusMethodNotAllowed,
-			`{"error":"DELETE /workflows"}`},
+			`{"error":"DELETE not supported"}`},
 	}
 	for _, tc := range tests {
 		w := httptest.NewRecorder()

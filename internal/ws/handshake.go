@@ -36,6 +36,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 		return nil, fmt.Errorf("%s: %w", why, ErrHandshake)
 	}
 	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
 		return fail(http.StatusMethodNotAllowed, "websocket handshake requires GET")
 	}
 	if !headerContainsToken(r.Header, "Connection", "upgrade") {

@@ -332,6 +332,9 @@ func TestUpgradeRejectsBadRequests(t *testing.T) {
 			if resp.StatusCode == http.StatusSwitchingProtocols {
 				t.Fatal("bad request was upgraded")
 			}
+			if tc.method != http.MethodGet && (resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet) {
+				t.Fatalf("%s = %d, Allow %q; want 405, Allow GET", tc.method, resp.StatusCode, resp.Header.Get("Allow"))
+			}
 		})
 	}
 }
