@@ -27,6 +27,13 @@ if grep -n -e 'FlotJSON(' -e 'json\.RawMessage(' internal/portal/*.go | grep -v 
 	echo 'ci: internal/portal must stream Flot (WriteFlot), not call FlotJSON( or build json.RawMessage(' >&2
 	exit 1
 fi
+# Grep lint: process outputs carry a series by reference and WPS streams
+# it, so the WPS, workflow and core code never encodes one with FlotJSON
+# (ParseFlotJSON, hydrostats' reading of a literal input, stays).
+if grep -n '\.FlotJSON(' internal/ogc/wps/*.go internal/workflow/*.go internal/core/*.go | grep -v '_test\.go:'; then
+	echo 'ci: internal/ogc/wps, internal/workflow and internal/core must not call FlotJSON( outside tests' >&2
+	exit 1
+fi
 # Grep lint: the portal's route table declares each route's methods, and
 # routes.go alone checks them; a handler comparing the method would bring
 # back a per-route check beside the table, with no Allow header.

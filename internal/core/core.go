@@ -327,24 +327,21 @@ func New(cfg Config) (*Observatory, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building WPS: %w", err)
 	}
-	if err := o.WPS.Register(&modelProcess{obs: o, model: "topmodel"}); err != nil {
-		return nil, fmt.Errorf("registering topmodel process: %w", err)
-	}
-	if err := o.WPS.Register(&modelProcess{obs: o, model: "fuse"}); err != nil {
-		return nil, fmt.Errorf("registering fuse process: %w", err)
+	models := []wps.Process{&modelProcess{obs: o, model: "topmodel"}, &modelProcess{obs: o, model: "fuse"}}
+	for _, proc := range models {
+		if err := o.WPS.Register(proc); err != nil {
+			return nil, fmt.Errorf("registering %s process: %w", proc.Identifier(), err)
+		}
 	}
 
 	// Workflow composition over the same processes, plus a statistics
-	// process so hydrographs can flow between nodes.
+	// process so hydrographs can flow between nodes. WPS does not offer
+	// hydrostats.
 	o.Workflows = workflow.NewService()
-	for _, model := range []string{"topmodel", "fuse"} {
-		proc := &modelProcess{obs: o, model: model}
-		if err := o.Workflows.RegisterProcess(model, proc.Execute); err != nil {
-			return nil, fmt.Errorf("registering workflow process %s: %w", model, err)
+	for _, proc := range append(models, hydroStatsProcess{}) {
+		if err := o.Workflows.RegisterProcess(proc); err != nil {
+			return nil, fmt.Errorf("registering workflow process %s: %w", proc.Identifier(), err)
 		}
-	}
-	if err := o.Workflows.RegisterProcess("hydrostats", hydroStatsProcess); err != nil {
-		return nil, fmt.Errorf("registering hydrostats: %w", err)
 	}
 
 	o.populateAssets()
@@ -658,6 +655,19 @@ func (r RunRequest) cacheKey() string {
 	return b.String()
 }
 
+// maxHours is the largest hour count a time.Duration holds.
+const maxHours = math.MaxInt64 / int64(time.Hour)
+
+// checkHours refuses an hour count beyond ±maxHours with ErrBadConfig:
+// converted with time.Duration(h) * time.Hour it would wrap around
+// int64 and name some other duration.
+func checkHours(name string, h int) error {
+	if int64(h) > maxHours || int64(h) < -maxHours {
+		return fmt.Errorf("%s %d beyond ±%d hours: %w", name, h, maxHours, ErrBadConfig)
+	}
+	return nil
+}
+
 // familyKey groups run requests whose results are acceptable substitutes
 // under degradation: same catchment, scenario, model and dataset, but
 // any storm window or parameter tweak. It keys the run cache's stale
@@ -684,8 +694,12 @@ func (o *Observatory) RunModelCached(req RunRequest) (*RunResult, runcache.Outco
 // (canceled). A canceled caller stops waiting immediately, and the
 // underlying simulation is abandoned only once every coalesced waiter
 // has gone. Every completed run also refreshes its family's stale
-// fallback (see StaleRun).
+// fallback (see StaleRun). A StormAtHours a time.Duration cannot hold is
+// refused with ErrBadConfig before the run key is built.
 func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest) (*RunResult, runcache.Outcome, error) {
+	if err := checkHours("stormAtHours", req.StormAtHours); err != nil {
+		return nil, runcache.Miss, err
+	}
 	return o.runs.DoFamily(ctx, req.cacheKey(), req.familyKey(), func(ctx context.Context) (*RunResult, error) {
 		return o.runModel(ctx, req)
 	})
@@ -1027,22 +1041,25 @@ func (p *modelProcess) Outputs() []wps.ParamDesc {
 	}
 }
 
-func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (map[string]string, error) {
+func (p *modelProcess) Execute(ctx context.Context, inputs map[string]wps.Value) (map[string]wps.Value, error) {
 	req := RunRequest{
-		CatchmentID: inputs["catchment"],
-		ScenarioID:  inputs["scenario"],
+		CatchmentID: inputs["catchment"].String(),
+		ScenarioID:  inputs["scenario"].String(),
 		Model:       p.model,
 	}
-	if d := inputs["stormDepthMm"]; d != "" {
+	if d := inputs["stormDepthMm"].String(); d != "" {
 		depth, err := strconv.ParseFloat(d, 64)
 		if err != nil {
 			return nil, fmt.Errorf("stormDepthMm: %w", err)
 		}
 		hours := 6
-		if h := inputs["stormHours"]; h != "" {
+		if h := inputs["stormHours"].String(); h != "" {
 			hours, err = strconv.Atoi(h)
 			if err != nil {
 				return nil, fmt.Errorf("stormHours: %w", err)
+			}
+			if err := checkHours("stormHours", hours); err != nil {
+				return nil, err
 			}
 		}
 		req.Storm = &weather.DesignStorm{
@@ -1050,7 +1067,7 @@ func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (m
 			Duration:     time.Duration(hours) * time.Hour,
 			PeakFraction: 0.4,
 		}
-		if at := inputs["stormAtHours"]; at != "" {
+		if at := inputs["stormAtHours"].String(); at != "" {
 			req.StormAtHours, err = strconv.Atoi(at)
 			if err != nil {
 				return nil, fmt.Errorf("stormAtHours: %w", err)
@@ -1061,14 +1078,12 @@ func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (m
 	if err != nil {
 		return nil, err
 	}
-	flot, err := res.Discharge.FlotJSON()
-	if err != nil {
-		return nil, fmt.Errorf("encoding hydrograph: %w", err)
-	}
-	return map[string]string{
-		"hydrograph": string(flot),
-		"peakMm":     strconv.FormatFloat(res.PeakMM, 'g', -1, 64),
-		"volumeMm":   strconv.FormatFloat(res.VolumeMM, 'g', -1, 64),
+	// The hydrograph is the cached run's own series: WPS streams it into
+	// the response, and a workflow passes it on by reference.
+	return map[string]wps.Value{
+		"hydrograph": wps.SeriesValue(res.Discharge),
+		"peakMm":     wps.Literal(strconv.FormatFloat(res.PeakMM, 'g', -1, 64)),
+		"volumeMm":   wps.Literal(strconv.FormatFloat(res.VolumeMM, 'g', -1, 64)),
 	}, nil
 }
 
@@ -1116,30 +1131,72 @@ func (o *Observatory) RunLowFlowContext(ctx context.Context, catchmentID, scenar
 	return &LowFlowResult{Scenario: scenarioID, Summary: summary, Baseline: base}, nil
 }
 
-// hydroStatsProcess summarises a Flot-encoded hydrograph — the generic
+// hydroStatsProcess summarises a hydrograph — the generic
 // post-processing node workflow compositions chain after a model run.
-func hydroStatsProcess(_ context.Context, inputs map[string]string) (map[string]string, error) {
-	raw := inputs["hydrograph"]
-	if raw == "" {
-		return nil, fmt.Errorf("hydrostats: missing hydrograph input")
+// It is a workflow process only; WPS does not offer it.
+type hydroStatsProcess struct{}
+
+var _ wps.Process = hydroStatsProcess{}
+
+func (hydroStatsProcess) Identifier() string { return "hydrostats" }
+
+func (hydroStatsProcess) Title() string { return "Hydrograph statistics" }
+
+func (hydroStatsProcess) Abstract() string {
+	return "Summarises a discharge series: peak, total volume and mean flow."
+}
+
+func (hydroStatsProcess) Inputs() []wps.ParamDesc {
+	return []wps.ParamDesc{{Identifier: "hydrograph", Title: "Flot-encoded discharge series", DataType: "string"}}
+}
+
+func (hydroStatsProcess) Outputs() []wps.ParamDesc {
+	return []wps.ParamDesc{
+		{Identifier: "peakMm", Title: "Peak flow (mm/h)", DataType: "double"},
+		{Identifier: "volumeMm", Title: "Flow volume (mm)", DataType: "double"},
+		{Identifier: "meanMm", Title: "Mean flow (mm/h)", DataType: "double"},
 	}
-	ir, err := timeseries.ParseFlotJSON([]byte(raw))
-	if err != nil {
-		return nil, fmt.Errorf("hydrostats: %w", err)
+}
+
+// Execute reads a series input directly and parses a literal one as
+// Flot text. Both give bit-identical results: Flot round-trips every
+// finite value and writes ±Inf as null, which parses back as NaN.
+func (hydroStatsProcess) Execute(_ context.Context, inputs map[string]wps.Value) (map[string]wps.Value, error) {
+	peak, sum, n := 0.0, 0.0, 0
+	add := func(v float64) {
+		if v > peak {
+			peak = v
+		}
+		sum += v
+		n++
 	}
-	if ir.Len() == 0 {
+	in := inputs["hydrograph"]
+	if s := in.Series(); s != nil {
+		for _, v := range s.Raw() {
+			if math.IsInf(v, 0) {
+				v = math.NaN()
+			}
+			add(v)
+		}
+	} else {
+		raw := in.String()
+		if raw == "" {
+			return nil, fmt.Errorf("hydrostats: missing hydrograph input")
+		}
+		ir, err := timeseries.ParseFlotJSON([]byte(raw))
+		if err != nil {
+			return nil, fmt.Errorf("hydrostats: %w", err)
+		}
+		for i := 0; i < ir.Len(); i++ {
+			add(ir.At(i).Value)
+		}
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("hydrostats: empty hydrograph")
 	}
-	peak, sum := 0.0, 0.0
-	for _, o := range ir.Observations() {
-		if o.Value > peak {
-			peak = o.Value
-		}
-		sum += o.Value
-	}
-	return map[string]string{
-		"peakMm":   strconv.FormatFloat(peak, 'g', -1, 64),
-		"volumeMm": strconv.FormatFloat(sum, 'g', -1, 64),
-		"meanMm":   strconv.FormatFloat(sum/float64(ir.Len()), 'g', -1, 64),
+	return map[string]wps.Value{
+		"peakMm":   wps.Literal(strconv.FormatFloat(peak, 'g', -1, 64)),
+		"volumeMm": wps.Literal(strconv.FormatFloat(sum, 'g', -1, 64)),
+		"meanMm":   wps.Literal(strconv.FormatFloat(sum/float64(n), 'g', -1, 64)),
 	}, nil
 }

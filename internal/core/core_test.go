@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"evop/internal/cloud"
 	"evop/internal/hydro"
 	"evop/internal/hydro/topmodel"
+	"evop/internal/ogc/wps"
 	"evop/internal/runcache"
 	"evop/internal/scenario"
 	"evop/internal/timeseries"
@@ -288,21 +291,42 @@ func TestRunModelErrors(t *testing.T) {
 	}
 }
 
+// literals maps text inputs to literal process values.
+func literals(in map[string]string) map[string]wps.Value {
+	out := make(map[string]wps.Value, len(in))
+	for k, v := range in {
+		out[k] = wps.Literal(v)
+	}
+	return out
+}
+
 func TestWPSProcessExecutes(t *testing.T) {
 	o, _ := newObs(t)
 	p := &modelProcess{obs: o, model: "topmodel"}
-	out, err := p.Execute(context.Background(), map[string]string{
+	out, err := p.Execute(context.Background(), literals(map[string]string{
 		"catchment": "morland", "scenario": "compaction",
 		"stormDepthMm": "50", "stormHours": "6", "stormAtHours": "240",
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if out["hydrograph"] == "" || out["peakMm"] == "" || out["volumeMm"] == "" {
+	if out["hydrograph"].Series() == nil || out["peakMm"].String() == "" || out["volumeMm"].String() == "" {
 		t.Fatalf("outputs = %v", out)
 	}
 	if len(p.Inputs()) == 0 || len(p.Outputs()) == 0 || p.Title() == "" || p.Abstract() == "" {
 		t.Fatal("process metadata empty")
+	}
+	// The hydrograph output is the cached run's own series, not a copy.
+	res, outcome, err := o.RunModelCachedContext(context.Background(), RunRequest{
+		CatchmentID: "morland", ScenarioID: "compaction", Model: "topmodel",
+		Storm:        &weather.DesignStorm{TotalDepthMM: 50, Duration: 6 * time.Hour, PeakFraction: 0.4},
+		StormAtHours: 240,
+	})
+	if err != nil || outcome != runcache.Hit {
+		t.Fatalf("same run from the cache: %v, %v", outcome, err)
+	}
+	if got := out["hydrograph"].Series(); got != res.Discharge {
+		t.Fatalf("hydrograph output %p, want the runcache's series %p", got, res.Discharge)
 	}
 }
 
@@ -316,8 +340,106 @@ func TestWPSProcessInputErrors(t *testing.T) {
 		{"catchment": "ghost"},
 	}
 	for i, inputs := range bad {
-		if _, err := p.Execute(context.Background(), inputs); err == nil {
+		if _, err := p.Execute(context.Background(), literals(inputs)); err == nil {
 			t.Fatalf("case %d: want error", i)
+		}
+	}
+}
+
+// TestHourCountsBeyondDuration pins that an hour count time.Duration
+// cannot hold is refused with ErrBadConfig before any run: multiplied by
+// time.Hour, stormHours=5124096 wrapped to a 25-minute storm, and
+// stormAtHours=5124144 put the storm at hour 48.4.
+func TestHourCountsBeyondDuration(t *testing.T) {
+	o, _ := newObs(t)
+	var runs atomic.Int64
+	o.SetRunHook(func(context.Context, RunRequest) error { runs.Add(1); return nil })
+	p := &modelProcess{obs: o, model: "topmodel"}
+	for _, inputs := range []map[string]string{
+		{"catchment": "morland", "stormDepthMm": "50", "stormHours": "5124096"},
+		{"catchment": "morland", "stormDepthMm": "50", "stormAtHours": "5124144"},
+		{"catchment": "morland", "stormDepthMm": "50", "stormHours": "-2562048"},
+		{"catchment": "morland", "stormDepthMm": "50", "stormAtHours": "-5124144"},
+	} {
+		if _, err := p.Execute(context.Background(), literals(inputs)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Execute(%v) err = %v, want ErrBadConfig", inputs, err)
+		}
+	}
+	storm := &weather.DesignStorm{TotalDepthMM: 50, Duration: 6 * time.Hour, PeakFraction: 0.4}
+	for _, at := range []int{5124144, -5124144, 2562048} {
+		req := RunRequest{CatchmentID: "morland", Model: "topmodel", Storm: storm, StormAtHours: at}
+		if _, _, err := o.RunModelCachedContext(context.Background(), req); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("StormAtHours %d: err = %v, want ErrBadConfig", at, err)
+		}
+	}
+	body := serve(t, o.WPS, http.MethodGet, "/wps?service=WPS&request=Execute&identifier=topmodel"+
+		"&datainputs=catchment%3Dmorland%3BstormDepthMm%3D50%3BstormHours%3D5124096", "")
+	if !strings.Contains(string(body), "<wps:Value>ProcessFailed</wps:Value>") {
+		t.Fatalf("WPS stormHours=5124096:\n%s", body)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("refused requests reached the simulation %d times", n)
+	}
+	// The largest hour counts that fit are still runs; one past the
+	// record is the storm package's to refuse, as before.
+	if _, err := p.Execute(context.Background(), literals(map[string]string{
+		"catchment": "morland", "stormDepthMm": "50", "stormHours": "2562047"})); errors.Is(err, ErrBadConfig) {
+		t.Fatalf("stormHours 2562047 refused by the hour bound: %v", err)
+	}
+}
+
+// TestHydroStatsSeriesMatchesText pins hydrostats' two inputs to one
+// answer, bit for bit: a series read directly and the same series as
+// Flot text, NaN, ±Inf, -0 and sub-millisecond steps included.
+func TestHydroStatsSeriesMatchesText(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, math.MaxFloat64}
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]float64, 1+rng.Intn(300))
+		for i := range vals {
+			switch rng.Intn(10) {
+			case 0:
+				vals[i] = specials[rng.Intn(len(specials))]
+			default:
+				vals[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+			}
+		}
+		step := time.Hour
+		if trial%3 == 0 {
+			step = time.Duration(1 + rng.Intn(2_000_000))
+		}
+		s := timeseries.MustNew(epochStart.Add(-time.Duration(rng.Int63n(int64(100*365*24*time.Hour)))), step, vals)
+		flot, err := s.FlotJSON()
+		if err != nil {
+			t.Fatalf("FlotJSON: %v", err)
+		}
+		direct, err := hydroStatsProcess{}.Execute(context.Background(), map[string]wps.Value{"hydrograph": wps.SeriesValue(s)})
+		if err != nil {
+			t.Fatalf("trial %d series: %v", trial, err)
+		}
+		parsed, err := hydroStatsProcess{}.Execute(context.Background(), literals(map[string]string{"hydrograph": string(flot)}))
+		if err != nil {
+			t.Fatalf("trial %d text: %v", trial, err)
+		}
+		for _, k := range []string{"peakMm", "volumeMm", "meanMm"} {
+			if direct[k] != parsed[k] {
+				t.Fatalf("trial %d %s: series %q, text %q", trial, k, direct[k].String(), parsed[k].String())
+			}
+		}
+	}
+	empty := timeseries.MustNew(epochStart, time.Hour, nil)
+	for _, tc := range []struct {
+		in   wps.Value
+		want string
+	}{
+		{wps.Value{}, "hydrostats: missing hydrograph input"},
+		{wps.Literal("[[1,"), "hydrostats: parsing flot payload: unexpected end of JSON input"},
+		{wps.Literal("[]"), "hydrostats: empty hydrograph"},
+		{wps.SeriesValue(empty), "hydrostats: empty hydrograph"},
+	} {
+		_, err := hydroStatsProcess{}.Execute(context.Background(), map[string]wps.Value{"hydrograph": tc.in})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("hydrostats(%q) err = %v, want %s", tc.in.String(), err, tc.want)
 		}
 	}
 }

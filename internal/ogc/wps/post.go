@@ -30,7 +30,7 @@ type xmlExecuteRequest struct {
 // parseExecuteDocument decodes a wps:Execute XML document into a process
 // identifier, inputs, and the async flag. Namespace prefixes are accepted
 // on any element (encoding/xml matches local names).
-func parseExecuteDocument(r io.Reader) (id string, inputs map[string]string, async bool, err error) {
+func parseExecuteDocument(r io.Reader) (id string, inputs map[string]Value, async bool, err error) {
 	var doc xmlExecuteRequest
 	dec := xml.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
@@ -43,13 +43,13 @@ func parseExecuteDocument(r io.Reader) (id string, inputs map[string]string, asy
 	if id == "" {
 		return "", nil, false, fmt.Errorf("execute document has no process identifier: %w", ErrBadRequest)
 	}
-	inputs = make(map[string]string, len(doc.Inputs))
+	inputs = make(map[string]Value, len(doc.Inputs))
 	for i, in := range doc.Inputs {
 		key := strings.TrimSpace(in.Identifier)
 		if key == "" {
 			return "", nil, false, fmt.Errorf("input %d has no identifier: %w", i, ErrBadRequest)
 		}
-		inputs[key] = in.Data.LiteralData
+		inputs[key] = Literal(in.Data.LiteralData)
 	}
 	return id, inputs, doc.StoreExecuteResponse, nil
 }

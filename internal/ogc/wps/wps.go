@@ -19,17 +19,18 @@ package wps
 
 import (
 	"context"
+	"encoding/json"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"evop/internal/metrics"
 	"evop/internal/sched"
+	"evop/internal/timeseries"
 )
 
 // Common errors.
@@ -57,8 +58,8 @@ type ParamDesc struct {
 }
 
 // Process is a computation exposed through the WPS interface. Inputs and
-// outputs are literal key/value maps, as the EVOp widgets exchange small
-// parameter sets and JSON-encoded series.
+// outputs are maps of Values: small literal parameters, and series
+// passed by reference.
 type Process interface {
 	// Identifier is the process name in the capabilities document.
 	Identifier() string
@@ -74,8 +75,40 @@ type Process interface {
 	// and stop early when it ends: synchronous executions receive the HTTP
 	// request's context (cancelled when the client disconnects),
 	// asynchronous executions the service's lifecycle context.
-	Execute(ctx context.Context, inputs map[string]string) (map[string]string, error)
+	Execute(ctx context.Context, inputs map[string]Value) (map[string]Value, error)
 }
+
+// Value is one process input or output: a literal string, or a series
+// the process already holds. A series travels by reference and becomes
+// Flot text only where bytes leave the process: streamed into an
+// ExecuteResponse, or through String and MarshalJSON.
+type Value struct {
+	lit    string
+	series *timeseries.Series
+}
+
+// Literal returns a literal value.
+func Literal(s string) Value { return Value{lit: s} }
+
+// SeriesValue returns a value holding s by reference; s must not be
+// mutated while the value is in use.
+func SeriesValue(s *timeseries.Series) Value { return Value{series: s} }
+
+// Series returns the series the value holds, or nil for a literal.
+func (v Value) Series() *timeseries.Series { return v.series }
+
+// String returns a literal as is and a series as its Flot text.
+func (v Value) String() string {
+	if v.series == nil {
+		return v.lit
+	}
+	var b strings.Builder
+	_ = v.series.WriteFlot(&b)
+	return b.String()
+}
+
+// MarshalJSON encodes the value as a JSON string of its String text.
+func (v Value) MarshalJSON() ([]byte, error) { return json.Marshal(v.String()) }
 
 // Status is an asynchronous execution state.
 type Status int
@@ -109,7 +142,7 @@ type execution struct {
 	id      string
 	process string
 	status  Status
-	outputs map[string]string
+	outputs map[string]Value
 	err     string
 }
 
@@ -291,20 +324,6 @@ type xmlProcessDescription struct {
 	Outputs  []ParamDesc `xml:"ProcessDescription>ProcessOutputs>Output"`
 }
 
-type xmlExecuteResponse struct {
-	XMLName     xml.Name    `xml:"wps:ExecuteResponse"`
-	ExecutionID string      `xml:"executionId,attr,omitempty"`
-	Process     string      `xml:"wps:Process>ows:Identifier"`
-	Status      string      `xml:"wps:Status>wps:Value"`
-	Message     string      `xml:"wps:Status>wps:Message,omitempty"`
-	Outputs     []xmlOutput `xml:"wps:ProcessOutputs>wps:Output,omitempty"`
-}
-
-type xmlOutput struct {
-	Identifier string `xml:"ows:Identifier"`
-	Data       string `xml:"wps:Data>wps:LiteralData"`
-}
-
 type xmlException struct {
 	XMLName   xml.Name `xml:"ows:ExceptionReport"`
 	Exception struct {
@@ -359,9 +378,10 @@ func (s *Service) describeProcess(w http.ResponseWriter, id string) {
 }
 
 // ParseDataInputs parses the WPS KVP datainputs encoding
-// ("k1=v1;k2=v2"). Values may contain '=' after the first.
-func ParseDataInputs(raw string) (map[string]string, error) {
-	out := make(map[string]string)
+// ("k1=v1;k2=v2") into literal values. Values may contain '=' after the
+// first.
+func ParseDataInputs(raw string) (map[string]Value, error) {
+	out := make(map[string]Value)
 	if raw == "" {
 		return out, nil
 	}
@@ -373,7 +393,7 @@ func ParseDataInputs(raw string) (map[string]string, error) {
 		if !ok || k == "" {
 			return nil, fmt.Errorf("datainputs pair %q: %w", pair, ErrBadRequest)
 		}
-		out[k] = v
+		out[k] = Literal(v)
 	}
 	return out, nil
 }
@@ -387,7 +407,7 @@ func (s *Service) execute(w http.ResponseWriter, ctx context.Context, id, rawInp
 	s.executeParsed(w, ctx, id, inputs, async)
 }
 
-func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id string, inputs map[string]string, async bool) {
+func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id string, inputs map[string]Value, async bool) {
 	s.mu.RLock()
 	p, ok := s.processes[id]
 	s.mu.RUnlock()
@@ -401,14 +421,10 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		s.syncExecs.Inc()
 		outputs, err := p.Execute(ctx, inputs)
 		if err != nil {
-			writeXML(w, http.StatusOK, xmlExecuteResponse{
-				Process: id, Status: StatusFailed.String(), Message: err.Error(),
-			})
+			executeResponse{process: id, status: StatusFailed.String(), message: err.Error()}.write(w)
 			return
 		}
-		writeXML(w, http.StatusOK, xmlExecuteResponse{
-			Process: id, Status: StatusSucceeded.String(), Outputs: sortedOutputs(outputs),
-		})
+		executeResponse{process: id, status: StatusSucceeded.String(), outputs: outputs}.write(w)
 		return
 	}
 
@@ -459,20 +475,19 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 	s.mu.Unlock()
 	s.asyncExecs.Inc()
 
-	writeXML(w, http.StatusOK, xmlExecuteResponse{
-		ExecutionID: ex.id, Process: id, Status: StatusAccepted.String(),
-	})
+	executeResponse{executionID: ex.id, process: id, status: StatusAccepted.String()}.write(w)
 }
 
 func (s *Service) getStatus(w http.ResponseWriter, execID string) {
 	s.mu.RLock()
 	ex, ok := s.execs[execID]
-	var doc xmlExecuteResponse
+	var doc executeResponse
 	if ok {
-		doc = xmlExecuteResponse{
-			ExecutionID: ex.id, Process: ex.process,
-			Status: ex.status.String(), Message: ex.err,
-			Outputs: sortedOutputs(ex.outputs),
+		// A terminal execution's outputs are never written again, so the
+		// document may read them after the lock is released.
+		doc = executeResponse{
+			executionID: ex.id, process: ex.process,
+			status: ex.status.String(), message: ex.err, outputs: ex.outputs,
 		}
 	}
 	s.mu.RUnlock()
@@ -480,18 +495,5 @@ func (s *Service) getStatus(w http.ResponseWriter, execID string) {
 		writeException(w, http.StatusNotFound, "InvalidParameterValue", "no execution "+execID)
 		return
 	}
-	writeXML(w, http.StatusOK, doc)
-}
-
-func sortedOutputs(outputs map[string]string) []xmlOutput {
-	keys := make([]string, 0, len(outputs))
-	for k := range outputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]xmlOutput, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, xmlOutput{Identifier: k, Data: outputs[k]})
-	}
-	return out
+	doc.write(w)
 }

@@ -37,7 +37,7 @@ func (p *addProcess) Inputs() []ParamDesc {
 func (p *addProcess) Outputs() []ParamDesc {
 	return []ParamDesc{{Identifier: "sum", Title: "Sum", DataType: "double"}}
 }
-func (p *addProcess) Execute(ctx context.Context, inputs map[string]string) (map[string]string, error) {
+func (p *addProcess) Execute(ctx context.Context, inputs map[string]Value) (map[string]Value, error) {
 	if p.block != nil {
 		select {
 		case <-p.block:
@@ -48,15 +48,15 @@ func (p *addProcess) Execute(ctx context.Context, inputs map[string]string) (map
 	p.mu.Lock()
 	p.execs++
 	p.mu.Unlock()
-	a, err := strconv.ParseFloat(inputs["a"], 64)
+	a, err := strconv.ParseFloat(inputs["a"].String(), 64)
 	if err != nil {
 		return nil, fmt.Errorf("input a: %w", err)
 	}
-	b, err := strconv.ParseFloat(inputs["b"], 64)
+	b, err := strconv.ParseFloat(inputs["b"].String(), 64)
 	if err != nil {
 		return nil, fmt.Errorf("input b: %w", err)
 	}
-	return map[string]string{"sum": strconv.FormatFloat(a+b, 'g', -1, 64)}, nil
+	return map[string]Value{"sum": Literal(strconv.FormatFloat(a+b, 'g', -1, 64))}, nil
 }
 
 // newService builds a service over a fresh two-worker pool; both are
@@ -342,8 +342,8 @@ func TestParseDataInputs(t *testing.T) {
 			continue
 		}
 		for k, v := range tc.want {
-			if got[k] != v {
-				t.Errorf("ParseDataInputs(%q)[%s] = %q, want %q", tc.in, k, got[k], v)
+			if got[k] != Literal(v) {
+				t.Errorf("ParseDataInputs(%q)[%s] = %q, want %q", tc.in, k, got[k].String(), v)
 			}
 		}
 	}

@@ -277,6 +277,13 @@ func TestModelRunWidget(t *testing.T) {
 	if grew := heapAllocBytes() - before; rec.Code != http.StatusBadRequest || grew > 1<<20 {
 		t.Fatalf("storm Duration MaxInt64 = %d after %d bytes allocated: %.200s", rec.Code, grew, rec.Body)
 	}
+	// An hour count past time.Duration's range would wrap around int64:
+	// multiplied by time.Hour, this one put the storm at hour 48.4.
+	code, body = f.post(t, "/widgets/model/run",
+		`{"catchment":"morland","model":"topmodel","storm":{"TotalDepthMM":10,"Duration":3600000000000,"PeakFraction":0.4},"stormAtHours":5124144}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "stormAtHours 5124144") {
+		t.Fatalf("stormAtHours 5124144 = %d %s", code, body)
+	}
 	code, _ = f.post(t, "/widgets/model/run", `{bad json`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad json = %d", code)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"evop/internal/ogc/wps"
 	"evop/internal/rest"
 )
 
@@ -20,17 +21,14 @@ import (
 // that can be easily tweaked and replayed."
 //
 // A workflow definition is JSON: named nodes, each invoking a registered
-// process (a WPS-style computation) with literal inputs plus references
-// to upstream outputs written as "${node.output}".
+// process (a wps.Process) with literal inputs plus references to
+// upstream outputs written as "${node.output}". A referenced output
+// passes by reference: a series one node returns reaches the next as
+// the same *timeseries.Series, and becomes Flot text only in the run's
+// JSON.
 
 // ErrBadDefinition indicates an invalid workflow definition document.
 var ErrBadDefinition = errors.New("workflow: invalid definition")
-
-// ProcessFunc is a computation invocable from a workflow node: string
-// inputs to string outputs, the same contract as a WPS process. The
-// context is the executing workflow's — it carries cancellation from the
-// submitting HTTP request down into each node's computation.
-type ProcessFunc func(ctx context.Context, inputs map[string]string) (map[string]string, error)
 
 // NodeDef is one node of a workflow definition document.
 type NodeDef struct {
@@ -63,7 +61,7 @@ type Definition struct {
 //	POST /workflows/<id>/replay     re-execute and verify reproducibility
 type Service struct {
 	mu        sync.Mutex
-	processes map[string]ProcessFunc
+	processes map[string]wps.Process
 	seq       int
 	runs      map[string]*Run
 	order     []string
@@ -77,8 +75,9 @@ type Run struct {
 	ID string `json:"id"`
 	// Definition is the submitted document.
 	Definition Definition `json:"definition"`
-	// Outputs maps node ID to its output map.
-	Outputs map[string]map[string]string `json:"outputs"`
+	// Outputs maps node ID to its output map; a series output encodes
+	// as a JSON string of its Flot text.
+	Outputs map[string]map[string]wps.Value `json:"outputs"`
 	// Trace is the provenance record.
 	Trace []TraceEntry `json:"trace"`
 	// Waves is the DAG depth.
@@ -90,22 +89,26 @@ type Run struct {
 // NewService returns an empty workflow service.
 func NewService() *Service {
 	return &Service{
-		processes: make(map[string]ProcessFunc),
+		processes: make(map[string]wps.Process),
 		runs:      make(map[string]*Run),
 	}
 }
 
-// RegisterProcess makes a computation invocable from workflow nodes.
-func (s *Service) RegisterProcess(name string, fn ProcessFunc) error {
-	if name == "" || fn == nil {
+// RegisterProcess makes a process invocable from workflow nodes under
+// its identifier. A node runs it under the executing workflow's context,
+// which carries cancellation from the submitting HTTP request down into
+// the computation.
+func (s *Service) RegisterProcess(p wps.Process) error {
+	if p == nil || p.Identifier() == "" {
 		return fmt.Errorf("empty process registration: %w", ErrBadDefinition)
 	}
+	name := p.Identifier()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.processes[name]; ok {
 		return fmt.Errorf("duplicate process %q: %w", name, ErrBadDefinition)
 	}
-	s.processes[name] = fn
+	s.processes[name] = p
 	return nil
 }
 
@@ -134,7 +137,7 @@ func (s *Service) build(def Definition) (*Workflow, error) {
 	for _, nd := range def.Nodes {
 		nd := nd
 		s.mu.Lock()
-		fn, ok := s.processes[nd.Process]
+		proc, ok := s.processes[nd.Process]
 		s.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("node %s: unknown process %q: %w", nd.ID, nd.Process, ErrBadDefinition)
@@ -156,14 +159,14 @@ func (s *Service) build(def Definition) (*Workflow, error) {
 			ID:   nd.ID,
 			Deps: depList,
 			Run: func(ctx context.Context, upstream map[string]any) (any, error) {
-				inputs := make(map[string]string, len(nd.Inputs))
+				inputs := make(map[string]wps.Value, len(nd.Inputs))
 				for k, v := range nd.Inputs {
 					refNode, refOut, ok := parseRef(v)
 					if !ok {
-						inputs[k] = v
+						inputs[k] = wps.Literal(v)
 						continue
 					}
-					outs, ok := upstream[refNode].(map[string]string)
+					outs, ok := upstream[refNode].(map[string]wps.Value)
 					if !ok {
 						return nil, fmt.Errorf("reference %s: node %s produced no outputs", v, refNode)
 					}
@@ -173,7 +176,7 @@ func (s *Service) build(def Definition) (*Workflow, error) {
 					}
 					inputs[k] = val
 				}
-				return fn(ctx, inputs)
+				return proc.Execute(ctx, inputs)
 			},
 		}
 		if err := w.Add(node); err != nil {
@@ -195,14 +198,14 @@ func (s *Service) Execute(ctx context.Context, def Definition) (*Run, error) {
 	}
 	run := &Run{
 		Definition: def,
-		Outputs:    make(map[string]map[string]string, len(res.Outputs)),
+		Outputs:    make(map[string]map[string]wps.Value, len(res.Outputs)),
 		Trace:      res.Trace,
 		Waves:      res.Waves,
 	}
 	for id, v := range res.Outputs {
-		outs, ok := v.(map[string]string)
+		outs, ok := v.(map[string]wps.Value)
 		if !ok {
-			return nil, fmt.Errorf("node %s produced %T, want map[string]string: %w", id, v, ErrBadDefinition)
+			return nil, fmt.Errorf("node %s produced %T, want map[string]wps.Value: %w", id, v, ErrBadDefinition)
 		}
 		run.Outputs[id] = outs
 	}

@@ -10,15 +10,45 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"evop/internal/ogc/wps"
 )
+
+// funcProcess is a workflow process made from a function of the
+// inputs' text to literal outputs.
+type funcProcess struct {
+	name string
+	fn   func(ctx context.Context, in map[string]string) (map[string]string, error)
+}
+
+func (p funcProcess) Identifier() string       { return p.name }
+func (p funcProcess) Title() string            { return p.name }
+func (p funcProcess) Abstract() string         { return "" }
+func (p funcProcess) Inputs() []wps.ParamDesc  { return nil }
+func (p funcProcess) Outputs() []wps.ParamDesc { return nil }
+func (p funcProcess) Execute(ctx context.Context, in map[string]wps.Value) (map[string]wps.Value, error) {
+	text := make(map[string]string, len(in))
+	for k, v := range in {
+		text[k] = v.String()
+	}
+	out, err := p.fn(ctx, text)
+	if err != nil || out == nil {
+		return nil, err
+	}
+	vals := make(map[string]wps.Value, len(out))
+	for k, v := range out {
+		vals[k] = wps.Literal(v)
+	}
+	return vals, nil
+}
 
 // testService registers simple arithmetic processes.
 func testService(t *testing.T) *Service {
 	t.Helper()
 	s := NewService()
-	mustRegister := func(name string, fn ProcessFunc) {
+	mustRegister := func(name string, fn func(context.Context, map[string]string) (map[string]string, error)) {
 		t.Helper()
-		if err := s.RegisterProcess(name, fn); err != nil {
+		if err := s.RegisterProcess(funcProcess{name, fn}); err != nil {
 			t.Fatalf("RegisterProcess(%s): %v", name, err)
 		}
 	}
@@ -60,14 +90,16 @@ func pipelineDef() Definition {
 
 func TestRegisterProcessValidation(t *testing.T) {
 	s := NewService()
-	if err := s.RegisterProcess("", nil); !errors.Is(err, ErrBadDefinition) {
-		t.Fatalf("empty registration err = %v", err)
-	}
 	ok := func(context.Context, map[string]string) (map[string]string, error) { return nil, nil }
-	if err := s.RegisterProcess("p", ok); err != nil {
+	for _, p := range []wps.Process{nil, funcProcess{"", ok}} {
+		if err := s.RegisterProcess(p); !errors.Is(err, ErrBadDefinition) {
+			t.Fatalf("empty registration %v: err = %v", p, err)
+		}
+	}
+	if err := s.RegisterProcess(funcProcess{"p", ok}); err != nil {
 		t.Fatalf("RegisterProcess: %v", err)
 	}
-	if err := s.RegisterProcess("p", ok); !errors.Is(err, ErrBadDefinition) {
+	if err := s.RegisterProcess(funcProcess{"p", ok}); !errors.Is(err, ErrBadDefinition) {
 		t.Fatalf("duplicate err = %v", err)
 	}
 }
@@ -78,7 +110,7 @@ func TestExecuteDataflowReferences(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if run.Outputs["total"]["sum"] != "17" {
+	if run.Outputs["total"]["sum"] != wps.Literal("17") {
 		t.Fatalf("total = %v, want 17 (5*2+7)", run.Outputs["total"])
 	}
 	if run.Waves != 3 {
@@ -147,9 +179,9 @@ func TestReplayStoredRun(t *testing.T) {
 func TestReplayDetectsNondeterministicProcess(t *testing.T) {
 	s := NewService()
 	var n atomic.Int64
-	s.RegisterProcess("flaky", func(context.Context, map[string]string) (map[string]string, error) {
+	s.RegisterProcess(funcProcess{"flaky", func(context.Context, map[string]string) (map[string]string, error) {
 		return map[string]string{"v": strconv.FormatInt(n.Add(1), 10)}, nil
-	})
+	}})
 	run, err := s.Execute(context.Background(), Definition{
 		Name: "f", Nodes: []NodeDef{{ID: "a", Process: "flaky"}},
 	})
@@ -306,9 +338,9 @@ func TestParseRef(t *testing.T) {
 func TestHTTPBodies(t *testing.T) {
 	s := testService(t)
 	var n atomic.Int64
-	if err := s.RegisterProcess("counter", func(context.Context, map[string]string) (map[string]string, error) {
+	if err := s.RegisterProcess(funcProcess{"counter", func(context.Context, map[string]string) (map[string]string, error) {
 		return map[string]string{"v": strconv.FormatInt(n.Add(1), 10)}, nil
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	tests := []struct {

@@ -15,9 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"strconv"
 	"sync"
+
+	"evop/internal/ogc/wps"
 )
 
 // Common errors.
@@ -252,11 +255,48 @@ func (w *Workflow) Replay(ctx context.Context, reference *Result) (*Result, erro
 	return res, nil
 }
 
-// Fingerprint returns a stable hash of a node output. Values are
-// fingerprinted via their formatted representation, which is stable for
-// the numeric/series types EVOp workflows exchange.
+// Fingerprint returns a stable hash of a node output: FNV-1a over its
+// Go-syntax form (%#v). A process's outputs hash as the map[string]string
+// of their text would, a series by its Flot bytes streamed into the
+// hash, so traces recorded when outputs were text still replay.
 func Fingerprint(v any) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v", v)
+	if outs, ok := v.(map[string]wps.Value); ok {
+		writeOutputs(h, outs)
+	} else {
+		fmt.Fprintf(h, "%#v", v)
+	}
 	return strconv.FormatUint(h.Sum64(), 16)
+}
+
+// writeOutputs writes outs to w as %#v writes a map[string]string of
+// their text: keys sorted, each key and value quoted.
+func writeOutputs(w io.Writer, outs map[string]wps.Value) {
+	if outs == nil {
+		io.WriteString(w, "map[string]string(nil)")
+		return
+	}
+	keys := make([]string, 0, len(outs))
+	for k := range outs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b := []byte("map[string]string{")
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(strconv.AppendQuote(b, k), ':')
+		s := outs[k].Series()
+		if s == nil {
+			b = strconv.AppendQuote(b, outs[k].String())
+			continue
+		}
+		// Flot text is printable ASCII without quotes or backslashes, so
+		// it quotes as itself.
+		w.Write(append(b, '"'))
+		s.WriteFlot(w)
+		b = append(b[:0], '"')
+	}
+	w.Write(append(b, '}'))
 }

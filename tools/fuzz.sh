@@ -19,6 +19,15 @@ done <<'LIST'
 FuzzReadFrame ./internal/ws
 FuzzParseDataInputs ./internal/ogc/wps
 FuzzParseExecuteDocument ./internal/ogc/wps
+# Differential: the appended ExecuteResponse equals what encoding/xml
+# wrote for the same document (the old encoder is kept in the test), for
+# arbitrary literals and a series output passed through FlotJSON. Nine
+# strings take long to minimize, hence the cap.
+FuzzExecuteResponse ./internal/ogc/wps -fuzzminimizetime=50x
+# Workflow definitions: raw POST bodies never answer 5xx; every 200 run
+# reads back byte-identical, replays, and fingerprints each node's typed
+# outputs as the same outputs in text would.
+FuzzWorkflowDefinition ./internal/workflow
 # Differential: the InsertObservation fast path answers every body
 # exactly as the encoding/xml handler kept in the test does, and leaves
 # the same stored reading.
