@@ -116,30 +116,9 @@ func benchTI(b *testing.B) *catchment.TIDistribution {
 	return ti
 }
 
-// BenchmarkTOPMODELYear measures one 365-day hourly TOPMODEL simulation
-// (8760 steps x 30 TI classes) on the production fast path: a reusable
-// scratch, as the calibration sweep and any repeat caller run it.
-// Steady state is allocation-free.
-func BenchmarkTOPMODELYear(b *testing.B) {
-	ti := benchTI(b)
-	f := benchForcing(b, 365)
-	m, err := topmodel.New(topmodel.DefaultParams(), ti)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := m.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.RunInto(f, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTOPMODELYearFresh measures the same simulation through Run,
-// as one-shot callers run it: pooled scratch plus the one series the
-// caller keeps.
+// BenchmarkTOPMODELYearFresh measures one 365-day hourly TOPMODEL
+// simulation (8760 steps x 30 TI classes) through Run, as every caller
+// runs it: pooled scratch plus the one series the caller keeps.
 func BenchmarkTOPMODELYearFresh(b *testing.B) {
 	ti := benchTI(b)
 	f := benchForcing(b, 365)
@@ -192,7 +171,7 @@ func BenchmarkFUSEEnsembleSeq(b *testing.B) {
 }
 
 // BenchmarkFUSEEnsembleParallel is the same ensemble fanned out across
-// the shared compute pool (GOMAXPROCS workers, per-worker scratch). The
+// the shared compute pool (GOMAXPROCS workers, pooled scratch). The
 // result is bit-identical to the sequential run; on a multi-core host
 // the wall-clock divides by the worker count.
 func BenchmarkFUSEEnsembleParallel(b *testing.B) {
@@ -267,51 +246,9 @@ func BenchmarkMonteCarlo100(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := calibrate.MCConfig{
-		Factory: func(_ hydro.Model, vals []float64) (hydro.Model, error) {
+		Factory: func(vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe = vals[0], vals[1]
-			return topmodel.New(p, ti)
-		},
-		Ranges: []calibrate.Range{
-			{Name: "M", Lo: 5, Hi: 100},
-			{Name: "LnTe", Lo: 2, Hi: 8},
-		},
-		Forcing: f, Observed: obs, N: 100, Seed: 1,
-		KeepSimsAbove: math.Inf(1),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := calibrate.MonteCarlo(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMonteCarlo100Reuse is the same sweep with a reusing Factory:
-// each worker reconfigures its previous model via SetParams instead of
-// building a fresh one per sample.
-func BenchmarkMonteCarlo100Reuse(b *testing.B) {
-	ti := benchTI(b)
-	f := benchForcing(b, 30)
-	truth, err := topmodel.New(topmodel.DefaultParams(), ti)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs, err := truth.Run(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := calibrate.MCConfig{
-		Factory: func(prev hydro.Model, vals []float64) (hydro.Model, error) {
-			p := topmodel.DefaultParams()
-			p.M, p.LnTe = vals[0], vals[1]
-			if tm, ok := prev.(*topmodel.Model); ok {
-				if err := tm.SetParams(p); err != nil {
-					return nil, err
-				}
-				return tm, nil
-			}
 			return topmodel.New(p, ti)
 		},
 		Ranges: []calibrate.Range{

@@ -34,6 +34,14 @@ if grep -n '\.FlotJSON(' internal/ogc/wps/*.go internal/workflow/*.go internal/c
 	echo 'ci: internal/ogc/wps, internal/workflow and internal/core must not call FlotJSON( outside tests' >&2
 	exit 1
 fi
+# Grep lint: a model run takes its scratch from the model package's
+# pool, and a sweep fans out through sched.ForEach; caller-owned scratch
+# or per-worker sweep state would be a second path beside them.
+if grep -rnE 'ScratchModel|NewScratch|RunInto\(|NewRunner|SetChunk' --include='*.go' . |
+	grep -v -e '_test\.go:' -e '^\./perfbench/'; then
+	echo 'ci: run models through Run and fan out with sched.ForEach (no ScratchModel, NewScratch, RunInto, NewRunner or SetChunk)' >&2
+	exit 1
+fi
 # Grep lint: the portal's route table declares each route's methods, and
 # routes.go alone checks them; a handler comparing the method would bring
 # back a per-route check beside the table, with no Allow header.

@@ -72,7 +72,7 @@ func run() error {
 	// Monte Carlo calibration over (M, LnTe, SRMax), keeping behavioural
 	// simulations for GLUE.
 	cfg := calibrate.MCConfig{
-		Factory: func(_ hydro.Model, vals []float64) (hydro.Model, error) {
+		Factory: func(vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe, p.SRMax = vals[0], vals[1], vals[2]
 			return topmodel.New(p, ti)

@@ -694,10 +694,10 @@ func (o *Observatory) RunModelCached(req RunRequest) (*RunResult, runcache.Outco
 // (canceled). A canceled caller stops waiting immediately, and the
 // underlying simulation is abandoned only once every coalesced waiter
 // has gone. Every completed run also refreshes its family's stale
-// fallback (see StaleRun). A StormAtHours a time.Duration cannot hold is
-// refused with ErrBadConfig before the run key is built.
+// fallback (see StaleRun). A request checkRun refuses gets its error
+// before the run key is built.
 func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest) (*RunResult, runcache.Outcome, error) {
-	if err := checkHours("stormAtHours", req.StormAtHours); err != nil {
+	if err := o.checkRun(req); err != nil {
 		return nil, runcache.Miss, err
 	}
 	return o.runs.DoFamily(ctx, req.cacheKey(), req.familyKey(), func(ctx context.Context) (*RunResult, error) {
@@ -709,9 +709,50 @@ func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest)
 // (same catchment, scenario, model and dataset — any storm window or
 // parameters), if one exists. The portal serves it, marked degraded,
 // when the model-run class is saturated: a stale hydrograph widens the
-// circle further than a 503.
-func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool) {
-	return o.runs.Stale(req.familyKey())
+// circle further than a 503. A request checkRun refuses gets the error
+// RunModelCachedContext would return, not a stale run.
+func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool, error) {
+	if err := o.checkRun(req); err != nil {
+		return nil, false, err
+	}
+	res, ok := o.runs.Stale(req.familyKey())
+	return res, ok, nil
+}
+
+// checkRun refuses, without resolving any forcing, a request the run
+// itself would refuse: an hour count a time.Duration cannot hold, an
+// unknown catchment, scenario or model, an invalid design storm, and
+// TOPMODEL parameters that are invalid once the scenario adjusts them.
+func (o *Observatory) checkRun(req RunRequest) error {
+	if err := checkHours("stormAtHours", req.StormAtHours); err != nil {
+		return err
+	}
+	if _, ok := o.Catchments.Get(req.CatchmentID); !ok {
+		return fmt.Errorf("catchment %q: %w", req.CatchmentID, ErrUnknownCatchment)
+	}
+	scnID := req.ScenarioID
+	if scnID == "" {
+		scnID = scenario.Baseline
+	}
+	scn, err := scenario.Get(scnID)
+	if err != nil {
+		return err
+	}
+	if req.Storm != nil {
+		if err := req.Storm.Validate(); err != nil {
+			return fmt.Errorf("injecting storm: %w", err)
+		}
+	}
+	switch req.Model {
+	case "topmodel":
+		if req.TOPMODELParams != nil {
+			return scn.ApplyTOPMODEL(*req.TOPMODELParams).Validate()
+		}
+	case "fuse":
+	default:
+		return fmt.Errorf("%q: %w", req.Model, ErrUnknownModel)
+	}
+	return nil
 }
 
 // runModel is the uncached simulation behind RunModelCachedContext. Its

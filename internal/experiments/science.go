@@ -168,7 +168,7 @@ func E7Elasticity() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	factory := func(_ hydro.Model, vals []float64) (hydro.Model, error) {
+	factory := func(vals []float64) (hydro.Model, error) {
 		p := topmodel.DefaultParams()
 		p.M, p.LnTe = vals[0], vals[1]
 		return topmodel.New(p, ti)
@@ -248,7 +248,7 @@ func E10Calibration() (*Table, error) {
 		return nil, err
 	}
 	cfg := calibrate.MCConfig{
-		Factory: func(_ hydro.Model, vals []float64) (hydro.Model, error) {
+		Factory: func(vals []float64) (hydro.Model, error) {
 			p := topmodel.DefaultParams()
 			p.M, p.LnTe, p.SRMax = vals[0], vals[1], vals[2]
 			return topmodel.New(p, ti)

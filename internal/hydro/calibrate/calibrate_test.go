@@ -181,7 +181,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{ti: ti, forcing: f, obs: obs, truth: truth}
 }
 
-func (fx *fixture) factory(_ hydro.Model, vals []float64) (hydro.Model, error) {
+func (fx *fixture) factory(vals []float64) (hydro.Model, error) {
 	p := topmodel.DefaultParams()
 	p.M = vals[0]
 	p.LnTe = vals[1]
@@ -247,29 +247,6 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMonteCarloDeterministicAcrossChunkSizes(t *testing.T) {
-	fx := newFixture(t)
-	ref, err := MonteCarlo(context.Background(), fx.config(60))
-	if err != nil {
-		t.Fatalf("MonteCarlo(ref): %v", err)
-	}
-	for _, chunk := range []int{1, 4, 17, 100} {
-		cfg := fx.config(60)
-		cfg.ChunkSize = chunk
-		cfg.Pool = newPool(t, 5)
-		got, err := MonteCarlo(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("MonteCarlo(chunk=%d): %v", chunk, err)
-		}
-		for i := range ref.Runs {
-			if ref.Runs[i].Score != got.Runs[i].Score {
-				t.Fatalf("chunk=%d changed result at run %d: %v vs %v",
-					chunk, i, ref.Runs[i].Score, got.Runs[i].Score)
-			}
-		}
-	}
-}
-
 // TestMonteCarloSharedPoolMatchesTransient pins the migration contract:
 // a sweep on an externally shared compute pool produces bit-identical
 // scores and samples to the transient-pool path, for any pool size.
@@ -314,42 +291,6 @@ func newPool(t *testing.T, workers int) *sched.Pool {
 	}
 	t.Cleanup(p.Close)
 	return p
-}
-
-// TestMonteCarloReuseFactoryMatchesFactory: a factory that reconfigures
-// the worker's previous model via SetParams scores every sample exactly
-// as one that builds a fresh model per sample.
-func TestMonteCarloReuseFactoryMatchesFactory(t *testing.T) {
-	fx := newFixture(t)
-	ref, err := MonteCarlo(context.Background(), fx.config(50))
-	if err != nil {
-		t.Fatalf("MonteCarlo(factory): %v", err)
-	}
-	cfg := fx.config(50)
-	cfg.Factory = func(prev hydro.Model, vals []float64) (hydro.Model, error) {
-		p := topmodel.DefaultParams()
-		p.M = vals[0]
-		p.LnTe = vals[1]
-		if tm, ok := prev.(*topmodel.Model); ok {
-			if err := tm.SetParams(p); err != nil {
-				return nil, err
-			}
-			return tm, nil
-		}
-		return topmodel.New(p, fx.ti)
-	}
-	got, err := MonteCarlo(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("MonteCarlo(reuse): %v", err)
-	}
-	if ref.Best.Score != got.Best.Score {
-		t.Fatalf("reuse factory changed best: %v vs %v", ref.Best.Score, got.Best.Score)
-	}
-	for i := range ref.Runs {
-		if ref.Runs[i].Score != got.Runs[i].Score {
-			t.Fatalf("reuse factory changed run %d: %v vs %v", i, ref.Runs[i].Score, got.Runs[i].Score)
-		}
-	}
 }
 
 func TestMonteCarloKeepsSims(t *testing.T) {
@@ -405,7 +346,7 @@ func TestMonteCarloConfigValidation(t *testing.T) {
 func TestMonteCarloAllRunsFailed(t *testing.T) {
 	fx := newFixture(t)
 	cfg := fx.config(10)
-	cfg.Factory = func(hydro.Model, []float64) (hydro.Model, error) {
+	cfg.Factory = func([]float64) (hydro.Model, error) {
 		return nil, errors.New("boom")
 	}
 	// Every run failing must surface as a sentinel, not a garbage Best
@@ -421,7 +362,7 @@ func TestMonteCarloPartialFailuresStillReport(t *testing.T) {
 	inner := cfg.Factory
 	var n int
 	var mu sync.Mutex
-	cfg.Factory = func(prev hydro.Model, vals []float64) (hydro.Model, error) {
+	cfg.Factory = func(vals []float64) (hydro.Model, error) {
 		mu.Lock()
 		n++
 		fail := n%2 == 0
@@ -429,7 +370,7 @@ func TestMonteCarloPartialFailuresStillReport(t *testing.T) {
 		if fail {
 			return nil, errors.New("boom")
 		}
-		return inner(prev, vals)
+		return inner(vals)
 	}
 	res, err := MonteCarlo(context.Background(), cfg)
 	if err != nil {

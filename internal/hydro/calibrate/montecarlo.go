@@ -48,17 +48,14 @@ func (r Range) Validate() error {
 // is no best run to report.
 var ErrAllRunsFailed = errors.New("calibrate: all runs failed")
 
-// Factory builds or reconfigures a model for one parameter sample
-// (values are positional, matching the Ranges order). prev is the model
-// the same worker used for its previous sample (nil on the worker's
-// first); a factory that builds fresh models ignores it, while one that
-// reconfigures and returns prev (e.g. topmodel.Model.SetParams) removes
-// the per-sample construction cost from large sweeps.
-type Factory func(prev hydro.Model, values []float64) (hydro.Model, error)
+// Factory builds a model for one parameter sample (values are
+// positional, matching the Ranges order). It is called concurrently
+// from the pool's workers.
+type Factory func(values []float64) (hydro.Model, error)
 
 // MCConfig configures a Monte Carlo calibration run.
 type MCConfig struct {
-	// Factory builds or reconfigures a model per sample.
+	// Factory builds a model per sample.
 	Factory Factory
 	// Ranges define the sampled parameter space.
 	Ranges []Range
@@ -75,10 +72,6 @@ type MCConfig struct {
 	// Pool is the shared compute pool the sweep runs on. Nil builds a
 	// transient pool of min(GOMAXPROCS, N) workers for this call.
 	Pool *sched.Pool
-	// ChunkSize is the number of samples dispatched to a worker per
-	// pool send; 0 picks a size that amortises scheduler traffic over
-	// the sweep. Results are independent of the chunking.
-	ChunkSize int
 	// KeepSimsAbove retains the simulated series of runs scoring above
 	// this threshold for later GLUE analysis. Set to math.Inf(1) (the
 	// zero-config default via NewMCConfig) to retain none.
@@ -130,13 +123,9 @@ type MCResult struct {
 // MonteCarlo samples the parameter space, runs the model for each sample
 // across the shared compute pool, scores each run, and returns all
 // scores sorted best-first. It is deterministic for a given seed
-// regardless of pool size and chunk size (samples are pre-drawn
-// sequentially and results written by index). The pool dispatches
-// chunked index ranges with per-worker reusable state, and models
-// implementing hydro.ScratchModel run through per-worker scratch
-// buffers, so a large sweep allocates nothing per sample beyond the
-// model build itself (which a reusing Factory can eliminate too). It
-// returns ErrAllRunsFailed if every sample errored.
+// regardless of pool size (samples are pre-drawn sequentially and
+// results written by index). It returns ErrAllRunsFailed if every
+// sample errored.
 func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 	if cfg.Objective == nil {
 		cfg.Objective = NSE
@@ -166,12 +155,8 @@ func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 	}
 
 	runs := make([]RunScore, cfg.N)
-	runner := sched.NewRunner(pool, sched.ClassBulk, func() *workerState {
-		return &workerState{scratches: make(map[string]hydro.Scratch)}
-	})
-	runner.SetChunk(cfg.ChunkSize)
-	err := runner.ForEach(ctx, cfg.N, func(st *workerState, i int) error {
-		runs[i] = cfg.evaluate(samples[i], st)
+	err := sched.ForEach(ctx, pool, sched.ClassBulk, cfg.N, func(i int) error {
+		runs[i] = cfg.evaluate(samples[i])
 		return nil
 	})
 	if err != nil {
@@ -195,34 +180,14 @@ func MonteCarlo(ctx context.Context, cfg MCConfig) (*MCResult, error) {
 	return &MCResult{Runs: runs, Best: runs[0], Failed: failed}, nil
 }
 
-// workerState is one worker goroutine's reusable machinery: the previous
-// model (passed back to Factory) and one scratch buffer per model family.
-type workerState struct {
-	prev      hydro.Model
-	scratches map[string]hydro.Scratch
-}
-
-func (c *MCConfig) evaluate(vals []float64, st *workerState) RunScore {
+func (c *MCConfig) evaluate(vals []float64) RunScore {
 	rs := RunScore{Values: vals, Score: math.Inf(-1)}
-	model, err := c.Factory(st.prev, vals)
+	model, err := c.Factory(vals)
 	if err != nil {
 		rs.Err = fmt.Errorf("building model: %w", err)
 		return rs
 	}
-	st.prev = model
-	var sim *timeseries.Series
-	scratchBacked := false
-	if sm, ok := model.(hydro.ScratchModel); ok {
-		sc := st.scratches[sm.Name()]
-		if sc == nil {
-			sc = sm.NewScratch()
-			st.scratches[sm.Name()] = sc
-		}
-		sim, err = sm.RunInto(c.Forcing, sc)
-		scratchBacked = true
-	} else {
-		sim, err = model.Run(c.Forcing)
-	}
+	sim, err := model.Run(c.Forcing)
 	if err != nil {
 		rs.Err = fmt.Errorf("running model: %w", err)
 		return rs
@@ -234,12 +199,7 @@ func (c *MCConfig) evaluate(vals []float64, st *workerState) RunScore {
 	}
 	rs.Score = score
 	if score > c.KeepSimsAbove {
-		if scratchBacked {
-			// The scratch series is overwritten by the worker's next run.
-			rs.Sim = sim.Clone()
-		} else {
-			rs.Sim = sim
-		}
+		rs.Sim = sim
 	}
 	return rs
 }

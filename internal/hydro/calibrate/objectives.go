@@ -30,6 +30,10 @@ var (
 // for all objectives in this package (error measures are negated).
 type Objective func(obs, sim *timeseries.Series) (float64, error)
 
+// paired returns the observed and simulated values at the steps where
+// neither is NaN. When no step holds a NaN it returns the series' own
+// slices, which the objectives only read, so scoring a sweep sample
+// copies nothing.
 func paired(obs, sim *timeseries.Series) ([]float64, []float64, error) {
 	if obs == nil || sim == nil {
 		return nil, nil, fmt.Errorf("nil series: %w", ErrMismatch)
@@ -38,19 +42,27 @@ func paired(obs, sim *timeseries.Series) ([]float64, []float64, error) {
 		return nil, nil, fmt.Errorf("obs(len=%d step=%v) vs sim(len=%d step=%v): %w",
 			obs.Len(), obs.Step(), sim.Len(), sim.Step(), ErrMismatch)
 	}
-	n := obs.Len()
-	o := make([]float64, 0, n)
-	s := make([]float64, 0, n)
 	ov, sv := obs.Raw(), sim.Raw()
-	for i := 0; i < n; i++ {
+	valid := 0
+	for i := range ov {
+		if !math.IsNaN(ov[i]) && !math.IsNaN(sv[i]) {
+			valid++
+		}
+	}
+	switch valid {
+	case 0:
+		return nil, nil, fmt.Errorf("no overlapping valid samples: %w", ErrMismatch)
+	case len(ov):
+		return ov, sv, nil
+	}
+	o := make([]float64, 0, valid)
+	s := make([]float64, 0, valid)
+	for i := range ov {
 		if math.IsNaN(ov[i]) || math.IsNaN(sv[i]) {
 			continue
 		}
 		o = append(o, ov[i])
 		s = append(s, sv[i])
-	}
-	if len(o) == 0 {
-		return nil, nil, fmt.Errorf("no overlapping valid samples: %w", ErrMismatch)
 	}
 	return o, s, nil
 }

@@ -223,17 +223,12 @@ type Model struct {
 }
 
 var _ hydro.Model = (*Model)(nil)
-var _ hydro.ScratchModel = (*Model)(nil)
 
-// ErrBadScratch indicates a scratch buffer that does not belong to this
-// model family was passed to RunInto.
-var ErrBadScratch = errors.New("fuse: foreign scratch buffer")
-
-// Scratch holds the reusable simulation buffers (generated runoff plus
-// the routed series) so repeated runs through RunInto allocate nothing
+// scratch holds the reusable simulation buffers (generated runoff plus
+// the routed series) so repeated runs through runInto allocate nothing
 // in steady state. The zero value is ready to use; a scratch must not be
 // shared between concurrent runs.
-type Scratch struct {
+type scratch struct {
 	raw    *timeseries.Series
 	routed *timeseries.Series
 }
@@ -269,12 +264,12 @@ func (m *Model) Params() Params { return m.params }
 // scratchPool recycles Run's simulation buffers across calls and
 // goroutines. A pooled scratch may hold a longer run's buffers; runInto
 // renews each one to the forcing's length first.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Run implements hydro.Model. The simulation runs in a pooled scratch,
 // so a run allocates only the returned series, which the caller owns.
 func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
-	sc := scratchPool.Get().(*Scratch)
+	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	q, err := m.runInto(f, sc)
 	if err != nil {
@@ -283,20 +278,7 @@ func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
 	return q.Clone(), nil
 }
 
-// NewScratch implements hydro.ScratchModel.
-func (m *Model) NewScratch() hydro.Scratch { return &Scratch{} }
-
-// RunInto implements hydro.ScratchModel: an allocation-free Run. The
-// returned series aliases sc and is valid until sc's next run.
-func (m *Model) RunInto(f hydro.Forcing, sc hydro.Scratch) (*timeseries.Series, error) {
-	s, ok := sc.(*Scratch)
-	if !ok || s == nil {
-		return nil, fmt.Errorf("%T: %w", sc, ErrBadScratch)
-	}
-	return m.runInto(f, s)
-}
-
-func (m *Model) runInto(f hydro.Forcing, sc *Scratch) (*timeseries.Series, error) {
+func (m *Model) runInto(f hydro.Forcing, sc *scratch) (*timeseries.Series, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}

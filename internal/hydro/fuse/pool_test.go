@@ -17,7 +17,7 @@ import (
 // touched.
 func freshRun(t *testing.T, m *Model, f hydro.Forcing) *timeseries.Series {
 	t.Helper()
-	q, err := m.runInto(f, &Scratch{})
+	q, err := m.runInto(f, &scratch{})
 	if err != nil {
 		t.Fatalf("runInto: %v", err)
 	}

@@ -80,26 +80,6 @@ type Model interface {
 	Run(f Forcing) (*timeseries.Series, error)
 }
 
-// Scratch is an opaque, model-specific reusable simulation buffer. A
-// scratch must not be shared between concurrently executing runs; give
-// each worker goroutine its own.
-type Scratch any
-
-// ScratchModel is implemented by models whose simulations can run into
-// caller-owned scratch buffers, eliminating steady-state allocations in
-// sweep workloads (Monte Carlo calibration, ensembles, request serving).
-// The series returned by RunInto aliases the scratch and is only valid
-// until the next RunInto with the same scratch; Clone it to retain.
-type ScratchModel interface {
-	Model
-	// NewScratch allocates an empty scratch accepted by this model's
-	// RunInto. The zero scratch grows lazily on first use.
-	NewScratch() Scratch
-	// RunInto simulates the forcing into sc. Results are bit-identical
-	// to Run.
-	RunInto(f Forcing, sc Scratch) (*timeseries.Series, error)
-}
-
 // DischargeM3S converts a discharge series from mm-per-step over a
 // catchment of areaKM2 to cubic metres per second.
 func DischargeM3S(q *timeseries.Series, areaKM2 float64) (*timeseries.Series, error) {

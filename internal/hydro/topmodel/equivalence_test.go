@@ -195,7 +195,7 @@ func sameSeries(t *testing.T, name string, want, got *timeseries.Series) {
 // TestFastPathMatchesReferenceProperty drives the reference and fast
 // kernels over randomized params and forcings: every output series must
 // be bit-identical, whether the fast path runs fresh (RunDetailed) or
-// through a reused scratch (RunDetailedInto), and mass balance must
+// through a reused scratch (runDetailed), and mass balance must
 // close.
 func TestFastPathMatchesReferenceProperty(t *testing.T) {
 	c, ok := catchment.LEFTCatchments().Get("morland")
@@ -207,7 +207,7 @@ func TestFastPathMatchesReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(20190601))
-	var sc Scratch // deliberately reused across every trial
+	var sc scratch // deliberately reused across every trial
 	for trial := 0; trial < 40; trial++ {
 		p := randomParams(rng)
 		f := randomForcing(t, rng, 200+rng.Intn(500))
@@ -223,9 +223,9 @@ func TestFastPathMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: RunDetailed: %v", trial, err)
 		}
-		reused, err := m.RunDetailedInto(f, &sc)
+		reused, err := m.runDetailed(f, &sc)
 		if err != nil {
-			t.Fatalf("trial %d: RunDetailedInto: %v", trial, err)
+			t.Fatalf("trial %d: runDetailed: %v", trial, err)
 		}
 		for _, got := range []*Output{fresh, reused} {
 			sameSeries(t, "discharge", want.Discharge, got.Discharge)
@@ -243,80 +243,6 @@ func TestFastPathMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestRunIntoMatchesRun covers the hydro.ScratchModel surface: the
-// interface-level RunInto must equal Run, and a foreign scratch must be
-// rejected.
-func TestRunIntoMatchesRun(t *testing.T) {
-	c, _ := catchment.LEFTCatchments().Get("morland")
-	ti, err := c.TopoIndexDistribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(DefaultParams(), ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	f := randomForcing(t, rng, 400)
-	want, err := m.Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := m.NewScratch()
-	got, err := m.RunInto(f, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSeries(t, "discharge", want, got)
-	if _, err := m.RunInto(f, struct{}{}); err == nil {
-		t.Fatal("foreign scratch accepted")
-	}
-}
-
-// TestSetParamsMatchesNew checks model reuse: reconfiguring via
-// SetParams must behave exactly like building a fresh model, including
-// when the routing shape changes.
-func TestSetParamsMatchesNew(t *testing.T) {
-	c, _ := catchment.LEFTCatchments().Get("morland")
-	ti, err := c.TopoIndexDistribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := New(DefaultParams(), ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	f := randomForcing(t, rng, 300)
-	for trial := 0; trial < 10; trial++ {
-		p := randomParams(rng)
-		if err := reused.SetParams(p); err != nil {
-			t.Fatalf("trial %d: SetParams: %v", trial, err)
-		}
-		fresh, err := New(p, ti)
-		if err != nil {
-			t.Fatalf("trial %d: New: %v", trial, err)
-		}
-		want, err := fresh.Run(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := reused.Run(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSeries(t, "discharge", want, got)
-	}
-	bad := DefaultParams()
-	bad.M = -1
-	if err := reused.SetParams(bad); err == nil {
-		t.Fatal("invalid params accepted")
-	}
-	if reused.Params().M < 0 {
-		t.Fatal("failed SetParams mutated the model")
-	}
-}
-
 // TestScratchSteadyStateAllocFree pins the tentpole claim: repeated runs
 // through one scratch allocate nothing.
 func TestScratchSteadyStateAllocFree(t *testing.T) {
@@ -331,12 +257,12 @@ func TestScratchSteadyStateAllocFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	f := randomForcing(t, rng, 720)
-	var sc Scratch
-	if _, err := m.RunDetailedInto(f, &sc); err != nil {
+	var sc scratch
+	if _, err := m.runDetailed(f, &sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := m.RunDetailedInto(f, &sc); err != nil {
+		if _, err := m.runDetailed(f, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})

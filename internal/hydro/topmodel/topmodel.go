@@ -98,10 +98,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// ErrBadScratch indicates a scratch buffer that does not belong to this
-// model family was passed to RunInto.
-var ErrBadScratch = errors.New("topmodel: foreign scratch buffer")
-
 // Model is a configured TOPMODEL instance for one catchment.
 type Model struct {
 	params Params
@@ -110,7 +106,6 @@ type Model struct {
 }
 
 var _ hydro.Model = (*Model)(nil)
-var _ hydro.ScratchModel = (*Model)(nil)
 
 // New builds a Model from parameters and a topographic index
 // distribution.
@@ -137,26 +132,6 @@ func (m *Model) Name() string { return "topmodel" }
 // Params returns the model's parameter set.
 func (m *Model) Params() Params { return m.params }
 
-// SetParams revalidates and installs a new parameter set, keeping the
-// model's TI distribution and rebuilding the routing hydrograph only
-// when its shape changed. On error the model is unchanged. It exists so
-// calibration sweeps can reconfigure one model instead of building a
-// fresh one per sample.
-func (m *Model) SetParams(p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if p.RoutePeakSteps != m.params.RoutePeakSteps || p.RouteBaseSteps != m.params.RouteBaseSteps {
-		uh, err := hydro.TriangularUH(p.RoutePeakSteps, p.RouteBaseSteps)
-		if err != nil {
-			return fmt.Errorf("building routing: %w", err)
-		}
-		m.uh = uh
-	}
-	m.params = p
-	return nil
-}
-
 // Output holds the full simulation products the LEFT widget visualises.
 type Output struct {
 	// Discharge is total routed streamflow, mm per step.
@@ -173,12 +148,12 @@ type Output struct {
 	Balance hydro.MassBalance
 }
 
-// Scratch holds every buffer a simulation needs — per-bin state, the
-// five output series and the routed discharge — so repeated runs through
-// RunDetailedInto allocate nothing in steady state. The zero value is
-// ready to use and grows lazily on first run; a scratch must not be
+// scratch holds every buffer a simulation needs — per-bin state, the
+// five output series and the routed discharge — so repeated runs
+// through runDetailed allocate nothing in steady state. The zero value
+// is ready to use and grows lazily on first run; a scratch must not be
 // shared between concurrent runs.
-type Scratch struct {
+type scratch struct {
 	suz []float64 // unsaturated storage per TI class
 	off []float64 // precomputed local-deficit offsets M*(lambda-Values[i])
 
@@ -188,42 +163,25 @@ type Scratch struct {
 
 // scratchPool recycles Run's simulation buffers across calls and
 // goroutines. A pooled scratch may hold a longer run's buffers;
-// RunDetailedInto renews every one to the forcing's length first.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// runDetailed renews every one to the forcing's length first.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Run implements hydro.Model, returning routed discharge. The simulation
 // runs in a pooled scratch, so a run allocates only the returned series,
 // which the caller owns.
 func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
-	sc := scratchPool.Get().(*Scratch)
+	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	out, err := m.RunDetailedInto(f, sc)
+	out, err := m.runDetailed(f, sc)
 	if err != nil {
 		return nil, err
 	}
 	return out.Discharge.Clone(), nil
 }
 
-// NewScratch implements hydro.ScratchModel.
-func (m *Model) NewScratch() hydro.Scratch { return &Scratch{} }
-
-// RunInto implements hydro.ScratchModel: an allocation-free Run. The
-// returned discharge aliases sc and is valid until sc's next run.
-func (m *Model) RunInto(f hydro.Forcing, sc hydro.Scratch) (*timeseries.Series, error) {
-	s, ok := sc.(*Scratch)
-	if !ok || s == nil {
-		return nil, fmt.Errorf("%T: %w", sc, ErrBadScratch)
-	}
-	out, err := m.RunDetailedInto(f, s)
-	if err != nil {
-		return nil, err
-	}
-	return out.Discharge, nil
-}
-
 // RunDetailed simulates and returns all output components.
 func (m *Model) RunDetailed(f hydro.Forcing) (*Output, error) {
-	return m.RunDetailedInto(f, &Scratch{})
+	return m.runDetailed(f, &scratch{})
 }
 
 // renewFloats returns buf resized to n with every element zero, reusing
@@ -237,14 +195,10 @@ func renewFloats(buf []float64, n int) []float64 {
 	return buf
 }
 
-// RunDetailedInto is RunDetailed running in caller-owned scratch space:
-// in steady state (same forcing length run to run) it allocates nothing.
-// The returned Output and its series alias sc and are valid until sc's
-// next run; results are bit-identical to RunDetailed.
-func (m *Model) RunDetailedInto(f hydro.Forcing, sc *Scratch) (*Output, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
+// runDetailed simulates into sc: in steady state (same forcing length
+// run to run) it allocates nothing. The returned Output and its series
+// alias sc and are valid until sc's next run.
+func (m *Model) runDetailed(f hydro.Forcing, sc *scratch) (*Output, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	rtmetrics "runtime/metrics"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -110,4 +111,76 @@ func TestAsyncExecutionHoldsSeries(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "<wps:LiteralData>"+string(flot)+"</wps:LiteralData>") {
 		t.Fatalf("GetStatus does not carry the series' Flot text:\n%.400s", rec.Body)
 	}
+}
+
+// TestTerminalExecutionsBounded: past retainedExecutions terminal
+// executions the oldest are forgotten — GetStatus answers 404 for them
+// and the table stops growing — while the newest still returns its
+// outputs. A running execution is never evicted.
+func TestTerminalExecutionsBounded(t *testing.T) {
+	held := heldSeries(50)
+	svc := newService(t, nil)
+	blocked := &addProcess{block: make(chan struct{})}
+	for _, p := range []Process{&heldProcess{held: held}, blocked} {
+		if err := svc.Register(p); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	serve := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/wps?service=WPS&"+query, nil))
+		return rec
+	}
+	waitFor := func(id string, want Status) {
+		t.Helper()
+		for {
+			svc.mu.RLock()
+			ex, ok := svc.execs[id]
+			done := ok && ex.status == want
+			svc.mu.RUnlock()
+			if done {
+				return
+			}
+			if !ok {
+				t.Fatalf("%s missing while waiting for %v", id, want)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	// e1 stays running across every eviction.
+	serve("request=Execute&identifier=add&datainputs=a%3D1%3Bb%3D2&storeExecuteResponse=true")
+	waitFor("e1", StatusRunning)
+	const extra = 7
+	last := 1 + retainedExecutions + extra
+	for i := 2; i <= last; i++ {
+		if rec := serve("request=Execute&identifier=held&storeExecuteResponse=true"); rec.Code != http.StatusOK {
+			t.Fatalf("execution e%d: %d\n%s", i, rec.Code, rec.Body)
+		}
+		waitFor("e"+strconv.Itoa(i), StatusSucceeded)
+	}
+	svc.mu.RLock()
+	n := len(svc.execs)
+	svc.mu.RUnlock()
+	if want := retainedExecutions + 1; n != want {
+		t.Fatalf("%d executions retained, want %d (the bound plus the running one)", n, want)
+	}
+	for i := 2; i < 2+extra; i++ {
+		rec := serve("request=GetStatus&executionid=e" + strconv.Itoa(i))
+		if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "InvalidParameterValue") {
+			t.Fatalf("evicted e%d: %d\n%s", i, rec.Code, rec.Body)
+		}
+	}
+	if rec := serve("request=GetStatus&executionid=e" + strconv.Itoa(2+extra)); rec.Code != http.StatusOK {
+		t.Fatalf("oldest retained e%d: %d\n%s", 2+extra, rec.Code, rec.Body)
+	}
+	newest := serve("request=GetStatus&executionid=e" + strconv.Itoa(last))
+	flot, _ := held.FlotJSON()
+	if newest.Code != http.StatusOK || !strings.Contains(newest.Body.String(), "<wps:LiteralData>"+string(flot)+"</wps:LiteralData>") {
+		t.Fatalf("newest execution: %d\n%.400s", newest.Code, newest.Body)
+	}
+	if rec := serve("request=GetStatus&executionid=e1"); !strings.Contains(rec.Body.String(), "ProcessStarted") {
+		t.Fatalf("running execution evicted or not running:\n%s", rec.Body)
+	}
+	close(blocked.block)
+	svc.Wait()
 }

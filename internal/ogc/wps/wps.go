@@ -137,6 +137,12 @@ func (s Status) String() string {
 	}
 }
 
+// retainedExecutions is how many terminal (succeeded or failed) async
+// executions stay queryable through GetStatus. Older terminal ones are
+// forgotten, releasing their outputs; running and accepted executions
+// are never evicted, and the pool's async bound already caps them.
+const retainedExecutions = 1024
+
 // execution tracks one async run.
 type execution struct {
 	id      string
@@ -171,7 +177,11 @@ type Service struct {
 	order     []string
 	execSeq   int
 	execs     map[string]*execution
-	wg        sync.WaitGroup
+	// terminal rings the IDs of the newest terminal executions, oldest
+	// at terminalHead once it holds retainedExecutions.
+	terminal     []string
+	terminalHead int
+	wg           sync.WaitGroup
 
 	// executions counts Execute requests accepted per delivery mode.
 	syncExecs  *metrics.Counter
@@ -428,6 +438,8 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		return
 	}
 
+	// The execution is registered before its task can run, so it is in
+	// the table when the task records it terminal.
 	s.mu.Lock()
 	s.execSeq++
 	ex := &execution{
@@ -435,6 +447,7 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		process: id,
 		status:  StatusAccepted,
 	}
+	s.execs[ex.id] = ex
 	s.mu.Unlock()
 
 	// Asynchronous: the execution outlives the accepting request, so it
@@ -455,14 +468,18 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		if err != nil {
 			ex.status = StatusFailed
 			ex.err = err.Error()
-			return
+		} else {
+			ex.status = StatusSucceeded
+			ex.outputs = outputs
 		}
-		ex.status = StatusSucceeded
-		ex.outputs = outputs
+		s.retainLocked(ex.id)
 	}
 	if err := s.pool.TrySubmit(sched.ClassBulk, run); err != nil {
-		// The execution never ran and was never registered; the consumed
-		// sequence number is not reused.
+		// The execution never ran: unregister it. The consumed sequence
+		// number is not reused.
+		s.mu.Lock()
+		delete(s.execs, ex.id)
+		s.mu.Unlock()
 		s.queueDepth.Add(-1)
 		s.wg.Done()
 		s.rejected.Inc()
@@ -470,12 +487,22 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 			"compute pool saturated; retry later: "+err.Error())
 		return
 	}
-	s.mu.Lock()
-	s.execs[ex.id] = ex
-	s.mu.Unlock()
 	s.asyncExecs.Inc()
 
 	executeResponse{executionID: ex.id, process: id, status: StatusAccepted.String()}.write(w)
+}
+
+// retainLocked records a newly terminal execution, forgetting the
+// oldest terminal one once retainedExecutions are held. The caller
+// holds s.mu.
+func (s *Service) retainLocked(id string) {
+	if len(s.terminal) < retainedExecutions {
+		s.terminal = append(s.terminal, id)
+		return
+	}
+	delete(s.execs, s.terminal[s.terminalHead])
+	s.terminal[s.terminalHead] = id
+	s.terminalHead = (s.terminalHead + 1) % retainedExecutions
 }
 
 func (s *Service) getStatus(w http.ResponseWriter, execID string) {

@@ -148,7 +148,7 @@ func TestModelRunStaleCacheDegrade(t *testing.T) {
 
 	// A family never run has nothing stale to serve: shed with 503.
 	resp = f.doRaw(t, http.MethodPost, "/widgets/model/run",
-		`{"catchment":"dyfi","model":"topmodel"}`)
+		`{"catchment":"tarland","model":"topmodel"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("unseen family: %d, want 503", resp.StatusCode)
 	}
@@ -157,6 +157,61 @@ func TestModelRunStaleCacheDegrade(t *testing.T) {
 	}
 	if sb := decodeShed(t, resp); sb.Class != "model" {
 		t.Fatalf("shed class = %q, want model", sb.Class)
+	}
+}
+
+// TestModelRunStaleCacheRefusesBadRequests: under model-class
+// saturation a request the healthy path refuses gets the same status,
+// not its family's stale run; a valid one still gets the stale 200.
+func TestModelRunStaleCacheRefusesBadRequests(t *testing.T) {
+	f := newFixtureWith(t, func(cfg *core.Config) {
+		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
+	})
+	bad := []struct {
+		body string
+		want int
+	}{
+		{`{"catchment":"morland","model":"topmodel","topmodelParams":{"m":-1}}`, http.StatusBadRequest},
+		{`{"catchment":"morland","model":"topmodel","stormAtHours":5124144}`, http.StatusBadRequest},
+		{`{"catchment":"morland","model":"topmodel","topmodelParams":{"m":-1},"stormAtHours":5124144}`, http.StatusBadRequest},
+		{`{"catchment":"morland","model":"topmodel","storm":{"totalDepthMm":-5}}`, http.StatusBadRequest},
+		{`{"catchment":"morland","model":"topmodel","scenario":"paved"}`, http.StatusBadRequest},
+		{`{"catchment":"nowhere","model":"topmodel"}`, http.StatusNotFound},
+		{`{"catchment":"morland","model":"hbv"}`, http.StatusNotFound},
+	}
+	status := func(body string) int {
+		t.Helper()
+		resp := f.doRaw(t, http.MethodPost, "/widgets/model/run", body)
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	for _, tc := range bad {
+		if got := status(tc.body); got != tc.want {
+			t.Fatalf("healthy %s: %d, want %d", tc.body, got, tc.want)
+		}
+	}
+	if got := status(`{"catchment":"morland","model":"topmodel"}`); got != http.StatusOK {
+		t.Fatalf("fresh run: %d", got)
+	}
+
+	if _, err := f.obs.Admission.TryAdmit(admission.Model, "holder"); err != nil {
+		t.Fatalf("holding slot: %v", err)
+	}
+	defer f.obs.Admission.Release(admission.Model)
+	for _, tc := range bad {
+		resp := f.doRaw(t, http.MethodPost, "/widgets/model/run", tc.body)
+		io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode != tc.want || resp.Header.Get(DegradedHeader) != "" {
+			t.Fatalf("saturated %s: %d degraded=%q, want %d as when healthy",
+				tc.body, resp.StatusCode, resp.Header.Get(DegradedHeader), tc.want)
+		}
+	}
+	resp := f.doRaw(t, http.MethodPost, "/widgets/model/run",
+		`{"catchment":"morland","model":"topmodel","stormAtHours":7}`)
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(DegradedHeader) != "stale-cache" {
+		t.Fatalf("valid saturated run: %d degraded=%q, want 200 stale-cache",
+			resp.StatusCode, resp.Header.Get(DegradedHeader))
 	}
 }
 

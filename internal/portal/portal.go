@@ -439,7 +439,8 @@ const maxRunBytes = 1 << 20
 // miss, hit or coalesced. When the model-run class is saturated, the
 // last completed run of the same family is served instead, marked
 // X-Degraded: stale-cache; with no stale entry available the request is
-// shed with 503.
+// shed with 503. A request the healthy path refuses gets the same status
+// either way.
 func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 	var req core.RunRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBytes)).Decode(&req); err != nil {
@@ -454,7 +455,11 @@ func (p *Portal) modelRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var res *core.RunResult
 	if degraded(r) {
-		stale, ok := p.obs.StaleRun(req)
+		stale, ok, err := p.obs.StaleRun(req)
+		if err != nil {
+			writeRunErr(w, err)
+			return
+		}
 		if !ok {
 			p.writeShed(w, admission.Model, 0, admission.ErrSaturated)
 			return

@@ -111,9 +111,9 @@ func TestModelRunBodyMatchesOldEncoder(t *testing.T) {
 		if c := got.Header().Get("X-Cache"); c != "stale" {
 			t.Fatalf("X-Cache = %q, want stale", c)
 		}
-		res, ok := f.obs.StaleRun(decode(t, body))
-		if !ok {
-			t.Fatal("no stale run for the family")
+		res, ok, err := f.obs.StaleRun(decode(t, body))
+		if err != nil || !ok {
+			t.Fatalf("no stale run for the family: %v", err)
 		}
 		assertSameResponse(t, got, oldModelRunBody(t, res))
 	})

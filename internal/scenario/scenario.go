@@ -159,9 +159,13 @@ func All() []Scenario {
 	}
 }
 
+// presets is the table Get scans: All builds a fresh slice per call,
+// and every model-run request looks its scenario up.
+var presets = All()
+
 // Get returns one scenario by ID.
 func Get(id string) (Scenario, error) {
-	for _, s := range All() {
+	for _, s := range presets {
 		if s.ID == id {
 			return s, nil
 		}

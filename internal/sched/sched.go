@@ -18,10 +18,6 @@
 //     ordering: ClassModel (interactive model runs) is always drained
 //     before ClassBulk (sweeps, async executions), whichever worker's
 //     queue holds it.
-//   - Batches (Runner.ForEach / Map) carry per-worker reusable scratch: a
-//     generic worker-state factory runs at most once per worker slot, so
-//     model structs and arenas are allocated once per worker, not once
-//     per task.
 //   - The goroutine calling ForEach helps execute its own batch's chunks
 //     while it waits. Work submitted from inside a pool task therefore
 //     always makes progress, even on a single-worker pool — nested
@@ -224,7 +220,7 @@ func (p *Pool) pushLocked(c chunk) {
 // pushBatch enqueues every chunk of a batch, spread round-robin across
 // the worker queues. It reports false (enqueuing nothing) if the pool
 // is already closed.
-func (p *Pool) pushBatch(b *batch, n, size int, class Class) bool {
+func (p *Pool) pushBatch(b *batch, n, size int) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -235,7 +231,7 @@ func (p *Pool) pushBatch(b *batch, n, size int, class Class) bool {
 		if hi > n {
 			hi = n
 		}
-		p.pushLocked(chunk{b: b, lo: lo, hi: hi, class: class})
+		p.pushLocked(chunk{b: b, lo: lo, hi: hi, class: b.class})
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -303,17 +299,16 @@ func (p *Pool) worker(id int) {
 			c, ok = p.popLocked(id)
 		}
 		p.mu.Unlock()
-		p.execute(c, id)
+		p.execute(c)
 	}
 }
 
-// execute runs one chunk on behalf of executor slot. Pool workers pass
-// their id; a helping submitter passes p.workers (the extra slot).
-func (p *Pool) execute(c chunk, slot int) {
+// execute runs one chunk, on a pool worker or a helping submitter.
+func (p *Pool) execute(c chunk) {
 	p.busy.Add(1)
 	start := time.Now()
 	if c.b != nil {
-		c.b.runChunk(slot, c.lo, c.hi)
+		c.b.runChunk(c.lo, c.hi)
 	} else {
 		c.fn()
 		p.mu.Lock()

@@ -41,31 +41,35 @@ func TestClassString(t *testing.T) {
 
 // TestForEachMatchesSequential pins the determinism contract: results
 // written by index are identical to a sequential loop for any worker
-// count and chunk size.
+// count and chunk size. ForEach picks n/(8·workers) indices per chunk,
+// at least 1, so each chunk size is reached by choosing n: chunk=0 is
+// the size picked for n=257, the rest leave a short last chunk. The
+// pool's per-chunk latency count confirms the chunking.
 func TestForEachMatchesSequential(t *testing.T) {
-	const n = 257
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i*i) + 0.5
-	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, chunk := range []int{0, 1, 3, 64, n + 1} {
+		for _, chunk := range []int{0, 1, 3, 64, 258} {
 			t.Run(fmt.Sprintf("workers=%d/chunk=%d", workers, chunk), func(t *testing.T) {
+				n, size := 257, max(257/(8*workers), 1)
+				if chunk > 0 {
+					n, size = 8*workers*(chunk+1)-1, chunk
+				}
 				p := newPool(t, Config{Workers: workers})
-				r := NewRunner[struct{}](p, ClassModel, nil)
-				r.SetChunk(chunk)
 				got := make([]float64, n)
-				err := r.ForEach(context.Background(), n, func(_ struct{}, i int) error {
+				err := ForEach(context.Background(), p, ClassModel, n, func(i int) error {
 					got[i] = float64(i*i) + 0.5
 					return nil
 				})
 				if err != nil {
 					t.Fatalf("ForEach: %v", err)
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("got[%d] = %v, want %v", i, got[i], want[i])
+				for i := range got {
+					if want := float64(i*i) + 0.5; got[i] != want {
+						t.Fatalf("got[%d] = %v, want %v", i, got[i], want)
 					}
+				}
+				p.Close() // a worker records its chunk's latency after the batch completes
+				if chunks, want := p.latency[ClassModel].Count(), uint64((n+size-1)/size); chunks != want {
+					t.Fatalf("n=%d ran %d chunks, want %d of %d indices", n, chunks, want, size)
 				}
 			})
 		}
@@ -88,27 +92,21 @@ func TestMapCollectsInOrder(t *testing.T) {
 }
 
 func TestNilPoolRunsInline(t *testing.T) {
-	calls := 0
-	r := NewRunner(nil, ClassModel, func() *int { calls++; return new(int) })
-	got := make([]int, 10)
-	err := r.ForEach(context.Background(), 10, func(st *int, i int) error {
-		*st++
-		got[i] = i
+	var order []int
+	err := ForEach(context.Background(), nil, ClassModel, 10, func(i int) error {
+		order = append(order, i)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("ForEach: %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("factory ran %d times inline, want 1", calls)
+	if len(order) != 10 {
+		t.Fatalf("ran %d tasks, want 10", len(order))
 	}
-	for i, v := range got {
+	for i, v := range order {
 		if v != i {
-			t.Fatalf("got[%d] = %d", i, v)
+			t.Fatalf("inline task %d ran index %d, want sequential order", i, v)
 		}
-	}
-	if err := ForEach(context.Background(), nil, ClassBulk, 3, func(int) error { return nil }); err != nil {
-		t.Fatalf("package ForEach on nil pool: %v", err)
 	}
 }
 
@@ -119,26 +117,35 @@ func TestNilPoolRunsInline(t *testing.T) {
 // run among the last and leave nothing behind it to skip. Every other
 // task yields until the batch has recorded that error, so the schedule
 // cannot let the other executors drain the queue first: each executor
-// (the workers and the helping submitter) runs at most one task.
+// (the workers and the helping submitter) runs at most one task. With
+// n = 8·workers every chunk holds one index, and the failing task finds
+// its batch among the chunks still queued behind it.
 func TestFirstErrorCancels(t *testing.T) {
 	p := newPool(t, Config{Workers: 2})
 	sentinel := errors.New("boom")
 	var mu sync.Mutex
 	ran := 0
-	r := NewRunner[struct{}](p, ClassBulk, nil)
-	r.SetChunk(1)
-	err := r.ForEach(context.Background(), 1000, func(_ struct{}, i int) error {
+	var b *batch
+	err := ForEach(context.Background(), p, ClassBulk, 8*p.Workers(), func(i int) error {
 		mu.Lock()
 		ran++
 		first := ran == 1
+		if first {
+			b = queuedBatch(t, p)
+		}
 		mu.Unlock()
 		if first {
 			return fmt.Errorf("index %d: %w", i, sentinel)
 		}
-		for !r.b.stopped() {
+		for {
+			mu.Lock()
+			recorded := b != nil && b.stopped()
+			mu.Unlock()
+			if recorded {
+				return nil
+			}
 			runtime.Gosched()
 		}
-		return nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("ForEach err = %v, want wrapped sentinel", err)
@@ -150,16 +157,33 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 }
 
+// queuedBatch returns the batch of a chunk still queued on p.
+func queuedBatch(t *testing.T, p *Pool) *batch {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, qs := range p.queues {
+		for _, q := range qs {
+			for _, c := range q {
+				if c.b != nil {
+					return c.b
+				}
+			}
+		}
+	}
+	t.Fatal("no batch chunk queued")
+	return nil
+}
+
 // TestLowestIndexErrorWins: with every index failing, the reported
 // error is the lowest-index one among the tasks that actually executed
 // — the error a sequential loop over the observed set would surface.
+// With n = 8·workers every chunk holds one index.
 func TestLowestIndexErrorWins(t *testing.T) {
 	p := newPool(t, Config{Workers: 4})
-	r := NewRunner[struct{}](p, ClassBulk, nil)
-	r.SetChunk(1)
 	var mu sync.Mutex
 	lowest := -1
-	err := r.ForEach(context.Background(), 64, func(_ struct{}, i int) error {
+	err := ForEach(context.Background(), p, ClassBulk, 8*p.Workers(), func(i int) error {
 		mu.Lock()
 		if lowest < 0 || i < lowest {
 			lowest = i
@@ -179,8 +203,7 @@ func TestContextCancellation(t *testing.T) {
 	p := newPool(t, Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner[struct{}](p, ClassModel, nil)
-	err := r.ForEach(ctx, 100, func(_ struct{}, i int) error {
+	err := ForEach(ctx, p, ClassModel, 100, func(i int) error {
 		t.Error("task ran under canceled context")
 		return nil
 	})
@@ -194,7 +217,7 @@ func TestContextCancellation(t *testing.T) {
 	defer cancel2()
 	var mu sync.Mutex
 	ran := 0
-	err = r.ForEach(ctx2, 1000, func(_ struct{}, i int) error {
+	err = ForEach(ctx2, p, ClassModel, 1000, func(i int) error {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -211,46 +234,15 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestWorkerStateReuse pins the scratch contract: the factory runs at
-// most once per executor slot regardless of task count.
-func TestWorkerStateReuse(t *testing.T) {
-	const workers = 4
-	p := newPool(t, Config{Workers: workers})
-	var mu sync.Mutex
-	built := 0
-	r := NewRunner(p, ClassModel, func() *[]byte {
-		mu.Lock()
-		built++
-		mu.Unlock()
-		buf := make([]byte, 64)
-		return &buf
-	})
-	for round := 0; round < 5; round++ {
-		if err := r.ForEach(context.Background(), 500, func(st *[]byte, i int) error {
-			(*st)[i%64]++
-			return nil
-		}); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if built > workers+1 {
-		t.Fatalf("factory ran %d times, want <= %d (workers+submitter)", built, workers+1)
-	}
-}
-
 // TestNestedForEachNoDeadlock: a bulk task running on the pool fans out
 // its own batch on the same pool. The helping-submitter design must keep
 // this making progress even on a single-worker pool.
 func TestNestedForEachNoDeadlock(t *testing.T) {
 	p := newPool(t, Config{Workers: 1})
-	outer := NewRunner[struct{}](p, ClassBulk, nil)
 	var mu sync.Mutex
 	total := 0
-	err := outer.ForEach(context.Background(), 4, func(_ struct{}, i int) error {
-		inner := NewRunner[struct{}](p, ClassModel, nil)
-		return inner.ForEach(context.Background(), 8, func(_ struct{}, j int) error {
+	err := ForEach(context.Background(), p, ClassBulk, 4, func(i int) error {
+		return ForEach(context.Background(), p, ClassModel, 8, func(j int) error {
 			mu.Lock()
 			total++
 			mu.Unlock()
@@ -380,9 +372,8 @@ func TestForEachAfterClose(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	p.Close()
-	r := NewRunner[struct{}](p, ClassModel, nil)
 	got := make([]int, 20)
-	if err := r.ForEach(context.Background(), 20, func(_ struct{}, i int) error {
+	if err := ForEach(context.Background(), p, ClassModel, 20, func(i int) error {
 		got[i] = i + 1
 		return nil
 	}); err != nil {
@@ -423,7 +414,7 @@ func TestSchedMetrics(t *testing.T) {
 }
 
 // TestForEachHammer exercises concurrent batches from many goroutines
-// (each with its own Runner) under the race detector.
+// under the race detector.
 func TestForEachHammer(t *testing.T) {
 	p := newPool(t, Config{Workers: 4})
 	var wg sync.WaitGroup
@@ -435,10 +426,9 @@ func TestForEachHammer(t *testing.T) {
 			if g%2 == 0 {
 				class = ClassBulk
 			}
-			r := NewRunner[struct{}](p, class, nil)
 			out := make([]int, 200)
 			for round := 0; round < 20; round++ {
-				if err := r.ForEach(context.Background(), len(out), func(_ struct{}, i int) error {
+				if err := ForEach(context.Background(), p, class, len(out), func(i int) error {
 					out[i] = i + round
 					return nil
 				}); err != nil {

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 count=${1:-20}
 pkgs='./internal/sched ./internal/runcache ./internal/ogc/wps ./internal/workflow
 ./internal/push ./internal/sensor ./internal/broker ./internal/portal ./internal/ws
-./internal/hydro/fuse ./internal/hydro/topmodel'
+./internal/hydro/fuse ./internal/hydro/topmodel ./internal/hydro/calibrate'
 
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT

@@ -39,7 +39,6 @@ internal/cloud/faulty.go FaultSpec.SlowCallLatency             fault rates the c
 internal/cloud/faulty.go FaultSpec.CallTimeout                 fault rates the chaos scenarios and fault experiments tune
 internal/core/core.go Config.Faults                            the whole-system simulation (ROADMAP item 4) injects faults through it
 internal/core/core.go Config.Admission                         the whole-system simulation (ROADMAP item 4) tunes admission through it
-internal/hydro/calibrate/montecarlo.go MCConfig.ChunkSize      the chunk-invariance oracle varies it
 internal/resilience/breaker.go BreakerConfig.FailureThreshold  breaker thresholds the breaker and chaos tests tune
 internal/resilience/breaker.go BreakerConfig.OpenTimeout       breaker thresholds the breaker and chaos tests tune
 internal/resilience/breaker.go BreakerConfig.HalfOpenProbes    breaker thresholds the breaker and chaos tests tune
