@@ -17,7 +17,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -155,6 +154,9 @@ type Provider interface {
 	// Get returns a live instance by ID.
 	Get(id string) (*Instance, error)
 	// Instances lists live (non-terminated) instances, ordered by launch.
+	// The slice is shared with every caller and is read-only: a launch or
+	// termination publishes a new slice rather than changing a published
+	// one, so a list taken earlier stays as it was.
 	Instances() []*Instance
 	// Capacity reports used and total instance slots (Total < 0 means
 	// unbounded).
@@ -204,12 +206,14 @@ func (c Config) Validate() error {
 type SimProvider struct {
 	cfg Config
 
-	mu        sync.Mutex
-	seq       int
-	instances map[string]*Instance
-	order     []string // launch order of live instances
-	// cost accounting: accrued cost of terminated instances plus
-	// per-instance start times for live ones.
+	mu  sync.Mutex
+	seq int
+	// live holds the live instances in launch order. It is copy-on-write:
+	// Launch and Terminate publish a new backing array and never write to
+	// a published one, so Instances can hand it out without a copy.
+	live []*Instance
+	// accrued is the cost of terminated instances; live ones add their
+	// running cost.
 	accrued float64
 }
 
@@ -220,7 +224,7 @@ func NewProvider(cfg Config) (*SimProvider, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SimProvider{cfg: cfg, instances: make(map[string]*Instance)}, nil
+	return &SimProvider{cfg: cfg}, nil
 }
 
 // Name implements Provider.
@@ -233,9 +237,9 @@ func (p *SimProvider) Kind() ProviderKind { return p.cfg.Kind }
 func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cfg.MaxInstances >= 0 && len(p.instances) >= p.cfg.MaxInstances {
+	if p.cfg.MaxInstances >= 0 && len(p.live) >= p.cfg.MaxInstances {
 		return nil, fmt.Errorf("provider %s (%d/%d): %w",
-			p.cfg.Name, len(p.instances), p.cfg.MaxInstances, ErrCapacity)
+			p.cfg.Name, len(p.live), p.cfg.MaxInstances, ErrCapacity)
 	}
 	p.seq++
 	id := p.cfg.Name + "-i" + strconv.Itoa(p.seq)
@@ -250,8 +254,10 @@ func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 		state:    StateBooting,
 		launched: p.cfg.Clock.Now(),
 	}
-	p.instances[id] = inst
-	p.order = append(p.order, id)
+	live := make([]*Instance, len(p.live)+1)
+	copy(live, p.live)
+	live[len(p.live)] = inst
+	p.live = live
 	delay := p.cfg.BootDelay + img.ExtraBootDelay
 	inst.cancelBoot = p.cfg.Clock.AfterFunc(delay, inst.becomeRunning)
 	return inst, nil
@@ -261,49 +267,53 @@ func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 func (p *SimProvider) Terminate(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	inst, ok := p.instances[id]
-	if !ok {
+	i := p.indexLocked(id)
+	if i < 0 {
 		return fmt.Errorf("terminate %s: %w", id, ErrNotFound)
 	}
+	inst := p.live[i]
 	p.accrued += inst.cost()
 	inst.terminate()
-	delete(p.instances, id)
-	for i, oid := range p.order {
-		if oid == id {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
+	live := make([]*Instance, 0, len(p.live)-1)
+	live = append(live, p.live[:i]...)
+	p.live = append(live, p.live[i+1:]...)
+	return nil
+}
+
+// indexLocked returns the position of a live instance in p.live, or -1.
+func (p *SimProvider) indexLocked(id string) int {
+	for i, inst := range p.live {
+		if inst.id == id {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Get implements Provider.
 func (p *SimProvider) Get(id string) (*Instance, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	inst, ok := p.instances[id]
-	if !ok {
+	i := p.indexLocked(id)
+	if i < 0 {
 		return nil, fmt.Errorf("get %s: %w", id, ErrNotFound)
 	}
-	return inst, nil
+	return p.live[i], nil
 }
 
-// Instances implements Provider.
+// Instances implements Provider: it returns the published list itself,
+// without a copy.
 func (p *SimProvider) Instances() []*Instance {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Instance, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, p.instances[id])
-	}
-	return out
+	return p.live
 }
 
 // Capacity implements Provider.
 func (p *SimProvider) Capacity() (used, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.instances), p.cfg.MaxInstances
+	return len(p.live), p.cfg.MaxInstances
 }
 
 // CostAccrued implements Provider: accrued cost of terminated instances
@@ -312,13 +322,8 @@ func (p *SimProvider) CostAccrued() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := p.accrued
-	for _, inst := range p.instances {
+	for _, inst := range p.live {
 		total += inst.cost()
 	}
 	return total
-}
-
-// SortInstancesByID orders instances deterministically for reports.
-func SortInstancesByID(list []*Instance) {
-	sort.Slice(list, func(i, j int) bool { return list[i].ID() < list[j].ID() })
 }

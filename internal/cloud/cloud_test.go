@@ -344,23 +344,3 @@ func TestEnumStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestSortInstancesByID(t *testing.T) {
-	clk := clock.NewSimulated(epoch)
-	p := newTestProvider(t, clk, Private, 20)
-	var list []*Instance
-	for i := 0; i < 12; i++ {
-		inst, _ := p.Launch(streamlinedImage(), DefaultFlavor())
-		list = append(list, inst)
-	}
-	// Reverse, then sort.
-	for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
-		list[i], list[j] = list[j], list[i]
-	}
-	SortInstancesByID(list)
-	for i := 1; i < len(list); i++ {
-		if list[i].ID() < list[i-1].ID() {
-			t.Fatal("not sorted")
-		}
-	}
-}

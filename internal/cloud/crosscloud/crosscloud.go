@@ -35,7 +35,8 @@ var (
 type Policy interface {
 	// Name identifies the policy in logs and reports.
 	Name() string
-	// Order returns the providers to try, most preferred first.
+	// Order returns the providers to try, most preferred first. The
+	// providers slice is the façade's own and must not be modified.
 	Order(providers []cloud.Provider, img cloud.Image) []cloud.Provider
 }
 
@@ -138,14 +139,22 @@ func newFailovers(reg *metrics.Registry) *metrics.Counter {
 
 // Multi is the cross-cloud compute façade.
 type Multi struct {
-	mu        sync.RWMutex
+	// providers is fixed after New, so it is read without a lock.
 	providers []cloud.Provider
-	policy    Policy
+
+	mu     sync.RWMutex
+	policy Policy
 	// breakers (one per provider, when enabled) gate launches and record
 	// control-plane outcomes; stats mirrors them with counters.
 	breakers  map[string]*resilience.Breaker
 	stats     map[string]*providerStats
 	failovers *metrics.Counter
+
+	// joinMu guards the joined instance list: all is the concatenation of
+	// parts, each provider's published list when all was built.
+	joinMu sync.Mutex
+	parts  [][]*cloud.Instance
+	all    []*cloud.Instance
 }
 
 // New builds a Multi over the given providers with the given placement
@@ -170,7 +179,10 @@ func New(policy Policy, providers ...cloud.Provider) (*Multi, error) {
 	for _, p := range cp {
 		stats[p.Name()] = newProviderStats(nil, p.Name())
 	}
-	return &Multi{providers: cp, policy: policy, stats: stats, failovers: newFailovers(nil)}, nil
+	return &Multi{
+		providers: cp, policy: policy, stats: stats, failovers: newFailovers(nil),
+		parts: make([][]*cloud.Instance, len(cp)),
+	}, nil
 }
 
 // EnableBreakers installs a circuit breaker per provider (cfg.Clock is
@@ -239,8 +251,6 @@ func (m *Multi) Policy() Policy {
 
 // Providers returns the registered providers.
 func (m *Multi) Providers() []cloud.Provider {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]cloud.Provider, len(m.providers))
 	copy(out, m.providers)
 	return out
@@ -248,8 +258,6 @@ func (m *Multi) Providers() []cloud.Provider {
 
 // Provider returns a registered provider by name.
 func (m *Multi) Provider(name string) (cloud.Provider, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	for _, p := range m.providers {
 		if p.Name() == name {
 			return p, nil
@@ -267,15 +275,10 @@ func (m *Multi) Provider(name string) (cloud.Provider, error) {
 // has capacity. It returns ErrNoProvider when every provider is at
 // capacity, unreachable or gated.
 func (m *Multi) Launch(img cloud.Image, flavor cloud.Flavor) (*cloud.Instance, error) {
-	m.mu.RLock()
-	policy := m.policy
-	providers := make([]cloud.Provider, len(m.providers))
-	copy(providers, m.providers)
-	m.mu.RUnlock()
-
+	policy := m.Policy()
 	var errs []error
 	degraded := false // a provider was skipped or failed before success
-	for _, p := range policy.Order(providers, img) {
+	for _, p := range policy.Order(m.providers, img) {
 		name := p.Name()
 		if br := m.breakerFor(name); br != nil && !br.Allow() {
 			m.statsFor(name).skippedOpen.Inc()
@@ -354,12 +357,8 @@ func (m *Multi) noteOutcome(name string, op opKind, err error) {
 // the breaker — they are idempotent, and retrying them is how leaked
 // instances are reclaimed — but their outcomes still feed it.
 func (m *Multi) Terminate(id string) error {
-	m.mu.RLock()
-	providers := make([]cloud.Provider, len(m.providers))
-	copy(providers, m.providers)
-	m.mu.RUnlock()
 	var errs []error
-	for _, p := range providers {
+	for _, p := range m.providers {
 		err := p.Terminate(id)
 		m.noteOutcome(p.Name(), opTerminate, err)
 		if err == nil {
@@ -381,11 +380,7 @@ func (m *Multi) Terminate(id string) error {
 // answer proves the control plane is back. No-op when breakers are
 // disabled.
 func (m *Multi) ProbeHealth() {
-	m.mu.RLock()
-	providers := make([]cloud.Provider, len(m.providers))
-	copy(providers, m.providers)
-	m.mu.RUnlock()
-	for _, p := range providers {
+	for _, p := range m.providers {
 		br := m.breakerFor(p.Name())
 		if br == nil || br.State() == resilience.Closed {
 			continue
@@ -399,23 +394,41 @@ func (m *Multi) ProbeHealth() {
 }
 
 // Instances lists live instances across all providers in provider
-// registration order.
+// registration order. Like Provider.Instances, the slice is shared and
+// read-only. It is rebuilt only when a provider has published a new
+// list: a provider never changes a published list in place, and parts
+// keeps each one reachable, so a list whose length and first element's
+// address are unchanged is the same list.
 func (m *Multi) Instances() []*cloud.Instance {
-	m.mu.RLock()
-	providers := make([]cloud.Provider, len(m.providers))
-	copy(providers, m.providers)
-	m.mu.RUnlock()
-	var out []*cloud.Instance
-	for _, p := range providers {
-		out = append(out, p.Instances()...)
+	m.joinMu.Lock()
+	defer m.joinMu.Unlock()
+	stale := false
+	for i, p := range m.providers {
+		if l := p.Instances(); !sameList(l, m.parts[i]) {
+			m.parts[i] = l
+			stale = true
+		}
 	}
-	return out
+	if stale {
+		n := 0
+		for _, l := range m.parts {
+			n += len(l)
+		}
+		m.all = make([]*cloud.Instance, 0, n)
+		for _, l := range m.parts {
+			m.all = append(m.all, l...)
+		}
+	}
+	return m.all
+}
+
+// sameList reports whether a and b are the same published list.
+func sameList(a, b []*cloud.Instance) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // CostAccrued sums cost across providers.
 func (m *Multi) CostAccrued() float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	total := 0.0
 	for _, p := range m.providers {
 		total += p.CostAccrued()

@@ -422,3 +422,101 @@ func TestTerminateSurvivesFaultyFirstProvider(t *testing.T) {
 		t.Fatal("terminate failure not counted")
 	}
 }
+
+// TestInstanceListsAreSnapshots checks the copy-on-write contract: a list
+// taken from Multi.Instances or SimProvider.Instances before a Launch or
+// Terminate is element-for-element unchanged afterwards, while a fresh
+// read shows the change.
+func TestInstanceListsAreSnapshots(t *testing.T) {
+	_, private, public := testClouds(t, 2)
+	m, _ := New(PrivateFirst{}, private, public)
+	var ids []string
+	for i := 0; i < 4; i++ { // two private, then two public
+		in, err := m.Launch(img(cloud.Streamlined), cloud.DefaultFlavor())
+		if err != nil {
+			t.Fatalf("Launch %d: %v", i, err)
+		}
+		ids = append(ids, in.ID())
+	}
+	type snap struct {
+		name string
+		list []*cloud.Instance
+		want []*cloud.Instance
+	}
+	take := func() []snap {
+		var out []snap
+		for _, s := range []struct {
+			name string
+			list []*cloud.Instance
+		}{
+			{"multi", m.Instances()},
+			{"private", private.Instances()},
+			{"public", public.Instances()},
+		} {
+			out = append(out, snap{s.name, s.list, append([]*cloud.Instance(nil), s.list...)})
+		}
+		return out
+	}
+	// check reads every list afresh first: the joined list is rebuilt
+	// lazily, on the read after a change.
+	check := func(step string, snaps []snap) {
+		t.Helper()
+		take()
+		for _, s := range snaps {
+			if len(s.list) != len(s.want) {
+				t.Fatalf("%s: %s list length %d, was %d", step, s.name, len(s.list), len(s.want))
+			}
+			for i := range s.list {
+				if s.list[i] != s.want[i] {
+					t.Fatalf("%s: %s list [%d] = %s, was %s", step, s.name, i, s.list[i].ID(), s.want[i].ID())
+				}
+			}
+		}
+	}
+
+	// Terminate the head of each provider's list, then launch into the
+	// freed private slot.
+	before := take()
+	if err := m.Terminate(ids[0]); err != nil {
+		t.Fatalf("Terminate private: %v", err)
+	}
+	if err := m.Terminate(ids[2]); err != nil {
+		t.Fatalf("Terminate public: %v", err)
+	}
+	check("after terminate", before)
+	if got := len(m.Instances()); got != 2 {
+		t.Fatalf("live after terminate = %d, want 2", got)
+	}
+
+	before = take()
+	launched, err := m.Launch(img(cloud.Streamlined), cloud.DefaultFlavor())
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	check("after launch", before)
+	now := m.Instances()
+	if len(now) != 3 || now[0].ID() != ids[1] || now[1].ID() != launched.ID() || now[2].ID() != ids[3] {
+		t.Fatalf("live after launch = %v, want [%s %s %s]", idsOf(now), ids[1], launched.ID(), ids[3])
+	}
+
+	// Emptying a provider publishes an empty list; old snapshots keep
+	// their elements.
+	before = take()
+	for _, in := range now {
+		if err := m.Terminate(in.ID()); err != nil {
+			t.Fatalf("Terminate %s: %v", in.ID(), err)
+		}
+	}
+	check("after emptying", before)
+	if got := len(m.Instances()); got != 0 {
+		t.Fatalf("live after emptying = %d, want 0", got)
+	}
+}
+
+func idsOf(list []*cloud.Instance) []string {
+	out := make([]string, len(list))
+	for i, in := range list {
+		out[i] = in.ID()
+	}
+	return out
+}

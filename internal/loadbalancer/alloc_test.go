@@ -1,0 +1,31 @@
+//go:build !race
+
+package loadbalancer
+
+import "testing"
+
+// TestTickAllocs pins the steady-state control tick at zero allocations:
+// on a warm cluster with nothing to launch, replace or reclaim, a tick
+// reads the shared instance lists and allocates nothing. Guarded out
+// under the race detector, whose instrumentation perturbs allocation
+// counts.
+func TestTickAllocs(t *testing.T) {
+	h := newWarmHarness(t)
+	if allocs := testing.AllocsPerRun(100, h.lb.Tick); allocs != 0 {
+		t.Fatalf("steady-state Tick allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestPlaceNowAllocs pins the broker's placement call, on every
+// session connect, at zero allocations.
+func TestPlaceNowAllocs(t *testing.T) {
+	h := newWarmHarness(t)
+	var got bool
+	allocs := testing.AllocsPerRun(100, func() { got = h.lb.PlaceNow("topmodel") != nil })
+	if !got {
+		t.Fatal("PlaceNow found no instance on the warm cluster")
+	}
+	if allocs != 0 {
+		t.Fatalf("PlaceNow allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -522,5 +523,96 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 	if a.privFaults != b.privFaults || a.pubFaults != b.pubFaults {
 		t.Fatalf("fault streams diverged:\nrun1: %+v %+v\nrun2: %+v %+v",
 			a.privFaults, a.pubFaults, b.privFaults, b.pubFaults)
+	}
+}
+
+// TestChaosSnapshotReaders reads the shared instance lists from other
+// goroutines — placement, the joined list and the per-kind count — while
+// the control loop bursts, replaces a malfunctioning instance and
+// reclaims idle ones. Each list a reader takes must stay element-for-element
+// unchanged while it is read; under -race this also checks that
+// publishing a list never races with reading one.
+func TestChaosSnapshotReaders(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	h.settle(2)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 3) // at most one per reader
+	var wg sync.WaitGroup
+	halted := false
+	halt := func() {
+		if !halted {
+			halted = true
+			close(stop)
+			wg.Wait()
+		}
+	}
+	defer halt()
+	read := func(name string, f func()) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			list := h.multi.Instances()
+			want := append([]*cloud.Instance(nil), list...)
+			seen := make(map[string]bool, len(list))
+			for _, in := range list {
+				if in == nil || seen[in.ID()] {
+					errs <- fmt.Errorf("%s: list %v holds a nil or repeated instance", name, want)
+					return
+				}
+				seen[in.ID()] = true
+				_ = in.State()
+			}
+			f()
+			for i := range list {
+				if list[i] != want[i] {
+					errs <- fmt.Errorf("%s: list changed at [%d] while read", name, i)
+					return
+				}
+			}
+		}
+	}
+	wg.Add(3)
+	go read("placer", func() { h.lb.PlaceNow("topmodel") })
+	go read("counter", func() { h.multi.CountByKind() })
+	go read("provider", func() { _ = h.public.Instances() })
+
+	var open []string
+	var victim *cloud.Instance
+	for round := 0; round < 24; round++ {
+		switch {
+		case round < 8: // a crowd arrives and bursts to public
+			s, err := h.brk.Connect(fmt.Sprintf("user-%02d", round), "topmodel")
+			if err != nil {
+				t.Fatalf("Connect: %v", err)
+			}
+			open = append(open, s.ID)
+		case round == 8: // a private instance stops answering
+			victim = h.private.Instances()[0]
+			victim.Inject(cloud.SilentNIC)
+		case len(open) > 0: // and the crowd drains away again
+			if err := h.brk.Disconnect(open[0]); err != nil {
+				t.Fatalf("Disconnect: %v", err)
+			}
+			open = open[1:]
+		}
+		if victim != nil {
+			_ = victim.ServeRequest(512, 2048) // fails once it is replaced
+		}
+		h.settle(1)
+	}
+	halt()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	events := h.lb.Events()
+	if countEvents(events, "launch", "(public)") == 0 || countEvents(events, "replace", "") == 0 ||
+		countEvents(events, "terminate", "") == 0 {
+		t.Fatalf("the loop did not burst, replace and reclaim: %d events", len(events))
 	}
 }

@@ -144,6 +144,9 @@ type instanceTrack struct {
 	lastNetIn    uint64
 	lastNetOut   uint64
 	seen         bool
+	// live is the number of the last observation that found the
+	// instance live; a track behind the current one is dropped.
+	live uint64
 }
 
 // LB is the load balancer.
@@ -158,6 +161,7 @@ type LB struct {
 	running  bool
 	stopTick func() bool
 	tracks   map[string]*instanceTrack
+	observed uint64 // observeHealth passes so far
 	events   []Event
 	ticks    *metrics.Counter
 	replaced *metrics.Counter
@@ -354,15 +358,17 @@ func (lb *LB) Tick() {
 func (lb *LB) observeHealth() {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	live := make(map[string]bool)
+	lb.observed++
 	for _, in := range lb.cfg.Multi.Instances() {
-		live[in.ID()] = true
+		tr, ok := lb.tracks[in.ID()]
+		if ok {
+			tr.live = lb.observed
+		}
 		if in.State() != cloud.StateRunning {
 			continue
 		}
-		tr, ok := lb.tracks[in.ID()]
 		if !ok {
-			tr = &instanceTrack{}
+			tr = &instanceTrack{live: lb.observed}
 			lb.tracks[in.ID()] = tr
 		}
 		m := in.Snapshot()
@@ -389,8 +395,8 @@ func (lb *LB) observeHealth() {
 		tr.lastNetOut = m.NetOutBytes
 		tr.seen = true
 	}
-	for id := range lb.tracks {
-		if !live[id] {
+	for id, tr := range lb.tracks {
+		if tr.live != lb.observed {
 			delete(lb.tracks, id)
 		}
 	}
@@ -640,34 +646,28 @@ func (lb *LB) privateSlot(service string) *cloud.Instance {
 func (lb *LB) scaleDown() {
 	instances := lb.cfg.Multi.Instances()
 	total := len(instances)
-	// Public first, then private.
-	ordered := make([]*cloud.Instance, 0, total)
-	for _, in := range instances {
-		if in.Kind() == cloud.Public {
-			ordered = append(ordered, in)
-		}
-	}
-	for _, in := range instances {
-		if in.Kind() == cloud.Private {
-			ordered = append(ordered, in)
-		}
-	}
-	for _, in := range ordered {
-		if total <= lb.cfg.MinInstances {
-			return
-		}
-		if in.State() != cloud.StateRunning || in.Sessions() > 0 {
-			continue
-		}
-		lb.mu.Lock()
-		tr := lb.tracks[in.ID()]
-		idle := tr != nil && tr.idleTicks >= reclaimIdleTicks
-		lb.mu.Unlock()
-		if !idle {
-			continue
-		}
-		if lb.tryTerminate(in.ID(), "idle "+in.Kind().String(), true) {
-			total--
+	// A public pass, then a private one.
+	for _, kind := range [...]cloud.ProviderKind{cloud.Public, cloud.Private} {
+		for _, in := range instances {
+			if in.Kind() != kind {
+				continue
+			}
+			if total <= lb.cfg.MinInstances {
+				return
+			}
+			if in.State() != cloud.StateRunning || in.Sessions() > 0 {
+				continue
+			}
+			lb.mu.Lock()
+			tr := lb.tracks[in.ID()]
+			idle := tr != nil && tr.idleTicks >= reclaimIdleTicks
+			lb.mu.Unlock()
+			if !idle {
+				continue
+			}
+			if lb.tryTerminate(in.ID(), "idle "+kind.String(), true) {
+				total--
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@ func smallFlavor() cloud.Flavor {
 	return cloud.Flavor{Name: "t.small", VCPUs: 1, MemoryGB: 2, CostPerHour: 0.10, MaxSessions: 2}
 }
 
-func newHarness(t *testing.T, privateMax int, mutate func(*Config)) *harness {
+func newHarness(t testing.TB, privateMax int, mutate func(*Config)) *harness {
 	t.Helper()
 	clk := clock.NewSimulated(epoch)
 	private, err := cloud.NewProvider(cloud.Config{
@@ -457,5 +457,48 @@ func TestTerminateRetryBackoffBaseAndCapFollowInterval(t *testing.T) {
 		if got := terminateDelay(interval, 1000); got != 16*interval {
 			t.Fatalf("terminateDelay(%v, 1000) = %v, want cap %v", interval, got, 16*interval)
 		}
+	}
+}
+
+// newWarmHarness returns a settled cluster: two private instances
+// serving three users, no public capacity and nothing pending, so
+// further ticks launch, replace and reclaim nothing.
+func newWarmHarness(t testing.TB) *harness {
+	t.Helper()
+	h := newHarness(t, 4, func(c *Config) { c.MinInstances = 2 })
+	h.settle(2)
+	for i := 0; i < 3; i++ {
+		if _, err := h.brk.Connect("user", "topmodel"); err != nil {
+			t.Fatalf("Connect %d: %v", i, err)
+		}
+	}
+	h.settle(6)
+	if priv, pub := h.multi.CountByKind(); priv != 2 || pub != 0 || h.brk.PendingCount() != 0 {
+		t.Fatalf("warm cluster: %d private, %d public, %d pending; want 2, 0, 0",
+			priv, pub, h.brk.PendingCount())
+	}
+	return h
+}
+
+// BenchmarkTickWarm measures one control tick on a settled cluster.
+func BenchmarkTickWarm(b *testing.B) {
+	h := newWarmHarness(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.lb.Tick()
+	}
+}
+
+// placed keeps BenchmarkPlaceNow's result live.
+var placed *cloud.Instance
+
+// BenchmarkPlaceNow measures one placement decision on a settled cluster.
+func BenchmarkPlaceNow(b *testing.B) {
+	h := newWarmHarness(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		placed = h.lb.PlaceNow("topmodel")
 	}
 }

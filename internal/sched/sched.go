@@ -253,6 +253,7 @@ func (p *Pool) popLocked(id int) (chunk, bool) {
 				continue
 			}
 			c := q[len(q)-1]
+			q[len(q)-1] = chunk{} // release the batch and its task
 			p.queues[v][cl] = q[:len(q)-1]
 			p.depth[cl].Add(-1)
 			return c, true
@@ -274,6 +275,7 @@ func (p *Pool) takeFor(b *batch) (chunk, bool) {
 			}
 			c := q[i]
 			copy(q[i:], q[i+1:])
+			q[len(q)-1] = chunk{} // release the batch and its task
 			p.queues[w][b.class] = q[:len(q)-1]
 			p.depth[b.class].Add(-1)
 			return c, true

@@ -446,3 +446,35 @@ func TestForEachHammer(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPoppedSlotsReleased checks that a finished batch is not kept
+// reachable from the queues: every slot past a queue's length, where a
+// popped or stolen chunk used to sit, is zeroed, so the batch and the
+// task closure it holds can be collected.
+func TestPoppedSlotsReleased(t *testing.T) {
+	p := newPool(t, Config{Workers: 2})
+	out := make([]int, 64)
+	if err := ForEach(context.Background(), p, ClassModel, len(out), func(i int) error {
+		out[i] = i
+		return nil
+	}); err != nil {
+		t.Fatalf("ForEach: %v", err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	grown := 0
+	for w := range p.queues {
+		for cl, q := range p.queues[w] {
+			full := q[:cap(q)]
+			grown += cap(q)
+			for i := len(q); i < len(full); i++ {
+				if c := full[i]; c.b != nil || c.fn != nil {
+					t.Errorf("worker %d class %d slot %d still holds a chunk [%d,%d)", w, cl, i, c.lo, c.hi)
+				}
+			}
+		}
+	}
+	if grown == 0 {
+		t.Fatal("no queue ever held a chunk: the batch ran without the pool")
+	}
+}
