@@ -18,7 +18,8 @@ fi
 # scattered across packages.
 ./tools/lint-metrics.sh
 # Grep lint: one entry point per operation — no exported F beside
-# FContext, no NewX beside NewXWith… (allowlist in the script).
+# FContext, no NewX beside NewXWith…, and no exported internal/ function
+# that only tests call (allowlists in the script).
 ./tools/lint-api.sh
 # Grep lint: the portal streams every Flot document through the
 # timeseries writers; a FlotJSON document wrapped in a RawMessage is

@@ -369,13 +369,6 @@ func (c *Controller) Limit() int {
 	return int(c.limit)
 }
 
-// InFlight returns the total concurrency slots currently held.
-func (c *Controller) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // limitFor is class cl's slot ceiling under the current limit.
 func (c *Controller) limitFor(cl Class) int {
 	return int(c.limit * classFraction[cl])
@@ -603,15 +596,6 @@ func (c *Controller) maybeAdaptLocked(now time.Time) {
 	}
 	c.lastAdapt = now
 	c.adaptLocked()
-}
-
-// Adapt forces one AIMD step now. Tests use it to drive convergence
-// without arranging traffic.
-func (c *Controller) Adapt() {
-	c.mu.Lock()
-	c.lastAdapt = c.clk.Now()
-	c.adaptLocked()
-	c.mu.Unlock()
 }
 
 // adaptLocked is the AIMD rule: judge the interval since the previous

@@ -30,6 +30,15 @@ func newTestController(t *testing.T, mutate func(*Config)) (*Controller, *clock.
 	return c, clk
 }
 
+// Adapt forces one AIMD step now. Tests use it to drive convergence
+// without arranging traffic.
+func (c *Controller) Adapt() {
+	c.mu.Lock()
+	c.lastAdapt = c.clk.Now()
+	c.adaptLocked()
+	c.mu.Unlock()
+}
+
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -157,7 +166,7 @@ func TestShedOrderingDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Release(Ingest)
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.total; got != 0 {
 		t.Fatalf("in flight after release = %d, want 0", got)
 	}
 	if ing, live := c.admitted[Ingest].Value(), c.admitted[Live].Value(); ing != 3 || live != 17 {
@@ -184,7 +193,7 @@ func TestQueuePromotionOnRelease(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("queued admit after release: %v", err)
 	}
-	if got := c.InFlight(); got != 1 {
+	if got := c.total; got != 1 {
 		t.Fatalf("in flight = %d, want 1 (promoted waiter holds it)", got)
 	}
 	c.Release(Ingest)
@@ -215,7 +224,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 		t.Fatalf("timeout sheds = %d, want 1", got)
 	}
 	c.Release(Live)
-	if got := c.InFlight(); got != 0 {
+	if got := c.total; got != 0 {
 		t.Fatalf("in flight = %d, want 0", got)
 	}
 }
@@ -245,7 +254,7 @@ func TestQueueHonorsContext(t *testing.T) {
 		t.Fatalf("dead-on-arrival: err = %v, want context.Canceled", err)
 	}
 	c.Release(Model)
-	if got := c.InFlight(); got != 0 {
+	if got := c.total; got != 0 {
 		t.Fatalf("in flight = %d, want 0", got)
 	}
 }
@@ -377,7 +386,7 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 		r := splitmix64(&seed)
 		cl := Class(r % NumClasses)
 		client := fmt.Sprintf("c%d", (r>>8)%16)
-		before := c.InFlight()
+		before := c.total
 		if _, err := c.TryAdmit(cl, client); err != nil {
 			// A shed is only legitimate at or above the class ceiling.
 			if before < ceiling[cl] {
@@ -412,7 +421,7 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 			c.Release(cl)
 		}
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.total; got != 0 {
 		t.Fatalf("phase 1 in flight = %d, want 0", got)
 	}
 
@@ -471,7 +480,7 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c3.InFlight(); got != 0 {
+	if got := c3.total; got != 0 {
 		t.Fatalf("phase 3 in flight = %d, want 0", got)
 	}
 	for cl := Class(0); cl < NumClasses; cl++ {

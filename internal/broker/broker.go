@@ -540,26 +540,15 @@ func (b *Broker) Session(id string) (Session, error) {
 }
 
 // Sessions returns snapshots of all live (pending or active) sessions in
-// creation order. Closed sessions are not included; see RecentlyClosed and
-// evop_broker_sessions_closed_total.
+// creation order. Closed sessions are not included; Session still answers
+// for the recently closed ones, and evop_broker_sessions_closed_total
+// counts them all.
 func (b *Broker) Sessions() []Session {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]Session, 0, b.live.Len())
 	for el := b.live.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*entry).s)
-	}
-	return out
-}
-
-// RecentlyClosed returns snapshots of the retained closed sessions, oldest
-// first.
-func (b *Broker) RecentlyClosed() []Session {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Session, 0, len(b.retained))
-	for i := range b.retained {
-		out = append(out, b.retained[(b.retainedHead+i)%len(b.retained)])
 	}
 	return out
 }

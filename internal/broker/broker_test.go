@@ -366,18 +366,19 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != closed {
 		t.Fatalf("sessions closed = %d, want %d", got, closed)
 	}
-	recent := b.RecentlyClosed()
-	if len(recent) != DefaultRetention {
-		t.Fatalf("RecentlyClosed = %d sessions, want %d", len(recent), DefaultRetention)
-	}
-	for i, s := range recent {
-		if want := ids[5+i]; s.ID != want {
-			t.Fatalf("RecentlyClosed[%d] = %s, want %s (oldest first)", i, s.ID, want)
+	// The ring keeps the newest DefaultRetention closed sessions; the
+	// older ones are fully forgotten.
+	for i, id := range ids {
+		snap, err := b.Session(id)
+		if i < closed-DefaultRetention {
+			if !errors.Is(err, ErrNoSession) {
+				t.Fatalf("evicted Session(%s) err = %v, want ErrNoSession", id, err)
+			}
+			continue
 		}
-	}
-	// Sessions beyond the retention window are fully forgotten.
-	if _, err := b.Session(ids[0]); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("evicted Session err = %v, want ErrNoSession", err)
+		if err != nil || snap.State != Closed {
+			t.Fatalf("retained Session(%s) = %+v, %v, want Closed", id, snap, err)
+		}
 	}
 	if _, err := b.Subscribe(ids[0]); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("evicted Subscribe err = %v, want ErrNoSession", err)

@@ -29,7 +29,7 @@ var (
 )
 
 // DEM is a regular elevation grid. Elevations are metres above an
-// arbitrary datum; CellSize is the grid spacing in metres.
+// arbitrary datum; cellSize is the grid spacing in metres.
 type DEM struct {
 	rows, cols int
 	cellSize   float64
@@ -54,9 +54,6 @@ func (d *DEM) Rows() int { return d.rows }
 // Cols returns the number of grid columns.
 func (d *DEM) Cols() int { return d.cols }
 
-// CellSize returns the grid spacing in metres.
-func (d *DEM) CellSize() float64 { return d.cellSize }
-
 // CellAreaM2 returns the area of one grid cell in square metres.
 func (d *DEM) CellAreaM2() float64 { return d.cellSize * d.cellSize }
 
@@ -78,15 +75,6 @@ func (d *DEM) Elevation(r, c int) (float64, error) {
 		return 0, fmt.Errorf("cell (%d,%d): %w", r, c, ErrOutOfBounds)
 	}
 	return d.elev[d.idx(r, c)], nil
-}
-
-// SetElevation sets the elevation at (r,c).
-func (d *DEM) SetElevation(r, c int, z float64) error {
-	if !d.InBounds(r, c) {
-		return fmt.Errorf("cell (%d,%d): %w", r, c, ErrOutOfBounds)
-	}
-	d.elev[d.idx(r, c)] = z
-	return nil
 }
 
 // Clone returns a deep copy of the DEM.

@@ -29,8 +29,8 @@ func TestNewDEMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDEM: %v", err)
 	}
-	if d.Rows() != 4 || d.Cols() != 5 || d.CellSize() != 50 {
-		t.Fatalf("dims = %dx%d cell=%v", d.Rows(), d.Cols(), d.CellSize())
+	if d.Rows() != 4 || d.Cols() != 5 || d.cellSize != 50 {
+		t.Fatalf("dims = %dx%d cell=%v", d.Rows(), d.Cols(), d.cellSize)
 	}
 	if d.CellAreaM2() != 2500 {
 		t.Fatalf("CellAreaM2 = %v", d.CellAreaM2())
@@ -42,9 +42,7 @@ func TestNewDEMValidation(t *testing.T) {
 
 func TestElevationAccessors(t *testing.T) {
 	d, _ := NewDEM(3, 3, 10)
-	if err := d.SetElevation(1, 2, 42); err != nil {
-		t.Fatalf("SetElevation: %v", err)
-	}
+	d.elev[d.idx(1, 2)] = 42
 	z, err := d.Elevation(1, 2)
 	if err != nil || z != 42 {
 		t.Fatalf("Elevation = %v, %v", z, err)
@@ -52,16 +50,13 @@ func TestElevationAccessors(t *testing.T) {
 	if _, err := d.Elevation(3, 0); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("out of bounds read err = %v", err)
 	}
-	if err := d.SetElevation(-1, 0, 1); !errors.Is(err, ErrOutOfBounds) {
-		t.Fatalf("out of bounds write err = %v", err)
-	}
 }
 
 func TestDEMClone(t *testing.T) {
 	d, _ := NewDEM(2, 2, 10)
-	d.SetElevation(0, 0, 5)
+	d.elev[0] = 5
 	c := d.Clone()
-	c.SetElevation(0, 0, 99)
+	c.elev[0] = 99
 	if z, _ := d.Elevation(0, 0); z != 5 {
 		t.Fatal("Clone shares elevation array")
 	}
@@ -143,7 +138,7 @@ func TestFillPitsDrainsEverything(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
 			dr, dc := float64(r-4), float64(c-4)
-			d.SetElevation(r, c, dr*dr+dc*dc)
+			d.elev[d.idx(r, c)] = dr*dr + dc*dc
 		}
 	}
 	raised := d.FillPits()

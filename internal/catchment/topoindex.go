@@ -87,15 +87,6 @@ func ComputeFlow(d *DEM) (*FlowField, error) {
 	return f, nil
 }
 
-// Accumulation returns the number of cells draining through (r,c),
-// including itself.
-func (f *FlowField) Accumulation(r, c int) (float64, error) {
-	if !f.dem.InBounds(r, c) {
-		return 0, fmt.Errorf("cell (%d,%d): %w", r, c, ErrOutOfBounds)
-	}
-	return f.accum[f.dem.idx(r, c)], nil
-}
-
 // Outlet returns the grid cell with the greatest flow accumulation — the
 // catchment outlet.
 func (f *FlowField) Outlet() (r, c int) {

@@ -45,13 +45,6 @@ var (
 	ErrTimeout = errors.New("cloud: provider call timed out")
 )
 
-// IsRetryable reports whether an error is an infrastructure fault worth
-// retrying (transient error, outage, timeout), as opposed to a definitive
-// answer from a healthy control plane (capacity, not-found, bad state).
-func IsRetryable(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ErrOutage) || errors.Is(err, ErrTimeout)
-}
-
 // ProviderKind distinguishes owned from leased infrastructure.
 type ProviderKind int
 

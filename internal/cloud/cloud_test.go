@@ -264,9 +264,6 @@ func TestFailureInjection(t *testing.T) {
 	p := newTestProvider(t, clk, Private, 2)
 	inst, _ := p.Launch(streamlinedImage(), DefaultFlavor())
 	clk.Advance(time.Minute)
-	if inst.Mode() != Healthy {
-		t.Fatalf("default mode = %v", inst.Mode())
-	}
 
 	inst.Inject(StuckCPU)
 	if m := inst.Snapshot(); m.CPUUtil != 1 {

@@ -129,15 +129,6 @@ func (f *FaultyProvider) SetErrorRates(launch, terminate, get float64) {
 	f.spec.GetErrorRate = get
 }
 
-// SetSlowCalls adjusts the slow-call injection at runtime.
-func (f *FaultyProvider) SetSlowCalls(rate float64, latency, timeout time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.spec.SlowCallRate = rate
-	f.spec.SlowCallLatency = latency
-	f.spec.CallTimeout = timeout
-}
-
 // Stats returns the fault counters.
 func (f *FaultyProvider) Stats() FaultStats {
 	f.mu.Lock()

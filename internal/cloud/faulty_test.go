@@ -68,8 +68,8 @@ func TestFaultyProviderTransientErrorsAreSideEffectFree(t *testing.T) {
 	if _, err := fp.Launch(Image{ID: "img"}, DefaultFlavor()); !errors.Is(err, ErrTransient) {
 		t.Fatalf("Launch err = %v, want ErrTransient", err)
 	}
-	if !IsRetryable(errorsUnwrapLaunch(fp)) {
-		t.Fatal("transient launch error not retryable")
+	if err := errorsUnwrapLaunch(fp); !errors.Is(err, ErrTransient) {
+		t.Fatalf("second Launch err = %v, want ErrTransient", err)
 	}
 	if len(inner.Instances()) != 0 {
 		t.Fatal("failed launch leaked an instance")
@@ -135,15 +135,17 @@ func TestFaultyProviderSlowCallsAndTimeout(t *testing.T) {
 		t.Fatalf("slow-call stats = %+v", st)
 	}
 	// With a deadline below the injected latency: ErrTimeout, no effect.
-	fp.SetSlowCalls(1, 5*time.Second, 2*time.Second)
+	fp.mu.Lock()
+	fp.spec.CallTimeout = 2 * time.Second
+	fp.mu.Unlock()
 	if _, err := fp.Launch(Image{ID: "img"}, DefaultFlavor()); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Launch err = %v, want ErrTimeout", err)
 	}
 	if len(fp.Instances()) != 1 {
 		t.Fatal("timed-out launch had a side effect")
 	}
-	if !IsRetryable(fmtErr(fp)) {
-		t.Fatal("timeout not retryable")
+	if err := fmtErr(fp); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("second timed-out Launch err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -182,18 +184,5 @@ func TestFaultyProviderDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced an identical fault stream")
-	}
-}
-
-func TestIsRetryableClassification(t *testing.T) {
-	for _, err := range []error{ErrTransient, ErrOutage, ErrTimeout} {
-		if !IsRetryable(err) {
-			t.Fatalf("%v not retryable", err)
-		}
-	}
-	for _, err := range []error{ErrCapacity, ErrNotFound, ErrBadState, ErrBadConfig, nil} {
-		if IsRetryable(err) {
-			t.Fatalf("%v wrongly retryable", err)
-		}
 	}
 }

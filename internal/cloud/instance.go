@@ -126,9 +126,6 @@ func (in *Instance) State() InstanceState {
 	return in.state
 }
 
-// LaunchedAt returns the launch time.
-func (in *Instance) LaunchedAt() time.Time { return in.launched }
-
 func (in *Instance) becomeRunning() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -208,16 +205,6 @@ func (in *Instance) Inject(mode DegradedMode) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.mode = mode
-}
-
-// Mode returns the current injected mode.
-func (in *Instance) Mode() DegradedMode {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.mode == 0 {
-		return Healthy
-	}
-	return in.mode
 }
 
 // ServeRequest simulates one request/response through the instance,

@@ -1,7 +1,7 @@
 // Package geo provides the geospatial primitives behind EVOp's interactive
-// map layer: WGS84 points, bounding boxes, great-circle distance, simple
-// polygons for catchment outlines, and GeoJSON encoding for the marker
-// layers the portal serves to its Google-Maps-style front end.
+// map layer: WGS84 points, bounding boxes, simple polygons for catchment
+// outlines, and GeoJSON encoding for the marker layers the portal serves
+// to its Google-Maps-style front end.
 package geo
 
 import (
@@ -15,23 +15,10 @@ import (
 // range.
 var ErrBadCoordinate = errors.New("geo: coordinate out of range")
 
-// EarthRadiusMetres is the mean Earth radius used for great-circle
-// distances.
-const EarthRadiusMetres = 6371000.0
-
 // Point is a WGS84 coordinate in decimal degrees.
 type Point struct {
 	Lat float64 `json:"lat"`
 	Lon float64 `json:"lon"`
-}
-
-// NewPoint validates and returns a Point.
-func NewPoint(lat, lon float64) (Point, error) {
-	p := Point{Lat: lat, Lon: lon}
-	if err := p.Validate(); err != nil {
-		return Point{}, err
-	}
-	return p, nil
 }
 
 // Validate reports whether the point's coordinates are in range.
@@ -48,18 +35,6 @@ func (p Point) Validate() error {
 // String formats the point as "lat,lon".
 func (p Point) String() string { return fmt.Sprintf("%.6f,%.6f", p.Lat, p.Lon) }
 
-func rad(deg float64) float64 { return deg * math.Pi / 180 }
-
-// DistanceMetres returns the haversine great-circle distance between two
-// points in metres.
-func (p Point) DistanceMetres(q Point) float64 {
-	dLat := rad(q.Lat - p.Lat)
-	dLon := rad(q.Lon - p.Lon)
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(rad(p.Lat))*math.Cos(rad(q.Lat))*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMetres * math.Asin(math.Min(1, math.Sqrt(a)))
-}
-
 // BBox is an axis-aligned bounding box. A box that crosses the antimeridian
 // is not supported (none of the EVOp catchments need it).
 type BBox struct {
@@ -67,20 +42,6 @@ type BBox struct {
 	MinLon float64 `json:"minLon"`
 	MaxLat float64 `json:"maxLat"`
 	MaxLon float64 `json:"maxLon"`
-}
-
-// NewBBox validates and returns a BBox.
-func NewBBox(minLat, minLon, maxLat, maxLon float64) (BBox, error) {
-	b := BBox{MinLat: minLat, MinLon: minLon, MaxLat: maxLat, MaxLon: maxLon}
-	for _, p := range []Point{{minLat, minLon}, {maxLat, maxLon}} {
-		if err := p.Validate(); err != nil {
-			return BBox{}, err
-		}
-	}
-	if minLat > maxLat || minLon > maxLon {
-		return BBox{}, fmt.Errorf("inverted bbox: %w", ErrBadCoordinate)
-	}
-	return b, nil
 }
 
 // Contains reports whether p lies inside (or on the edge of) the box.

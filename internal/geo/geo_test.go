@@ -26,9 +26,9 @@ func TestNewPointValidation(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewPoint(tc.lat, tc.lon)
+			err := Point{Lat: tc.lat, Lon: tc.lon}.Validate()
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("NewPoint(%v,%v) err = %v, wantErr=%v", tc.lat, tc.lon, err, tc.wantErr)
+				t.Fatalf("Validate(%v,%v) err = %v, wantErr=%v", tc.lat, tc.lon, err, tc.wantErr)
 			}
 			if err != nil && !errors.Is(err, ErrBadCoordinate) {
 				t.Fatalf("err = %v, want ErrBadCoordinate", err)
@@ -37,35 +37,8 @@ func TestNewPointValidation(t *testing.T) {
 	}
 }
 
-func TestDistanceMetres(t *testing.T) {
-	// Morland (Cumbria) to Tarland (Aberdeenshire): roughly 240 km.
-	morland := Point{Lat: 54.596, Lon: -2.643}
-	tarland := Point{Lat: 57.123, Lon: -2.861}
-	d := morland.DistanceMetres(tarland)
-	if d < 270e3 || d > 295e3 {
-		t.Fatalf("Morland-Tarland distance = %.0f m, want ~281 km", d)
-	}
-	if got := morland.DistanceMetres(morland); got != 0 {
-		t.Fatalf("self distance = %v, want 0", got)
-	}
-	if d2 := tarland.DistanceMetres(morland); math.Abs(d-d2) > 1e-6 {
-		t.Fatalf("distance not symmetric: %v vs %v", d, d2)
-	}
-}
-
-func TestDistanceEquatorDegree(t *testing.T) {
-	// One degree of longitude at the equator is ~111.19 km.
-	d := Point{0, 0}.DistanceMetres(Point{0, 1})
-	if math.Abs(d-111195) > 100 {
-		t.Fatalf("1 degree at equator = %v m, want ~111195", d)
-	}
-}
-
 func TestBBox(t *testing.T) {
-	b, err := NewBBox(54, -3, 55, -2)
-	if err != nil {
-		t.Fatalf("NewBBox: %v", err)
-	}
+	b := BBox{MinLat: 54, MinLon: -3, MaxLat: 55, MaxLon: -2}
 	if !b.Contains(Point{54.5, -2.5}) {
 		t.Fatal("Contains(center) = false")
 	}
@@ -79,16 +52,10 @@ func TestBBox(t *testing.T) {
 	if c.Lat != 54.5 || c.Lon != -2.5 {
 		t.Fatalf("Center = %v", c)
 	}
-	if _, err := NewBBox(55, -3, 54, -2); err == nil {
-		t.Fatal("inverted bbox: want error")
-	}
-	if _, err := NewBBox(99, -3, 100, -2); err == nil {
-		t.Fatal("invalid corner: want error")
-	}
 }
 
 func TestBBoxExpand(t *testing.T) {
-	b, _ := NewBBox(54, -3, 55, -2)
+	b := BBox{MinLat: 54, MinLon: -3, MaxLat: 55, MaxLon: -2}
 	b = b.Expand(Point{56, -1})
 	if b.MaxLat != 56 || b.MaxLon != -1 {
 		t.Fatalf("Expand = %+v", b)
@@ -191,26 +158,10 @@ func TestFeatureCollectionUnmarshalErrors(t *testing.T) {
 	}
 }
 
-func TestDistanceProperties(t *testing.T) {
-	// Properties: symmetry, non-negativity, identity.
-	f := func(a, b int16) bool {
-		p := Point{Lat: float64(a%90) / 1.5, Lon: float64(b%180) / 1.5}
-		q := Point{Lat: float64(b%90) / 1.5, Lon: float64(a%180) / 1.5}
-		d1, d2 := p.DistanceMetres(q), q.DistanceMetres(p)
-		return d1 >= 0 && math.Abs(d1-d2) < 1e-6 && p.DistanceMetres(p) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBBoxContainsItsCenterProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		minLat, minLon := float64(a%80)-40, float64(b%170)-85
-		box, err := NewBBox(minLat, minLon, minLat+5, minLon+5)
-		if err != nil {
-			return false
-		}
+		box := BBox{MinLat: minLat, MinLon: minLon, MaxLat: minLat + 5, MaxLon: minLon + 5}
 		return box.Contains(box.Center())
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -113,21 +113,6 @@ func TestNegRMSE(t *testing.T) {
 	}
 }
 
-func TestPBias(t *testing.T) {
-	obs := series(1, 2, 3, 4)
-	if got, err := PBias(obs, obs.Clone()); err != nil || got != 0 {
-		t.Fatalf("PBias(perfect) = %v, %v", got, err)
-	}
-	// Simulation at half volume: bias +50%.
-	if got, _ := PBias(obs, obs.Scale(0.5)); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("PBias(half) = %v, want 50", got)
-	}
-	zero := series(0, 0)
-	if _, err := PBias(zero, zero); !errors.Is(err, ErrDegenerate) {
-		t.Fatalf("zero volume err = %v", err)
-	}
-}
-
 func TestRangeValidateAndSample(t *testing.T) {
 	bad := []Range{
 		{Name: "inverted", Lo: 2, Hi: 1},

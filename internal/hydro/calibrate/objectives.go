@@ -155,21 +155,3 @@ func NegRMSE(obs, sim *timeseries.Series) (float64, error) {
 	}
 	return -math.Sqrt(ss / float64(len(o))), nil
 }
-
-// PBias returns the percent bias (0 is unbiased; positive means the model
-// under-predicts total volume).
-func PBias(obs, sim *timeseries.Series) (float64, error) {
-	o, s, err := paired(obs, sim)
-	if err != nil {
-		return 0, err
-	}
-	var sumO, sumD float64
-	for i := range o {
-		sumO += o[i]
-		sumD += o[i] - s[i]
-	}
-	if sumO == 0 {
-		return 0, fmt.Errorf("zero observed volume: %w", ErrDegenerate)
-	}
-	return 100 * sumD / sumO, nil
-}

@@ -14,6 +14,12 @@ import (
 	"evop/internal/timeseries"
 )
 
+// RunDetailed simulates in a fresh scratch and returns all output
+// components: the tests' unpooled reference run.
+func (m *Model) RunDetailed(f hydro.Forcing) (*Output, error) {
+	return m.runDetailed(f, &scratch{})
+}
+
 // freshDischarge is the oracle: the kernel in a scratch nothing else
 // has touched.
 func freshDischarge(t *testing.T, m *Model, f hydro.Forcing) *timeseries.Series {

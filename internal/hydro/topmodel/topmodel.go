@@ -179,11 +179,6 @@ func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
 	return out.Discharge.Clone(), nil
 }
 
-// RunDetailed simulates and returns all output components.
-func (m *Model) RunDetailed(f hydro.Forcing) (*Output, error) {
-	return m.runDetailed(f, &scratch{})
-}
-
 // renewFloats returns buf resized to n with every element zero, reusing
 // its backing array when capacity allows.
 func renewFloats(buf []float64, n int) []float64 {

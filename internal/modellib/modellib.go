@@ -152,16 +152,6 @@ func (l *Library) Version(modelName, catchmentID string, version int) (Entry, er
 	return lineage[version-1], nil
 }
 
-// AnyIncubator returns the most recently published incubator image.
-func (l *Library) AnyIncubator() (Entry, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if len(l.incubators) == 0 {
-		return Entry{}, fmt.Errorf("no incubator images: %w", ErrNotFound)
-	}
-	return l.incubators[len(l.incubators)-1], nil
-}
-
 // List returns every entry (all streamlined versions plus incubators)
 // sorted by image ID for stable presentation.
 func (l *Library) List() []Entry {
@@ -172,24 +162,6 @@ func (l *Library) List() []Entry {
 		out = append(out, lineage...)
 	}
 	out = append(out, l.incubators...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Image.ID < out[j].Image.ID })
-	return out
-}
-
-// ForService returns the latest streamlined bundles able to serve the
-// given model name, across all catchments.
-func (l *Library) ForService(modelName string) []Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Entry
-	for _, lineage := range l.streamlined {
-		if len(lineage) == 0 {
-			continue
-		}
-		if latest := lineage[len(lineage)-1]; latest.ModelName == modelName {
-			out = append(out, latest)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Image.ID < out[j].Image.ID })
 	return out
 }

@@ -73,20 +73,12 @@ func TestPublishValidation(t *testing.T) {
 
 func TestIncubators(t *testing.T) {
 	l := New(fixedNow)
-	if _, err := l.AnyIncubator(); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("empty AnyIncubator err = %v", err)
-	}
 	a, err := l.PublishIncubator("general", 5*time.Minute, "generic testbed")
 	if err != nil {
 		t.Fatalf("PublishIncubator: %v", err)
 	}
 	if a.Image.Kind != cloud.Incubator || a.Image.ExtraBootDelay != 5*time.Minute {
 		t.Fatalf("incubator image = %+v", a.Image)
-	}
-	b, _ := l.PublishIncubator("gpu", time.Minute, "")
-	got, err := l.AnyIncubator()
-	if err != nil || got.Image.ID != b.Image.ID {
-		t.Fatalf("AnyIncubator = %+v, %v (want most recent)", got, err)
 	}
 }
 
@@ -113,25 +105,6 @@ func TestListAndForService(t *testing.T) {
 		if all[i].Image.ID < all[i-1].Image.ID {
 			t.Fatal("List not sorted by image ID")
 		}
-	}
-
-	tm := l.ForService("topmodel")
-	if len(tm) != 2 {
-		t.Fatalf("ForService(topmodel) = %d, want 2 (latest per catchment)", len(tm))
-	}
-	for _, e := range tm {
-		if e.ModelName != "topmodel" {
-			t.Fatalf("wrong model %q", e.ModelName)
-		}
-	}
-	// Latest version only.
-	for _, e := range tm {
-		if e.CatchmentID == "morland" && e.Version != 2 {
-			t.Fatalf("morland version = %d, want 2", e.Version)
-		}
-	}
-	if got := l.ForService("ghost"); len(got) != 0 {
-		t.Fatalf("ForService(ghost) = %v", got)
 	}
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"encoding/xml"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,6 +103,169 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if rec.Code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%q: 200 body is not JSON: %.200s", body, rec.Body)
+		}
+	})
+}
+
+// liveSubscribers reads the sensor hub's live-subscription gauge from
+// the observatory's registry.
+func liveSubscribers(t testing.TB, fx *fixture) float64 {
+	t.Helper()
+	const id = `evop_push_subscribers{hub="sensors"}`
+	for _, m := range fx.obs.MetricsRegistry().Snapshot().Metrics {
+		if m.SeriesID() == id {
+			return m.Value
+		}
+	}
+	t.Fatalf("no %s series", id)
+	return 0
+}
+
+// FuzzLiveTopics feeds raw ?topics= values to GET /ws/live through the
+// portal, without upgrade headers: no input answers 5xx; a list holding
+// an unknown or malformed topic answers 400 naming the first such
+// topic; a valid list passes validation and is refused by the WebSocket
+// handshake; and no subscription outlives the refused upgrade.
+func FuzzLiveTopics(f *testing.F) {
+	fx := newFixtureWith(f, unlimited)
+	for _, seed := range []string{
+		"", "sensors", "sensor/morland-level-1", "catchment/morland",
+		" sensors , catchment/tarland ", "sensors,sensors",
+		"bogus", "sensor/ghost", "catchment/ghost", "sensors,sensor/ghost",
+		",", "sensor/", "catchment/", "SENSORS", "sensors,,catchment/morland",
+		"sensor/morland-level-1\x00", "\xff",
+	} {
+		f.Add(seed)
+	}
+	start := liveSubscribers(f, fx)
+	// known mirrors the portal's topic namespaces against the fixture's
+	// deployed sensors and catchments.
+	known := func(topic string) bool {
+		switch {
+		case topic == "sensors":
+			return true
+		case strings.HasPrefix(topic, "sensor/"):
+			_, err := fx.obs.Network.Get(strings.TrimPrefix(topic, "sensor/"))
+			return err == nil
+		case strings.HasPrefix(topic, "catchment/"):
+			_, ok := fx.obs.Catchments.Get(strings.TrimPrefix(topic, "catchment/"))
+			return ok
+		}
+		return false
+	}
+	f.Fuzz(func(t *testing.T, topics string) {
+		target := "/ws/live"
+		if topics != "" {
+			target += "?" + url.Values{"topics": {topics}}.Encode()
+		}
+		rec := httptest.NewRecorder()
+		fx.p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code >= 500 {
+			t.Fatalf("topics=%q = %d %s", topics, rec.Code, rec.Body)
+		}
+		if got := liveSubscribers(t, fx); got != start {
+			t.Fatalf("topics=%q left %v hub subscribers, want %v", topics, got, start)
+		}
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("topics=%q = %d %s, want 400", topics, rec.Code, rec.Body)
+		}
+		bad, hasBad := "", topics == ""
+		if !hasBad {
+			for _, topic := range strings.Split(topics, ",") {
+				if topic = strings.TrimSpace(topic); !known(topic) {
+					bad, hasBad = topic, true
+					break
+				}
+			}
+		}
+		if !hasBad {
+			// Validation passed: the handshake refuses the plain GET.
+			if !strings.Contains(rec.Body.String(), "Connection: Upgrade") {
+				t.Fatalf("topics=%q: body %q, want the handshake's refusal", topics, rec.Body)
+			}
+			return
+		}
+		var doc struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("topics=%q: 400 body is not a JSON error: %v %q", topics, err, rec.Body)
+		}
+		if topics != "" && !strings.Contains(doc.Error, strconv.Quote(bad)) {
+			t.Fatalf("topics=%q: error %q does not name topic %q", topics, doc.Error, bad)
+		}
+	})
+}
+
+// FuzzSOSQuery feeds raw service, request, procedure, from and to values
+// to the SOS KVP GET through the portal: no input answers 5xx, every 200
+// body is well-formed XML, a request without If-None-Match never
+// answers 304, the fuzzed If-None-Match value gets a 304 only when it
+// lists the response's ETag (or "*"), and sending back the ETag itself
+// always does.
+func FuzzSOSQuery(f *testing.F) {
+	fx := newFixtureWith(f, unlimited)
+	for _, seed := range []struct{ service, request, procedure, from, to, inm string }{
+		{"SOS", "GetCapabilities", "", "", "", ""},
+		{"sos", "DescribeSensor", "morland-level-1", "", "", ""},
+		{"SOS", "DescribeSensor", "ghost", "", "", ""},
+		{"SOS", "GetObservation", "morland-level-1", "", "", ""},
+		{"SOS", "GetObservation", "morland-level-1", "2019-07-01T00:00:00Z", "2019-07-01T03:00:00Z", "*"},
+		{"SOS", "GetObservation", "morland-level-1", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", `W/"0"`},
+		{"SOS", "GetObservation", "morland-level-1", "2019-07-02T00:00:00Z", "2019-07-01T00:00:00Z", ""},
+		{"SOS", "GetObservation", "morland-level-1", "yesterday", "", ""},
+		{"SOS", "GetObservation", "tarland-rain-1", "", "now", `"x", "y"`},
+		{"WPS", "GetCapabilities", "", "", "", ""},
+		{"SOS", "Transaction<&>", "\x00\xff", "", "", ""},
+		{"", "", "", "", "", ""},
+	} {
+		f.Add(seed.service, seed.request, seed.procedure, seed.from, seed.to, seed.inm)
+	}
+	get := func(query url.Values, inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/sos?"+query.Encode(), nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		fx.p.ServeHTTP(rec, req)
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, service, request, procedure, from, to, inm string) {
+		q := url.Values{}
+		for k, v := range map[string]string{"service": service, "request": request, "procedure": procedure, "from": from, "to": to} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		rec := get(q, "")
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("%s = %d %s", q.Encode(), rec.Code, rec.Body)
+		case rec.Code == http.StatusNotModified:
+			t.Fatalf("%s: 304 without If-None-Match", q.Encode())
+		case rec.Code == http.StatusOK:
+			dec := xml.NewDecoder(rec.Body)
+			for {
+				if _, err := dec.Token(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("%s: 200 body is not well-formed XML: %v", q.Encode(), err)
+				}
+			}
+		}
+		etag := rec.Header().Get("ETag")
+		if inm != "" {
+			cond := get(q, inm)
+			if cond.Code >= 500 {
+				t.Fatalf("%s If-None-Match %q = %d %s", q.Encode(), inm, cond.Code, cond.Body)
+			}
+			if cond.Code == http.StatusNotModified &&
+				(etag == "" || !strings.Contains(inm, etag) && !strings.Contains(inm, "*")) {
+				t.Fatalf("%s: 304 for If-None-Match %q, response ETag %q", q.Encode(), inm, etag)
+			}
+		}
+		if rec.Code == http.StatusOK && etag != "" {
+			if code := get(q, etag).Code; code != http.StatusNotModified {
+				t.Fatalf("%s: If-None-Match %s (the ETag) = %d, want 304", q.Encode(), etag, code)
+			}
 		}
 	})
 }

@@ -213,11 +213,6 @@ func (h *Hub[T]) Subscribe(queue int, topics ...string) (*Subscription[T], error
 // after close.
 func (s *Subscription[T]) C() <-chan T { return s.ch }
 
-// Topics returns the subscribed topics.
-func (s *Subscription[T]) Topics() []string {
-	return append([]string(nil), s.topics...)
-}
-
 // Dropped reports how many of this subscriber's queued events were
 // evicted to make room for newer ones.
 func (s *Subscription[T]) Dropped() uint64 {

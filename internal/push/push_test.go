@@ -196,8 +196,8 @@ func TestSubscribeValidation(t *testing.T) {
 		t.Fatalf("default queue cap = %d, want %d", cap(s.ch), DefaultQueue)
 	}
 	want := []string{"t"}
-	if got := s.Topics(); len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("Topics = %v", got)
+	if got := s.topics; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("topics = %v", got)
 	}
 }
 

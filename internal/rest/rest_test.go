@@ -284,6 +284,13 @@ func post(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
+// openTxns counts the live server-side transactions.
+func openTxns(s *StatefulService) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.txns)
+}
+
 func TestStatefulHappyPath(t *testing.T) {
 	svc := NewStatefulService()
 	srv := httptest.NewServer(svc)
@@ -300,8 +307,8 @@ func TestStatefulHappyPath(t *testing.T) {
 			t.Fatalf("step = %d", code)
 		}
 	}
-	if svc.OpenTransactions() != 1 {
-		t.Fatalf("open txns = %d", svc.OpenTransactions())
+	if n := openTxns(svc); n != 1 {
+		t.Fatalf("open txns = %d", n)
 	}
 	resp, _ = http.Post(srv.URL+"/commit?txn="+txn, "application/json", nil)
 	var out map[string]float64
@@ -310,7 +317,7 @@ func TestStatefulHappyPath(t *testing.T) {
 	if out["result"] != 10 {
 		t.Fatalf("result = %v, want 10", out["result"])
 	}
-	if svc.OpenTransactions() != 0 {
+	if openTxns(svc) != 0 {
 		t.Fatal("transaction not cleared after commit")
 	}
 }

@@ -34,13 +34,6 @@ func NewStatefulService() *StatefulService {
 	return &StatefulService{txns: make(map[string]float64)}
 }
 
-// OpenTransactions reports live server-side transactions.
-func (s *StatefulService) OpenTransactions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.txns)
-}
-
 // ServeHTTP implements http.Handler.
 func (s *StatefulService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -1,8 +1,6 @@
 package timeseries
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -107,53 +105,4 @@ func (ir *Irregular) Nearest(t time.Time) (Observation, bool) {
 		return before, true
 	}
 	return after, true
-}
-
-// InterpAt linearly interpolates the value at time t between the
-// bracketing observations; outside the extent it returns the nearest
-// endpoint value. It returns false when the sequence is empty.
-func (ir *Irregular) InterpAt(t time.Time) (float64, bool) {
-	n := len(ir.obs)
-	if n == 0 {
-		return 0, false
-	}
-	i := sort.Search(n, func(i int) bool { return !ir.obs[i].Time.Before(t) })
-	switch {
-	case i == 0:
-		return ir.obs[0].Value, true
-	case i == n:
-		return ir.obs[n-1].Value, true
-	}
-	a, b := ir.obs[i-1], ir.obs[i]
-	span := b.Time.Sub(a.Time)
-	if span <= 0 {
-		return b.Value, true
-	}
-	frac := float64(t.Sub(a.Time)) / float64(span)
-	return a.Value + (b.Value-a.Value)*frac, true
-}
-
-// ToSeries aggregates observations into a regular Series covering
-// [start, start+n*step) using agg per bucket; empty buckets become NaN.
-func (ir *Irregular) ToSeries(start time.Time, step time.Duration, n int, agg AggFunc) (*Series, error) {
-	if step <= 0 {
-		return nil, ErrBadStep
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("timeseries: negative length %d: %w", n, ErrBadRange)
-	}
-	buckets := make([][]float64, n)
-	for _, o := range ir.WindowView(start, start.Add(time.Duration(n)*step)) {
-		i := int(o.Time.Sub(start) / step)
-		buckets[i] = append(buckets[i], o.Value)
-	}
-	vals := make([]float64, n)
-	for i, b := range buckets {
-		if len(b) == 0 {
-			vals[i] = math.NaN()
-			continue
-		}
-		vals[i] = agg.apply(b)
-	}
-	return New(start, step, vals)
 }

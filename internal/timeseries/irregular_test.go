@@ -78,46 +78,6 @@ func TestIrregularNearest(t *testing.T) {
 	}
 }
 
-func TestIrregularInterpAt(t *testing.T) {
-	ir := NewIrregular([]Observation{obsAt(0, 0), obsAt(10, 10)})
-	got, ok := ir.InterpAt(t0.Add(4 * time.Minute))
-	if !ok || math.Abs(got-4) > 1e-9 {
-		t.Fatalf("InterpAt = %v,%v want 4,true", got, ok)
-	}
-	if got, _ := ir.InterpAt(t0.Add(-time.Hour)); got != 0 {
-		t.Fatalf("before-extent InterpAt = %v, want 0", got)
-	}
-	if got, _ := ir.InterpAt(t0.Add(time.Hour)); got != 10 {
-		t.Fatalf("after-extent InterpAt = %v, want 10", got)
-	}
-	if _, ok := NewIrregular(nil).InterpAt(t0); ok {
-		t.Fatal("empty InterpAt ok = true")
-	}
-}
-
-func TestToSeries(t *testing.T) {
-	ir := NewIrregular([]Observation{obsAt(1, 2), obsAt(5, 4), obsAt(65, 7)})
-	s, err := ir.ToSeries(t0, time.Hour, 3, AggMean)
-	if err != nil {
-		t.Fatalf("ToSeries: %v", err)
-	}
-	if s.At(0) != 3 {
-		t.Fatalf("bucket 0 = %v, want 3", s.At(0))
-	}
-	if s.At(1) != 7 {
-		t.Fatalf("bucket 1 = %v, want 7", s.At(1))
-	}
-	if !math.IsNaN(s.At(2)) {
-		t.Fatalf("empty bucket = %v, want NaN", s.At(2))
-	}
-	if _, err := ir.ToSeries(t0, 0, 3, AggMean); err == nil {
-		t.Fatal("step=0: want error")
-	}
-	if _, err := ir.ToSeries(t0, time.Hour, -1, AggMean); err == nil {
-		t.Fatal("n=-1: want error")
-	}
-}
-
 func TestNearestIsNearestProperty(t *testing.T) {
 	// Property: Nearest(t) returns an observation at minimal |t - obs.Time|.
 	f := func(offsets []int16, probe int16) bool {

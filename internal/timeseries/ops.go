@@ -109,78 +109,6 @@ func (s *Series) Resample(step time.Duration, agg AggFunc) (*Series, error) {
 	return &Series{start: s.start, step: step, values: out}, nil
 }
 
-// FillGaps returns a copy of s with NaN runs linearly interpolated between
-// their bracketing valid samples. Leading and trailing gaps are filled with
-// the nearest valid value. A fully-NaN series is returned unchanged.
-func (s *Series) FillGaps() *Series {
-	out := s.Clone()
-	v := out.values
-	first, last := -1, -1
-	for i := range v {
-		if !math.IsNaN(v[i]) {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first < 0 {
-		return out
-	}
-	for i := 0; i < first; i++ {
-		v[i] = v[first]
-	}
-	for i := last + 1; i < len(v); i++ {
-		v[i] = v[last]
-	}
-	i := first
-	for i <= last {
-		if !math.IsNaN(v[i]) {
-			i++
-			continue
-		}
-		j := i
-		for math.IsNaN(v[j]) {
-			j++
-		}
-		lo, hi := v[i-1], v[j]
-		span := float64(j - (i - 1))
-		for k := i; k < j; k++ {
-			v[k] = lo + (hi-lo)*float64(k-(i-1))/span
-		}
-		i = j
-	}
-	return out
-}
-
-// GapCount returns the number of NaN samples.
-func (s *Series) GapCount() int {
-	n := 0
-	for _, v := range s.values {
-		if math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// Rolling returns a series of the same length where sample i is agg applied
-// to the window of w samples ending at i (shorter at the start).
-func (s *Series) Rolling(w int, agg AggFunc) *Series {
-	if w < 1 {
-		w = 1
-	}
-	out := s.Clone()
-	for i := range s.values {
-		lo := i - w + 1
-		if lo < 0 {
-			lo = 0
-		}
-		out.values[i] = agg.apply(s.values[lo : i+1])
-	}
-	return out
-}
-
 // Align resamples and slices the given series to a common step and time
 // window (the intersection). All inputs must have steps that are multiples
 // or divisors of step. Depth-like series should be passed with AggSum, so

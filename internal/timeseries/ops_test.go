@@ -124,54 +124,6 @@ func TestResampleSumPreservesMass(t *testing.T) {
 	}
 }
 
-func TestFillGaps(t *testing.T) {
-	nan := math.NaN()
-	tests := []struct {
-		name string
-		in   []float64
-		want []float64
-	}{
-		{"interior linear", []float64{1, nan, nan, 4}, []float64{1, 2, 3, 4}},
-		{"leading hold", []float64{nan, nan, 3}, []float64{3, 3, 3}},
-		{"trailing hold", []float64{5, nan}, []float64{5, 5}},
-		{"no gaps", []float64{1, 2}, []float64{1, 2}},
-		{"multiple runs", []float64{0, nan, 2, nan, nan, 8}, []float64{0, 1, 2, 4, 6, 8}},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := MustNew(t0, time.Hour, tc.in).FillGaps()
-			for i, w := range tc.want {
-				if math.Abs(got.At(i)-w) > 1e-9 {
-					t.Fatalf("filled[%d] = %v, want %v", i, got.At(i), w)
-				}
-			}
-			if got.GapCount() != 0 {
-				t.Fatalf("GapCount after fill = %d", got.GapCount())
-			}
-		})
-	}
-}
-
-func TestFillGapsAllNaN(t *testing.T) {
-	s := MustNew(t0, time.Hour, []float64{math.NaN(), math.NaN()})
-	if got := s.FillGaps().GapCount(); got != 2 {
-		t.Fatalf("all-NaN FillGaps GapCount = %d, want 2 (unchanged)", got)
-	}
-}
-
-func TestRolling(t *testing.T) {
-	s := MustNew(t0, time.Hour, []float64{1, 2, 3, 4})
-	got := s.Rolling(2, AggSum)
-	for i, w := range []float64{1, 3, 5, 7} {
-		if got.At(i) != w {
-			t.Fatalf("rolling[%d] = %v, want %v", i, got.At(i), w)
-		}
-	}
-	if got := s.Rolling(0, AggMax); got.At(3) != 4 {
-		t.Fatalf("Rolling(0) should clamp to window 1, got %v", got.At(3))
-	}
-}
-
 func TestAlign(t *testing.T) {
 	rain := MustNew(t0, 15*time.Minute, seq(1, 16))                       // 4 hours of 15-min depths
 	level := MustNew(t0.Add(time.Hour), time.Hour, []float64{5, 6, 7, 8}) // hourly states

@@ -11,20 +11,20 @@ import (
 // tier keeps one min/max/sum/count bucket per epoch-aligned span of
 // time, kept up to date on Add in O(tiers) amortised.
 //
-// AggregateSeries answers its buckets in one forward walk, and
-// AggregateWindow is its one-bucket case. One binary search places a
-// cursor on the first observation at or after from; each bucket [lo, hi)
-// then starts where the previous one ended. A bucket scans raw
-// observations from the cursor, up to rawBudget of them: one that ends
-// within the budget adds its values in store order from an empty
-// aggregate, exactly as AggregateScan does, so its sum is bit-identical
-// to the scan's. A longer bucket finds its end with one search from the
-// cursor and is answered by cover: its own span, from its first to its
-// last observation (so UnixNano only sees observation instants), is
-// split once in int64 nanoseconds into a raw left fringe, an interior
-// aligned to the finest tier and a raw right fringe, and the interior is
-// covered by climbing the tier ladder while the next tier still fits,
-// then descending — O(tiers) divisions and no time.Time arithmetic per
+// AggregateSeries answers its buckets in one forward walk. One binary
+// search places a cursor on the first observation at or after from; each
+// bucket [lo, hi) then starts where the previous one ended. A bucket
+// scans raw observations from the cursor, up to rawBudget of them: one
+// that ends within the budget adds its values in store order from an
+// empty aggregate, exactly as the tests' reference scan (AggregateScan,
+// in rollup_test.go) does, so its sum is bit-identical to the scan's. A
+// longer bucket finds its end with one search from the cursor and is
+// answered by cover: its own span, from its first to its last
+// observation (so UnixNano only sees observation instants), is split
+// once in int64 nanoseconds into a raw left fringe, an interior aligned
+// to the finest tier and a raw right fringe, and the interior is covered
+// by climbing the tier ladder while the next tier still fits, then
+// descending — O(tiers) divisions and no time.Time arithmetic per
 // step; its sum may differ from the scan's in float association order.
 //
 // On a 2-vCPU Xeon (go1.24.0) the portal's month view, 112 six-hour
@@ -171,25 +171,6 @@ func (ir *Irregular) EnableRollups(tiers ...time.Duration) error {
 // Indexed reports whether a rollup index is maintained.
 func (ir *Irregular) Indexed() bool { return ir.idx != nil }
 
-// AggregateScan is the reference aggregation: a linear scan of the raw
-// observations in [from, to). It is the O(window) baseline the rollup
-// index is benchmarked and differentially fuzzed against.
-func (ir *Irregular) AggregateScan(from, to time.Time) Aggregate {
-	var a Aggregate
-	a.addAll(ir.WindowView(from, to))
-	return a
-}
-
-// AggregateWindow aggregates the observations in [from, to): the
-// one-bucket case of AggregateSeries. Min, max and count always match
-// AggregateScan exactly; Sum matches bit for bit when the window holds
-// at most rawBudget observations or no index is enabled, and up to
-// floating-point association order otherwise.
-func (ir *Irregular) AggregateWindow(from, to time.Time) Aggregate {
-	w := ir.walkFrom(from)
-	return w.next(to)
-}
-
 // AggregateSeries partitions [from, from+n*step) into n equal buckets
 // and returns each bucket's aggregate in one forward walk over the
 // store, answering long buckets from the rollup index when enabled.
@@ -213,8 +194,8 @@ func (ir *Irregular) AggregateSeries(from time.Time, step time.Duration, n int) 
 
 // rawBudget is how many observations a bucket scans raw before the walk
 // turns to the rollup index. A bucket that ends within the budget adds
-// its values in store order from an empty aggregate, exactly as
-// AggregateScan does, so even its sum is bit-identical to the scan.
+// its values in store order from an empty aggregate, exactly as the
+// tests' AggregateScan does, so even its sum is bit-identical to the scan.
 const rawBudget = 64
 
 // aggWalker answers consecutive half-open buckets in one forward pass

@@ -7,6 +7,25 @@ import (
 	"time"
 )
 
+// AggregateScan is the reference aggregation: a linear scan of the raw
+// observations in [from, to). It is the O(window) baseline the rollup
+// index is benchmarked and differentially fuzzed against.
+func (ir *Irregular) AggregateScan(from, to time.Time) Aggregate {
+	var a Aggregate
+	a.addAll(ir.WindowView(from, to))
+	return a
+}
+
+// AggregateWindow aggregates the observations in [from, to): the
+// one-bucket case of AggregateSeries. Min, max and count always match
+// AggregateScan exactly; Sum matches bit for bit when the window holds
+// at most rawBudget observations or no index is enabled, and up to
+// floating-point association order otherwise.
+func (ir *Irregular) AggregateWindow(from, to time.Time) Aggregate {
+	w := ir.walkFrom(from)
+	return w.next(to)
+}
+
 // approxEqual compares sums that may differ in floating-point
 // association order between the rollup merge and the linear scan.
 func approxEqual(a, b float64) bool {

@@ -122,7 +122,7 @@ func (s *Series) SetAt(i int, v float64) { s.values[i] = v }
 
 // Raw returns the series' backing slice without copying; writes through
 // the slice are visible to the series. It is the kernels' escape hatch —
-// the slice is invalidated by Append or Renew on the same series.
+// the slice is invalidated by Renew on the same series.
 func (s *Series) Raw() []float64 { return s.values }
 
 // Values returns a copy of the sample values.
@@ -177,9 +177,6 @@ func (s *Series) Slice(from, to time.Time) (*Series, error) {
 	copy(out, s.values[lo:hi])
 	return &Series{start: s.TimeAt(lo), step: s.step, values: out}, nil
 }
-
-// Append adds samples to the end of the series.
-func (s *Series) Append(values ...float64) { s.values = append(s.values, values...) }
 
 // Map returns a new series with f applied to every sample.
 func (s *Series) Map(f func(float64) float64) *Series {

@@ -182,16 +182,6 @@ func (c *Conn) ReadMessage() (Message, error) {
 // payloads; a close frame's reason shares it with the 2-byte status.
 const maxControlPayload = 125
 
-// Ping sends a ping frame with the given payload. Payloads above RFC
-// 6455's 125-byte control-frame limit are rejected with ErrProtocol
-// before anything reaches the wire.
-func (c *Conn) Ping(payload []byte) error {
-	if len(payload) > maxControlPayload {
-		return fmt.Errorf("ping payload %d > %d: %w", len(payload), maxControlPayload, ErrProtocol)
-	}
-	return c.writeControl(OpPing, payload)
-}
-
 func (c *Conn) writeControl(op Opcode, payload []byte) error {
 	c.stateMu.Lock()
 	if c.closed {

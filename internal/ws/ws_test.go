@@ -168,8 +168,8 @@ func TestPingAnsweredTransparently(t *testing.T) {
 	defer conn.Close(CloseNormal, "")
 	// Ping then a data message: ReadMessage should deliver only the data
 	// (the server's ReadMessage answers our ping internally).
-	if err := conn.Ping([]byte("beat")); err != nil {
-		t.Fatalf("Ping: %v", err)
+	if err := conn.writeControl(OpPing, []byte("beat")); err != nil {
+		t.Fatalf("ping: %v", err)
 	}
 	if err := conn.WriteMessage(OpText, []byte("data")); err != nil {
 		t.Fatalf("WriteMessage: %v", err)
@@ -449,24 +449,6 @@ func TestCloseShortReasonUnmodified(t *testing.T) {
 	<-done
 	if string(f.payload[2:]) != "bye" {
 		t.Fatalf("reason = %q, want %q", f.payload[2:], "bye")
-	}
-}
-
-func TestPingOversizedPayloadRejected(t *testing.T) {
-	server, client := net.Pipe()
-	defer client.Close()
-	conn := newConn(server, false, 1)
-
-	// 126 bytes is one over the control-frame limit: the write must be
-	// refused before touching the wire (net.Pipe would block otherwise).
-	if err := conn.Ping(make([]byte, maxControlPayload+1)); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("Ping(126B) err = %v, want ErrProtocol", err)
-	}
-
-	// Exactly 125 bytes is legal and must go through.
-	go func() { readFrame(client, 0) }()
-	if err := conn.Ping(make([]byte, maxControlPayload)); err != nil {
-		t.Fatalf("Ping(125B): %v", err)
 	}
 }
 

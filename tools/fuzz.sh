@@ -57,6 +57,14 @@ FuzzSeriesQuery ./internal/portal -fuzzminimizetime=50x
 # and every 200 is valid JSON; failed runs go through the pooled kernel
 # scratch too.
 FuzzRunRequest ./internal/portal
+# Live-topics fuzzer: raw ?topics= lists on GET /ws/live, sent without
+# upgrade headers, never answer 5xx; a bad topic answers 400 naming it,
+# and no hub subscription outlives the refused upgrade.
+FuzzLiveTopics ./internal/portal
+# SOS KVP fuzzer: raw service/request/procedure/from/to values on GET
+# /sos never answer 5xx, every 200 is well-formed XML, and a 304 answers
+# only an If-None-Match that lists the response's ETag.
+FuzzSOSQuery ./internal/portal
 # Token-bucket invariant fuzzer: client table stays LRU-bounded and every
 # bucket stays within [0, burst] for arbitrary op/advance streams.
 FuzzTokenBucket ./internal/admission

@@ -12,33 +12,34 @@
 #
 # The allowlist is the closed set of knobs kept on purpose, one
 # "path Type.Field reason" per line. Additions to it need a review, not
-# a reflex.
+# a reflex. A reason names a ROADMAP item by its title, never by its
+# number: items are renumbered when the ROADMAP is re-anchored.
 set -eu
 cd "$(dirname "$0")/.."
 
 allow='
-internal/admission/admission.go Config.MinLimit                the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.MaxLimit                the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.InitialLimit            the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.TargetP95               the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.IncreaseStep            the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.DecreaseFactor          the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.AdaptEvery              the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.QueueDepth              the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.QueueTimeout            the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.RatePerSecond           the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.Burst                   the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.MaxClients              the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.RetryAfter              the admission tuning the whole-system simulation (ROADMAP item 4) turns
-internal/admission/admission.go Config.LiveConnLimit           the admission tuning the whole-system simulation (ROADMAP item 4) turns
+internal/admission/admission.go Config.MinLimit                the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.MaxLimit                the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.InitialLimit            the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.TargetP95               the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.IncreaseStep            the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.DecreaseFactor          the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.AdaptEvery              the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.QueueDepth              the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.QueueTimeout            the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.RatePerSecond           the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.Burst                   the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.MaxClients              the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.RetryAfter              the admission tuning the ROADMAP item on whole-system deterministic simulation turns
+internal/admission/admission.go Config.LiveConnLimit           the admission tuning the ROADMAP item on whole-system deterministic simulation turns
 internal/cloud/faulty.go FaultSpec.LaunchErrorRate             fault rates the chaos scenarios and fault experiments tune
 internal/cloud/faulty.go FaultSpec.TerminateErrorRate          fault rates the chaos scenarios and fault experiments tune
 internal/cloud/faulty.go FaultSpec.GetErrorRate                fault rates the chaos scenarios and fault experiments tune
 internal/cloud/faulty.go FaultSpec.SlowCallRate                fault rates the chaos scenarios and fault experiments tune
 internal/cloud/faulty.go FaultSpec.SlowCallLatency             fault rates the chaos scenarios and fault experiments tune
 internal/cloud/faulty.go FaultSpec.CallTimeout                 fault rates the chaos scenarios and fault experiments tune
-internal/core/core.go Config.Faults                            the whole-system simulation (ROADMAP item 4) injects faults through it
-internal/core/core.go Config.Admission                         the whole-system simulation (ROADMAP item 4) tunes admission through it
+internal/core/core.go Config.Faults                            the ROADMAP item on whole-system deterministic simulation injects faults through it
+internal/core/core.go Config.Admission                         the ROADMAP item on whole-system deterministic simulation tunes admission through it
 internal/resilience/breaker.go BreakerConfig.FailureThreshold  breaker thresholds the breaker and chaos tests tune
 internal/resilience/breaker.go BreakerConfig.OpenTimeout       breaker thresholds the breaker and chaos tests tune
 internal/resilience/breaker.go BreakerConfig.HalfOpenProbes    breaker thresholds the breaker and chaos tests tune
