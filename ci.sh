@@ -64,11 +64,12 @@ go test -race -shuffle=on ./...
 # catches bit-rot in the perf harness without timing anything.
 go test -run='^$' -bench=. -benchtime=1x ./...
 # Chaos tier: seeded fault-injection scenario + resilience regression
-# tests + the compute pool's shutdown/leak checks, twice under race in
-# shuffled order — recovery must be deterministic and data-race free.
-go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose' \
+# tests + the compute pool's shutdown/leak checks + the periodic-timer
+# ordering, re-arm and stop checks, twice under race in shuffled order —
+# recovery must be deterministic and data-race free.
+go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|Every|Rearm|Stop' \
 	./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
-	./internal/admission ./internal/sched
+	./internal/admission ./internal/sched ./internal/clock ./internal/sensor
 # Fuzz smoke tier: run every fuzzer briefly on fresh mutations — catches
 # parser regressions the seeded corpus alone would miss. The fuzzer list
 # lives in tools/fuzz.sh, which `make fuzz` runs too.

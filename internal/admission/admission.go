@@ -452,11 +452,13 @@ func (c *Controller) Admit(ctx context.Context, cl Class, client string) (time.D
 	c.queueDepth[cl].Add(1)
 	c.mu.Unlock()
 
-	timeout := c.clk.After(c.cfg.QueueTimeout)
+	expired := make(chan struct{})
+	stop := c.clk.AfterFunc(c.cfg.QueueTimeout, func() { close(expired) })
+	defer stop()
 	select {
 	case <-w.ch:
 		return 0, nil
-	case <-timeout:
+	case <-expired:
 		if c.abandonOrKeep(cl, w) {
 			return 0, nil
 		}

@@ -175,7 +175,7 @@ func TestShedOrderingDeterministic(t *testing.T) {
 }
 
 func TestQueuePromotionOnRelease(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) {
+	c, clk := newTestController(t, func(cfg *Config) {
 		cfg.MinLimit = 1
 		cfg.InitialLimit = 1
 		cfg.QueueDepth = 2
@@ -192,6 +192,10 @@ func TestQueuePromotionOnRelease(t *testing.T) {
 	c.Release(Ingest)
 	if err := <-done; err != nil {
 		t.Fatalf("queued admit after release: %v", err)
+	}
+	// The waiter granted before its queue timeout leaves no timer behind.
+	if got := clk.PendingTimers(); got != 0 {
+		t.Fatalf("pending timers after grant = %d, want 0", got)
 	}
 	if got := c.total; got != 1 {
 		t.Fatalf("in flight = %d, want 1 (promoted waiter holds it)", got)

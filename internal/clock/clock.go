@@ -16,20 +16,22 @@ import (
 )
 
 // Clock is the minimal time source used across EVOp. Both Real and
-// Simulated implement it.
+// Simulated implement it. Its timers are callbacks only: a blocking
+// wait on Simulated would deadlock the goroutine calling Advance.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// After returns a channel that receives the then-current time once d
-	// has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
 	// AfterFunc schedules f to run once d has elapsed: on Real in its own
 	// goroutine, on Simulated on the goroutine calling Advance. The
 	// returned stop function cancels the timer if it has not yet fired
 	// and reports whether it was stopped before firing.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
+	// Every runs f every d until stopped, each run timed from when the
+	// previous one returned (fixed delay, so runs never overlap). The
+	// returned stop function prevents any later run and reports true the
+	// first time it is called; a run already in flight completes. Every
+	// panics if d <= 0, like time.NewTicker.
+	Every(d time.Duration, f func()) (stop func() bool)
 }
 
 // Real is a Clock backed by the system wall clock.
@@ -43,25 +45,49 @@ func NewReal() Real { return Real{} }
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) func() bool {
-	t := time.AfterFunc(d, f)
-	return t.Stop
+	return time.AfterFunc(d, f).Stop
+}
+
+// Every implements Clock with one runtime timer, Reset after each run
+// under a mutex that stop also takes, so a stopped timer stays stopped.
+func (Real) Every(d time.Duration, f func()) func() bool {
+	if d <= 0 {
+		panic("clock: non-positive interval for Every")
+	}
+	var mu sync.Mutex
+	stopped := false
+	var t *time.Timer
+	mu.Lock() // until t is set: a short d may run f and reach Reset first
+	defer mu.Unlock()
+	t = time.AfterFunc(d, func() {
+		f()
+		mu.Lock()
+		defer mu.Unlock()
+		if !stopped {
+			t.Reset(d)
+		}
+	})
+	return func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Stop()
+		was := stopped
+		stopped = true
+		return !was
+	}
 }
 
 // timer is a pending event on a Simulated clock.
 type timer struct {
 	at  time.Time
 	seq uint64 // tie-break so equal timestamps fire FIFO
-	ch  chan time.Time
 	fn  func()
-	// stopped marks a cancelled AfterFunc timer; it is skipped when due.
+	// every is an Every timer's period, 0 for a one-shot.
+	every time.Duration
+	// stopped marks a cancelled timer, or a fired one-shot; it is
+	// skipped when due and never pushed again.
 	stopped bool
 }
 
@@ -92,11 +118,10 @@ func (h *timerHeap) Pop() any {
 // (or AdvanceTo) is called. Timers fire synchronously, in timestamp order,
 // from inside Advance. It is safe for concurrent use.
 type Simulated struct {
-	mu      sync.Mutex
-	now     time.Time
-	seq     uint64
-	timers  timerHeap
-	waiters []chan struct{} // goroutines blocked in Sleep
+	mu     sync.Mutex
+	now    time.Time
+	seq    uint64
+	timers timerHeap
 }
 
 var _ Clock = (*Simulated)(nil)
@@ -113,55 +138,47 @@ func (s *Simulated) Now() time.Time {
 	return s.now
 }
 
-// After implements Clock. The channel has capacity 1 so firing never blocks
-// the Advance loop.
-func (s *Simulated) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d <= 0 {
-		ch <- s.now
-		return ch
-	}
-	s.seq++
-	heap.Push(&s.timers, &timer{at: s.now.Add(d), seq: s.seq, ch: ch})
-	return ch
-}
-
-// Sleep implements Clock. It blocks until another goroutine advances the
-// clock past the deadline.
-func (s *Simulated) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	<-s.After(d)
-}
-
 // AfterFunc implements Clock. The callback runs on the goroutine calling
 // Advance, with the clock unlocked, so it may schedule timers (which
 // fire in the same Advance when due inside its window) or call Advance
 // itself.
 func (s *Simulated) AfterFunc(d time.Duration, f func()) func() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := &timer{fn: f}
+	return s.start(&timer{fn: f}, d)
+}
+
+// Every implements Clock. Its one timer entry is scheduled again after
+// each run of f, so it takes its tie-break seq when f returns, exactly
+// like an AfterFunc re-armed at the end of f.
+func (s *Simulated) Every(d time.Duration, f func()) func() bool {
 	if d <= 0 {
-		t.at = s.now
-	} else {
-		t.at = s.now.Add(d)
+		panic("clock: non-positive interval for Every")
 	}
-	s.seq++
-	t.seq = s.seq
-	heap.Push(&s.timers, t)
+	return s.start(&timer{fn: f, every: d}, d)
+}
+
+// start schedules a new timer and returns its stop function.
+func (s *Simulated) start(t *timer, d time.Duration) func() bool {
+	s.schedule(t, d)
 	return func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if t.stopped {
-			return false
-		}
+		was := t.stopped
 		t.stopped = true
-		return true
+		return !was
 	}
+}
+
+// schedule pushes t, unless stopped, to fire d from now (now if d <= 0)
+// after every timer already due then.
+func (s *Simulated) schedule(t *timer, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t.stopped {
+		return
+	}
+	s.seq++
+	t.at, t.seq = s.now.Add(max(d, 0)), s.seq
+	heap.Push(&s.timers, t)
 }
 
 // Advance moves simulated time forward by d, firing every timer whose
@@ -185,20 +202,16 @@ func (s *Simulated) AdvanceTo(t time.Time) {
 			return
 		}
 		tm := heap.Pop(&s.timers).(*timer)
-		if tm.at.After(s.now) {
-			s.now = tm.at
-		}
-		now := s.now
+		s.now = tm.at // never before now: schedule clamps d at 0
 		stopped := tm.stopped
+		tm.stopped = stopped || tm.every == 0
 		s.mu.Unlock()
 		if stopped {
 			continue
 		}
-		if tm.ch != nil {
-			tm.ch <- now
-		}
-		if tm.fn != nil {
-			tm.fn()
+		tm.fn()
+		if tm.every > 0 {
+			s.schedule(tm, tm.every)
 		}
 	}
 }

@@ -28,34 +28,6 @@ func TestSimulatedAdvanceToPastIsNoop(t *testing.T) {
 	}
 }
 
-func TestSimulatedAfterFiresInOrder(t *testing.T) {
-	c := NewSimulated(epoch)
-	ch2 := c.After(2 * time.Hour)
-	ch1 := c.After(1 * time.Hour)
-	c.Advance(3 * time.Hour)
-
-	at1 := <-ch1
-	at2 := <-ch2
-	if want := epoch.Add(time.Hour); !at1.Equal(want) {
-		t.Errorf("first timer fired at %v, want %v", at1, want)
-	}
-	if want := epoch.Add(2 * time.Hour); !at2.Equal(want) {
-		t.Errorf("second timer fired at %v, want %v", at2, want)
-	}
-}
-
-func TestSimulatedAfterZeroFiresImmediately(t *testing.T) {
-	c := NewSimulated(epoch)
-	select {
-	case at := <-c.After(0):
-		if !at.Equal(epoch) {
-			t.Errorf("fired at %v, want %v", at, epoch)
-		}
-	default:
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
-
 func TestSimulatedAfterFuncOrderAndStop(t *testing.T) {
 	c := NewSimulated(epoch)
 	var mu sync.Mutex
@@ -76,7 +48,11 @@ func TestSimulatedAfterFuncOrderAndStop(t *testing.T) {
 	if stop() {
 		t.Fatal("second stop() = true, want false")
 	}
+	fired := c.AfterFunc(4*time.Minute, func() {})
 	c.Advance(10 * time.Minute)
+	if fired() {
+		t.Fatal("stop() after firing = true, want false")
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -125,28 +101,9 @@ func TestSimulatedAfterFuncReentrant(t *testing.T) {
 	}
 }
 
-func TestSimulatedSleepUnblocksOnAdvance(t *testing.T) {
-	c := NewSimulated(epoch)
-	done := make(chan struct{})
-	go func() {
-		c.Sleep(time.Minute)
-		close(done)
-	}()
-	// Wait for the sleeper to register its timer.
-	for i := 0; c.PendingTimers() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(time.Minute)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not unblock after Advance")
-	}
-}
-
 func TestSimulatedPendingTimers(t *testing.T) {
 	c := NewSimulated(epoch)
-	c.After(time.Hour)
+	c.AfterFunc(time.Hour, func() {})
 	stop := c.AfterFunc(time.Hour, func() {})
 	if got := c.PendingTimers(); got != 2 {
 		t.Fatalf("PendingTimers() = %d, want 2", got)
@@ -175,11 +132,200 @@ func TestRealClockBasics(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Real.AfterFunc never fired")
 	}
-	stop()
-	c.Sleep(time.Millisecond)
+	if stop() {
+		t.Fatal("stop() after firing = true, want false")
+	}
+	stop = c.AfterFunc(time.Hour, func() { t.Error("stopped Real.AfterFunc fired") })
+	if !stop() {
+		t.Fatal("stop() before firing = false, want true")
+	}
+}
+
+// logEntry is one timer run in an ordering scenario.
+type logEntry struct {
+	label string
+	at    time.Duration // since epoch
+}
+
+// rearmEvery is the periodic pattern Every replaces: a one-shot timer
+// whose callback schedules the next one once f returns.
+func rearmEvery(c *Simulated, d time.Duration, f func()) func() bool {
+	var (
+		mu      sync.Mutex
+		stopped bool
+		stop    func() bool
+		arm     func()
+	)
+	arm = func() {
+		stop = c.AfterFunc(d, func() {
+			f()
+			mu.Lock()
+			defer mu.Unlock()
+			if !stopped {
+				arm()
+			}
+		})
+	}
+	mu.Lock()
+	arm()
+	mu.Unlock()
+	return func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return false
+		}
+		stopped = true
+		stop()
+		return true
+	}
+}
+
+// orderScenario runs two periodic timers, started through every, among
+// one-shot timers due at the same instants, and logs each run. P's first
+// run schedules a one-shot that lands on P's own next tick, and a
+// one-shot due at the instant of P's fourth run stops it first.
+func orderScenario(every func(c *Simulated, d time.Duration, f func()) func() bool) []logEntry {
+	c := NewSimulated(epoch)
+	var log []logEntry
+	mark := func(label string) func() {
+		return func() { log = append(log, logEntry{label, c.Now().Sub(epoch)}) }
+	}
+	c.AfterFunc(10*time.Minute, mark("A"))
+	runs := 0
+	stopP := every(c, 10*time.Minute, func() {
+		mark("P")()
+		if runs++; runs == 1 {
+			c.AfterFunc(10*time.Minute, mark("C"))
+		}
+	})
+	every(c, 15*time.Minute, mark("Q"))
+	c.AfterFunc(10*time.Minute, mark("B"))
+	c.AfterFunc(20*time.Minute, mark("D"))
+	c.AfterFunc(30*time.Minute, mark("E"))
+	c.AfterFunc(40*time.Minute, func() { stopP() })
+	c.Advance(time.Hour)
+	return log
+}
+
+// TestEveryMatchesRearm is the ordering oracle for Every: it produces
+// the same (label, time) log as the callback re-arm it replaced.
+func TestEveryMatchesRearm(t *testing.T) {
+	got := orderScenario(func(c *Simulated, d time.Duration, f func()) func() bool {
+		return c.Every(d, f)
+	})
+	want := orderScenario(rearmEvery)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Every log:\n%v\nre-arm log:\n%v", got, want)
+	}
+	m := time.Minute
+	pinned := []logEntry{
+		{"A", 10 * m}, {"P", 10 * m}, {"B", 10 * m},
+		{"Q", 15 * m},
+		{"D", 20 * m}, {"C", 20 * m}, {"P", 20 * m},
+		{"E", 30 * m}, {"Q", 30 * m}, {"P", 30 * m},
+		{"Q", 45 * m}, {"Q", time.Hour},
+	}
+	if !reflect.DeepEqual(got, pinned) {
+		t.Fatalf("Every log:\n%v\nwant:\n%v", got, pinned)
+	}
+}
+
+// TestSimulatedEveryFixedDelay pins that each run is timed from when the
+// previous one returned: a run that advances the clock itself pushes
+// the next one back.
+func TestSimulatedEveryFixedDelay(t *testing.T) {
+	c := NewSimulated(epoch)
+	var at []time.Duration
+	c.Every(10*time.Minute, func() {
+		at = append(at, c.Now().Sub(epoch))
+		if len(at) == 1 {
+			c.Advance(3 * time.Minute)
+		}
+	})
+	c.Advance(30 * time.Minute)
+	want := []time.Duration{10 * time.Minute, 23 * time.Minute}
+	if !reflect.DeepEqual(at, want) {
+		t.Fatalf("runs at %v, want %v", at, want)
+	}
+}
+
+func TestSimulatedEveryStopInsideCallback(t *testing.T) {
+	c := NewSimulated(epoch)
+	runs := 0
+	var stop func() bool
+	stop = c.Every(time.Minute, func() {
+		if runs++; runs == 3 && !stop() {
+			t.Error("stop() inside callback = false, want true")
+		}
+	})
+	c.Advance(10 * time.Minute)
+	if runs != 3 {
+		t.Fatalf("runs = %d, want 3", runs)
+	}
+	if got := c.PendingTimers(); got != 0 {
+		t.Fatalf("PendingTimers() = %d, want 0", got)
+	}
+}
+
+func TestRealEveryStopInsideCallback(t *testing.T) {
+	var mu sync.Mutex // guards stop and runs
+	var stop func() bool
+	runs := 0
+	done := make(chan struct{})
+	mu.Lock()
+	stop = NewReal().Every(time.Millisecond, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if runs++; runs == 3 {
+			if !stop() {
+				t.Error("stop() inside callback = false, want true")
+			}
+			close(done)
+		}
+	})
+	mu.Unlock()
 	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(2 * time.Second):
-		t.Fatal("Real.After never fired")
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Real.Every did not run three times")
+	}
+	// A run after stop would have to come within a few periods.
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if runs != 3 {
+		t.Fatalf("runs = %d after stop inside the third, want 3", runs)
+	}
+}
+
+func TestEveryStopReportsOnce(t *testing.T) {
+	for name, c := range map[string]Clock{"simulated": NewSimulated(epoch), "real": NewReal()} {
+		stop := c.Every(time.Hour, func() { t.Errorf("%s: stopped Every ran", name) })
+		if !stop() {
+			t.Errorf("%s: first stop() = false, want true", name)
+		}
+		if stop() {
+			t.Errorf("%s: second stop() = true, want false", name)
+		}
+	}
+}
+
+func TestEveryNonPositivePanics(t *testing.T) {
+	sim := NewSimulated(epoch)
+	for name, c := range map[string]Clock{"simulated": sim, "real": NewReal()} {
+		for _, d := range []time.Duration{0, -time.Second} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Every(%v) did not panic", name, d)
+					}
+				}()
+				c.Every(d, func() {})
+			}()
+		}
+	}
+	if got := sim.PendingTimers(); got != 0 {
+		t.Fatalf("PendingTimers() = %d after refused Every, want 0", got)
 	}
 }

@@ -16,6 +16,22 @@ func TestTickAllocs(t *testing.T) {
 	}
 }
 
+// TestLoopTickAllocs pins the idle control loop at zero allocations: a
+// tick through the clock reuses the loop's one timer entry.
+func TestLoopTickAllocs(t *testing.T) {
+	h := newWarmHarness(t)
+	h.lb.Start()
+	defer h.lb.Stop()
+	ticks := h.lb.Ticks()
+	allocs := testing.AllocsPerRun(100, func() { h.clk.Advance(h.lb.cfg.Interval) })
+	if h.lb.Ticks() == ticks {
+		t.Fatal("the loop did not tick")
+	}
+	if allocs != 0 {
+		t.Fatalf("idle loop tick allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestPlaceNowAllocs pins the broker's placement call, on every
 // session connect, at zero allocations.
 func TestPlaceNowAllocs(t *testing.T) {

@@ -233,31 +233,21 @@ func (lb *LB) Start() {
 		return
 	}
 	lb.running = true
-	lb.armLocked()
+	lb.stopTick = lb.cfg.Clock.Every(lb.cfg.Interval, lb.loopTick)
 }
 
-func (lb *LB) armLocked() {
-	lb.stopTick = lb.cfg.Clock.AfterFunc(lb.cfg.Interval, lb.loopTick)
-}
-
-// loopTick is the timer callback: it runs one Tick and re-arms, but only
-// while the loop is running. A callback already in flight when Stop is
-// called finds running false and does nothing, so no management action
-// (or recorded event) can happen after Stop returns.
+// loopTick is the timer callback: it runs one Tick, but only while the
+// loop is running. A callback already in flight when Stop is called
+// finds running false and does nothing, so no management action (or
+// recorded event) can happen after Stop returns.
 func (lb *LB) loopTick() {
 	lb.tickMu.Lock()
 	defer lb.tickMu.Unlock()
 	lb.mu.Lock()
-	if !lb.running {
-		lb.mu.Unlock()
-		return
-	}
+	running := lb.running
 	lb.mu.Unlock()
-	lb.Tick()
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if lb.running {
-		lb.armLocked()
+	if running {
+		lb.Tick()
 	}
 }
 
@@ -265,11 +255,10 @@ func (lb *LB) loopTick() {
 // loop is still executing and none will start.
 func (lb *LB) Stop() {
 	lb.mu.Lock()
-	lb.running = false
-	if lb.stopTick != nil {
+	if lb.running {
 		lb.stopTick()
-		lb.stopTick = nil
 	}
+	lb.running = false
 	lb.mu.Unlock()
 	// Drain any in-flight loop tick before returning.
 	lb.tickMu.Lock()

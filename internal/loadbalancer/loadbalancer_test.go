@@ -296,7 +296,7 @@ func TestStopGatesInFlightTick(t *testing.T) {
 	h.lb.Start()
 	h.lb.Stop()
 	ticks, events := h.lb.Ticks(), len(h.lb.Events())
-	// Invoke the timer callback directly, standing in for an AfterFunc
+	// Invoke the timer callback directly, standing in for an Every run
 	// that fired just before Stop cancelled the timer.
 	h.lb.loopTick()
 	if h.lb.Ticks() != ticks {

@@ -272,14 +272,35 @@ func TestLiveConnCapPreUpgrade(t *testing.T) {
 	if _, err := ws.Dial(url); err == nil {
 		t.Fatal("second dial succeeded past the connection cap")
 	}
-	// The pre-upgrade shed is observable as plain HTTP.
-	resp := f.doRaw(t, http.MethodGet, "/ws/live?topics=sensors", "")
+	// The pre-upgrade shed of a valid handshake is observable as plain
+	// HTTP.
+	req, err := http.NewRequest(http.MethodGet, f.srv.URL+"/ws/live?topics=sensors", nil)
+	if err != nil {
+		t.Fatalf("NewRequest: %v", err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "websocket")
+	req.Header.Set("Sec-WebSocket-Version", "13")
+	req.Header.Set("Sec-WebSocket-Key", "dGhlIHNhbXBsZSBub25jZQ==")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /ws/live: %v", err)
+	}
 	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("capped upgrade without Retry-After")
+	}
+	// A request that is no handshake at all is refused as such even at
+	// the cap: no Retry-After promises that a retry could succeed.
+	resp = f.doRaw(t, http.MethodGet, "/ws/live?topics=sensors", "")
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("header-less GET at the cap = %d, Retry-After %q; want 400, none",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
 	// Ending the connection frees the slot (release runs as the handler

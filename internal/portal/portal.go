@@ -632,6 +632,10 @@ func (p *Portal) liveSocket(w http.ResponseWriter, r *http.Request) {
 		rest.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// Refuse a request that is no handshake before it takes a slot.
+	if ws.CheckHandshake(w, r) != nil {
+		return
+	}
 	// Connection cap, enforced before the upgrade hijacks the socket: a
 	// full portal answers plain HTTP 503 + Retry-After, never a
 	// half-done handshake.

@@ -235,7 +235,7 @@ type Network struct {
 	shards  map[string]*shard
 	order   []string
 	running bool
-	stops   map[string]func() bool // sensor ID → its pending sample timer
+	stops   []func() bool // one sampling timer per sensor while running
 	// newest is the most recent reading across the whole network,
 	// maintained on ingest so "what time is it, by the data?" queries
 	// (the portal's now-fallback on every series/fusion request) are O(1)
@@ -264,7 +264,6 @@ func NewNetwork(clk clock.Clock, reg *metrics.Registry) (*Network, error) {
 		reg:     reg,
 		sensors: make(map[string]Sensor),
 		shards:  make(map[string]*shard),
-		stops:   make(map[string]func() bool),
 		seriesQueries: reg.Counter("evop_sensor_series_queries_total",
 			"Zero-copy series window views served."),
 		aggQueries: reg.Counter("evop_sensor_aggregate_queries_total",
@@ -353,36 +352,19 @@ func (n *Network) Start() {
 		return
 	}
 	n.running = true
+	// Add refuses while the network runs, so each sensor's definition
+	// and shard are fixed for the life of its timer.
 	for _, id := range n.order {
-		n.armLocked(id)
+		s, sh := n.sensors[id], n.shards[id]
+		n.stops = append(n.stops, n.clk.Every(s.Interval, func() {
+			now := n.clk.Now()
+			var v float64
+			if s.Kind != Webcam {
+				v = s.Driver(now)
+			}
+			n.record(s, sh, now, v)
+		}))
 	}
-}
-
-func (n *Network) armLocked(id string) {
-	s := n.sensors[id]
-	stop := n.clk.AfterFunc(s.Interval, func() {
-		n.sample(id)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.running {
-			n.armLocked(id)
-		}
-	})
-	n.stops[id] = stop
-}
-
-// sample takes one reading for a sensor and fans it out.
-func (n *Network) sample(id string) {
-	s, sh, err := n.shardOf(id)
-	if err != nil {
-		return
-	}
-	now := n.clk.Now()
-	var v float64
-	if s.Kind != Webcam {
-		v = s.Driver(now)
-	}
-	n.record(s, sh, now, v)
 }
 
 // record files one reading of s at time at in its shard and fans it out;
@@ -483,7 +465,7 @@ func (n *Network) Stop() {
 	for _, stop := range n.stops {
 		stop()
 	}
-	clear(n.stops)
+	n.stops = nil
 	old := n.hub
 	n.hub = push.NewHub[Reading](n.reg, "sensors")
 	n.mu.Unlock()

@@ -26,36 +26,45 @@ func acceptKey(clientKey string) string {
 // connections.
 var connSeq atomic.Int64
 
+// CheckHandshake checks the opening handshake's method and headers, as
+// Upgrade does first; on failure it writes the refusal and returns ErrHandshake.
+func CheckHandshake(w http.ResponseWriter, r *http.Request) error {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		return refuse(w, http.StatusMethodNotAllowed, "websocket handshake requires GET")
+	}
+	if !headerContainsToken(r.Header, "Connection", "upgrade") {
+		return refuse(w, http.StatusBadRequest, "missing Connection: Upgrade")
+	}
+	if !headerContainsToken(r.Header, "Upgrade", "websocket") {
+		return refuse(w, http.StatusBadRequest, "missing Upgrade: websocket")
+	}
+	if v := r.Header.Get("Sec-WebSocket-Version"); v != "13" {
+		return refuse(w, http.StatusBadRequest, "unsupported websocket version")
+	}
+	if r.Header.Get("Sec-WebSocket-Key") == "" {
+		return refuse(w, http.StatusBadRequest, "missing Sec-WebSocket-Key")
+	}
+	return nil
+}
+
+// refuse writes a plain-text HTTP error and returns it as ErrHandshake.
+func refuse(w http.ResponseWriter, code int, why string) error {
+	http.Error(w, why, code)
+	return fmt.Errorf("%s: %w", why, ErrHandshake)
+}
+
 // Upgrade performs the server side of the opening handshake on an
 // incoming HTTP request and returns the established connection. On
 // failure it writes the appropriate HTTP error to w and returns
 // ErrHandshake.
 func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
-	fail := func(code int, why string) (*Conn, error) {
-		http.Error(w, why, code)
-		return nil, fmt.Errorf("%s: %w", why, ErrHandshake)
+	if err := CheckHandshake(w, r); err != nil {
+		return nil, err
 	}
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		return fail(http.StatusMethodNotAllowed, "websocket handshake requires GET")
-	}
-	if !headerContainsToken(r.Header, "Connection", "upgrade") {
-		return fail(http.StatusBadRequest, "missing Connection: Upgrade")
-	}
-	if !headerContainsToken(r.Header, "Upgrade", "websocket") {
-		return fail(http.StatusBadRequest, "missing Upgrade: websocket")
-	}
-	if v := r.Header.Get("Sec-WebSocket-Version"); v != "13" {
-		return fail(http.StatusBadRequest, "unsupported websocket version")
-	}
-	key := r.Header.Get("Sec-WebSocket-Key")
-	if key == "" {
-		return fail(http.StatusBadRequest, "missing Sec-WebSocket-Key")
-	}
-
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		return fail(http.StatusInternalServerError, "response writer cannot hijack")
+		return nil, refuse(w, http.StatusInternalServerError, "response writer cannot hijack")
 	}
 	nc, brw, err := hj.Hijack()
 	if err != nil {
@@ -64,7 +73,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n"
+		"Sec-WebSocket-Accept: " + acceptKey(r.Header.Get("Sec-WebSocket-Key")) + "\r\n\r\n"
 	if _, err := brw.WriteString(resp); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("writing handshake response: %w", err)

@@ -13,7 +13,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 count=${1:-20}
-pkgs='./internal/sched ./internal/runcache ./internal/ogc/wps ./internal/workflow
+pkgs='./internal/clock ./internal/admission ./internal/sched ./internal/runcache ./internal/ogc/wps ./internal/workflow
 ./internal/push ./internal/sensor ./internal/broker ./internal/portal ./internal/ws
 ./internal/hydro/fuse ./internal/hydro/topmodel ./internal/hydro/calibrate
 ./internal/loadbalancer ./internal/cloud/...'
