@@ -13,6 +13,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -130,6 +131,61 @@ func BenchmarkTOPMODELYearFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTOPMODELSlider measures one portal slider run: a 120-day
+// hourly TOPMODEL simulation through Run on one of the three LEFT
+// catchments' standard forcing records, with M, LnTe, SRMax and TD drawn
+// from the model-explore sliders' ranges. The op cycles through 60
+// seeded runs, 20 per catchment.
+func BenchmarkTOPMODELSlider(b *testing.B) {
+	cfg := core.DefaultConfig(clock.NewSimulated(benchStart))
+	cfg.ForcingDays = 120
+	o, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(o.Stop)
+	type run struct {
+		m *topmodel.Model
+		f hydro.Forcing
+	}
+	var runs []run
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		for _, id := range []string{"morland", "tarland", "machynlleth"} {
+			c, ok := o.Catchments.Get(id)
+			if !ok {
+				b.Fatalf("%s missing", id)
+			}
+			ti, err := c.TopoIndexDistribution()
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := o.Forcing(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := topmodel.DefaultParams()
+			p.M = 10 + 40*rng.Float64()
+			p.LnTe = 4 + 3*rng.Float64()
+			p.SRMax = 20 + 40*rng.Float64()
+			p.TD = 0.5 + 4*rng.Float64()
+			m, err := topmodel.New(p, ti)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs = append(runs, run{m, f})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := runs[i%len(runs)]
+		if _, err := r.m.Run(r.f); err != nil {
 			b.Fatal(err)
 		}
 	}

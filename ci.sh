@@ -70,6 +70,12 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|Every|Rearm|Stop' \
 	./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
 	./internal/admission ./internal/sched ./internal/clock ./internal/sensor
+# Kernel-identity tier: the model kernels against their references and
+# fresh scratch, concurrent runs, the golden sweeps and the input
+# validators, under race on one and two CPUs, twice — a kernel change
+# must keep every output bit for bit.
+go test -race -count=2 -cpu 1,2 -run 'MatchesReference|FreshScratch|Concurrent|Golden|Validate' \
+	./internal/hydro/... ./internal/catchment ./internal/core
 # Fuzz smoke tier: run every fuzzer briefly on fresh mutations — catches
 # parser regressions the seeded corpus alone would miss. The fuzzer list
 # lives in tools/fuzz.sh, which `make fuzz` runs too.

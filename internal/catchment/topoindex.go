@@ -166,21 +166,32 @@ func (f *FlowField) TIDistribution(nBins int) (*TIDistribution, error) {
 	return dist, nil
 }
 
-// Validate checks internal consistency of the distribution.
+// Validate checks internal consistency of the distribution: finite,
+// ascending values, finite non-negative fractions summing to 1, and a
+// finite mean. TOPMODEL's step loop relies on the values' order, which
+// a NaN would break unseen, since it compares false both ways.
 func (d *TIDistribution) Validate() error {
 	if len(d.Values) == 0 || len(d.Values) != len(d.Fractions) {
 		return fmt.Errorf("catchment: TI distribution has %d values, %d fractions: %w",
 			len(d.Values), len(d.Fractions), ErrBadGrid)
 	}
+	if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) {
+		return fmt.Errorf("catchment: TI mean %v not finite: %w", d.Mean, ErrBadGrid)
+	}
 	sum := 0.0
 	for i, f := range d.Fractions {
-		if f < 0 {
+		v := d.Values[i]
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("catchment: TI value %v at bin %d not finite: %w", v, i, ErrBadGrid)
+		case math.IsNaN(f) || math.IsInf(f, 0):
+			return fmt.Errorf("catchment: fraction %v at bin %d not finite: %w", f, i, ErrBadGrid)
+		case f < 0:
 			return fmt.Errorf("catchment: negative fraction at bin %d: %w", i, ErrBadGrid)
-		}
-		sum += f
-		if i > 0 && d.Values[i] < d.Values[i-1] {
+		case i > 0 && v < d.Values[i-1]:
 			return fmt.Errorf("catchment: TI values not ascending at bin %d: %w", i, ErrBadGrid)
 		}
+		sum += f
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("catchment: fractions sum to %v, want 1: %w", sum, ErrBadGrid)

@@ -119,6 +119,7 @@ func TestTIDistribution(t *testing.T) {
 }
 
 func TestTIDistributionValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name string
 		d    TIDistribution
@@ -128,11 +129,20 @@ func TestTIDistributionValidate(t *testing.T) {
 		{"negative fraction", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{-0.5, 1.5}}},
 		{"not ascending", TIDistribution{Values: []float64{2, 1}, Fractions: []float64{0.5, 0.5}}},
 		{"sum not one", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{0.4, 0.4}}},
+		// NaN compares false both ways, so an order check alone passes it.
+		{"NaN value", TIDistribution{Values: []float64{3, nan, 1}, Fractions: []float64{0.25, 0.5, 0.25}}},
+		{"NaN first value", TIDistribution{Values: []float64{nan, 1, 2}, Fractions: []float64{0.25, 0.5, 0.25}}},
+		{"+Inf value", TIDistribution{Values: []float64{1, inf}, Fractions: []float64{0.5, 0.5}}},
+		{"-Inf value", TIDistribution{Values: []float64{-inf, 1}, Fractions: []float64{0.5, 0.5}}},
+		{"NaN fraction", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{nan, 1}}},
+		{"+Inf fraction", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{inf, 0}}},
+		{"NaN mean", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{0.5, 0.5}, Mean: nan}},
+		{"+Inf mean", TIDistribution{Values: []float64{1, 2}, Fractions: []float64{0.5, 0.5}, Mean: inf}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.d.Validate(); err == nil {
-				t.Fatal("want error")
+			if err := tc.d.Validate(); !errors.Is(err, ErrBadGrid) {
+				t.Fatalf("Validate = %v, want ErrBadGrid", err)
 			}
 		})
 	}

@@ -154,8 +154,13 @@ type Output struct {
 // is ready to use and grows lazily on first run; a scratch must not be
 // shared between concurrent runs.
 type scratch struct {
-	suz []float64 // unsaturated storage per TI class
-	off []float64 // precomputed local-deficit offsets M*(lambda-Values[i])
+	// Per-bin state over the TI classes with a non-zero fraction, in
+	// ascending-index order; a zero-fraction class never stores water
+	// or adds to a flux, so the kernel leaves it out.
+	suz    []float64 // unsaturated storage
+	off    []float64 // local-deficit offsets M*(lambda-Values[i]), non-increasing
+	frac   []float64 // area fractions
+	satSum []float64 // satSum[c] = frac[c]+...+frac[k-1], added left to right from +0
 
 	qTotal, qBase, qOver, satFrac, aet, discharge *timeseries.Series
 	out                                           Output
@@ -199,7 +204,6 @@ func (m *Model) runDetailed(f hydro.Forcing, sc *scratch) (*Output, error) {
 	}
 	p := m.params
 	lambda := m.ti.Mean
-	nBins := len(m.ti.Values)
 	n := f.Len()
 	start, step := f.Rain.Start(), f.Rain.Step()
 
@@ -229,24 +233,50 @@ func (m *Model) runDetailed(f hydro.Forcing, sc *scratch) (*Output, error) {
 		sbar = 0
 	}
 	srz := p.SR0 // root zone deficit
-	sc.suz = renewFloats(sc.suz, nBins)
-	sc.off = renewFloats(sc.off, nBins)
-	suz, off := sc.suz, sc.off
-	// The local-deficit offset of each TI class is constant for the whole
-	// run; hoist it out of the time loop (it was recomputed every step).
-	for i := 0; i < nBins; i++ {
-		off[i] = p.M * (lambda - m.ti.Values[i])
+	// Compact the classes with a non-zero fraction once per run, and
+	// hoist each one's local-deficit offset out of the time loop.
+	off, frac := sc.off[:0], sc.frac[:0]
+	for i, fr := range fractions {
+		if fr != 0 {
+			off = append(off, p.M*(lambda-m.ti.Values[i]))
+			frac = append(frac, fr)
+		}
+	}
+	k := len(frac)
+	sc.off, sc.frac = off, frac
+	sc.suz = renewFloats(sc.suz, k)
+	sc.satSum = renewFloats(sc.satSum, k+1)
+	suz, satSum := sc.suz, sc.satSum
+	// A step's saturated fraction sums frac over its saturated suffix in
+	// index order, so each suffix's sum is fixed for the run.
+	for c := range k {
+		for _, fr := range frac[c:] {
+			satSum[c] += fr
+		}
 	}
 
+	// storage walks every class, zero-fraction ones included, so the
+	// balance adds the same terms in the same order as a dense kernel.
 	storage := func() float64 {
 		s := -sbar - srz
-		for i, u := range suz {
-			s += u * fractions[i]
+		j := 0
+		for _, fr := range fractions {
+			var u float64
+			if fr != 0 {
+				u = suz[j]
+				j++
+			}
+			s += u * fr
 		}
 		return s
 	}
 	s0 := storage()
 
+	// Values ascend (Validate), so off does not increase, and neither
+	// does sbar+off[i]: the saturated classes (sbar+off[i] <= 0) are the
+	// suffix [cut, k). cut carries over from the last step. Every class
+	// from clean up holds no storage.
+	var cut, clean int
 	var rainIn, etOut, flowOut float64
 	for t := 0; t < n; t++ {
 		rainT := rain[t]
@@ -276,40 +306,50 @@ func (m *Model) runDetailed(f hydro.Forcing, sc *scratch) (*Output, error) {
 		// Baseflow from the exponential saturated store.
 		qb := szq * math.Exp(-sbar/p.M)
 
+		// Move the cut to this step's sbar. The negated test sends a NaN
+		// sbar to "nothing saturated".
+		for cut < k && !(sbar+off[cut] <= 0) {
+			cut++
+		}
+		for cut > 0 && sbar+off[cut-1] <= 0 {
+			cut--
+		}
+
 		// Distribute excess over TI classes; generate overland flow and
-		// recharge.
-		var qof, qv, sat float64
-		for i := 0; i < nBins; i++ {
-			frac := fractions[i]
-			if frac == 0 {
-				continue
-			}
+		// recharge. The unsaturated prefix runs first, so qof adds its
+		// terms in index order.
+		var qof, qv float64
+		for i := 0; i < cut; i++ {
 			// Local deficit for this index class.
 			si := sbar + off[i]
-			if si < 0 {
-				si = 0
-			}
-			suz[i] += excess
-			if si <= 0 {
-				// Saturated: everything runs off.
-				qof += frac * suz[i]
-				sat += frac
-				suz[i] = 0
-				continue
-			}
-			if suz[i] > si {
+			u := suz[i] + excess
+			if u > si {
 				// Storage above the local deficit spills as overland flow.
-				qof += frac * (suz[i] - si)
-				suz[i] = si
+				qof += frac[i] * (u - si)
+				u = si
 			}
 			// Gravity drainage to the water table.
-			quz := suz[i] / (si * p.TD)
-			if quz > suz[i] {
-				quz = suz[i]
+			quz := u / (si * p.TD)
+			if quz > u {
+				quz = u
 			}
-			suz[i] -= quz
-			qv += frac * quz
+			suz[i] = u - quz
+			qv += frac[i] * quz
 		}
+		// Saturated: everything runs off. On a dry step a class from
+		// clean up would add frac*(0+0) = +0, which leaves qof as it is
+		// (qof starts at +0 and so is never -0), so only the newly
+		// saturated classes [cut, clean) run.
+		end := k
+		if excess == 0 {
+			end = clean
+		}
+		for i := cut; i < end; i++ {
+			qof += frac[i] * (suz[i] + excess)
+			suz[i] = 0
+		}
+		clean = cut
+		sat := satSum[cut]
 
 		// Update the mean deficit; a negative deficit means the whole
 		// catchment is saturated and the surplus leaves as overland flow.
