@@ -51,6 +51,18 @@ if grep -nE '\.Method *[!=]=|[!=]= *[A-Za-z_.]*\.Method\b|switch [A-Za-z_.]*\.Me
 	echo 'ci: internal/portal checks methods only in routes.go, from the route table' >&2
 	exit 1
 fi
+# Grep lint: goroutines start only at their owners (DESIGN.md §13):
+# the pool's workers, the run cache's flight, the portal's socket
+# readers and server, and the WPS Drain waiter. Every other fan-out runs
+# on the shared pool (sched.ForEach / sched.Map).
+if grep -rnE '(^|[[:space:];{}])go +(func\b|[A-Za-z_][A-Za-z0-9_.]*\()' --include='*.go' internal cmd |
+	grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//' \
+		-e '^internal/sched/sched\.go:' -e '^internal/runcache/runcache\.go:' \
+		-e '^internal/portal/portal\.go:' -e '^internal/portal/serve\.go:' \
+		-e '^internal/ogc/wps/wps\.go:'; then
+	echo 'ci: start goroutines only in the owner files DESIGN.md §13 lists; fan out on the sched pool' >&2
+	exit 1
+fi
 # Grep lint: no config field only tests turn — every exported field of
 # an internal …Config/…Options/…Spec struct is set by a production
 # caller outside its declaring file (allowlist in the script).

@@ -20,6 +20,7 @@ import (
 	"evop/internal/hydro/pet"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/scenario"
+	"evop/internal/sched"
 	"evop/internal/timeseries"
 	"evop/internal/weather"
 	"evop/internal/workflow"
@@ -43,8 +44,13 @@ func run() error {
 	}
 	start := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 
-	w := workflow.New("tarland-scenario-study")
-	nodes := []workflow.Node{
+	pool, err := sched.New(sched.Config{})
+	if err != nil {
+		return err
+	}
+	defer pool.Close()
+	w := workflow.New[any]("tarland-scenario-study", pool)
+	nodes := []workflow.Node[any]{
 		{ID: "rain", Run: func(context.Context, map[string]any) (any, error) {
 			gen, err := weather.NewGenerator(weather.UKUplandClimate(), c.ClimateSeed)
 			if err != nil {
@@ -68,8 +74,7 @@ func run() error {
 		}},
 	}
 	for _, scID := range []string{scenario.Baseline, scenario.Afforestation, scenario.Compaction} {
-		scID := scID
-		nodes = append(nodes, workflow.Node{
+		nodes = append(nodes, workflow.Node[any]{
 			ID: "run-" + scID, Deps: []string{"rain", "pet"},
 			Run: func(_ context.Context, in map[string]any) (any, error) {
 				rain := in["rain"].(*timeseries.Series)
@@ -86,7 +91,7 @@ func run() error {
 			},
 		})
 	}
-	nodes = append(nodes, workflow.Node{
+	nodes = append(nodes, workflow.Node[any]{
 		ID:   "compare",
 		Deps: []string{"run-baseline", "run-afforestation", "run-compaction"},
 		Run: func(_ context.Context, in map[string]any) (any, error) {

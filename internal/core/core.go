@@ -337,7 +337,7 @@ func New(cfg Config) (*Observatory, error) {
 	// Workflow composition over the same processes, plus a statistics
 	// process so hydrographs can flow between nodes. WPS does not offer
 	// hydrostats.
-	o.Workflows = workflow.NewService()
+	o.Workflows = workflow.NewService(o.Sched)
 	for _, proc := range append(models, hydroStatsProcess{}) {
 		if err := o.Workflows.RegisterProcess(proc); err != nil {
 			return nil, fmt.Errorf("registering workflow process %s: %w", proc.Identifier(), err)

@@ -377,8 +377,13 @@ func E12Workflow() (*Table, error) {
 		return nil, err
 	}
 
-	w := workflow.New("storm-impact-study")
-	steps := []workflow.Node{
+	pool, err := sched.New(sched.Config{})
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
+	w := workflow.New[any]("storm-impact-study", pool)
+	steps := []workflow.Node[any]{
 		{ID: "forcing", Run: func(context.Context, map[string]any) (any, error) {
 			return forcing, nil
 		}},
@@ -448,7 +453,7 @@ func E12Workflow() (*Table, error) {
 	return t, nil
 }
 
-func runScenarioNode(ti *catchment.TIDistribution, scenarioID string) workflow.Runner {
+func runScenarioNode(ti *catchment.TIDistribution, scenarioID string) workflow.Runner[any] {
 	return func(_ context.Context, in map[string]any) (any, error) {
 		f, ok := in["forcing"].(hydro.Forcing)
 		if !ok {

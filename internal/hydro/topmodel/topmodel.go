@@ -75,20 +75,22 @@ func DefaultParams() Params {
 // without refusing a routing any real run would use.
 const maxRouteBaseSteps = 366 * 24
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges: M, SRMax, TD and Q0 are finite and
+// positive, LnTe is finite (large finite values stay legal) and SR0 lies
+// in [0, SRMax].
 func (p Params) Validate() error {
 	switch {
-	case p.M <= 0 || math.IsNaN(p.M):
+	case !positive(p.M):
 		return fmt.Errorf("M=%v: %w", p.M, ErrBadParams)
-	case math.IsNaN(p.LnTe):
+	case math.IsNaN(p.LnTe) || math.IsInf(p.LnTe, 0):
 		return fmt.Errorf("LnTe=%v: %w", p.LnTe, ErrBadParams)
-	case p.SRMax <= 0:
+	case !positive(p.SRMax):
 		return fmt.Errorf("SRMax=%v: %w", p.SRMax, ErrBadParams)
-	case p.SR0 < 0 || p.SR0 > p.SRMax:
+	case !(p.SR0 >= 0 && p.SR0 <= p.SRMax):
 		return fmt.Errorf("SR0=%v outside [0, SRMax=%v]: %w", p.SR0, p.SRMax, ErrBadParams)
-	case p.TD <= 0:
+	case !positive(p.TD):
 		return fmt.Errorf("TD=%v: %w", p.TD, ErrBadParams)
-	case p.Q0 <= 0:
+	case !positive(p.Q0):
 		return fmt.Errorf("Q0=%v: %w", p.Q0, ErrBadParams)
 	case p.RoutePeakSteps < 1 || p.RouteBaseSteps <= p.RoutePeakSteps:
 		return fmt.Errorf("routing tp=%d base=%d: %w", p.RoutePeakSteps, p.RouteBaseSteps, ErrBadParams)
@@ -97,6 +99,9 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// positive reports whether v is finite and above zero.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Model is a configured TOPMODEL instance for one catchment.
 type Model struct {

@@ -53,6 +53,13 @@ func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
+	for _, lnTe := range []float64{750, -700} { // finite extremes stay legal
+		p := DefaultParams()
+		p.LnTe = lnTe
+		if err := p.Validate(); err != nil {
+			t.Fatalf("LnTe=%v invalid: %v", lnTe, err)
+		}
+	}
 	atCap := DefaultParams()
 	atCap.RouteBaseSteps = maxRouteBaseSteps
 	if err := atCap.Validate(); err != nil {
@@ -64,12 +71,23 @@ func TestParamsValidate(t *testing.T) {
 	}{
 		{"M zero", func(p *Params) { p.M = 0 }},
 		{"M NaN", func(p *Params) { p.M = math.NaN() }},
+		{"M +Inf", func(p *Params) { p.M = math.Inf(1) }},
 		{"LnTe NaN", func(p *Params) { p.LnTe = math.NaN() }},
+		{"LnTe +Inf", func(p *Params) { p.LnTe = math.Inf(1) }},
+		{"LnTe -Inf", func(p *Params) { p.LnTe = math.Inf(-1) }},
 		{"SRMax zero", func(p *Params) { p.SRMax = 0 }},
+		{"SRMax NaN", func(p *Params) { p.SRMax = math.NaN() }},
+		{"SRMax +Inf", func(p *Params) { p.SRMax = math.Inf(1) }},
 		{"SR0 negative", func(p *Params) { p.SR0 = -1 }},
 		{"SR0 above SRMax", func(p *Params) { p.SR0 = p.SRMax + 1 }},
+		{"SR0 NaN", func(p *Params) { p.SR0 = math.NaN() }},
 		{"TD zero", func(p *Params) { p.TD = 0 }},
+		{"TD NaN", func(p *Params) { p.TD = math.NaN() }},
+		{"TD +Inf", func(p *Params) { p.TD = math.Inf(1) }},
 		{"Q0 zero", func(p *Params) { p.Q0 = 0 }},
+		{"Q0 NaN", func(p *Params) { p.Q0 = math.NaN() }},
+		{"Q0 +Inf", func(p *Params) { p.Q0 = math.Inf(1) }},
+		{"LnTe and Q0 +Inf", func(p *Params) { p.LnTe, p.Q0 = 750, math.Inf(1) }},
 		{"routing degenerate", func(p *Params) { p.RouteBaseSteps = p.RoutePeakSteps }},
 		{"routing base above cap", func(p *Params) { p.RouteBaseSteps = maxRouteBaseSteps + 1 }},
 		{"routing base 4e9", func(p *Params) { p.RouteBaseSteps = 4_000_000_000 }},

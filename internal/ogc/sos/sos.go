@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -174,7 +175,21 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.insertObservation(w, r)
 		return
 	}
-	q := r.URL.Query()
+	s.serveKVP(w, r)
+}
+
+// serveKVP answers the KVP GET binding, outside the stack frame every
+// InsertObservation passes through. Parameter names are case-insensitive
+// (OGC KVP); of several spellings of one name, the greatest in byte
+// order, the lower-case one, is read.
+func (s *Service) serveKVP(w http.ResponseWriter, r *http.Request) {
+	raw := r.URL.Query()
+	q, spelling := make(url.Values, len(raw)), make(map[string]string, len(raw))
+	for k, v := range raw {
+		if lk := strings.ToLower(k); k > spelling[lk] {
+			q[lk], spelling[lk] = v, k
+		}
+	}
 	if !strings.EqualFold(q.Get("service"), "SOS") {
 		writeException(w, http.StatusBadRequest, "InvalidParameterValue", "service must be SOS")
 		return

@@ -163,6 +163,45 @@ func TestBadServiceAndRequest(t *testing.T) {
 	}
 }
 
+// TestKVPNamesCaseInsensitive pins OWS Common 1.1.0 §11.5.2 on the GET
+// binding: parameter names match whatever their case, so upper- and
+// mixed-case requests reach the same operations as lower-case ones.
+func TestKVPNamesCaseInsensitive(t *testing.T) {
+	srv, _ := testService(t)
+	tests := []struct {
+		query, want string
+	}{
+		{"SERVICE=SOS&REQUEST=GetCapabilities", "sos:Capabilities"},
+		{"Service=SOS&Request=GetCapabilities", "sos:Capabilities"},
+		{"SERVICE=SOS&REQUEST=DescribeSensor&PROCEDURE=morland-turb-1", "sml:SensorML"},
+		{"service=SOS&Request=DescribeSensor&Procedure=morland-turb-1", "sml:SensorML"},
+		{"SERVICE=SOS&REQUEST=GetObservation&PROCEDURE=morland-level-1", "om:ObservationCollection"},
+		{"Service=SOS&Request=GetObservation&Procedure=morland-rain-1&From=" +
+			epoch.Add(time.Hour).Format(time.RFC3339) + "&TO=" + epoch.Add(2*time.Hour).Format(time.RFC3339),
+			"<om:samplingTime>"},
+	}
+	for _, tc := range tests {
+		code, body := get(t, srv.URL+"?"+tc.query)
+		if code != http.StatusOK || !strings.Contains(body, tc.want) {
+			t.Errorf("?%s = %d, want 200 with %q:\n%s", tc.query, code, tc.want, body[:min(len(body), 300)])
+		}
+	}
+	// A name in two spellings answers the same on every request: the
+	// all-lower-case spelling is read first.
+	for i := 0; i < 20; i++ {
+		if code, body := get(t, srv.URL+"?service=SOS&SERVICE=WPS&request=GetCapabilities"); code != http.StatusOK {
+			t.Fatalf("try %d: mixed spellings = %d:\n%s", i, code, body)
+		}
+	}
+	// The explicit window still applies under upper-case names: one
+	// hourly rain observation in [1h, 2h).
+	_, body := get(t, srv.URL+"?SERVICE=SOS&REQUEST=GetObservation&PROCEDURE=morland-rain-1&FROM="+
+		epoch.Add(time.Hour).Format(time.RFC3339)+"&TO="+epoch.Add(2*time.Hour).Format(time.RFC3339))
+	if got := strings.Count(body, "<om:samplingTime>"); got != 1 {
+		t.Fatalf("observations = %d, want 1\n%s", got, body)
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -7,7 +7,7 @@
 // per-workload pools. Before this package, each parallel workload either
 // grew its own ad-hoc pool (calibration), ran on one core (FUSE
 // ensembles, experiment sweeps) or spawned unbounded goroutines (WPS
-// async executions).
+// async executions, workflow waves).
 //
 // Design:
 //
@@ -16,8 +16,8 @@
 //     neighbours when empty, so an uneven batch balances itself.
 //   - Two priority classes aligned with the admission controller's
 //     ordering: ClassModel (interactive model runs) is always drained
-//     before ClassBulk (sweeps, async executions), whichever worker's
-//     queue holds it.
+//     before ClassBulk (sweeps, async executions, workflow waves),
+//     whichever worker's queue holds it.
 //   - The goroutine calling ForEach helps execute its own batch's chunks
 //     while it waits. Work submitted from inside a pool task therefore
 //     always makes progress, even on a single-worker pool — nested
@@ -66,7 +66,7 @@ const (
 	// ClassModel is interactive model execution (a user pressed "run").
 	ClassModel Class = iota
 	// ClassBulk is background batch work: calibration sweeps, national
-	// aggregations, WPS async executions.
+	// aggregations, WPS async executions, workflow waves.
 	ClassBulk
 	// numClasses is the number of priority classes.
 	numClasses = 2

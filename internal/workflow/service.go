@@ -12,6 +12,7 @@ import (
 
 	"evop/internal/ogc/wps"
 	"evop/internal/rest"
+	"evop/internal/sched"
 )
 
 // This file exposes workflow composition over HTTP, completing the
@@ -60,12 +61,18 @@ type Definition struct {
 //	GET  /workflows/<id>            fetch a run (outputs + trace)
 //	POST /workflows/<id>/replay     re-execute and verify reproducibility
 type Service struct {
+	pool      *sched.Pool
 	mu        sync.Mutex
 	processes map[string]wps.Process
 	seq       int
 	runs      map[string]*Run
-	order     []string
+	order     []string // IDs of the retained runs, oldest first
 }
+
+// retainedRuns is how many runs stay stored. A new run beyond it
+// forgets the oldest, releasing the output series it pins; a forgotten
+// run is unknown to GET and replay.
+const retainedRuns = 1024
 
 var _ http.Handler = (*Service)(nil)
 
@@ -86,9 +93,11 @@ type Run struct {
 	Replays int `json:"replays"`
 }
 
-// NewService returns an empty workflow service.
-func NewService() *Service {
+// NewService returns an empty workflow service whose workflow waves run
+// on pool; a nil pool runs them inline.
+func NewService(pool *sched.Pool) *Service {
 	return &Service{
+		pool:      pool,
 		processes: make(map[string]wps.Process),
 		runs:      make(map[string]*Run),
 	}
@@ -126,16 +135,15 @@ func parseRef(v string) (node, output string, ok bool) {
 }
 
 // build translates a Definition into an executable Workflow.
-func (s *Service) build(def Definition) (*Workflow, error) {
+func (s *Service) build(def Definition) (*Workflow[map[string]wps.Value], error) {
 	if def.Name == "" {
 		return nil, fmt.Errorf("workflow needs a name: %w", ErrBadDefinition)
 	}
 	if len(def.Nodes) == 0 {
 		return nil, fmt.Errorf("workflow %q has no nodes: %w", def.Name, ErrBadDefinition)
 	}
-	w := New(def.Name)
+	w := New[map[string]wps.Value](def.Name, s.pool)
 	for _, nd := range def.Nodes {
-		nd := nd
 		s.mu.Lock()
 		proc, ok := s.processes[nd.Process]
 		s.mu.Unlock()
@@ -155,10 +163,10 @@ func (s *Service) build(def Definition) (*Workflow, error) {
 		for d := range deps {
 			depList = append(depList, d)
 		}
-		node := Node{
+		node := Node[map[string]wps.Value]{
 			ID:   nd.ID,
 			Deps: depList,
-			Run: func(ctx context.Context, upstream map[string]any) (any, error) {
+			Run: func(ctx context.Context, upstream map[string]map[string]wps.Value) (map[string]wps.Value, error) {
 				inputs := make(map[string]wps.Value, len(nd.Inputs))
 				for k, v := range nd.Inputs {
 					refNode, refOut, ok := parseRef(v)
@@ -166,11 +174,7 @@ func (s *Service) build(def Definition) (*Workflow, error) {
 						inputs[k] = wps.Literal(v)
 						continue
 					}
-					outs, ok := upstream[refNode].(map[string]wps.Value)
-					if !ok {
-						return nil, fmt.Errorf("reference %s: node %s produced no outputs", v, refNode)
-					}
-					val, ok := outs[refOut]
+					val, ok := upstream[refNode][refOut]
 					if !ok {
 						return nil, fmt.Errorf("reference %s: no output %q", v, refOut)
 					}
@@ -196,22 +200,14 @@ func (s *Service) Execute(ctx context.Context, def Definition) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &Run{
-		Definition: def,
-		Outputs:    make(map[string]map[string]wps.Value, len(res.Outputs)),
-		Trace:      res.Trace,
-		Waves:      res.Waves,
-	}
-	for id, v := range res.Outputs {
-		outs, ok := v.(map[string]wps.Value)
-		if !ok {
-			return nil, fmt.Errorf("node %s produced %T, want map[string]wps.Value: %w", id, v, ErrBadDefinition)
-		}
-		run.Outputs[id] = outs
-	}
+	run := &Run{Definition: def, Outputs: res.Outputs, Trace: res.Trace, Waves: res.Waves}
 	s.mu.Lock()
 	s.seq++
 	run.ID = "wf" + strconv.Itoa(s.seq)
+	if len(s.order) == retainedRuns {
+		delete(s.runs, s.order[0])
+		s.order = s.order[1:]
+	}
 	s.runs[run.ID] = run
 	s.order = append(s.order, run.ID)
 	s.mu.Unlock()
@@ -230,7 +226,7 @@ func (s *Service) Replay(ctx context.Context, runID string) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.Replay(ctx, &Result{Trace: run.Trace}); err != nil {
+	if _, err := w.Replay(ctx, &Result[map[string]wps.Value]{Trace: run.Trace}); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -239,7 +235,7 @@ func (s *Service) Replay(ctx context.Context, runID string) (*Run, error) {
 	return run, nil
 }
 
-// Runs lists stored runs in execution order.
+// Runs lists the retained runs in execution order.
 func (s *Service) Runs() []*Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -45,7 +45,7 @@ func (p funcProcess) Execute(ctx context.Context, in map[string]wps.Value) (map[
 // testService registers simple arithmetic processes.
 func testService(t *testing.T) *Service {
 	t.Helper()
-	s := NewService()
+	s := NewService(testPool(t, 2))
 	mustRegister := func(name string, fn func(context.Context, map[string]string) (map[string]string, error)) {
 		t.Helper()
 		if err := s.RegisterProcess(funcProcess{name, fn}); err != nil {
@@ -89,7 +89,7 @@ func pipelineDef() Definition {
 }
 
 func TestRegisterProcessValidation(t *testing.T) {
-	s := NewService()
+	s := NewService(nil)
 	ok := func(context.Context, map[string]string) (map[string]string, error) { return nil, nil }
 	for _, p := range []wps.Process{nil, funcProcess{"", ok}} {
 		if err := s.RegisterProcess(p); !errors.Is(err, ErrBadDefinition) {
@@ -177,7 +177,7 @@ func TestReplayStoredRun(t *testing.T) {
 }
 
 func TestReplayDetectsNondeterministicProcess(t *testing.T) {
-	s := NewService()
+	s := NewService(nil)
 	var n atomic.Int64
 	s.RegisterProcess(funcProcess{"flaky", func(context.Context, map[string]string) (map[string]string, error) {
 		return map[string]string{"v": strconv.FormatInt(n.Add(1), 10)}, nil
@@ -374,5 +374,37 @@ func TestHTTPBodies(t *testing.T) {
 			t.Errorf("%s %s = %d %q %s, want %d application/json %s",
 				tc.method, tc.target, w.Code, w.Header().Get("Content-Type"), w.Body.String(), tc.status, tc.want)
 		}
+	}
+}
+
+// TestRunHistoryBounded pins the run retention: past retainedRuns, each
+// new run forgets the oldest, which then answers GET 404 and replay 400
+// as an unknown ID does, while the newest still replays.
+func TestRunHistoryBounded(t *testing.T) {
+	s := testService(t)
+	def := Definition{Name: "c", Nodes: []NodeDef{{ID: "x", Process: "const", Inputs: map[string]string{"value": "1"}}}}
+	const total = retainedRuns + 6
+	for i := 0; i < total; i++ {
+		if _, err := s.Execute(context.Background(), def); err != nil {
+			t.Fatalf("Execute %d: %v", i, err)
+		}
+	}
+	runs := s.Runs()
+	if len(runs) != retainedRuns || runs[0].ID != "wf7" || runs[len(runs)-1].ID != "wf"+strconv.Itoa(total) {
+		t.Fatalf("Runs() = %d runs, %s to %s; want %d, wf7 to wf%d",
+			len(runs), runs[0].ID, runs[len(runs)-1].ID, retainedRuns, total)
+	}
+	for i := 1; i <= 6; i++ {
+		id := "wf" + strconv.Itoa(i)
+		if w := serve(s, http.MethodGet, "/workflows/"+id, ""); w.Code != http.StatusNotFound {
+			t.Errorf("GET evicted %s = %d, want 404", id, w.Code)
+		}
+		if w := serve(s, http.MethodPost, "/workflows/"+id+"/replay", ""); w.Code != http.StatusBadRequest {
+			t.Errorf("replay evicted %s = %d, want 400", id, w.Code)
+		}
+	}
+	newest := "wf" + strconv.Itoa(total)
+	if w := serve(s, http.MethodPost, "/workflows/"+newest+"/replay", ""); w.Code != http.StatusOK {
+		t.Fatalf("replay %s = %d %s", newest, w.Code, w.Body)
 	}
 }

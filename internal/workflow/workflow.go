@@ -4,10 +4,12 @@
 // 'advanced' users to create complex experiments that can be easily
 // tweaked and replayed, offering reproducibility and traceability."
 //
-// A Workflow is a DAG of named nodes; Execute runs nodes in parallel
-// topological order, feeding each node its dependencies' outputs, and
-// records a provenance trace. Replay re-executes from the trace and
-// verifies output fingerprints match — the reproducibility check.
+// A Workflow[T] is a DAG of named nodes with outputs of type T.
+// Validate layers it into waves; Execute runs each wave as one batch on
+// the shared compute pool (sched.Map), feeding each node its
+// dependencies' outputs, and records a provenance trace. Replay
+// re-executes from the trace and verifies output fingerprints match —
+// the reproducibility check.
 package workflow
 
 import (
@@ -16,11 +18,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"evop/internal/ogc/wps"
+	"evop/internal/sched"
 )
 
 // Common errors.
@@ -36,35 +39,37 @@ var (
 
 // Runner is one basic execution unit. It receives the outputs of its
 // dependencies keyed by node ID.
-type Runner func(ctx context.Context, inputs map[string]any) (any, error)
+type Runner[T any] func(ctx context.Context, inputs map[string]T) (T, error)
 
 // Node is one step in the DAG.
-type Node struct {
+type Node[T any] struct {
 	// ID names the node uniquely within the workflow.
 	ID string
 	// Deps are node IDs whose outputs this node consumes.
 	Deps []string
 	// Run executes the unit.
-	Run Runner
+	Run Runner[T]
 }
 
-// Workflow is a named DAG of nodes.
-type Workflow struct {
+// Workflow is a named DAG of nodes whose outputs are of type T.
+type Workflow[T any] struct {
 	name  string
-	nodes map[string]Node
+	pool  *sched.Pool
+	nodes map[string]Node[T]
 	order []string // insertion order, for stable reporting
 }
 
-// New returns an empty workflow.
-func New(name string) *Workflow {
-	return &Workflow{name: name, nodes: make(map[string]Node)}
+// New returns an empty workflow whose waves run on pool; a nil pool
+// runs each wave inline on the caller.
+func New[T any](name string, pool *sched.Pool) *Workflow[T] {
+	return &Workflow[T]{name: name, pool: pool, nodes: make(map[string]Node[T])}
 }
 
 // Name returns the workflow name.
-func (w *Workflow) Name() string { return w.name }
+func (w *Workflow[T]) Name() string { return w.name }
 
 // Add registers a node. Duplicate IDs and nil runners are errors.
-func (w *Workflow) Add(n Node) error {
+func (w *Workflow[T]) Add(n Node[T]) error {
 	if n.ID == "" {
 		return fmt.Errorf("empty node ID: %w", ErrBadGraph)
 	}
@@ -74,25 +79,28 @@ func (w *Workflow) Add(n Node) error {
 	if _, ok := w.nodes[n.ID]; ok {
 		return fmt.Errorf("duplicate node %s: %w", n.ID, ErrBadGraph)
 	}
-	deps := make([]string, len(n.Deps))
-	copy(deps, n.Deps)
-	n.Deps = deps
+	n.Deps = slices.Clone(n.Deps)
 	w.nodes[n.ID] = n
 	w.order = append(w.order, n.ID)
 	return nil
 }
 
 // Validate checks that all dependencies exist and the graph is acyclic,
-// returning a topological order.
-func (w *Workflow) Validate() ([]string, error) {
+// returning its waves: a layered Kahn pass puts each node one layer
+// below the deepest of its dependencies, and each wave is sorted by ID.
+func (w *Workflow[T]) Validate() ([][]string, error) {
 	if len(w.nodes) == 0 {
 		return nil, fmt.Errorf("empty workflow: %w", ErrBadGraph)
 	}
 	indeg := make(map[string]int, len(w.nodes))
 	dependents := make(map[string][]string, len(w.nodes))
+	var wave []string
 	for _, id := range w.order {
 		n := w.nodes[id]
 		indeg[id] = len(n.Deps)
+		if len(n.Deps) == 0 {
+			wave = append(wave, id)
+		}
 		for _, d := range n.Deps {
 			if _, ok := w.nodes[d]; !ok {
 				return nil, fmt.Errorf("node %s depends on missing %s: %w", id, d, ErrBadGraph)
@@ -100,30 +108,27 @@ func (w *Workflow) Validate() ([]string, error) {
 			dependents[d] = append(dependents[d], id)
 		}
 	}
-	// Kahn's algorithm with deterministic tie-breaking.
-	var ready []string
-	for _, id := range w.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	var topo []string
-	for len(ready) > 0 {
-		sort.Strings(ready)
-		id := ready[0]
-		ready = ready[1:]
-		topo = append(topo, id)
-		for _, dep := range dependents[id] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
+	var waves [][]string
+	placed := 0
+	for len(wave) > 0 {
+		sort.Strings(wave)
+		waves = append(waves, wave)
+		placed += len(wave)
+		var next []string
+		for _, id := range wave {
+			for _, dep := range dependents[id] {
+				indeg[dep]--
+				if indeg[dep] == 0 {
+					next = append(next, dep)
+				}
 			}
 		}
+		wave = next
 	}
-	if len(topo) != len(w.nodes) {
+	if placed != len(w.nodes) {
 		return nil, fmt.Errorf("cycle detected: %w", ErrBadGraph)
 	}
-	return topo, nil
+	return waves, nil
 }
 
 // TraceEntry is one node's provenance record.
@@ -139,98 +144,64 @@ type TraceEntry struct {
 }
 
 // Result is a completed execution with provenance.
-type Result struct {
+type Result[T any] struct {
 	// Outputs maps node ID to its output value.
-	Outputs map[string]any
-	// Trace is the provenance record in topological order.
+	Outputs map[string]T
+	// Trace is the provenance record, by wave then node ID.
 	Trace []TraceEntry
 	// Waves is the number of parallel waves executed (the DAG's depth).
 	Waves int
 }
 
-// Execute runs the workflow: each "wave" of nodes whose dependencies are
-// satisfied runs concurrently. The first node error cancels the run.
-func (w *Workflow) Execute(ctx context.Context) (*Result, error) {
-	topo, err := w.Validate()
+// Execute runs the workflow one wave at a time, each wave's nodes as
+// one bulk-class batch on the pool: at most the pool's workers and the
+// calling goroutine run nodes at once. A node error cancels the wave's
+// nodes that have not started, and the lowest-index failure seen is
+// returned.
+func (w *Workflow[T]) Execute(ctx context.Context) (*Result[T], error) {
+	waves, err := w.Validate()
 	if err != nil {
 		return nil, err
 	}
-	// Group the topological order into waves by dependency depth.
-	depth := make(map[string]int, len(topo))
-	maxDepth := 0
-	for _, id := range topo {
-		d := 0
-		for _, dep := range w.nodes[id].Deps {
-			if depth[dep]+1 > d {
-				d = depth[dep] + 1
-			}
-		}
-		depth[id] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	waves := make([][]string, maxDepth+1)
-	for _, id := range topo {
-		waves[depth[id]] = append(waves[depth[id]], id)
-	}
-
-	res := &Result{Outputs: make(map[string]any, len(topo)), Waves: len(waves)}
-	var mu sync.Mutex
+	res := &Result[T]{Outputs: make(map[string]T, len(w.nodes)), Waves: len(waves)}
 	for wi, wave := range waves {
-		if err := ctx.Err(); err != nil {
+		// Outputs change only between waves, so the tasks read them
+		// without a lock.
+		outs := make([]T, len(wave))
+		trace, err := sched.Map(ctx, w.pool, sched.ClassBulk, len(wave), func(i int) (TraceEntry, error) {
+			n := w.nodes[wave[i]]
+			inputs := make(map[string]T, len(n.Deps))
+			for _, d := range n.Deps {
+				inputs[d] = res.Outputs[d]
+			}
+			out, err := n.Run(ctx, inputs)
+			if err != nil {
+				return TraceEntry{}, fmt.Errorf("node %s: %v: %w", n.ID, err, ErrNodeFailed)
+			}
+			outs[i] = out
+			deps := append([]string{}, n.Deps...) // [] in the JSON trace, not null
+			sort.Strings(deps)
+			return TraceEntry{Node: n.ID, Wave: wi, Inputs: deps, Fingerprint: Fingerprint(out)}, nil
+		})
+		switch {
+		case errors.Is(err, ErrNodeFailed):
+			return nil, err
+		case err != nil:
+			// Map checks ctx before the wave starts and after it ends.
 			return nil, fmt.Errorf("workflow %s cancelled: %w", w.name, err)
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(wave))
 		for i, id := range wave {
-			wg.Add(1)
-			go func(i int, id string) {
-				defer wg.Done()
-				n := w.nodes[id]
-				inputs := make(map[string]any, len(n.Deps))
-				mu.Lock()
-				for _, d := range n.Deps {
-					inputs[d] = res.Outputs[d]
-				}
-				mu.Unlock()
-				out, err := n.Run(ctx, inputs)
-				if err != nil {
-					errs[i] = fmt.Errorf("node %s: %v: %w", id, err, ErrNodeFailed)
-					return
-				}
-				deps := make([]string, len(n.Deps))
-				copy(deps, n.Deps)
-				sort.Strings(deps)
-				mu.Lock()
-				res.Outputs[id] = out
-				res.Trace = append(res.Trace, TraceEntry{
-					Node: id, Wave: wi, Inputs: deps, Fingerprint: Fingerprint(out),
-				})
-				mu.Unlock()
-			}(i, id)
+			res.Outputs[id] = outs[i]
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		res.Trace = append(res.Trace, trace...)
 	}
-	// Stable trace ordering: by wave then node ID.
-	sort.Slice(res.Trace, func(i, j int) bool {
-		if res.Trace[i].Wave != res.Trace[j].Wave {
-			return res.Trace[i].Wave < res.Trace[j].Wave
-		}
-		return res.Trace[i].Node < res.Trace[j].Node
-	})
 	return res, nil
 }
 
 // Replay re-executes the workflow and verifies every node reproduces the
 // fingerprint recorded in the reference trace. It returns the new result
 // on success and ErrNotReproducible on any divergence.
-func (w *Workflow) Replay(ctx context.Context, reference *Result) (*Result, error) {
+func (w *Workflow[T]) Replay(ctx context.Context, reference *Result[T]) (*Result[T], error) {
 	if reference == nil {
 		return nil, fmt.Errorf("nil reference: %w", ErrBadGraph)
 	}

@@ -3,24 +3,45 @@ package workflow
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"evop/internal/sched"
 )
 
-func constNode(id string, v any, deps ...string) Node {
-	return Node{ID: id, Deps: deps, Run: func(context.Context, map[string]any) (any, error) {
+func constNode(id string, v any, deps ...string) Node[any] {
+	return Node[any]{ID: id, Deps: deps, Run: func(context.Context, map[string]any) (any, error) {
 		return v, nil
 	}}
 }
 
+// testPool returns a pool of the given width, closed when the test ends.
+func testPool(t *testing.T, workers int) *sched.Pool {
+	t.Helper()
+	p, err := sched.New(sched.Config{Workers: workers})
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+// newWorkflow returns an empty workflow of untyped outputs on a
+// 2-worker pool.
+func newWorkflow(t *testing.T, name string) *Workflow[any] {
+	return New[any](name, testPool(t, 2))
+}
+
 func TestAddValidation(t *testing.T) {
-	w := New("t")
-	if err := w.Add(Node{ID: "", Run: constNode("x", 1).Run}); !errors.Is(err, ErrBadGraph) {
+	w := newWorkflow(t, "t")
+	if err := w.Add(Node[any]{ID: "", Run: constNode("x", 1).Run}); !errors.Is(err, ErrBadGraph) {
 		t.Fatalf("empty ID err = %v", err)
 	}
-	if err := w.Add(Node{ID: "a"}); !errors.Is(err, ErrBadGraph) {
+	if err := w.Add(Node[any]{ID: "a"}); !errors.Is(err, ErrBadGraph) {
 		t.Fatalf("nil runner err = %v", err)
 	}
 	if err := w.Add(constNode("a", 1)); err != nil {
@@ -32,18 +53,18 @@ func TestAddValidation(t *testing.T) {
 }
 
 func TestValidateGraphErrors(t *testing.T) {
-	empty := New("empty")
+	empty := newWorkflow(t, "empty")
 	if _, err := empty.Validate(); !errors.Is(err, ErrBadGraph) {
 		t.Fatalf("empty err = %v", err)
 	}
 
-	missing := New("missing")
+	missing := newWorkflow(t, "missing")
 	missing.Add(constNode("a", 1, "ghost"))
 	if _, err := missing.Validate(); !errors.Is(err, ErrBadGraph) {
 		t.Fatalf("missing dep err = %v", err)
 	}
 
-	cyclic := New("cyclic")
+	cyclic := newWorkflow(t, "cyclic")
 	cyclic.Add(constNode("a", 1, "b"))
 	cyclic.Add(constNode("b", 1, "a"))
 	if _, err := cyclic.Validate(); !errors.Is(err, ErrBadGraph) {
@@ -51,40 +72,55 @@ func TestValidateGraphErrors(t *testing.T) {
 	}
 }
 
+// TestValidateTopologicalOrder pins the waves: each node one layer
+// below its deepest dependency, each wave sorted by ID — also where a
+// global ID order would interleave the layers (b before y).
 func TestValidateTopologicalOrder(t *testing.T) {
-	w := New("diamond")
-	w.Add(constNode("d", 4, "b", "c"))
-	w.Add(constNode("b", 2, "a"))
-	w.Add(constNode("c", 3, "a"))
-	w.Add(constNode("a", 1))
-	topo, err := w.Validate()
-	if err != nil {
-		t.Fatalf("Validate: %v", err)
+	tests := []struct {
+		name  string
+		nodes []Node[any]
+		want  [][]string
+	}{
+		{"diamond", []Node[any]{
+			constNode("d", 4, "b", "c"), constNode("b", 2, "a"), constNode("c", 3, "a"), constNode("a", 1),
+		}, [][]string{{"a"}, {"b", "c"}, {"d"}}},
+		{"layers against ID order", []Node[any]{
+			constNode("x", 1), constNode("y", 2), constNode("b", 3, "x"), constNode("a", 4, "y"),
+		}, [][]string{{"x", "y"}, {"a", "b"}}},
+		{"uneven depths", []Node[any]{
+			constNode("c", 1, "a", "b"), constNode("b", 2, "a"), constNode("a", 3), constNode("z", 4),
+		}, [][]string{{"a", "z"}, {"b"}, {"c"}}},
 	}
-	pos := make(map[string]int, len(topo))
-	for i, id := range topo {
-		pos[id] = i
-	}
-	for _, pair := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}} {
-		if pos[pair[0]] >= pos[pair[1]] {
-			t.Fatalf("topo order violates %s < %s: %v", pair[0], pair[1], topo)
+	for _, tc := range tests {
+		w := newWorkflow(t, "topo")
+		for _, n := range tc.nodes {
+			if err := w.Add(n); err != nil {
+				t.Fatalf("%s: Add: %v", tc.name, err)
+			}
+		}
+		waves, err := w.Validate()
+		if err != nil {
+			t.Fatalf("%s: Validate: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(waves, tc.want) {
+			t.Errorf("%s: waves = %v, want %v", tc.name, waves, tc.want)
 		}
 	}
 }
 
 func TestExecuteDataflow(t *testing.T) {
 	// rain -> double -> plus third input -> sum
-	w := New("pipeline")
-	w.Add(Node{ID: "rain", Run: func(context.Context, map[string]any) (any, error) {
+	w := newWorkflow(t, "pipeline")
+	w.Add(Node[any]{ID: "rain", Run: func(context.Context, map[string]any) (any, error) {
 		return 10.0, nil
 	}})
-	w.Add(Node{ID: "double", Deps: []string{"rain"}, Run: func(_ context.Context, in map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "double", Deps: []string{"rain"}, Run: func(_ context.Context, in map[string]any) (any, error) {
 		return in["rain"].(float64) * 2, nil
 	}})
-	w.Add(Node{ID: "offset", Run: func(context.Context, map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "offset", Run: func(context.Context, map[string]any) (any, error) {
 		return 5.0, nil
 	}})
-	w.Add(Node{ID: "sum", Deps: []string{"double", "offset"}, Run: func(_ context.Context, in map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "sum", Deps: []string{"double", "offset"}, Run: func(_ context.Context, in map[string]any) (any, error) {
 		return in["double"].(float64) + in["offset"].(float64), nil
 	}})
 
@@ -116,9 +152,10 @@ func TestExecuteDataflow(t *testing.T) {
 }
 
 func TestExecuteParallelWave(t *testing.T) {
-	// Independent nodes in the same wave run concurrently: with a
-	// 2-node wave where each waits for the other, serial execution would
-	// deadlock; concurrent execution finishes.
+	// Independent nodes in the same wave run concurrently up to the
+	// pool's width: with a 2-node wave where each waits for the other,
+	// serial execution would deadlock, while the one worker and the
+	// helping caller meet at the barrier.
 	var entered sync.WaitGroup
 	entered.Add(2)
 	barrier := make(chan struct{})
@@ -126,8 +163,8 @@ func TestExecuteParallelWave(t *testing.T) {
 		entered.Wait()
 		close(barrier)
 	}()
-	mk := func(id string) Node {
-		return Node{ID: id, Run: func(ctx context.Context, _ map[string]any) (any, error) {
+	mk := func(id string) Node[any] {
+		return Node[any]{ID: id, Run: func(ctx context.Context, _ map[string]any) (any, error) {
 			entered.Done()
 			select {
 			case <-barrier:
@@ -137,7 +174,7 @@ func TestExecuteParallelWave(t *testing.T) {
 			}
 		}}
 	}
-	w := New("par")
+	w := New[any]("par", testPool(t, 1))
 	w.Add(mk("a"))
 	w.Add(mk("b"))
 	if _, err := w.Execute(context.Background()); err != nil {
@@ -145,14 +182,43 @@ func TestExecuteParallelWave(t *testing.T) {
 	}
 }
 
+// TestExecuteBoundedConcurrency pins the fan-out to the pool: a
+// 64-node wave on a 2-worker pool never runs more nodes at once than
+// the workers plus the calling goroutine.
+func TestExecuteBoundedConcurrency(t *testing.T) {
+	pool := testPool(t, 2)
+	w := New[int]("wide", pool)
+	var running, peak atomic.Int64
+	for i := range 64 {
+		w.Add(Node[int]{ID: "n" + strconv.Itoa(i), Run: func(context.Context, map[string]int) (int, error) {
+			now := running.Add(1)
+			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return i, nil
+		}})
+	}
+	res, err := w.Execute(context.Background())
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if res.Waves != 1 || len(res.Trace) != 64 {
+		t.Fatalf("waves = %d, trace = %d entries; want 1 and 64", res.Waves, len(res.Trace))
+	}
+	if got, limit := peak.Load(), int64(pool.Workers()+1); got > limit {
+		t.Fatalf("%d nodes ran at once, want at most %d", got, limit)
+	}
+}
+
 func TestExecuteNodeFailure(t *testing.T) {
-	w := New("fail")
+	w := newWorkflow(t, "fail")
 	w.Add(constNode("ok", 1))
-	w.Add(Node{ID: "bad", Deps: []string{"ok"}, Run: func(context.Context, map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "bad", Deps: []string{"ok"}, Run: func(context.Context, map[string]any) (any, error) {
 		return nil, errors.New("boom")
 	}})
 	var downstreamRan atomic.Bool
-	w.Add(Node{ID: "after", Deps: []string{"bad"}, Run: func(context.Context, map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "after", Deps: []string{"bad"}, Run: func(context.Context, map[string]any) (any, error) {
 		downstreamRan.Store(true)
 		return 1, nil
 	}})
@@ -167,12 +233,12 @@ func TestExecuteNodeFailure(t *testing.T) {
 
 func TestExecuteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	w := New("cancel")
-	w.Add(Node{ID: "first", Run: func(context.Context, map[string]any) (any, error) {
+	w := newWorkflow(t, "cancel")
+	w.Add(Node[any]{ID: "first", Run: func(context.Context, map[string]any) (any, error) {
 		cancel()
 		return 1, nil
 	}})
-	w.Add(Node{ID: "second", Deps: []string{"first"}, Run: func(context.Context, map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "second", Deps: []string{"first"}, Run: func(context.Context, map[string]any) (any, error) {
 		return 2, nil
 	}})
 	if _, err := w.Execute(ctx); !errors.Is(err, context.Canceled) {
@@ -181,9 +247,9 @@ func TestExecuteCancellation(t *testing.T) {
 }
 
 func TestReplayReproducible(t *testing.T) {
-	w := New("repro")
+	w := newWorkflow(t, "repro")
 	w.Add(constNode("a", 42))
-	w.Add(Node{ID: "b", Deps: []string{"a"}, Run: func(_ context.Context, in map[string]any) (any, error) {
+	w.Add(Node[any]{ID: "b", Deps: []string{"a"}, Run: func(_ context.Context, in map[string]any) (any, error) {
 		return in["a"].(int) * 2, nil
 	}})
 	ref, err := w.Execute(context.Background())
@@ -201,8 +267,8 @@ func TestReplayReproducible(t *testing.T) {
 
 func TestReplayDetectsNondeterminism(t *testing.T) {
 	var counter atomic.Int64
-	w := New("flaky")
-	w.Add(Node{ID: "n", Run: func(context.Context, map[string]any) (any, error) {
+	w := newWorkflow(t, "flaky")
+	w.Add(Node[any]{ID: "n", Run: func(context.Context, map[string]any) (any, error) {
 		return counter.Add(1), nil // different output each run
 	}})
 	ref, err := w.Execute(context.Background())
@@ -218,9 +284,9 @@ func TestReplayDetectsNondeterminism(t *testing.T) {
 }
 
 func TestReplayDetectsMissingNode(t *testing.T) {
-	w := New("w")
+	w := newWorkflow(t, "w")
 	w.Add(constNode("a", 1))
-	ref := &Result{Trace: []TraceEntry{{Node: "other", Fingerprint: "x"}}}
+	ref := &Result[any]{Trace: []TraceEntry{{Node: "other", Fingerprint: "x"}}}
 	if _, err := w.Replay(context.Background(), ref); !errors.Is(err, ErrNotReproducible) {
 		t.Fatalf("err = %v", err)
 	}
