@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fuzz lint-metrics
+.PHONY: build test check bench fuzz lint
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,9 @@ test:
 check:
 	./ci.sh
 
-# lint-metrics forbids raw atomic counters and hand-built *Metrics
-# snapshot structs outside internal/metrics — operational numbers belong
-# in the unified registry, whose snapshot both /metrics views render.
-lint-metrics:
-	./tools/lint-metrics.sh
+# lint runs ci.sh's type-checked lint (tools/lint) on its own.
+lint:
+	$(GO) run ./tools/lint
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -54,7 +54,7 @@ func run() error {
 		res.VolumeMM, cfg.ForcingDays, res.RunoffRatio)
 
 	// ASCII hydrograph for the 48 hours around the storm.
-	stormTime := cfg.Start.Add(15 * 24 * time.Hour)
+	stormTime := res.Discharge.Start().Add(15 * 24 * time.Hour)
 	window, err := res.Discharge.Slice(stormTime.Add(-6*time.Hour), stormTime.Add(42*time.Hour))
 	if err != nil {
 		return fmt.Errorf("slicing hydrograph: %w", err)

@@ -362,13 +362,6 @@ func (c *Controller) RetryHint() time.Duration { return c.cfg.RetryAfter }
 // LiveConnLimit is the configured /ws/live connection cap.
 func (c *Controller) LiveConnLimit() int { return c.cfg.LiveConnLimit }
 
-// Limit returns the current adaptive concurrency limit.
-func (c *Controller) Limit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.limit)
-}
-
 // limitFor is class cl's slot ceiling under the current limit.
 func (c *Controller) limitFor(cl Class) int {
 	return int(c.limit * classFraction[cl])

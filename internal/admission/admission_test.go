@@ -39,6 +39,13 @@ func (c *Controller) Adapt() {
 	c.mu.Unlock()
 }
 
+// Limit returns the current adaptive concurrency limit.
+func (c *Controller) Limit() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int(c.limit)
+}
+
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -28,7 +28,6 @@ type Catchment struct {
 
 	once sync.Once
 	dem  *DEM
-	flow *FlowField
 	ti   *TIDistribution
 	err  error
 }
@@ -52,7 +51,7 @@ func (c *Catchment) derive() {
 			c.err = fmt.Errorf("binning TI for %s: %w", c.ID, err)
 			return
 		}
-		c.dem, c.flow, c.ti = dem, flow, ti
+		c.dem, c.ti = dem, ti
 	})
 }
 
@@ -60,12 +59,6 @@ func (c *Catchment) derive() {
 func (c *Catchment) DEM() (*DEM, error) {
 	c.derive()
 	return c.dem, c.err
-}
-
-// Flow returns the catchment's D8 flow field.
-func (c *Catchment) Flow() (*FlowField, error) {
-	c.derive()
-	return c.flow, c.err
 }
 
 // TopoIndexDistribution returns the catchment's binned ln(a/tanB)

@@ -43,13 +43,6 @@ func TestCatchmentDerivedProducts(t *testing.T) {
 	if dem.Rows() != c.Terrain.Rows {
 		t.Fatalf("DEM rows = %d", dem.Rows())
 	}
-	flow, err := c.Flow()
-	if err != nil {
-		t.Fatalf("Flow: %v", err)
-	}
-	if flow == nil {
-		t.Fatal("Flow = nil")
-	}
 	ti, err := c.TopoIndexDistribution()
 	if err != nil {
 		t.Fatalf("TopoIndexDistribution: %v", err)

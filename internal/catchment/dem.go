@@ -57,11 +57,6 @@ func (d *DEM) Cols() int { return d.cols }
 // CellAreaM2 returns the area of one grid cell in square metres.
 func (d *DEM) CellAreaM2() float64 { return d.cellSize * d.cellSize }
 
-// AreaKM2 returns the total grid area in square kilometres.
-func (d *DEM) AreaKM2() float64 {
-	return float64(d.rows*d.cols) * d.CellAreaM2() / 1e6
-}
-
 func (d *DEM) idx(r, c int) int { return r*d.cols + c }
 
 // InBounds reports whether (r,c) is a valid cell.
@@ -75,14 +70,6 @@ func (d *DEM) Elevation(r, c int) (float64, error) {
 		return 0, fmt.Errorf("cell (%d,%d): %w", r, c, ErrOutOfBounds)
 	}
 	return d.elev[d.idx(r, c)], nil
-}
-
-// Clone returns a deep copy of the DEM.
-func (d *DEM) Clone() *DEM {
-	cp := *d
-	cp.elev = make([]float64, len(d.elev))
-	copy(cp.elev, d.elev)
-	return &cp
 }
 
 // TerrainConfig parameterises the synthetic terrain generator.

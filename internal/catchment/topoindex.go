@@ -87,18 +87,6 @@ func ComputeFlow(d *DEM) (*FlowField, error) {
 	return f, nil
 }
 
-// Outlet returns the grid cell with the greatest flow accumulation — the
-// catchment outlet.
-func (f *FlowField) Outlet() (r, c int) {
-	best := 0
-	for i, a := range f.accum {
-		if a > f.accum[best] {
-			best = i
-		}
-	}
-	return best / f.dem.cols, best % f.dem.cols
-}
-
 // TopoIndex computes the per-cell topographic index ln(a / tanB), where a
 // is the specific upslope area (contributing area per unit contour width)
 // and tanB the local slope. This is the quantity TOPMODEL's storage-deficit

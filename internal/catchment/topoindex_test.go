@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// Outlet returns the grid cell with the greatest flow accumulation — the
+// catchment outlet.
+func (f *FlowField) Outlet() (r, c int) {
+	best := 0
+	for i, a := range f.accum {
+		if a > f.accum[best] {
+			best = i
+		}
+	}
+	return best / f.dem.cols, best % f.dem.cols
+}
+
 func drainedDEM(t *testing.T) *DEM {
 	t.Helper()
 	d, err := GenerateDEM(DefaultTerrain())

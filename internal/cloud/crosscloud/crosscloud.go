@@ -139,11 +139,12 @@ func newFailovers(reg *metrics.Registry) *metrics.Counter {
 
 // Multi is the cross-cloud compute façade.
 type Multi struct {
-	// providers is fixed after New, so it is read without a lock.
+	// providers and policy are fixed after New, so they are read
+	// without a lock.
 	providers []cloud.Provider
+	policy    Policy
 
-	mu     sync.RWMutex
-	policy Policy
+	mu sync.RWMutex
 	// breakers (one per provider, when enabled) gate launches and record
 	// control-plane outcomes; stats mirrors them with counters.
 	breakers  map[string]*resilience.Breaker
@@ -231,39 +232,14 @@ func (m *Multi) statsFor(name string) *providerStats {
 	return m.stats[name]
 }
 
-// SetPolicy swaps the placement policy at runtime — the interoperability
-// the paper calls out ("changing the scheduling policy ... proved quite
-// useful").
-func (m *Multi) SetPolicy(p Policy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p != nil {
-		m.policy = p
-	}
-}
-
 // Policy returns the active placement policy.
-func (m *Multi) Policy() Policy {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.policy
-}
+func (m *Multi) Policy() Policy { return m.policy }
 
 // Providers returns the registered providers.
 func (m *Multi) Providers() []cloud.Provider {
 	out := make([]cloud.Provider, len(m.providers))
 	copy(out, m.providers)
 	return out
-}
-
-// Provider returns a registered provider by name.
-func (m *Multi) Provider(name string) (cloud.Provider, error) {
-	for _, p := range m.providers {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("%q: %w", name, ErrUnknownProvider)
 }
 
 // Launch places a new instance according to the active policy, trying

@@ -114,24 +114,6 @@ func TestByImageKindFallsBack(t *testing.T) {
 	}
 }
 
-func TestSetPolicySwapsAtRuntime(t *testing.T) {
-	_, private, public := testClouds(t, 2)
-	m, _ := New(PrivateFirst{}, private, public)
-	first, _ := m.Launch(img(cloud.Streamlined), cloud.DefaultFlavor())
-	if first.Kind() != cloud.Private {
-		t.Fatal("private-first did not pick private")
-	}
-	m.SetPolicy(ByImageKind{})
-	second, _ := m.Launch(img(cloud.Streamlined), cloud.DefaultFlavor())
-	if second.Kind() != cloud.Public {
-		t.Fatal("policy swap had no effect")
-	}
-	m.SetPolicy(nil) // nil is ignored
-	if m.Policy().Name() != "by-image-kind" {
-		t.Fatal("nil SetPolicy overwrote the policy")
-	}
-}
-
 func TestLaunchExhausted(t *testing.T) {
 	_, private, _ := testClouds(t, 1)
 	m, _ := New(PrivateFirst{}, private)
@@ -168,13 +150,6 @@ func TestTerminateAcrossProviders(t *testing.T) {
 func TestProviderLookup(t *testing.T) {
 	_, private, public := testClouds(t, 1)
 	m, _ := New(nil, private, public)
-	p, err := m.Provider("aws")
-	if err != nil || p.Name() != "aws" {
-		t.Fatalf("Provider(aws) = %v, %v", p, err)
-	}
-	if _, err := m.Provider("azure"); !errors.Is(err, ErrUnknownProvider) {
-		t.Fatalf("unknown provider err = %v", err)
-	}
 	if got := len(m.Providers()); got != 2 {
 		t.Fatalf("Providers = %d", got)
 	}

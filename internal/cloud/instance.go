@@ -110,9 +110,6 @@ func (in *Instance) Addr() string { return in.addr }
 // Image returns the image the instance was launched from.
 func (in *Instance) Image() Image { return in.image }
 
-// Flavor returns the instance size.
-func (in *Instance) Flavor() Flavor { return in.flavor }
-
 // ProviderName returns the owning provider's name.
 func (in *Instance) ProviderName() string { return in.provider }
 

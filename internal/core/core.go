@@ -62,16 +62,15 @@ var (
 // runCacheSize bounds the model-run result cache (entries).
 const runCacheSize = 256
 
+// dataStart anchors the simulated data period (forcing, sensors).
+var dataStart = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
+
 // Config parameterises the observatory.
 type Config struct {
 	// Clock drives everything; required.
 	Clock clock.Clock
-	// Start anchors the simulated data period (forcing, sensors).
-	Start time.Time
 	// PrivateCapacity is the private cloud's instance limit.
 	PrivateCapacity int
-	// Flavor is the instance size used for model services.
-	Flavor cloud.Flavor
 	// LBInterval is the load balancer control period.
 	LBInterval time.Duration
 	// ForcingDays is the length of the standard forcing record each
@@ -93,9 +92,7 @@ type Config struct {
 func DefaultConfig(clk clock.Clock) Config {
 	return Config{
 		Clock:           clk,
-		Start:           time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC),
 		PrivateCapacity: 4,
-		Flavor:          cloud.DefaultFlavor(),
 		LBInterval:      10 * time.Second,
 		ForcingDays:     120,
 	}
@@ -106,12 +103,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Clock == nil:
 		return fmt.Errorf("nil clock: %w", ErrBadConfig)
-	case c.Start.IsZero():
-		return fmt.Errorf("zero start: %w", ErrBadConfig)
 	case c.PrivateCapacity < 1:
 		return fmt.Errorf("private capacity %d: %w", c.PrivateCapacity, ErrBadConfig)
-	case c.Flavor.MaxSessions < 1:
-		return fmt.Errorf("flavor sessions %d: %w", c.Flavor.MaxSessions, ErrBadConfig)
 	case c.LBInterval <= 0:
 		return fmt.Errorf("LB interval %v: %w", c.LBInterval, ErrBadConfig)
 	case c.ForcingDays < 2:
@@ -274,7 +267,7 @@ func New(cfg Config) (*Observatory, error) {
 		return nil, fmt.Errorf("building sensor network: %w", err)
 	}
 	for _, c := range o.Catchments.All() {
-		sensors, err := sensor.LEFTDeployment(cfg.Clock, c.ID, c.Outlet, c.ClimateSeed, cfg.Start)
+		sensors, err := sensor.LEFTDeployment(cfg.Clock, c.ID, c.Outlet, c.ClimateSeed, dataStart)
 		if err != nil {
 			return nil, fmt.Errorf("deploying sensors in %s: %w", c.ID, err)
 		}
@@ -314,7 +307,7 @@ func New(cfg Config) (*Observatory, error) {
 	}
 	o.LB, err = loadbalancer.New(loadbalancer.Config{
 		Multi: o.Multi, Broker: o.Broker, Clock: cfg.Clock,
-		Image: serviceImage, Flavor: cfg.Flavor, Interval: cfg.LBInterval,
+		Image: serviceImage, Flavor: cloud.DefaultFlavor(), Interval: cfg.LBInterval,
 		Metrics: reg,
 	})
 	if err != nil {
@@ -490,11 +483,11 @@ func (o *Observatory) Forcing(catchmentID string) (hydro.Forcing, error) {
 		return hydro.Forcing{}, fmt.Errorf("building generator: %w", err)
 	}
 	hours := o.cfg.ForcingDays * 24
-	rain, err := gen.Rainfall(o.cfg.Start, time.Hour, hours)
+	rain, err := gen.Rainfall(dataStart, time.Hour, hours)
 	if err != nil {
 		return hydro.Forcing{}, fmt.Errorf("generating rainfall: %w", err)
 	}
-	temp, err := gen.Temperature(o.cfg.Start, time.Hour, hours)
+	temp, err := gen.Temperature(dataStart, time.Hour, hours)
 	if err != nil {
 		return hydro.Forcing{}, fmt.Errorf("generating temperature: %w", err)
 	}
@@ -697,11 +690,12 @@ func (o *Observatory) RunModelCached(req RunRequest) (*RunResult, runcache.Outco
 // fallback (see StaleRun). A request checkRun refuses gets its error
 // before the run key is built.
 func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest) (*RunResult, runcache.Outcome, error) {
-	if err := o.checkRun(req); err != nil {
+	c, scn, err := o.checkRun(req)
+	if err != nil {
 		return nil, runcache.Miss, err
 	}
 	return o.runs.DoFamily(ctx, req.cacheKey(), req.familyKey(), func(ctx context.Context) (*RunResult, error) {
-		return o.runModel(ctx, req)
+		return o.runModel(ctx, req, c, scn)
 	})
 }
 
@@ -712,7 +706,7 @@ func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest)
 // circle further than a 503. A request checkRun refuses gets the error
 // RunModelCachedContext would return, not a stale run.
 func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool, error) {
-	if err := o.checkRun(req); err != nil {
+	if _, _, err := o.checkRun(req); err != nil {
 		return nil, false, err
 	}
 	res, ok := o.runs.Stale(req.familyKey())
@@ -723,12 +717,14 @@ func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool, error) {
 // itself would refuse: an hour count a time.Duration cannot hold, an
 // unknown catchment, scenario or model, an invalid design storm, and
 // TOPMODEL parameters that are invalid once the scenario adjusts them.
-func (o *Observatory) checkRun(req RunRequest) error {
+// It returns the catchment and scenario the request names.
+func (o *Observatory) checkRun(req RunRequest) (*catchment.Catchment, scenario.Scenario, error) {
 	if err := checkHours("stormAtHours", req.StormAtHours); err != nil {
-		return err
+		return nil, scenario.Scenario{}, err
 	}
-	if _, ok := o.Catchments.Get(req.CatchmentID); !ok {
-		return fmt.Errorf("catchment %q: %w", req.CatchmentID, ErrUnknownCatchment)
+	c, ok := o.Catchments.Get(req.CatchmentID)
+	if !ok {
+		return nil, scenario.Scenario{}, fmt.Errorf("catchment %q: %w", req.CatchmentID, ErrUnknownCatchment)
 	}
 	scnID := req.ScenarioID
 	if scnID == "" {
@@ -736,47 +732,36 @@ func (o *Observatory) checkRun(req RunRequest) error {
 	}
 	scn, err := scenario.Get(scnID)
 	if err != nil {
-		return err
+		return nil, scn, err
 	}
 	if req.Storm != nil {
 		if err := req.Storm.Validate(); err != nil {
-			return fmt.Errorf("injecting storm: %w", err)
+			return nil, scn, fmt.Errorf("injecting storm: %w", err)
 		}
 	}
 	switch req.Model {
 	case "topmodel":
 		if req.TOPMODELParams != nil {
-			return scn.ApplyTOPMODEL(*req.TOPMODELParams).Validate()
+			err = scn.ApplyTOPMODEL(*req.TOPMODELParams).Validate()
 		}
 	case "fuse":
 	default:
-		return fmt.Errorf("%q: %w", req.Model, ErrUnknownModel)
+		err = fmt.Errorf("%q: %w", req.Model, ErrUnknownModel)
 	}
-	return nil
+	return c, scn, err
 }
 
-// runModel is the uncached simulation behind RunModelCachedContext. Its
-// ctx is the flight's: detached from any single requester and canceled
-// only when no requester remains interested.
-func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult, error) {
+// runModel is the uncached simulation behind RunModelCachedContext, of
+// the catchment and scenario checkRun resolved. Its ctx is the flight's:
+// detached from any single requester and canceled only when no requester
+// remains interested.
+func (o *Observatory) runModel(ctx context.Context, req RunRequest, c *catchment.Catchment, scn scenario.Scenario) (*RunResult, error) {
 	start := time.Now()
 	defer func() { o.modelRunSeconds.RecordSince(start) }()
-	c, ok := o.Catchments.Get(req.CatchmentID)
-	if !ok {
-		return nil, fmt.Errorf("catchment %q: %w", req.CatchmentID, ErrUnknownCatchment)
-	}
 	// RunResult.DischargeM3S converts with this area on demand; refuse
 	// one it could not convert before paying for the simulation.
 	if !(c.AreaKM2 > 0) {
 		return nil, fmt.Errorf("catchment %q area %v km2: %w", req.CatchmentID, c.AreaKM2, hydro.ErrBadParam)
-	}
-	scnID := req.ScenarioID
-	if scnID == "" {
-		scnID = scenario.Baseline
-	}
-	scn, err := scenario.Get(scnID)
-	if err != nil {
-		return nil, err
 	}
 	forcing, err := o.Forcing(req.CatchmentID)
 	if err != nil {
@@ -796,7 +781,7 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult,
 		forcing = hydro.Forcing{Rain: aligned[0], PET: aligned[1]}
 	}
 	if req.Storm != nil {
-		at := o.cfg.Start.Add(time.Duration(req.StormAtHours) * time.Hour)
+		at := dataStart.Add(time.Duration(req.StormAtHours) * time.Hour)
 		rain, err := req.Storm.Inject(forcing.Rain, at)
 		if err != nil {
 			return nil, fmt.Errorf("injecting storm: %w", err)
@@ -851,8 +836,6 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult,
 			return nil, err
 		}
 		q = ens.Mean
-	default:
-		return nil, fmt.Errorf("%q: %w", req.Model, ErrUnknownModel)
 	}
 
 	st := q.Summarise()
@@ -874,11 +857,11 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult,
 		VolumeMM:    st.Sum,
 		RunoffRatio: ratio,
 		Model:       req.Model,
-		Scenario:    scnID,
+		Scenario:    scn.ID,
 		areaKM2:     c.AreaKM2,
 	}
 	if req.Storm != nil {
-		stormAt := o.cfg.Start.Add(time.Duration(req.StormAtHours) * time.Hour)
+		stormAt := dataStart.Add(time.Duration(req.StormAtHours) * time.Hour)
 		win, err := q.Slice(stormAt, stormAt.Add(48*time.Hour))
 		if err == nil && win.Len() > 0 {
 			wst := win.Summarise()

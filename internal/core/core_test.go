@@ -53,9 +53,7 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"nil clock", func(c *Config) { c.Clock = nil }},
-		{"zero start", func(c *Config) { c.Start = time.Time{} }},
 		{"no private capacity", func(c *Config) { c.PrivateCapacity = 0 }},
-		{"no sessions", func(c *Config) { c.Flavor.MaxSessions = 0 }},
 		{"no interval", func(c *Config) { c.LBInterval = 0 }},
 		{"short forcing", func(c *Config) { c.ForcingDays = 1 }},
 	}

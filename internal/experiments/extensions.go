@@ -76,7 +76,7 @@ func A1PlacementPolicy() (*Table, error) {
 		},
 		Notes: []string{
 			"private-first minimises cost; by-image-kind buys public isolation for production bundles",
-			"the policy is swappable at runtime (crosscloud.SetPolicy), as the paper required",
+			"the policy is a crosscloud.New argument: each run builds its façade with the policy under test",
 		},
 	}
 	for _, policy := range []crosscloud.Policy{crosscloud.PrivateFirst{}, crosscloud.ByImageKind{}} {

@@ -44,11 +44,6 @@ type BBox struct {
 	MaxLon float64 `json:"maxLon"`
 }
 
-// Contains reports whether p lies inside (or on the edge of) the box.
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat && p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
 // Center returns the box's midpoint.
 func (b BBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}

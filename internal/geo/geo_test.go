@@ -39,15 +39,6 @@ func TestNewPointValidation(t *testing.T) {
 
 func TestBBox(t *testing.T) {
 	b := BBox{MinLat: 54, MinLon: -3, MaxLat: 55, MaxLon: -2}
-	if !b.Contains(Point{54.5, -2.5}) {
-		t.Fatal("Contains(center) = false")
-	}
-	if !b.Contains(Point{54, -3}) {
-		t.Fatal("Contains(corner) = false")
-	}
-	if b.Contains(Point{53.9, -2.5}) {
-		t.Fatal("Contains(outside) = true")
-	}
 	c := b.Center()
 	if c.Lat != 54.5 || c.Lon != -2.5 {
 		t.Fatalf("Center = %v", c)
@@ -162,7 +153,8 @@ func TestBBoxContainsItsCenterProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		minLat, minLon := float64(a%80)-40, float64(b%170)-85
 		box := BBox{MinLat: minLat, MinLon: minLon, MaxLat: minLat + 5, MaxLon: minLon + 5}
-		return box.Contains(box.Center())
+		c := box.Center()
+		return c.Lat >= box.MinLat && c.Lat <= box.MaxLat && c.Lon >= box.MinLon && c.Lon <= box.MaxLon
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

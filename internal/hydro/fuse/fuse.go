@@ -255,12 +255,6 @@ func New(dec Decisions, params Params) (*Model, error) {
 // Name implements hydro.Model.
 func (m *Model) Name() string { return m.dec.String() }
 
-// Decisions returns the model's structural configuration.
-func (m *Model) Decisions() Decisions { return m.dec }
-
-// Params returns the model's parameters.
-func (m *Model) Params() Params { return m.params }
-
 // scratchPool recycles Run's simulation buffers across calls and
 // goroutines. A pooled scratch may hold a longer run's buffers; runInto
 // renews each one to the forcing's length first.

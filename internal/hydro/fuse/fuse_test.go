@@ -248,10 +248,10 @@ func TestRunRejectsBadForcing(t *testing.T) {
 func TestDecisionsAccessors(t *testing.T) {
 	d := baseDecisions()
 	m, _ := New(d, DefaultParams())
-	if m.Decisions() != d {
+	if m.dec != d {
 		t.Fatal("Decisions not preserved")
 	}
-	if m.Params().UZMax != DefaultParams().UZMax {
+	if m.params.UZMax != DefaultParams().UZMax {
 		t.Fatal("Params not preserved")
 	}
 }

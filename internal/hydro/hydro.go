@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"evop/internal/timeseries"
 )
@@ -66,9 +65,6 @@ func (f Forcing) Validate() error {
 
 // Len returns the number of forcing steps.
 func (f Forcing) Len() int { return f.Rain.Len() }
-
-// Step returns the forcing time step.
-func (f Forcing) Step() time.Duration { return f.Rain.Step() }
 
 // Model is a lumped rainfall-runoff model: given forcing it simulates
 // discharge in mm per step at the catchment outlet.

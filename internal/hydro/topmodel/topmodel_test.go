@@ -119,7 +119,7 @@ func TestNewValidation(t *testing.T) {
 	if m.Name() != "topmodel" {
 		t.Fatalf("Name = %q", m.Name())
 	}
-	if m.Params().M != DefaultParams().M {
+	if m.params.M != DefaultParams().M {
 		t.Fatal("Params not preserved")
 	}
 }

@@ -28,7 +28,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Record(uint64(i))
 	}
-	if h.Count() == 0 {
+	if h.Snapshot().Count == 0 {
 		b.Fatal("histogram did not record")
 	}
 }

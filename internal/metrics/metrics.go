@@ -116,15 +116,6 @@ func (h *Histogram) RecordSince(start time.Time) {
 	h.RecordDuration(time.Since(start))
 }
 
-// Count returns the number of observations (the sum of all buckets).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // Scale returns the divisor applied to raw units on exposition.
 func (h *Histogram) Scale() float64 {
 	if h.scale <= 0 {
@@ -244,11 +235,3 @@ func (s HistogramSnapshot) SumScaled() float64 { return float64(s.Sum) / s.Scale
 
 // MaxScaled returns the largest observation in scaled units.
 func (s HistogramSnapshot) MaxScaled() float64 { return float64(s.Max) / s.Scale() }
-
-// Mean returns the average observation in scaled units (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count) / s.Scale()
-}

@@ -269,7 +269,7 @@ func TestConcurrentRecordSnapshotInvariants(t *testing.T) {
 	if got := c.Value(); got != writers*perG {
 		t.Fatalf("counter = %d, want %d", got, writers*perG)
 	}
-	if got := h.Count(); got != writers*perG {
+	if got := h.Snapshot().Count; got != writers*perG {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perG)
 	}
 	hs := h.Snapshot()

@@ -23,13 +23,8 @@ import (
 	"evop/internal/cloud"
 )
 
-// Common errors.
-var (
-	// ErrNotFound indicates no matching image.
-	ErrNotFound = errors.New("modellib: image not found")
-	// ErrBadEntry indicates an invalid library entry.
-	ErrBadEntry = errors.New("modellib: invalid entry")
-)
+// ErrBadEntry indicates an invalid library entry.
+var ErrBadEntry = errors.New("modellib: invalid entry")
 
 // Entry is one published image plus its provenance.
 type Entry struct {
@@ -52,9 +47,6 @@ type Entry struct {
 	// Description is free text from the publishing specialist.
 	Description string `json:"description,omitempty"`
 }
-
-// key identifies a streamlined bundle lineage.
-func (e Entry) key() string { return e.ModelName + "@" + e.CatchmentID }
 
 // Library is the thread-safe image registry.
 type Library struct {
@@ -128,28 +120,6 @@ func (l *Library) PublishIncubator(name string, provisionDelay time.Duration, de
 	}
 	l.incubators = append(l.incubators, e)
 	return e, nil
-}
-
-// Latest returns the newest streamlined bundle for a model and catchment.
-func (l *Library) Latest(modelName, catchmentID string) (Entry, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	lineage := l.streamlined[modelName+"@"+catchmentID]
-	if len(lineage) == 0 {
-		return Entry{}, fmt.Errorf("%s@%s: %w", modelName, catchmentID, ErrNotFound)
-	}
-	return lineage[len(lineage)-1], nil
-}
-
-// Version returns a specific bundle version.
-func (l *Library) Version(modelName, catchmentID string, version int) (Entry, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	lineage := l.streamlined[modelName+"@"+catchmentID]
-	if version < 1 || version > len(lineage) {
-		return Entry{}, fmt.Errorf("%s@%s v%d: %w", modelName, catchmentID, version, ErrNotFound)
-	}
-	return lineage[version-1], nil
 }
 
 // List returns every entry (all streamlined versions plus incubators)

@@ -39,19 +39,9 @@ func TestPublishStreamlinedVersioning(t *testing.T) {
 		t.Fatalf("v2.Version = %d", v2.Version)
 	}
 
-	latest, err := l.Latest("topmodel", "morland")
-	if err != nil || latest.Version != 2 {
-		t.Fatalf("Latest = %+v, %v", latest, err)
-	}
-	old, err := l.Version("topmodel", "morland", 1)
-	if err != nil || old.Version != 1 {
-		t.Fatalf("Version(1) = %+v, %v", old, err)
-	}
-	if _, err := l.Version("topmodel", "morland", 3); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Version(3) err = %v", err)
-	}
-	if _, err := l.Version("topmodel", "morland", 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Version(0) err = %v", err)
+	lineage := l.streamlined["topmodel@morland"]
+	if len(lineage) != 2 || lineage[0].Version != 1 || lineage[1].Version != 2 {
+		t.Fatalf("lineage = %+v", lineage)
 	}
 }
 
@@ -79,13 +69,6 @@ func TestIncubators(t *testing.T) {
 	}
 	if a.Image.Kind != cloud.Incubator || a.Image.ExtraBootDelay != 5*time.Minute {
 		t.Fatalf("incubator image = %+v", a.Image)
-	}
-}
-
-func TestLatestUnknown(t *testing.T) {
-	l := New(nil)
-	if _, err := l.Latest("fuse", "tarland"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Latest unknown err = %v", err)
 	}
 }
 

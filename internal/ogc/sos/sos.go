@@ -58,13 +58,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"evop/internal/httpcond"
+	"evop/internal/ogc"
 	"evop/internal/sensor"
 	"evop/internal/timeseries"
 )
@@ -179,17 +179,9 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveKVP answers the KVP GET binding, outside the stack frame every
-// InsertObservation passes through. Parameter names are case-insensitive
-// (OGC KVP); of several spellings of one name, the greatest in byte
-// order, the lower-case one, is read.
+// InsertObservation passes through.
 func (s *Service) serveKVP(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query()
-	q, spelling := make(url.Values, len(raw)), make(map[string]string, len(raw))
-	for k, v := range raw {
-		if lk := strings.ToLower(k); k > spelling[lk] {
-			q[lk], spelling[lk] = v, k
-		}
-	}
+	q := ogc.KVP(r.URL.Query())
 	if !strings.EqualFold(q.Get("service"), "SOS") {
 		writeException(w, http.StatusBadRequest, "InvalidParameterValue", "service must be SOS")
 		return

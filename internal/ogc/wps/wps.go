@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"evop/internal/metrics"
+	"evop/internal/ogc"
 	"evop/internal/sched"
 	"evop/internal/timeseries"
 )
@@ -271,42 +272,31 @@ func (s *Service) Drain(ctx context.Context) error {
 // way. Close does not wait; follow with Wait or Drain.
 func (s *Service) Close() { s.execCancel() }
 
-// ServeHTTP implements the KVP GET binding. Parameter names are
-// case-insensitive, per OGC KVP conventions.
+// ServeHTTP implements the KVP GET binding (names read by ogc.KVP) and
+// the POST binding.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		s.servePost(w, r)
 		return
 	}
-	q := make(map[string][]string, len(r.URL.Query()))
-	for k, v := range r.URL.Query() {
-		q[strings.ToLower(k)] = v
-	}
-	if !strings.EqualFold(getKVP(q, "service"), "WPS") {
+	q := ogc.KVP(r.URL.Query())
+	if !strings.EqualFold(q.Get("service"), "WPS") {
 		writeException(w, http.StatusBadRequest, "InvalidParameterValue", "service must be WPS")
 		return
 	}
-	switch strings.ToLower(getKVP(q, "request")) {
+	switch strings.ToLower(q.Get("request")) {
 	case "getcapabilities":
 		s.getCapabilities(w)
 	case "describeprocess":
-		s.describeProcess(w, getKVP(q, "identifier"))
+		s.describeProcess(w, q.Get("identifier"))
 	case "execute":
-		s.execute(w, r.Context(), getKVP(q, "identifier"), getKVP(q, "datainputs"),
-			strings.EqualFold(getKVP(q, "storeexecuteresponse"), "true"))
+		s.execute(w, r.Context(), q.Get("identifier"), q.Get("datainputs"),
+			strings.EqualFold(q.Get("storeexecuteresponse"), "true"))
 	case "getstatus":
-		s.getStatus(w, getKVP(q, "executionid"))
+		s.getStatus(w, q.Get("executionid"))
 	default:
-		writeException(w, http.StatusBadRequest, "OperationNotSupported", getKVP(q, "request"))
+		writeException(w, http.StatusBadRequest, "OperationNotSupported", q.Get("request"))
 	}
-}
-
-// getKVP returns the first value of a lower-cased KVP key.
-func getKVP(q map[string][]string, key string) string {
-	if vs := q[key]; len(vs) > 0 {
-		return vs[0]
-	}
-	return ""
 }
 
 // --- XML document shapes ---

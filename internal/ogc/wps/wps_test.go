@@ -128,6 +128,17 @@ func TestGetCapabilities(t *testing.T) {
 	}
 }
 
+// TestKVPMixedSpellings: a name sent in two spellings answers the same on
+// every request, because the lower-case spelling is the one read.
+func TestKVPMixedSpellings(t *testing.T) {
+	srv := newTestService(t, &addProcess{})
+	for i := 0; i < 40; i++ {
+		if code, body := get(t, srv.URL+"?service=WPS&SERVICE=SOS&request=GetCapabilities"); code != http.StatusOK {
+			t.Fatalf("try %d: mixed spellings = %d:\n%s", i, code, body)
+		}
+	}
+}
+
 func TestDescribeProcess(t *testing.T) {
 	srv := newTestService(t, &addProcess{})
 	code, body := get(t, srv.URL+"?service=WPS&request=DescribeProcess&identifier=add")

@@ -25,8 +25,6 @@ import (
 var (
 	// ErrNotFound indicates an unknown resource.
 	ErrNotFound = errors.New("rest: resource not found")
-	// ErrConflict indicates a duplicate resource ID.
-	ErrConflict = errors.New("rest: resource already exists")
 	// ErrBadRequest indicates an invalid resource (missing ID or kind).
 	ErrBadRequest = errors.New("rest: invalid resource")
 )
@@ -78,17 +76,6 @@ func (s *Store) putLocked(r Resource) (created bool, err error) {
 	_, existed := kind[r.ID]
 	kind[r.ID] = r
 	return !existed, nil
-}
-
-// Create inserts a resource, failing on duplicates.
-func (s *Store) Create(r Resource) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.items[r.Kind][r.ID]; exists {
-		return fmt.Errorf("%s/%s: %w", r.Kind, r.ID, ErrConflict)
-	}
-	_, err := s.putLocked(r)
-	return err
 }
 
 // Get fetches one resource.
@@ -156,16 +143,14 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 }
 
 // StatusFor maps the package's error sentinels to HTTP statuses:
-// validation failures are 400, unknown resources 404, duplicates 409;
-// anything else is a 500.
+// validation failures are 400, unknown resources 404; anything else is
+// a 500.
 func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, ErrConflict):
-		return http.StatusConflict
 	default:
 		return http.StatusInternalServerError
 	}

@@ -14,11 +14,8 @@ import (
 func TestStoreCRUD(t *testing.T) {
 	s := NewStore()
 	r := Resource{ID: "eden-rain", Kind: "datasets", Attributes: map[string]any{"unit": "mm"}}
-	if err := s.Create(r); err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := s.Create(r); !errors.Is(err, ErrConflict) {
-		t.Fatalf("duplicate Create err = %v", err)
+	if err := s.Put(r); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 	got, err := s.Get("datasets", "eden-rain")
 	if err != nil || got.Attributes["unit"] != "mm" {
@@ -68,7 +65,6 @@ func TestStatusFor(t *testing.T) {
 	}{
 		{fmt.Errorf("x: %w", ErrBadRequest), http.StatusBadRequest},
 		{fmt.Errorf("x: %w", ErrNotFound), http.StatusNotFound},
-		{fmt.Errorf("x: %w", ErrConflict), http.StatusConflict},
 		{errors.New("boom"), http.StatusInternalServerError},
 	}
 	for _, tc := range tests {
@@ -161,7 +157,7 @@ func TestHandlerErrors(t *testing.T) {
 // TestHandlerServesHEAD: HEAD reads a collection or an item as GET does.
 func TestHandlerServesHEAD(t *testing.T) {
 	store := NewStore()
-	if err := store.Create(Resource{ID: "rain", Kind: "datasets"}); err != nil {
+	if err := store.Put(Resource{ID: "rain", Kind: "datasets"}); err != nil {
 		t.Fatal(err)
 	}
 	h := NewHandler(store)

@@ -277,19 +277,6 @@ func (c *Cache[V]) storeFamily(family string, val V) {
 	}
 }
 
-// Get returns the cached value without computing, refreshing its
-// recency on a hit. It does not touch the hit/miss counters.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // store inserts under c.mu, evicting from the LRU tail past capacity.
 func (c *Cache[V]) store(key string, val V) {
 	if el, ok := c.byKey[key]; ok {

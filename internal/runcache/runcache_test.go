@@ -13,6 +13,19 @@ import (
 	"evop/internal/metrics"
 )
 
+// Get returns the cached value without computing, refreshing its
+// recency on a hit. It does not touch the hit/miss counters.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // newMetered builds a cache whose counters live in a fresh registry and
 // returns a reader for its evop_runcache_<name>_total series.
 func newMetered(capacity int) (*Cache[int], func(name string) uint64) {

@@ -156,9 +156,6 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close stops accepting work, lets the workers drain every queued chunk
 // (so no batch waiter can hang) and blocks until all worker goroutines
 // have exited. Closing twice is safe.
@@ -168,13 +165,6 @@ func (p *Pool) Close() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// isClosed reports whether Close has been called.
-func (p *Pool) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
 }
 
 // TrySubmit enqueues one standalone task to run asynchronously under the

@@ -28,8 +28,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("Workers=-1: err = %v, want ErrBadConfig", err)
 	}
 	p := newPool(t, Config{})
-	if p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers = %d, want GOMAXPROCS = %d", p.Workers(), runtime.GOMAXPROCS(0))
+	if p.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers = %d, want GOMAXPROCS = %d", p.workers, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -68,7 +68,7 @@ func TestForEachMatchesSequential(t *testing.T) {
 					}
 				}
 				p.Close() // a worker records its chunk's latency after the batch completes
-				if chunks, want := p.latency[ClassModel].Count(), uint64((n+size-1)/size); chunks != want {
+				if chunks, want := p.latency[ClassModel].Snapshot().Count, uint64((n+size-1)/size); chunks != want {
 					t.Fatalf("n=%d ran %d chunks, want %d of %d indices", n, chunks, want, size)
 				}
 			})
@@ -126,7 +126,7 @@ func TestFirstErrorCancels(t *testing.T) {
 	var mu sync.Mutex
 	ran := 0
 	var b *batch
-	err := ForEach(context.Background(), p, ClassBulk, 8*p.Workers(), func(i int) error {
+	err := ForEach(context.Background(), p, ClassBulk, 8*p.workers, func(i int) error {
 		mu.Lock()
 		ran++
 		first := ran == 1
@@ -152,7 +152,7 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if executors := p.Workers() + 1; ran > executors {
+	if executors := p.workers + 1; ran > executors {
 		t.Fatalf("%d tasks ran, want at most one per executor (%d): the error did not cancel remaining work", ran, executors)
 	}
 }
@@ -183,7 +183,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	p := newPool(t, Config{Workers: 4})
 	var mu sync.Mutex
 	lowest := -1
-	err := ForEach(context.Background(), p, ClassBulk, 8*p.Workers(), func(i int) error {
+	err := ForEach(context.Background(), p, ClassBulk, 8*p.workers, func(i int) error {
 		mu.Lock()
 		if lowest < 0 || i < lowest {
 			lowest = i

@@ -41,13 +41,6 @@ func (ir *Irregular) Len() int { return len(ir.obs) }
 // At returns observation i.
 func (ir *Irregular) At(i int) Observation { return ir.obs[i] }
 
-// Observations returns a copy of the observations in time order.
-func (ir *Irregular) Observations() []Observation {
-	out := make([]Observation, len(ir.obs))
-	copy(out, ir.obs)
-	return out
-}
-
 // Add inserts an observation, keeping time order. Appends are O(1)
 // amortised; an out-of-order insert copies the backing array
 // (copy-on-write), so views returned by WindowView before the insert keep

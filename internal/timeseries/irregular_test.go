@@ -31,7 +31,7 @@ func TestIrregularAddKeepsOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ir.Add(obsAt(rng.Intn(1000), float64(i)))
 	}
-	obs := ir.Observations()
+	obs := ir.obs
 	if !sort.SliceIsSorted(obs, func(i, j int) bool { return obs[i].Time.Before(obs[j].Time) }) {
 		t.Fatal("Add broke time ordering")
 	}

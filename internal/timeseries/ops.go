@@ -198,18 +198,6 @@ func (s *Series) Summarise() Stats {
 	return st
 }
 
-// Quantile returns the q-quantile (0..1) of the non-NaN samples using
-// linear interpolation between order statistics.
-func (s *Series) Quantile(q float64) (float64, error) {
-	vals := make([]float64, 0, len(s.values))
-	for _, v := range s.values {
-		if !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
-	}
-	return Quantile(vals, q)
-}
-
 // Quantile returns the q-quantile (0..1) of vals using linear interpolation.
 // It returns ErrEmpty for an empty slice. vals need not be sorted.
 func Quantile(vals []float64, q float64) (float64, error) {

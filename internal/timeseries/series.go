@@ -12,7 +12,6 @@ package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -190,41 +189,4 @@ func (s *Series) Map(f func(float64) float64) *Series {
 // Scale returns s multiplied by k.
 func (s *Series) Scale(k float64) *Series {
 	return s.Map(func(v float64) float64 { return v * k })
-}
-
-// binaryOp combines two step-aligned series sample-wise over their
-// overlapping window.
-func binaryOp(a, b *Series, f func(x, y float64) float64) (*Series, error) {
-	if a.step != b.step {
-		return nil, fmt.Errorf("combining series with steps %v and %v: %w", a.step, b.step, ErrStepMismatch)
-	}
-	start := a.start
-	if b.start.After(start) {
-		start = b.start
-	}
-	end := a.End()
-	if b.End().Before(end) {
-		end = b.End()
-	}
-	if !start.Before(end) {
-		return &Series{start: start, step: a.step}, nil
-	}
-	n := int(end.Sub(start) / a.step)
-	out := make([]float64, n)
-	ai := int(start.Sub(a.start) / a.step)
-	bi := int(start.Sub(b.start) / b.step)
-	for i := 0; i < n; i++ {
-		out[i] = f(a.values[ai+i], b.values[bi+i])
-	}
-	return &Series{start: start, step: a.step, values: out}, nil
-}
-
-// Add returns the sample-wise sum of a and b over their overlap.
-func (s *Series) Add(o *Series) (*Series, error) {
-	return binaryOp(s, o, func(x, y float64) float64 { return x + y })
-}
-
-// Sub returns the sample-wise difference s-o over their overlap.
-func (s *Series) Sub(o *Series) (*Series, error) {
-	return binaryOp(s, o, func(x, y float64) float64 { return x - y })
 }

@@ -115,38 +115,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestAddSubOverlap(t *testing.T) {
-	a := MustNew(t0, time.Hour, []float64{1, 2, 3, 4})
-	b := MustNew(t0.Add(time.Hour), time.Hour, []float64{10, 10, 10, 10})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if !sum.Start().Equal(t0.Add(time.Hour)) || sum.Len() != 3 {
-		t.Fatalf("overlap wrong: start=%v len=%d", sum.Start(), sum.Len())
-	}
-	for i, want := range []float64{12, 13, 14} {
-		if sum.At(i) != want {
-			t.Fatalf("sum[%d] = %v, want %v", i, sum.At(i), want)
-		}
-	}
-	diff, err := a.Sub(b)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if diff.At(0) != -8 {
-		t.Fatalf("diff[0] = %v, want -8", diff.At(0))
-	}
-}
-
-func TestAddStepMismatch(t *testing.T) {
-	a := MustNew(t0, time.Hour, []float64{1})
-	b := MustNew(t0, time.Minute, []float64{1})
-	if _, err := a.Add(b); !errors.Is(err, ErrStepMismatch) {
-		t.Fatalf("Add err = %v, want ErrStepMismatch", err)
-	}
-}
-
 func TestMapScaleClone(t *testing.T) {
 	s := MustNew(t0, time.Hour, []float64{1, 2})
 	doubled := s.Scale(2)

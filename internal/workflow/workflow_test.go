@@ -186,8 +186,8 @@ func TestExecuteParallelWave(t *testing.T) {
 // 64-node wave on a 2-worker pool never runs more nodes at once than
 // the workers plus the calling goroutine.
 func TestExecuteBoundedConcurrency(t *testing.T) {
-	pool := testPool(t, 2)
-	w := New[int]("wide", pool)
+	const workers = 2
+	w := New[int]("wide", testPool(t, workers))
 	var running, peak atomic.Int64
 	for i := range 64 {
 		w.Add(Node[int]{ID: "n" + strconv.Itoa(i), Run: func(context.Context, map[string]int) (int, error) {
@@ -206,7 +206,7 @@ func TestExecuteBoundedConcurrency(t *testing.T) {
 	if res.Waves != 1 || len(res.Trace) != 64 {
 		t.Fatalf("waves = %d, trace = %d entries; want 1 and 64", res.Waves, len(res.Trace))
 	}
-	if got, limit := peak.Load(), int64(pool.Workers()+1); got > limit {
+	if got, limit := peak.Load(), int64(workers+1); got > limit {
 		t.Fatalf("%d nodes ran at once, want at most %d", got, limit)
 	}
 }

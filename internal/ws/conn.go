@@ -259,6 +259,3 @@ func (c *Conn) abort() error {
 
 // SetReadDeadline bounds the next read.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
