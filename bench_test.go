@@ -220,7 +220,7 @@ func BenchmarkFUSEEnsembleSeq(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fuse.RunEnsembleOn(context.Background(), nil, decs, params, f); err != nil {
+		if _, err := fuse.RunEnsembleOn(context.Background(), nil, decs, params, f, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,32 @@ func BenchmarkFUSEEnsembleParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fuse.RunEnsembleOn(context.Background(), pool, decs, params, f); err != nil {
+		if _, err := fuse.RunEnsembleOn(context.Background(), pool, decs, params, f, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFUSEPortalEnsemble is the portal's FUSE run: its three
+// routed structures on the standard 120-day record, on the shared pool.
+// It allocates the mean and a few small per-structure constants.
+func BenchmarkFUSEPortalEnsemble(b *testing.B) {
+	f := benchForcing(b, 120)
+	decs := []fuse.Decisions{
+		{Upper: fuse.UpperSingle, Perc: fuse.PercFieldCap, Base: fuse.BaseLinear, Routing: fuse.RouteGammaUH},
+		{Upper: fuse.UpperTensionFree, Perc: fuse.PercWaterContent, Base: fuse.BasePower, Routing: fuse.RouteGammaUH},
+		{Upper: fuse.UpperTensionFree, Perc: fuse.PercFieldCap, Base: fuse.BaseParallel, Routing: fuse.RouteGammaUH},
+	}
+	params := fuse.DefaultParams()
+	pool, err := sched.New(sched.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fuse.RunEnsembleOn(context.Background(), pool, decs, params, f, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -831,11 +831,11 @@ func (o *Observatory) runModel(ctx context.Context, req RunRequest, c *catchment
 			{Upper: fuse.UpperTensionFree, Perc: fuse.PercWaterContent, Base: fuse.BasePower, Routing: fuse.RouteGammaUH},
 			{Upper: fuse.UpperTensionFree, Perc: fuse.PercFieldCap, Base: fuse.BaseParallel, Routing: fuse.RouteGammaUH},
 		}
-		ens, err := fuse.RunEnsembleOn(ctx, o.Sched, decs, params, forcing)
+		mean, err := fuse.RunEnsembleOn(ctx, o.Sched, decs, params, forcing, nil)
 		if err != nil {
 			return nil, err
 		}
-		q = ens.Mean
+		q = mean
 	}
 
 	st := q.Summarise()

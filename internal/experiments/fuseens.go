@@ -32,25 +32,24 @@ func E16FUSEEnsemble() (*Table, error) {
 		return nil, fmt.Errorf("building pool: %w", err)
 	}
 	defer pool.Close()
-	ens, err := fuse.RunEnsembleOn(context.Background(), pool, decs, fuse.DefaultParams(), forcing)
-	if err != nil {
-		return nil, fmt.Errorf("running ensemble: %w", err)
-	}
-
 	type member struct {
 		name string
 		peak float64
 	}
-	members := make([]member, 0, len(ens.Members))
-	var peaks []float64
-	for name, q := range ens.Members {
+	members := make([]member, 0, len(decs))
+	peaks := make([]float64, 0, len(decs))
+	peakOf := func(i int, q *timeseries.Series) error {
 		win, err := q.Slice(stormAt, stormAt.Add(48*time.Hour))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", decs[i], err)
 		}
 		p := win.Summarise().Max
-		members = append(members, member{name: name, peak: p})
+		members = append(members, member{name: decs[i].String(), peak: p})
 		peaks = append(peaks, p)
+		return nil
+	}
+	if _, err := fuse.RunEnsembleOn(context.Background(), pool, decs, fuse.DefaultParams(), forcing, peakOf); err != nil {
+		return nil, fmt.Errorf("running ensemble: %w", err)
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].peak < members[j].peak })
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"evop/internal/hydro"
@@ -186,26 +187,28 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges. Every parameter must be finite: an
+// infinite capacity, exponent or routing shape runs to a non-finite
+// hydrograph.
 func (p Params) Validate() error {
 	checks := []struct {
 		ok   bool
 		what string
 	}{
-		{p.UZMax > 0, "UZMax"},
+		{positive(p.UZMax), "UZMax"},
 		{p.TensionFrac > 0 && p.TensionFrac < 1, "TensionFrac"},
-		{p.LZMax > 0, "LZMax"},
-		{p.B > 0, "B"},
-		{p.KPerc >= 0, "KPerc"},
-		{p.CPerc > 0, "CPerc"},
+		{positive(p.LZMax), "LZMax"},
+		{positive(p.B), "B"},
+		{p.KPerc >= 0 && !math.IsInf(p.KPerc, 1), "KPerc"},
+		{positive(p.CPerc), "CPerc"},
 		{p.FieldCapFrac > 0 && p.FieldCapFrac < 1, "FieldCapFrac"},
 		{p.KBase > 0 && p.KBase <= 1, "KBase"},
-		{p.NBase >= 1, "NBase"},
+		{p.NBase >= 1 && !math.IsInf(p.NBase, 1), "NBase"},
 		{p.FracFast >= 0 && p.FracFast <= 1, "FracFast"},
 		{p.KFast > 0 && p.KFast <= 1, "KFast"},
 		{p.KSlow > 0 && p.KSlow <= 1, "KSlow"},
-		{p.RouteShape > 0, "RouteShape"},
-		{p.RouteScaleSteps > 0, "RouteScaleSteps"},
+		{positive(p.RouteShape), "RouteShape"},
+		{positive(p.RouteScaleSteps), "RouteScaleSteps"},
 	}
 	for _, c := range checks {
 		if !c.ok {
@@ -215,11 +218,17 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// positive reports whether v is finite and above zero.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // Model is one FUSE structure with parameters.
 type Model struct {
 	dec    Decisions
 	params Params
 	uh     *hydro.UnitHydrograph // nil when RouteNone
+	// lzScale is LZMax^(NBase-1), the BasePower reservoir's divisor,
+	// computed once per model instead of once per step.
+	lzScale float64
 }
 
 var _ hydro.Model = (*Model)(nil)
@@ -242,6 +251,9 @@ func New(dec Decisions, params Params) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{dec: dec, params: params}
+	if dec.Base == BasePower {
+		m.lzScale = math.Pow(params.LZMax, params.NBase-1)
+	}
 	if dec.Routing == RouteGammaUH {
 		uh, err := hydro.GammaUH(params.RouteShape, params.RouteScaleSteps, 24)
 		if err != nil {
@@ -263,6 +275,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // Run implements hydro.Model. The simulation runs in a pooled scratch,
 // so a run allocates only the returned series, which the caller owns.
 func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	q, err := m.runInto(f, sc)
@@ -272,10 +287,11 @@ func (m *Model) Run(f hydro.Forcing) (*timeseries.Series, error) {
 	return q.Clone(), nil
 }
 
+// runInto simulates validated forcing f in sc. The state loop writes
+// sc.raw; a routed model then convolves it into sc.routed, leaving
+// sc.raw as the unrouted twin. The returned series is sc's, valid until
+// sc's next run.
 func (m *Model) runInto(f hydro.Forcing, sc *scratch) (*timeseries.Series, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
 	p := m.params
 	n := f.Len()
 	q, err := timeseries.Renew(sc.raw, f.Rain.Start(), f.Rain.Step(), n)
@@ -400,7 +416,7 @@ func (m *Model) baseflow(lz float64) float64 {
 	p := m.params
 	switch m.dec.Base {
 	case BasePower:
-		return p.KBase * math.Pow(lz, p.NBase) / math.Pow(p.LZMax, p.NBase-1)
+		return p.KBase * math.Pow(lz, p.NBase) / m.lzScale
 	case BaseParallel:
 		return p.FracFast*p.KFast*lz + (1-p.FracFast)*p.KSlow*lz
 	default: // BaseLinear
@@ -418,49 +434,77 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// EnsembleResult is the output of running several FUSE structures on the
-// same forcing.
-type EnsembleResult struct {
-	// Members maps model name to its simulated discharge.
-	Members map[string]*timeseries.Series
-	// Mean is the ensemble-mean discharge.
-	Mean *timeseries.Series
-}
-
 // RunEnsembleOn runs one Model per decision set with shared parameters
-// and aggregates the results. Members run in parallel on the compute
-// pool; a nil pool runs them sequentially on the calling goroutine.
-// Cancellation is checked between members: each member is a full
-// simulation, so the boundary between members is where abandoning a
+// and returns the ensemble-mean discharge, a series the caller owns.
+// Decision sets that differ only in Routing share one task: the state
+// loop never reads Routing, so it runs once for both twins, and the
+// routed twin convolves the same generated runoff. Tasks run in parallel
+// on the compute pool; a nil pool runs them sequentially on the calling
+// goroutine. Cancellation is checked between tasks: each is a full
+// simulation, so the boundary between them is where abandoning a
 // canceled request saves real work without threading a context through
-// the inner kernel. Each member runs through the pooled Run, so it costs
-// the model build plus its owned output series; results are aggregated
-// in decision-index order, making Members and Mean bit-identical for any
-// worker count.
-func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params Params, f hydro.Forcing) (*EnsembleResult, error) {
+// the inner kernel.
+//
+// Each task simulates into pooled scratch, and the members are summed
+// from there in decision-index order, so the mean is the only series a
+// run allocates and is bit-identical for any worker count. When visit is
+// non-nil it is called once per member, in decision order, with the
+// member's discharge; the series is valid only during the call, and an
+// error from visit ends the run with that error.
+func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params Params, f hydro.Forcing, visit func(i int, q *timeseries.Series) error) (*timeseries.Series, error) {
 	if len(decs) == 0 {
 		return nil, fmt.Errorf("no decisions: %w", ErrBadDecision)
 	}
-	// Validate the shared inputs up front: member tasks then fail only on
-	// their own decision set, and every failure mode surfaces the same
-	// error a sequential loop would have hit first.
+	// Validate the inputs up front, the decision sets in order: tasks
+	// then fail only on their own simulation, and every failure mode
+	// surfaces the same error a sequential loop would have hit first.
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("building %v: %w", decs[0], err)
+	}
+	for _, d := range decs {
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("building %v: %w", d, err)
+		}
 	}
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("running %v: %w", decs[0], err)
 	}
 
-	results, err := sched.Map(ctx, p, sched.ClassModel, len(decs), func(i int) (*timeseries.Series, error) {
-		m, err := New(decs[i], params)
-		if err != nil {
-			return nil, fmt.Errorf("building %v: %w", decs[i], err)
+	// task[i] is the task that simulates decs[i]; a task is routed when
+	// any of its members is.
+	task := make([]int, len(decs))
+	states := make([]Decisions, 0, len(decs))
+	for i, d := range decs {
+		d.Routing = RouteNone
+		k := slices.Index(states, d)
+		if k < 0 {
+			k = len(states)
+			states = append(states, d)
 		}
-		q, err := m.Run(f)
-		if err != nil {
-			return nil, fmt.Errorf("running %v: %w", decs[i], err)
+		task[i] = k
+		if decs[i].Routing == RouteGammaUH {
+			states[k].Routing = RouteGammaUH
 		}
-		return q, nil
+	}
+	scs := make([]*scratch, len(states))
+	defer func() {
+		for _, sc := range scs {
+			if sc != nil {
+				scratchPool.Put(sc)
+			}
+		}
+	}()
+	err := sched.ForEach(ctx, p, sched.ClassModel, len(states), func(k int) error {
+		m, err := New(states[k], params)
+		if err != nil {
+			return fmt.Errorf("building %v: %w", states[k], err)
+		}
+		sc := scratchPool.Get().(*scratch)
+		scs[k] = sc
+		if _, err := m.runInto(f, sc); err != nil {
+			return fmt.Errorf("running %v: %w", states[k], err)
+		}
+		return nil
 	})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
@@ -469,25 +513,31 @@ func RunEnsembleOn(ctx context.Context, p *sched.Pool, decs []Decisions, params 
 		return nil, err
 	}
 
-	// Aggregate in decision-index order into a single accumulator: the
-	// same element-wise additions, in the same order, as the sequential
-	// sum.Add chain, without allocating a fresh series per member.
-	res := &EnsembleResult{Members: make(map[string]*timeseries.Series, len(decs))}
-	acc := results[0].Clone()
-	accV := acc.Raw()
-	res.Members[decs[0].String()] = results[0]
-	for j := 1; j < len(decs); j++ {
-		q := results[j]
-		res.Members[decs[j].String()] = q
+	// Sum in decision-index order into the one series the run keeps: the
+	// same element-wise additions, in the same order, as a sum.Add chain.
+	var mean []float64
+	for i, d := range decs {
+		q := scs[task[i]].raw
+		if d.Routing == RouteGammaUH {
+			q = scs[task[i]].routed
+		}
+		if visit != nil {
+			if err := visit(i, q); err != nil {
+				return nil, err
+			}
+		}
+		if i == 0 {
+			mean = q.Values()
+			continue
+		}
 		qv := q.Raw()
-		for t := range accV {
-			accV[t] += qv[t]
+		for t := range mean {
+			mean[t] += qv[t]
 		}
 	}
 	k := 1 / float64(len(decs))
-	for t := range accV {
-		accV[t] *= k
+	for t := range mean {
+		mean[t] *= k
 	}
-	res.Mean = acc
-	return res, nil
+	return timeseries.Wrap(f.Rain.Start(), f.Rain.Step(), mean)
 }

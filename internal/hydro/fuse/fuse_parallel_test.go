@@ -3,8 +3,12 @@ package fuse
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
+	"evop/internal/hydro"
 	"evop/internal/sched"
 	"evop/internal/timeseries"
 )
@@ -23,6 +27,21 @@ func seriesIdentical(t *testing.T, label string, want, got *timeseries.Series) {
 	}
 }
 
+// ensembleMembers runs the ensemble and returns clones of the members
+// the visitor saw, in decision order, with the mean.
+func ensembleMembers(t *testing.T, p *sched.Pool, decs []Decisions, params Params, f hydro.Forcing) ([]*timeseries.Series, *timeseries.Series) {
+	t.Helper()
+	var members []*timeseries.Series
+	mean, err := RunEnsembleOn(context.Background(), p, decs, params, f, func(_ int, q *timeseries.Series) error {
+		members = append(members, q.Clone())
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ensemble (pool=%v): %v", p != nil, err)
+	}
+	return members, mean
+}
+
 // TestRunEnsembleOnMatchesSequential pins the ensemble determinism
 // contract: every member and the mean are bit-identical to the
 // sequential run for any worker count.
@@ -30,31 +49,21 @@ func TestRunEnsembleOnMatchesSequential(t *testing.T) {
 	f := testForcing(t, 240, 11)
 	decs := AllDecisions()
 	params := DefaultParams()
-	want, err := RunEnsembleOn(context.Background(), nil, decs, params, f)
-	if err != nil {
-		t.Fatalf("sequential ensemble: %v", err)
-	}
+	want, wantMean := ensembleMembers(t, nil, decs, params, f)
 	for _, workers := range []int{1, 2, 4, 8} {
 		p, err := sched.New(sched.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("New(workers=%d): %v", workers, err)
 		}
-		got, err := RunEnsembleOn(context.Background(), p, decs, params, f)
+		got, gotMean := ensembleMembers(t, p, decs, params, f)
 		p.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d members, want %d", workers, len(got), len(want))
 		}
-		if len(got.Members) != len(want.Members) {
-			t.Fatalf("workers=%d: %d members, want %d", workers, len(got.Members), len(want.Members))
+		for i := range want {
+			seriesIdentical(t, decs[i].String(), want[i], got[i])
 		}
-		for name, q := range want.Members {
-			gq, ok := got.Members[name]
-			if !ok {
-				t.Fatalf("workers=%d: member %s missing", workers, name)
-			}
-			seriesIdentical(t, name, q, gq)
-		}
-		seriesIdentical(t, "mean", want.Mean, got.Mean)
+		seriesIdentical(t, "mean", wantMean, gotMean)
 	}
 }
 
@@ -70,7 +79,7 @@ func TestRunEnsembleOnCancellation(t *testing.T) {
 	}
 	defer p.Close()
 	for _, pool := range []*sched.Pool{nil, p} {
-		if _, err := RunEnsembleOn(ctx, pool, AllDecisions(), DefaultParams(), f); !errors.Is(err, context.Canceled) {
+		if _, err := RunEnsembleOn(ctx, pool, AllDecisions(), DefaultParams(), f, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("pool=%v: err = %v, want context.Canceled", pool != nil, err)
 		}
 	}
@@ -86,7 +95,62 @@ func TestRunEnsembleOnMemberError(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer p.Close()
-	if _, err := RunEnsembleOn(context.Background(), p, decs, DefaultParams(), f); !errors.Is(err, ErrBadDecision) {
+	if _, err := RunEnsembleOn(context.Background(), p, decs, DefaultParams(), f, nil); !errors.Is(err, ErrBadDecision) {
 		t.Fatalf("err = %v, want ErrBadDecision", err)
 	}
+}
+
+// TestRunEnsembleOnConcurrent runs ensembles of different sets and
+// lengths from several goroutines at once on one shared pool, so pooled
+// scratch moves between them mid-run; every member and mean must match
+// the inline run. Run it under -race.
+func TestRunEnsembleOnConcurrent(t *testing.T) {
+	all := AllDecisions()
+	type job struct {
+		decs    []Decisions
+		f       hydro.Forcing
+		members []*timeseries.Series
+		mean    *timeseries.Series
+	}
+	jobs := []*job{
+		{decs: all, f: testForcing(t, 300, 1)},
+		{decs: portalDecisions(), f: testForcing(t, 90, 2)},
+		{decs: []Decisions{all[5], all[4], all[5]}, f: testForcing(t, 500, 3)},
+	}
+	for _, j := range jobs {
+		j.members, j.mean = ensembleMembers(t, nil, j.decs, DefaultParams(), j.f)
+	}
+	p, err := sched.New(sched.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const goroutines, rounds = 3, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				j := jobs[(g+r)%len(jobs)]
+				i := 0
+				mean, err := RunEnsembleOn(context.Background(), p, j.decs, DefaultParams(), j.f, func(k int, q *timeseries.Series) error {
+					if k != i || !slices.Equal(q.Raw(), j.members[k].Raw()) {
+						return fmt.Errorf("member %d (visit %d) differs from the inline run", k, i)
+					}
+					i++
+					return nil
+				})
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, r, err)
+					return
+				}
+				if !slices.Equal(mean.Raw(), j.mean.Raw()) {
+					t.Errorf("goroutine %d round %d: mean differs from the inline run", g, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

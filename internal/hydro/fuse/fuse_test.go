@@ -103,6 +103,15 @@ func TestParamsValidate(t *testing.T) {
 		{"NBase below 1", func(p *Params) { p.NBase = 0.5 }},
 		{"KFast zero", func(p *Params) { p.KFast = 0 }},
 		{"RouteShape zero", func(p *Params) { p.RouteShape = 0 }},
+		{"UZMax +Inf", func(p *Params) { p.UZMax = math.Inf(1) }},
+		{"LZMax +Inf", func(p *Params) { p.LZMax = math.Inf(1) }},
+		{"B +Inf", func(p *Params) { p.B = math.Inf(1) }},
+		{"KPerc +Inf", func(p *Params) { p.KPerc = math.Inf(1) }},
+		{"CPerc +Inf", func(p *Params) { p.CPerc = math.Inf(1) }},
+		{"NBase +Inf", func(p *Params) { p.NBase = math.Inf(1) }},
+		{"RouteShape +Inf", func(p *Params) { p.RouteShape = math.Inf(1) }},
+		{"RouteScaleSteps +Inf", func(p *Params) { p.RouteScaleSteps = math.Inf(1) }},
+		{"LZMax NaN", func(p *Params) { p.LZMax = math.NaN() }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,20 +214,27 @@ func TestRoutingDelaysPeak(t *testing.T) {
 func TestRunEnsemble(t *testing.T) {
 	f := testForcing(t, 24*10, 3)
 	decs := AllDecisions()[:6]
-	res, err := RunEnsembleOn(context.Background(), nil, decs, DefaultParams(), f)
+	var members []*timeseries.Series
+	mean, err := RunEnsembleOn(context.Background(), nil, decs, DefaultParams(), f, func(i int, q *timeseries.Series) error {
+		if i != len(members) {
+			t.Fatalf("visited member %d, want %d", i, len(members))
+		}
+		members = append(members, q.Clone())
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("RunEnsembleOn: %v", err)
 	}
-	if len(res.Members) != 6 {
-		t.Fatalf("members = %d", len(res.Members))
+	if len(members) != 6 {
+		t.Fatalf("members = %d", len(members))
 	}
-	if res.Mean.Len() != f.Len() {
-		t.Fatalf("mean len = %d", res.Mean.Len())
+	if mean.Len() != f.Len() {
+		t.Fatalf("mean len = %d", mean.Len())
 	}
 	// The mean must lie within the member envelope at every step.
-	for i := 0; i < res.Mean.Len(); i++ {
+	for i := 0; i < mean.Len(); i++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, q := range res.Members {
+		for _, q := range members {
 			v := q.At(i)
 			if v < lo {
 				lo = v
@@ -227,12 +243,51 @@ func TestRunEnsemble(t *testing.T) {
 				hi = v
 			}
 		}
-		if m := res.Mean.At(i); m < lo-1e-9 || m > hi+1e-9 {
+		if m := mean.At(i); m < lo-1e-9 || m > hi+1e-9 {
 			t.Fatalf("mean[%d]=%v outside envelope [%v,%v]", i, m, lo, hi)
 		}
 	}
-	if _, err := RunEnsembleOn(context.Background(), nil, nil, DefaultParams(), f); err == nil {
+	if _, err := RunEnsembleOn(context.Background(), nil, nil, DefaultParams(), f, nil); err == nil {
 		t.Fatal("empty ensemble: want error")
+	}
+}
+
+// TestRunEnsembleMembersMatchRun: each member the visitor sees is the
+// structure's own Run, bit for bit, routing twins and repeated
+// decisions included.
+func TestRunEnsembleMembersMatchRun(t *testing.T) {
+	f := testForcing(t, 24*15, 7)
+	all := AllDecisions()
+	decs := []Decisions{all[3], all[0], all[3], all[1], all[2]}
+	_, err := RunEnsembleOn(context.Background(), nil, decs, DefaultParams(), f, func(i int, q *timeseries.Series) error {
+		m, err := New(decs[i], DefaultParams())
+		if err != nil {
+			return err
+		}
+		want, err := m.Run(f)
+		if err != nil {
+			return err
+		}
+		seriesIdentical(t, decs[i].String(), want, q)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunEnsembleVisitError: an error from the visitor ends the run
+// with that error.
+func TestRunEnsembleVisitError(t *testing.T) {
+	f := testForcing(t, 48, 3)
+	stop := errors.New("stop")
+	visits := 0
+	_, err := RunEnsembleOn(context.Background(), nil, AllDecisions(), DefaultParams(), f, func(int, *timeseries.Series) error {
+		visits++
+		return stop
+	})
+	if !errors.Is(err, stop) || visits != 1 {
+		t.Fatalf("err = %v after %d visits, want stop after 1", err, visits)
 	}
 }
 

@@ -94,27 +94,25 @@ func Baseflow(q *timeseries.Series, alpha float64, passes int) (*timeseries.Seri
 	if q.Len() == 0 {
 		return nil, fmt.Errorf("empty series: %w", ErrBadParams)
 	}
-	total := q.Values()
-	quick := make([]float64, len(total))
-	cur := make([]float64, len(total))
-	copy(cur, total)
+	// The passes run inside the series returned: each sample's quickflow
+	// is subtracted as soon as it is known, so prev carries the previous
+	// sample's slowflow from before its subtraction, the value the
+	// filter reads.
+	total := q.Raw()
+	base := q.Clone()
+	cur := base.Raw()
 	for pass := 0; pass < passes; pass++ {
-		prevQF := 0.0
+		prevQF, prev := 0.0, 0.0
 		for k := 0; k < len(cur); k++ {
 			i := k
 			if pass%2 == 1 { // backward pass
 				i = len(cur) - 1 - k
 			}
 			var dq float64
-			if k == 0 {
-				dq = 0
-			} else {
-				j := i - 1
-				if pass%2 == 1 {
-					j = i + 1
-				}
-				dq = cur[i] - cur[j]
+			if k > 0 {
+				dq = cur[i] - prev
 			}
+			prev = cur[i]
 			qf := alpha*prevQF + (1+alpha)/2*dq
 			if qf < 0 {
 				qf = 0
@@ -122,24 +120,18 @@ func Baseflow(q *timeseries.Series, alpha float64, passes int) (*timeseries.Seri
 			if qf > cur[i] {
 				qf = cur[i]
 			}
-			quick[i] = qf
 			prevQF = qf
-		}
-		for i := range cur {
-			cur[i] -= quick[i]
+			cur[i] -= qf
 			if cur[i] < 0 {
 				cur[i] = 0
 			}
 		}
 	}
 	// cur now holds the slowflow remaining after all passes.
-	base := q.Clone()
-	for i := range cur {
-		v := cur[i]
+	for i, v := range cur {
 		if v > total[i] {
-			v = total[i]
+			cur[i] = total[i]
 		}
-		base.SetAt(i, v)
 	}
 	return base, nil
 }

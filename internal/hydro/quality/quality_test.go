@@ -77,6 +77,29 @@ func TestBaseflowErrors(t *testing.T) {
 	}
 }
 
+// TestBaseflowAllocs pins Baseflow to the series it returns, its header
+// and its values, whatever the length and the number of passes: the
+// filter runs inside that series.
+func TestBaseflowAllocs(t *testing.T) {
+	for _, n := range []int{10, 10000} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = 1 + math.Sin(float64(i)/7)
+		}
+		q := series(vals...)
+		for _, passes := range []int{1, 3} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := Baseflow(q, 0.95, passes); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 2 {
+				t.Fatalf("n=%d passes=%d: Baseflow allocs = %v, want 2 (the returned series)", n, passes, allocs)
+			}
+		}
+	}
+}
+
 func TestBaseflowConstantFlowIsAllBase(t *testing.T) {
 	q := series(2, 2, 2, 2, 2, 2, 2, 2)
 	base, err := Baseflow(q, 0.95, 3)

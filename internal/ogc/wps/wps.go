@@ -18,6 +18,7 @@
 package wps
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"encoding/xml"
@@ -108,8 +109,22 @@ func (v Value) String() string {
 	return b.String()
 }
 
-// MarshalJSON encodes the value as a JSON string of its String text.
-func (v Value) MarshalJSON() ([]byte, error) { return json.Marshal(v.String()) }
+// MarshalJSON encodes the value as a JSON string of its String text. A
+// series' Flot text holds only digits, "[],.-+e" and "null", none of
+// which JSON escapes, so it is streamed between the quotes into the one
+// buffer returned.
+func (v Value) MarshalJSON() ([]byte, error) {
+	if v.series == nil {
+		return json.Marshal(v.lit)
+	}
+	var b bytes.Buffer
+	b.WriteByte('"')
+	if err := v.series.WriteFlot(&b); err != nil {
+		return nil, err
+	}
+	b.WriteByte('"')
+	return b.Bytes(), nil
+}
 
 // Status is an asynchronous execution state.
 type Status int

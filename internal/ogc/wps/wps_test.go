@@ -1,10 +1,13 @@
 package wps
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,6 +19,7 @@ import (
 
 	"evop/internal/metrics"
 	"evop/internal/sched"
+	"evop/internal/timeseries"
 )
 
 // addProcess doubles a number; it can be made to fail or block.
@@ -442,4 +446,42 @@ func TestExecuteXMLPostErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValueMarshalJSONMatchesString: a series value's JSON is the JSON
+// string of its Flot text, byte for byte, for gaps, infinities,
+// negatives, e-form magnitudes and a single point; a literal is escaped
+// as encoding/json escapes it.
+func TestValueMarshalJSONMatchesString(t *testing.T) {
+	start := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
+	cases := map[string]Value{
+		"mixed": SeriesValue(timeseries.MustNew(start, time.Hour, []float64{
+			0, -1.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, -2.5e21, 123456789.125, 5e-324, math.MaxFloat64,
+		})),
+		"single":  SeriesValue(timeseries.MustNew(start.Add(-time.Hour), time.Minute, []float64{-0.001})),
+		"empty":   SeriesValue(timeseries.MustNew(start, time.Hour, nil)),
+		"long":    SeriesValue(timeseries.MustNew(start, time.Minute, longValues(5000))),
+		"literal": Literal("a \"quoted\" <tag> & \\ \n line"),
+	}
+	for name, v := range cases {
+		want, err := json.Marshal(v.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%s: MarshalJSON: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalJSON = %.120s, want %.120s", name, got, want)
+		}
+	}
+}
+
+func longValues(n int) []float64 {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%40-20))
+	}
+	return vals
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -94,12 +95,21 @@ func WriteFlot(w io.Writer, obs []Observation) error {
 	})
 }
 
-// writeFlot is both writers' chunk loop: the n pairs pair(0..n-1) go
-// to w in writes of at most flotChunk bytes. It returns the first write
-// error and writes nothing after it.
-func writeFlot(w io.Writer, n int, pair func(i int) (int64, float64)) error {
+// flotChunks recycles writeFlot's scratch chunk across calls and
+// goroutines. An io.Writer must not retain the slice it is given, so a
+// chunk is free again once its last write returns.
+var flotChunks = sync.Pool{New: func() any {
 	buf := make([]byte, 0, flotChunk)
-	buf = append(buf, '[')
+	return &buf
+}}
+
+// writeFlot is both writers' chunk loop: the n pairs pair(0..n-1) go
+// to w in writes of at most flotChunk bytes, from one pooled chunk. It
+// returns the first write error and writes nothing after it.
+func writeFlot(w io.Writer, n int, pair func(i int) (int64, float64)) error {
+	chunk := flotChunks.Get().(*[]byte)
+	defer flotChunks.Put(chunk)
+	buf := append((*chunk)[:0], '[')
 	for i := 0; i < n; i++ {
 		if len(buf) >= flotChunk-maxFlotPair {
 			if _, err := w.Write(buf); err != nil {

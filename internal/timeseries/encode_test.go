@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,6 +131,40 @@ func TestWriteFlotStopsAtFirstError(t *testing.T) {
 	}
 }
 
+// TestWriteFlotConcurrent: writers on several goroutines at once share
+// the chunk pool, yet each document equals its FlotJSON; run it under
+// -race.
+func TestWriteFlotConcurrent(t *testing.T) {
+	const goroutines, rounds = 4, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		vals := make([]float64, 300+700*g)
+		for i := range vals {
+			vals[i] = float64(g)*1e6 + math.Sin(float64(i))
+		}
+		s := MustNew(t0, time.Minute, vals)
+		want, _ := s.FlotJSON()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for name, write := range flotWriters(s) {
+					var b bytes.Buffer
+					if err := write(&b); err != nil {
+						t.Errorf("goroutine %d: %s: %v", g, name, err)
+						return
+					}
+					if !bytes.Equal(b.Bytes(), want) {
+						t.Errorf("goroutine %d round %d: %s document differs from FlotJSON", g, r, name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // flotWriters names the two streaming encoders of s's document.
 func flotWriters(s *Series) map[string]func(io.Writer) error {
 	return map[string]func(io.Writer) error{
@@ -191,31 +226,6 @@ func TestFlotJSONAllocs(t *testing.T) {
 	small, large := allocs(10), allocs(10000)
 	if small != large || large > 1 {
 		t.Fatalf("FlotJSON allocs = %.1f at 10 points, %.1f at 10,000; want the same count, at most 1", small, large)
-	}
-}
-
-// TestWriteFlotAllocs pins both streaming writers to their one 4 KiB
-// scratch chunk, whatever the series length.
-func TestWriteFlotAllocs(t *testing.T) {
-	for _, n := range []int{10, 10000} {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Sin(float64(i)) * 1e3
-		}
-		s := MustNew(t0, time.Minute, vals)
-		obs := seriesObs(s)
-		for name, write := range map[string]func(io.Writer) error{
-			"Series.WriteFlot": s.WriteFlot,
-			"WriteFlot":        func(w io.Writer) error { return WriteFlot(w, obs) },
-		} {
-			if allocs := testing.AllocsPerRun(20, func() {
-				if err := write(io.Discard); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 1 {
-				t.Fatalf("%s allocs = %.1f at %d points, want 1", name, allocs, n)
-			}
-		}
 	}
 }
 
