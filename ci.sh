@@ -30,9 +30,11 @@ go test -race -shuffle=on ./...
 go test -run='^$' -bench=. -benchtime=1x ./...
 # Chaos tier: seeded fault-injection scenario + resilience regression
 # tests + the compute pool's shutdown/leak checks + the periodic-timer
-# ordering, re-arm and stop checks, twice under race in shuffled order —
-# recovery must be deterministic and data-race free.
-go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|Every|Rearm|Stop' \
+# ordering, re-arm and stop checks + the lock-free instance-list readers,
+# twice under race in shuffled order on one and four CPUs — recovery must
+# be deterministic and data-race free, and the readers must interleave
+# with the writers even on a one-thread host.
+go test -race -shuffle=on -count=2 -cpu 1,4 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|Every|Rearm|Stop|InstancesConcurrent' \
 	./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
 	./internal/admission ./internal/sched ./internal/clock ./internal/sensor
 # Kernel-identity tier: the model kernels against their references and

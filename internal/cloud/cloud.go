@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evop/internal/clock"
@@ -199,15 +200,17 @@ func (c Config) Validate() error {
 type SimProvider struct {
 	cfg Config
 
+	// mu serialises Launch and Terminate, and guards seq and accrued.
 	mu  sync.Mutex
 	seq int
-	// live holds the live instances in launch order. It is copy-on-write:
-	// Launch and Terminate publish a new backing array and never write to
-	// a published one, so Instances can hand it out without a copy.
-	live []*Instance
 	// accrued is the cost of terminated instances; live ones add their
 	// running cost.
 	accrued float64
+	// live points at the live instances in launch order. Launch and
+	// Terminate build a fresh slice under mu and Store a pointer to it,
+	// never writing to a published one, so readers Load it without a
+	// lock and hand it out without a copy.
+	live atomic.Pointer[[]*Instance]
 }
 
 var _ Provider = (*SimProvider)(nil)
@@ -217,7 +220,9 @@ func NewProvider(cfg Config) (*SimProvider, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SimProvider{cfg: cfg}, nil
+	p := &SimProvider{cfg: cfg}
+	p.live.Store(new([]*Instance))
+	return p, nil
 }
 
 // Name implements Provider.
@@ -230,9 +235,10 @@ func (p *SimProvider) Kind() ProviderKind { return p.cfg.Kind }
 func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cfg.MaxInstances >= 0 && len(p.live) >= p.cfg.MaxInstances {
+	old := *p.live.Load()
+	if p.cfg.MaxInstances >= 0 && len(old) >= p.cfg.MaxInstances {
 		return nil, fmt.Errorf("provider %s (%d/%d): %w",
-			p.cfg.Name, len(p.live), p.cfg.MaxInstances, ErrCapacity)
+			p.cfg.Name, len(old), p.cfg.MaxInstances, ErrCapacity)
 	}
 	p.seq++
 	id := p.cfg.Name + "-i" + strconv.Itoa(p.seq)
@@ -244,15 +250,16 @@ func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 		provider: p.cfg.Name,
 		kind:     p.cfg.Kind,
 		clk:      p.cfg.Clock,
-		state:    StateBooting,
 		launched: p.cfg.Clock.Now(),
 	}
-	live := make([]*Instance, len(p.live)+1)
-	copy(live, p.live)
-	live[len(p.live)] = inst
-	p.live = live
+	inst.state.Store(int32(StateBooting))
 	delay := p.cfg.BootDelay + img.ExtraBootDelay
 	inst.cancelBoot = p.cfg.Clock.AfterFunc(delay, inst.becomeRunning)
+	// Publish the instance only once it is fully built.
+	live := make([]*Instance, len(old)+1)
+	copy(live, old)
+	live[len(old)] = inst
+	p.live.Store(&live)
 	return inst, nil
 }
 
@@ -260,22 +267,25 @@ func (p *SimProvider) Launch(img Image, flavor Flavor) (*Instance, error) {
 func (p *SimProvider) Terminate(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := p.indexLocked(id)
+	old := *p.live.Load()
+	i := index(old, id)
 	if i < 0 {
 		return fmt.Errorf("terminate %s: %w", id, ErrNotFound)
 	}
-	inst := p.live[i]
+	inst := old[i]
 	p.accrued += inst.cost()
 	inst.terminate()
-	live := make([]*Instance, 0, len(p.live)-1)
-	live = append(live, p.live[:i]...)
-	p.live = append(live, p.live[i+1:]...)
+	live := make([]*Instance, 0, len(old)-1)
+	live = append(live, old[:i]...)
+	live = append(live, old[i+1:]...)
+	p.live.Store(&live)
 	return nil
 }
 
-// indexLocked returns the position of a live instance in p.live, or -1.
-func (p *SimProvider) indexLocked(id string) int {
-	for i, inst := range p.live {
+// index returns the position of the instance with the given ID in list,
+// or -1.
+func index(list []*Instance, id string) int {
+	for i, inst := range list {
 		if inst.id == id {
 			return i
 		}
@@ -283,39 +293,34 @@ func (p *SimProvider) indexLocked(id string) int {
 	return -1
 }
 
-// Get implements Provider.
+// Get implements Provider: it searches the published list without a
+// lock.
 func (p *SimProvider) Get(id string) (*Instance, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := p.indexLocked(id)
+	live := *p.live.Load()
+	i := index(live, id)
 	if i < 0 {
 		return nil, fmt.Errorf("get %s: %w", id, ErrNotFound)
 	}
-	return p.live[i], nil
+	return live[i], nil
 }
 
 // Instances implements Provider: it returns the published list itself,
-// without a copy.
-func (p *SimProvider) Instances() []*Instance {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
-}
+// without a copy or a lock.
+func (p *SimProvider) Instances() []*Instance { return *p.live.Load() }
 
-// Capacity implements Provider.
+// Capacity implements Provider, from the published list without a lock.
 func (p *SimProvider) Capacity() (used, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.live), p.cfg.MaxInstances
+	return len(*p.live.Load()), p.cfg.MaxInstances
 }
 
 // CostAccrued implements Provider: accrued cost of terminated instances
-// plus the running cost of live ones.
+// plus the running cost of live ones. It holds mu, so a termination
+// cannot move an instance's cost from the list into accrued mid-sum.
 func (p *SimProvider) CostAccrued() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := p.accrued
-	for _, inst := range p.live {
+	for _, inst := range *p.live.Load() {
 		total += inst.cost()
 	}
 	return total

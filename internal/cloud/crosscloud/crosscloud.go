@@ -13,7 +13,7 @@ package crosscloud
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"evop/internal/cloud"
 	"evop/internal/metrics"
@@ -98,7 +98,7 @@ func (ByImageKind) Order(providers []cloud.Provider, img cloud.Image) []cloud.Pr
 }
 
 // providerStats holds one provider's control-plane outcome counters
-// (evop_cloud_*_total{provider}). The map entry is guarded by Multi.mu.
+// (evop_cloud_*_total{provider}).
 type providerStats struct {
 	launches        *metrics.Counter
 	launchFaults    *metrics.Counter
@@ -131,31 +131,49 @@ func newProviderStats(reg *metrics.Registry, provider string) *providerStats {
 	}
 }
 
-// newFailovers builds the cross-provider failover counter in reg.
-func newFailovers(reg *metrics.Registry) *metrics.Counter {
-	return reg.Counter("evop_cloud_failovers_total",
-		"Launches that succeeded after an earlier provider was skipped or failed.")
+// guards is the façade's outcome bookkeeping: each provider's breaker
+// (breakers is nil while they are disabled) and counters, indexed like
+// Multi.providers, and the failover counter. A published value is never
+// changed.
+type guards struct {
+	breakers  []*resilience.Breaker
+	stats     []*providerStats
+	failovers *metrics.Counter
 }
 
-// Multi is the cross-cloud compute façade.
+// newGuards builds the counters of every provider in reg (nil keeps them
+// private), with no breakers.
+func newGuards(reg *metrics.Registry, providers []cloud.Provider) *guards {
+	g := &guards{
+		stats: make([]*providerStats, len(providers)),
+		failovers: reg.Counter("evop_cloud_failovers_total",
+			"Launches that succeeded after an earlier provider was skipped or failed."),
+	}
+	for i, p := range providers {
+		g.stats[i] = newProviderStats(reg, p.Name())
+	}
+	return g
+}
+
+// joined is the instance list across providers: all is the concatenation
+// of parts, each provider's published list when all was built. A
+// published value is never changed.
+type joined struct {
+	parts [][]*cloud.Instance
+	all   []*cloud.Instance
+}
+
+// Multi is the cross-cloud compute façade. Its read paths take no lock:
+// the guards and the joined instance list are each published whole
+// through an atomic pointer.
 type Multi struct {
-	// providers and policy are fixed after New, so they are read
-	// without a lock.
+	// providers, index and policy are fixed after New.
 	providers []cloud.Provider
+	index     map[string]int // provider name → position in providers
 	policy    Policy
 
-	mu sync.RWMutex
-	// breakers (one per provider, when enabled) gate launches and record
-	// control-plane outcomes; stats mirrors them with counters.
-	breakers  map[string]*resilience.Breaker
-	stats     map[string]*providerStats
-	failovers *metrics.Counter
-
-	// joinMu guards the joined instance list: all is the concatenation of
-	// parts, each provider's published list when all was built.
-	joinMu sync.Mutex
-	parts  [][]*cloud.Instance
-	all    []*cloud.Instance
+	guards atomic.Pointer[guards]
+	joined atomic.Pointer[joined]
 }
 
 // New builds a Multi over the given providers with the given placement
@@ -164,26 +182,22 @@ func New(policy Policy, providers ...cloud.Provider) (*Multi, error) {
 	if len(providers) == 0 {
 		return nil, fmt.Errorf("no providers: %w", ErrNoProvider)
 	}
-	seen := make(map[string]bool, len(providers))
-	for _, p := range providers {
-		if seen[p.Name()] {
+	index := make(map[string]int, len(providers))
+	for i, p := range providers {
+		if _, dup := index[p.Name()]; dup {
 			return nil, fmt.Errorf("duplicate provider %q: %w", p.Name(), ErrUnknownProvider)
 		}
-		seen[p.Name()] = true
+		index[p.Name()] = i
 	}
 	if policy == nil {
 		policy = PrivateFirst{}
 	}
 	cp := make([]cloud.Provider, len(providers))
 	copy(cp, providers)
-	stats := make(map[string]*providerStats, len(cp))
-	for _, p := range cp {
-		stats[p.Name()] = newProviderStats(nil, p.Name())
-	}
-	return &Multi{
-		providers: cp, policy: policy, stats: stats, failovers: newFailovers(nil),
-		parts: make([][]*cloud.Instance, len(cp)),
-	}, nil
+	m := &Multi{providers: cp, index: index, policy: policy}
+	m.guards.Store(newGuards(nil, cp))
+	m.joined.Store(&joined{parts: make([][]*cloud.Instance, len(cp))})
+	return m, nil
 }
 
 // EnableBreakers installs a circuit breaker per provider (cfg.Clock is
@@ -194,46 +208,24 @@ func New(policy Policy, providers ...cloud.Provider) (*Multi, error) {
 // counts recorded before then, on the private counters New installs, are
 // not carried over, so enable breakers before the first launch.
 func (m *Multi) EnableBreakers(cfg resilience.BreakerConfig) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	breakers := make(map[string]*resilience.Breaker, len(m.providers))
-	for _, p := range m.providers {
+	breakers := make([]*resilience.Breaker, len(m.providers))
+	for i, p := range m.providers {
 		pcfg := cfg
 		pcfg.Name = p.Name() // one metrics series per provider
 		br, err := resilience.NewBreaker(pcfg)
 		if err != nil {
 			return fmt.Errorf("breaker for %s: %w", p.Name(), err)
 		}
-		breakers[p.Name()] = br
+		breakers[i] = br
 	}
-	m.breakers = breakers
+	g := *m.guards.Load()
 	if cfg.Metrics != nil {
-		for _, p := range m.providers {
-			m.stats[p.Name()] = newProviderStats(cfg.Metrics, p.Name())
-		}
-		m.failovers = newFailovers(cfg.Metrics)
+		g = *newGuards(cfg.Metrics, m.providers)
 	}
+	g.breakers = breakers
+	m.guards.Store(&g)
 	return nil
 }
-
-// breakerFor returns the provider's breaker, or nil when breakers are
-// disabled.
-func (m *Multi) breakerFor(name string) *resilience.Breaker {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.breakers[name]
-}
-
-// statsFor returns the provider's counters (always present for registered
-// providers).
-func (m *Multi) statsFor(name string) *providerStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.stats[name]
-}
-
-// Policy returns the active placement policy.
-func (m *Multi) Policy() Policy { return m.policy }
 
 // Providers returns the registered providers.
 func (m *Multi) Providers() []cloud.Provider {
@@ -251,24 +243,23 @@ func (m *Multi) Providers() []cloud.Provider {
 // has capacity. It returns ErrNoProvider when every provider is at
 // capacity, unreachable or gated.
 func (m *Multi) Launch(img cloud.Image, flavor cloud.Flavor) (*cloud.Instance, error) {
-	policy := m.Policy()
+	g := m.guards.Load()
 	var errs []error
 	degraded := false // a provider was skipped or failed before success
-	for _, p := range policy.Order(m.providers, img) {
+	for _, p := range m.policy.Order(m.providers, img) {
 		name := p.Name()
-		if br := m.breakerFor(name); br != nil && !br.Allow() {
-			m.statsFor(name).skippedOpen.Inc()
+		i := m.index[name]
+		if g.breakers != nil && !g.breakers[i].Allow() {
+			g.stats[i].skippedOpen.Inc()
 			errs = append(errs, fmt.Errorf("%s: circuit breaker open", name))
 			degraded = true
 			continue
 		}
 		inst, err := p.Launch(img, flavor)
-		m.noteOutcome(name, opLaunch, err)
+		g.noteOutcome(i, opLaunch, err)
 		if err == nil {
 			if degraded {
-				m.mu.RLock()
-				m.failovers.Inc()
-				m.mu.RUnlock()
+				g.failovers.Inc()
 			}
 			return inst, nil
 		}
@@ -289,14 +280,13 @@ const (
 	opProbe
 )
 
-// noteOutcome records one control-plane call's result in the provider's
-// counters and breaker. Definitive answers from a healthy control plane
-// (capacity, not-found) count as breaker successes; only infrastructure
-// faults trip it.
-func (m *Multi) noteOutcome(name string, op opKind, err error) {
+// noteOutcome records one control-plane call's result in the counters
+// and breaker of the provider at position i. Definitive answers from a
+// healthy control plane (capacity, not-found) count as breaker
+// successes; only infrastructure faults trip it.
+func (g *guards) noteOutcome(i int, op opKind, err error) {
 	healthy := err == nil || errors.Is(err, cloud.ErrCapacity) || errors.Is(err, cloud.ErrNotFound)
-	m.mu.Lock()
-	st := m.stats[name]
+	st := g.stats[i]
 	switch op {
 	case opLaunch:
 		st.launches.Inc()
@@ -314,15 +304,13 @@ func (m *Multi) noteOutcome(name string, op opKind, err error) {
 			st.probeFaults.Inc()
 		}
 	}
-	br := m.breakers[name]
-	m.mu.Unlock()
-	if br == nil {
+	if g.breakers == nil {
 		return
 	}
 	if healthy {
-		br.Success()
+		g.breakers[i].Success()
 	} else {
-		br.Failure()
+		g.breakers[i].Failure()
 	}
 }
 
@@ -333,10 +321,11 @@ func (m *Multi) noteOutcome(name string, op opKind, err error) {
 // the breaker — they are idempotent, and retrying them is how leaked
 // instances are reclaimed — but their outcomes still feed it.
 func (m *Multi) Terminate(id string) error {
+	g := m.guards.Load()
 	var errs []error
-	for _, p := range m.providers {
+	for i, p := range m.providers {
 		err := p.Terminate(id)
-		m.noteOutcome(p.Name(), opTerminate, err)
+		g.noteOutcome(i, opTerminate, err)
 		if err == nil {
 			return nil
 		}
@@ -354,48 +343,52 @@ func (m *Multi) Terminate(id string) error {
 // every provider whose breaker is not closed, so breakers recover to
 // closed even when no launch traffic is flowing. A definitive ErrNotFound
 // answer proves the control plane is back. No-op when breakers are
-// disabled.
+// disabled. A tick with every breaker closed takes no lock.
 func (m *Multi) ProbeHealth() {
-	for _, p := range m.providers {
-		br := m.breakerFor(p.Name())
-		if br == nil || br.State() == resilience.Closed {
+	g := m.guards.Load()
+	for i, br := range g.breakers {
+		if br.State() == resilience.Closed || !br.Allow() {
 			continue
 		}
-		if !br.Allow() {
-			continue
-		}
-		_, err := p.Get("breaker-probe")
-		m.noteOutcome(p.Name(), opProbe, err)
+		_, err := m.providers[i].Get("breaker-probe")
+		g.noteOutcome(i, opProbe, err)
 	}
 }
 
 // Instances lists live instances across all providers in provider
 // registration order. Like Provider.Instances, the slice is shared and
-// read-only. It is rebuilt only when a provider has published a new
-// list: a provider never changes a published list in place, and parts
-// keeps each one reachable, so a list whose length and first element's
-// address are unchanged is the same list.
+// read-only, and reading it takes no lock. The joined list is rebuilt
+// only when a provider has published a new list: a provider never
+// changes a published list in place, and the published joined value
+// keeps each of its parts reachable, so a list whose length and first
+// element's address are unchanged is the same list.
 func (m *Multi) Instances() []*cloud.Instance {
-	m.joinMu.Lock()
-	defer m.joinMu.Unlock()
-	stale := false
+	j := m.joined.Load()
 	for i, p := range m.providers {
-		if l := p.Instances(); !sameList(l, m.parts[i]) {
-			m.parts[i] = l
-			stale = true
+		if !sameList(p.Instances(), j.parts[i]) {
+			return m.rejoin()
 		}
 	}
-	if stale {
-		n := 0
-		for _, l := range m.parts {
-			n += len(l)
-		}
-		m.all = make([]*cloud.Instance, 0, n)
-		for _, l := range m.parts {
-			m.all = append(m.all, l...)
-		}
+	return j.all
+}
+
+// rejoin builds and publishes the joined list from every provider's
+// current list. Concurrent rebuilds may publish out of order; a reader
+// that then finds an older list checks it against the providers and
+// rebuilds again, so it never returns a stale one.
+func (m *Multi) rejoin() []*cloud.Instance {
+	j := &joined{parts: make([][]*cloud.Instance, len(m.providers))}
+	n := 0
+	for i, p := range m.providers {
+		j.parts[i] = p.Instances()
+		n += len(j.parts[i])
 	}
-	return m.all
+	j.all = make([]*cloud.Instance, 0, n)
+	for _, l := range j.parts {
+		j.all = append(j.all, l...)
+	}
+	m.joined.Store(j)
+	return j.all
 }
 
 // sameList reports whether a and b are the same published list.

@@ -2,6 +2,11 @@ package crosscloud
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,8 +54,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if m.Policy().Name() != "private-first" {
-		t.Fatalf("default policy = %q", m.Policy().Name())
+	if m.policy.Name() != "private-first" {
+		t.Fatalf("default policy = %q", m.policy.Name())
 	}
 }
 
@@ -197,8 +202,8 @@ func TestCostAwareSpreadsAcrossPublicProviders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if m.Policy().Name() != "cost-aware" {
-		t.Fatalf("policy = %s", m.Policy().Name())
+	if m.policy.Name() != "cost-aware" {
+		t.Fatalf("policy = %s", m.policy.Name())
 	}
 
 	// First launch fills the private slot.
@@ -256,7 +261,7 @@ func TestLaunchFailsOverPastFaultyProvider(t *testing.T) {
 	}
 	// Without EnableBreakers the counters are private, unregistered
 	// instruments: read them in place.
-	if got := m.failovers.Value(); got != 1 {
+	if got := m.guards.Load().failovers.Value(); got != 1 {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 	if priv := m.statsFor("openstack"); priv.launchFaults.Value() != 1 {
@@ -494,4 +499,146 @@ func idsOf(list []*cloud.Instance) []string {
 		out[i] = in.ID()
 	}
 	return out
+}
+
+// TestMultiInstancesConcurrent reads the joined list, both providers'
+// capacity and every listed instance's state from other goroutines
+// while both providers launch and terminate and the clock boots their
+// instances. Each list a reader takes must be in launch order (provider
+// by provider, each provider's part by rising launch number), hold no
+// nil and no repeated instance, and stay element-for-element unchanged
+// while it is read; under -race this also checks that publishing a list
+// never races with reading one.
+func TestMultiInstancesConcurrent(t *testing.T) {
+	clk, private, public := testClouds(t, 6)
+	m, err := New(PrivateFirst{}, private, public)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	providers := []cloud.Provider{private, public}
+	const readers = 3
+	stop := make(chan struct{})
+	errs := make(chan error, readers+len(providers)) // at most one each
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				list := m.Instances()
+				want := append([]*cloud.Instance(nil), list...)
+				if err := launchOrdered(list, providers); err != nil {
+					errs <- err
+					return
+				}
+				for _, in := range list {
+					_ = in.State()
+				}
+				for _, p := range providers {
+					if used, total := p.Capacity(); used < 0 || total >= 0 && used > total {
+						errs <- fmt.Errorf("%s capacity %d/%d", p.Name(), used, total)
+						return
+					}
+				}
+				for i := range list {
+					if list[i] != want[i] {
+						errs <- fmt.Errorf("list changed at [%d] while read", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var wwg sync.WaitGroup
+	for _, p := range providers {
+		wwg.Add(1)
+		go func(p cloud.Provider) {
+			defer wwg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := p.Launch(img(cloud.Streamlined), cloud.DefaultFlavor()); err != nil && !errors.Is(err, cloud.ErrCapacity) {
+					errs <- fmt.Errorf("%s launch: %w", p.Name(), err)
+					return
+				}
+				if l := p.Instances(); len(l) > 3 {
+					if err := p.Terminate(l[i%len(l)].ID()); err != nil {
+						errs <- fmt.Errorf("%s terminate: %w", p.Name(), err)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	written := make(chan struct{})
+	go func() {
+		wwg.Wait()
+		close(written)
+	}()
+	for booting := true; booting; {
+		select {
+		case <-written:
+			booting = false
+		default:
+			clk.Advance(time.Minute) // boots what the writers launched
+		}
+	}
+	close(stop)
+	rwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var want []*cloud.Instance
+	for _, p := range providers {
+		want = append(want, p.Instances()...)
+	}
+	if got := idsOf(m.Instances()); !reflect.DeepEqual(got, idsOf(want)) {
+		t.Fatalf("joined list %v, want the providers' lists %v", got, idsOf(want))
+	}
+}
+
+// launchOrdered checks that list holds no nil or repeated instance and
+// is in launch order: providers in registration order, and each
+// provider's instances by rising launch number (the ID's "-i" suffix).
+func launchOrdered(list []*cloud.Instance, providers []cloud.Provider) error {
+	p, last := 0, 0
+	for i, in := range list {
+		if in == nil {
+			return fmt.Errorf("nil instance at [%d]", i)
+		}
+		for p < len(providers) && in.ProviderName() != providers[p].Name() {
+			p, last = p+1, 0
+		}
+		if p == len(providers) {
+			return fmt.Errorf("%s at [%d] is out of provider order: %v", in.ID(), i, idsOf(list))
+		}
+		id := in.ID()
+		seq, err := strconv.Atoi(id[strings.LastIndex(id, "-i")+2:])
+		if err != nil {
+			return fmt.Errorf("instance ID %q: %w", id, err)
+		}
+		if seq <= last {
+			return fmt.Errorf("%s at [%d] is repeated or out of launch order: %v", id, i, idsOf(list))
+		}
+		last = seq
+	}
+	return nil
+}
+
+// breakerFor returns the provider's breaker, or nil when breakers are
+// disabled.
+func (m *Multi) breakerFor(name string) *resilience.Breaker {
+	if g := m.guards.Load(); g.breakers != nil {
+		return g.breakers[m.index[name]]
+	}
+	return nil
+}
+
+// statsFor returns the provider's counters.
+func (m *Multi) statsFor(name string) *providerStats {
+	return m.guards.Load().stats[m.index[name]]
 }

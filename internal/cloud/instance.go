@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evop/internal/clock"
@@ -90,8 +91,11 @@ type Instance struct {
 	clk      clock.Clock
 	launched time.Time
 
-	mu         sync.Mutex
-	state      InstanceState
+	mu sync.Mutex
+	// state holds the InstanceState. It is written only under mu, with
+	// runningAt, terminated and cancelBoot, and read by State without a
+	// lock.
+	state      atomic.Int32
 	runningAt  time.Time
 	terminated time.Time
 	cancelBoot func() bool
@@ -116,18 +120,14 @@ func (in *Instance) ProviderName() string { return in.provider }
 // Kind returns the owning provider's kind.
 func (in *Instance) Kind() ProviderKind { return in.kind }
 
-// State returns the current lifecycle state.
-func (in *Instance) State() InstanceState {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.state
-}
+// State returns the current lifecycle state, without a lock.
+func (in *Instance) State() InstanceState { return InstanceState(in.state.Load()) }
 
 func (in *Instance) becomeRunning() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.state == StateBooting {
-		in.state = StateRunning
+	if in.State() == StateBooting {
+		in.state.Store(int32(StateRunning))
 		in.runningAt = in.clk.Now()
 	}
 }
@@ -138,7 +138,7 @@ func (in *Instance) terminate() {
 	if in.cancelBoot != nil {
 		in.cancelBoot()
 	}
-	in.state = StateTerminated
+	in.state.Store(int32(StateTerminated))
 	in.terminated = in.clk.Now()
 }
 
@@ -151,7 +151,7 @@ func (in *Instance) cost() float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	end := in.clk.Now()
-	if in.state == StateTerminated {
+	if in.State() == StateTerminated {
 		end = in.terminated
 	}
 	hours := end.Sub(in.launched).Hours()
@@ -166,8 +166,8 @@ func (in *Instance) cost() float64 {
 func (in *Instance) AddSession() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.state != StateRunning {
-		return fmt.Errorf("add session on %s instance %s: %w", in.state, in.id, ErrBadState)
+	if st := in.State(); st != StateRunning {
+		return fmt.Errorf("add session on %s instance %s: %w", st, in.id, ErrBadState)
 	}
 	in.sessions++
 	return nil
@@ -210,8 +210,8 @@ func (in *Instance) Inject(mode DegradedMode) {
 func (in *Instance) ServeRequest(reqBytes, respBytes uint64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.state != StateRunning {
-		return fmt.Errorf("request to %s instance %s: %w", in.state, in.id, ErrBadState)
+	if st := in.State(); st != StateRunning {
+		return fmt.Errorf("request to %s instance %s: %w", st, in.id, ErrBadState)
 	}
 	in.m.NetInBytes += reqBytes
 	in.m.DiskReadBytes += respBytes / 2

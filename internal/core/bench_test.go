@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"evop/internal/clock"
 	"evop/internal/hydro/topmodel"
@@ -37,5 +38,23 @@ func BenchmarkRunModelMiss(b *testing.B) {
 		if outcome != runcache.Miss {
 			b.Fatalf("outcome = %v, want miss", outcome)
 		}
+	}
+}
+
+// BenchmarkObservatoryBackfill measures one world build as the benchmark
+// harness makes it: New with the default configuration, Start, then a
+// 30-day clock advance in which the sensors sample and the load balancer
+// ticks over an idle cluster every 10 s (259,200 ticks).
+func BenchmarkObservatoryBackfill(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clk := clock.NewSimulated(epoch)
+		o, err := New(DefaultConfig(clk))
+		if err != nil {
+			b.Fatal(err)
+		}
+		o.Start()
+		clk.Advance(30 * 24 * time.Hour)
+		o.Stop()
 	}
 }

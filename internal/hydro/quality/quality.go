@@ -169,7 +169,10 @@ func Export(q *timeseries.Series, areaKM2 float64, p Params) (*Loads, error) {
 	if err != nil {
 		return nil, err
 	}
-	conc := q.Clone()
+	conc, err := timeseries.Zeros(q.Start(), q.Step(), q.Len())
+	if err != nil {
+		return nil, err
+	}
 
 	// 1 mm over 1 km2 = 1000 m3 = 1e6 litres.
 	const litresPerMM = 1e6

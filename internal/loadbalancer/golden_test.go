@@ -7,15 +7,21 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"evop/internal/cloud"
 )
 
+// actionSeries prefixes the evop_lb_actions_total series. They postdate
+// the recorded digests, so chaosDigest leaves them out and
+// checkActionCounts holds them to the event log instead.
+const actionSeries = "evop_lb_actions_total{"
+
 // chaosDigest hashes the chaos scenario's full outcome: the session and
-// victim IDs, the event log with timestamps, every registry series in ID
-// order, both fault streams, and each provider's accrued cost and live
-// instance count.
+// victim IDs, the event log with timestamps, every registry series but
+// the action counters in ID order, both fault streams, and each
+// provider's accrued cost and live instance count.
 func chaosDigest(h *faultyHarness, out chaosOutcome) string {
 	sum := sha256.New()
 	var buf [8]byte
@@ -41,7 +47,9 @@ func chaosDigest(h *faultyHarness, out chaosOutcome) string {
 	}
 	ids := make([]string, 0, len(out.series))
 	for id := range out.series {
-		ids = append(ids, id)
+		if !strings.HasPrefix(id, actionSeries) {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	putU(uint64(len(ids)))
@@ -59,6 +67,24 @@ func chaosDigest(h *faultyHarness, out chaosOutcome) string {
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
+// checkActionCounts requires each evop_lb_actions_total series to equal
+// the number of logged events with that action, and every logged action
+// to have a series: the log still holds every event of the scenario.
+func checkActionCounts(t *testing.T, out chaosOutcome) {
+	t.Helper()
+	total := 0.0
+	for _, name := range actionNames {
+		got := out.series[actionSeries+`action="`+name+`"}`]
+		if want := countEvents(out.events, name, ""); got != float64(want) {
+			t.Errorf("evop_lb_actions_total{action=%q} = %v, want %d logged events", name, got, want)
+		}
+		total += got
+	}
+	if total != float64(len(out.events)) {
+		t.Errorf("action counters sum to %v, want %d logged events", total, len(out.events))
+	}
+}
+
 // TestChaosScenarioGolden pins the chaos scenario's whole outcome — every
 // LB decision and its time, every counter, both fault streams, each
 // provider's cost and instance count — to digests recorded before the
@@ -71,6 +97,7 @@ func TestChaosScenarioGolden(t *testing.T) {
 		wantDrain = "723df66c123ec42d58753f29e7e9d0fd4c02fc58ed4956e15eb7c707f66f3f15"
 	)
 	h, out := runChaosScenario(t)
+	checkActionCounts(t, out)
 	if got := chaosDigest(h, out); got != wantStorm {
 		t.Errorf("storm outcome digest %s, want %s", got, wantStorm)
 	}
@@ -96,6 +123,7 @@ func TestChaosScenarioGolden(t *testing.T) {
 	if countEvents(out.events, "terminate", "idle public") == 0 {
 		t.Fatal("the drain reclaimed no public instance")
 	}
+	checkActionCounts(t, out)
 	if got := chaosDigest(h, out); got != wantDrain {
 		t.Errorf("drain outcome digest %s, want %s", got, wantDrain)
 	}

@@ -116,14 +116,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Event records one management action, for experiment reporting. Actions:
-// launch | terminate | replace | migrate | suspend | terminate-failed |
-// terminate-cancelled.
+// Event records one management action, for experiment reporting. Its
+// Action is one of actionNames.
 type Event struct {
 	At     time.Time `json:"at"`
 	Action string    `json:"action"`
 	Detail string    `json:"detail"`
 }
+
+// The management actions the LB records.
+const (
+	actLaunch = iota
+	actTerminate
+	actReplace
+	actMigrate
+	actSuspend
+	actTerminateFailed
+	actTerminateCancelled
+	numActions
+)
+
+// actionNames is each action's Event.Action and its
+// evop_lb_actions_total label.
+var actionNames = [numActions]string{
+	"launch", "terminate", "replace", "migrate", "suspend",
+	"terminate-failed", "terminate-cancelled",
+}
+
+// maxEvents bounds the event log: it keeps the newest maxEvents events.
+// The counters in evop_lb_actions_total keep the lifetime totals.
+const maxEvents = 256
 
 // termRetry is one entry in the terminate-retry queue: an instance whose
 // Terminate call failed and must be retried with backoff until the
@@ -162,7 +184,11 @@ type LB struct {
 	stopTick func() bool
 	tracks   map[string]*instanceTrack
 	observed uint64 // observeHealth passes so far
+	// events is the event log, a ring of at most maxEvents entries whose
+	// oldest is at events[oldest].
 	events   []Event
+	oldest   int
+	actions  [numActions]*metrics.Counter
 	ticks    *metrics.Counter
 	replaced *metrics.Counter
 	// replacing is the in-flight replacement table: suspect instance ID →
@@ -206,6 +232,11 @@ func New(cfg Config) (*LB, error) {
 			"Scheduled retries of failed terminations."),
 		recoveredTerminations: reg.Counter("evop_lb_recovered_terminations_total",
 			"Failed terminations eventually recovered by retry."),
+	}
+	for a, name := range actionNames {
+		lb.actions[a] = reg.Counter("evop_lb_actions_total",
+			"Management actions recorded, by action (a failed launch or replacement launch counts too).",
+			metrics.L("action", name))
 	}
 	reg.GaugeFunc("evop_lb_outstanding_terminations",
 		"Failed terminations queued for retry (each still accrues cost).",
@@ -329,9 +360,7 @@ func serves(in *cloud.Instance, service string) bool {
 // Tick runs one control-loop iteration synchronously. Exposed so tests
 // and experiments can drive the loop deterministically.
 func (lb *LB) Tick() {
-	lb.mu.Lock()
 	lb.ticks.Inc()
-	lb.mu.Unlock()
 
 	lb.observeHealth()
 	lb.cfg.Multi.ProbeHealth()
@@ -421,12 +450,10 @@ func (lb *LB) replaceMalfunctioning() {
 				lb.mu.Lock()
 				lb.replacing[id] = repl.ID()
 				lb.mu.Unlock()
-				lb.record("replace", fmt.Sprintf("%s -> %s (%d sessions)", id, repl.ID(), len(sessions)))
+				lb.record(actReplace, fmt.Sprintf("%s -> %s (%d sessions)", id, repl.ID(), len(sessions)))
 			} else {
-				lb.mu.Lock()
 				lb.launchFailures.Inc()
-				lb.mu.Unlock()
-				lb.record("replace", fmt.Sprintf("%s (replacement launch failed: %v)", id, err))
+				lb.record(actReplace, fmt.Sprintf("%s (replacement launch failed: %v)", id, err))
 			}
 		}
 		// Redirect sessions to any healthy capacity available right now;
@@ -442,7 +469,7 @@ func (lb *LB) replaceMalfunctioning() {
 				lb.requeue(s.ID, id)
 				continue
 			}
-			lb.record("migrate", s.ID+" off "+id)
+			lb.record(actMigrate, s.ID+" off "+id)
 		}
 		lb.tryTerminate(id, "malfunctioning", false)
 	}
@@ -483,7 +510,7 @@ func (lb *LB) tryTerminate(id, reason string, idle bool) bool {
 		idle:     idle,
 	}
 	lb.mu.Unlock()
-	lb.record("terminate-failed", fmt.Sprintf("%s (%s, attempt 1): %v", id, reason, err))
+	lb.record(actTerminateFailed, fmt.Sprintf("%s (%s, attempt 1): %v", id, reason, err))
 	return false
 }
 
@@ -494,7 +521,7 @@ func (lb *LB) finishTerminate(id, reason string, attempts int) {
 	if attempts > 0 {
 		detail += fmt.Sprintf(" after %d failed attempts", attempts)
 	}
-	lb.record("terminate", detail)
+	lb.record(actTerminate, detail)
 	lb.mu.Lock()
 	if attempts > 0 {
 		lb.recoveredTerminations.Inc()
@@ -533,12 +560,10 @@ func (lb *LB) retryTerminations() {
 			lb.mu.Lock()
 			delete(lb.termRetries, id)
 			lb.mu.Unlock()
-			lb.record("terminate-cancelled", id+" (regained sessions while idle-reclaim was retrying)")
+			lb.record(actTerminateCancelled, id+" (regained sessions while idle-reclaim was retrying)")
 			continue
 		}
-		lb.mu.Lock()
 		lb.terminateRetries.Inc()
-		lb.mu.Unlock()
 		err := lb.cfg.Multi.Terminate(id)
 		if err == nil || errors.Is(err, cloud.ErrNotFound) {
 			lb.finishTerminate(id, e.reason, e.attempts)
@@ -550,7 +575,7 @@ func (lb *LB) retryTerminations() {
 		e.nextAt = now.Add(terminateDelay(lb.cfg.Interval, e.attempts-1))
 		attempts := e.attempts
 		lb.mu.Unlock()
-		lb.record("terminate-failed", fmt.Sprintf("%s (%s, attempt %d): %v", id, e.reason, attempts, err))
+		lb.record(actTerminateFailed, fmt.Sprintf("%s (%s, attempt %d): %v", id, e.reason, attempts, err))
 	}
 }
 
@@ -559,7 +584,7 @@ func (lb *LB) retryTerminations() {
 // instance finishes booting.
 func (lb *LB) requeue(sessionID, badInstance string) {
 	if err := lb.cfg.Broker.Suspend(sessionID, "instance "+badInstance+" malfunctioning"); err == nil {
-		lb.record("suspend", sessionID+" (waiting for replacement of "+badInstance+")")
+		lb.record(actSuspend, sessionID+" (waiting for replacement of "+badInstance+")")
 	}
 }
 
@@ -590,13 +615,11 @@ func (lb *LB) scaleUp() {
 		if err != nil {
 			// Pending sessions stay queued; the next tick retries (the
 			// interval is the retry cadence, breakers gate providers).
-			lb.mu.Lock()
 			lb.launchFailures.Inc()
-			lb.mu.Unlock()
-			lb.record("launch", "failed: "+err.Error())
+			lb.record(actLaunch, "failed: "+err.Error())
 			return
 		}
-		lb.record("launch", inst.ID()+" ("+inst.Kind().String()+")")
+		lb.record(actLaunch, inst.ID()+" ("+inst.Kind().String()+")")
 	}
 }
 
@@ -615,7 +638,7 @@ func (lb *LB) rebalanceToPrivate() {
 			if err := lb.cfg.Broker.Migrate(s.ID, target, "rebalancing to private cloud"); err != nil {
 				continue
 			}
-			lb.record("migrate", s.ID+" back to "+target.ID())
+			lb.record(actMigrate, s.ID+" back to "+target.ID())
 		}
 	}
 }
@@ -661,19 +684,28 @@ func (lb *LB) scaleDown() {
 	}
 }
 
-func (lb *LB) record(action, detail string) {
+// record counts one management action and logs it, overwriting the
+// oldest event once the log holds maxEvents.
+func (lb *LB) record(action int, detail string) {
+	lb.actions[action].Inc()
+	e := Event{At: lb.cfg.Clock.Now(), Action: actionNames[action], Detail: detail}
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	lb.events = append(lb.events, Event{At: lb.cfg.Clock.Now(), Action: action, Detail: detail})
+	if len(lb.events) < maxEvents {
+		lb.events = append(lb.events, e)
+		return
+	}
+	lb.events[lb.oldest] = e
+	lb.oldest = (lb.oldest + 1) % maxEvents
 }
 
-// Events returns a copy of the management event log.
+// Events returns a copy of the event log's newest events, oldest first.
 func (lb *LB) Events() []Event {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	out := make([]Event, len(lb.events))
-	copy(out, lb.events)
-	return out
+	out := make([]Event, 0, len(lb.events))
+	out = append(out, lb.events[lb.oldest:]...)
+	return append(out, lb.events[:lb.oldest]...)
 }
 
 // Ticks returns how many control iterations have run.

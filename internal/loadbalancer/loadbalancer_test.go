@@ -3,6 +3,7 @@ package loadbalancer
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -500,5 +501,28 @@ func BenchmarkPlaceNow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		placed = h.lb.PlaceNow("topmodel")
+	}
+}
+
+// TestEventLogBounded drives the log past its bound: it keeps the newest
+// maxEvents events, oldest first, while the action counter keeps the
+// lifetime total.
+func TestEventLogBounded(t *testing.T) {
+	h := newHarness(t, 4, nil)
+	const extra = 10
+	for i := 0; i < maxEvents+extra; i++ {
+		h.lb.record(actMigrate, strconv.Itoa(i))
+	}
+	events := h.lb.Events()
+	if len(events) != maxEvents {
+		t.Fatalf("log holds %d events, want %d", len(events), maxEvents)
+	}
+	for i, e := range events {
+		if want := strconv.Itoa(i + extra); e.Detail != want || e.Action != "migrate" {
+			t.Fatalf("event %d = %+v, want migrate %s", i, e, want)
+		}
+	}
+	if got := h.lb.actions[actMigrate].Value(); got != maxEvents+extra {
+		t.Fatalf("migrate actions = %d, want %d", got, maxEvents+extra)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evop/internal/clock"
@@ -105,8 +106,10 @@ func (c *BreakerConfig) setDefaults() {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu             sync.Mutex
-	state          BreakerState
+	mu sync.Mutex
+	// state holds the BreakerState. It is written only under mu and read
+	// by State without a lock.
+	state          atomic.Int32
 	consecFails    int
 	probeInFlight  bool
 	probeSuccesses int
@@ -130,8 +133,7 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	reg := cfg.Metrics
 	name := metrics.L("name", cfg.Name)
 	b := &Breaker{
-		cfg:   cfg,
-		state: Closed,
+		cfg: cfg,
 		opens: reg.Counter("evop_breaker_opens_total",
 			"Circuit-breaker trips to the open state.", name),
 		successes: reg.Counter("evop_breaker_successes_total",
@@ -141,6 +143,7 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 		rejected: reg.Counter("evop_breaker_rejected_total",
 			"Calls fast-failed while the breaker was open or probing.", name),
 	}
+	b.state.Store(int32(Closed))
 	reg.GaugeFunc("evop_breaker_state",
 		"Circuit-breaker position: 0 closed, 1 half-open, 2 open.",
 		func() float64 { return stateGauge[b.State()] }, name)
@@ -164,13 +167,13 @@ var stateGauge = map[BreakerState]float64{Closed: 0, HalfOpen: 1, Open: 2}
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
+	switch b.State() {
 	case Open:
 		if b.cfg.Clock.Now().Before(b.reopenAt) {
 			b.rejected.Inc()
 			return false
 		}
-		b.state = HalfOpen
+		b.state.Store(int32(HalfOpen))
 		b.probeSuccesses = 0
 		b.probeInFlight = true
 		return true
@@ -191,14 +194,14 @@ func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.successes.Inc()
-	switch b.state {
+	switch b.State() {
 	case Closed:
 		b.consecFails = 0
 	case HalfOpen:
 		b.probeInFlight = false
 		b.probeSuccesses++
 		if b.probeSuccesses >= b.cfg.HalfOpenProbes {
-			b.state = Closed
+			b.state.Store(int32(Closed))
 			b.consecFails = 0
 		}
 	case Open:
@@ -212,7 +215,7 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures.Inc()
-	switch b.state {
+	switch b.State() {
 	case Closed:
 		b.consecFails++
 		if b.consecFails >= b.cfg.FailureThreshold {
@@ -227,14 +230,10 @@ func (b *Breaker) Failure() {
 
 // tripLocked opens the breaker; the lock is held.
 func (b *Breaker) tripLocked() {
-	b.state = Open
+	b.state.Store(int32(Open))
 	b.opens.Inc()
 	b.reopenAt = b.cfg.Clock.Now().Add(b.cfg.OpenTimeout)
 }
 
-// State returns the current breaker position.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+// State returns the current breaker position, without a lock.
+func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }

@@ -60,7 +60,7 @@ func MustNew(start time.Time, step time.Duration, values []float64) *Series {
 
 // Zeros returns a Series of n zero samples.
 func Zeros(start time.Time, step time.Duration, n int) (*Series, error) {
-	return New(start, step, make([]float64, n))
+	return Wrap(start, step, make([]float64, n))
 }
 
 // Wrap returns a Series taking ownership of values without copying. The
