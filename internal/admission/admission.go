@@ -40,7 +40,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -97,163 +96,40 @@ var (
 	ErrSaturated = errors.New("admission: concurrency limit saturated")
 )
 
-// Config tunes a Controller. The zero value of any field selects the
-// default noted on it; Validate rejects nonsensical explicit values.
-type Config struct {
-	// Clock drives refill arithmetic, adaptation intervals and queue
-	// timeouts. Defaults to the real clock.
-	Clock clock.Clock
-	// Metrics receives the evop_admission_* series. Nil keeps the
-	// instruments private (they still work).
-	Metrics *metrics.Registry
-
-	// MinLimit and MaxLimit clamp the adaptive concurrency limit
-	// (defaults 4 and 1024); InitialLimit is its starting point
-	// (default 64).
-	MinLimit     int
-	MaxLimit     int
-	InitialLimit int
-	// TargetP95 is the latency objective: an adaptation interval whose
-	// worst per-route p95 exceeds it cuts the limit multiplicatively
-	// (default 500ms).
-	TargetP95 time.Duration
-	// IncreaseStep is the additive limit increase per healthy interval
-	// (default 4). DecreaseFactor is the multiplicative cut on breach,
-	// in (0,1) (default 0.7).
-	IncreaseStep   float64
-	DecreaseFactor float64
-	// AdaptEvery is the minimum spacing between adaptations; the check
-	// rides on the admit/release path, so no background goroutine is
-	// needed (default 5s).
-	AdaptEvery time.Duration
-
-	// QueueDepth bounds each class's FIFO wait queue (default 64).
-	// QueueTimeout caps how long a queued request waits for a slot
-	// before being shed, independent of its context deadline
-	// (default 2s).
-	QueueDepth   int
-	QueueTimeout time.Duration
-
-	// RatePerSecond and Burst shape every client's token bucket
-	// (defaults 200 req/s, burst 2000). RatePerSecond <= 0 after
-	// defaulting is rejected; use a huge rate to effectively disable.
-	RatePerSecond float64
-	Burst         float64
-	// MaxClients bounds the client table; the least recently seen
-	// bucket is evicted past it (default 4096).
-	MaxClients int
-
-	// RetryAfter is the hint returned with saturation sheds
-	// (default 1s).
-	RetryAfter time.Duration
-	// LiveConnLimit caps concurrent /ws/live connections; enforced by
-	// the portal pre-upgrade (default 256).
-	LiveConnLimit int
-}
-
-// Defaults for Config's zero fields.
+// The gate's tuning. Every caller runs the gate at these values, so
+// they are constants rather than options.
 const (
-	DefaultMinLimit      = 4
-	DefaultMaxLimit      = 1024
-	DefaultInitialLimit  = 64
-	DefaultTargetP95     = 500 * time.Millisecond
-	DefaultIncreaseStep  = 4
-	DefaultDecrease      = 0.7
-	DefaultAdaptEvery    = 5 * time.Second
-	DefaultQueueDepth    = 64
-	DefaultQueueTimeout  = 2 * time.Second
-	DefaultRate          = 200
-	DefaultBurst         = 2000
-	DefaultMaxClients    = 4096
-	DefaultRetryAfter    = time.Second
-	DefaultLiveConnLimit = 256
+	// minLimit and maxLimit clamp the adaptive concurrency limit;
+	// initialLimit is its starting point.
+	minLimit     = 4
+	maxLimit     = 1024
+	initialLimit = 64
+	// targetP95 is the latency objective: an adaptation interval whose
+	// worst per-route p95 exceeds it cuts the limit by decreaseFactor;
+	// one within it adds increaseStep.
+	targetP95      = 500 * time.Millisecond
+	increaseStep   = 4
+	decreaseFactor = 0.7
+	// adaptEvery is the minimum spacing between adaptations; the check
+	// rides on the admit/release path, so no background goroutine is
+	// needed.
+	adaptEvery = 5 * time.Second
+	// queueLimit bounds each class's FIFO wait queue; queueTimeout caps
+	// how long a queued request waits for a slot before being shed,
+	// independent of its context deadline.
+	queueLimit   = 64
+	queueTimeout = 2 * time.Second
+	// ratePerSecond and burst shape every client's token bucket.
+	ratePerSecond = 200
+	burst         = 2000
+	// maxClients bounds the client table; the least recently seen bucket
+	// is evicted past it.
+	maxClients = 4096
 )
 
-// withDefaults returns cfg with zero fields replaced by defaults.
-func (cfg Config) withDefaults() Config {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
-	}
-	if cfg.MinLimit == 0 {
-		cfg.MinLimit = DefaultMinLimit
-	}
-	if cfg.MaxLimit == 0 {
-		cfg.MaxLimit = DefaultMaxLimit
-	}
-	if cfg.InitialLimit == 0 {
-		cfg.InitialLimit = DefaultInitialLimit
-	}
-	if cfg.InitialLimit < cfg.MinLimit {
-		cfg.InitialLimit = cfg.MinLimit
-	}
-	if cfg.InitialLimit > cfg.MaxLimit {
-		cfg.InitialLimit = cfg.MaxLimit
-	}
-	if cfg.TargetP95 == 0 {
-		cfg.TargetP95 = DefaultTargetP95
-	}
-	if cfg.IncreaseStep == 0 {
-		cfg.IncreaseStep = DefaultIncreaseStep
-	}
-	if cfg.DecreaseFactor == 0 {
-		cfg.DecreaseFactor = DefaultDecrease
-	}
-	if cfg.AdaptEvery == 0 {
-		cfg.AdaptEvery = DefaultAdaptEvery
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.QueueTimeout == 0 {
-		cfg.QueueTimeout = DefaultQueueTimeout
-	}
-	if cfg.RatePerSecond == 0 {
-		cfg.RatePerSecond = DefaultRate
-	}
-	if cfg.Burst == 0 {
-		cfg.Burst = DefaultBurst
-	}
-	if cfg.MaxClients == 0 {
-		cfg.MaxClients = DefaultMaxClients
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.LiveConnLimit == 0 {
-		cfg.LiveConnLimit = DefaultLiveConnLimit
-	}
-	return cfg
-}
-
-// Validate rejects a config whose explicit values are unusable. It is
-// called on the defaulted config by New.
-func (cfg Config) Validate() error {
-	switch {
-	case cfg.MinLimit < 1:
-		return fmt.Errorf("admission: MinLimit %d < 1", cfg.MinLimit)
-	case cfg.MaxLimit < cfg.MinLimit:
-		return fmt.Errorf("admission: MaxLimit %d < MinLimit %d", cfg.MaxLimit, cfg.MinLimit)
-	case cfg.TargetP95 < 0:
-		return fmt.Errorf("admission: negative TargetP95 %v", cfg.TargetP95)
-	case cfg.IncreaseStep < 0:
-		return fmt.Errorf("admission: negative IncreaseStep %v", cfg.IncreaseStep)
-	case cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1:
-		return fmt.Errorf("admission: DecreaseFactor %v outside (0,1)", cfg.DecreaseFactor)
-	case cfg.QueueDepth < 0:
-		return fmt.Errorf("admission: negative QueueDepth %d", cfg.QueueDepth)
-	case cfg.QueueTimeout < 0:
-		return fmt.Errorf("admission: negative QueueTimeout %v", cfg.QueueTimeout)
-	case cfg.RatePerSecond <= 0:
-		return fmt.Errorf("admission: RatePerSecond %v <= 0", cfg.RatePerSecond)
-	case cfg.Burst < 1:
-		return fmt.Errorf("admission: Burst %v < 1", cfg.Burst)
-	case cfg.MaxClients < 1:
-		return fmt.Errorf("admission: MaxClients %d < 1", cfg.MaxClients)
-	case cfg.LiveConnLimit < 1:
-		return fmt.Errorf("admission: LiveConnLimit %d < 1", cfg.LiveConnLimit)
-	}
-	return nil
-}
+// RetryAfter is the hint returned with saturation sheds; the portal
+// sends it with every shed that carries no hint of its own.
+const RetryAfter = time.Second
 
 // Shed reasons, the "reason" label on evop_admission_shed_total.
 const (
@@ -292,7 +168,6 @@ type probe struct {
 // admit/release fast path holds it for a map lookup, a handful of float
 // operations and counter bumps — zero allocations.
 type Controller struct {
-	cfg Config
 	clk clock.Clock
 
 	mu        sync.Mutex
@@ -315,22 +190,17 @@ type Controller struct {
 	clientsG    *metrics.Gauge
 }
 
-// New builds a Controller from cfg (zero fields defaulted, then
-// validated).
-func New(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New builds a Controller on clk. reg receives the evop_admission_*
+// series; a nil registry keeps the instruments private (they still
+// work).
+func New(clk clock.Clock, reg *metrics.Registry) *Controller {
 	c := &Controller{
-		cfg:       cfg,
-		clk:       cfg.Clock,
-		limit:     float64(cfg.InitialLimit),
+		clk:       clk,
+		limit:     initialLimit,
 		byClient:  make(map[string]*list.Element),
 		lru:       list.New(),
-		lastAdapt: cfg.Clock.Now(),
+		lastAdapt: clk.Now(),
 	}
-	reg := cfg.Metrics
 	for cl := Class(0); cl < NumClasses; cl++ {
 		lab := metrics.L("class", cl.String())
 		c.admitted[cl] = reg.Counter("evop_admission_admitted_total",
@@ -352,15 +222,8 @@ func New(cfg Config) (*Controller, error) {
 	c.limitG.Set(int64(c.limit))
 	c.clientsG = reg.Gauge("evop_admission_clients",
 		"Token-bucket client table size.")
-	return c, nil
+	return c
 }
-
-// RetryHint is the Retry-After duration the portal attaches to
-// saturation sheds and the live-connection cap.
-func (c *Controller) RetryHint() time.Duration { return c.cfg.RetryAfter }
-
-// LiveConnLimit is the configured /ws/live connection cap.
-func (c *Controller) LiveConnLimit() int { return c.cfg.LiveConnLimit }
 
 // limitFor is class cl's slot ceiling under the current limit.
 func (c *Controller) limitFor(cl Class) int {
@@ -417,26 +280,18 @@ func (c *Controller) promoteLocked() {
 // ErrSaturated (or ctx's error) plus a Retry-After hint.
 func (c *Controller) Admit(ctx context.Context, cl Class, client string) (time.Duration, error) {
 	c.mu.Lock()
-	now := c.clk.Now()
-	if retry, ok := c.allowLocked(client, now); !ok {
-		c.shed[cl][reasonRate].Inc()
+	if retry, err := c.admitLocked(cl, client); err != ErrSaturated {
 		c.mu.Unlock()
-		return retry, ErrRateLimited
+		return retry, err
 	}
-	c.maybeAdaptLocked(now)
-	if c.total < c.limitFor(cl) && c.queued[cl] == 0 {
-		c.grantLocked(cl)
-		c.mu.Unlock()
-		return 0, nil
-	}
-	if c.cfg.QueueDepth <= 0 || c.queued[cl] >= c.cfg.QueueDepth {
+	if c.queued[cl] >= queueLimit {
 		c.shed[cl][reasonCapacity].Inc()
 		c.mu.Unlock()
-		return c.cfg.RetryAfter, ErrSaturated
+		return RetryAfter, ErrSaturated
 	}
 	if err := ctx.Err(); err != nil {
 		c.mu.Unlock()
-		return c.cfg.RetryAfter, err
+		return RetryAfter, err
 	}
 	w := &waiter{ch: make(chan struct{})}
 	c.queues[cl] = append(c.queues[cl], w)
@@ -446,7 +301,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class, client string) (time.D
 	c.mu.Unlock()
 
 	expired := make(chan struct{})
-	stop := c.clk.AfterFunc(c.cfg.QueueTimeout, func() { close(expired) })
+	stop := c.clk.AfterFunc(queueTimeout, func() { close(expired) })
 	defer stop()
 	select {
 	case <-w.ch:
@@ -456,7 +311,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class, client string) (time.D
 			return 0, nil
 		}
 		c.shed[cl][reasonTimeout].Inc()
-		return c.cfg.RetryAfter, ErrSaturated
+		return RetryAfter, ErrSaturated
 	case <-ctx.Done():
 		if c.abandonOrKeep(cl, w) {
 			// Granted in the same instant the context died: the handler
@@ -467,7 +322,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class, client string) (time.D
 		} else {
 			c.shed[cl][reasonTimeout].Inc()
 		}
-		return c.cfg.RetryAfter, ctx.Err()
+		return RetryAfter, ctx.Err()
 	}
 }
 
@@ -491,21 +346,30 @@ func (c *Controller) abandonOrKeep(cl Class, w *waiter) bool {
 // request should fall back immediately instead of waiting.
 func (c *Controller) TryAdmit(cl Class, client string) (time.Duration, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	retry, err := c.admitLocked(cl, client)
+	if err == ErrSaturated {
+		c.shed[cl][reasonCapacity].Inc()
+	}
+	return retry, err
+}
+
+// admitLocked is what Admit and TryAdmit share: the client's rate
+// check, the adaptation check, then a slot if cl has one free and no
+// queue ahead of it. An ErrSaturated answer is not yet counted as a
+// shed, since Admit may still queue the request.
+func (c *Controller) admitLocked(cl Class, client string) (time.Duration, error) {
 	now := c.clk.Now()
 	if retry, ok := c.allowLocked(client, now); !ok {
 		c.shed[cl][reasonRate].Inc()
-		c.mu.Unlock()
 		return retry, ErrRateLimited
 	}
 	c.maybeAdaptLocked(now)
 	if c.total < c.limitFor(cl) && c.queued[cl] == 0 {
 		c.grantLocked(cl)
-		c.mu.Unlock()
 		return 0, nil
 	}
-	c.shed[cl][reasonCapacity].Inc()
-	c.mu.Unlock()
-	return c.cfg.RetryAfter, ErrSaturated
+	return RetryAfter, ErrSaturated
 }
 
 // AllowRate applies only the per-client rate limit — no concurrency
@@ -541,9 +405,9 @@ func (c *Controller) Release(cl Class) {
 func (c *Controller) allowLocked(client string, now time.Time) (time.Duration, bool) {
 	el, ok := c.byClient[client]
 	if !ok {
-		b := &bucket{key: client, tokens: c.cfg.Burst - 1, last: now}
+		b := &bucket{key: client, tokens: burst - 1, last: now}
 		c.byClient[client] = c.lru.PushFront(b)
-		for c.lru.Len() > c.cfg.MaxClients {
+		for c.lru.Len() > maxClients {
 			oldest := c.lru.Back()
 			c.lru.Remove(oldest)
 			delete(c.byClient, oldest.Value.(*bucket).key)
@@ -555,17 +419,17 @@ func (c *Controller) allowLocked(client string, now time.Time) (time.Duration, b
 	b := el.Value.(*bucket)
 	// A wall clock stepped backwards must not drain the bucket.
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * c.cfg.RatePerSecond
+		b.tokens += dt * ratePerSecond
 	}
-	if b.tokens > c.cfg.Burst {
-		b.tokens = c.cfg.Burst
+	if b.tokens > burst {
+		b.tokens = burst
 	}
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
 		return 0, true
 	}
-	deficit := (1 - b.tokens) / c.cfg.RatePerSecond
+	deficit := (1 - b.tokens) / ratePerSecond
 	return time.Duration(deficit * float64(time.Second)), false
 }
 
@@ -582,11 +446,11 @@ func (c *Controller) Watch(hist *metrics.Histogram) {
 	c.mu.Unlock()
 }
 
-// maybeAdaptLocked runs one AIMD step when AdaptEvery has elapsed since
+// maybeAdaptLocked runs one AIMD step when adaptEvery has elapsed since
 // the last. Riding on the admit/release path keeps the controller free
 // of background goroutines and deterministic under a simulated clock.
 func (c *Controller) maybeAdaptLocked(now time.Time) {
-	if len(c.probes) == 0 || now.Sub(c.lastAdapt) < c.cfg.AdaptEvery {
+	if len(c.probes) == 0 || now.Sub(c.lastAdapt) < adaptEvery {
 		return
 	}
 	c.lastAdapt = now
@@ -615,16 +479,10 @@ func (c *Controller) adaptLocked() {
 	if samples == 0 {
 		return
 	}
-	if worst > c.cfg.TargetP95.Seconds() {
-		c.limit *= c.cfg.DecreaseFactor
-		if c.limit < float64(c.cfg.MinLimit) {
-			c.limit = float64(c.cfg.MinLimit)
-		}
+	if worst > targetP95.Seconds() {
+		c.limit = max(c.limit*decreaseFactor, minLimit)
 	} else {
-		c.limit += c.cfg.IncreaseStep
-		if c.limit > float64(c.cfg.MaxLimit) {
-			c.limit = float64(c.cfg.MaxLimit)
-		}
+		c.limit = min(c.limit+increaseStep, maxLimit)
 	}
 	c.limitG.Set(int64(c.limit))
 	c.promoteLocked()

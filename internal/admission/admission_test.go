@@ -13,21 +13,24 @@ import (
 
 var testStart = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 
-// newTestController builds a controller on a simulated clock with the
-// rate limiter effectively disabled (tests that exercise it set their
-// own rate).
-func newTestController(t *testing.T, mutate func(*Config)) (*Controller, *clock.Simulated) {
-	t.Helper()
+// newTestController builds a controller on a simulated clock whose
+// adaptive limit starts at limit.
+func newTestController(limit float64) (*Controller, *clock.Simulated) {
 	clk := clock.NewSimulated(testStart)
-	cfg := Config{Clock: clk, RatePerSecond: 1e9, Burst: 1e9}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c := New(clk, nil)
+	c.limit = limit
 	return c, clk
+}
+
+// setTokens sets client's bucket to n tokens, creating it first.
+func (c *Controller) setTokens(t *testing.T, client string, n float64) {
+	t.Helper()
+	if _, err := c.AllowRate(Live, client); err != nil {
+		t.Fatalf("AllowRate(%s): %v", client, err)
+	}
+	c.mu.Lock()
+	c.byClient[client].Value.(*bucket).tokens = n
+	c.mu.Unlock()
 }
 
 // Adapt forces one AIMD step now. Tests use it to drive convergence
@@ -46,54 +49,29 @@ func (c *Controller) Limit() int {
 	return int(c.limit)
 }
 
-func TestConfigValidate(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"min below one", func(c *Config) { c.MinLimit = -1 }},
-		{"max below min", func(c *Config) { c.MinLimit = 10; c.MaxLimit = 5 }},
-		{"decrease at one", func(c *Config) { c.DecreaseFactor = 1 }},
-		{"negative rate", func(c *Config) { c.RatePerSecond = -3 }},
-		{"burst below one", func(c *Config) { c.Burst = 0.5 }},
-		{"negative queue", func(c *Config) { c.QueueDepth = -1 }},
-		{"negative live cap", func(c *Config) { c.LiveConnLimit = -1 }},
-	}
-	for _, tc := range cases {
-		cfg := Config{Clock: clock.NewSimulated(testStart)}
-		tc.mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s: New accepted invalid config", tc.name)
-		}
-	}
-	if _, err := New(Config{}); err != nil {
-		t.Errorf("zero config (all defaults): %v", err)
-	}
-}
-
 func TestTokenBucketRefill(t *testing.T) {
-	c, clk := newTestController(t, func(cfg *Config) {
-		cfg.RatePerSecond = 1
-		cfg.Burst = 2
-	})
+	c, clk := newTestController(initialLimit)
+	// Two tokens left of alice's burst.
+	c.setTokens(t, "alice", 2)
 	for i := 0; i < 2; i++ {
 		if _, err := c.AllowRate(Live, "alice"); err != nil {
-			t.Fatalf("burst request %d: %v", i, err)
+			t.Fatalf("request %d within the tokens left: %v", i, err)
 		}
 	}
 	retry, err := c.AllowRate(Live, "alice")
 	if err != ErrRateLimited {
 		t.Fatalf("exhausted bucket: err = %v, want ErrRateLimited", err)
 	}
-	if retry <= 0 || retry > time.Second {
-		t.Fatalf("retry hint = %v, want in (0, 1s]", retry)
+	// One token refills in 1/ratePerSecond.
+	perToken := time.Second / ratePerSecond
+	if retry <= 0 || retry > perToken {
+		t.Fatalf("retry hint = %v, want in (0, %v]", retry, perToken)
 	}
 	// A different client has its own bucket.
 	if _, err := c.AllowRate(Live, "bob"); err != nil {
 		t.Fatalf("independent client: %v", err)
 	}
-	// One token refills after 1s at rate 1/s.
-	clk.Advance(time.Second)
+	clk.Advance(perToken)
 	if _, err := c.AllowRate(Live, "alice"); err != nil {
 		t.Fatalf("after refill: %v", err)
 	}
@@ -102,7 +80,7 @@ func TestTokenBucketRefill(t *testing.T) {
 	}
 	// Idle time never accrues past the burst.
 	clk.Advance(time.Hour)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < burst; i++ {
 		if _, err := c.AllowRate(Live, "alice"); err != nil {
 			t.Fatalf("burst after idle, request %d: %v", i, err)
 		}
@@ -112,25 +90,33 @@ func TestTokenBucketRefill(t *testing.T) {
 	}
 }
 
+// TestClientTableLRUBound sends one client past the bound: the least
+// recently seen client is evicted, and a client seen again is not.
 func TestClientTableLRUBound(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) { cfg.MaxClients = 3 })
-	for _, id := range []string{"a", "b", "c", "a", "d"} {
-		if _, err := c.AllowRate(Live, id); err != nil {
-			t.Fatalf("AllowRate(%s): %v", id, err)
+	c, _ := newTestController(initialLimit)
+	id := func(i int) string { return fmt.Sprintf("c%d", i) }
+	for i := 0; i < maxClients; i++ {
+		if _, err := c.AllowRate(Live, id(i)); err != nil {
+			t.Fatalf("AllowRate(%s): %v", id(i), err)
+		}
+	}
+	// c0 is seen again, so c1 is now the least recently seen.
+	for _, i := range []int{0, maxClients} {
+		if _, err := c.AllowRate(Live, id(i)); err != nil {
+			t.Fatalf("AllowRate(%s): %v", id(i), err)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lru.Len() != 3 {
-		t.Fatalf("client table size = %d, want 3", c.lru.Len())
+	if c.lru.Len() != maxClients {
+		t.Fatalf("client table size = %d, want %d", c.lru.Len(), maxClients)
 	}
-	// "b" was least recently seen when "d" arrived.
-	if _, ok := c.byClient["b"]; ok {
+	if _, ok := c.byClient[id(1)]; ok {
 		t.Fatal("least-recently-seen client not evicted")
 	}
-	for _, id := range []string{"a", "c", "d"} {
-		if _, ok := c.byClient[id]; !ok {
-			t.Fatalf("client %q missing from table", id)
+	for _, i := range []int{0, 2, maxClients - 1, maxClients} {
+		if _, ok := c.byClient[id(i)]; !ok {
+			t.Fatalf("client %q missing from table", id(i))
 		}
 	}
 }
@@ -139,10 +125,7 @@ func TestClientTableLRUBound(t *testing.T) {
 // the class ceilings produce strictly ordered shedding: bulk exhausts
 // first, then model, then live, while ingest admits into the reserve.
 func TestShedOrderingDeterministic(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 20
-	})
+	c, _ := newTestController(20)
 	// Ceilings at limit 20: ingest 20, live 17, model 14, bulk 10.
 	for i := 0; i < 17; i++ {
 		if _, err := c.TryAdmit(Live, "crowd"); err != nil {
@@ -182,11 +165,7 @@ func TestShedOrderingDeterministic(t *testing.T) {
 }
 
 func TestQueuePromotionOnRelease(t *testing.T) {
-	c, clk := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 1
-		cfg.InitialLimit = 1
-		cfg.QueueDepth = 2
-	})
+	c, clk := newTestController(1) // ingest ceiling: 1 slot
 	if _, err := c.TryAdmit(Ingest, "a"); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -211,12 +190,7 @@ func TestQueuePromotionOnRelease(t *testing.T) {
 }
 
 func TestQueueTimeoutSheds(t *testing.T) {
-	c, clk := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 2 // live ceiling: 1 slot
-		cfg.QueueDepth = 2
-		cfg.QueueTimeout = time.Second
-	})
+	c, clk := newTestController(2) // live ceiling: 1 slot
 	if _, err := c.TryAdmit(Live, "a"); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -227,7 +201,13 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	}()
 	// Wait until the waiter has armed its timeout timer, then fire it.
 	waitFor(t, func() bool { return clk.PendingTimers() >= 1 })
-	clk.Advance(time.Second)
+	clk.Advance(queueTimeout - time.Nanosecond)
+	select {
+	case err := <-done:
+		t.Fatalf("wait ended before the queue timeout: %v", err)
+	default:
+	}
+	clk.Advance(time.Nanosecond)
 	if err := <-done; err != ErrSaturated {
 		t.Fatalf("timed-out wait: err = %v, want ErrSaturated", err)
 	}
@@ -241,11 +221,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 }
 
 func TestQueueHonorsContext(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 2 // model ceiling: 1 slot
-		cfg.QueueDepth = 2
-	})
+	c, _ := newTestController(2) // model ceiling: 1 slot
 	if _, err := c.TryAdmit(Model, "a"); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -271,95 +247,108 @@ func TestQueueHonorsContext(t *testing.T) {
 }
 
 func TestQueueFullSheds(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 2 // live ceiling: 1 slot
-		cfg.QueueDepth = 1
-	})
+	c, _ := newTestController(2) // live ceiling: 1 slot
 	if _, err := c.TryAdmit(Live, "a"); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
-	go c.Admit(context.Background(), Live, "b") //nolint:errcheck
-	waitFor(t, func() bool { return c.queueDepth[Live].Value() == 1 })
+	granted := make(chan error, queueLimit)
+	for i := 0; i < queueLimit; i++ {
+		go func() {
+			_, err := c.Admit(context.Background(), Live, "b")
+			granted <- err
+		}()
+	}
+	waitFor(t, func() bool { return c.queueDepth[Live].Value() == queueLimit })
 	if _, err := c.Admit(context.Background(), Live, "c"); err != ErrSaturated {
 		t.Fatalf("queue full: err = %v, want ErrSaturated", err)
 	}
-	c.Release(Live) // promotes the queued waiter
-	waitFor(t, func() bool { return c.queueDepth[Live].Value() == 0 })
+	if got := c.shed[Live][reasonCapacity].Value(); got != 1 {
+		t.Fatalf("capacity sheds = %d, want 1", got)
+	}
+	// Each release promotes the next waiter, which then holds the slot.
+	for i := 0; i < queueLimit; i++ {
+		c.Release(Live)
+		if err := <-granted; err != nil {
+			t.Fatalf("queued admit %d: %v", i, err)
+		}
+	}
 	c.Release(Live)
+	if got := c.total; got != 0 {
+		t.Fatalf("in flight = %d, want 0", got)
+	}
 }
 
 // TestAIMDAdaptation drives the limit with synthetic latency: sustained
 // p95 above target collapses it to the floor; healthy intervals climb it
-// back to the ceiling; idle intervals leave it alone.
+// to the ceiling; idle intervals leave it alone.
 func TestAIMDAdaptation(t *testing.T) {
-	c, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 16
-		cfg.MaxLimit = 32
-		cfg.TargetP95 = 100 * time.Millisecond
-		cfg.IncreaseStep = 4
-		cfg.DecreaseFactor = 0.5
-	})
+	c, _ := newTestController(initialLimit)
 	h := metrics.NewHistogram(metrics.DurationScale)
 	c.Watch(h)
+	record := func(d time.Duration) {
+		for j := 0; j < 50; j++ {
+			h.RecordDuration(d)
+		}
+	}
 
 	// No traffic: the limit must not drift.
 	c.Adapt()
-	if got := c.Limit(); got != 16 {
-		t.Fatalf("idle adapt moved limit to %d, want 16", got)
+	if got := c.Limit(); got != initialLimit {
+		t.Fatalf("idle adapt moved limit to %d, want %d", got, initialLimit)
 	}
-	// Breach: 16 → 8 → 4 → 2, clamped at the floor.
-	for i, want := range []int{8, 4, 2, 2} {
-		for j := 0; j < 50; j++ {
-			h.RecordDuration(time.Second)
-		}
+	// Breach: each round multiplies by decreaseFactor, clamped at the
+	// floor: 64 → 44.8 → 31.36 → ... → 4 at round 8, then held there.
+	want := float64(initialLimit)
+	for i := 0; i < 10; i++ {
+		record(2 * targetP95)
 		c.Adapt()
-		if got := c.Limit(); got != want {
-			t.Fatalf("breach round %d: limit = %d, want %d", i, got, want)
+		want = max(want*decreaseFactor, minLimit)
+		if got := c.Limit(); got != int(want) {
+			t.Fatalf("breach round %d: limit = %d, want %d", i, got, int(want))
 		}
 	}
-	// Recovery: +4 per healthy interval up to the ceiling.
-	for i, want := range []int{6, 10, 14, 18, 22, 26, 30, 32, 32} {
-		for j := 0; j < 50; j++ {
-			h.RecordDuration(time.Millisecond)
-		}
+	if want != minLimit {
+		t.Fatalf("breach ended at %v, want the floor %d", want, minLimit)
+	}
+	// Recovery: +increaseStep per healthy interval up to the ceiling,
+	// reached at round 255, then held there.
+	for i := 0; i < 260; i++ {
+		record(targetP95 / 10)
 		c.Adapt()
-		if got := c.Limit(); got != want {
-			t.Fatalf("recovery round %d: limit = %d, want %d", i, got, want)
+		want = min(want+increaseStep, maxLimit)
+		if got := c.Limit(); got != int(want) {
+			t.Fatalf("recovery round %d: limit = %d, want %d", i, got, int(want))
 		}
+	}
+	if want != maxLimit {
+		t.Fatalf("recovery ended at %v, want the ceiling %d", want, maxLimit)
 	}
 }
 
 // TestAdaptRidesAdmitPath checks the lazy adaptation trigger: an admit
-// after AdaptEvery has elapsed runs the AIMD step without any background
+// after adaptEvery has elapsed runs the AIMD step without any background
 // goroutine.
 func TestAdaptRidesAdmitPath(t *testing.T) {
-	c, clk := newTestController(t, func(cfg *Config) {
-		cfg.InitialLimit = 16
-		cfg.TargetP95 = 100 * time.Millisecond
-		cfg.AdaptEvery = 5 * time.Second
-		cfg.DecreaseFactor = 0.5
-	})
+	c, clk := newTestController(initialLimit)
 	h := metrics.NewHistogram(metrics.DurationScale)
 	c.Watch(h)
 	for j := 0; j < 50; j++ {
-		h.RecordDuration(time.Second)
+		h.RecordDuration(2 * targetP95)
 	}
 	if _, err := c.TryAdmit(Live, "a"); err != nil {
 		t.Fatal(err)
 	}
 	c.Release(Live)
-	if got := c.Limit(); got != 16 {
-		t.Fatalf("adapted before AdaptEvery: limit = %d", got)
+	if got := c.Limit(); got != initialLimit {
+		t.Fatalf("adapted before adaptEvery: limit = %d", got)
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(adaptEvery)
 	if _, err := c.TryAdmit(Live, "a"); err != nil {
 		t.Fatal(err)
 	}
 	c.Release(Live)
-	if got := c.Limit(); got != 8 {
-		t.Fatalf("limit after elapsed interval = %d, want 8", got)
+	if got, want := c.limit, float64(initialLimit*decreaseFactor); got != want {
+		t.Fatalf("limit after elapsed interval = %v, want %v", got, want)
 	}
 }
 
@@ -382,11 +371,7 @@ func splitmix64(state *uint64) uint64 {
 func TestChaosFlashCrowdStorm(t *testing.T) {
 	// Phase 1: seeded synchronous storm, no releases — the crowd piles
 	// up and the classes must saturate strictly in reverse priority.
-	c, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 20
-		cfg.MaxLimit = 64
-	})
+	c, _ := newTestController(20)
 	seed := uint64(42)
 	// Ceilings at limit 20, by class.
 	ceiling := [NumClasses]int{Ingest: 20, Live: 17, Model: 14, Bulk: 10}
@@ -438,42 +423,32 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 
 	// Phase 2: AIMD convergence. A latency breach collapses the limit to
 	// the floor; recovery climbs back to the ceiling.
-	c2, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 32
-		cfg.MaxLimit = 48
-		cfg.TargetP95 = 100 * time.Millisecond
-		cfg.DecreaseFactor = 0.5
-	})
+	c2, _ := newTestController(initialLimit)
 	h := metrics.NewHistogram(metrics.DurationScale)
 	c2.Watch(h)
 	for round := 0; round < 10; round++ {
 		for j := 0; j < 40; j++ {
-			h.RecordDuration(2 * time.Second)
+			h.RecordDuration(4 * targetP95)
 		}
 		c2.Adapt()
 	}
-	if got := c2.Limit(); got != 2 {
-		t.Fatalf("limit under sustained breach = %d, want floor 2", got)
+	if got := c2.Limit(); got != minLimit {
+		t.Fatalf("limit under sustained breach = %d, want floor %d", got, minLimit)
 	}
-	for round := 0; round < 20; round++ {
+	for round := 0; round < (maxLimit-minLimit)/increaseStep+5; round++ {
 		for j := 0; j < 40; j++ {
 			h.RecordDuration(time.Millisecond)
 		}
 		c2.Adapt()
 	}
-	if got := c2.Limit(); got != 48 {
-		t.Fatalf("limit after recovery = %d, want ceiling 48", got)
+	if got := c2.Limit(); got != maxLimit {
+		t.Fatalf("limit after recovery = %d, want ceiling %d", got, maxLimit)
 	}
 
 	// Phase 3: concurrent hammer. Every goroutine draws classes from its
 	// own seeded stream; admits queue and promote across classes. The
 	// race detector owns the memory-safety half of the assertion.
-	c3, _ := newTestController(t, func(cfg *Config) {
-		cfg.MinLimit = 2
-		cfg.InitialLimit = 8
-		cfg.QueueDepth = 4
-	})
+	c3, _ := newTestController(8)
 	const goroutines, iters = 8, 400
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -511,7 +486,7 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 // TestAdmitHotPathAllocs pins the steady-state admit/release path at
 // zero allocations per operation.
 func TestAdmitHotPathAllocs(t *testing.T) {
-	c, _ := newTestController(t, nil)
+	c, _ := newTestController(initialLimit)
 	ctx := context.Background()
 	// Warm the client's bucket so steady state is measured.
 	if _, err := c.Admit(ctx, Live, "10.0.0.1"); err != nil {

@@ -81,10 +81,6 @@ type Config struct {
 	// differ). Chaos experiments schedule outages and tune rates through
 	// FaultyPrivate / FaultyPublic on the assembled observatory.
 	Faults *cloud.FaultSpec
-	// Admission tunes the portal's front-door overload protection; nil
-	// uses the admission package defaults. Clock and Metrics are always
-	// supplied by the assembly and ignored if set here.
-	Admission *admission.Config
 }
 
 // DefaultConfig returns a config suitable for experiments: a small
@@ -181,6 +177,7 @@ func New(cfg Config) (*Observatory, error) {
 		Catchments: catchment.LEFTCatchments(),
 		Library:    modellib.New(cfg.Clock.Now),
 		Assets:     rest.NewStore(),
+		Admission:  admission.New(cfg.Clock, reg),
 		forcings:   make(map[string]hydro.Forcing),
 		uploads:    make(map[string]*timeseries.Series),
 		runs:       runcache.New[*RunResult](runCacheSize, reg),
@@ -189,22 +186,9 @@ func New(cfg Config) (*Observatory, error) {
 			"Uncached model simulation duration.", metrics.DurationScale),
 	}
 
-	// Front-door admission gate. The registry and clock are the
-	// observatory's own, whatever the caller put in the template config.
-	acfg := admission.Config{}
-	if cfg.Admission != nil {
-		acfg = *cfg.Admission
-	}
-	acfg.Clock = cfg.Clock
-	acfg.Metrics = reg
-	var err error
-	o.Admission, err = admission.New(acfg)
-	if err != nil {
-		return nil, fmt.Errorf("building admission gate: %w", err)
-	}
-
 	// Shared compute pool. Created early so later failures can release
 	// its workers through the deferred close.
+	var err error
 	o.Sched, err = sched.New(sched.Config{Metrics: reg})
 	if err != nil {
 		return nil, fmt.Errorf("building compute pool: %w", err)

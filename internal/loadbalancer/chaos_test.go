@@ -106,6 +106,14 @@ func (h *faultyHarness) series() map[string]float64 {
 	return out
 }
 
+// doomed reports whether id has a pending terminate retry.
+func (lb *LB) doomed(id string) bool {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	_, pending := lb.termRetries[id]
+	return pending
+}
+
 func countEvents(events []Event, action, detailSubstr string) int {
 	n := 0
 	for _, e := range events {
@@ -223,7 +231,7 @@ func TestFaultyIdleTerminateRetriedNotLeaked(t *testing.T) {
 		t.Fatal("no terminate-failed event recorded for idle reclaim")
 	}
 	// Doomed instances are fenced off from placement.
-	if in := h.lb.PlaceNow("topmodel"); in != nil && h.lb.isDoomed(in.ID()) {
+	if in := h.lb.PlaceNow("topmodel"); in != nil && h.lb.doomed(in.ID()) {
 		t.Fatalf("PlaceNow returned doomed instance %s", in.ID())
 	}
 
@@ -260,7 +268,7 @@ func TestFaultyIdleTerminateCancelledOnReuse(t *testing.T) {
 	}
 	h.fpriv.SetErrorRates(0, 1, 0)
 	h.settle(6) // extra goes idle; scale-down terminate fails and queues
-	if !h.lb.isDoomed(extra.ID()) {
+	if !h.lb.doomed(extra.ID()) {
 		t.Skipf("extra instance %s not queued for terminate retry", extra.ID())
 	}
 
@@ -274,6 +282,61 @@ func TestFaultyIdleTerminateCancelledOnReuse(t *testing.T) {
 	}
 	if extra.State() != cloud.StateRunning {
 		t.Fatalf("busy instance state = %v, want running", extra.State())
+	}
+}
+
+// TestFaultyRebalanceSkipsDoomedPrivate: a private instance with room
+// whose terminate retry is pending takes no session when public
+// sessions are rebalanced home, as PlaceNow gives it none.
+func TestFaultyRebalanceSkipsDoomedPrivate(t *testing.T) {
+	h := newFaultyHarness(t, 2, nil) // private fits 2 instances x 2 sessions
+	h.settle(2)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		s, err := h.brk.Connect("user", "topmodel")
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		ids = append(ids, s.ID)
+	}
+	h.settle(4) // private saturates, the fifth session bursts to public
+	var doomed *cloud.Instance
+	var public []string
+	for _, id := range ids {
+		s, err := h.brk.Session(id)
+		if err != nil {
+			t.Fatalf("Session: %v", err)
+		}
+		if _, err := h.public.Get(s.InstanceID); err == nil {
+			public = append(public, id)
+			continue
+		}
+		in, err := h.private.Get(s.InstanceID)
+		if err != nil {
+			t.Fatalf("session %s on %q: %v", id, s.InstanceID, err)
+		}
+		if doomed == nil {
+			// Free a slot on this private instance, then doom it.
+			if err := h.brk.Disconnect(id); err != nil {
+				t.Fatalf("Disconnect: %v", err)
+			}
+			doomed = in
+		}
+	}
+	if len(public) != 1 || doomed == nil {
+		t.Fatalf("public sessions = %d, doomed private = %v; want 1 and one", len(public), doomed)
+	}
+	h.fpriv.SetErrorRates(0, 1, 0)
+	if h.lb.tryTerminate(doomed.ID(), "test", false) || !h.lb.doomed(doomed.ID()) {
+		t.Fatalf("%s not queued for terminate retry", doomed.ID())
+	}
+
+	h.lb.rebalanceToPrivate()
+	if got := len(h.brk.SessionsOn(doomed.ID())); got != 1 {
+		t.Fatalf("doomed %s hosts %d sessions after rebalance, want 1", doomed.ID(), got)
+	}
+	if s, _ := h.brk.Session(public[0]); s.InstanceID == doomed.ID() {
+		t.Fatalf("public session %s moved onto doomed %s", s.ID, doomed.ID())
 	}
 }
 

@@ -297,9 +297,9 @@ func (lb *LB) Stop() {
 	lb.tickMu.Unlock()
 }
 
-// PlaceNow implements broker.Placer: the least-loaded running,
-// unsaturated, service-capable instance — private preferred so that load
-// reverts to owned capacity naturally.
+// PlaceNow implements broker.Placer: the least-loaded placeable
+// instance, private preferred so that load reverts to owned capacity
+// naturally.
 func (lb *LB) PlaceNow(service string) *cloud.Instance {
 	var best *cloud.Instance
 	score := func(in *cloud.Instance) float64 {
@@ -310,13 +310,7 @@ func (lb *LB) PlaceNow(service string) *cloud.Instance {
 		return s
 	}
 	for _, in := range lb.cfg.Multi.Instances() {
-		if in.State() != cloud.StateRunning || in.Saturated() {
-			continue
-		}
-		if !serves(in, service) {
-			continue
-		}
-		if lb.isSuspect(in.ID()) || lb.isDoomed(in.ID()) {
+		if !lb.placeable(in, service) {
 			continue
 		}
 		if best == nil || score(in) < score(best) {
@@ -329,17 +323,26 @@ func (lb *LB) PlaceNow(service string) *cloud.Instance {
 func (lb *LB) isSuspect(id string) bool {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
+	return lb.suspectLocked(id)
+}
+
+func (lb *LB) suspectLocked(id string) bool {
 	tr, ok := lb.tracks[id]
 	return ok && tr.suspectTicks >= lb.cfg.SuspectTicks
 }
 
-// isDoomed reports whether an instance has a pending terminate retry — it
-// is on its way out and must not receive new sessions.
-func (lb *LB) isDoomed(id string) bool {
+// placeable reports whether in may take a new session for service: it
+// runs, has room, hosts the service, and is neither suspect nor doomed.
+// A doomed instance has a pending terminate retry; it is on its way out
+// and must not receive new sessions.
+func (lb *LB) placeable(in *cloud.Instance, service string) bool {
+	if in.State() != cloud.StateRunning || in.Saturated() || !serves(in, service) {
+		return false
+	}
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	_, pending := lb.termRetries[id]
-	return pending
+	_, doomed := lb.termRetries[in.ID()]
+	return !doomed && !lb.suspectLocked(in.ID())
 }
 
 // serves reports whether an instance can host the service: streamlined
@@ -643,10 +646,10 @@ func (lb *LB) rebalanceToPrivate() {
 	}
 }
 
+// privateSlot is the first placeable private instance, or nil.
 func (lb *LB) privateSlot(service string) *cloud.Instance {
 	for _, in := range lb.cfg.Multi.Instances() {
-		if in.Kind() == cloud.Private && in.State() == cloud.StateRunning &&
-			!in.Saturated() && serves(in, service) && !lb.isSuspect(in.ID()) {
+		if in.Kind() == cloud.Private && lb.placeable(in, service) {
 			return in
 		}
 	}

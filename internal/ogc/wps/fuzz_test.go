@@ -7,13 +7,67 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"evop/internal/ogc"
 	"evop/internal/timeseries"
 )
+
+// FuzzWPSKVP sends raw /wps query strings, in which one name may come in
+// several spellings, to a service with one process: no request answers
+// 5xx, and three repeats of a query answer the same status and bytes.
+// An asynchronous Execute is not sent: each accepted one mints a new
+// execution ID by design. So no execution exists, and GetStatus too
+// answers the same every time.
+func FuzzWPSKVP(f *testing.F) {
+	svc := newService(f, nil)
+	if err := svc.Register(&addProcess{}); err != nil {
+		f.Fatalf("Register: %v", err)
+	}
+	f.Cleanup(svc.Wait)
+	for _, seed := range []string{
+		"service=WPS&SERVICE=SOS&request=GetCapabilities",
+		"service=WPS&request=GetCapabilities",
+		"Service=wps&REQUEST=describeprocess&identifier=add&Identifier=ghost",
+		"service=WPS&request=Execute&identifier=add&datainputs=a%3D2%3Bb%3D3.5&DataInputs=a%3Dx",
+		"service=WPS&request=Execute&identifier=add&datainputs=a%3D1&storeExecuteResponse=true",
+		"service=WPS&request=GetStatus&executionid=e1&ExecutionID=e2",
+		"SERVICE=WPS&service=wps&Request=GetCapabilities&request=Execute",
+		"service=WPS&request=Bogus&REQUEST=GetCapabilities",
+		"%zz&service=WPS;request=GetCapabilities",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		parsed, _ := url.ParseQuery(raw) // what the service reads, errors and all
+		q := ogc.KVP(parsed)
+		if strings.EqualFold(q.Get("request"), "execute") && strings.EqualFold(q.Get("storeexecuteresponse"), "true") {
+			return
+		}
+		var first *httptest.ResponseRecorder
+		for try := 0; try < 3; try++ {
+			req := httptest.NewRequest(http.MethodGet, "/wps", nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			svc.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("%q = %d %s", raw, rec.Code, rec.Body)
+			}
+			if first == nil {
+				first = rec
+				continue
+			}
+			if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("%q: try %d = %d %s, first = %d %s", raw, try, rec.Code, rec.Body, first.Code, first.Body)
+			}
+		}
+	})
+}
 
 // FuzzParseDataInputs hardens the KVP input parser.
 func FuzzParseDataInputs(f *testing.F) {

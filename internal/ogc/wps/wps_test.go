@@ -65,13 +65,13 @@ func (p *addProcess) Execute(ctx context.Context, inputs map[string]Value) (map[
 
 // newService builds a service over a fresh two-worker pool; both are
 // torn down when the test ends.
-func newService(t *testing.T, reg *metrics.Registry) *Service {
+func newService(t testing.TB, reg *metrics.Registry) *Service {
 	t.Helper()
 	return newServiceOn(t, newPool(t, 2), reg)
 }
 
 // newServiceOn builds a service over pool.
-func newServiceOn(t *testing.T, pool *sched.Pool, reg *metrics.Registry) *Service {
+func newServiceOn(t testing.TB, pool *sched.Pool, reg *metrics.Registry) *Service {
 	t.Helper()
 	svc, err := NewService("EVOp WPS", Options{Metrics: reg, Pool: pool})
 	if err != nil {
@@ -81,7 +81,7 @@ func newServiceOn(t *testing.T, pool *sched.Pool, reg *metrics.Registry) *Servic
 }
 
 // newPool builds a compute pool closed when the test ends.
-func newPool(t *testing.T, workers int) *sched.Pool {
+func newPool(t testing.TB, workers int) *sched.Pool {
 	t.Helper()
 	pool, err := sched.New(sched.Config{Workers: workers})
 	if err != nil {

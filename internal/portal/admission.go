@@ -131,7 +131,7 @@ func (p *Portal) admit(w http.ResponseWriter, r *http.Request, rt *route) (*http
 // hint and a machine-readable body.
 func (p *Portal) writeShed(w http.ResponseWriter, cl admission.Class, retry time.Duration, err error) {
 	if retry <= 0 {
-		retry = p.obs.Admission.RetryHint()
+		retry = admission.RetryAfter
 	}
 	secs := int(math.Ceil(retry.Seconds()))
 	if secs < 1 {

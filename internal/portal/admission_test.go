@@ -2,6 +2,7 @@ package portal
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"evop/internal/admission"
-	"evop/internal/core"
 	"evop/internal/ws"
 )
 
@@ -70,15 +70,52 @@ func decodeShed(t *testing.T, resp *http.Response) shedBody {
 	return sb
 }
 
-func TestRateLimitSheds429(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		cfg.Admission = &admission.Config{RatePerSecond: 1, Burst: 2}
+// saturate holds class cl's admission slots until TryAdmit sheds, and
+// hands them back when the test ends. At the gate's starting limit of
+// 64 that is 44 model slots or 54 live ones.
+func (f *fixture) saturate(t *testing.T, cl admission.Class) {
+	t.Helper()
+	held := 0
+	t.Cleanup(func() {
+		for ; held > 0; held-- {
+			f.obs.Admission.Release(cl)
+		}
 	})
+	for {
+		_, err := f.obs.Admission.TryAdmit(cl, "holder")
+		if errors.Is(err, admission.ErrSaturated) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("holding slot %d: %v", held, err)
+		}
+		held++
+	}
+}
+
+// drainBucket spends what is left of the test server's client's burst
+// (every request through f.srv comes from its loopback address).
+func (f *fixture) drainBucket(t *testing.T) {
+	t.Helper()
+	client := clientKey(f.srv.Listener.Addr().String())
+	for n := 0; ; n++ {
+		if _, err := f.obs.Admission.AllowRate(admission.Live, client); err != nil {
+			return
+		}
+		if n > burst {
+			t.Fatalf("%s still has tokens after %d requests", client, n)
+		}
+	}
+}
+
+func TestRateLimitSheds429(t *testing.T) {
+	f := newFixture(t)
 	for i := 0; i < 2; i++ {
 		if code, body := f.get(t, "/map/layers"); code != http.StatusOK {
 			t.Fatalf("request %d within burst: %d %s", i, code, body)
 		}
 	}
+	f.drainBucket(t)
 	resp := f.doRaw(t, http.MethodGet, "/map/layers", "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
@@ -105,11 +142,7 @@ func TestRateLimitSheds429(t *testing.T) {
 }
 
 func TestModelRunStaleCacheDegrade(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		// limit 2 → model ceiling int(2*0.70) = 1: one held slot
-		// saturates the class.
-		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
-	})
+	f := newFixture(t)
 	run := `{"catchment":"morland","model":"topmodel"}`
 	resp := f.doRaw(t, http.MethodPost, "/widgets/model/run", run)
 	io.Copy(io.Discard, resp.Body)
@@ -120,11 +153,8 @@ func TestModelRunStaleCacheDegrade(t *testing.T) {
 		t.Fatalf("fresh run marked degraded %q", h)
 	}
 
-	// Saturate the shared limit; the model class now has no slot.
-	if _, err := f.obs.Admission.TryAdmit(admission.Model, "holder"); err != nil {
-		t.Fatalf("holding slot: %v", err)
-	}
-	defer f.obs.Admission.Release(admission.Model)
+	// Saturate the model class: it now has no slot.
+	f.saturate(t, admission.Model)
 
 	// Same family (catchment+scenario+model+dataset), different storm
 	// placement: served from the stale family index, marked degraded.
@@ -164,9 +194,7 @@ func TestModelRunStaleCacheDegrade(t *testing.T) {
 // saturation a request the healthy path refuses gets the same status,
 // not its family's stale run; a valid one still gets the stale 200.
 func TestModelRunStaleCacheRefusesBadRequests(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
-	})
+	f := newFixture(t)
 	bad := []struct {
 		body string
 		want int
@@ -194,10 +222,7 @@ func TestModelRunStaleCacheRefusesBadRequests(t *testing.T) {
 		t.Fatalf("fresh run: %d", got)
 	}
 
-	if _, err := f.obs.Admission.TryAdmit(admission.Model, "holder"); err != nil {
-		t.Fatalf("holding slot: %v", err)
-	}
-	defer f.obs.Admission.Release(admission.Model)
+	f.saturate(t, admission.Model)
 	for _, tc := range bad {
 		resp := f.doRaw(t, http.MethodPost, "/widgets/model/run", tc.body)
 		io.Copy(io.Discard, resp.Body)
@@ -216,9 +241,7 @@ func TestModelRunStaleCacheRefusesBadRequests(t *testing.T) {
 }
 
 func TestSeriesCoarseRollupDegrade(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
-	})
+	f := newFixture(t)
 	// The fixture warmed 3h; extend to a full day of history.
 	f.clk.Advance(21 * time.Hour)
 
@@ -231,11 +254,7 @@ func TestSeriesCoarseRollupDegrade(t *testing.T) {
 		t.Fatal("healthy series response lost its validators")
 	}
 
-	// One held slot saturates the live ceiling (int(2*0.85) = 1).
-	if _, err := f.obs.Admission.TryAdmit(admission.Ingest, "holder"); err != nil {
-		t.Fatalf("holding slot: %v", err)
-	}
-	defer f.obs.Admission.Release(admission.Ingest)
+	f.saturate(t, admission.Live)
 
 	resp = f.doRaw(t, http.MethodGet, "/sensors/morland-level-1/series", "")
 	if resp.StatusCode != http.StatusOK {
@@ -261,11 +280,22 @@ func TestSeriesCoarseRollupDegrade(t *testing.T) {
 // WebSocket handshake — never a 500, never a half-upgraded socket — and
 // the slot frees when the connection ends.
 func TestLiveConnCapPreUpgrade(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		cfg.Admission = &admission.Config{LiveConnLimit: 1}
-	})
+	f := newFixture(t)
 	conn := f.dialLive(t, "sensors")
 	defer conn.Close(ws.CloseNormal, "")
+	// Hold the other liveConnLimit-1 slots, so conn's is the last.
+	held := 0
+	for f.p.acquireLiveConn() {
+		held++
+	}
+	if held != liveConnLimit-1 {
+		t.Fatalf("held %d slots beside one connection, want %d", held, liveConnLimit-1)
+	}
+	defer func() {
+		for ; held > 0; held-- {
+			f.p.releaseLiveConn()
+		}
+	}()
 
 	// A real upgrade attempt beyond the cap fails the dial cleanly.
 	url := "ws" + strings.TrimPrefix(f.srv.URL, "http") + "/ws/live?topics=sensors"

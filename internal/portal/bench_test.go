@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"evop/internal/admission"
-	"evop/internal/core"
 )
 
 // BenchmarkSeriesDegraded measures the series read path's overload
@@ -37,11 +34,7 @@ func BenchmarkSeriesDegraded(b *testing.B) {
 // hydrograph — into a reused writer that discards the body, so B/op
 // and allocs/op are the portal's own cost per response.
 func BenchmarkModelRunHandler(b *testing.B) {
-	f := newFixtureWith(b, func(cfg *core.Config) {
-		// The simulated clock never refills the bucket: make the burst
-		// outlast any b.N.
-		cfg.Admission = &admission.Config{RatePerSecond: 1e9, Burst: 1e9}
-	})
+	f := newFixture(b)
 	const run = `{"catchment":"morland","model":"topmodel"}`
 	req := httptest.NewRequest(http.MethodPost, "/widgets/model/run", nil)
 	body := new(rewindBody)
@@ -59,6 +52,7 @@ func BenchmarkModelRunHandler(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rotateClient(b, i, req)
 		serve()
 	}
 	b.StopTimer()
@@ -85,11 +79,21 @@ func (d *discardWriter) WriteHeader(code int) { d.status = code }
 
 func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
+// rotateClient moves req to a fresh client, with the timer stopped,
+// before iteration i could find its client's bucket empty.
+func rotateClient(b *testing.B, i int, req *http.Request) {
+	if i%burst == 0 {
+		b.StopTimer()
+		req.RemoteAddr = nextClient()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkPublicDocuments measures the stored public documents — the
 // map overview, one catchment's layer and the scenario list — through
 // Portal.ServeHTTP into a reused writer that discards the body.
 func BenchmarkPublicDocuments(b *testing.B) {
-	f := newFixtureWith(b, unlimited)
+	f := newFixture(b)
 	for _, bc := range []struct{ name, target string }{
 		{"overview", "/map/layers"},
 		{"catchment", "/map/layers?catchment=morland"},
@@ -101,6 +105,7 @@ func BenchmarkPublicDocuments(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				rotateClient(b, i, req)
 				w.status = 0
 				f.p.ServeHTTP(w, req)
 				if w.status != http.StatusOK {

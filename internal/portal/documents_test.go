@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"evop/internal/admission"
 	"evop/internal/catchment"
 	"evop/internal/core"
 	"evop/internal/geo"
@@ -71,9 +70,11 @@ func oldMapLayers(obs *core.Observatory, filter string) *httptest.ResponseRecord
 	return oldMapLayersBody(obs.Catchments.All(), obs.Network.Sensors(), filter)
 }
 
-// getDoc serves one GET through the whole portal pipeline.
+// getDoc serves one GET through the whole portal pipeline, from a
+// client of its own.
 func getDoc(p *Portal, target, ifNoneMatch string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodGet, target, nil)
+	req.RemoteAddr = nextClient()
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
@@ -88,12 +89,6 @@ func assertTagged(t *testing.T, rec *httptest.ResponseRecorder) {
 	if got, want := rec.Header().Get("ETag"), httpcond.Tag(rec.Body.String()); got != want {
 		t.Fatalf("ETag = %s, want %s (the tag of the body)", got, want)
 	}
-}
-
-// unlimited lifts the per-client rate limit: the simulated clock never
-// refills the bucket, and these tests send many requests.
-func unlimited(cfg *core.Config) {
-	cfg.Admission = &admission.Config{RatePerSecond: 1e9, Burst: 1e9}
 }
 
 func TestPublicDocumentsMatchOldEncoder(t *testing.T) {
@@ -227,7 +222,7 @@ func TestPublicDocumentsConditional(t *testing.T) {
 // reader never sees the layer shrink, and once Add returns no stale
 // body is served.
 func TestMapLayersConcurrentGrowth(t *testing.T) {
-	f := newFixtureWith(t, unlimited)
+	f := newFixture(t)
 	base := len(f.obs.Catchments.All())*2 + len(f.obs.Network.Sensors())
 	const added = 12
 	var wg, ready sync.WaitGroup
@@ -293,7 +288,7 @@ func TestMapLayersConcurrentGrowth(t *testing.T) {
 // TestPublicDocumentsAllocs pins the cost of a stored answer through the
 // whole pipeline; encoding the layer per request cost ~356 allocations.
 func TestPublicDocumentsAllocs(t *testing.T) {
-	f := newFixtureWith(t, unlimited)
+	f := newFixture(t)
 	w := &discardWriter{header: make(http.Header)}
 	for _, target := range []string{"/map/layers", "/map/layers?catchment=morland", "/widgets/model/scenarios"} {
 		req := httptest.NewRequest(http.MethodGet, target, nil)
@@ -321,7 +316,7 @@ func TestPublicDocumentsAllocs(t *testing.T) {
 // and a JSON error body, even when it carries the tag. A path no route
 // serves answers 404 whatever the method.
 func TestReadOnlyDocumentsRefuseOtherMethods(t *testing.T) {
-	f := newFixtureWith(t, unlimited)
+	f := newFixture(t)
 	// Each route's targets, with the status each answers to the route's
 	// methods in Allow order; where a route runs models, a target that
 	// fails fast.

@@ -74,7 +74,7 @@ func FuzzSeriesQuery(f *testing.F) {
 // Runs refused after the kernel has run (a non-finite hydrograph) share
 // the pooled model scratch with the runs that follow them.
 func FuzzRunRequest(f *testing.F) {
-	fx := newFixtureWith(f, unlimited)
+	fx := newFixture(f)
 	for _, seed := range []string{
 		`{"catchment":"morland","model":"topmodel","scenario":"compaction","topmodelParams":` +
 			`{"m":31.7,"lnTe":6.2,"srMax":44.1,"sr0":2,"td":3.3,"q0":0.05,"routePeakSteps":3,"routeBaseSteps":12}}`,
@@ -96,6 +96,7 @@ func FuzzRunRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest(http.MethodPost, "/widgets/model/run", strings.NewReader(body))
+		req.RemoteAddr = nextClient()
 		rec := httptest.NewRecorder()
 		fx.p.ServeHTTP(rec, req)
 		if rec.Code >= 500 {
@@ -103,6 +104,59 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if rec.Code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%q: 200 body is not JSON: %.200s", body, rec.Body)
+		}
+	})
+}
+
+// FuzzDatasetUpload posts raw CSV bodies to /datasets/upload through
+// the whole portal: no body answers 5xx, and a 200 names a dataset the
+// observatory returns with the reported sample count. The IDs come from
+// a small fixed set, so the stored datasets stay bounded.
+func FuzzDatasetUpload(f *testing.F) {
+	fx := newFixture(f)
+	ids := [...]string{"fuzz-a", "fuzz-b", "fuzz-c", ""}
+	for _, seed := range []struct {
+		id   uint8
+		body string
+	}{
+		{0, "time,rain\n2019-07-01T00:00:00Z,0.5\n2019-07-01T01:00:00Z,1.25\n2019-07-01T02:00:00Z,0\n"},
+		{1, "time,rain\n2019-07-01T00:00:00Z,\n"},
+		{1, "time,rain\n2019-07-01T00:00:00Z,-1\n"},
+		{2, "time,rain\n2019-07-01T00:00:00Z,1\n2019-07-01T00:30:00Z,1\n"},
+		{2, "time,rain\n2019-07-01T00:00:00+14:00,1e308\n2019-06-30T11:00:00Z,2\n"},
+		{0, "time,rain\n0001-01-01T00:00:00Z,1\n9999-12-31T23:00:00Z,1\n"},
+		{3, "time,rain\n2019-07-01T00:00:00Z,1\n"},
+		{0, "time,rain\n\"unterminated"},
+		{1, "time\n2019-07-01T00:00:00Z\n"},
+		{2, ""},
+	} {
+		f.Add(seed.id, seed.body)
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, body string) {
+		id := ids[int(pick)%len(ids)]
+		req := httptest.NewRequest(http.MethodPost, "/datasets/upload?"+url.Values{"id": {id}}.Encode(), strings.NewReader(body))
+		req.RemoteAddr = nextClient()
+		rec := httptest.NewRecorder()
+		fx.p.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("id %q, %q = %d %s", id, body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var doc struct {
+			ID      string `json:"id"`
+			Samples int    `json:"samples"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.ID != id {
+			t.Fatalf("id %q, %q: 200 body %s (%v)", id, body, rec.Body, err)
+		}
+		ds, err := fx.obs.Dataset(id)
+		if err != nil {
+			t.Fatalf("id %q, %q: 200, then Dataset: %v", id, body, err)
+		}
+		if ds.Len() != doc.Samples {
+			t.Fatalf("id %q, %q: 200 reports %d samples, Dataset holds %d", id, body, doc.Samples, ds.Len())
 		}
 	})
 }
@@ -127,7 +181,7 @@ func liveSubscribers(t testing.TB, fx *fixture) float64 {
 // topic; a valid list passes validation and is refused by the WebSocket
 // handshake; and no subscription outlives the refused upgrade.
 func FuzzLiveTopics(f *testing.F) {
-	fx := newFixtureWith(f, unlimited)
+	fx := newFixture(f)
 	for _, seed := range []string{
 		"", "sensors", "sensor/morland-level-1", "catchment/morland",
 		" sensors , catchment/tarland ", "sensors,sensors",
@@ -158,8 +212,10 @@ func FuzzLiveTopics(f *testing.F) {
 		if topics != "" {
 			target += "?" + url.Values{"topics": {topics}}.Encode()
 		}
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		req.RemoteAddr = nextClient()
 		rec := httptest.NewRecorder()
-		fx.p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		fx.p.ServeHTTP(rec, req)
 		if rec.Code >= 500 {
 			t.Fatalf("topics=%q = %d %s", topics, rec.Code, rec.Body)
 		}
@@ -202,7 +258,7 @@ func FuzzLiveTopics(f *testing.F) {
 // lists the response's ETag (or "*"), and sending back the ETag itself
 // always does.
 func FuzzSOSQuery(f *testing.F) {
-	fx := newFixtureWith(f, unlimited)
+	fx := newFixture(f)
 	for _, seed := range []struct{ service, request, procedure, from, to, inm string }{
 		{"SOS", "GetCapabilities", "", "", "", ""},
 		{"sos", "DescribeSensor", "morland-level-1", "", "", ""},
@@ -221,6 +277,7 @@ func FuzzSOSQuery(f *testing.F) {
 	}
 	get := func(query url.Values, inm string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, "/sos?"+query.Encode(), nil)
+		req.RemoteAddr = nextClient()
 		if inm != "" {
 			req.Header.Set("If-None-Match", inm)
 		}

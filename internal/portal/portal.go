@@ -734,15 +734,19 @@ func (m *slowMeter) observe(dropped uint64) bool {
 	return m.strikes >= slowStrikes
 }
 
+// liveConnLimit caps concurrent /ws/live connections. A live
+// connection holds no admission slot (it can outlast thousands of
+// requests), so this cap is what bounds them.
+const liveConnLimit = 256
+
 // errLiveConnLimit sheds a /ws/live upgrade at the connection cap.
 var errLiveConnLimit = errors.New("live connection limit reached")
 
 // acquireLiveConn claims a capped /ws/live connection slot.
 func (p *Portal) acquireLiveConn() bool {
-	limit := p.obs.Admission.LiveConnLimit()
 	p.liveMu.Lock()
 	defer p.liveMu.Unlock()
-	if limit > 0 && p.liveConns >= limit {
+	if p.liveConns >= liveConnLimit {
 		return false
 	}
 	p.liveConns++

@@ -9,6 +9,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,18 +28,13 @@ type fixture struct {
 	srv *httptest.Server
 }
 
-func newFixture(t testing.TB) *fixture { return newFixtureWith(t, nil) }
-
-// newFixtureWith builds the standard fixture after letting the test
-// tune the observatory config (admission limits, cache sizes, ...).
-func newFixtureWith(t testing.TB, tune func(*core.Config)) *fixture {
+// newFixture builds the standard fixture: an observatory on the
+// simulated clock, warmed three hours, behind a test server.
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	clk := clock.NewSimulated(epoch)
 	cfg := core.DefaultConfig(clk)
 	cfg.ForcingDays = 20
-	if tune != nil {
-		tune(&cfg)
-	}
 	obs, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
@@ -54,6 +50,23 @@ func newFixtureWith(t testing.TB, tune func(*core.Config)) *fixture {
 	srv := httptest.NewServer(p)
 	t.Cleanup(srv.Close)
 	return &fixture{obs: obs, clk: clk, p: p, srv: srv}
+}
+
+// burst is the admission gate's per-client burst: one client may send
+// this many requests before its bucket runs dry, and the simulated
+// clock refills it only when a test advances it.
+const burst = 2000
+
+// clientSeq numbers the addresses nextClient hands out.
+var clientSeq atomic.Uint32
+
+// nextClient returns a RemoteAddr that no earlier call returned. Tests,
+// fuzzers and benchmarks that send more than one burst spread their
+// requests over clients with it; the gate's client table stays
+// LRU-bounded however many they use.
+func nextClient() string {
+	n := clientSeq.Add(1)
+	return fmt.Sprintf("10.%d.%d.%d:4242", byte(n>>16), byte(n>>8), byte(n))
 }
 
 func (f *fixture) get(t *testing.T, path string) (int, []byte) {

@@ -86,7 +86,7 @@ func TestRouteTablePosture(t *testing.T) {
 // runs a model or stores a reading. The same requests under their
 // allowed methods then move every one of those counters.
 func TestRefusedMethodSpendsNothing(t *testing.T) {
-	f := newFixtureWith(t, unlimited)
+	f := newFixture(t)
 	const sensorID = "morland-level-1"
 	stamp := f.clk.Now().Add(time.Minute).UTC().Format(time.RFC3339)
 	insert := `<sos:InsertObservation xmlns:sos="http://www.opengis.net/sos/1.0" xmlns:om="http://www.opengis.net/om/1.0">` +

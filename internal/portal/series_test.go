@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"evop/internal/admission"
-	"evop/internal/core"
 	"evop/internal/timeseries"
 )
 
@@ -363,9 +362,7 @@ func TestSeriesStreamsEmptyWindow(t *testing.T) {
 // the count it fed came out negative or zero), while a representable
 // window with a near-maximal step still yields its one bucket.
 func TestSeriesAggOverWideWindow(t *testing.T) {
-	f := newFixtureWith(t, func(cfg *core.Config) {
-		cfg.Admission = &admission.Config{InitialLimit: 2, MinLimit: 2, MaxLimit: 2}
-	})
+	f := newFixture(t)
 	const sensor = "/sensors/morland-level-1/series?"
 	for _, q := range []string{
 		"agg=mean&from=0001-01-01T00:00:00Z&to=9999-12-31T00:00:00Z&step=1h",
@@ -391,12 +388,8 @@ func TestSeriesAggOverWideWindow(t *testing.T) {
 		t.Fatalf("%s = %s, want one bucket holding the fixture's readings", q, body)
 	}
 
-	// The degraded path counts its buckets the same way. One held slot
-	// saturates the live ceiling (int(2*0.85) = 1).
-	if _, err := f.obs.Admission.TryAdmit(admission.Ingest, "holder"); err != nil {
-		t.Fatalf("holding slot: %v", err)
-	}
-	defer f.obs.Admission.Release(admission.Ingest)
+	// The degraded path counts its buckets the same way.
+	f.saturate(t, admission.Live)
 	resp := f.doRaw(t, http.MethodGet, sensor+"from=0001-01-01T00:00:00Z&to=9999-12-31T00:00:00Z", "")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -24,6 +24,9 @@ FuzzParseExecuteDocument ./internal/ogc/wps
 # arbitrary literals and a series output passed through FlotJSON. Nine
 # strings take long to minimize, hence the cap.
 FuzzExecuteResponse ./internal/ogc/wps -fuzzminimizetime=50x
+# WPS KVP fuzzer: raw /wps query strings, names in several spellings,
+# never answer 5xx, and three repeats of a query answer the same bytes.
+FuzzWPSKVP ./internal/ogc/wps
 # Workflow definitions: raw POST bodies never answer 5xx; every 200 run
 # reads back byte-identical, replays, and fingerprints each node's typed
 # outputs as the same outputs in text would.
@@ -65,7 +68,11 @@ FuzzLiveTopics ./internal/portal
 # /sos never answer 5xx, every 200 is well-formed XML, and a 304 answers
 # only an If-None-Match that lists the response's ETag.
 FuzzSOSQuery ./internal/portal
+# Upload fuzzer: raw CSV bodies on POST /datasets/upload never answer
+# 5xx, and a 200 names a stored dataset holding the reported samples.
+FuzzDatasetUpload ./internal/portal
 # Token-bucket invariant fuzzer: client table stays LRU-bounded and every
-# bucket stays within [0, burst] for arbitrary op/advance streams.
+# bucket, started from token counts the input picks, stays within
+# [0, burst] for arbitrary op/advance streams.
 FuzzTokenBucket ./internal/admission
 LIST
