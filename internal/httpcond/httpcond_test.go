@@ -3,7 +3,9 @@ package httpcond
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -46,6 +48,29 @@ func TestTagAllocs(t *testing.T) {
 	parts := []string{"series", "morland-level-1", "42", "0", "mean"}
 	if n := testing.AllocsPerRun(100, func() { tagSink = Tag(parts...) }); n != 1 {
 		t.Fatalf("Tag allocates %v times per call, want 1 (the result string)", n)
+	}
+	seq, from := uint64(42), int64(-1561939200000000000)
+	if n := testing.AllocsPerRun(100, func() {
+		tagSink = NewHash().Part("series").Uint(seq).Int(from).Tag()
+	}); n != 1 {
+		t.Fatalf("Hash allocates %v times per tag, want 1 (the result string)", n)
+	}
+}
+
+// TestHashMatchesTag: a Hash fed parts equals Tag of the same parts, its
+// integers as the strconv text they stand for.
+func TestHashMatchesTag(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 9, 10, -10, 1561939200000000000, math.MaxInt64, math.MinInt64} {
+		if got, want := NewHash().Part("a").Int(v).Part("").Tag(), Tag("a", strconv.FormatInt(v, 10), ""); got != want {
+			t.Fatalf("Int(%d) tag %s, want %s", v, got, want)
+		}
+		u := uint64(v)
+		if got, want := NewHash().Uint(u).Tag(), Tag(strconv.FormatUint(u, 10)); got != want {
+			t.Fatalf("Uint(%d) tag %s, want %s", u, got, want)
+		}
+	}
+	if NewHash().Tag() != Tag() {
+		t.Fatal("a Hash with no parts differs from Tag()")
 	}
 }
 

@@ -360,9 +360,7 @@ func (s *Service) getObservation(w http.ResponseWriter, r *http.Request, id, fro
 		writeException(w, http.StatusNotFound, "InvalidParameterValue", err.Error())
 		return
 	}
-	etag := httpcond.Tag("sos-observation", id,
-		fmt.Sprint(stamp.Seq),
-		fmt.Sprint(from.UnixNano()), fmt.Sprint(to.UnixNano()))
+	etag := observationTag(id, stamp.Seq, from, to)
 	httpcond.Apply(w, etag, stamp.LastIngest)
 	if httpcond.Match(r, etag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -374,6 +372,13 @@ func (s *Service) getObservation(w http.ResponseWriter, r *http.Request, id, fro
 		return
 	}
 	streamObservations(w, sn, obs)
+}
+
+// observationTag is a GetObservation response's ETag: the sensor, its
+// ingest sequence and the window, numbers hashed as their decimal text.
+func observationTag(id string, seq uint64, from, to time.Time) string {
+	return httpcond.NewHash().Part("sos-observation").Part(id).Uint(seq).
+		Int(from.UnixNano()).Int(to.UnixNano()).Tag()
 }
 
 // streamObservations writes an om:ObservationCollection one member at a

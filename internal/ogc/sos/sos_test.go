@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/geo"
+	"evop/internal/httpcond"
 	"evop/internal/sensor"
 )
 
@@ -333,6 +335,30 @@ func TestGetObservationStreamedDocument(t *testing.T) {
 	if members != 24 || observations != 24 || sampling != 24 {
 		t.Fatalf("members/observations/samplingTimes = %d/%d/%d, want 24 each",
 			members, observations, sampling)
+	}
+}
+
+// TestObservationTagMatchesTag holds observationTag, which hashes its
+// numbers from a stack buffer, to the Tag of their fmt.Sprint text it
+// replaced, over sensors, sequences and windows, zero and negative
+// values included.
+func TestObservationTagMatchesTag(t *testing.T) {
+	for _, id := range []string{"morland-level-1", "", "Café-水位"} {
+		for _, seq := range []uint64{0, 1, 42, math.MaxUint64} {
+			for _, w := range [][2]time.Time{
+				{epoch, epoch.Add(24 * time.Hour)},
+				{time.Unix(0, 0), time.Unix(0, 0)},
+				{time.Unix(-86400, -1), time.Unix(0, 1)},
+				{time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)},
+			} {
+				got := observationTag(id, seq, w[0], w[1])
+				want := httpcond.Tag("sos-observation", id,
+					fmt.Sprint(seq), fmt.Sprint(w[0].UnixNano()), fmt.Sprint(w[1].UnixNano()))
+				if got != want {
+					t.Fatalf("observationTag(%q, %d, %v, %v) = %s, want %s", id, seq, w[0], w[1], got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -89,40 +89,41 @@ func (p *Portal) markDegraded(w http.ResponseWriter, mode string) {
 }
 
 // admit runs a route's admission posture. It returns the (possibly
-// re-contexted) request, a release function to defer (nil when no slot
-// is held), and ok=false when the request was shed and answered.
-func (p *Portal) admit(w http.ResponseWriter, r *http.Request, rt *route) (*http.Request, func(), bool) {
+// re-contexted) request, whether it holds a slot of the route's class
+// (the caller releases it), and ok=false when the request was shed and
+// answered.
+func (p *Portal) admit(w http.ResponseWriter, r *http.Request, rt *route) (_ *http.Request, held, ok bool) {
 	ctrl := p.obs.Admission
 	if rt.mode == modeExempt {
-		return r, nil, true
+		return r, false, true
 	}
 	client := clientKey(r.RemoteAddr)
 	switch rt.mode {
 	case modeRateOnly:
 		if retry, err := ctrl.AllowRate(rt.class, client); err != nil {
 			p.writeShed(w, rt.class, retry, err)
-			return r, nil, false
+			return r, false, false
 		}
-		return r, nil, true
+		return r, false, true
 	case modeDegrade:
 		retry, err := ctrl.TryAdmit(rt.class, client)
 		switch {
 		case err == nil:
-			return r, func() { ctrl.Release(rt.class) }, true
+			return r, true, true
 		case errors.Is(err, admission.ErrSaturated):
 			// Flag for the handler; it serves a degraded representation
 			// (or sheds itself if none is available).
-			return r.WithContext(context.WithValue(r.Context(), degradedKey{}, true)), nil, true
+			return r.WithContext(context.WithValue(r.Context(), degradedKey{}, true)), false, true
 		default:
 			p.writeShed(w, rt.class, retry, err)
-			return r, nil, false
+			return r, false, false
 		}
 	default: // modeGate
 		if retry, err := ctrl.Admit(r.Context(), rt.class, client); err != nil {
 			p.writeShed(w, rt.class, retry, err)
-			return r, nil, false
+			return r, false, false
 		}
-		return r, func() { ctrl.Release(rt.class) }, true
+		return r, true, true
 	}
 }
 

@@ -60,6 +60,8 @@ type Portal struct {
 	broker sessionBroker
 	mux    *http.ServeMux
 	logger *log.Logger
+	// accessLog is false while logger discards (see SetLogger).
+	accessLog bool
 
 	// routes is the route table New declares (see routes.go).
 	routes []route

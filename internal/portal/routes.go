@@ -87,12 +87,12 @@ func (p *Portal) handle(rt *route) {
 			rest.WriteError(w, http.StatusMethodNotAllowed, r.Method+" not supported")
 			return
 		}
-		r, release, ok := p.admit(w, r, rt)
+		r, held, ok := p.admit(w, r, rt)
 		if !ok {
 			return
 		}
-		if release != nil {
-			defer release()
+		if held {
+			defer p.obs.Admission.Release(rt.class)
 		}
 		rt.h(w, r)
 	}))

@@ -119,10 +119,7 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 		writeSensorErr(w, err)
 		return
 	}
-	etag := httpcond.Tag("series", id,
-		strconv.FormatUint(stamp.Seq, 10),
-		strconv.FormatInt(from.UnixNano(), 10), strconv.FormatInt(to.UnixNano(), 10),
-		strconv.Itoa(points), agg, strconv.FormatInt(int64(step), 10))
+	etag := seriesTag(id, stamp.Seq, from, to, points, agg, step)
 	httpcond.Apply(w, etag, stamp.LastIngest)
 	if httpcond.Match(r, etag) {
 		p.series.notModified.Inc()
@@ -153,6 +150,14 @@ func (p *Portal) sensorSeries(w http.ResponseWriter, r *http.Request, id string)
 		view = out
 	}
 	streamFlotPairs(w, view)
+}
+
+// seriesTag is a series response's ETag: the sensor, its ingest
+// sequence and every parameter that shapes the body, numbers hashed as
+// their decimal text.
+func seriesTag(id string, seq uint64, from, to time.Time, points int, agg string, step time.Duration) string {
+	return httpcond.NewHash().Part("series").Part(id).Uint(seq).
+		Int(from.UnixNano()).Int(to.UnixNano()).Int(int64(points)).Part(agg).Int(int64(step)).Tag()
 }
 
 // degradedSeries is the series read path's overload fallback: instead

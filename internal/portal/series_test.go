@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
 	"evop/internal/admission"
+	"evop/internal/httpcond"
 	"evop/internal/timeseries"
 )
 
@@ -21,6 +24,39 @@ func seriesURL(params string) string {
 		u += "&" + params
 	}
 	return u
+}
+
+// TestSeriesTagMatchesTag holds seriesTag, which hashes its numbers
+// from a stack buffer, to the Tag of their strconv text it replaced,
+// over sensors, sequences, windows (before the epoch too), points,
+// aggregates and steps, zero and negative values included.
+func TestSeriesTagMatchesTag(t *testing.T) {
+	windows := [][2]time.Time{
+		{epoch, epoch.Add(3 * time.Hour)},
+		{time.Unix(0, 0), time.Unix(0, 0)},
+		{time.Unix(-86400, -1), time.Unix(0, 1)},
+		{time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)},
+	}
+	for _, id := range []string{"morland-level-1", "", "Café-水位"} {
+		for _, seq := range []uint64{0, 1, 42, math.MaxUint64} {
+			for _, w := range windows {
+				for _, points := range []int{0, 1, 500, -1, math.MinInt} {
+					for _, agg := range []string{"", "mean", "count"} {
+						for _, step := range []time.Duration{0, time.Second, 15 * time.Minute, -time.Hour, math.MinInt64} {
+							got := seriesTag(id, seq, w[0], w[1], points, agg, step)
+							want := httpcond.Tag("series", id, strconv.FormatUint(seq, 10),
+								strconv.FormatInt(w[0].UnixNano(), 10), strconv.FormatInt(w[1].UnixNano(), 10),
+								strconv.Itoa(points), agg, strconv.FormatInt(int64(step), 10))
+							if got != want {
+								t.Fatalf("seriesTag(%q, %d, %v, %v, %d, %q, %v) = %s, want %s",
+									id, seq, w[0], w[1], points, agg, step, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSeriesDownsampled checks ?points= bounds the response while

@@ -39,10 +39,10 @@ func CheckHandshake(w http.ResponseWriter, r *http.Request) error {
 	if !headerContainsToken(r.Header, "Upgrade", "websocket") {
 		return refuse(w, http.StatusBadRequest, "missing Upgrade: websocket")
 	}
-	if v := r.Header.Get("Sec-WebSocket-Version"); v != "13" {
+	if v := r.Header.Get("Sec-Websocket-Version"); v != "13" {
 		return refuse(w, http.StatusBadRequest, "unsupported websocket version")
 	}
-	if r.Header.Get("Sec-WebSocket-Key") == "" {
+	if r.Header.Get("Sec-Websocket-Key") == "" {
 		return refuse(w, http.StatusBadRequest, "missing Sec-WebSocket-Key")
 	}
 	return nil
@@ -73,7 +73,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Accept: " + acceptKey(r.Header.Get("Sec-WebSocket-Key")) + "\r\n\r\n"
+		"Sec-WebSocket-Accept: " + acceptKey(r.Header.Get("Sec-Websocket-Key")) + "\r\n\r\n"
 	if _, err := brw.WriteString(resp); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("writing handshake response: %w", err)
@@ -160,7 +160,7 @@ func clientHandshake(nc net.Conn, u *url.URL) (*Conn, error) {
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		return nil, fmt.Errorf("status %d: %w", resp.StatusCode, ErrHandshake)
 	}
-	if got := resp.Header.Get("Sec-WebSocket-Accept"); got != acceptKey(key) {
+	if got := resp.Header.Get("Sec-Websocket-Accept"); got != acceptKey(key) {
 		return nil, fmt.Errorf("bad Sec-WebSocket-Accept: %w", ErrHandshake)
 	}
 	return newConn(&bufferedConn{Conn: nc, r: br}, true, connSeq.Add(1)), nil

@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"net/http"
 	"os"
 	"path"
 	"path/filepath"
@@ -54,6 +56,7 @@ var (
 		{"method", "internal/portal checks methods only in routes.go, from the route table."},
 		{"scratch", "Run models through Run and fan out with sched.ForEach (no ScratchModel, NewScratch, RunInto, NewRunner or SetChunk)."},
 		{"go", "Start goroutines only in the owners the allowlist names; fan out on the sched pool (sched.ForEach / sched.Map)."},
+		{"header", "Spell each constant http.Header key as http.CanonicalHeaderKey does (X-Request-Id, Etag): Get canonicalizes its key, so a map write under another spelling is invisible to it, and a key spelt otherwise is copied on every call."},
 	}
 	modLine = regexp.MustCompile(`(?m)^module\s+"?([^\s"]+)`)
 	knob    = regexp.MustCompile(`(Config|Options|Spec)$`)
@@ -213,6 +216,9 @@ func (l *linter) twins() {
 //     with == or !=, switched on, or inside a Contains call's arguments.
 //   - scratch: an identifier matching scratch; go: a go statement in
 //     internal/ or cmd/.
+//   - header: a constant key, passed to an http.Header's Get, Set, Add,
+//     Del or Values or indexing an http.Header, that differs from its
+//     http.CanonicalHeaderKey.
 func (l *linter) check() {
 	used := map[types.Object]bool{}
 	setIn := map[types.Object][]string{} // field → files that set it
@@ -250,6 +256,7 @@ func (l *linter) check() {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		return ok && sel.Sel.Name == "Method"
 	}
+	headerKeys := []string{"Get", "Set", "Add", "Del", "Values"}
 	for _, p := range l.pkgs {
 		if p.caller {
 			continue
@@ -262,6 +269,18 @@ func (l *linter) check() {
 			portal := dir == "internal/portal" && path.Base(name) != "routes.go"
 			declared(f, p.info, func(decl string, node ast.Node) {
 				at := func(rule string, n ast.Node, detail string) { l.add(rule, n.Pos(), decl, detail) }
+				// headerKey reports key if it is a constant key of the
+				// http.Header h that is not in canonical form.
+				headerKey := func(h, key ast.Expr) {
+					if types.TypeString(p.info.TypeOf(h), nil) != "net/http.Header" {
+						return
+					}
+					if v := p.info.Types[key].Value; v != nil && v.Kind() == constant.String {
+						if k := constant.StringVal(v); k != http.CanonicalHeaderKey(k) {
+							at("header", key, fmt.Sprintf("keys a header %q, not %q", k, http.CanonicalHeaderKey(k)))
+						}
+					}
+				}
 				ast.Inspect(node, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.FuncDecl:
@@ -305,6 +324,9 @@ func (l *linter) check() {
 							if callee == "FlotJSON" && (dir == "internal/ogc/wps" || dir == "internal/workflow" || dir == "internal/core") {
 								at("flot", n, "calls FlotJSON")
 							}
+							if slices.Contains(headerKeys, callee) && len(n.Args) > 0 {
+								headerKey(fn.X, n.Args[0])
+							}
 						}
 						if tv := p.info.Types[n.Fun]; portal && (strings.HasSuffix(callee, "FlotJSON") || tv.IsType() && types.TypeString(tv.Type, nil) == "encoding/json.RawMessage") {
 							at("flot", n, "calls "+callee)
@@ -317,6 +339,8 @@ func (l *linter) check() {
 								return true
 							})
 						}
+					case *ast.IndexExpr:
+						headerKey(n.X, n.Index)
 					case *ast.BinaryExpr:
 						if portal && (n.Op == token.EQL || n.Op == token.NEQ) && (isMethod(n.X) || isMethod(n.Y)) {
 							at("method", n, "compares .Method")
