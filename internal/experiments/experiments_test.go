@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"evop/internal/scenario"
 )
 
 // Every experiment must run green and produce a well-formed table. These
@@ -57,8 +60,35 @@ func TestIDsCoverRegistry(t *testing.T) {
 	}
 }
 
-func TestE1EndToEnd(t *testing.T)  { runExperiment(t, "E1") }
-func TestE2Scenarios(t *testing.T) { runExperiment(t, "E2") }
+func TestE1EndToEnd(t *testing.T) { runExperiment(t, "E1") }
+
+// TestE2Scenarios holds E2's peaks to the measured order: storage
+// attenuates most, then afforestation, baseline and compaction.
+func TestE2Scenarios(t *testing.T) {
+	table := runExperiment(t, "E2")
+	peak := make(map[string]float64)
+	for _, row := range table.Rows {
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatalf("%s peak %q: %v", row[0], row[1], err)
+		}
+		peak[row[0]] = v
+	}
+	var prev scenario.Scenario
+	for i, id := range []string{scenario.Storage, scenario.Afforestation, scenario.Baseline, scenario.Compaction} {
+		sc, err := scenario.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := peak[sc.Name]; !ok {
+			t.Fatalf("no row for %s", sc.Name)
+		}
+		if i > 0 && !(peak[prev.Name] < peak[sc.Name]) {
+			t.Fatalf("peak %s %v, want below %s %v", prev.Name, peak[prev.Name], sc.Name, peak[sc.Name])
+		}
+		prev = sc
+	}
+}
 
 func TestE3RESTvsStateful(t *testing.T) {
 	table := runExperiment(t, "E3")

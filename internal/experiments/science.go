@@ -98,7 +98,7 @@ func E2Scenarios() (*Table, error) {
 			"scenario", "peak(mm/h)", "peak(m3/s)", "timeToPeak", "volume(mm)", "vsBaseline",
 		},
 		Notes: []string{
-			"expected ordering: afforestation < storage < baseline < compaction on peak flow",
+			"expected ordering: storage < afforestation < baseline < compaction on peak flow",
 			"storage shifts and flattens the peak (routing), afforestation stores more water (soil)",
 		},
 	}

@@ -2,6 +2,7 @@ package loadbalancer
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -21,6 +22,7 @@ import (
 // inject control-plane faults deterministically, and every component
 // recording into one registry.
 type faultyHarness struct {
+	t       *testing.T
 	clk     *clock.Simulated
 	reg     *metrics.Registry
 	private *cloud.SimProvider
@@ -79,15 +81,48 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 		t.Fatalf("New: %v", err)
 	}
 	return &faultyHarness{
-		clk: clk, reg: reg, private: private, public: public,
+		t: t, clk: clk, reg: reg, private: private, public: public,
 		fpriv: fpriv, fpub: fpub, multi: multi, brk: brk, lb: lb,
 	}
 }
 
+// settle runs n LB ticks with boot-completing time in between, and
+// checks the published fence after each.
 func (h *faultyHarness) settle(n int) {
+	h.t.Helper()
 	for i := 0; i < n; i++ {
 		h.clk.Advance(45 * time.Second)
 		h.lb.Tick()
+		h.checkFenced()
+	}
+}
+
+// checkFenced requires the set PlaceNow skips to equal the suspect
+// tracks plus the retry-queue keys, and to be published as nil when
+// empty.
+func (h *faultyHarness) checkFenced() {
+	h.t.Helper()
+	lb := h.lb
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	want := make(map[string]struct{})
+	for id, tr := range lb.tracks {
+		if tr.suspectTicks >= lb.cfg.SuspectTicks {
+			want[id] = struct{}{}
+		}
+	}
+	for id := range lb.termRetries {
+		want[id] = struct{}{}
+	}
+	var got map[string]struct{}
+	if p := lb.fenced.Load(); p != nil {
+		if len(*p) == 0 {
+			h.t.Fatal("an empty fenced set was published as non-nil")
+		}
+		got = *p
+	}
+	if !maps.Equal(got, want) {
+		h.t.Fatalf("published fenced set %v, want %v", got, want)
 	}
 }
 
@@ -106,7 +141,8 @@ func (h *faultyHarness) series() map[string]float64 {
 	return out
 }
 
-// doomed reports whether id has a pending terminate retry.
+// doomed reports whether id has a pending terminate retry, read under
+// the LB's mutex.
 func (lb *LB) doomed(id string) bool {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()

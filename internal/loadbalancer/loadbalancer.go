@@ -32,6 +32,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evop/internal/broker"
@@ -92,11 +93,7 @@ func (c *Config) setDefaults() {
 // Terminate call — a failed termination is leaked cost until it
 // succeeds: interval·2^k, capped at 16·interval.
 func terminateDelay(interval time.Duration, k int) time.Duration {
-	d := interval
-	for i := 0; i < k && d < 16*interval; i++ {
-		d *= 2
-	}
-	return d
+	return interval << min(max(k, 0), 4)
 }
 
 // Validate checks the configuration.
@@ -175,10 +172,15 @@ type instanceTrack struct {
 type LB struct {
 	cfg Config
 
-	// tickMu serialises control-loop iterations; Stop acquires it after
-	// clearing running so no tick body is in flight once Stop returns.
-	tickMu sync.Mutex
+	// fenced is the set of suspect and doomed instance IDs, which PlaceNow
+	// skips. Only the tick stores it (publish), whenever the set changes;
+	// a stored set is never mutated, and an empty one is stored as nil.
+	// PlaceNow reads it without a lock, as the broker calls PlaceNow under
+	// its own lock, also from inside a tick.
+	fenced atomic.Pointer[map[string]struct{}]
 
+	// mu guards every field below. A tick holds it for its whole body,
+	// so the tick's helpers take no lock.
 	mu       sync.Mutex
 	running  bool
 	stopTick func() bool
@@ -198,6 +200,10 @@ type LB struct {
 	replacing map[string]string
 	// termRetries is the terminate-retry queue, keyed by instance ID.
 	termRetries map[string]*termRetry
+	// outstanding and inflight report len(termRetries) and
+	// len(replacing), set at the end of each tick.
+	outstanding *metrics.Gauge
+	inflight    *metrics.Gauge
 	// robustness counters (evop_lb_*_total).
 	launchFailures        *metrics.Counter
 	terminateFailures     *metrics.Counter
@@ -232,26 +238,16 @@ func New(cfg Config) (*LB, error) {
 			"Scheduled retries of failed terminations."),
 		recoveredTerminations: reg.Counter("evop_lb_recovered_terminations_total",
 			"Failed terminations eventually recovered by retry."),
+		outstanding: reg.Gauge("evop_lb_outstanding_terminations",
+			"Failed terminations queued for retry (each still accrues cost)."),
+		inflight: reg.Gauge("evop_lb_inflight_replacements",
+			"Suspect instances with a replacement pending."),
 	}
 	for a, name := range actionNames {
 		lb.actions[a] = reg.Counter("evop_lb_actions_total",
 			"Management actions recorded, by action (a failed launch or replacement launch counts too).",
 			metrics.L("action", name))
 	}
-	reg.GaugeFunc("evop_lb_outstanding_terminations",
-		"Failed terminations queued for retry (each still accrues cost).",
-		func() float64 {
-			lb.mu.Lock()
-			defer lb.mu.Unlock()
-			return float64(len(lb.termRetries))
-		})
-	reg.GaugeFunc("evop_lb_inflight_replacements",
-		"Suspect instances with a replacement pending.",
-		func() float64 {
-			lb.mu.Lock()
-			defer lb.mu.Unlock()
-			return float64(len(lb.replacing))
-		})
 	cfg.Broker.SetPlacer(lb)
 	return lb, nil
 }
@@ -267,40 +263,29 @@ func (lb *LB) Start() {
 	lb.stopTick = lb.cfg.Clock.Every(lb.cfg.Interval, lb.loopTick)
 }
 
-// loopTick is the timer callback: it runs one Tick, but only while the
-// loop is running. A callback already in flight when Stop is called
-// finds running false and does nothing, so no management action (or
-// recorded event) can happen after Stop returns.
-func (lb *LB) loopTick() {
-	lb.tickMu.Lock()
-	defer lb.tickMu.Unlock()
-	lb.mu.Lock()
-	running := lb.running
-	lb.mu.Unlock()
-	if running {
-		lb.Tick()
-	}
-}
+// loopTick is the timer callback: one tick, but only while the loop is
+// running. A callback already in flight when Stop is called finds
+// running false and does nothing, so no management action (or recorded
+// event) can happen after Stop returns.
+func (lb *LB) loopTick() { lb.tick(true) }
 
 // Stop halts the control loop. When it returns, no tick started by the
-// loop is still executing and none will start.
+// loop is still executing and none will start: it waits for the mutex
+// an in-flight tick holds.
 func (lb *LB) Stop() {
 	lb.mu.Lock()
+	defer lb.mu.Unlock()
 	if lb.running {
 		lb.stopTick()
 	}
 	lb.running = false
-	lb.mu.Unlock()
-	// Drain any in-flight loop tick before returning.
-	lb.tickMu.Lock()
-	//lint:ignore SA2001 empty critical section intentionally waits out an in-flight tick
-	lb.tickMu.Unlock()
 }
 
 // PlaceNow implements broker.Placer: the least-loaded placeable
 // instance, private preferred so that load reverts to owned capacity
-// naturally.
+// naturally. It takes no lock of the LB's.
 func (lb *LB) PlaceNow(service string) *cloud.Instance {
+	fenced := lb.fenced.Load()
 	var best *cloud.Instance
 	score := func(in *cloud.Instance) float64 {
 		s := float64(in.Sessions())
@@ -310,7 +295,7 @@ func (lb *LB) PlaceNow(service string) *cloud.Instance {
 		return s
 	}
 	for _, in := range lb.cfg.Multi.Instances() {
-		if !lb.placeable(in, service) {
+		if !placeable(in, service, fenced) {
 			continue
 		}
 		if best == nil || score(in) < score(best) {
@@ -320,29 +305,43 @@ func (lb *LB) PlaceNow(service string) *cloud.Instance {
 	return best
 }
 
-func (lb *LB) isSuspect(id string) bool {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.suspectLocked(id)
-}
-
-func (lb *LB) suspectLocked(id string) bool {
-	tr, ok := lb.tracks[id]
-	return ok && tr.suspectTicks >= lb.cfg.SuspectTicks
-}
-
 // placeable reports whether in may take a new session for service: it
-// runs, has room, hosts the service, and is neither suspect nor doomed.
-// A doomed instance has a pending terminate retry; it is on its way out
-// and must not receive new sessions.
-func (lb *LB) placeable(in *cloud.Instance, service string) bool {
+// runs, has room, hosts the service, and is not in the fenced set (nil
+// when empty).
+func placeable(in *cloud.Instance, service string, fenced *map[string]struct{}) bool {
 	if in.State() != cloud.StateRunning || in.Saturated() || !serves(in, service) {
 		return false
 	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	_, doomed := lb.termRetries[in.ID()]
-	return !doomed && !lb.suspectLocked(in.ID())
+	if fenced == nil {
+		return true
+	}
+	_, out := (*fenced)[in.ID()]
+	return !out
+}
+
+// suspect reports whether a track has crossed the replacement threshold.
+func (lb *LB) suspect(tr *instanceTrack) bool {
+	return tr != nil && tr.suspectTicks >= lb.cfg.SuspectTicks
+}
+
+// publish stores the set PlaceNow skips: every suspect instance, and
+// every doomed one. A doomed instance has a pending terminate retry; it
+// is on its way out and must not receive new sessions.
+func (lb *LB) publish() {
+	set := make(map[string]struct{})
+	for id, tr := range lb.tracks {
+		if lb.suspect(tr) {
+			set[id] = struct{}{}
+		}
+	}
+	for id := range lb.termRetries {
+		set[id] = struct{}{}
+	}
+	p := &set
+	if len(set) == 0 {
+		p = nil
+	}
+	lb.fenced.Store(p)
 }
 
 // serves reports whether an instance can host the service: streamlined
@@ -362,7 +361,16 @@ func serves(in *cloud.Instance, service string) bool {
 
 // Tick runs one control-loop iteration synchronously. Exposed so tests
 // and experiments can drive the loop deterministically.
-func (lb *LB) Tick() {
+func (lb *LB) Tick() { lb.tick(false) }
+
+// tick runs one iteration holding mu throughout; a loop tick runs only
+// while the loop is running.
+func (lb *LB) tick(loop bool) {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	if loop && !lb.running {
+		return
+	}
 	lb.ticks.Inc()
 
 	lb.observeHealth()
@@ -373,13 +381,16 @@ func (lb *LB) Tick() {
 	lb.scaleUp()
 	lb.rebalanceToPrivate()
 	lb.scaleDown()
+	lb.outstanding.Set(int64(len(lb.termRetries)))
+	lb.inflight.Set(int64(len(lb.replacing)))
 }
 
-// observeHealth updates rolling per-instance health signals.
+// observeHealth updates rolling per-instance health signals, and
+// publishes the fenced set if an instance became or stopped being
+// suspect.
 func (lb *LB) observeHealth() {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	lb.observed++
+	changed := false
 	for _, in := range lb.cfg.Multi.Instances() {
 		tr, ok := lb.tracks[in.ID()]
 		if ok {
@@ -388,6 +399,7 @@ func (lb *LB) observeHealth() {
 		if in.State() != cloud.StateRunning {
 			continue
 		}
+		was := lb.suspect(tr)
 		if !ok {
 			tr = &instanceTrack{live: lb.observed}
 			lb.tracks[in.ID()] = tr
@@ -407,6 +419,7 @@ func (lb *LB) observeHealth() {
 		} else {
 			tr.suspectTicks = 0
 		}
+		changed = changed || was != lb.suspect(tr)
 		if m.Sessions == 0 {
 			tr.idleTicks++
 		} else {
@@ -418,8 +431,12 @@ func (lb *LB) observeHealth() {
 	}
 	for id, tr := range lb.tracks {
 		if tr.live != lb.observed {
+			changed = changed || lb.suspect(tr)
 			delete(lb.tracks, id)
 		}
+	}
+	if changed {
+		lb.publish()
 	}
 }
 
@@ -429,7 +446,7 @@ func (lb *LB) observeHealth() {
 // keeps failing, is not given a second replacement on the next tick.
 func (lb *LB) replaceMalfunctioning() {
 	for _, in := range lb.cfg.Multi.Instances() {
-		if in.State() != cloud.StateRunning || !lb.isSuspect(in.ID()) {
+		if in.State() != cloud.StateRunning || !lb.suspect(lb.tracks[in.ID()]) {
 			continue
 		}
 		id := in.ID()
@@ -438,21 +455,16 @@ func (lb *LB) replaceMalfunctioning() {
 		// Register the suspect and decide whether a replacement launch is
 		// still needed: none in flight, a previous launch failed, or the
 		// in-flight replacement died before the suspect was retired.
-		lb.mu.Lock()
 		replID, tracked := lb.replacing[id]
 		if !tracked {
 			lb.replacing[id] = ""
-			replID = ""
 		}
-		lb.mu.Unlock()
 		needLaunch := len(sessions) > 0 && (replID == "" || !lb.instanceLive(replID))
 		if needLaunch {
 			// Launch a replacement; capacity may come from either cloud.
 			repl, err := lb.cfg.Multi.Launch(lb.cfg.Image, lb.cfg.Flavor)
 			if err == nil {
-				lb.mu.Lock()
 				lb.replacing[id] = repl.ID()
-				lb.mu.Unlock()
 				lb.record(actReplace, fmt.Sprintf("%s -> %s (%d sessions)", id, repl.ID(), len(sessions)))
 			} else {
 				lb.launchFailures.Inc()
@@ -493,18 +505,14 @@ func (lb *LB) instanceLive(id string) bool {
 // failure. It reports whether the instance is confirmed gone. An instance
 // already queued for retry is left to the retry loop.
 func (lb *LB) tryTerminate(id, reason string, idle bool) bool {
-	lb.mu.Lock()
 	if _, pending := lb.termRetries[id]; pending {
-		lb.mu.Unlock()
 		return false
 	}
-	lb.mu.Unlock()
 	err := lb.cfg.Multi.Terminate(id)
 	if err == nil || errors.Is(err, cloud.ErrNotFound) {
 		lb.finishTerminate(id, reason, 0)
 		return true
 	}
-	lb.mu.Lock()
 	lb.terminateFailures.Inc()
 	lb.termRetries[id] = &termRetry{
 		attempts: 1,
@@ -512,29 +520,29 @@ func (lb *LB) tryTerminate(id, reason string, idle bool) bool {
 		reason:   reason,
 		idle:     idle,
 	}
-	lb.mu.Unlock()
+	lb.publish()
 	lb.record(actTerminateFailed, fmt.Sprintf("%s (%s, attempt 1): %v", id, reason, err))
 	return false
 }
 
 // finishTerminate records a confirmed termination and clears the
-// instance's retry and replacement bookkeeping.
+// instance's retry and replacement bookkeeping. Failed attempts mean it
+// came from the retry queue.
 func (lb *LB) finishTerminate(id, reason string, attempts int) {
 	detail := id + " (" + reason + ")"
 	if attempts > 0 {
 		detail += fmt.Sprintf(" after %d failed attempts", attempts)
 	}
 	lb.record(actTerminate, detail)
-	lb.mu.Lock()
 	if attempts > 0 {
 		lb.recoveredTerminations.Inc()
+		delete(lb.termRetries, id)
+		lb.publish()
 	}
-	delete(lb.termRetries, id)
 	if _, wasSuspect := lb.replacing[id]; wasSuspect {
 		delete(lb.replacing, id)
 		lb.replaced.Inc()
 	}
-	lb.mu.Unlock()
 }
 
 // retryTerminations drains due entries from the terminate-retry queue, in
@@ -543,26 +551,18 @@ func (lb *LB) finishTerminate(id, reason string, attempts int) {
 // pending.
 func (lb *LB) retryTerminations() {
 	now := lb.cfg.Clock.Now()
-	lb.mu.Lock()
 	due := make([]string, 0, len(lb.termRetries))
 	for id, e := range lb.termRetries {
 		if !e.nextAt.After(now) {
 			due = append(due, id)
 		}
 	}
-	lb.mu.Unlock()
 	sort.Strings(due)
 	for _, id := range due {
-		lb.mu.Lock()
-		e, ok := lb.termRetries[id]
-		lb.mu.Unlock()
-		if !ok {
-			continue
-		}
+		e := lb.termRetries[id]
 		if e.idle && len(lb.cfg.Broker.SessionsOn(id)) > 0 {
-			lb.mu.Lock()
 			delete(lb.termRetries, id)
-			lb.mu.Unlock()
+			lb.publish()
 			lb.record(actTerminateCancelled, id+" (regained sessions while idle-reclaim was retrying)")
 			continue
 		}
@@ -572,13 +572,10 @@ func (lb *LB) retryTerminations() {
 			lb.finishTerminate(id, e.reason, e.attempts)
 			continue
 		}
-		lb.mu.Lock()
 		lb.terminateFailures.Inc()
 		e.attempts++
 		e.nextAt = now.Add(terminateDelay(lb.cfg.Interval, e.attempts-1))
-		attempts := e.attempts
-		lb.mu.Unlock()
-		lb.record(actTerminateFailed, fmt.Sprintf("%s (%s, attempt %d): %v", id, e.reason, attempts, err))
+		lb.record(actTerminateFailed, fmt.Sprintf("%s (%s, attempt %d): %v", id, e.reason, e.attempts, err))
 	}
 }
 
@@ -648,8 +645,9 @@ func (lb *LB) rebalanceToPrivate() {
 
 // privateSlot is the first placeable private instance, or nil.
 func (lb *LB) privateSlot(service string) *cloud.Instance {
+	fenced := lb.fenced.Load()
 	for _, in := range lb.cfg.Multi.Instances() {
-		if in.Kind() == cloud.Private && lb.placeable(in, service) {
+		if in.Kind() == cloud.Private && placeable(in, service, fenced) {
 			return in
 		}
 	}
@@ -673,11 +671,7 @@ func (lb *LB) scaleDown() {
 			if in.State() != cloud.StateRunning || in.Sessions() > 0 {
 				continue
 			}
-			lb.mu.Lock()
-			tr := lb.tracks[in.ID()]
-			idle := tr != nil && tr.idleTicks >= reclaimIdleTicks
-			lb.mu.Unlock()
-			if !idle {
+			if tr := lb.tracks[in.ID()]; tr == nil || tr.idleTicks < reclaimIdleTicks {
 				continue
 			}
 			if lb.tryTerminate(in.ID(), "idle "+kind.String(), true) {
@@ -692,8 +686,6 @@ func (lb *LB) scaleDown() {
 func (lb *LB) record(action int, detail string) {
 	lb.actions[action].Inc()
 	e := Event{At: lb.cfg.Clock.Now(), Action: actionNames[action], Detail: detail}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	if len(lb.events) < maxEvents {
 		lb.events = append(lb.events, e)
 		return

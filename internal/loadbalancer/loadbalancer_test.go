@@ -318,6 +318,34 @@ func TestStopGatesInFlightTick(t *testing.T) {
 	h.lb.Stop()
 }
 
+// TestConnectWhileTickHoldsLock: placement never waits for a tick. The
+// test holds the LB's mutex, standing in for a tick in progress, and a
+// session connect must still be placed on the warm cluster's free slot.
+func TestConnectWhileTickHoldsLock(t *testing.T) {
+	h := newWarmHarness(t)
+	h.lb.mu.Lock()
+	done := make(chan broker.Session, 1)
+	go func() {
+		s, err := h.brk.Connect("user", "topmodel")
+		if err != nil {
+			t.Errorf("Connect: %v", err)
+		}
+		done <- s
+	}()
+	var s broker.Session
+	select {
+	case s = <-done:
+		h.lb.mu.Unlock()
+	case <-time.After(5 * time.Second):
+		h.lb.mu.Unlock()
+		<-done
+		t.Fatal("Connect blocked for 5s on the LB's mutex")
+	}
+	if s.State != broker.Active || s.InstanceID == "" {
+		t.Fatalf("session = %+v, want placed", s)
+	}
+}
+
 func TestEventsRecorded(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	h.settle(1)

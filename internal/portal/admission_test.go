@@ -128,8 +128,8 @@ func TestRateLimitSheds429(t *testing.T) {
 		t.Fatalf("shed body = %+v", sb)
 	}
 	// Liveness and observability stay reachable through the storm.
-	if code, _ := f.get(t, "/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz sheddable: %d", code)
+	if code, body := f.get(t, "/healthz"); code != http.StatusOK || string(body) != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("healthz sheddable: %d %q", code, body)
 	}
 	if code, _ := f.get(t, "/metrics"); code != http.StatusOK {
 		t.Fatalf("metrics sheddable: %d", code)

@@ -208,8 +208,13 @@ const indexHTML = `<!DOCTYPE html>
 </body></html>
 `
 
+// healthBody is /healthz's answer, stored as encoding/json writes it.
+var healthBody = []byte(`{"status":"ok"}` + "\n")
+
 func (p *Portal) health(w http.ResponseWriter, _ *http.Request) {
-	rest.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(healthBody)
 }
 
 // metrics serves the observatory's metrics registry: every layer's

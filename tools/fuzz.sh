@@ -5,25 +5,27 @@
 #
 #   tools/fuzz.sh [fuzztime]    time per fuzzer (default 10s)
 #
-# Each line below is "fuzzer package [extra go test flags]"; go test
-# takes one -fuzz pattern per run, and it must match exactly one fuzzer.
+# Each line below is "fuzzer package"; go test takes one -fuzz pattern
+# per run, and it must match exactly one fuzzer.
+#
+# Minimizing a new input may use the default 60 s, the whole budget and
+# more: several fuzzers used to sit at "0/sec" for most of a 10 s run.
+# 50 tries per input leave the time to fresh mutations.
 set -eu
 cd "$(dirname "$0")/.."
 fuzztime=${1:-10s}
 
-while read -r name pkg flags; do
+while read -r name pkg; do
 	case $name in '' | '#'*) continue ;; esac
-	# shellcheck disable=SC2086
-	go test -fuzz="^$name\$" -fuzztime "$fuzztime" $flags "$pkg" </dev/null
+	go test -fuzz="^$name\$" -fuzztime "$fuzztime" -fuzzminimizetime=50x "$pkg" </dev/null
 done <<'LIST'
 FuzzReadFrame ./internal/ws
 FuzzParseDataInputs ./internal/ogc/wps
 FuzzParseExecuteDocument ./internal/ogc/wps
 # Differential: the appended ExecuteResponse equals what encoding/xml
 # wrote for the same document (the old encoder is kept in the test), for
-# arbitrary literals and a series output passed through FlotJSON. Nine
-# strings take long to minimize, hence the cap.
-FuzzExecuteResponse ./internal/ogc/wps -fuzzminimizetime=50x
+# arbitrary literals and a series output passed through FlotJSON.
+FuzzExecuteResponse ./internal/ogc/wps
 # WPS KVP fuzzer: raw /wps query strings, names in several spellings,
 # never answer 5xx, and three repeats of a query answer the same bytes.
 FuzzWPSKVP ./internal/ogc/wps
@@ -52,10 +54,8 @@ FuzzRollupVsNaive ./internal/timeseries
 FuzzDownsample ./internal/timeseries
 # Portal query fuzzer: raw from/to/step/agg/points on the healthy and the
 # degraded series path never answer 5xx, and an aggregate or degraded
-# answer stays within the bucket cap. Minimizing a new input of five
-# strings may use the default 60 s, the whole budget and more; 50 tries
-# per input leave the time to fresh mutations.
-FuzzSeriesQuery ./internal/portal -fuzzminimizetime=50x
+# answer stays within the bucket cap.
+FuzzSeriesQuery ./internal/portal
 # Run-request fuzzer: raw /widgets/model/run bodies never answer 5xx,
 # and every 200 is valid JSON; failed runs go through the pooled kernel
 # scratch too.
